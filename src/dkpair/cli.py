@@ -322,7 +322,11 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
             if not args.contraction:
                 raise ConfigError("user_supplied strategy needs --contraction")
             from .gridio import read_contraction_grid
-            contractions = tuple(read_contraction_grid(f) for f in args.contraction)
+            try:
+                contractions = tuple(read_contraction_grid(f)
+                                     for f in args.contraction)
+            except (OSError, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"contraction grid file: {exc}") from exc
         kval, info = fl.kane_mele_floquet_invariant(
             drive, z0, z1, strategy=args.strategy, rs=rs,
             contractions=contractions, t_samples=args.tgrid,

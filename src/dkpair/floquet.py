@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .grid_alg import AlgElement, RealStructureSpec, apply_real_structure
+from .grid_alg import (AlgElement, RealStructureSpec, apply_real_structure,
+                       spectral_derivative_data)
 from .kclass import (GapClosedError, LoopElement, Segment,
                      uniform_closed_segment)
-from .pairing import TorsionValue, chern_number, integer_check
+from .pairing import TorsionValue, alt_trace, chern_number, integer_check
 
 DEFAULT_T_SAMPLES = 256
 
@@ -301,24 +302,17 @@ def degree_t3(loop: LoopElement, unitary_tol: float = 1e-9,
         raise ValueError("degree needs a plain unitary loop over T^2")
     total = 0.0 + 0.0j
     for seg in loop.segments:
-        v = seg.values[0]
+        v = seg.values
         vh = np.conj(np.swapaxes(v, -1, -2))
         ures = np.max(np.abs(np.matmul(v, vh) - np.eye(loop.m)))
         if ures > unitary_tol:
             raise ValueError(f"loop not unitary (residual {ures:.3e})")
-        from .grid_alg import spectral_derivative_data
-        a = [np.matmul(vh, seg.derivs[0])]
-        for axis in range(2):
-            dv = spectral_derivative_data(seg.values, grid, axis, 2)[0]
-            a.append(np.matmul(vh, dv))
-        acc = np.zeros(v.shape[:-2], dtype=complex)
-        for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            prod = np.matmul(a[perm[0]], np.matmul(a[perm[1]], a[perm[2]]))
-            acc += np.trace(prod, axis1=-2, axis2=-1)
-        for perm in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-            prod = np.matmul(a[perm[0]], np.matmul(a[perm[1]], a[perm[2]]))
-            acc -= np.trace(prod, axis1=-2, axis2=-1)
-        per_node = np.mean(acc, axis=(1, 2))
+        a0 = np.matmul(vh, seg.derivs)
+        a1, a2 = (np.matmul(vh, spectral_derivative_data(v, grid, axis, 2))
+                  for axis in range(2))
+        # cyclicity of the full matrix trace (valid at k = 0 only) folds the
+        # six signed triple products into three times Tr a0 [a1, a2]
+        per_node = 3 * np.mean(alt_trace(a0, [a1, a2], 0), axis=(1, 2))
         total += np.sum(seg.weights * per_node)
     deg = complex(total) / 6.0
     if abs(deg.imag) > integer_tol:

@@ -54,10 +54,12 @@ class TorusGrid:
     def npoints(self) -> int:
         return int(np.prod(self.sizes)) if self.sizes else 1
 
+    def period(self, axis: int) -> float:
+        return 2 * np.pi if self.axis_roles[axis] == MOMENTUM else 1.0
+
     def coordinates(self, axis: int) -> np.ndarray:
         n = self.sizes[axis]
-        period = 2 * np.pi if self.axis_roles[axis] == MOMENTUM else 1.0
-        return np.arange(n) * period / n
+        return np.arange(n) * self.period(axis) / n
 
     def mode_multiplier(self, axis: int) -> np.ndarray:
         """Fourier multiplier of the derivation along `axis` (Nyquist zeroed)."""
@@ -73,7 +75,6 @@ class Derivation:
     """Spectral derivation along one grid axis."""
 
     axis: int
-    kind: str = "spectral"
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,6 @@ class AlgElement:
             self.data = data
 
     # -- constructors -------------------------------------------------
-    @classmethod
-    def zeros(cls, grid, m, k):
-        return cls(grid, m, k)
-
     @classmethod
     def unit(cls, grid, m, k=0):
         x = cls(grid, m, k)
@@ -291,8 +288,6 @@ def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int,
 def apply_derivation(dv: Derivation, x: AlgElement) -> AlgElement:
     if not 0 <= dv.axis < x.grid.d:
         raise ValueError(f"axis {dv.axis} out of range for d={x.grid.d}")
-    if dv.kind != "spectral":
-        raise ValueError(f"unknown derivation kind {dv.kind!r}")
     return AlgElement(x.grid, x.m, x.k,
                       spectral_derivative_data(x.data, x.grid, dv.axis, axis_offset=1))
 

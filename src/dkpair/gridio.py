@@ -42,14 +42,20 @@ def write_contraction_grid(path: str, samples: np.ndarray, binary: bool = True):
             json.dump(payload, fh)
 
 
+def _read_u4(fh, count: int) -> np.ndarray:
+    raw = fh.read(4 * count)
+    if len(raw) != 4 * count:
+        raise ValueError("truncated grid file header")
+    return np.frombuffer(raw, dtype="<u4")
+
+
 def read_contraction_grid(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
         if head == MAGIC:
-            ndim = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
-            sizes = tuple(int(v) for v in
-                          np.frombuffer(fh.read(4 * ndim), dtype="<u4"))
-            m = int(np.frombuffer(fh.read(4), dtype="<u4")[0])
+            ndim = int(_read_u4(fh, 1)[0])
+            sizes = tuple(int(v) for v in _read_u4(fh, ndim))
+            m = int(_read_u4(fh, 1)[0])
             raw = np.frombuffer(fh.read(), dtype="<f8")
             expected = int(np.prod(sizes)) * m * m * 2
             if raw.size != expected:
@@ -60,5 +66,12 @@ def read_contraction_grid(path: str) -> np.ndarray:
     with open(path) as fh:
         payload = json.load(fh)
     shape = tuple(payload["shape"])
-    flat = np.asarray(payload["data"], dtype=float)
+    data = payload["data"]
+    count = int(np.prod(shape))
+    if len(data) != count:
+        raise ValueError(f"grid file shape {list(shape)} needs {count} samples, "
+                         f"data holds {len(data)}")
+    if not all(isinstance(v, list) and len(v) == 2 for v in data):
+        raise ValueError("grid file samples must be [re, im] pairs")
+    flat = np.asarray(data, dtype=float)
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(shape)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                       check_invariance, hermitian_calculus,
-                       spectral_derivative_data)
+                       check_invariance, hermitian_calculus)
 
 
 class GapClosedError(ValueError):
@@ -243,11 +242,6 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return np.moveaxis(d, 0, 1)
 
 
-def segment_space_derivative(seg: Segment, axis: int) -> np.ndarray:
-    """Spectral derivative of the segment's values along a base grid axis."""
-    return spectral_derivative_data(seg.values, seg.grid, axis, axis_offset=2)
-
-
 # ---------------------------------------------------------------------------
 # the Bott suspension loop
 # ---------------------------------------------------------------------------
@@ -284,7 +278,7 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64,
                 _nu(xb, s, True)]
 
     def dfactors(s):
-        zero = AlgElement.zeros(xb.grid, xb.m, xb.k + 1)
+        zero = AlgElement(xb.grid, xb.m, xb.k + 1)
         return [_nu_deriv(xb, s, False), _nu_deriv(eb, s, True), zero,
                 _nu_deriv(eb, s, False), _nu_deriv(xb, s, True)]
 

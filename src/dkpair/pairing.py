@@ -11,6 +11,8 @@ n-dimensional character with an OSU x in M_m(A) (x) Cl_k is
 where [.]_top extracts the chirality-element coefficient of the Clifford
 factor (with the *-compatible phase of the iterated contraction), and the
 antisymmetrized permutation sum realizes (dx)^n over a Grassmann basis.
+Every character here (and the Floquet T^3 degree) evaluates through the one
+kernel `alt_trace`.
 
 The torsion-valued pairing is computed two independent ways: from the
 suspended character evaluated on an explicit four-segment loop, and from a
@@ -21,15 +23,14 @@ land in R modulo a caller-supplied lattice modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import comb
 
 import numpy as np
 
-from .clifford import CliffordSignature, mu
-from .grid_alg import (AlgElement, Derivation, apply_derivation,
+from .clifford import CliffordSignature, mu, sign_table
+from .grid_alg import (AlgElement, Derivation, _mul_data, apply_derivation,
                        spectral_derivative_data)
-from .kclass import BasePoint, LoopElement, OsuElement, Segment
+from .kclass import BasePoint, LoopElement, OsuElement
 
 @dataclass(frozen=True)
 class CycleSpec:
@@ -167,37 +168,42 @@ def mu_prime(i: int) -> int:
 # pairing core
 # ---------------------------------------------------------------------------
 
-def _top_trace(x: AlgElement, omega_parity: int) -> complex:
-    """Grid-averaged matrix trace of the chirality coefficient of x,
-    including the phases of the iterated Clifford contraction."""
-    k = x.k
-    comp = x.data[-1]
-    tr = np.trace(comp, axis1=-2, axis2=-1)
-    val = complex(np.mean(tr))
-    return val * (1j) ** (mu(k) % 4) * (1j) ** ((k * omega_parity) % 4)
+def alt_trace(z: np.ndarray, diffs: list[np.ndarray], k: int) -> np.ndarray:
+    """Per-point Tr_m of the top Clifford component of
+    z * sum_sigma sgn(sigma) d_sigma(1) ... d_sigma(n).
+
+    Inputs are component-first data blocks (2^k, *batch, m, m); the result
+    has shape batch.  The antisymmetrized product expands along its first
+    factor, Alt(d_1..d_n) = sum_i (-1)^(i-1) d_i Alt(d_1..^d_i..d_n), and
+    the last product with z is never formed: only its top component is
+    contracted.
+    """
+    top = (1 << k) - 1
+    if not diffs:
+        return np.trace(z[top], axis1=-2, axis2=-1)
+    right = _alt(diffs, k)
+    table = sign_table(k)
+    return sum(table[s, s ^ top]
+               * np.einsum("...ij,...ji->...", z[s], right[s ^ top])
+               for s in range(1 << k))
 
 
-def _antisymmetrized(z: AlgElement, diffs: list[AlgElement]) -> AlgElement:
+def _alt(diffs: list[np.ndarray], k: int) -> np.ndarray:
+    """sum_sigma sgn(sigma) d_sigma(1) ... d_sigma(n), by first-factor expansion."""
+    if len(diffs) == 1:
+        return diffs[0]
     acc = None
-    for perm in permutations(range(len(diffs))):
-        sgn = _perm_sign(perm)
-        term = z
-        for i in perm:
-            term = term * diffs[i]
-        term = term.scale(sgn)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else z
+    for i, d in enumerate(diffs):
+        term = _mul_data(d, _alt(diffs[:i] + diffs[i + 1:], k), k)
+        acc = term if acc is None else (acc - term if i % 2 else acc + term)
+    return acc
 
 
-def _perm_sign(perm) -> int:
-    sgn = 1
-    p = list(perm)
-    for i in range(len(p)):
-        while p[i] != i:
-            j = p[i]
-            p[i], p[j] = p[j], p[i]
-            sgn = -sgn
-    return sgn
+def _top_phase(k: int, n: int) -> complex:
+    """Phases of the iterated Clifford contraction of the top component,
+    for k generators against n derivative factors."""
+    omega_parity = (n + 1 + k) % 2
+    return (1j) ** (mu(k) % 4) * (1j) ** ((k * omega_parity) % 4)
 
 
 def _check_basepoint(cycle: CycleSpec, e: AlgElement, tol: float = 1e-10):
@@ -225,29 +231,28 @@ def pair(cycle: CycleSpec, x: OsuElement | AlgElement,
         xb._check(eb)
         _check_basepoint(cycle, eb)
         z = xb - eb
-    diffs = [apply_derivation(dv, xb) for dv in cycle.derivations]
-    acc = _antisymmetrized(z, diffs)
+    diffs = [apply_derivation(dv, xb).data for dv in cycle.derivations]
     n, k = cycle.n, xb.k
-    omega_parity = (n + 1 + k) % 2
-    raw = _top_trace(acc, omega_parity)
+    raw = complex(np.mean(alt_trace(z.data, diffs, k))) * _top_phase(k, n)
     value = cycle.scale(k) * (1j) ** (mu(n) % 4) * raw
     return PairingValue(complex(value), cycle.name, k)
 
 
 def winding_number(u: AlgElement, tol: float = 1e-10) -> complex:
-    """integral over one period of Tr((U* - 1) U') for a unitary loop.
+    """Integral over one period of Tr((U* - 1) U') for a unitary loop: the
+    grid mean times the axis period (2*pi on momentum axes, 1 on time axes).
 
     Divided by 2*pi*i this is the winding number of det U.
     """
     if u.k != 0 or u.grid.d != 1:
         raise ValueError("expects a plain matrix loop over one circle")
-    res = (u * u.star() - AlgElement.unit(u.grid, u.m, 0)).norm_inf()
+    unit = AlgElement.unit(u.grid, u.m, 0)
+    res = (u * u.star() - unit).norm_inf()
     if res > tol:
         raise ValueError(f"input not unitary (residual {res:.3e})")
     du = apply_derivation(Derivation(0), u)
-    integrand = (u.star() - AlgElement.unit(u.grid, u.m, 0)) * du
-    tr = np.trace(integrand.data[0], axis1=-2, axis2=-1)
-    return complex(np.mean(tr))
+    tr = alt_trace((u.star() - unit).data, [du.data], 0)
+    return complex(np.mean(tr)) * u.grid.period(0)
 
 
 def chern_number(p: AlgElement, tol: float = 1e-8, axes=(0, 1)) -> float:
@@ -257,14 +262,12 @@ def chern_number(p: AlgElement, tol: float = 1e-8, axes=(0, 1)) -> float:
     the QWZ symbol at mass 1 the upper flattened band (1 + sign h)/2 gives
     +1 (this is minus the plaquette Berry-flux convention).
     """
-    unit = AlgElement.unit(p.grid, p.m, 0)
     res = max((p * p - p).norm_inf(), (p - p.star()).norm_inf())
     if res > tol:
         raise ValueError(f"input not a projection field (residual {res:.3e})")
     d1 = apply_derivation(Derivation(axes[0]), p)
     d2 = apply_derivation(Derivation(axes[1]), p)
-    comm = d1 * d2 - d2 * d1
-    val = 2j * np.pi * np.mean(np.trace((p * comm).data[0], axis1=-2, axis2=-1))
+    val = 2j * np.pi * np.mean(alt_trace(p.data, [d1.data, d2.data], 0))
     if abs(val.imag) > tol:
         raise ValueError(f"Chern integrand not real (imag {val.imag:.3e})")
     return float(val.real)
@@ -316,39 +319,23 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement,
     k_loop = loop.k
     total = 0.0 + 0.0j
     for seg in loop.segments:
-        sdiffs = [spectral_derivative_data(seg.values, seg.grid, dv.axis, 2)
-                  for dv in cycle.derivations]
-        total += _segment_sum(seg, sdiffs, n, k_loop, base.data[:, None])
+        # one quadrature node at a time bounds the working set
+        for j, weight in enumerate(seg.weights):
+            value = seg.values[:, j]
+            diffs = [spectral_derivative_data(value, seg.grid, dv.axis, 1)
+                     for dv in cycle.derivations] + [seg.derivs[:, j]]
+            tr = alt_trace(value - base.data, diffs, k_loop)
+            total += weight * np.mean(tr)
     # suspension trace: one half of the standard (n+1)-cycle trace on the
     # base trace.  The *-compatible phase of the top Grassmann contraction
     # is i^mu(n+1); for n = 2 this differs by -1 from the naive product of
     # the base phase with i^n, and only this choice is consistent with the
     # suspension identity <xi^S, beta[x]> = c_n <xi, [x]> at n = 2.
-    omega_parity = (n + k_loop) % 2
     value = (cycle.scale(k_loop)
              * (1j) ** (mu(n + 1) % 4) * 0.5
-             * (1j) ** (mu(k_loop) % 4) * (1j) ** ((k_loop * omega_parity) % 4)
+             * _top_phase(k_loop, n + 1)
              * total)
     return PairingValue(complex(value), cycle.name + "^S", k_loop)
-
-
-def _segment_sum(seg: Segment, sdiffs: list[np.ndarray], n: int, k: int,
-                 base_data: np.ndarray) -> complex:
-    from .grid_alg import _mul_data
-
-    diffs = sdiffs + [seg.derivs]
-    first = seg.values - base_data
-    acc = None
-    for perm in permutations(range(n + 1)):
-        sgn = _perm_sign(perm)
-        term = first
-        for i in perm:
-            term = _mul_data(term, diffs[i], k)
-        acc = sgn * term if acc is None else acc + sgn * term
-    tr = np.trace(acc[-1], axis1=-2, axis2=-1)
-    space_axes = tuple(range(1, tr.ndim))
-    per_node = np.mean(tr, axis=space_axes) if space_axes else tr
-    return complex(np.sum(seg.weights * per_node))
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +383,10 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
     proj_res = (p_y * p_y - p_y).norm_inf()
     if proj_res > 1e-8:
         raise ValueError(f"(1 - i y)/2 is not a projection (residual {proj_res:.3e})")
-    diffs = [apply_derivation(dv, xb) for dv in cycle.derivations]
-    acc = _antisymmetrized(p_y * (xb - eb), diffs)
+    diffs = [apply_derivation(dv, xb).data for dv in cycle.derivations]
     n = cycle.n
-    omega_parity = (n + 1 + k) % 2
-    raw = _top_trace(acc, omega_parity) * cycle.scale(k) * (1j) ** (mu(n) % 4)
+    trace = complex(np.mean(alt_trace((p_y * (xb - eb)).data, diffs, k)))
+    raw = trace * _top_phase(k, n) * cycle.scale(k) * (1j) ** (mu(n) % 4)
     value = (1j) ** ((n - 1 + mu_prime(k + 1)) % 4) * raw
     if abs(value.imag) > ray_tol * max(1.0, abs(value)):
         raise ValueError(f"torsion value off the real ray: {value}")

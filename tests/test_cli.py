@@ -270,6 +270,39 @@ def test_reports_deterministic(tmp_path, capsys):
 # contraction grid files
 # ---------------------------------------------------------------------------
 
+def test_gridio_rejects_malformed_text(tmp_path):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"shape": [2, 1, 1], "data": [[1.0, 0.0]]}))
+    with pytest.raises(ValueError, match="needs 2 samples"):
+        read_contraction_grid(str(path))
+    path.write_text(json.dumps({"shape": [2, 1, 1],
+                                "data": [[1.0, 0.0], [1.0, 0.0, 0.0]]}))
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+        read_contraction_grid(str(path))
+
+
+def test_cmd_floquet_malformed_contraction_files(tmp_path, rng):
+    path = write_config(tmp_path, floquet_config(1.0))
+    samples = (rng.standard_normal((9, 8, 8, 4, 4))
+               + 1j * rng.standard_normal((9, 8, 8, 4, 4)))
+    truncated = tmp_path / "truncated.grid"
+    write_contraction_grid(str(truncated), samples, binary=True)
+    truncated.write_bytes(truncated.read_bytes()[:-16])
+    mismatched = tmp_path / "mismatched.json"
+    write_contraction_grid(str(mismatched), samples, binary=False)
+    payload = json.loads(mismatched.read_text())
+    payload["data"] = payload["data"][:-1]
+    mismatched.write_text(json.dumps(payload))
+    header_only = tmp_path / "header_only.grid"
+    header_only.write_bytes(truncated.read_bytes()[:10])
+    for bad in (truncated, header_only, mismatched):
+        code = run_cli(["floquet", "--config", path, "--arc0", "0.0",
+                        "--arc1", "3.14159265", "--grid", "8", "--tgrid", "32",
+                        "--strategy", "user_supplied",
+                        "--contraction", str(bad), str(bad)])
+        assert code == cli.EXIT_VALIDATION, bad.name
+
+
 def test_gridio_roundtrip(tmp_path, rng):
     samples = (rng.standard_normal((5, 4, 4, 2, 2))
                + 1j * rng.standard_normal((5, 4, 4, 2, 2)))

@@ -1,8 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from conftest import (chern_fhs, ko2_generator, random_hermitian_field,
-                      spin_y)
+from conftest import (chern_fhs, ko2_generator, random_element,
+                      random_hermitian_field, spin_y)
 from dkpair.clifford import CliffordSignature
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              apply_real_structure, direct_sum, psi_e,
@@ -12,13 +14,61 @@ from dkpair.kclass import (BasePoint, bott_loop, flatten,
                            torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_symbol, winding_unitary)
-from dkpair.pairing import (MODULUS_KANE_MELE_CH2, TorsionValue, ch0, ch1,
-                            ch2, chern_number, integer_check, mu_prime, pair,
-                            pair_suspended, pimsner_constant, selection_rule,
-                            spin_chern, torsion_pairing_closed_form,
+from dkpair.pairing import (MODULUS_KANE_MELE_CH2, TorsionValue, alt_trace,
+                            ch0, ch1, ch2, chern_number, integer_check,
+                            mu_prime, pair, pair_suspended, pimsner_constant,
+                            selection_rule, spin_chern,
+                            torsion_pairing_closed_form,
                             torsion_pairing_via_loop, winding_number)
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+# ---------------------------------------------------------------------------
+# the top-trace kernel
+# ---------------------------------------------------------------------------
+
+def alt_trace_oracle(z: AlgElement, diffs: list[AlgElement]) -> np.ndarray:
+    """Permutation sum z * d_sigma(1) ... d_sigma(n) built from AlgElement
+    products, then the matrix trace of its top Clifford component."""
+    acc = AlgElement(z.grid, z.m, z.k)
+    for perm in permutations(range(len(diffs))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = z
+        for i in perm:
+            term = term * diffs[i]
+        acc = acc + term.scale((-1) ** inversions)
+    return np.trace(acc.data[-1], axis1=-2, axis2=-1)
+
+
+def _close(got, ref, rel=1e-12):
+    return np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("n", range(4))
+def test_alt_trace_matches_permutation_sum(n, k, rng):
+    grid = TorusGrid((4, 6))
+    sets = [[random_element(rng, grid, 2, k) for _ in range(n + 1)]
+            for _ in range(2)]
+    refs = [alt_trace_oracle(z, diffs) for z, *diffs in sets]
+    for (z, *diffs), ref in zip(sets, refs):
+        got = alt_trace(z.data, [d.data for d in diffs], k)
+        assert got.shape == grid.sizes
+        assert _close(got, ref)
+    # an extra batch axis after the component axis, as a loop's node axis
+    stacked = [np.stack([a.data, b.data], axis=1) for a, b in zip(*sets)]
+    got = alt_trace(stacked[0], stacked[1:], k)
+    assert got.shape == (2, *grid.sizes)
+    assert _close(got, np.stack(refs))
+
+
+def test_alt_trace_cyclic_identity_at_k0(grid16, rng):
+    a = [random_element(rng, grid16, 3, 0).data for _ in range(3)]
+    unit = AlgElement.unit(grid16, 3, 0).data
+    full = alt_trace(unit, a, 0)
+    assert _close(full, 3 * alt_trace(a[0], a[1:], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +157,15 @@ def test_winding_matches_ch1_pairing(tgrid64):
     e = BasePoint.sigma_x(tgrid64, 1, 2)
     val = pair(ch1(0), xo, e).value
     assert abs(val - winding_number(u)) < 1e-10
+
+
+def test_winding_momentum_axis_integrates_over_period():
+    grid = TorusGrid((32,))
+    k = grid.coordinates(0)
+    for n in (-2, 1, 3):
+        u = AlgElement.from_matrix_field(
+            grid, np.exp(1j * n * k)[:, None, None] * np.eye(2))
+        assert abs(winding_number(u) / (2j * np.pi) - 2 * n) < 1e-10
 
 
 def test_winding_rejects_nonunitary(tgrid64):
