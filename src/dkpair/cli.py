@@ -266,8 +266,8 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     for n in (args.grid, 2 * args.grid):
         grid = cfg.grid(n)
         h = cfg.symbol(grid)
-        inv, res = check_invariance(rs, h, 1e-9)
         if n == args.grid:
+            inv, res = check_invariance(rs, h, 1e-9)
             report.check("time_reversal_invariance", inv, res, 1e-9)
             if not inv:
                 report.finish(args.report)
@@ -294,13 +294,15 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
 
 
 def cmd_floquet(cfg: ModelConfig, args) -> int:
+    if not cfg.spin_doubling:
+        raise ConfigError("floquet needs a spin-doubled model")
     report = Report("floquet", cfg.digest(),
                     {"momentum": args.grid, "time": args.tgrid})
     grid = cfg.grid(args.grid)
     drive = cfg.drive_object(grid)
     z0 = complex(np.exp(1j * args.arc0))
     z1 = complex(np.exp(1j * args.arc1))
-    rs = models.quaternionic_structure(k=0) if cfg.spin_doubling else None
+    rs = models.quaternionic_structure(k=0)
     b0, b1 = fl.branch_pair(z0, z1, drive.period)
     h0 = fl.effective_hamiltonian(drive, b0)
     h1 = fl.effective_hamiltonian(drive, b1)
@@ -309,41 +311,40 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
         - arc.projection.scale(2j * np.pi)
     report.value("branch_gap_margin", arc.gap_margin)
     report.value("arc_rank", float(arc.rank))
-    report.check("branch_identity", ident.norm_inf() <= 1e-9,
-                 ident.norm_inf(), 1e-9)
-    if rs is not None:
-        tri = fl.check_time_reversal(drive, rs)
-        report.check("time_reversal", tri <= 1e-9, tri, 1e-9)
-        loop0 = fl.periodized_evolution(drive, b0, args.tgrid)
-        report.check("periodicity", fl.periodicity_residual(loop0) <= 1e-9,
-                     fl.periodicity_residual(loop0), 1e-9)
-        contractions = None
-        if args.strategy == "user_supplied":
-            if not args.contraction:
-                raise ConfigError("user_supplied strategy needs --contraction")
-            from .gridio import read_contraction_grid
-            try:
-                contractions = tuple(read_contraction_grid(f)
-                                     for f in args.contraction)
-            except (OSError, KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"contraction grid file: {exc}") from exc
-        kval, info = fl.kane_mele_floquet_invariant(
-            drive, z0, z1, strategy=args.strategy, rs=rs,
-            contractions=contractions, t_samples=args.tgrid,
+    ident_res = ident.norm_inf()
+    report.check("branch_identity", ident_res <= 1e-9, ident_res, 1e-9)
+    tri = fl.check_time_reversal(drive, rs)
+    report.check("time_reversal", tri <= 1e-9, tri, 1e-9)
+    loop0 = fl.periodized_evolution(drive, b0, args.tgrid)
+    per_res = fl.periodicity_residual(loop0)
+    report.check("periodicity", per_res <= 1e-9, per_res, 1e-9)
+    contractions = None
+    if args.strategy == "user_supplied":
+        if not args.contraction:
+            raise ConfigError("user_supplied strategy needs --contraction")
+        from .gridio import read_contraction_grid
+        try:
+            contractions = tuple(read_contraction_grid(f)
+                                 for f in args.contraction)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"contraction grid file: {exc}") from exc
+    kval, info = fl.kane_mele_floquet_invariant(
+        drive, z0, z1, strategy=args.strategy, rs=rs,
+        contractions=contractions, t_samples=args.tgrid,
+        integer_tol=args.tol)
+    report.value("k_invariant", kval.reduced, modulus=kval.modulus)
+    for key, val in info.items():
+        if isinstance(val, (int, float)):
+            report.value(key, float(val))
+    if args.strategy == "decoupled":
+        fine_drive = cfg.drive_object(cfg.grid(2 * args.grid))
+        kfine, _ = fl.kane_mele_floquet_invariant(
+            fine_drive, z0, z1, strategy="decoupled", rs=rs,
             integer_tol=args.tol)
-        report.value("k_invariant", kval.reduced, modulus=kval.modulus)
-        for key, val in info.items():
-            if isinstance(val, (int, float)):
-                report.value(key, float(val))
-        if args.strategy == "decoupled":
-            fine_drive = cfg.drive_object(cfg.grid(2 * args.grid))
-            kfine, _ = fl.kane_mele_floquet_invariant(
-                fine_drive, z0, z1, strategy="decoupled", rs=rs,
-                integer_tol=args.tol)
-            report.check("k_refinement_stable", kval.reduced == kfine.reduced)
-        else:
-            report.value("k_refinement", 0.0,
-                         note="fixed user-supplied contraction grid")
+        report.check("k_refinement_stable", kval.reduced == kfine.reduced)
+    else:
+        report.value("k_refinement", 0.0,
+                     note="fixed user-supplied contraction grid")
     report.finish(args.report)
     return EXIT_OK
 

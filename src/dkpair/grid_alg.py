@@ -217,10 +217,41 @@ class AlgElement:
         return AlgElement(self.grid, self.m, self.k, out)
 
     def norm_inf(self) -> float:
-        """Max over grid points of the operator 2-norm of the represented matrix."""
-        rep = represent(self)
-        sv = np.linalg.svd(rep, compute_uv=False)
-        return float(np.max(sv)) if sv.size else 0.0
+        """Max over grid points of the operator 2-norm of the represented matrix.
+
+        Exact, with SVDs only at the points that can hold the maximum.  The
+        blade images R_S are unitary and trace-orthogonal, so the represented
+        matrix sum_S x_S (x) R_S has squared Frobenius norm 2^q sum_S |x_S|_F^2,
+        and a single component x_S (x) R_S has the singular values of x_S.
+        As sigma_max <= |.|_F <= sqrt(n) sigma_max for an n x n matrix, a point
+        with |.|_F^2 below max |.|_F^2 / n cannot hold the maximum.  Raises
+        LinAlgError on non-finite input.
+        """
+        live = _live_components(self.data)
+        if not live:
+            return 0.0
+        data = self.data.reshape(self.data.shape[0], -1, self.m, self.m)
+        n = self.m if len(live) == 1 else self.m << representation(self.k)[1]
+        fro2 = sum(np.einsum("pij,pij->p", part, part)
+                   for s in live for part in (data[s].real, data[s].imag))
+        top = fro2.max()
+        if _FRO2_MIN <= top < np.inf:
+            # the relative slack stays well above the rounding in fro2
+            points = np.flatnonzero(~(fro2 < top * (1 - 1e-12) / n))
+        else:
+            # squares that underflow, overflow or are NaN: keep every point
+            points = np.arange(fro2.size)
+        step = max(1, _SVD_CHUNK // (n * n))
+        peaks = []
+        for start in range(0, points.size, step):
+            sel = points[start:start + step]
+            mats = (data[live[0], sel] if len(live) == 1
+                    else _represent_blocks(data[:, sel], self.k, live))
+            peaks.append(np.linalg.svd(mats, compute_uv=False).max())
+        best = float(np.max(peaks))
+        if not np.isfinite(best):
+            raise np.linalg.LinAlgError("norm_inf of a non-finite element")
+        return best
 
     # -- Clifford factor manipulation -----------------------------------
     def append_generator(self, on_new: bool = True, coeff: complex = 1.0) -> "AlgElement":
@@ -242,13 +273,25 @@ class AlgElement:
 # core operations
 # ---------------------------------------------------------------------------
 
+# squared Frobenius norms this far above the underflow threshold keep their
+# full relative precision, which the pruning in norm_inf relies on
+_FRO2_MIN = 1e-200
+# matrix entries per batched SVD call in norm_inf (16 MB of complex data)
+_SVD_CHUNK = 1 << 20
+
+
+def _live_components(data: np.ndarray) -> list[int]:
+    """Clifford components of a component-first data block that are not
+    identically zero."""
+    return [s for s in range(data.shape[0]) if np.any(data[s])]
+
+
 def _mul_data(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Raw product of two component-first data blocks of the same trailing shape."""
     table = sign_table(k)
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    nontrivial_a = [s for s in range(a.shape[0]) if np.any(a[s])]
-    nontrivial_b = [t for t in range(b.shape[0]) if np.any(b[t])]
-    for s in nontrivial_a:
+    nontrivial_b = _live_components(b)
+    for s in _live_components(a):
         for t in nontrivial_b:
             prod = np.matmul(a[s], b[t])
             if table[s, t] < 0:
@@ -275,14 +318,18 @@ def alg_star(x: AlgElement) -> AlgElement:
 
 def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int,
                              axis_offset: int) -> np.ndarray:
-    """Apply the spectral derivation along grid axis `axis` to a data block
-    whose grid axes start at position `axis_offset`."""
-    ax = axis_offset + axis
+    """Apply the spectral derivation along grid axis `axis` to a component-first
+    data block whose grid axes start at position `axis_offset`.  Identically
+    zero Clifford components stay exact zeros without a transform."""
+    ax = axis_offset + axis - 1  # position within one component
     mult = grid.mode_multiplier(axis)
-    shape = [1] * data.ndim
+    shape = [1] * (data.ndim - 1)
     shape[ax] = mult.size
-    f = np.fft.fft(data, axis=ax)
-    return np.fft.ifft(f * mult.reshape(shape), axis=ax)
+    mult = mult.reshape(shape)
+    out = np.zeros(data.shape, dtype=complex)
+    for s in _live_components(data):
+        np.fft.ifft(np.fft.fft(data[s], axis=ax) * mult, axis=ax, out=out[s])
+    return out
 
 
 def apply_derivation(dv: Derivation, x: AlgElement) -> AlgElement:
@@ -326,7 +373,7 @@ def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
             raise ValueError("quaternionic fiber needs an even block size "
                              "dividing the matrix size")
         u = np.kron(np.eye(x.m // block), np.kron(_SIGMA_Y, np.eye(block // 2)))
-        out = np.einsum("ij,...jk,kl->...il", u, out, np.conj(u.T))
+        out = u @ out @ np.conj(u.T)
     for mask in range(out.shape[0]):
         flips = sum(1 for i in range(x.k) if mask >> i & 1 and rs.clifford_signs[i] < 0)
         if flips % 2:
@@ -345,15 +392,19 @@ def check_invariance(rs: RealStructureSpec, x: AlgElement, tol: float) -> tuple[
 
 def represent(x: AlgElement) -> np.ndarray:
     """Pointwise matrix image of shape (*sizes, m*2^q, m*2^q), a *-homomorphism."""
-    images, q = representation(x.k)
+    return _represent_blocks(x.data, x.k, _live_components(x.data))
+
+
+def _represent_blocks(data: np.ndarray, k: int, masks: list[int]) -> np.ndarray:
+    """Image sum_S data[S] (x) R_S over the components `masks` of a
+    component-first block (2^k, *batch, m, m); shape (*batch, m*2^q, m*2^q)."""
+    images, q = representation(k)
     dim = 1 << q
-    out = np.zeros((*x.grid.sizes, x.m * dim, x.m * dim), dtype=complex)
-    view = out.reshape(*x.grid.sizes, x.m, dim, x.m, dim)
-    for mask in range(1 << x.k):
-        block = x.data[mask]
-        if not np.any(block):
-            continue
-        view += block[..., :, None, :, None] * images[mask][None, :, None, :]
+    batch, m = data.shape[1:-2], data.shape[-1]
+    out = np.zeros((*batch, m * dim, m * dim), dtype=complex)
+    view = out.reshape(*batch, m, dim, m, dim)
+    for mask in masks:
+        view += data[mask][..., :, None, :, None] * images[mask][None, :, None, :]
     return out
 
 

@@ -77,35 +77,40 @@ def osu_validate(x: AlgElement, tol: float = 1e-10) -> OsuElement:
 def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
     """Spectral flattening sign(h) of a self-adjoint invertible element.
 
-    Pointwise hermitian eigendecomposition; eigenvalues map to +-1.  Raises
-    GapClosedError reporting the offending grid point if the spectral gap
-    at zero falls below gap_tol.
+    Pointwise hermitian eigendecomposition; eigenvalues map to +-1.  Both
+    checks are relative to the scale |h| = h.norm_inf(), as sign(lambda h) =
+    sign(h) for lambda > 0: the self-adjointness residual must stay within
+    1e-10 |h|, and GapClosedError reports the offending grid point if the
+    spectral gap at zero falls below gap_tol |h|.
     """
+    scale = h.norm_inf()
     sa_res = (h - h.star()).norm_inf()
-    if sa_res > 1e-10:
-        raise ValueError(f"flatten needs a self-adjoint input (residual {sa_res:.2e})")
+    if sa_res > 1e-10 * scale:
+        raise ValueError(f"flatten needs a self-adjoint input (residual {sa_res:.2e} "
+                         f"at scale {scale:.2e})")
+    gap = gap_tol * scale
     if h.k == 0:
         w, v = np.linalg.eigh(h.data[0])
-        _check_gap(w, gap_tol)
+        _check_gap(w, gap)
         s = np.sign(w)
         out = np.einsum("...ij,...j,...kj->...ik", v, s, np.conj(v))
         return AlgElement.from_matrix_field(h.grid, out, k=0)
 
     def sign_fn(w):
-        _check_gap(w, gap_tol)
+        _check_gap(w, gap)
         return np.sign(w)
 
     return hermitian_calculus(h, sign_fn)
 
 
-def _check_gap(w, gap_tol):
+def _check_gap(w, gap):
     absw = np.abs(w)
     smallest = float(absw.min())
-    if smallest < gap_tol:
+    if smallest < gap or smallest == 0:
         point = np.unravel_index(int(np.argmin(absw.min(axis=-1))), absw.shape[:-1])
         raise GapClosedError(
             f"spectral gap closed: smallest |eigenvalue| {smallest:.3e} "
-            f"< {gap_tol:g} at grid point {point}", point, smallest)
+            f"< {gap:.3e} at grid point {point}", point, smallest)
 
 
 def make_osu_from_hamiltonian(h: AlgElement, gap_tol: float = 1e-8,

@@ -227,6 +227,16 @@ def test_cmd_floquet_trivial_drive(tmp_path, capsys):
     assert rep["values"]["k_invariant"]["value"] == 0.0
 
 
+def test_cmd_floquet_needs_spin_doubling(tmp_path, capsys):
+    cfg = floquet_config(1.0)
+    cfg.update(spin_doubling=False, real_structure="none")
+    path = write_config(tmp_path, cfg)
+    code = run_cli(["floquet", "--config", path, "--arc0", "0.0",
+                    "--arc1", "3.14159265", "--grid", "16", "--tgrid", "64"])
+    assert code == cli.EXIT_VALIDATION
+    assert "spin-doubled" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify command and report format
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_derivation, apply_real_structure,
                              check_invariance, direct_sum, hermitian_calculus,
                              psi_e, psi_e_inverse, represent, scalar_trace,
-                             trace, unitary_exp, unrepresent)
+                             spectral_derivative_data, trace, unitary_exp,
+                             unrepresent)
 
 
 def test_grid_validation():
@@ -321,3 +322,80 @@ def test_algebra_axioms_property(seed, k):
     assert ((a * b) * c - a * (b * c)).norm_inf() < 1e-10
     assert ((a * b).star() - b.star() * a.star()).norm_inf() < 1e-10
     assert (a.star().star() - a).norm_inf() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# norm_inf against the full-grid SVD of the representation
+# ---------------------------------------------------------------------------
+
+def svd_norm_inf(x):
+    """Reference: the largest singular value of represent(x) over all points."""
+    sv = np.linalg.svd(represent(x), compute_uv=False)
+    return float(np.max(sv)) if sv.size else 0.0
+
+
+def assert_matches_oracle(x):
+    ref = svd_norm_inf(x)
+    got = x.norm_inf()
+    if sum(bool(np.any(c)) for c in x.data) > 1:
+        assert got == ref  # same SVDs, fewer of them
+    else:
+        # the SVD of x_S instead of x_S (x) R_S: same values, other rounding
+        assert abs(got - ref) <= 1e-14 * ref
+
+
+@pytest.mark.parametrize("sizes", [(), (6,), (8, 4)])
+def test_norm_inf_matches_svd_oracle(sizes, rng):
+    grid = TorusGrid(sizes)
+    for k in range(4):
+        for m in range(1, 5):
+            full = random_element(rng, grid, m, k, modes=1)
+            assert_matches_oracle(full)
+            # one large point among small ones: pruning keeps few points
+            spiky = full.copy()
+            spiky.data[(slice(None),) + (0,) * grid.d] *= 50.0
+            assert_matches_oracle(spiky)
+            # squares that underflow or overflow: no pruning, same value
+            assert_matches_oracle(full.scale(1e-170))
+            assert_matches_oracle(full.scale(1e160))
+            for mask in (0, (1 << k) - 1):
+                single = AlgElement(grid, m, k)
+                single.data[mask] = full.data[mask]
+                assert_matches_oracle(single)
+            assert AlgElement(grid, m, k).norm_inf() == 0.0
+            # rounding-level residuals
+            a, b = (random_element(rng, grid, m, k, modes=1) for _ in range(2))
+            noise = (a * b).star() - b.star() * a.star()
+            if np.any(noise.data):
+                assert_matches_oracle(noise)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norm_inf_rejects_non_finite(grid16, rng, bad):
+    for k in (0, 2):
+        x = random_element(rng, grid16, 2, k, modes=1)
+        x.data[0, 3, 5, 1, 0] = bad
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            x.norm_inf()
+
+
+def test_derivative_matches_whole_block_transform(grid16, rng):
+    x = random_element(rng, grid16, 2, 2, parity=1)
+    for axis in range(2):
+        mult = grid16.mode_multiplier(axis).reshape((1,) * (axis + 1) + (-1,)
+                                                    + (1,) * (3 - axis))
+        ax = 1 + axis
+        ref = np.fft.ifft(np.fft.fft(x.data, axis=ax) * mult, axis=ax)
+        got = spectral_derivative_data(x.data, grid16, axis, 1)
+        assert np.array_equal(got[1], ref[1])
+        assert not np.any(got[0]) and not np.any(got[3])
+
+
+def test_quaternionic_fiber_matches_einsum(grid16, rng):
+    from dkpair.models import quaternionic_structure
+    x = random_element(rng, grid16, 4, 1)
+    u = np.kron(np.array([[0, -1j], [1j, 0]]), np.eye(2))
+    flipped = np.flip(np.roll(np.conj(x.data), -1, axis=(1, 2)), axis=(1, 2))
+    ref = np.einsum("ij,...jk,kl->...il", u, flipped, np.conj(u.T))
+    got = apply_real_structure(quaternionic_structure(k=1), x).data
+    assert np.array_equal(got, ref)

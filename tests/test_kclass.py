@@ -37,6 +37,11 @@ def test_flatten_gap_error(grid16):
     assert err.value.smallest is not None
 
 
+def test_flatten_zero_has_no_gap(grid16):
+    with pytest.raises(GapClosedError):
+        flatten(AlgElement(grid16, 2, 0))
+
+
 def test_flatten_commutes_with_real_structure(grid16, rng):
     rs = quaternionic_structure(k=0)
     h1 = random_hermitian_field(rng, grid16, 2, shift=4.0)

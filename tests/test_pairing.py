@@ -2,6 +2,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (chern_fhs, ko2_generator, random_element,
                       random_hermitian_field, spin_y)
@@ -480,6 +482,15 @@ def test_doubled_kane_mele_class_trivial(grid16):
                         derivations=cyc.derivations, order=48)
     via = torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
     assert via.distance(0.0) < 1e-6
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(min_value=1e-9, max_value=1e8))
+@example(1e-9)
+@example(1e8)
+def test_spin_chern_scale_invariant(lam):
+    h = qwz_symbol(TorusGrid((16, 16)), 1.0)
+    assert abs(spin_chern(h.scale(lam)) - spin_chern(h)) <= 1e-12
 
 
 def test_spin_chern_examples(grid16):
