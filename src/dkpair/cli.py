@@ -18,7 +18,8 @@ import numpy as np
 from . import floquet as fl
 from . import models, pairing
 from .grid_alg import AlgElement, TorusGrid, check_invariance
-from .kclass import BasePoint, GapClosedError, make_osu_from_hamiltonian
+from .kclass import (BasePoint, GapClosedError, flatten,
+                     make_osu_from_hamiltonian, osu_validate)
 from .pairing import integer_check
 
 REPORT_SCHEMA = "dkpair-report/1"
@@ -230,15 +231,16 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
     elif cycle_name == "ch2":
         if cfg.dimension != 2:
             raise ConfigError("ch2 needs a two-dimensional model")
-        from .kclass import flatten
         values = []
         for n in (args.grid, 2 * args.grid):
             grid = cfg.grid(n)
             s = flatten(cfg.symbol(grid))
             p = (s + AlgElement.unit(grid, s.m, 0)).scale(0.5)
             values.append(pairing.chern_number(p))
+            if n == args.grid:
+                flat = s
         ch = _quantized(report, "chern", values[0], values[1], args.tol)
-        x = make_osu_from_hamiltonian(cfg.symbol(cfg.grid(args.grid)))
+        x = osu_validate(flat.append_generator())
         e = BasePoint.standard_rho(x.body.grid, x.body.m, 1, sign=-1)
         val = pairing.pair(pairing.ch2(), x, e).value
         report.value("pairing", val, two_pi_times=2 * np.pi * val.real)
@@ -263,21 +265,24 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     rs = models.quaternionic_structure(k=0)
     spins = []
     torsions = []
+    m = 2 * cfg.matrix_size
     for n in (args.grid, 2 * args.grid):
         grid = cfg.grid(n)
-        h = cfg.symbol(grid)
         if n == args.grid:
-            inv, res = check_invariance(rs, h, 1e-9)
+            inv, res = check_invariance(rs, cfg.symbol(grid), 1e-9)
             report.check("time_reversal_invariance", inv, res, 1e-9)
             if not inv:
                 report.finish(args.report)
                 return EXIT_VALIDATION
-        h1 = models.symbol_from_hoppings(grid, cfg.hoppings, cfg.matrix_size)
-        spins.append(pairing.spin_chern(h1))
-        x = make_osu_from_hamiltonian(h)
-        e = BasePoint.standard_rho(grid, h.m, 1, sign=-1)
-        y = AlgElement(grid, h.m, 1)
-        y.data[0] = np.kron(np.diag([-1j, 1j]), np.eye(h.m // 2))
+        # sign(diag(h1, f h1)) = diag(sign h1, f sign h1): one flattening of
+        # the block gives both the spin Chern number and the doubled OSU
+        s1 = flatten(cfg.block_symbol(grid))
+        spins.append(pairing.chern_number(
+            (s1 + AlgElement.unit(grid, s1.m, 0)).scale(0.5)))
+        x = osu_validate(models.spin_double(s1).append_generator())
+        e = BasePoint.standard_rho(grid, m, 1, sign=-1)
+        y = AlgElement(grid, m, 1)
+        y.data[0] = np.kron(np.diag([-1j, 1j]), np.eye(m // 2))
         torsions.append(pairing.torsion_pairing_closed_form(
             pairing.ch2(), x, e, y, pairing.MODULUS_KANE_MELE_CH2))
     sc = _quantized(report, "spin_chern", spins[0], spins[1], args.tol)

@@ -11,12 +11,13 @@ residual contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
-from .grid_alg import (AlgElement, RealStructureSpec, apply_real_structure,
-                       spectral_derivative_data)
+from .grid_alg import (AlgElement, RealStructureSpec, _spectral_calculus,
+                       apply_real_structure, spectral_derivative_data)
 from .kclass import (GapClosedError, LoopElement, Segment,
                      uniform_closed_segment)
 from .pairing import TorsionValue, alt_trace, chern_number, integer_check
@@ -26,7 +27,9 @@ DEFAULT_T_SAMPLES = 256
 
 @dataclass(frozen=True)
 class FloquetDrive:
-    """Piecewise-constant time-periodic Hamiltonian over one period."""
+    """Piecewise-constant time-periodic Hamiltonian over one period.  U(T) is
+    factorized once and cached, so segments must not be mutated after
+    construction; hermiticity is checked relative to each segment's scale."""
 
     period: float
     segments: tuple[tuple[float, AlgElement], ...]
@@ -43,7 +46,7 @@ class FloquetDrive:
             if h.k != 0:
                 raise ValueError("drive Hamiltonians are plain matrix fields")
             res = (h - h.star()).norm_inf()
-            if res > 1e-12:
+            if res > 1e-12 * h.norm_inf():
                 raise ValueError(f"drive segment not hermitian (residual {res:.3e})")
 
     @property
@@ -53,6 +56,11 @@ class FloquetDrive:
     @property
     def m(self):
         return self.segments[0][1].m
+
+    @cached_property
+    def _spectrum(self):
+        """(phases, vectors) of U(T), shared by every function of the drive."""
+        return unitary_eig(evolve(self, self.period))
 
 
 def check_time_reversal(drive: FloquetDrive, rs: RealStructureSpec) -> float:
@@ -68,9 +76,18 @@ def check_time_reversal(drive: FloquetDrive, rs: RealStructureSpec) -> float:
     return worst
 
 
-def _segment_exp(h: AlgElement, tau: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h.data[0])
-    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * tau * w), np.conj(v))
+def _segment_product(drive: FloquetDrive, span: float = np.inf) -> np.ndarray:
+    """Product of the segment exponentials over [0, min(span, T))."""
+    u = np.broadcast_to(np.eye(drive.m, dtype=complex),
+                        (*drive.grid.sizes, drive.m, drive.m)).copy()
+    for tau, h in drive.segments:
+        if span <= 0:
+            break
+        step = min(tau, span)
+        w, v = np.linalg.eigh(h.data[0])
+        u = np.matmul(_spectral_calculus(v, np.exp(-1j * step * w)), u)
+        span -= step
+    return u
 
 
 def evolve(drive: FloquetDrive, t: float, unitary_tol: float = 1e-11) -> AlgElement:
@@ -78,19 +95,9 @@ def evolve(drive: FloquetDrive, t: float, unitary_tol: float = 1e-11) -> AlgElem
     if t < 0:
         raise ValueError("negative times not supported")
     n_full = int(t // drive.period)
-    remaining = t - n_full * drive.period
-    u = np.broadcast_to(np.eye(drive.m, dtype=complex),
-                        (*drive.grid.sizes, drive.m, drive.m)).copy()
-    for tau, h in drive.segments:
-        if remaining <= 0:
-            break
-        step = min(tau, remaining)
-        u = np.matmul(_segment_exp(h, step), u)
-        remaining -= step
+    u = _segment_product(drive, t - n_full * drive.period)
     if n_full:
-        u_period = np.broadcast_to(np.eye(drive.m, dtype=complex), u.shape).copy()
-        for tau, h in drive.segments:
-            u_period = np.matmul(_segment_exp(h, tau), u_period)
+        u_period = _segment_product(drive)
         for _ in range(n_full):
             u = np.matmul(u_period, u)
     out = AlgElement.from_matrix_field(drive.grid, u)
@@ -150,14 +157,17 @@ def _branch_phases(phases: np.ndarray, cut: float, gap_tol: float) -> np.ndarray
     return cut + shifted
 
 
+def _effective_spectrum(drive: FloquetDrive, branch: BranchChoice):
+    """Eigenvalues and orthonormal eigenvectors of the effective Hamiltonian."""
+    phases, vecs = drive._spectrum
+    phi = _branch_phases(phases, branch.eps * drive.period, branch.gap_tol)
+    return -phi / drive.period, vecs
+
+
 def effective_hamiltonian(drive: FloquetDrive, branch: BranchChoice) -> AlgElement:
     """(i/T) log_eps U(T): hermitian, with exp(-i T H) = U(T)."""
-    u = evolve(drive, drive.period)
-    phases, vecs = unitary_eig(u)
-    cut = branch.eps * drive.period
-    phi = _branch_phases(phases, cut, branch.gap_tol)
-    h = np.einsum("...ij,...j,...kj->...ik", vecs, -phi / drive.period, np.conj(vecs))
-    out = AlgElement.from_matrix_field(drive.grid, h)
+    w, v = _effective_spectrum(drive, branch)
+    out = AlgElement.from_matrix_field(drive.grid, _spectral_calculus(v, w))
     res = (out - out.star()).norm_inf()
     if res > 1e-10:
         raise ValueError(f"effective Hamiltonian not hermitian (residual {res:.3e})")
@@ -178,8 +188,7 @@ def branch_pair(z0: complex, z1: complex, period: float,
 def arc_projection(drive: FloquetDrive, z0: complex, z1: complex,
                    gap_tol: float = 1e-9) -> ArcProjection:
     """Spectral projection of U(T) onto the arc counter-clockwise from z0 to z1."""
-    u = evolve(drive, drive.period)
-    phases, vecs = unitary_eig(u)
+    phases, vecs = drive._spectrum
     th0, th1 = float(np.angle(z0)), float(np.angle(z1))
     width = np.mod(th1 - th0, 2 * np.pi)
     rel = np.mod(phases - th0, 2 * np.pi)
@@ -192,8 +201,8 @@ def arc_projection(drive: FloquetDrive, z0: complex, z1: complex,
     ranks = inside.sum(axis=-1)
     if ranks.min() != ranks.max():
         raise GapClosedError("arc projection rank jumps across the grid")
-    p = np.einsum("...ij,...j,...kj->...ik", vecs, inside.astype(float), np.conj(vecs))
-    proj = AlgElement.from_matrix_field(drive.grid, p)
+    proj = AlgElement.from_matrix_field(
+        drive.grid, _spectral_calculus(vecs, inside.astype(float)))
     return ArcProjection(proj, z0, z1, int(ranks.min()), margin)
 
 
@@ -222,16 +231,10 @@ def periodized_evolution(drive: FloquetDrive, branch: BranchChoice,
     """V(t) = U(t) exp(i t H_eff): 1-periodic in t/T, one loop segment per
     drive segment with analytic local derivatives (segments are additionally
     cut at the half period so contractions can take over there)."""
-    h_eff = effective_hamiltonian(drive, branch)
-    w_eff, v_eff = np.linalg.eigh(h_eff.data[0])
+    w_eff, v_eff = _effective_spectrum(drive, branch)
+    h_eff = _spectral_calculus(v_eff, w_eff)
     grid, m = drive.grid, drive.m
-
-    def exp_ith(t):
-        return np.einsum("...ij,...j,...kj->...ik", v_eff,
-                         np.exp(1j * t * w_eff), np.conj(v_eff))
-
     segments = []
-    endpoints = []
     t_start = 0.0
     u_start = np.broadcast_to(np.eye(m, dtype=complex), (*grid.sizes, m, m)).copy()
     for tau, h in _segments_split_at_half(drive):
@@ -241,29 +244,21 @@ def periodized_evolution(drive: FloquetDrive, branch: BranchChoice,
         derivs = np.zeros_like(values)
         for j, s in enumerate(np.linspace(0.0, 1.0, nn)):
             dt = s * tau
-            u_seg = np.einsum("...ij,...j,...kj->...ik", v,
-                              np.exp(-1j * dt * w), np.conj(v))
-            u_t = np.matmul(u_seg, u_start)
-            e_t = exp_ith(t_start + dt)
+            u_t = np.matmul(_spectral_calculus(v, np.exp(-1j * dt * w)), u_start)
+            e_t = _spectral_calculus(v_eff, np.exp(1j * (t_start + dt) * w_eff))
             vt = np.matmul(u_t, e_t)
             values[0, j] = vt
             # dV/dt = -i H_seg U e^{itH} + U (i H_eff) e^{itH}; local scale tau
             dv = (np.matmul(-1j * h.data[0], np.matmul(u_t, e_t))
-                  + np.matmul(u_t, np.matmul(1j * h_eff.data[0], e_t)))
+                  + np.matmul(u_t, np.matmul(1j * h_eff, e_t)))
             derivs[0, j] = tau * dv
         seg = uniform_closed_segment(values, t_start / drive.period,
                                      (t_start + tau) / drive.period,
                                      grid, m, 0, derivs=derivs)
         segments.append(seg)
-        endpoints.append((AlgElement.from_matrix_field(grid, values[0, 0]),
-                          AlgElement.from_matrix_field(grid, values[0, -1])))
-        u_start = np.matmul(
-            np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * tau * w), np.conj(v)),
-            u_start)
+        u_start = np.matmul(_spectral_calculus(v, np.exp(-1j * tau * w)), u_start)
         t_start += tau
-    loop = LoopElement(segments, periodic=True, endpoints=endpoints)
-    loop.validate_continuity(1e-9)
-    return loop
+    return _closed_loop(segments, 1e-9)
 
 
 def periodicity_residual(loop: LoopElement) -> float:
@@ -275,14 +270,12 @@ def periodicity_residual(loop: LoopElement) -> float:
 def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
                           rs: RealStructureSpec, probes: int = 16) -> float:
     """Residual of Ad_{sigma_y x 1} V(t,k) = conj(V(-t,-k)) on probe times."""
-    h_eff = effective_hamiltonian(drive, branch)
-    w_eff, v_eff = np.linalg.eigh(h_eff.data[0])
+    w_eff, v_eff = _effective_spectrum(drive, branch)
     grid, m = drive.grid, drive.m
 
     def v_of(t):
         u = evolve(drive, t) if t > 0 else AlgElement.unit(grid, m, 0)
-        e = np.einsum("...ij,...j,...kj->...ik", v_eff,
-                      np.exp(1j * t * w_eff), np.conj(v_eff))
+        e = _spectral_calculus(v_eff, np.exp(1j * t * w_eff))
         return AlgElement.from_matrix_field(grid, np.matmul(u.data[0], e))
 
     worst = 0.0
@@ -341,6 +334,26 @@ def split_blocks(x: AlgElement) -> tuple[AlgElement, AlgElement]:
     return up, dn
 
 
+def _first_half(v_loop: LoopElement) -> list[Segment]:
+    """The segments of a periodized evolution up to t = 1/2."""
+    half = [seg for seg in v_loop.segments if seg.t1 <= 0.5 + 1e-12]
+    if not half or abs(half[-1].t1 - 0.5) > 1e-12:
+        raise ValueError("periodized evolution must split exactly at t = 1/2; "
+                         "split the drive segments accordingly")
+    return half
+
+
+def _closed_loop(segments: list[Segment], tol: float) -> LoopElement:
+    """Periodic loop of plain segments, checked for continuity within tol."""
+    grid = segments[0].grid
+    endpoints = [(AlgElement.from_matrix_field(grid, s.values[0, 0]),
+                  AlgElement.from_matrix_field(grid, s.values[0, -1]))
+                 for s in segments]
+    loop = LoopElement(segments, periodic=True, endpoints=endpoints)
+    loop.validate_continuity(tol)
+    return loop
+
+
 def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
     """Complete the first half of a decoupled periodized evolution to a loop
     V-hat meeting the contraction constraints: on [1/2, 1] the upper spin
@@ -349,10 +362,7 @@ def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
     """
     grid, m = v_loop.grid, v_loop.m
     m2 = m // 2
-    half = [seg for seg in v_loop.segments if seg.t1 <= 0.5 + 1e-12]
-    if not half or abs(half[-1].t1 - 0.5) > 1e-12:
-        raise ValueError("periodized evolution must split exactly at t = 1/2; "
-                         "split the drive segments accordingly")
+    half = _first_half(v_loop)
     mirrored = []
     for seg in reversed(half):
         vals = seg.values[:, ::-1].copy()
@@ -369,13 +379,7 @@ def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
         t1 = 1.0 - seg.t0
         mirrored.append(Segment(t0, t1, seg.nodes, seg.weights, vals, ders,
                                 grid, m, 0))
-    segs = half + mirrored
-    endpoints = [(AlgElement.from_matrix_field(grid, s.values[0, 0]),
-                  AlgElement.from_matrix_field(grid, s.values[0, -1]))
-                 for s in segs]
-    loop = LoopElement(segs, periodic=True, endpoints=endpoints)
-    loop.validate_continuity(1e-8)
-    return loop
+    return _closed_loop(half + mirrored, 1e-8)
 
 
 def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
@@ -388,9 +392,7 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     endpoints; boundary and symmetry constraints are validated.
     """
     grid, m = v_loop.grid, v_loop.m
-    half = [seg for seg in v_loop.segments if seg.t1 <= 0.5 + 1e-12]
-    if not half or abs(half[-1].t1 - 0.5) > 1e-12:
-        raise ValueError("periodized evolution must split exactly at t = 1/2")
+    half = _first_half(v_loop)
     v_half_end = half[-1].values[0, -1]
     if samples.ndim != 2 + grid.d + 1 or samples.shape[-1] != m:
         raise ValueError("contraction samples have the wrong shape")
@@ -406,13 +408,7 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
         worst = max(worst, (apply_real_structure(rs, el) - el).norm_inf())
     if worst > boundary_tol:
         raise ValueError(f"contraction symmetry residual {worst:.3e}")
-    segs = half + [seg]
-    endpoints = [(AlgElement.from_matrix_field(grid, s.values[0, 0]),
-                  AlgElement.from_matrix_field(grid, s.values[0, -1]))
-                 for s in segs]
-    loop = LoopElement(segs, periodic=True, endpoints=endpoints)
-    loop.validate_continuity(boundary_tol)
-    return loop
+    return _closed_loop(half + [seg], boundary_tol)
 
 
 def kane_mele_floquet_invariant(drive: FloquetDrive, z0: complex, z1: complex,

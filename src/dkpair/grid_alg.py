@@ -420,24 +420,25 @@ def unrepresent(rep: np.ndarray, grid: TorusGrid, m: int, k: int) -> AlgElement:
     return x
 
 
+def _spectral_calculus(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """v diag(fw) v^dagger at every point: f applied through an
+    eigendecomposition with orthonormal eigenvector columns v.  Leading axes
+    broadcast, so fw may carry extra leading axes (e.g. time nodes)."""
+    return np.einsum("...ij,...j,...kj->...ik", v, fw, np.conj(v))
+
+
 def hermitian_calculus(x: AlgElement, fn) -> AlgElement:
-    """Apply a real scalar function to a self-adjoint element, pointwise.
+    """Apply a scalar function to a self-adjoint element, pointwise.
 
     fn maps an eigenvalue array to an array of the same shape.
     """
-    rep = represent(x)
-    w, v = np.linalg.eigh(rep)
-    fw = fn(w)
-    out = np.einsum("...ij,...j,...kj->...ik", v, fw, np.conj(v))
-    return unrepresent(out, x.grid, x.m, x.k)
+    w, v = np.linalg.eigh(represent(x))
+    return unrepresent(_spectral_calculus(v, fn(w)), x.grid, x.m, x.k)
 
 
 def unitary_exp(a: AlgElement) -> AlgElement:
     """exp(i*a) for self-adjoint a."""
-    rep = represent(a)
-    w, v = np.linalg.eigh(rep)
-    out = np.einsum("...ij,...j,...kj->...ik", v, np.exp(1j * w), np.conj(v))
-    return unrepresent(out, a.grid, a.m, a.k)
+    return hermitian_calculus(a, lambda w: np.exp(1j * w))
 
 
 # ---------------------------------------------------------------------------

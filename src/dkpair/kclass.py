@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                       check_invariance, hermitian_calculus)
+                       _spectral_calculus, check_invariance, hermitian_calculus)
 
 
 class GapClosedError(ValueError):
@@ -92,9 +92,7 @@ def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
     if h.k == 0:
         w, v = np.linalg.eigh(h.data[0])
         _check_gap(w, gap)
-        s = np.sign(w)
-        out = np.einsum("...ij,...j,...kj->...ik", v, s, np.conj(v))
-        return AlgElement.from_matrix_field(h.grid, out, k=0)
+        return AlgElement.from_matrix_field(h.grid, _spectral_calculus(v, np.sign(w)))
 
     def sign_fn(w):
         _check_gap(w, gap)
@@ -327,8 +325,7 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
     w, v = np.linalg.eigh(p.data[0])
     t = np.arange(nt).reshape((nt,) + (1,) * w.ndim) / nt
     phases = np.exp(sign * 2j * np.pi * t * w[None])
-    vals = np.einsum("...ij,t...j,...kj->t...ik", v, phases, np.conj(v))
-    return loop_from_unitary_samples(vals, p.grid, p.m)
+    return loop_from_unitary_samples(_spectral_calculus(v, phases), p.grid, p.m)
 
 
 # ---------------------------------------------------------------------------

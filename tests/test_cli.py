@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -322,3 +323,70 @@ def test_gridio_roundtrip(tmp_path, rng):
         back = read_contraction_grid(path)
         assert back.shape == samples.shape
         assert np.max(np.abs(back - samples)) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# each operator is decomposed once
+# ---------------------------------------------------------------------------
+
+def count_calls(monkeypatch, fn):
+    """Wrap every binding of fn in the loaded dkpair modules; returns the
+    list of first arguments the calls receive."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dkpair" or name.startswith("dkpair."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_floquet_factorizes_each_stroboscopic_operator_once(tmp_path, monkeypatch,
+                                                            capsys):
+    from dkpair import floquet
+    raw = floquet_config(1.0)
+    path = write_config(tmp_path, raw)
+    cfg = cli.ModelConfig(raw)
+    drive = cfg.drive_object(cfg.grid(16))
+    files = []
+    for b, branch in enumerate(floquet.branch_pair(1.0 + 0j, -1.0 + 0j, 1.0)):
+        loop = floquet.decoupled_contraction(
+            floquet.periodized_evolution(drive, branch, 64))
+        second = [seg for seg in loop.segments if seg.t0 >= 0.5 - 1e-12]
+        samples = np.concatenate([second[0].values[0]]
+                                 + [seg.values[0, 1:] for seg in second[1:]])
+        files.append(str(tmp_path / f"branch{b}.grid"))
+        write_contraction_grid(files[-1], samples, binary=True)
+    base = ["floquet", "--config", path, "--arc0", "0.0", "--arc1", repr(np.pi),
+            "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
+    calls = count_calls(monkeypatch, floquet.unitary_eig)
+    assert run_cli([*base, "--strategy", "user_supplied",
+                    "--contraction", *files]) == cli.EXIT_OK
+    assert len(calls) == 1
+    assert read_report(capsys)["status"] == "ok"
+    calls.clear()
+    # the refinement check builds a second drive on the doubled grid
+    assert run_cli([*base, "--strategy", "decoupled"]) == cli.EXIT_OK
+    assert [u.grid.sizes for u in calls] == [(16, 16), (32, 32)]
+    assert read_report(capsys)["status"] == "ok"
+
+
+def test_z2_and_pair_flatten_once_per_grid(tmp_path, monkeypatch, capsys):
+    from dkpair import kclass
+    calls = count_calls(monkeypatch, kclass.flatten)
+    path = write_config(tmp_path, qwz_config(1.0, spin_doubling=True))
+    assert run_cli(["z2", "--config", path, "--grid", "24", "--tol", "1e-4"]) \
+        == cli.EXIT_OK
+    assert [(h.grid.sizes, h.m) for h in calls] == [((24, 24), 2), ((48, 48), 2)]
+    assert read_report(capsys)["status"] == "ok"
+    calls.clear()
+    path = write_config(tmp_path, qwz_config(1.0), name="block.json")
+    assert run_cli(["pair", "--cycle", "ch2", "--config", path, "--grid", "24",
+                    "--tol", "1e-5"]) == cli.EXIT_OK
+    assert [h.grid.sizes for h in calls] == [(24, 24), (48, 48)]
+    assert read_report(capsys)["status"] == "ok"

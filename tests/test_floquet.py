@@ -264,3 +264,36 @@ def test_contraction_with_straddling_segment(grid, rs):
     vhat = fl.decoupled_contraction(loop)
     deg = fl.degree_t3(vhat, integer_tol=5e-3)
     assert abs(deg - round(deg)) < 5e-3
+
+
+def test_stroboscopic_spectrum_reuse_matches_fresh_factorization(tri_drive):
+    # the cached spectrum of U(T) gives exactly what a fresh factorization
+    # of a fresh evolution gives, through the same formulas
+    T = tri_drive.period
+    phases, vecs = fl.unitary_eig(fl.evolve(tri_drive, T))
+    branch = fl.BranchChoice(0.3)
+    phi = fl._branch_phases(phases, branch.eps * T, branch.gap_tol)
+    want_h = np.einsum("...ij,...j,...kj->...ik", vecs, -phi / T, np.conj(vecs))
+    assert np.array_equal(fl.effective_hamiltonian(tri_drive, branch).data[0], want_h)
+    z0, z1 = np.exp(0.1j), np.exp(1j * np.pi)
+    rel = np.mod(phases - np.angle(z0), 2 * np.pi)
+    inside = rel < np.mod(np.angle(z1) - np.angle(z0), 2 * np.pi)
+    want_p = np.einsum("...ij,...j,...kj->...ik", vecs, inside.astype(float),
+                       np.conj(vecs))
+    assert np.array_equal(fl.arc_projection(tri_drive, z0, z1).projection.data[0],
+                          want_p)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e4, 1e8])
+def test_invariant_independent_of_drive_scale(tri_drive, rs, lam):
+    # (lambda H, T / lambda) has the same evolution operator over a period
+    z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
+    scaled = fl.FloquetDrive(tri_drive.period / lam,
+                             tuple((tau / lam, h.scale(lam))
+                                   for tau, h in tri_drive.segments))
+    ref, ref_info = fl.kane_mele_floquet_invariant(
+        tri_drive, z0, z1, "decoupled", rs=rs, integer_tol=1e-3)
+    kval, info = fl.kane_mele_floquet_invariant(
+        scaled, z0, z1, "decoupled", rs=rs, integer_tol=1e-3)
+    assert kval.reduced == ref.reduced
+    assert abs(info["spin_chern"] - ref_info["spin_chern"]) < 1e-9

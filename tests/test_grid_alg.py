@@ -399,3 +399,16 @@ def test_quaternionic_fiber_matches_einsum(grid16, rng):
     ref = np.einsum("ij,...jk,kl->...il", u, flipped, np.conj(u.T))
     got = apply_real_structure(quaternionic_structure(k=1), x).data
     assert np.array_equal(got, ref)
+
+
+def test_spectral_calculus_matches_einsum(grid16, rng):
+    from dkpair.grid_alg import _spectral_calculus
+    w, v = np.linalg.eigh(random_hermitian_field(rng, grid16, 4).data[0])
+    for fw in (np.sign(w), np.exp(0.3j * w)):
+        ref = np.einsum("...ij,...j,...kj->...ik", v, fw, np.conj(v))
+        assert np.array_equal(_spectral_calculus(v, fw), ref)
+    # a leading node axis on the function values broadcasts over the vectors
+    t = np.arange(6).reshape((6,) + (1,) * w.ndim) / 6
+    phases = np.exp(-2j * np.pi * t * w[None])
+    ref = np.einsum("...ij,t...j,...kj->t...ik", v, phases, np.conj(v))
+    assert np.array_equal(_spectral_calculus(v, phases), ref)

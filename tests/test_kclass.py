@@ -208,3 +208,15 @@ def test_flatten_with_clifford_factor(point_grid):
     expect.data[1] = np.diag([1.0, -1.0])
     assert (s - expect).norm_inf() < 1e-12
     assert s.homogeneous_part(0).norm_inf() < 1e-13
+
+
+def test_flatten_commutes_with_spin_doubling(grid16, rng):
+    # sign(diag(h1, f h1)) = diag(sign h1, f sign h1), which lets the z2
+    # command flatten only the block
+    qwz = qwz_symbol(grid16, 1.0)
+    stacked = AlgElement.from_matrix_field(grid16, np.kron(np.eye(2), qwz.data[0]))
+    noisy = stacked + random_hermitian_field(rng, grid16, 4).scale(0.05)
+    for h1 in (qwz, noisy):
+        got = spin_double(flatten(h1)).data
+        want = flatten(spin_double(h1)).data
+        assert np.max(np.abs(got - want)) < 1e-13
