@@ -2,7 +2,7 @@
 computation commands, verification suites, machine-readable reports.
 
 Exit codes: 0 success, 2 validation error, 3 convergence/integerness
-failure, 4 spectral gap closed.
+failure or a failed report check, 4 spectral gap closed.
 """
 
 from __future__ import annotations
@@ -183,6 +183,12 @@ class Report:
         return self.payload
 
 
+def _finish(report: Report, path: str | None) -> int:
+    """Emit the report; a failed check makes the exit code 3."""
+    report.finish(path)
+    return EXIT_OK if report.payload["status"] == "ok" else EXIT_CONVERGENCE
+
+
 def _quantized(report: Report, name: str, coarse: float, fine: float,
                tol: float) -> int:
     """Record a quantized value with its refinement check; raises on failure."""
@@ -250,8 +256,7 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
                      abs(2 * np.pi * val.real - ch), 1e-6)
     else:
         raise ConfigError(f"unknown cycle {cycle_name!r} (use ch0|ch1|ch2)")
-    report.finish(args.report)
-    return EXIT_OK
+    return _finish(report, args.report)
 
 
 def cmd_z2(cfg: ModelConfig, args) -> int:
@@ -294,8 +299,7 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     z2 = torsions[0].z2_class(2 * np.pi)
     report.value("z2_class", float(z2), rounded=z2)
     report.check("parity_consistency", z2 == sc % 2)
-    report.finish(args.report)
-    return EXIT_OK
+    return _finish(report, args.report)
 
 
 def cmd_floquet(cfg: ModelConfig, args) -> int:
@@ -323,7 +327,6 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
     loop0 = fl.periodized_evolution(drive, b0, args.tgrid)
     per_res = fl.periodicity_residual(loop0)
     report.check("periodicity", per_res <= 1e-9, per_res, 1e-9)
-    contractions = None
     if args.strategy == "user_supplied":
         if not args.contraction:
             raise ConfigError("user_supplied strategy needs --contraction")
@@ -333,10 +336,16 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
                                  for f in args.contraction)
         except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"contraction grid file: {exc}") from exc
-    kval, info = fl.kane_mele_floquet_invariant(
-        drive, z0, z1, strategy=args.strategy, rs=rs,
-        contractions=contractions, t_samples=args.tgrid,
-        integer_tol=args.tol)
+        if tri > 1e-9:
+            raise ValueError(f"drive is not time-reversal invariant "
+                             f"(residual {tri:.3e})")
+        # the degree route reuses the b0 loop the periodicity check read
+        loop1 = fl.periodized_evolution(drive, b1, args.tgrid)
+        kval, _ = fl.degree_difference((loop0, loop1), contractions, rs)
+        info = {"rank": arc.rank, "gap_margin": arc.gap_margin}
+    else:
+        kval, info = fl.kane_mele_floquet_invariant(
+            drive, z0, z1, strategy="decoupled", rs=rs, integer_tol=args.tol)
     report.value("k_invariant", kval.reduced, modulus=kval.modulus)
     for key, val in info.items():
         if isinstance(val, (int, float)):
@@ -350,8 +359,7 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
     else:
         report.value("k_refinement", 0.0,
                      note="fixed user-supplied contraction grid")
-    report.finish(args.report)
-    return EXIT_OK
+    return _finish(report, args.report)
 
 
 def cmd_verify(args) -> int:
@@ -369,8 +377,7 @@ def cmd_verify(args) -> int:
     report = Report(f"verify:{args.suite}", None,
                     {"momentum": args.grid, "time": args.tgrid})
     suites[args.suite](report, grid_n=args.grid, t_n=args.tgrid)
-    report.finish(args.report)
-    return EXIT_OK if report.payload["status"] == "ok" else EXIT_CONVERGENCE
+    return _finish(report, args.report)
 
 
 # ---------------------------------------------------------------------------

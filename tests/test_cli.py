@@ -390,3 +390,64 @@ def test_z2_and_pair_flatten_once_per_grid(tmp_path, monkeypatch, capsys):
                     "--tol", "1e-5"]) == cli.EXIT_OK
     assert [h.grid.sizes for h in calls] == [(24, 24), (48, 48)]
     assert read_report(capsys)["status"] == "ok"
+
+
+def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatch,
+                                                            capsys):
+    # the periodicity check and the degree route share the eps_0 loop
+    from dkpair import floquet
+    raw = floquet_config(1.0)
+    path = write_config(tmp_path, raw)
+    cfg = cli.ModelConfig(raw)
+    drive = cfg.drive_object(cfg.grid(16))
+    files = []
+    for b, branch in enumerate(floquet.branch_pair(1.0 + 0j, -1.0 + 0j, 1.0)):
+        loop = floquet.decoupled_contraction(
+            floquet.periodized_evolution(drive, branch, 64))
+        second = [seg for seg in loop.segments if seg.t0 >= 0.5 - 1e-12]
+        samples = np.concatenate([second[0].values[0]]
+                                 + [seg.values[0, 1:] for seg in second[1:]])
+        files.append(str(tmp_path / f"branch{b}.grid"))
+        write_contraction_grid(files[-1], samples, binary=True)
+    base = ["floquet", "--config", path, "--arc0", "0.0", "--arc1", repr(np.pi),
+            "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
+    calls = count_calls(monkeypatch, floquet.periodized_evolution)
+    assert run_cli([*base, "--strategy", "user_supplied",
+                    "--contraction", *files]) == cli.EXIT_OK
+    assert len(calls) == 2
+    rep = read_report(capsys)
+    assert rep["status"] == "ok"
+    assert rep["values"]["k_invariant"]["value"] == 1.0
+    calls.clear()
+    assert run_cli([*base, "--strategy", "decoupled"]) == cli.EXIT_OK
+    assert len(calls) == 1
+    assert read_report(capsys)["status"] == "ok"
+
+
+def test_cmd_floquet_accepts_rescaled_drive(tmp_path, capsys):
+    # (lambda H, T / lambda) with lambda = 1e8: H_eff has scale pi / T, and
+    # its hermiticity check is relative to it
+    lam = 1e8
+    cfg = floquet_config(1.0, scale=0.5 * lam)
+    cfg["drive"]["period"] = 1.0 / lam
+    for seg in cfg["drive"]["segments"]:
+        seg["duration"] = 0.5 / lam
+    path = write_config(tmp_path, cfg)
+    code = run_cli(["floquet", "--config", path, "--arc0", "0.0",
+                    "--arc1", "3.14159265", "--grid", "16", "--tgrid", "64",
+                    "--tol", "1e-3"])
+    assert code == cli.EXIT_OK
+    rep = read_report(capsys)
+    assert rep["status"] == "ok"
+    assert rep["values"]["k_invariant"]["value"] == 1.0
+
+
+def test_failed_check_exits_convergence(tmp_path, capsys):
+    # at grid 16 the torsion pairing moves by 1.6e-6 > 1e-6 under grid doubling
+    path = write_config(tmp_path, qwz_config(1.0, spin_doubling=True))
+    code = run_cli(["z2", "--config", path, "--grid", "16", "--tol", "1e-3"])
+    rep = read_report(capsys)
+    assert rep["status"] == "failed"
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] \
+        == ["torsion_refinement"]
+    assert code == cli.EXIT_CONVERGENCE

@@ -297,3 +297,76 @@ def test_invariant_independent_of_drive_scale(tri_drive, rs, lam):
         scaled, z0, z1, "decoupled", rs=rs, integer_tol=1e-3)
     assert kval.reduced == ref.reduced
     assert abs(info["spin_chern"] - ref_info["spin_chern"]) < 1e-9
+
+
+def rescaled(drive, lam):
+    """(lambda H, T / lambda): the same evolution operator over a period."""
+    return fl.FloquetDrive(drive.period / lam,
+                           tuple((tau / lam, h.scale(lam))
+                                 for tau, h in drive.segments))
+
+
+def test_effective_hamiltonian_hermiticity_is_scale_relative(tri_drive):
+    # H_eff has scale pi / T, so an absolute hermiticity tolerance rejected
+    # (lambda H, T / lambda) at lambda = 1e8
+    lam = 1e8
+    scaled = rescaled(tri_drive, lam)
+    z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
+    for b, b_scaled in zip(fl.branch_pair(z0, z1, tri_drive.period),
+                           fl.branch_pair(z0, z1, scaled.period)):
+        h = fl.effective_hamiltonian(tri_drive, b)
+        h_scaled = fl.effective_hamiltonian(scaled, b_scaled)
+        assert (h_scaled.scale(1 / lam) - h).norm_inf() < 1e-9
+
+
+def per_node_periodized_evolution(drive, branch, t_samples):
+    """Reference: the direct per-node formula V = U(t) e^{itH_eff} and
+    dV/ds = tau (-i H V + V i H_eff), one (values, derivs) pair per segment."""
+    def calculus(v, fw):
+        return np.einsum("...ij,...j,...kj->...ik", v, fw, np.conj(v))
+
+    w_eff, v_eff = fl._effective_spectrum(drive, branch)
+    h_eff = calculus(v_eff, w_eff)
+    grid, m = drive.grid, drive.m
+    out = []
+    t_start = 0.0
+    u_start = np.broadcast_to(np.eye(m, dtype=complex), (*grid.sizes, m, m)).copy()
+    for tau, h in fl._segments_split_at_half(drive):
+        w, v = np.linalg.eigh(h.data[0])
+        nn = max(9, int(round(t_samples * tau / drive.period)) | 1)
+        values = np.zeros((1, nn, *grid.sizes, m, m), dtype=complex)
+        derivs = np.zeros_like(values)
+        for j, s in enumerate(np.linspace(0.0, 1.0, nn)):
+            dt = s * tau
+            u_t = np.matmul(calculus(v, np.exp(-1j * dt * w)), u_start)
+            e_t = calculus(v_eff, np.exp(1j * (t_start + dt) * w_eff))
+            values[0, j] = np.matmul(u_t, e_t)
+            dv = (np.matmul(-1j * h.data[0], np.matmul(u_t, e_t))
+                  + np.matmul(u_t, np.matmul(1j * h_eff, e_t)))
+            derivs[0, j] = tau * dv
+        out.append((t_start / drive.period, (t_start + tau) / drive.period,
+                    values, derivs))
+        u_start = np.matmul(calculus(v, np.exp(-1j * tau * w)), u_start)
+        t_start += tau
+    return out
+
+
+@pytest.mark.parametrize("case", ["tri", "scaled", "straddling"])
+def test_periodized_evolution_matches_per_node_formula(tri_drive, case):
+    if case == "tri":
+        drive = tri_drive
+    elif case == "scaled":
+        drive = rescaled(tri_drive, 1e8)
+    else:
+        ha, hb = (h for _, h in tri_drive.segments)
+        drive = fl.FloquetDrive(1.0, ((0.3, ha), (0.4, hb), (0.3, ha)))
+    z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
+    for branch in fl.branch_pair(z0, z1, drive.period):
+        loop = fl.periodized_evolution(drive, branch, 32)
+        want = per_node_periodized_evolution(drive, branch, 32)
+        assert len(loop.segments) == len(want) == (4 if case == "straddling" else 2)
+        for seg, (t0, t1, values, derivs) in zip(loop.segments, want):
+            assert (seg.t0, seg.t1) == (t0, t1)
+            for got, ref in ((seg.values, values), (seg.derivs, derivs)):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
