@@ -3,17 +3,20 @@ and the explicit loops used by the suspension and torsion pairings.
 
 Loops are stored segmentwise with quadrature nodes and analytic (or spectral)
 local time derivatives, because the constructed loops are only piecewise
-smooth on the circle.
+smooth on the circle.  Consumers read one node at a time (`Segment.node`);
+the torsion loop builds each node from its corners instead of storing arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                       _spectral_calculus, check_invariance, hermitian_calculus)
+                       _spectral_calculus, check_invariance, hermitian_calculus,
+                       spectral_derivative_data)
 
 
 class GapClosedError(ValueError):
@@ -127,7 +130,9 @@ class Segment:
     """One piece of a loop, parametrized by local s in [0,1].
 
     values/derivs have shape (2^k, nnodes, *grid.sizes, m, m); derivs are
-    d/ds at the nodes.  weights integrate over local s.
+    d/ds at the nodes.  weights integrate over local s.  Consumers read one
+    node at a time through `node`; a subclass that builds nodes on demand
+    materializes values/derivs on every access.
     """
 
     t0: float
@@ -141,7 +146,13 @@ class Segment:
     k: int
 
     def element(self, j: int) -> AlgElement:
-        return AlgElement(self.grid, self.m, self.k, self.values[:, j])
+        return AlgElement(self.grid, self.m, self.k, self.node(j)[0])
+
+    def node(self, j: int, axes=()) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """(value, d/ds, [d_axis value for axis in axes]) at node j."""
+        value = self.values[:, j]
+        return value, self.derivs[:, j], [spectral_derivative_data(value, self.grid, a, 1)
+                                          for a in axes]
 
 
 @dataclass
@@ -190,9 +201,7 @@ class LoopElement:
 def gauss_segment(f, dfds, t0: float, t1: float, order: int,
                   grid, m, k) -> Segment:
     """Build a segment from callables s -> AlgElement on Gauss-Legendre nodes."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    nodes = 0.5 * (xg + 1.0)
-    weights = 0.5 * wg
+    nodes, weights = _gauss_rule(order)
     first = f(nodes[0])
     values = np.zeros((1 << k, nodes.size, *grid.sizes, m, m), dtype=complex)
     derivs = np.zeros_like(values)
@@ -200,6 +209,12 @@ def gauss_segment(f, dfds, t0: float, t1: float, order: int,
         values[:, j] = (first if j == 0 else f(s)).data
         derivs[:, j] = dfds(s).data
     return Segment(t0, t1, nodes, weights, values, derivs, grid, m, k)
+
+
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (xg + 1.0), 0.5 * wg
 
 
 def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
@@ -303,8 +318,9 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64,
         return total
 
     seg = gauss_segment(value, deriv, 0.0, 1.0, order, xb.grid, xb.m, xb.k + 1)
-    loop = LoopElement([seg], periodic=True, endpoints=[(value(0.0), value(1.0))])
-    res = (value(0.0) - value(1.0)).norm_inf()
+    start, end = value(0.0), value(1.0)
+    loop = LoopElement([seg], periodic=True, endpoints=[(start, end)])
+    res = (start - end).norm_inf()
     if res > osu_tol:
         raise ValueError(f"loop fails to close: {res:.3e}")
     worst = loop.sample_osu_residual()
@@ -334,6 +350,42 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
 
 def _anticommutator_norm(a: AlgElement, b: AlgElement) -> float:
     return (a * b + b * a).norm_inf()
+
+
+def _corner(x: AlgElement):
+    """A torsion-loop corner with its space derivative per axis, computed on
+    first use and shared by the two arcs that meet there."""
+    return x, functools.cache(lambda axis: spectral_derivative_data(x.data, x.grid, axis, 1))
+
+
+class ArcSegment(Segment):
+    """Quarter arc s -> cos(pi s/2) a + sin(pi s/2) b between two corners,
+    each node built on demand: d/ds = (pi/2)(cos b - sin a) and a space
+    derivative is cos da + sin db, so no node is stored or transformed."""
+
+    def __init__(self, t0: float, t1: float, order: int, a, b):
+        # Segment's own __init__ would assign the node arrays
+        self.t0, self.t1 = t0, t1
+        self.nodes, self.weights = _gauss_rule(order)
+        (self.a, self.da), (self.b, self.db) = a, b
+        self.grid, self.m, self.k = self.a.grid, self.a.m, self.a.k
+
+    def at(self, s: float) -> AlgElement:
+        return self.a.scale(np.cos(np.pi * s / 2)) + self.b.scale(np.sin(np.pi * s / 2))
+
+    def node(self, j: int, axes=()) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        c, sn = np.cos(np.pi * self.nodes[j] / 2), np.sin(np.pi * self.nodes[j] / 2)
+        a, b = self.a.data, self.b.data
+        return (c * a + sn * b, (np.pi / 2) * (-sn * a + c * b),
+                [c * self.da(ax) + sn * self.db(ax) for ax in axes])
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.stack([self.node(j)[0] for j in range(self.nodes.size)], axis=1)
+
+    @property
+    def derivs(self) -> np.ndarray:
+        return np.stack([self.node(j)[1] for j in range(self.nodes.size)], axis=1)
 
 
 def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
@@ -384,22 +436,10 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
         if res > tol:
             raise ValueError(f"corner elements {i},{i + 1} fail to anticommute: {res:.3e}")
 
-    segments = []
-    endpoints = []
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-
-        def value(s, a=a, b=b):
-            return a.scale(np.cos(np.pi * s / 2)) + b.scale(np.sin(np.pi * s / 2))
-
-        def deriv(s, a=a, b=b):
-            return (a.scale(-np.sin(np.pi * s / 2)) +
-                    b.scale(np.cos(np.pi * s / 2))).scale(np.pi / 2)
-
-        segments.append(gauss_segment(value, deriv, i / 4, (i + 1) / 4, order,
-                                      xb.grid, xb.m, xb.k + 1))
-        endpoints.append((value(0.0), value(1.0)))
-
+    ends = [_corner(c) for c in corners]
+    segments = [ArcSegment(i / 4, (i + 1) / 4, order, ends[i], ends[(i + 1) % 4])
+                for i in range(4)]
+    endpoints = [(seg.at(0.0), seg.at(1.0)) for seg in segments]
     loop = LoopElement(segments, periodic=True, endpoints=endpoints)
     loop.validate_continuity(tol)
     if rs is not None:

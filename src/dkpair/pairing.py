@@ -28,8 +28,7 @@ from math import comb
 import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
-from .grid_alg import (AlgElement, Derivation, _mul_data, apply_derivation,
-                       spectral_derivative_data)
+from .grid_alg import AlgElement, Derivation, _mul_data, apply_derivation
 from .kclass import BasePoint, LoopElement, OsuElement
 
 @dataclass(frozen=True)
@@ -317,14 +316,13 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement,
     _check_basepoint(cycle, base)
     n = cycle.n
     k_loop = loop.k
+    axes = [dv.axis for dv in cycle.derivations]
     total = 0.0 + 0.0j
     for seg in loop.segments:
         # one quadrature node at a time bounds the working set
         for j, weight in enumerate(seg.weights):
-            value = seg.values[:, j]
-            diffs = [spectral_derivative_data(value, seg.grid, dv.axis, 1)
-                     for dv in cycle.derivations] + [seg.derivs[:, j]]
-            tr = alt_trace(value - base.data, diffs, k_loop)
+            value, dvalue, space = seg.node(j, axes)
+            tr = alt_trace(value - base.data, space + [dvalue], k_loop)
             total += weight * np.mean(tr)
     # suspension trace: one half of the standard (n+1)-cycle trace on the
     # base trace.  The *-compatible phase of the top Grassmann contraction

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,23 @@ def chern_fhs(p: AlgElement) -> float:
             z = u1[i, j] * u2[(i + 1) % n1, j] / (u1[i, (j + 1) % n2] * u2[i, j])
             total += np.angle(z)
     return total / (2 * np.pi)
+
+
+def count_calls(monkeypatch, fn):
+    """Wrap every binding of fn in the loaded dkpair modules; returns the
+    list of first arguments the calls receive."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "dkpair" or name.startswith("dkpair."):
+            for attr, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
 import json
-import sys
 
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from dkpair import cli
 from dkpair.gridio import read_contraction_grid, write_contraction_grid
 from dkpair.models import qwz_hoppings
@@ -328,23 +328,6 @@ def test_gridio_roundtrip(tmp_path, rng):
 # ---------------------------------------------------------------------------
 # each operator is decomposed once
 # ---------------------------------------------------------------------------
-
-def count_calls(monkeypatch, fn):
-    """Wrap every binding of fn in the loaded dkpair modules; returns the
-    list of first arguments the calls receive."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "dkpair" or name.startswith("dkpair."):
-            for attr, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, attr, counted)
-    return calls
-
 
 def test_floquet_factorizes_each_stroboscopic_operator_once(tmp_path, monkeypatch,
                                                             capsys):

@@ -3,13 +3,15 @@ import pytest
 
 from conftest import ko2_generator, random_hermitian_field, spin_y
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
-                             apply_real_structure, direct_sum)
-from dkpair.kclass import (BasePoint, GapClosedError, OsuValidationError,
-                           bott_loop, exp_projection_loop, flatten,
-                           make_osu_from_hamiltonian, osu_validate,
-                           torsion_loop)
+                             apply_real_structure, direct_sum,
+                             spectral_derivative_data)
+from dkpair.kclass import (BasePoint, GapClosedError, LoopElement,
+                           OsuValidationError, bott_loop, exp_projection_loop,
+                           flatten, gauss_segment, make_osu_from_hamiltonian,
+                           osu_validate, torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_symbol, spin_double)
+from dkpair.pairing import ch0, ch2, pair_suspended
 
 
 def test_flatten_sign_function(point_grid):
@@ -190,6 +192,58 @@ def test_doubled_class_satisfies_property_y(grid16):
     loop = torsion_loop(xx, ee, y, rs=rs,
                         derivations=(Derivation(0), Derivation(1)), order=12)
     assert loop.sample_osu_residual() < 1e-12
+
+
+def materialized_torsion_segments(x, e, y, order):
+    """The four quarter arcs as gauss_segment arrays, from callables on the
+    corners e (x) 1, 1 (x) rho, x (x) 1, y (x) i rho."""
+    xb, eb = x.body, e.e
+    unit = AlgElement.unit(xb.grid, xb.m, xb.k)
+    corners = [eb.append_generator(on_new=False), unit.append_generator(),
+               xb.append_generator(on_new=False), y.append_generator(coeff=1j)]
+    segments = []
+    for i in range(4):
+        a, b = corners[i], corners[(i + 1) % 4]
+
+        def value(s, a=a, b=b):
+            return a.scale(np.cos(np.pi * s / 2)) + b.scale(np.sin(np.pi * s / 2))
+
+        def deriv(s, a=a, b=b):
+            return (a.scale(-np.sin(np.pi * s / 2)) +
+                    b.scale(np.cos(np.pi * s / 2))).scale(np.pi / 2)
+
+        segments.append(gauss_segment(value, deriv, i / 4, (i + 1) / 4, order,
+                                      xb.grid, xb.m, xb.k + 1))
+    return segments
+
+
+def test_torsion_loop_nodes_match_materialized_arrays(point_grid, grid16):
+    x_km = make_osu_from_hamiltonian(decoupled_tri_symbol(grid16, 1.0))
+    e_km = BasePoint.standard_rho(grid16, 4, 1, sign=-1)
+    cases = [(x_km, e_km, spin_y(grid16, 4), quaternionic_structure(k=1), ch2()),
+             (*ko2_generator(point_grid), RealStructureSpec(fiber="c", clifford_signs=(-1,)),
+              ch0())]
+    order = 12
+    for x, e, y, rs, cycle in cases:
+        axes = [dv.axis for dv in cycle.derivations]
+        loop = torsion_loop(x, e, y, rs=rs, derivations=cycle.derivations, order=order)
+        old = materialized_torsion_segments(x, e, y, order)
+        for seg, ref in zip(loop.segments, old):
+            assert np.array_equal(seg.nodes, ref.nodes)
+            assert np.array_equal(seg.weights, ref.weights)
+            assert np.array_equal(seg.values, ref.values)
+            assert np.array_equal(seg.derivs, ref.derivs)
+            for j in range(order):
+                value, dvalue, space = seg.node(j, axes)
+                want = [ref.values[:, j], ref.derivs[:, j]] + [
+                    spectral_derivative_data(ref.values[:, j], ref.grid, a, 1)
+                    for a in axes]
+                assert len(space) == len(axes)
+                for got, w in zip([value, dvalue, *space], want):
+                    assert np.max(np.abs(got - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
+        oracle = pair_suspended(cycle, LoopElement(old, endpoints=loop.endpoints)).value
+        got = pair_suspended(cycle, loop).value
+        assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_exp_projection_loop_periodic(grid16):

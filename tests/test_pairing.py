@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (chern_fhs, ko2_generator, random_element,
+from conftest import (chern_fhs, count_calls, ko2_generator, random_element,
                       random_hermitian_field, spin_y)
 from dkpair.clifford import CliffordSignature
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              apply_real_structure, direct_sum, psi_e,
-                             psi_e_inverse, unitary_exp)
+                             psi_e_inverse, spectral_derivative_data,
+                             unitary_exp)
 from dkpair.kclass import (BasePoint, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)
@@ -482,6 +484,76 @@ def test_doubled_kane_mele_class_trivial(grid16):
                         derivations=cyc.derivations, order=48)
     via = torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
     assert via.distance(0.0) < 1e-6
+
+
+def kane_mele_torsion_data(grid, mass, g=None):
+    """OSU, base point and spin symmetry of the decoupled TRI model, its
+    symbol optionally conjugated by a constant unitary g."""
+    h = decoupled_tri_symbol(grid, mass)
+    if g is not None:
+        h = AlgElement.from_matrix_field(grid, g @ h.data[0] @ np.conj(g.T))
+    x = make_osu_from_hamiltonian(h)
+    return x, BasePoint.standard_rho(grid, h.m, 1, sign=-1), spin_y(grid, h.m)
+
+
+def kane_mele_routes(grid, mass, order, g=None):
+    x, e, y = kane_mele_torsion_data(grid, mass, g)
+    cyc = ch2()
+    closed = torsion_pairing_closed_form(cyc, x, e, y, MODULUS_KANE_MELE_CH2)
+    loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                        derivations=cyc.derivations, order=order)
+    return closed, torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
+
+
+def test_torsion_loop_route_derives_each_corner_once(grid16, monkeypatch):
+    # a node's space derivative is built from its corners' derivatives, so
+    # the pairing transforms the four corners once per axis, plus the base
+    # point check; one transform per node and axis would make 2 * 4 * 16 + 2
+    x, e, y = kane_mele_torsion_data(grid16, 1.0)
+    cyc = ch2()
+    loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                        derivations=cyc.derivations, order=16)
+    calls = count_calls(monkeypatch, spectral_derivative_data)
+    torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
+    assert len(calls) <= 5 * len(cyc.derivations)
+
+
+def test_torsion_loop_route_memory():
+    # nothing of size order x grid is held: the node arrays of the four arcs
+    # alone would take 4 * 2 * 32 MB here
+    grid = TorusGrid((32, 32))
+    x, e, y = kane_mele_torsion_data(grid, 1.0)
+    cyc = ch2()
+    tracemalloc.start()
+    try:
+        loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                            derivations=cyc.derivations, order=32)
+        torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.sampled_from([(0.7, 1.5), (2.7, 3.5)]), st.floats(0.0, 1.0),
+       st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+@example((0.7, 1.5), 0.0, [0.3, -1.1, 0.7])
+def test_torsion_routes_agree_and_are_gauge_invariant(window, where, b):
+    # g = exp(i sigma_z (x) B) with B real symmetric commutes with the spin
+    # symmetry y and with the quaternionic structure, so it is a gauge
+    # transformation of the whole torsion datum
+    grid = TorusGrid((24, 24))
+    mass = window[0] + where * (window[1] - window[0])
+    w, v = np.linalg.eigh(np.array([[b[0], b[1]], [b[1], b[2]]]))
+    expb = (v * np.exp(1j * w)) @ v.T
+    g = np.zeros((4, 4), complex)
+    g[:2, :2], g[2:, 2:] = expb, np.conj(expb)
+    closed, via = kane_mele_routes(grid, mass, 12)
+    assert via.distance(closed) < 1e-6
+    closed_g, via_g = kane_mele_routes(grid, mass, 12, g)
+    assert closed_g.distance(closed) <= 1e-12
+    assert via_g.distance(via) <= 1e-12
 
 
 @settings(max_examples=15, deadline=None)
