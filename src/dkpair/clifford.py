@@ -8,6 +8,7 @@ index order).  All products only ever multiply coefficients by +-1 or
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,40 @@ def sign_table(k: int) -> np.ndarray:
             if swaps % 2:
                 table[s, t] = -1
     return table
+
+
+def _shared(values: list[int]) -> np.ndarray:
+    """A read-only array, safe to hand out from a cache."""
+    arr = np.array(values)
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=None)
+def parity(k: int) -> np.ndarray:
+    """Z2-degree |S| mod 2 of every basis element e_S."""
+    return _shared([subset_size(s) % 2 for s in range(1 << k)])
+
+
+@lru_cache(maxsize=None)
+def reversion_signs(k: int) -> np.ndarray:
+    """Sign (-1)^mu(|S|) from reversing the factors of e_S: e_S* = sign * e_S."""
+    return _shared([(-1) ** mu(subset_size(s)) for s in range(1 << k)])
+
+
+@lru_cache(maxsize=None)
+def generator_signs(signs: tuple[int, ...]) -> np.ndarray:
+    """Sign of e_S under rho_i -> signs[i-1] rho_i: the product of the signs
+    of the generators in S."""
+    return _shared([math.prod(g for i, g in enumerate(signs) if s >> i & 1)
+                    for s in range(1 << len(signs))])
+
+
+def blade_degree(k: int, masks) -> int | None:
+    """Common Z2-degree of the basis elements e_S, S in masks: 0 or 1, None
+    when mixed, 0 when there are none."""
+    degrees = {int(parity(k)[s]) for s in masks}
+    return None if len(degrees) > 1 else max(degrees, default=0)
 
 
 @dataclass(frozen=True)
@@ -143,15 +178,7 @@ class Multivector:
 
     def degree(self) -> int | None:
         """0 or 1 if homogeneous, None if mixed (zero counts as either)."""
-        odd = even = False
-        for mask in np.flatnonzero(self.coeffs):
-            if subset_size(int(mask)) % 2:
-                odd = True
-            else:
-                even = True
-        if odd and even:
-            return None
-        return 1 if odd else 0
+        return blade_degree(self.k, np.flatnonzero(self.coeffs))
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
@@ -183,9 +210,7 @@ def mv_mul(a: Multivector, b: Multivector) -> Multivector:
 def mv_star(a: Multivector) -> Multivector:
     """Antilinear involution: generators are self-adjoint, products reverse."""
     out = np.conj(a.coeffs)
-    for mask in range(out.size):
-        if mu(subset_size(mask)) % 2:
-            out[mask] = -out[mask]
+    out[reversion_signs(a.k) < 0] *= -1
     return Multivector(a.k, out)
 
 
@@ -208,17 +233,12 @@ def apply_generator_signs(signs: tuple[int, ...], a: Multivector) -> Multivector
     if len(signs) != a.k:
         raise ValueError("one sign per generator required")
     out = np.conj(a.coeffs)
-    for mask in range(out.size):
-        flip = sum(1 for i in range(a.k) if mask >> i & 1 and signs[i] < 0)
-        if flip % 2:
-            out[mask] = -out[mask]
+    out[generator_signs(tuple(signs)) < 0] *= -1
     return Multivector(a.k, out)
 
 
-def j_functional(a: Multivector, k: int | None = None) -> complex:
+def j_functional(a: Multivector) -> complex:
     """Coefficient of the chirality element: linear, graded trace, j(Gamma_k) = 1."""
-    if k is not None and a.k != k:
-        raise ValueError(f"element has {a.k} generators, expected {k}")
     k = a.k
     return complex(a.coeffs[(1 << k) - 1] * (1j) ** (mu(k) % 4))
 

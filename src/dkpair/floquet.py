@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -23,6 +24,8 @@ from .kclass import (GapClosedError, LoopElement, Segment,
 from .pairing import TorsionValue, alt_trace, chern_number, integer_check
 
 DEFAULT_T_SAMPLES = 256
+# smallest distance of an eigenphase of U(T) to a branch cut or arc endpoint
+_PHASE_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def _segment_product(drive: FloquetDrive, span: float = np.inf) -> np.ndarray:
     return u
 
 
-def evolve(drive: FloquetDrive, t: float, unitary_tol: float = 1e-11) -> AlgElement:
+def evolve(drive: FloquetDrive, t: float) -> AlgElement:
     """Time evolution U(t) of the drive, extended by U(t + T) = U(T) U(t)."""
     if t < 0:
         raise ValueError("negative times not supported")
@@ -102,16 +105,16 @@ def evolve(drive: FloquetDrive, t: float, unitary_tol: float = 1e-11) -> AlgElem
             u = np.matmul(u_period, u)
     out = AlgElement.from_matrix_field(drive.grid, u)
     res = (out * out.star() - AlgElement.unit(out.grid, out.m, 0)).norm_inf()
-    if res > unitary_tol:
+    if res > 1e-11:
         raise ValueError(f"evolution lost unitarity (residual {res:.3e})")
     return out
 
 
-def unitary_eig(u: AlgElement, residual_tol: float = 1e-10):
+def unitary_eig(u: AlgElement):
     """Pointwise eigendecomposition of a unitary field via complex Schur.
 
     Returns (phases, vectors) with phases in (-pi, pi] and orthonormal
-    vectors; the eigenvector residual contract is checked explicitly.
+    vectors; the eigenvector residual must stay within 1e-10.
     """
     arr = u.data[0]
     flat = arr.reshape(-1, u.m, u.m)
@@ -124,19 +127,19 @@ def unitary_eig(u: AlgElement, residual_tol: float = 1e-10):
         phases[i] = np.angle(lam)
         vecs[i] = q
         worst = max(worst, float(np.max(np.abs(mat @ q - q * lam[None, :]))))
-    if worst > residual_tol:
-        raise ValueError(f"unitary eigensolve residual {worst:.3e} exceeds "
-                         f"{residual_tol:g}")
+    if worst > 1e-10:
+        raise ValueError(f"unitary eigensolve residual {worst:.3e} exceeds 1e-10")
     shape = (*u.grid.sizes, u.m)
     return phases.reshape(shape), vecs.reshape(*u.grid.sizes, u.m, u.m)
 
 
 @dataclass(frozen=True)
 class BranchChoice:
-    """Branch of the logarithm with eigenphases placed in [eps*T, eps*T + 2pi)."""
+    """Branch of the logarithm with eigenphases placed in [eps*T, eps*T + 2pi),
+    none of them closer than gap_tol to the cut."""
 
     eps: float
-    gap_tol: float = 1e-9
+    gap_tol: ClassVar[float] = _PHASE_GAP
 
 
 @dataclass(frozen=True)
@@ -174,19 +177,17 @@ def effective_hamiltonian(drive: FloquetDrive, branch: BranchChoice) -> AlgEleme
     return out
 
 
-def branch_pair(z0: complex, z1: complex, period: float,
-                gap_tol: float = 1e-9) -> tuple[BranchChoice, BranchChoice]:
+def branch_pair(z0: complex, z1: complex, period: float) -> tuple[BranchChoice, BranchChoice]:
     """Branches eps_i with e^{i eps_i T} = z_i and 0 <= (eps_1 - eps_0) T < 2 pi."""
     th0 = float(np.angle(z0))
     th1 = float(np.angle(z1))
     if np.mod(th1 - th0, 2 * np.pi) == 0 and z0 != z1:
         raise ValueError("arc endpoints coincide in phase")
     th1 = th0 + np.mod(th1 - th0, 2 * np.pi)
-    return (BranchChoice(th0 / period, gap_tol), BranchChoice(th1 / period, gap_tol))
+    return BranchChoice(th0 / period), BranchChoice(th1 / period)
 
 
-def arc_projection(drive: FloquetDrive, z0: complex, z1: complex,
-                   gap_tol: float = 1e-9) -> ArcProjection:
+def arc_projection(drive: FloquetDrive, z0: complex, z1: complex) -> ArcProjection:
     """Spectral projection of U(T) onto the arc counter-clockwise from z0 to z1."""
     phases, vecs = drive._spectrum
     th0, th1 = float(np.angle(z0)), float(np.angle(z1))
@@ -194,7 +195,7 @@ def arc_projection(drive: FloquetDrive, z0: complex, z1: complex,
     rel = np.mod(phases - th0, 2 * np.pi)
     margin = float(min(rel.min(), (2 * np.pi - rel).min(),
                        np.abs(rel - width).min()))
-    if margin < gap_tol:
+    if margin < _PHASE_GAP:
         raise GapClosedError(f"eigenphase within {margin:.3e} of an arc endpoint",
                              smallest=margin)
     inside = rel < width
@@ -295,8 +296,8 @@ def periodicity_residual(loop: LoopElement) -> float:
 
 
 def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
-                          rs: RealStructureSpec, probes: int = 16) -> float:
-    """Residual of Ad_{sigma_y x 1} V(t,k) = conj(V(-t,-k)) on probe times."""
+                          rs: RealStructureSpec) -> float:
+    """Residual of Ad_{sigma_y x 1} V(t,k) = conj(V(-t,-k)) on 16 probe times."""
     w_eff, v_eff = _effective_spectrum(drive, branch)
     v_eff_h = np.conj(np.swapaxes(v_eff, -1, -2))
     frames = list(_eigenframes(drive, v_eff))
@@ -307,17 +308,17 @@ def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
         return AlgElement.from_matrix_field(drive.grid, vt)
 
     worst = 0.0
-    for t in np.linspace(0.0, drive.period, probes, endpoint=False):
+    for t in np.linspace(0.0, drive.period, 16, endpoint=False):
         v_t = v_of(float(t))
         v_mt = v_of(float(np.mod(-t, drive.period)))
         worst = max(worst, (apply_real_structure(rs, v_mt) - v_t).norm_inf())
     return worst
 
 
-def degree_t3(loop: LoopElement, unitary_tol: float = 1e-9,
-              integer_tol: float = 1e-3, check_integer: bool = True) -> float:
+def degree_t3(loop: LoopElement, integer_tol: float = 1e-3) -> float:
     """Degree (1/24 pi^2) * integral over T^3 of Tr (V* dV)^3 for a unitary
-    loop over a two-dimensional momentum grid."""
+    loop over a two-dimensional momentum grid.  The loop must be unitary
+    within 1e-9 and the degree an integer within integer_tol."""
     grid = loop.grid
     if grid.d != 2 or loop.k != 0:
         raise ValueError("degree needs a plain unitary loop over T^2")
@@ -326,7 +327,7 @@ def degree_t3(loop: LoopElement, unitary_tol: float = 1e-9,
         v = seg.values
         vh = np.conj(np.swapaxes(v, -1, -2))
         ures = np.max(np.abs(np.matmul(v, vh) - np.eye(loop.m)))
-        if ures > unitary_tol:
+        if ures > 1e-9:
             raise ValueError(f"loop not unitary (residual {ures:.3e})")
         a0 = np.matmul(vh, seg.derivs)
         a1, a2 = (np.matmul(vh, spectral_derivative_data(v, grid, axis, 2))
@@ -338,8 +339,7 @@ def degree_t3(loop: LoopElement, unitary_tol: float = 1e-9,
     deg = complex(total) / 6.0
     if abs(deg.imag) > integer_tol:
         raise ValueError(f"degree has imaginary part {deg.imag:.3e}")
-    if check_integer:
-        integer_check(deg.real, integer_tol)
+    integer_check(deg.real, integer_tol)
     return float(deg.real)
 
 
@@ -347,12 +347,12 @@ def degree_t3(loop: LoopElement, unitary_tol: float = 1e-9,
 # the Z2 invariant of an arc projection
 # ---------------------------------------------------------------------------
 
-def commutes_with_spin(x: AlgElement, tol: float = 1e-10) -> bool:
+def commutes_with_spin(x: AlgElement) -> bool:
     """True when the field is block diagonal for y = diag(-i, i) (x) 1."""
     m2 = x.m // 2
     off = max(float(np.max(np.abs(x.data[0][..., :m2, m2:]))),
               float(np.max(np.abs(x.data[0][..., m2:, :m2]))))
-    return off <= tol
+    return off <= 1e-10
 
 
 def split_blocks(x: AlgElement) -> tuple[AlgElement, AlgElement]:
@@ -377,7 +377,7 @@ def _closed_loop(segments: list[Segment], tol: float) -> LoopElement:
     endpoints = [(AlgElement.from_matrix_field(grid, s.values[0, 0]),
                   AlgElement.from_matrix_field(grid, s.values[0, -1]))
                  for s in segments]
-    loop = LoopElement(segments, periodic=True, endpoints=endpoints)
+    loop = LoopElement(segments, endpoints=endpoints)
     loop.validate_continuity(tol)
     return loop
 
@@ -411,14 +411,14 @@ def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
 
 
 def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
-                                  rs: RealStructureSpec,
-                                  boundary_tol: float = 1e-8) -> LoopElement:
+                                  rs: RealStructureSpec) -> LoopElement:
     """Assemble V-hat from the first half of a periodized evolution and a
     caller-supplied contraction sampled uniformly on [1/2, 1].
 
     samples has shape (nt, *grid.sizes, m, m) on closed nodes including both
     endpoints; boundary and symmetry constraints are validated.
     """
+    boundary_tol = 1e-8
     grid, m = v_loop.grid, v_loop.m
     half = _first_half(v_loop)
     v_half_end = half[-1].values[0, -1]
@@ -444,7 +444,6 @@ def kane_mele_floquet_invariant(drive: FloquetDrive, z0: complex, z1: complex,
                                 rs: RealStructureSpec | None = None,
                                 contractions: tuple[np.ndarray, np.ndarray] | None = None,
                                 t_samples: int = DEFAULT_T_SAMPLES,
-                                gap_tol: float = 1e-9,
                                 integer_tol: float = 1e-6) -> tuple[TorsionValue, dict]:
     """Z2 invariant of the arc projection of a time-reversal-invariant drive.
 
@@ -459,7 +458,7 @@ def kane_mele_floquet_invariant(drive: FloquetDrive, z0: complex, z1: complex,
         if tri_res > 1e-9:
             raise ValueError(f"drive is not time-reversal invariant "
                              f"(residual {tri_res:.3e})")
-    arc = arc_projection(drive, z0, z1, gap_tol)
+    arc = arc_projection(drive, z0, z1)
     info = {"rank": arc.rank, "gap_margin": arc.gap_margin}
 
     if strategy == "decoupled":
@@ -478,7 +477,7 @@ def kane_mele_floquet_invariant(drive: FloquetDrive, z0: complex, z1: complex,
             raise ValueError("user_supplied strategy needs a real structure "
                              "and contraction grids")
         v_loops = (periodized_evolution(drive, branch, t_samples)
-                   for branch in branch_pair(z0, z1, drive.period, gap_tol))
+                   for branch in branch_pair(z0, z1, drive.period))
         k_val, info["degrees"] = degree_difference(v_loops, contractions, rs)
         return k_val, info
 

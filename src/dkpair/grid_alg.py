@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford
-from .clifford import CliffordSignature, Multivector, mu, representation, sign_table, subset_size
+from .clifford import (CliffordSignature, Multivector, generator_signs,
+                       representation, reversion_signs, sign_table)
 
 MOMENTUM = "momentum"
 TIME = "time"
@@ -101,9 +102,8 @@ class RealStructureSpec:
             raise ValueError(f"unknown fiber map {self.fiber!r}")
 
     @classmethod
-    def from_signature(cls, sig: CliffordSignature, fiber="c",
-                       momentum_flip=False, time_flip=False) -> "RealStructureSpec":
-        return cls(fiber, momentum_flip, time_flip, sig.signs)
+    def from_signature(cls, sig: CliffordSignature) -> "RealStructureSpec":
+        return cls(clifford_signs=sig.signs)
 
     def extend(self, sign: int) -> "RealStructureSpec":
         """Same structure with one appended Clifford generator of given sign."""
@@ -137,12 +137,11 @@ class AlgElement:
         return x
 
     @classmethod
-    def from_matrix_field(cls, grid, field_arr, k=0, component=0):
-        """Wrap an (*sizes, m, m) array as the given Clifford component."""
+    def from_matrix_field(cls, grid, field_arr):
+        """A copy of an (*sizes, m, m) array as a plain matrix field (k = 0)."""
         field_arr = np.asarray(field_arr, dtype=complex)
-        m = field_arr.shape[-1]
-        x = cls(grid, m, k)
-        x.data[component] = field_arr
+        x = cls(grid, field_arr.shape[-1], 0)
+        x.data[0] = field_arr
         return x
 
     @classmethod
@@ -186,34 +185,16 @@ class AlgElement:
         return alg_star(self)
 
     # -- structure queries ----------------------------------------------
-    def component_norms(self) -> np.ndarray:
-        axes = tuple(range(1, self.data.ndim))
-        return np.sqrt(np.sum(np.abs(self.data) ** 2, axis=axes))
-
-    def degree(self) -> int | None:
-        odd = even = False
-        for mask in np.flatnonzero(self.component_norms() > 0):
-            if subset_size(int(mask)) % 2:
-                odd = True
-            else:
-                even = True
-        if odd and even:
-            return None
-        return 1 if odd else 0
-
     def grading(self) -> "AlgElement":
         """Image under the Z2-grading automorphism (odd components negated)."""
         out = self.data.copy()
-        for mask in range(out.shape[0]):
-            if subset_size(mask) % 2:
-                out[mask] = -out[mask]
+        _negate(out, clifford.parity(self.k) == 1)
         return AlgElement(self.grid, self.m, self.k, out)
 
     def homogeneous_part(self, parity: int) -> "AlgElement":
         out = np.zeros_like(self.data)
-        for mask in range(out.shape[0]):
-            if subset_size(mask) % 2 == parity:
-                out[mask] = self.data[mask]
+        for mask in np.flatnonzero(clifford.parity(self.k) == parity):
+            out[mask] = self.data[mask]
         return AlgElement(self.grid, self.m, self.k, out)
 
     def norm_inf(self) -> float:
@@ -286,6 +267,12 @@ def _live_components(data: np.ndarray) -> list[int]:
     return [s for s in range(data.shape[0]) if np.any(data[s])]
 
 
+def _negate(data: np.ndarray, flagged: np.ndarray):
+    """Negate the flagged components of a component-first block in place."""
+    for mask in np.flatnonzero(flagged):
+        np.negative(data[mask], out=data[mask])
+
+
 def _mul_data(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Raw product of two component-first data blocks of the same trailing shape."""
     table = sign_table(k)
@@ -310,9 +297,7 @@ def alg_star(x: AlgElement) -> AlgElement:
     """Involutive antihomomorphism: conjugate-transpose the matrix fields and
     reverse the Clifford factors."""
     out = np.conj(np.swapaxes(x.data, -1, -2))
-    for mask in range(out.shape[0]):
-        if mu(subset_size(mask)) % 2:
-            out[mask] = -out[mask]
+    _negate(out, reversion_signs(x.k) < 0)
     return AlgElement(x.grid, x.m, x.k, out)
 
 
@@ -374,10 +359,7 @@ def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
                              "dividing the matrix size")
         u = np.kron(np.eye(x.m // block), np.kron(_SIGMA_Y, np.eye(block // 2)))
         out = u @ out @ np.conj(u.T)
-    for mask in range(out.shape[0]):
-        flips = sum(1 for i in range(x.k) if mask >> i & 1 and rs.clifford_signs[i] < 0)
-        if flips % 2:
-            out[mask] = -out[mask]
+    _negate(out, generator_signs(tuple(rs.clifford_signs)) < 0)
     return AlgElement(x.grid, x.m, x.k, out)
 
 
@@ -509,7 +491,7 @@ def _join_cl2(parts, grid, m, kh) -> AlgElement:
     return x
 
 
-def psi_e(x: AlgElement, e: AlgElement, tol: float = 1e-10) -> AlgElement:
+def psi_e(x: AlgElement, e: AlgElement) -> AlgElement:
     """Graded isomorphism M_m(A)(x)Cl_{k-2}(x)Cl_2 -> M_2(M_m(A)(x)Cl_{k-2}).
 
     e must be an odd self-inverse of the host algebra M_m(A)(x)Cl_{k-2}.
@@ -518,16 +500,16 @@ def psi_e(x: AlgElement, e: AlgElement, tol: float = 1e-10) -> AlgElement:
     1(x)i*s_y -> offdiag(e; -e).
     """
     x0, x1, x2, x3 = _split_cl2(x)
-    _validate_osi(e, tol)
+    _validate_osi(e)
     g = AlgElement.grading
     top = [x0 + x3, (x1 - 1j * x2) * e]
     bot = [e * (g(x1) + 1j * g(x2)), e * (g(x0) - g(x3)) * e]
     return block_matrix([top, bot])
 
 
-def psi_e_inverse(y: AlgElement, e: AlgElement, tol: float = 1e-10) -> AlgElement:
+def psi_e_inverse(y: AlgElement, e: AlgElement) -> AlgElement:
     """Inverse of psi_e: M_2(M_m(A)(x)Cl_{k}) -> M_m(A)(x)Cl_{k}(x)Cl_2."""
-    _validate_osi(e, tol)
+    _validate_osi(e)
     m = y.m // 2
     grid, k = y.grid, y.k
     blocks = []
@@ -545,9 +527,11 @@ def psi_e_inverse(y: AlgElement, e: AlgElement, tol: float = 1e-10) -> AlgElemen
     return _join_cl2([x0, x1, x2, x3], grid, m, k)
 
 
-def _validate_osi(e: AlgElement, tol: float):
-    if e.degree() not in (1, None) or e.homogeneous_part(0).norm_inf() > tol:
+def _validate_osi(e: AlgElement):
+    """Odd within 1e-10 and self-inverse within 1e-10; the second check also
+    rejects the zero element and any even element too small for the first."""
+    if e.homogeneous_part(0).norm_inf() > 1e-10:
         raise ValueError("base element must be odd")
     res = (e * e - AlgElement.unit(e.grid, e.m, e.k)).norm_inf()
-    if res > tol:
+    if res > 1e-10:
         raise ValueError(f"base element not self-inverse (residual {res:.2e})")

@@ -4,8 +4,9 @@ Two encodings share one logical layout: a header carrying the axis sizes
 (time first, then momentum axes) and the matrix size m, followed by the
 complex samples in row-major order (t, k1, ..., row, col).
 
-Binary mode: magic b"DKGRID1\\n", uint32 little-endian ndim, ndim uint32
-sizes, uint32 m, then re/im pairs of little-endian IEEE-754 float64.
+Binary mode: magic b"DKGRID1\\n", uint32 little-endian ndim (at most 4: time
+plus up to three momentum axes), ndim uint32 sizes, uint32 m, then re/im
+pairs of little-endian IEEE-754 float64.
 Text mode: JSON {"shape": [...], "data": [[re, im], ...]} with the flat
 row-major list.
 """
@@ -13,6 +14,8 @@ row-major list.
 from __future__ import annotations
 
 import json
+import math
+import os
 
 import numpy as np
 
@@ -54,13 +57,16 @@ def read_contraction_grid(path: str) -> np.ndarray:
         head = fh.read(len(MAGIC))
         if head == MAGIC:
             ndim = int(_read_u4(fh, 1)[0])
+            if ndim > 4:
+                raise ValueError(f"grid file declares {ndim} axes, at most 4")
             sizes = tuple(int(v) for v in _read_u4(fh, ndim))
             m = int(_read_u4(fh, 1)[0])
+            expected = math.prod(sizes) * m * m * 2
+            stored = (os.fstat(fh.fileno()).st_size - fh.tell()) / 8
+            if stored != expected:
+                raise ValueError(f"grid file holds {stored:g} floats, its header "
+                                 f"declares {expected}")
             raw = np.frombuffer(fh.read(), dtype="<f8")
-            expected = int(np.prod(sizes)) * m * m * 2
-            if raw.size != expected:
-                raise ValueError(f"truncated grid file: {raw.size} floats, "
-                                 f"expected {expected}")
             data = raw[0::2] + 1j * raw[1::2]
             return data.reshape(*sizes, m, m)
     with open(path) as fh:

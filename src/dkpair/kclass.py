@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                       _spectral_calculus, check_invariance, hermitian_calculus,
-                       spectral_derivative_data)
+                       _spectral_calculus, apply_derivation, check_invariance,
+                       hermitian_calculus, spectral_derivative_data)
 
 
 class GapClosedError(ValueError):
@@ -46,21 +46,20 @@ class BasePoint:
     annihilated by every derivation of the cycle it is paired against."""
 
     e: AlgElement
-    flavor: str = "custom"
 
     @classmethod
     def standard_rho(cls, grid, m, k, sign=-1):
         """sign * 1 (x) rho_k (the last generator)."""
         e = AlgElement(grid, m, k)
         e.data[1 << (k - 1)] = sign * np.eye(m)
-        return cls(e, "standard_rho")
+        return cls(e)
 
     @classmethod
     def sigma_x(cls, grid, m, k=2):
         """1 (x) rho_1, the sigma_x base point for k=2 classes."""
         e = AlgElement(grid, m, k)
         e.data[1] = np.eye(m)
-        return cls(e, "sigma_x")
+        return cls(e)
 
 
 def osu_validate(x: AlgElement, tol: float = 1e-10) -> OsuElement:
@@ -114,11 +113,9 @@ def _check_gap(w, gap):
             f"< {gap:.3e} at grid point {point}", point, smallest)
 
 
-def make_osu_from_hamiltonian(h: AlgElement, gap_tol: float = 1e-8,
-                              osu_tol: float = 1e-10) -> OsuElement:
+def make_osu_from_hamiltonian(h: AlgElement, gap_tol: float = 1e-8) -> OsuElement:
     """flatten(h) (x) rho on one appended Clifford generator."""
-    flat = flatten(h, gap_tol)
-    return osu_validate(flat.append_generator(), osu_tol)
+    return osu_validate(flatten(h, gap_tol).append_generator())
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +154,9 @@ class Segment:
 
 @dataclass
 class LoopElement:
-    """Piecewise-smooth OSU- or unitary-valued loop over one time period."""
+    """Piecewise-smooth OSU- or unitary-valued closed loop over one period."""
 
     segments: list[Segment]
-    periodic: bool = True
     endpoints: list[tuple[AlgElement, AlgElement]] = field(default_factory=list)
 
     @property
@@ -182,8 +178,6 @@ class LoopElement:
         for i in range(n):
             a = self.endpoints[i][1]
             b = self.endpoints[(i + 1) % n][0]
-            if i + 1 == n and not self.periodic:
-                break
             res = (a - b).norm_inf()
             if res > tol:
                 raise ValueError(f"loop discontinuous at segment {i}: {res:.3e}")
@@ -279,8 +273,7 @@ def _nu_deriv(y: AlgElement, s: float, inverse: bool) -> AlgElement:
     return out + y.append_generator().scale(sgn * np.pi / 2 * c)
 
 
-def bott_loop(x: OsuElement, e: BasePoint, order: int = 64,
-              osu_tol: float = 1e-10) -> LoopElement:
+def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
     """Suspension-image loop of an OSU class, one appended Clifford generator.
 
     The loop closes at (1 (x) rho) but is only piecewise smooth on the
@@ -319,12 +312,12 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64,
 
     seg = gauss_segment(value, deriv, 0.0, 1.0, order, xb.grid, xb.m, xb.k + 1)
     start, end = value(0.0), value(1.0)
-    loop = LoopElement([seg], periodic=True, endpoints=[(start, end)])
+    loop = LoopElement([seg], endpoints=[(start, end)])
     res = (start - end).norm_inf()
-    if res > osu_tol:
+    if res > 1e-10:
         raise ValueError(f"loop fails to close: {res:.3e}")
     worst = loop.sample_osu_residual()
-    if worst > max(osu_tol, 1e-10):
+    if worst > 1e-10:
         raise OsuValidationError(f"loop samples fail the OSU check: {worst:.3e}")
     return loop
 
@@ -333,7 +326,7 @@ def loop_from_unitary_samples(values: np.ndarray, grid, m) -> LoopElement:
     """Smooth 1-periodic unitary loop from samples (nt, *sizes, m, m)."""
     data = values[None, ...].astype(complex)
     seg = uniform_periodic_segment(data, grid, m, 0)
-    return LoopElement([seg], periodic=True)
+    return LoopElement([seg])
 
 
 def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopElement:
@@ -347,10 +340,6 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
 # ---------------------------------------------------------------------------
 # the four-segment torsion loop
 # ---------------------------------------------------------------------------
-
-def _anticommutator_norm(a: AlgElement, b: AlgElement) -> float:
-    return (a * b + b * a).norm_inf()
-
 
 def _corner(x: AlgElement):
     """A torsion-loop corner with its space derivative per axis, computed on
@@ -390,8 +379,7 @@ class ArcSegment(Segment):
 
 def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
                  rs: RealStructureSpec | None = None,
-                 derivations=(), order: int = 64,
-                 tol: float = 1e-10) -> LoopElement:
+                 derivations=(), order: int = 64) -> LoopElement:
     """Four-segment loop through e(x)1, 1(x)rho, x(x)1, y(x)i*rho.
 
     y must be even, anti-self-adjoint, unitary, commute with x and e, be
@@ -400,8 +388,7 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
     OSU; the first half is invariant under rs extended by a fixed generator,
     the second half under rs extended by a negated one.
     """
-    from .grid_alg import apply_derivation  # local import to avoid cycle
-
+    tol = 1e-10
     xb, eb = x.body, e.e
     xb._check(eb)
     xb._check(y)
@@ -432,7 +419,8 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
         y.append_generator(coeff=1j),
     ]
     for i in range(4):
-        res = _anticommutator_norm(corners[i], corners[(i + 1) % 4])
+        a, b = corners[i], corners[(i + 1) % 4]
+        res = (a * b + b * a).norm_inf()
         if res > tol:
             raise ValueError(f"corner elements {i},{i + 1} fail to anticommute: {res:.3e}")
 
@@ -440,7 +428,7 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
     segments = [ArcSegment(i / 4, (i + 1) / 4, order, ends[i], ends[(i + 1) % 4])
                 for i in range(4)]
     endpoints = [(seg.at(0.0), seg.at(1.0)) for seg in segments]
-    loop = LoopElement(segments, periodic=True, endpoints=endpoints)
+    loop = LoopElement(segments, endpoints=endpoints)
     loop.validate_continuity(tol)
     if rs is not None:
         worst = 0.0

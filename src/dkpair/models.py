@@ -14,18 +14,33 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _fourier_sum(grid: TorusGrid, modes: dict[tuple[int, ...], np.ndarray],
+                 m: int) -> np.ndarray:
+    """sum_n exp(2 pi i n.x / period) M_n at every grid point x, an
+    (*sizes, m, m) array; one offset entry per grid axis."""
+    fields = np.zeros((*grid.sizes, m, m), dtype=complex)
+    for offset, mat in modes.items():
+        phase = np.ones(grid.sizes, dtype=complex)
+        for axis, n in enumerate(offset):
+            # 2 pi / period is exactly 1 on momentum axes
+            rate = n * (2 * np.pi / grid.period(axis))
+            along = [-1 if a == axis else 1 for a in range(grid.d)]
+            phase = phase * np.exp(1j * rate * grid.coordinates(axis)).reshape(along)
+        fields += phase[..., None, None] * np.asarray(mat, dtype=complex)
+    return fields
+
+
 def symbol_from_hoppings(grid: TorusGrid, hoppings: dict[tuple[int, ...], np.ndarray],
-                         m: int, hermitize_tol: float = 1e-12) -> AlgElement:
+                         m: int) -> AlgElement:
     """H(k) = sum_n e^{i k.n} M_n on the momentum grid.
 
-    Requires M_{-n} = M_n^dag; violations within hermitize_tol are
-    symmetrized with a warning, larger ones raise.
+    Requires M_{-n} = M_n^dag; violations within 1e-12 are symmetrized with
+    a warning, larger ones raise.
     """
-    d = grid.d
     seen: dict[tuple[int, ...], np.ndarray] = {}
     for offset, mat in hoppings.items():
         offset = tuple(int(o) for o in offset)
-        if len(offset) != d:
+        if len(offset) != grid.d:
             raise ValueError(f"hopping offset {offset} has wrong dimension")
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (m, m):
@@ -36,7 +51,7 @@ def symbol_from_hoppings(grid: TorusGrid, hoppings: dict[tuple[int, ...], np.nda
         if neg not in seen:
             raise ValueError(f"hopping {offset} has no hermitian partner {neg}")
         dev = float(np.max(np.abs(seen[neg] - np.conj(seen[offset].T))))
-        if dev > hermitize_tol:
+        if dev > 1e-12:
             raise ValueError(f"hoppings at {offset}/{neg} violate hermiticity "
                              f"by {dev:.3e}")
         if dev > 0:
@@ -45,32 +60,14 @@ def symbol_from_hoppings(grid: TorusGrid, hoppings: dict[tuple[int, ...], np.nda
             avg = 0.5 * (seen[offset] + np.conj(seen[neg].T))
             seen[offset] = avg
             seen[neg] = np.conj(avg.T)
-    fields = np.zeros((*grid.sizes, m, m), dtype=complex)
-    for offset, mat in seen.items():
-        phase = np.ones(grid.sizes, dtype=complex)
-        for axis, n in enumerate(offset):
-            coord = grid.coordinates(axis)
-            shape = [1] * d
-            shape[axis] = coord.size
-            phase = phase * np.exp(1j * n * coord).reshape(shape)
-        fields += phase[..., None, None] * mat
-    return AlgElement.from_matrix_field(grid, fields)
+    return AlgElement.from_matrix_field(grid, _fourier_sum(grid, seen, m))
 
 
 def block_from_hoppings(grid: TorusGrid, hoppings: dict[tuple[int, ...], np.ndarray],
                         m: int) -> AlgElement:
     """sum_n e^{i k.n} M_n without any hermiticity constraint (off-diagonal
     coupling blocks)."""
-    fields = np.zeros((*grid.sizes, m, m), dtype=complex)
-    for offset, mat in hoppings.items():
-        phase = np.ones(grid.sizes, dtype=complex)
-        for axis, n in enumerate(offset):
-            coord = grid.coordinates(axis)
-            shape = [1] * grid.d
-            shape[axis] = coord.size
-            phase = phase * np.exp(1j * n * coord).reshape(shape)
-        fields += phase[..., None, None] * np.asarray(mat, dtype=complex)
-    return AlgElement.from_matrix_field(grid, fields)
+    return AlgElement.from_matrix_field(grid, _fourier_sum(grid, hoppings, m))
 
 
 def conjugate_flip(x: AlgElement) -> AlgElement:
@@ -89,10 +86,9 @@ def spin_double(h1: AlgElement) -> AlgElement:
     return out
 
 
-def quaternionic_structure(k: int = 0, time_flip: bool = False,
-                           fiber_block: int | None = None) -> RealStructureSpec:
+def quaternionic_structure(k: int = 0, fiber_block: int | None = None) -> RealStructureSpec:
     """Odd time reversal on a spin-doubled symbol: Ad_{sigma_y x 1} conj at -k."""
-    return RealStructureSpec(fiber="h", momentum_flip=True, time_flip=time_flip,
+    return RealStructureSpec(fiber="h", momentum_flip=True,
                              clifford_signs=(1,) * k, fiber_block=fiber_block)
 
 
@@ -120,11 +116,9 @@ def decoupled_tri_symbol(grid: TorusGrid, mass: float) -> AlgElement:
     return spin_double(qwz_symbol(grid, mass))
 
 
-def winding_unitary(grid: TorusGrid, n: int, m: int = 1) -> AlgElement:
-    """U(t) = e^{2 pi i n t} 1_m over a unit-period time circle."""
-    t = grid.coordinates(0)
-    u = np.exp(2j * np.pi * n * t)[:, None, None] * np.eye(m)
-    return AlgElement.from_matrix_field(grid, u)
+def winding_unitary(grid: TorusGrid, n: int) -> AlgElement:
+    """U(t) = e^{2 pi i n t} as a 1 x 1 field over a unit-period time circle."""
+    return unitary_loop_from_modes(grid, {(n,): np.eye(1)}, 1)
 
 
 def unitary_loop_from_modes(grid: TorusGrid,
@@ -136,9 +130,4 @@ def unitary_loop_from_modes(grid: TorusGrid,
     """
     if grid.d != 1 or grid.axis_roles[0] != "time":
         raise ValueError("expects a one-dimensional time circle")
-    t = grid.coordinates(0)
-    u = np.zeros((t.size, m, m), dtype=complex)
-    for offset, mat in modes.items():
-        (n,) = offset
-        u += np.exp(2j * np.pi * n * t)[:, None, None] * np.asarray(mat)
-    return AlgElement.from_matrix_field(grid, u)
+    return AlgElement.from_matrix_field(grid, _fourier_sum(grid, modes, m))

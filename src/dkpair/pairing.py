@@ -74,8 +74,9 @@ def ch1(axis: int = 0) -> CycleSpec:
                      norm_log2=-1.0)
 
 
-def ch2(axes: tuple[int, int] = (0, 1)) -> CycleSpec:
-    return CycleSpec("ch2", 2, tuple(Derivation(a) for a in axes), 2.0 ** -3.5,
+def ch2() -> CycleSpec:
+    """Chern cycle over the momentum axes 0 and 1."""
+    return CycleSpec("ch2", 2, (Derivation(0), Derivation(1)), 2.0 ** -3.5,
                      sign=1, parity=-1, norm_log2=-3.5)
 
 
@@ -126,10 +127,10 @@ class SelectionRule:
 
 def selection_rule(n: int, sign: int, parity: int,
                    sig: CliffordSignature | None = None,
-                   degree: int | None = None,
-                   trivially_graded: bool = True) -> SelectionRule:
+                   degree: int | None = None) -> SelectionRule:
     """Vanishing rules and value rays for a cycle of the given sign/parity
-    paired against real classes of signature (r,s) or degree i."""
+    paired against real classes of signature (r,s) or degree i.  The matrix
+    factor is trivially graded, so k + n even always vanishes."""
     if degree is not None and sig is None:
         # i = 1 - (r - s); realize with the minimal signature
         rs = 1 - degree
@@ -140,7 +141,7 @@ def selection_rule(n: int, sign: int, parity: int,
     star_exp = (n + (1 - sign) // 2) % 4
     real_exp = (mu(r - s) + n * (r - s) + (1 - parity) // 2) % 4
     vanish = (star_exp - real_exp) % 2 == 1
-    if trivially_graded and (sig.k + n) % 2 == 0:
+    if (sig.k + n) % 2 == 0:
         vanish = True
     ray = None if vanish else ("real" if star_exp % 2 == 0 else "imaginary")
     return SelectionRule(n, sign, parity, sig, degree,
@@ -237,9 +238,10 @@ def pair(cycle: CycleSpec, x: OsuElement | AlgElement,
     return PairingValue(complex(value), cycle.name, k)
 
 
-def winding_number(u: AlgElement, tol: float = 1e-10) -> complex:
+def winding_number(u: AlgElement) -> complex:
     """Integral over one period of Tr((U* - 1) U') for a unitary loop: the
     grid mean times the axis period (2*pi on momentum axes, 1 on time axes).
+    Unitarity must hold within 1e-10.
 
     Divided by 2*pi*i this is the winding number of det U.
     """
@@ -247,15 +249,15 @@ def winding_number(u: AlgElement, tol: float = 1e-10) -> complex:
         raise ValueError("expects a plain matrix loop over one circle")
     unit = AlgElement.unit(u.grid, u.m, 0)
     res = (u * u.star() - unit).norm_inf()
-    if res > tol:
+    if res > 1e-10:
         raise ValueError(f"input not unitary (residual {res:.3e})")
     du = apply_derivation(Derivation(0), u)
     tr = alt_trace((u.star() - unit).data, [du.data], 0)
     return complex(np.mean(tr)) * u.grid.period(0)
 
 
-def chern_number(p: AlgElement, tol: float = 1e-8, axes=(0, 1)) -> float:
-    """Chern number of a projection field over T^2.
+def chern_number(p: AlgElement, tol: float = 1e-8) -> float:
+    """Chern number of a projection field over T^2 (grid axes 0 and 1).
 
     Convention: 2*pi*i*Tr_A(p [d_1 p, d_2 p]) with the grid-mean trace; for
     the QWZ symbol at mass 1 the upper flattened band (1 + sign h)/2 gives
@@ -264,8 +266,8 @@ def chern_number(p: AlgElement, tol: float = 1e-8, axes=(0, 1)) -> float:
     res = max((p * p - p).norm_inf(), (p - p.star()).norm_inf())
     if res > tol:
         raise ValueError(f"input not a projection field (residual {res:.3e})")
-    d1 = apply_derivation(Derivation(axes[0]), p)
-    d2 = apply_derivation(Derivation(axes[1]), p)
+    d1 = apply_derivation(Derivation(0), p)
+    d2 = apply_derivation(Derivation(1), p)
     val = 2j * np.pi * np.mean(alt_trace(p.data, [d1.data, d2.data], 0))
     if abs(val.imag) > tol:
         raise ValueError(f"Chern integrand not real (imag {val.imag:.3e})")
@@ -292,27 +294,18 @@ def spin_chern(h1: AlgElement, gap_tol: float = 1e-8) -> float:
 # suspended pairing over loops
 # ---------------------------------------------------------------------------
 
-def pair_suspended(cycle: CycleSpec, loop: LoopElement,
-                   e: BasePoint | AlgElement | None = None) -> PairingValue:
+def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
     """Pairing of the suspended (n+1)-dimensional character with a loop class.
 
     The loop contributes one extra Clifford generator and the time
     derivation; segments integrate in their local parametrization (the
     chain-rule factors cancel because each term is linear in the time
-    derivative).  The base point defaults to the loop's starting value and
-    is subtracted from the class representative; the subtraction matters
-    numerically because the loops are only piecewise smooth.
+    derivative).  The base point is the loop's starting value, subtracted
+    from the class representative; the subtraction matters numerically
+    because the loops are only piecewise smooth.
     """
-    if not loop.periodic:
-        raise ValueError("suspended pairings need a closed loop")
     loop.validate_continuity()
-    if e is None:
-        if loop.endpoints:
-            base = loop.endpoints[0][0]
-        else:
-            base = loop.segments[0].element(0)
-    else:
-        base = e.e if isinstance(e, BasePoint) else e
+    base = loop.endpoints[0][0] if loop.endpoints else loop.segments[0].element(0)
     _check_basepoint(cycle, base)
     n = cycle.n
     k_loop = loop.k
@@ -340,26 +333,24 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement,
 # torsion-valued pairings
 # ---------------------------------------------------------------------------
 
-def torsion_pairing_via_loop(cycle: CycleSpec, loop: LoopElement,
-                             modulus: float, ray_tol: float = 1e-6) -> TorsionValue:
-    """c_n^{-1} times the suspended pairing of the loop, reduced mod modulus.
+def _on_real_ray(value: complex, modulus: float) -> TorsionValue:
+    """The class of a pairing value that the selection rules put on the real
+    axis; its imaginary part must stay within 1e-6 max(1, |value|)."""
+    if abs(value.imag) > 1e-6 * max(1.0, abs(value)):
+        raise ValueError(f"torsion value off the real ray: {value}")
+    return TorsionValue(float(value.real), modulus)
 
-    The scaled value must land on the real axis (the sign/parity selection
-    rules for the realized cases); the transverse part is checked against
-    ray_tol.
-    """
+
+def torsion_pairing_via_loop(cycle: CycleSpec, loop: LoopElement,
+                             modulus: float) -> TorsionValue:
+    """c_n^{-1} times the suspended pairing of the loop, reduced mod modulus."""
     raw = pair_suspended(cycle, loop).value
-    scaled = raw / pimsner_constant(cycle.n)
-    if abs(scaled.imag) > ray_tol * max(1.0, abs(scaled)):
-        raise ValueError(f"torsion value off the real ray: {scaled}")
-    return TorsionValue(float(scaled.real), modulus)
+    return _on_real_ray(raw / pimsner_constant(cycle.n), modulus)
 
 
 def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
                                 e: BasePoint | AlgElement, y: AlgElement,
-                                modulus: float,
-                                signature: CliffordSignature | None = None,
-                                ray_tol: float = 1e-6) -> TorsionValue:
+                                modulus: float) -> TorsionValue:
     """Closed form of the torsion pairing when an auxiliary even
     anti-self-adjoint unitary y commutes with the class and base point:
 
@@ -374,8 +365,6 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
     xb._check(y)
     _check_basepoint(cycle, eb)
     k = xb.k
-    if signature is not None and signature.k != k:
-        raise ValueError("signature size must match the Clifford factor")
     unit = AlgElement.unit(xb.grid, xb.m, xb.k)
     p_y = (unit - y.scale(1j)).scale(0.5)
     proj_res = (p_y * p_y - p_y).norm_inf()
@@ -385,10 +374,7 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
     n = cycle.n
     trace = complex(np.mean(alt_trace((p_y * (xb - eb)).data, diffs, k)))
     raw = trace * _top_phase(k, n) * cycle.scale(k) * (1j) ** (mu(n) % 4)
-    value = (1j) ** ((n - 1 + mu_prime(k + 1)) % 4) * raw
-    if abs(value.imag) > ray_tol * max(1.0, abs(value)):
-        raise ValueError(f"torsion value off the real ray: {value}")
-    return TorsionValue(float(value.real), modulus)
+    return _on_real_ray((1j) ** ((n - 1 + mu_prime(k + 1)) % 4) * raw, modulus)
 
 
 # preset quotient lattices (the general lattice is not computed here)

@@ -11,9 +11,9 @@ import numpy as np
 
 from . import pairing
 from .clifford import (CliffordSignature, Multivector, gamma_element,
-                       j_functional, mu, real_structure_l)
-from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, psi_e,
-                       trace)
+                       j_functional, mu, parity, real_structure_l)
+from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _split_cl2,
+                       psi_e, trace)
 from .kclass import BasePoint, bott_loop, make_osu_from_hamiltonian, \
     osu_validate, torsion_loop
 from .models import decoupled_tri_symbol, qwz_symbol, quaternionic_structure, \
@@ -67,28 +67,21 @@ def suite_clifford(report, grid_n=32, t_n=256):
 
 def _random_homogeneous(rng, grid, m, k):
     x = AlgElement(grid, m, k)
-    parity = int(rng.integers(0, 2))
-    for mask in range(1 << k):
-        if bin(mask).count("1") % 2 == parity:
-            x.data[mask] = (rng.integers(-3, 4, (m, m))
-                            + 1j * rng.integers(-3, 4, (m, m)))
+    degree = int(rng.integers(0, 2))
+    for mask in np.flatnonzero(parity(k) == degree):
+        x.data[mask] = (rng.integers(-3, 4, (m, m))
+                        + 1j * rng.integers(-3, 4, (m, m)))
     return x
 
 
 def _host_graded_trace(x: AlgElement) -> complex:
     """Tr_m combined with the chirality coefficient of the host Cl_2."""
-    mv = trace(x)
-    return complex(j_functional(mv))
+    return j_functional(trace(x))
 
 
 def _half_trace_residual(omega: AlgElement, e: AlgElement) -> float:
-    from .grid_alg import _split_cl2
-    x0, x1, x2, x3 = _split_cl2(omega)
-    signed = AlgElement(x3.grid, x3.m, x3.k)
-    for mask in range(1 << x3.k):
-        par = bin(mask).count("1") % 2
-        signed.data[mask] = ((-1) ** par) * x3.data[mask]
-    lhs = _host_graded_trace(signed)  # trace of j-contraction of omega
+    x3 = _split_cl2(omega)[3]
+    lhs = _host_graded_trace(x3.grading())  # trace of j-contraction of omega
     big = psi_e(omega, e)
     m = x3.m
     tr2 = AlgElement(x3.grid, m, x3.k,

@@ -306,7 +306,10 @@ def test_cmd_floquet_malformed_contraction_files(tmp_path, rng):
     mismatched.write_text(json.dumps(payload))
     header_only = tmp_path / "header_only.grid"
     header_only.write_bytes(truncated.read_bytes()[:10])
-    for bad in (truncated, header_only, mismatched):
+    # a header declaring 2^32 - 1 axes must not size a read from itself
+    oversized = tmp_path / "oversized.grid"
+    oversized.write_bytes(b"DKGRID1\n" + b"\xff" * 4)
+    for bad in (truncated, header_only, mismatched, oversized):
         code = run_cli(["floquet", "--config", path, "--arc0", "0.0",
                         "--arc1", "3.14159265", "--grid", "8", "--tgrid", "32",
                         "--strategy", "user_supplied",

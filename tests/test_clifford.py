@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dkpair.clifford import (CliffordSignature, Multivector, gamma_element,
-                             j_functional, mu, mv_mul, mv_star,
-                             real_structure_l, representation, sign_table,
-                             subset_size)
+                             generator_signs, j_functional, mu, mv_mul,
+                             mv_star, parity, real_structure_l, representation,
+                             reversion_signs, sign_table, subset_size)
 
 
 def gaussian_integer_mv(rng, k):
@@ -74,6 +74,32 @@ def test_representation_is_star_map():
         for mask in range(1 << k):
             sign = (-1) ** (mu(subset_size(mask)) % 2)
             assert np.allclose(np.conj(images[mask].T), sign * images[mask])
+            assert np.allclose(np.conj(images[mask].T),
+                               reversion_signs(k)[mask] * images[mask])
+
+
+def test_parity_is_conjugation_by_chirality():
+    # independent oracle: Gamma R_S Gamma = (-1)^|S| R_S in the matrix images
+    for k in range(0, 7, 2):
+        images, _ = representation(k)
+        top = (1 << k) - 1
+        gamma = gamma_element(k).coeffs[top] * images[top]
+        for mask in range(1 << k):
+            assert np.allclose(gamma @ images[mask] @ gamma,
+                               (-1) ** parity(k)[mask] * images[mask])
+
+
+def test_generator_signs_match_signed_generator_products():
+    for k in range(0, 5):
+        for flips in range(1 << k):
+            signs = tuple(-1 if flips >> i & 1 else 1 for i in range(k))
+            table = generator_signs(signs)
+            for mask in range(1 << k):
+                prod = Multivector.unit(k)
+                for i in range(k):
+                    if mask >> i & 1:
+                        prod = mv_mul(prod, Multivector.generator(k, i + 1).scale(signs[i]))
+                assert prod.allclose(Multivector.basis(k, mask).scale(table[mask]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -274,6 +274,12 @@ def test_psi_e_rejects_bad_base(point_grid):
     x = AlgElement.unit(point_grid, m, 4)
     with pytest.raises(ValueError):
         psi_e(x, bad)
+    # zero, and an even element too small for the oddness check, fail the
+    # self-inverse check
+    zero = AlgElement(point_grid, m, 2)
+    for tiny in (zero, AlgElement.unit(point_grid, m, 2).scale(1e-12)):
+        with pytest.raises(ValueError, match="self-inverse"):
+            psi_e(x, tiny)
 
 
 def test_direct_sum_block_structure(grid16, rng):
