@@ -252,8 +252,8 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
         report.value("pairing", val, two_pi_times=2 * np.pi * val.real)
         report.check("ray", abs(val.imag) <= args.tol, abs(val.imag), args.tol)
         report.check("chern_consistency",
-                     abs(2 * np.pi * val.real - ch) <= 1e-6,
-                     abs(2 * np.pi * val.real - ch), 1e-6)
+                     abs(2 * np.pi * val.real - ch) <= args.tol,
+                     abs(2 * np.pi * val.real - ch), args.tol)
     else:
         raise ConfigError(f"unknown cycle {cycle_name!r} (use ch0|ch1|ch2)")
     return _finish(report, args.report)
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tgrid", type=int, default=256,
                        help="time samples per period (default 256)")
         p.add_argument("--tol", type=float, default=1e-6,
-                       help="integerness tolerance (default 1e-6)")
+                       help="integerness and Chern-consistency tolerance (default 1e-6)")
         p.add_argument("--report", help="write the JSON report to this file")
 
     p = sub.add_parser("pair", help="pair a character with the model's class")

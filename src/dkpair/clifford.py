@@ -76,13 +76,6 @@ def generator_signs(signs: tuple[int, ...]) -> np.ndarray:
                     for s in range(1 << len(signs))])
 
 
-def blade_degree(k: int, masks) -> int | None:
-    """Common Z2-degree of the basis elements e_S, S in masks: 0 or 1, None
-    when mixed, 0 when there are none."""
-    degrees = {int(parity(k)[s]) for s in masks}
-    return None if len(degrees) > 1 else max(degrees, default=0)
-
-
 @dataclass(frozen=True)
 class CliffordSignature:
     """Counts of generators fixed (r) and negated (s) by a real structure."""
@@ -175,10 +168,6 @@ class Multivector:
 
     def star(self) -> "Multivector":
         return mv_star(self)
-
-    def degree(self) -> int | None:
-        """0 or 1 if homogeneous, None if mixed (zero counts as either)."""
-        return blade_degree(self.k, np.flatnonzero(self.coeffs))
 
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0

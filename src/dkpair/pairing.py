@@ -12,7 +12,9 @@ where [.]_top extracts the chirality-element coefficient of the Clifford
 factor (with the *-compatible phase of the iterated contraction), and the
 antisymmetrized permutation sum realizes (dx)^n over a Grassmann basis.
 Every character here (and the Floquet T^3 degree) evaluates through the one
-kernel `alt_trace`.
+kernel `alt_trace`; the arcs of the torsion loop go through its two halves,
+the antisymmetrized expansion `_alt_terms` and the contraction `_top_trace`,
+once per arc.
 
 The torsion-valued pairing is computed two independent ways: from the
 suspended character evaluated on an explicit four-segment loop, and from a
@@ -29,7 +31,7 @@ import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
 from .grid_alg import AlgElement, Derivation, _mul_data, apply_derivation
-from .kclass import BasePoint, LoopElement, OsuElement
+from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement
 
 @dataclass(frozen=True)
 class CycleSpec:
@@ -178,25 +180,52 @@ def alt_trace(z: np.ndarray, diffs: list[np.ndarray], k: int) -> np.ndarray:
     the last product with z is never formed: only its top component is
     contracted.
     """
-    top = (1 << k) - 1
     if not diffs:
-        return np.trace(z[top], axis1=-2, axis2=-1)
-    right = _alt(diffs, k)
+        return np.trace(z[(1 << k) - 1], axis1=-2, axis2=-1)
+    return _top_trace(z, _alt([(d,) for d in diffs], k)[0], k)
+
+
+def _top_trace(z: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
+    """Per-point Tr_m of the top Clifford component of z * right, without
+    forming the product."""
+    top = (1 << k) - 1
     table = sign_table(k)
     return sum(table[s, s ^ top]
                * np.einsum("...ij,...ji->...", z[s], right[s ^ top])
                for s in range(1 << k))
 
 
-def _alt(diffs: list[np.ndarray], k: int) -> np.ndarray:
-    """sum_sigma sgn(sigma) d_sigma(1) ... d_sigma(n), by first-factor expansion."""
-    if len(diffs) == 1:
-        return diffs[0]
-    acc = None
-    for i, d in enumerate(diffs):
-        term = _mul_data(d, _alt(diffs[:i] + diffs[i + 1:], k), k)
-        acc = term if acc is None else (acc - term if i % 2 else acc + term)
-    return acc
+def _alt(factors: list[tuple[np.ndarray, ...]], k: int) -> list[np.ndarray]:
+    """sum_sigma sgn(sigma) f_sigma(1) ... f_sigma(n) for factors that are
+    homogeneous polynomials in two commuting scalars (c, s): factors[i][g] is
+    the block multiplying c^(d_i - g) s^g, and entry g of the result the block
+    multiplying c^(d - g) s^g, d = sum d_i.  A plain block b is the tuple (b,).
+    """
+    out = [None] * (sum(len(f) - 1 for f in factors) + 1)
+    for g, sign, term in _alt_terms(factors, k):
+        if out[g] is None:
+            out[g] = term
+        elif sign < 0:
+            out[g] -= term
+        else:
+            out[g] += term
+    return out
+
+
+def _alt_terms(factors: list[tuple[np.ndarray, ...]], k: int):
+    """The terms (degree, sign, block) of the first-factor expansion
+    Alt(f_1..f_n) = sum_i (-1)^(i-1) f_i Alt(f_1..^f_i..f_n), one product
+    each; for n = 1 the blocks of f_1 themselves.  The terms of f_1 come
+    first and reach every degree."""
+    if len(factors) == 1:
+        yield from ((g, 1, d) for g, d in enumerate(factors[0]))
+        return
+    for i, blocks in enumerate(factors):
+        rest = _alt(factors[:i] + factors[i + 1:], k)
+        for g, d in enumerate(blocks):
+            for h, r in enumerate(rest):
+                yield g + h, -1 if i % 2 else 1, _mul_data(d, r, k)
+        del rest  # before the next factor's expansion is formed
 
 
 def _top_phase(k: int, n: int) -> complex:
@@ -312,6 +341,9 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
     axes = [dv.axis for dv in cycle.derivations]
     total = 0.0 + 0.0j
     for seg in loop.segments:
+        if isinstance(seg, ArcSegment):
+            total += _arc_integral(seg, base.data, axes, k_loop)
+            continue
         # one quadrature node at a time bounds the working set
         for j, weight in enumerate(seg.weights):
             value, dvalue, space = seg.node(j, axes)
@@ -327,6 +359,28 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
              * _top_phase(k_loop, n + 1)
              * total)
     return PairingValue(complex(value), cycle.name + "^S", k_loop)
+
+
+def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
+    """Quadrature sum over one arc of the grid-mean integrand, in closed form.
+
+    With c, s = cos, sin(pi s/2) every factor is c p + s q: the value c a + s b
+    (less the base point), each space derivative c da + s db, and d/ds =
+    c (pi/2) b - s (pi/2) a.  The integrand is thus a polynomial in (c, s):
+    each term of its expansion is formed once per arc, and the nodes and
+    weights enter only through the moments sum_j w_j c_j^i s_j^l.
+    """
+    a, b = seg.a.data, seg.b.data
+    # d/ds enters as (b, -a); its factor pi/2 is applied to the sum
+    factors = [(seg.da(ax), seg.db(ax)) for ax in axes] + [(b, -a)]
+    c, s = np.cos(np.pi * seg.nodes / 2), np.sin(np.pi * seg.nodes / 2)
+    total = 0.0 + 0.0j
+    # each term is contracted as it is formed, so no coefficient sum is held
+    for g, sign, term in _alt_terms(factors, k):
+        w = seg.weights * c ** (len(factors) - g) * s ** g
+        z = (w @ c) * a + (w @ s) * b - w.sum() * base
+        total += sign * np.mean(_top_trace(z, term, k))
+    return (np.pi / 2) * total
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Each suite records pass/fail lines with residuals into a Report; the
 expected values are either exact algebraic identities or the worked
-low-dimensional class computations.
+low-dimensional class computations.  Every suite takes its momentum and
+time sample counts as the keywords `grid_n` and `t_n`, which `dkpair verify`
+fills from `--grid` and `--tgrid`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ def _rng():
     return np.random.default_rng(20240901)
 
 
-def suite_clifford(report, grid_n=32, t_n=256):
+def suite_clifford(report, *, grid_n, t_n):
     rng = _rng()
     for k in range(0, 7):
         g = gamma_element(k)
@@ -90,7 +92,7 @@ def _half_trace_residual(omega: AlgElement, e: AlgElement) -> float:
     return abs(lhs - rhs)
 
 
-def suite_selection_rules(report, grid_n=16, t_n=64):
+def suite_selection_rules(report, *, grid_n, t_n):
     cases = [
         # (n, sign, parity, signature or degree, expected verdict, ray)
         (0, 1, 1, CliffordSignature(1, 0), None, "may-pair", "real"),
@@ -127,7 +129,7 @@ def suite_selection_rules(report, grid_n=16, t_n=64):
     report.check("ch1_vanishes_on_k1_class", abs(val1) < 1e-10, abs(val1), 1e-10)
 
 
-def suite_pimsner(report, grid_n=32, t_n=128):
+def suite_pimsner(report, *, grid_n, t_n):
     rng = _rng()
     grid = TorusGrid(())
     m = 4
@@ -165,7 +167,7 @@ def _ko2_data():
     return osu_validate(x, 1e-12), BasePoint(e), y
 
 
-def suite_torsion(report, grid_n=24, t_n=64):
+def suite_torsion(report, *, grid_n, t_n):
     x, e, y = _ko2_data()
     cf = pairing.torsion_pairing_closed_form(pairing.ch0(), x, e, y, 2.0)
     rs = RealStructureSpec(fiber="c", clifford_signs=(-1,))
@@ -203,7 +205,7 @@ def suite_torsion(report, grid_n=24, t_n=64):
                  cfd.distance(0.0), 1e-6)
 
 
-def suite_ko_examples(report, grid_n=16, t_n=256):
+def suite_ko_examples(report, *, grid_n, t_n):
     rng = _rng()
     grid = TorusGrid(())
     # trace pairing on a random projection

@@ -265,6 +265,18 @@ def test_report_roundtrip(tmp_path, capsys):
     assert on_disk["config_digest"]
 
 
+def test_pair_ch2_checks_consistency_against_tol(tmp_path, capsys):
+    # at grid 16 the pairing and the Chern number differ by about 1e-5
+    path = write_config(tmp_path, qwz_config(1.0))
+    code = run_cli(["pair", "--cycle", "ch2", "--config", path, "--grid", "16",
+                    "--tol", "1e-4"])
+    rep = read_report(capsys)
+    assert code == 0
+    assert rep["status"] == "ok"
+    check = next(c for c in rep["checks"] if c["name"] == "chern_consistency")
+    assert check["tolerance"] == 1e-4
+
+
 def test_reports_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, qwz_config(1.0))
     reports = []

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import ko2_generator, random_hermitian_field, spin_y
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
-                             apply_real_structure, direct_sum,
+                             TorusGrid, apply_real_structure, direct_sum,
                              spectral_derivative_data)
 from dkpair.kclass import (BasePoint, GapClosedError, LoopElement,
                            OsuValidationError, bott_loop, exp_projection_loop,
@@ -11,7 +11,7 @@ from dkpair.kclass import (BasePoint, GapClosedError, LoopElement,
                            osu_validate, torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_symbol, spin_double)
-from dkpair.pairing import ch0, ch2, pair_suspended
+from dkpair.pairing import _arc_integral, alt_trace, ch0, ch2, pair_suspended
 
 
 def test_flatten_sign_function(point_grid):
@@ -194,15 +194,16 @@ def test_doubled_class_satisfies_property_y(grid16):
     assert loop.sample_osu_residual() < 1e-12
 
 
-def materialized_torsion_segments(x, e, y, order):
-    """The four quarter arcs as gauss_segment arrays, from callables on the
-    corners e (x) 1, 1 (x) rho, x (x) 1, y (x) i rho."""
+def materialized_torsion_segments(x, e, y, order, arcs=range(4)):
+    """The quarter arcs (all four unless `arcs` picks some) as gauss_segment
+    arrays, from callables on the corners e (x) 1, 1 (x) rho, x (x) 1,
+    y (x) i rho."""
     xb, eb = x.body, e.e
     unit = AlgElement.unit(xb.grid, xb.m, xb.k)
     corners = [eb.append_generator(on_new=False), unit.append_generator(),
                xb.append_generator(on_new=False), y.append_generator(coeff=1j)]
     segments = []
-    for i in range(4):
+    for i in arcs:
         a, b = corners[i], corners[(i + 1) % 4]
 
         def value(s, a=a, b=b):
@@ -244,6 +245,41 @@ def test_torsion_loop_nodes_match_materialized_arrays(point_grid, grid16):
         oracle = pair_suspended(cycle, LoopElement(old, endpoints=loop.endpoints)).value
         got = pair_suspended(cycle, loop).value
         assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_arc_integral_matches_materialized_oracle():
+    # the stacked m = 8 class of criterion 10 at order 48, one materialized
+    # arc at a time (all four would take 1.6 GB).  Under criterion 10's
+    # block-swap symmetry the integrand vanishes at every node, so the loop
+    # uses the blockwise spin symmetry, which also commutes with the stacked
+    # class and gives the arcs a nonzero sum
+    grid = TorusGrid((32, 32))
+    x = make_osu_from_hamiltonian(decoupled_tri_symbol(grid, 1.0))
+    e = BasePoint.standard_rho(grid, 4, 1, sign=-1)
+    xx = osu_validate(direct_sum(x.body, x.body), 1e-10)
+    ee = BasePoint(direct_sum(e.e, e.e))
+    y = direct_sum(spin_y(grid, 4), spin_y(grid, 4))
+    cycle = ch2()
+    axes = [dv.axis for dv in cycle.derivations]
+    order = 48
+    loop = torsion_loop(xx, ee, y, rs=quaternionic_structure(k=1, fiber_block=4),
+                        derivations=cycle.derivations, order=order)
+    base = loop.endpoints[0][0].data
+    got, want = [], []
+    for i, arc in enumerate(loop.segments):
+        ref, = materialized_torsion_segments(xx, ee, y, order, arcs=(i,))
+        oracle = 0.0
+        for j, weight in enumerate(ref.weights):
+            value, dvalue, space = ref.node(j, axes)
+            oracle += weight * np.mean(alt_trace(value - base, space + [dvalue], loop.k))
+        del ref
+        want.append(oracle)
+        got.append(_arc_integral(arc, base, axes, loop.k))
+    scale = abs(sum(want))
+    assert scale > 1.0
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * scale
+    assert abs(sum(got) - sum(want)) <= 1e-12 * scale
 
 
 def test_exp_projection_loop_periodic(grid16):

@@ -10,7 +10,7 @@ from conftest import (chern_fhs, count_calls, ko2_generator, random_element,
                       random_hermitian_field, spin_y)
 from dkpair.clifford import CliffordSignature
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                             apply_real_structure, direct_sum, psi_e,
+                             _mul_data, apply_real_structure, direct_sum, psi_e,
                              psi_e_inverse, spectral_derivative_data,
                              unitary_exp)
 from dkpair.kclass import (BasePoint, bott_loop, flatten,
@@ -516,6 +516,24 @@ def test_torsion_loop_route_derives_each_corner_once(grid16, monkeypatch):
     calls = count_calls(monkeypatch, spectral_derivative_data)
     torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
     assert len(calls) <= 5 * len(cyc.derivations)
+
+
+def test_torsion_loop_route_products_do_not_grow_with_order(grid16, monkeypatch):
+    # each arc is integrated in closed form from its corners, so the order
+    # enters only through the weight moments; node by node the pairing took
+    # 9 products per node, 4 * 9 * 48 at order 48
+    x, e, y = kane_mele_torsion_data(grid16, 1.0)
+    cyc = ch2()
+    loops = [torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                          derivations=cyc.derivations, order=order)
+             for order in (8, 48)]
+    calls = count_calls(monkeypatch, _mul_data)
+    counts = []
+    for loop in loops:
+        before = len(calls)
+        pair_suspended(cyc, loop)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] < 4 * 9 * 8
 
 
 def test_torsion_loop_route_memory():
