@@ -3,8 +3,10 @@ and the explicit loops used by the suspension and torsion pairings.
 
 Loops are stored segmentwise with quadrature nodes and analytic (or spectral)
 local time derivatives, because the constructed loops are only piecewise
-smooth on the circle.  Consumers read one node at a time (`Segment.node`);
-the torsion loop builds each node from its corners instead of storing arrays.
+smooth on the circle.  Consumers read one node at a time (`Segment.node`).
+The Bott and torsion loops are `ArcSegment`s, homogeneous polynomials in
+(cos, sin)(pi s/2) that build each node from their coefficients; only the
+Floquet loops store node arrays.
 """
 
 from __future__ import annotations
@@ -62,12 +64,16 @@ class BasePoint:
         return cls(e)
 
 
-def osu_validate(x: AlgElement, tol: float = 1e-10) -> OsuElement:
-    residuals = {
+def _osu_residuals(x: AlgElement) -> dict[str, float]:
+    return {
         "even_part": x.homogeneous_part(0).norm_inf(),
         "self_adjoint": (x - x.star()).norm_inf(),
         "square": (x * x - AlgElement.unit(x.grid, x.m, x.k)).norm_inf(),
     }
+
+
+def osu_validate(x: AlgElement, tol: float = 1e-10) -> OsuElement:
+    residuals = _osu_residuals(x)
     bad = {name: r for name, r in residuals.items() if r > tol}
     if bad:
         raise OsuValidationError(f"not an OSU within {tol:g}: " +
@@ -186,9 +192,7 @@ class LoopElement:
         worst = 0.0
         for seg in self.segments:
             for j in range(0, seg.nodes.size, stride):
-                x = seg.element(j)
-                worst = max(worst, (x * x - AlgElement.unit(x.grid, x.m, x.k)).norm_inf(),
-                            (x - x.star()).norm_inf(), x.homogeneous_part(0).norm_inf())
+                worst = max(worst, *_osu_residuals(seg.element(j)).values())
         return worst
 
 
@@ -254,68 +258,92 @@ def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return np.moveaxis(d, 0, 1)
 
 
+def _corner(x: AlgElement):
+    """An arc coefficient with its space derivative per axis, cached on first use."""
+    return x, functools.cache(lambda axis: spectral_derivative_data(x.data, x.grid, axis, 1))
+
+
+def _combine(weights, blocks) -> np.ndarray:
+    """sum_g weights[g] blocks[g], accumulated in place."""
+    out = weights[0] * blocks[0]
+    for w, b in zip(weights[1:], blocks[1:]):
+        out += w * b
+    return out
+
+
+class ArcSegment(Segment):
+    """Arc s -> sum_g cos^(d-g) sin^g (pi s/2) P_g of degree d in (cos, sin)
+    from `_corner` coefficients.  A node is built on demand from scalar
+    weights on the blocks P_g (for d/ds, (pi/2)(g cos^(d-g+1) sin^(g-1) -
+    (d-g) cos^(d-g-1) sin^(g+1))) and on their cached space derivatives."""
+
+    def __init__(self, t0: float, t1: float, order: int, coeffs):
+        # Segment's own __init__ would assign the node arrays
+        self.t0, self.t1 = t0, t1
+        self.nodes, self.weights = _gauss_rule(order)
+        self.blocks = [x.data for x, _ in coeffs]
+        self.space = [dx for _, dx in coeffs]
+        self.grid, self.m, self.k = coeffs[0][0].grid, coeffs[0][0].m, coeffs[0][0].k
+
+    def _powers(self, s) -> list:
+        """cos^(d-g) sin^g (pi s/2) for g = 0..d, at a local s or an array of them."""
+        d = len(self.blocks) - 1
+        c, sn = np.cos(np.pi * s / 2), np.sin(np.pi * s / 2)
+        return [c ** (d - g) * sn ** g for g in range(d + 1)]
+
+    def at(self, s: float) -> AlgElement:
+        return AlgElement(self.grid, self.m, self.k, _combine(self._powers(s), self.blocks))
+
+    def element(self, j: int) -> AlgElement:
+        return self.at(self.nodes[j])
+
+    def node(self, j: int, axes=()) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        w = self._powers(self.nodes[j])
+        d, pad = len(w) - 1, [0.0, *w, 0.0]
+        # the d/ds weight of P_g is (pi/2)(g w[g-1] - (d-g) w[g+1])
+        dw = [g * pad[g] - (d - g) * pad[g + 2] for g in range(d + 1)]
+        return (_combine(w, self.blocks), (np.pi / 2) * _combine(dw, self.blocks),
+                [_combine(w, [dx(ax) for dx in self.space]) for ax in axes])
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.stack([self.node(j)[0] for j in range(self.nodes.size)], axis=1)
+
+    @property
+    def derivs(self) -> np.ndarray:
+        return np.stack([self.node(j)[1] for j in range(self.nodes.size)], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # the Bott suspension loop
 # ---------------------------------------------------------------------------
 
-def _nu(y: AlgElement, s: float, inverse: bool) -> AlgElement:
-    """c_s (x) 1 +- s_s y (x) rho on the appended generator."""
-    c, sn = np.cos(np.pi * s / 2), np.sin(np.pi * s / 2)
-    out = AlgElement.unit(y.grid, y.m, y.k + 1).scale(c)
-    sgn = -1.0 if inverse else 1.0
-    return out + y.append_generator().scale(sgn * sn)
-
-
-def _nu_deriv(y: AlgElement, s: float, inverse: bool) -> AlgElement:
-    c, sn = np.cos(np.pi * s / 2), np.sin(np.pi * s / 2)
-    out = AlgElement.unit(y.grid, y.m, y.k + 1).scale(-np.pi / 2 * sn)
-    sgn = -1.0 if inverse else 1.0
-    return out + y.append_generator().scale(sgn * np.pi / 2 * c)
+def _poly_product(p: list[AlgElement], q: list[AlgElement]) -> list[AlgElement]:
+    """Coefficients of the product of two polynomials in commuting scalars."""
+    out = [None] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = a * b if out[i + j] is None else out[i + j] + a * b
+    return out
 
 
 def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
-    """Suspension-image loop of an OSU class, one appended Clifford generator.
-
-    The loop closes at (1 (x) rho) but is only piecewise smooth on the
-    circle, so it is built as a single quadrature segment with analytic
-    derivatives.
-    """
+    """Suspension-image loop nu_x nu_e^-1 rho nu_e nu_x^-1 of an OSU class,
+    with rho the appended generator and nu_y = cos 1 + sin y (x) rho at
+    (cos, sin)(pi s/2).  The factors are multiplied out once into one
+    `ArcSegment` of degree 4; it closes at 1 (x) rho but is only piecewise
+    smooth on the circle."""
     xb, eb = x.body, e.e
     xb._check(eb)
+    unit = AlgElement.unit(xb.grid, xb.m, xb.k + 1)
     rho = AlgElement.unit(xb.grid, xb.m, xb.k).append_generator()
-
-    def factors(s):
-        return [_nu(xb, s, False), _nu(eb, s, True), rho, _nu(eb, s, False),
-                _nu(xb, s, True)]
-
-    def dfactors(s):
-        zero = AlgElement(xb.grid, xb.m, xb.k + 1)
-        return [_nu_deriv(xb, s, False), _nu_deriv(eb, s, True), zero,
-                _nu_deriv(eb, s, False), _nu_deriv(xb, s, True)]
-
-    def value(s):
-        out = None
-        for f in factors(s):
-            out = f if out is None else out * f
-        return out
-
-    def deriv(s):
-        fs, dfs = factors(s), dfactors(s)
-        total = None
-        for i in range(len(fs)):
-            term = None
-            for j, f in enumerate(fs):
-                g = dfs[j] if j == i else f
-                term = g if term is None else term * g
-            total = term if total is None else total + term
-        return total
-
-    seg = gauss_segment(value, deriv, 0.0, 1.0, order, xb.grid, xb.m, xb.k + 1)
-    start, end = value(0.0), value(1.0)
-    loop = LoopElement([seg], endpoints=[(start, end)])
-    res = (start - end).norm_inf()
-    if res > 1e-10:
-        raise ValueError(f"loop fails to close: {res:.3e}")
+    xr, er = xb.append_generator(), eb.append_generator()
+    coeffs = [unit, xr]
+    for factor in ([unit, -er], [rho], [unit, er], [unit, -xr]):
+        coeffs = _poly_product(coeffs, factor)
+    seg = ArcSegment(0.0, 1.0, order, [_corner(p) for p in coeffs])
+    loop = LoopElement([seg], endpoints=[(seg.at(0.0), seg.at(1.0))])
+    loop.validate_continuity(1e-10)  # the loop closes
     worst = loop.sample_osu_residual()
     if worst > 1e-10:
         raise OsuValidationError(f"loop samples fail the OSU check: {worst:.3e}")
@@ -340,42 +368,6 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
 # ---------------------------------------------------------------------------
 # the four-segment torsion loop
 # ---------------------------------------------------------------------------
-
-def _corner(x: AlgElement):
-    """A torsion-loop corner with its space derivative per axis, computed on
-    first use and shared by the two arcs that meet there."""
-    return x, functools.cache(lambda axis: spectral_derivative_data(x.data, x.grid, axis, 1))
-
-
-class ArcSegment(Segment):
-    """Quarter arc s -> cos(pi s/2) a + sin(pi s/2) b between two corners,
-    each node built on demand: d/ds = (pi/2)(cos b - sin a) and a space
-    derivative is cos da + sin db, so no node is stored or transformed."""
-
-    def __init__(self, t0: float, t1: float, order: int, a, b):
-        # Segment's own __init__ would assign the node arrays
-        self.t0, self.t1 = t0, t1
-        self.nodes, self.weights = _gauss_rule(order)
-        (self.a, self.da), (self.b, self.db) = a, b
-        self.grid, self.m, self.k = self.a.grid, self.a.m, self.a.k
-
-    def at(self, s: float) -> AlgElement:
-        return self.a.scale(np.cos(np.pi * s / 2)) + self.b.scale(np.sin(np.pi * s / 2))
-
-    def node(self, j: int, axes=()) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        c, sn = np.cos(np.pi * self.nodes[j] / 2), np.sin(np.pi * self.nodes[j] / 2)
-        a, b = self.a.data, self.b.data
-        return (c * a + sn * b, (np.pi / 2) * (-sn * a + c * b),
-                [c * self.da(ax) + sn * self.db(ax) for ax in axes])
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.stack([self.node(j)[0] for j in range(self.nodes.size)], axis=1)
-
-    @property
-    def derivs(self) -> np.ndarray:
-        return np.stack([self.node(j)[1] for j in range(self.nodes.size)], axis=1)
-
 
 def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
                  rs: RealStructureSpec | None = None,
@@ -425,7 +417,7 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
             raise ValueError(f"corner elements {i},{i + 1} fail to anticommute: {res:.3e}")
 
     ends = [_corner(c) for c in corners]
-    segments = [ArcSegment(i / 4, (i + 1) / 4, order, ends[i], ends[(i + 1) % 4])
+    segments = [ArcSegment(i / 4, (i + 1) / 4, order, [ends[i], ends[(i + 1) % 4]])
                 for i in range(4)]
     endpoints = [(seg.at(0.0), seg.at(1.0)) for seg in segments]
     loop = LoopElement(segments, endpoints=endpoints)

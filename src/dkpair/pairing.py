@@ -12,9 +12,9 @@ where [.]_top extracts the chirality-element coefficient of the Clifford
 factor (with the *-compatible phase of the iterated contraction), and the
 antisymmetrized permutation sum realizes (dx)^n over a Grassmann basis.
 Every character here (and the Floquet T^3 degree) evaluates through the one
-kernel `alt_trace`; the arcs of the torsion loop go through its two halves,
-the antisymmetrized expansion `_alt_terms` and the contraction `_top_trace`,
-once per arc.
+kernel `alt_trace`; the arcs of the Bott and torsion loops go through its
+two halves, the antisymmetrized expansion `_alt_terms` and the contraction
+`_top_trace`, once per arc.
 
 The torsion-valued pairing is computed two independent ways: from the
 suspended character evaluated on an explicit four-segment loop, and from a
@@ -31,7 +31,7 @@ import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
 from .grid_alg import AlgElement, Derivation, _mul_data, apply_derivation
-from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement
+from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement, _combine
 
 @dataclass(frozen=True)
 class CycleSpec:
@@ -364,21 +364,26 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
 def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
     """Quadrature sum over one arc of the grid-mean integrand, in closed form.
 
-    With c, s = cos, sin(pi s/2) every factor is c p + s q: the value c a + s b
-    (less the base point), each space derivative c da + s db, and d/ds =
-    c (pi/2) b - s (pi/2) a.  The integrand is thus a polynomial in (c, s):
-    each term of its expansion is formed once per arc, and the nodes and
-    weights enter only through the moments sum_j w_j c_j^i s_j^l.
+    With c, s = cos, sin(pi s/2), every factor of the integrand is a
+    polynomial of the arc's degree d: the value sum_g c^(d-g) s^g P_g less
+    the base point, each space derivative (blocks dP_g) and d/ds (blocks
+    (pi/2)((g+1) P_(g+1) - (d-g+1) P_(g-1))).  Each term of the expansion is
+    formed once per arc and contracted against the moments sum_j w_j c_j^i s_j^l.
     """
-    a, b = seg.a.data, seg.b.data
-    # d/ds enters as (b, -a); its factor pi/2 is applied to the sum
-    factors = [(seg.da(ax), seg.db(ax)) for ax in axes] + [(b, -a)]
+    p, d = seg.blocks, len(seg.blocks) - 1
+    # d/ds blocks, terms outside 0..d dropped; its factor pi/2 is applied to the sum
+    dds = ([p[1]] + [(g + 1) * p[g + 1] - (d - g + 1) * p[g - 1] for g in range(1, d)]
+           + [-p[d - 1]])
+    factors = [tuple(dx(ax) for dx in seg.space) for ax in axes] + [tuple(dds)]
+    degree = d * len(factors)
     c, s = np.cos(np.pi * seg.nodes / 2), np.sin(np.pi * seg.nodes / 2)
+    powers = seg._powers(seg.nodes)
     total = 0.0 + 0.0j
     # each term is contracted as it is formed, so no coefficient sum is held
     for g, sign, term in _alt_terms(factors, k):
-        w = seg.weights * c ** (len(factors) - g) * s ** g
-        z = (w @ c) * a + (w @ s) * b - w.sum() * base
+        w = seg.weights * c ** (degree - g) * s ** g
+        z = _combine([w @ q for q in powers], p)
+        z -= w.sum() * base
         total += sign * np.mean(_top_trace(z, term, k))
     return (np.pi / 2) * total
 

@@ -175,7 +175,7 @@ def suite_torsion(report, *, grid_n, t_n):
     vl = pairing.torsion_pairing_via_loop(pairing.ch0(), loop, 2.0)
     report.check("ko2_cross_validation", vl.distance(cf) < 1e-6,
                  vl.distance(cf), 1e-6)
-    report.check("ko2_nontrivial", cf.distance(1.0) < 1e-9, cf.distance(1.0))
+    report.check("ko2_nontrivial", cf.distance(1.0) < 1e-9, cf.distance(1.0), 1e-9)
     grid = TorusGrid((grid_n, grid_n))
     h = decoupled_tri_symbol(grid, 1.0)
     x2 = make_osu_from_hamiltonian(h)
@@ -191,7 +191,8 @@ def suite_torsion(report, *, grid_n, t_n):
                                            pairing.MODULUS_KANE_MELE_CH2)
     report.check("kane_mele_cross_validation", vl2.distance(cf2) < 1e-6,
                  vl2.distance(cf2), 1e-6)
-    report.check("kane_mele_order_two", cf2.has_order_two(1e-6))
+    report.check("kane_mele_order_two", cf2.has_order_two(1e-6),
+                 pairing.TorsionValue(2 * cf2.value, cf2.modulus).distance(0.0), 1e-6)
     # doubled class pairs to zero
     from .grid_alg import direct_sum
     xx = osu_validate(direct_sum(x2.body, x2.body), 1e-9)
@@ -250,7 +251,7 @@ def suite_ko_examples(report, *, grid_n, t_n):
     xt = (y2 * x2.body).scale(-1j)
     et = (y2 * e2.e).scale(-1j)
     vt = pairing.pair(pairing.ch0(), osu_validate(xt, 1e-12), BasePoint(et)).value
-    report.check("ko2_twisted_pairing_two", abs(vt - 2) < 1e-12, abs(vt - 2))
+    report.check("ko2_twisted_pairing_two", abs(vt - 2) < 1e-12, abs(vt - 2), 1e-12)
     delta = pairing.torsion_pairing_closed_form(pairing.ch0(), x2, e2, y2, 2.0)
     report.check("ko2_delta_one_mod_two", delta.distance(1.0) < 1e-9,
-                 delta.distance(1.0))
+                 delta.distance(1.0), 1e-9)

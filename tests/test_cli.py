@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from dkpair import cli
+from dkpair import cli, verify
 from dkpair.gridio import read_contraction_grid, write_contraction_grid
 from dkpair.models import qwz_hoppings
 
@@ -249,6 +249,25 @@ def test_cmd_verify_all_suites(tmp_path, capsys):
         rep = read_report(capsys)
         assert rep["status"] == "ok"
         assert all(c["passed"] for c in rep["checks"])
+
+
+def test_verify_torsion_contracts_carry_residual_and_tolerance():
+    # every numerical contract goes into the report with its residual and
+    # bound, so a failed check says by how much it failed
+    named = {"ko2_nontrivial", "kane_mele_order_two", "ko2_twisted_pairing_two",
+             "ko2_delta_one_mod_two"}
+    seen = set()
+    for suite in (verify.suite_torsion, verify.suite_ko_examples):
+        report = cli.Report("verify", None, {})
+        suite(report, grid_n=24, t_n=64)
+        for check in report.payload["checks"]:
+            assert check["passed"], check
+            if check["name"] in named:
+                seen.add(check["name"])
+                assert check["residual"] is not None, check
+                assert check["tolerance"] is not None, check
+                assert check["residual"] <= check["tolerance"], check
+    assert seen == named
 
 
 def test_report_roundtrip(tmp_path, capsys):

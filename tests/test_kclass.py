@@ -282,6 +282,79 @@ def test_arc_integral_matches_materialized_oracle():
     assert abs(sum(got) - sum(want)) <= 1e-12 * scale
 
 
+def materialized_bott_segment(x, e, order):
+    """The Bott loop nu_x nu_e^-1 rho nu_e nu_x^-1 as gauss_segment arrays,
+    from callables that multiply its five factors at each node, with the
+    product rule for d/ds."""
+    xb, eb = x.body, e.e
+    rho = AlgElement.unit(xb.grid, xb.m, xb.k).append_generator()
+    zero = AlgElement(xb.grid, xb.m, xb.k + 1)
+
+    def nu(y, sign, c, sn):
+        # c 1 + sign sn y (x) rho on the appended generator
+        return (AlgElement.unit(y.grid, y.m, y.k + 1).scale(c)
+                + y.append_generator().scale(sign * sn))
+
+    def factors(s, diff=None):
+        """The five factors at s, the one at index diff replaced by its d/ds."""
+        c, sn = np.cos(np.pi * s / 2), np.sin(np.pi * s / 2)
+        dc, dsn = -np.pi / 2 * sn, np.pi / 2 * c
+        out = []
+        for i, (y, sign) in enumerate([(xb, 1), (eb, -1), (None, 0), (eb, 1), (xb, -1)]):
+            if y is None:
+                out.append(zero if i == diff else rho)
+            else:
+                out.append(nu(y, sign, dc, dsn) if i == diff else nu(y, sign, c, sn))
+        return out
+
+    def product(fs):
+        out = fs[0]
+        for f in fs[1:]:
+            out = out * f
+        return out
+
+    def value(s):
+        return product(factors(s))
+
+    def deriv(s):
+        total = product(factors(s, 0))
+        for i in range(1, 5):
+            total = total + product(factors(s, i))
+        return total
+
+    return gauss_segment(value, deriv, 0.0, 1.0, order, xb.grid, xb.m, xb.k + 1)
+
+
+def test_bott_loop_nodes_match_materialized_oracle(point_grid, grid16, rng):
+    m = 4
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    _, v = np.linalg.eigh((a + np.conj(a.T)) / 2)
+    p = v[:, :1] @ np.conj(v[:, :1].T)
+    x0 = make_osu_from_hamiltonian(AlgElement.from_matrix_field(point_grid, 2 * p - np.eye(m)))
+    cases = [(x0, BasePoint.standard_rho(point_grid, m, 1, sign=-1), ch0()),
+             (make_osu_from_hamiltonian(qwz_symbol(grid16, 1.0)),
+              BasePoint.standard_rho(grid16, 2, 1, sign=-1), ch2())]
+    order = 16
+    for x, e, cycle in cases:
+        axes = [dv.axis for dv in cycle.derivations]
+        loop = bott_loop(x, e, order=order)
+        seg, = loop.segments
+        ref = materialized_bott_segment(x, e, order)
+        assert np.array_equal(seg.nodes, ref.nodes)
+        assert np.array_equal(seg.weights, ref.weights)
+        for j in range(order):
+            value, dvalue, space = seg.node(j, axes)
+            want = [ref.values[:, j], ref.derivs[:, j]] + [
+                spectral_derivative_data(ref.values[:, j], ref.grid, a, 1) for a in axes]
+            assert len(space) == len(axes)
+            for got, w in zip([value, dvalue, *space], want):
+                assert np.max(np.abs(got - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
+        oracle = pair_suspended(cycle, LoopElement([ref], endpoints=loop.endpoints)).value
+        got = pair_suspended(cycle, loop).value
+        assert abs(oracle) > 0.1
+        assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+
 def test_exp_projection_loop_periodic(grid16):
     s = flatten(qwz_symbol(grid16, 1.0))
     p = (s + AlgElement.unit(grid16, 2, 0)).scale(0.5)

@@ -536,6 +536,22 @@ def test_torsion_loop_route_products_do_not_grow_with_order(grid16, monkeypatch)
     assert counts[0] == counts[1] < 4 * 9 * 8
 
 
+def test_bott_loop_route_products_do_not_grow_with_order(qwz_osu, monkeypatch):
+    # the Bott loop is one arc of degree 4, integrated in closed form from
+    # its five coefficients; node by node the pairing took 9 products per
+    # node, 9 * 64 at order 64
+    x, e = qwz_osu
+    cyc = ch2()
+    loops = [bott_loop(x, e, order=order) for order in (16, 64)]
+    calls = count_calls(monkeypatch, _mul_data)
+    counts = []
+    for loop in loops:
+        before = len(calls)
+        pair_suspended(cyc, loop)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] < 9 * 64
+
+
 def test_torsion_loop_route_memory():
     # nothing of size order x grid is held: the node arrays of the four arcs
     # alone would take 4 * 2 * 32 MB here
