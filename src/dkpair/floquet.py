@@ -18,7 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from .grid_alg import (AlgElement, RealStructureSpec, _spectral_calculus,
-                       apply_real_structure, spectral_derivative_data)
+                       apply_real_structure, require_within,
+                       spectral_derivative_data)
 from .kclass import (GapClosedError, LoopElement, Segment,
                      uniform_closed_segment)
 from .pairing import TorsionValue, alt_trace, chern_number, integer_check
@@ -48,9 +49,8 @@ class FloquetDrive:
                 raise ValueError("segment durations must be positive")
             if h.k != 0:
                 raise ValueError("drive Hamiltonians are plain matrix fields")
-            res = (h - h.star()).norm_inf()
-            if res > 1e-12 * h.norm_inf():
-                raise ValueError(f"drive segment not hermitian (residual {res:.3e})")
+            require_within(h - h.star(), 1e-12 * h.norm_inf(),
+                           lambda r: f"drive segment not hermitian (residual {r:.3e})")
 
     @property
     def grid(self):
@@ -104,9 +104,8 @@ def evolve(drive: FloquetDrive, t: float) -> AlgElement:
         for _ in range(n_full):
             u = np.matmul(u_period, u)
     out = AlgElement.from_matrix_field(drive.grid, u)
-    res = (out * out.star() - AlgElement.unit(out.grid, out.m, 0)).norm_inf()
-    if res > 1e-11:
-        raise ValueError(f"evolution lost unitarity (residual {res:.3e})")
+    require_within(out * out.star() - AlgElement.unit(out.grid, out.m, 0), 1e-11,
+                   lambda r: f"evolution lost unitarity (residual {r:.3e})")
     return out
 
 
@@ -171,9 +170,8 @@ def effective_hamiltonian(drive: FloquetDrive, branch: BranchChoice) -> AlgEleme
     """(i/T) log_eps U(T): hermitian, with exp(-i T H) = U(T)."""
     w, v = _effective_spectrum(drive, branch)
     out = AlgElement.from_matrix_field(drive.grid, _spectral_calculus(v, w))
-    res = (out - out.star()).norm_inf()
-    if res > 1e-10 * out.norm_inf():
-        raise ValueError(f"effective Hamiltonian not hermitian (residual {res:.3e})")
+    require_within(out - out.star(), 1e-10 * out.norm_inf(),
+                   lambda r: f"effective Hamiltonian not hermitian (residual {r:.3e})")
     return out
 
 
@@ -430,11 +428,16 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
         raise ValueError(f"contraction boundary conditions violated: "
                          f"V(1/2) residual {res0:.3e}, V(1) residual {res1:.3e}")
     seg = uniform_closed_segment(samples[None].astype(complex), 0.5, 1.0, grid, m, 0)
-    worst = 0.0
-    for j in range(0, seg.nodes.size, max(1, seg.nodes.size // 8)):
-        el = seg.element(j)
-        worst = max(worst, (apply_real_structure(rs, el) - el).norm_inf())
-    if worst > boundary_tol:
+
+    def symmetry(measure):
+        out = []
+        for j in range(0, seg.nodes.size, max(1, seg.nodes.size // 8)):
+            el = seg.element(j)
+            out.append(measure(apply_real_structure(rs, el) - el))
+        return out
+
+    if not all(symmetry(lambda d: d.within(boundary_tol))):
+        worst = max(symmetry(AlgElement.norm_inf))
         raise ValueError(f"contraction symmetry residual {worst:.3e}")
     return _closed_loop(half + [seg], boundary_tol)
 

@@ -197,24 +197,35 @@ class AlgElement:
             out[mask] = self.data[mask]
         return AlgElement(self.grid, self.m, self.k, out)
 
-    def norm_inf(self) -> float:
-        """Max over grid points of the operator 2-norm of the represented matrix.
-
-        Exact, with SVDs only at the points that can hold the maximum.  The
-        blade images R_S are unitary and trace-orthogonal, so the represented
-        matrix sum_S x_S (x) R_S has squared Frobenius norm 2^q sum_S |x_S|_F^2,
-        and a single component x_S (x) R_S has the singular values of x_S.
-        As sigma_max <= |.|_F <= sqrt(n) sigma_max for an n x n matrix, a point
-        with |.|_F^2 below max |.|_F^2 / n cannot hold the maximum.  Raises
-        LinAlgError on non-finite input.
-        """
+    def _point_squares(self):
+        """(live components, data with the grid flattened to one axis, size n
+        of the matrices whose singular values norm_inf takes, sum_S |x_S|_F^2
+        per point).  The blade images R_S are unitary and trace-orthogonal,
+        so the represented matrix sum_S x_S (x) R_S has squared Frobenius
+        norm 2^q sum_S |x_S|_F^2; a single component x_S (x) R_S has the
+        singular values of x_S, and its SVD is taken on x_S.  Either way the
+        matrix of size n has squared Frobenius norm (n / m) times the sum."""
         live = _live_components(self.data)
-        if not live:
-            return 0.0
         data = self.data.reshape(self.data.shape[0], -1, self.m, self.m)
         n = self.m if len(live) == 1 else self.m << representation(self.k)[1]
         fro2 = sum(np.einsum("pij,pij->p", part, part)
                    for s in live for part in (data[s].real, data[s].imag))
+        return live, data, n, fro2
+
+    def norm_inf(self) -> float:
+        """Max over grid points of the operator 2-norm of the represented matrix.
+
+        Exact, with SVDs only at the points that can hold the maximum.  As
+        sigma_max <= |.|_F <= sqrt(n) sigma_max for an n x n matrix, a point
+        with |.|_F^2 below max |.|_F^2 / n cannot hold the maximum (see
+        `_point_squares` for the Frobenius norms).  Rounding-level residuals
+        have no dominant points, so most of their points stay candidates; a
+        check that only compares against a tolerance should call `within`.
+        Raises LinAlgError on non-finite input.
+        """
+        live, data, n, fro2 = self._point_squares()
+        if not live:
+            return 0.0
         top = fro2.max()
         if _FRO2_MIN <= top < np.inf:
             # the relative slack stays well above the rounding in fro2
@@ -233,6 +244,26 @@ class AlgElement:
         if not np.isfinite(best):
             raise np.linalg.LinAlgError("norm_inf of a non-finite element")
         return best
+
+    def within(self, tol: float) -> bool:
+        """norm_inf() <= tol, settled on the Frobenius bound when it can be.
+
+        The largest pointwise Frobenius norm of the represented matrix bounds
+        norm_inf from above; on rank-one points the two agree and rounding can
+        put the computed Frobenius norm just below the SVD value, so it takes
+        a relative slack of 1e-12.  When that bound is within tol, no SVD is
+        taken; otherwise, and for squares that underflow, overflow or are NaN,
+        the answer is the exact norm_inf() <= tol.  Raises LinAlgError on
+        non-finite input.
+        """
+        live, _, n, fro2 = self._point_squares()
+        if not live:
+            return 0.0 <= tol
+        top = fro2.max()
+        bound = np.sqrt(top * (n // self.m)) * (1 + 1e-12)
+        if _FRO2_MIN <= top < np.inf and bound <= tol:
+            return True
+        return self.norm_inf() <= tol
 
     # -- Clifford factor manipulation -----------------------------------
     def append_generator(self, on_new: bool = True, coeff: complex = 1.0) -> "AlgElement":
@@ -255,7 +286,8 @@ class AlgElement:
 # ---------------------------------------------------------------------------
 
 # squared Frobenius norms this far above the underflow threshold keep their
-# full relative precision, which the pruning in norm_inf relies on
+# full relative precision, which the pruning in norm_inf and the bound in
+# within rely on
 _FRO2_MIN = 1e-200
 # matrix entries per batched SVD call in norm_inf (16 MB of complex data)
 _SVD_CHUNK = 1 << 20
@@ -366,6 +398,14 @@ def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
 def check_invariance(rs: RealStructureSpec, x: AlgElement, tol: float) -> tuple[bool, float]:
     residual = (apply_real_structure(rs, x) - x).norm_inf()
     return residual <= tol, residual
+
+
+def require_within(defect: AlgElement, tol: float, message):
+    """Raise ValueError(message(defect.norm_inf())) unless defect.within(tol):
+    the exact norm is taken only for the error message.  The caller holds no
+    reference to the defect, so it is freed on return."""
+    if not defect.within(tol):
+        raise ValueError(message(defect.norm_inf()))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +570,7 @@ def psi_e_inverse(y: AlgElement, e: AlgElement) -> AlgElement:
 def _validate_osi(e: AlgElement):
     """Odd within 1e-10 and self-inverse within 1e-10; the second check also
     rejects the zero element and any even element too small for the first."""
-    if e.homogeneous_part(0).norm_inf() > 1e-10:
+    if not e.homogeneous_part(0).within(1e-10):
         raise ValueError("base element must be odd")
-    res = (e * e - AlgElement.unit(e.grid, e.m, e.k)).norm_inf()
-    if res > 1e-10:
-        raise ValueError(f"base element not self-inverse (residual {res:.2e})")
+    require_within(e * e - AlgElement.unit(e.grid, e.m, e.k), 1e-10,
+                   lambda r: f"base element not self-inverse (residual {r:.2e})")

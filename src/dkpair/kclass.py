@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                       _spectral_calculus, apply_derivation, check_invariance,
-                       hermitian_calculus, spectral_derivative_data)
+                       _spectral_calculus, apply_derivation,
+                       apply_real_structure, represent, require_within,
+                       spectral_derivative_data, unrepresent)
 
 
 class GapClosedError(ValueError):
@@ -64,49 +65,53 @@ class BasePoint:
         return cls(e)
 
 
-def _osu_residuals(x: AlgElement) -> dict[str, float]:
+def _osu_defects(x: AlgElement, measure) -> dict:
+    """measure applied to each OSU defect of x, by name; each defect is freed
+    before the next one is formed."""
     return {
-        "even_part": x.homogeneous_part(0).norm_inf(),
-        "self_adjoint": (x - x.star()).norm_inf(),
-        "square": (x * x - AlgElement.unit(x.grid, x.m, x.k)).norm_inf(),
+        "even_part": measure(x.homogeneous_part(0)),
+        "self_adjoint": measure(x - x.star()),
+        "square": measure(x * x - AlgElement.unit(x.grid, x.m, x.k)),
     }
 
 
+def _is_osu(x: AlgElement, tol: float) -> bool:
+    """Every OSU residual of x within tol."""
+    return all(_osu_defects(x, lambda d: d.within(tol)).values())
+
+
 def osu_validate(x: AlgElement, tol: float = 1e-10) -> OsuElement:
-    residuals = _osu_residuals(x)
+    if _is_osu(x, tol):
+        return OsuElement(x, tol)
+    residuals = _osu_defects(x, AlgElement.norm_inf)
     bad = {name: r for name, r in residuals.items() if r > tol}
-    if bad:
-        raise OsuValidationError(f"not an OSU within {tol:g}: " +
-                                 ", ".join(f"{n}={r:.3e}" for n, r in bad.items()),
-                                 residuals)
-    return OsuElement(x, tol)
+    raise OsuValidationError(f"not an OSU within {tol:g}: " +
+                             ", ".join(f"{n}={r:.3e}" for n, r in bad.items()),
+                             residuals)
 
 
 def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
     """Spectral flattening sign(h) of a self-adjoint invertible element.
 
     Pointwise hermitian eigendecomposition; eigenvalues map to +-1.  Both
-    checks are relative to the scale |h| = h.norm_inf(), as sign(lambda h) =
-    sign(h) for lambda > 0: the self-adjointness residual must stay within
-    1e-10 |h|, and GapClosedError reports the offending grid point if the
-    spectral gap at zero falls below gap_tol |h|.
+    checks are relative to the scale |h|, the largest |eigenvalue| (for a
+    self-adjoint h its norm_inf), as sign(lambda h) = sign(h) for lambda > 0:
+    the self-adjointness residual must stay within 1e-10 |h|, and
+    GapClosedError reports the offending grid point if the spectral gap at
+    zero falls below gap_tol |h|.  Raises LinAlgError on non-finite input.
     """
-    scale = h.norm_inf()
-    sa_res = (h - h.star()).norm_inf()
-    if sa_res > 1e-10 * scale:
-        raise ValueError(f"flatten needs a self-adjoint input (residual {sa_res:.2e} "
-                         f"at scale {scale:.2e})")
-    gap = gap_tol * scale
+    w, v = np.linalg.eigh(h.data[0] if h.k == 0 else represent(h))
+    scale = float(np.abs(w).max())
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("flatten of a non-finite element")
+    require_within(h - h.star(), 1e-10 * scale,
+                   lambda r: f"flatten needs a self-adjoint input (residual "
+                             f"{r:.2e} at scale {scale:.2e})")
+    _check_gap(w, gap_tol * scale)
+    sign = _spectral_calculus(v, np.sign(w))
     if h.k == 0:
-        w, v = np.linalg.eigh(h.data[0])
-        _check_gap(w, gap)
-        return AlgElement.from_matrix_field(h.grid, _spectral_calculus(v, np.sign(w)))
-
-    def sign_fn(w):
-        _check_gap(w, gap)
-        return np.sign(w)
-
-    return hermitian_calculus(h, sign_fn)
+        return AlgElement.from_matrix_field(h.grid, sign)
+    return unrepresent(sign, h.grid, h.m, h.k)
 
 
 def _check_gap(w, gap):
@@ -184,15 +189,18 @@ class LoopElement:
         for i in range(n):
             a = self.endpoints[i][1]
             b = self.endpoints[(i + 1) % n][0]
-            res = (a - b).norm_inf()
-            if res > tol:
-                raise ValueError(f"loop discontinuous at segment {i}: {res:.3e}")
+            require_within(a - b, tol,
+                           lambda r: f"loop discontinuous at segment {i}: {r:.3e}")
+
+    def _samples(self, stride: int):
+        for seg in self.segments:
+            for j in range(0, seg.nodes.size, stride):
+                yield seg.element(j)
 
     def sample_osu_residual(self, stride: int = 4) -> float:
         worst = 0.0
-        for seg in self.segments:
-            for j in range(0, seg.nodes.size, stride):
-                worst = max(worst, *_osu_residuals(seg.element(j)).values())
+        for x in self._samples(stride):
+            worst = max(worst, *_osu_defects(x, AlgElement.norm_inf).values())
         return worst
 
 
@@ -344,9 +352,9 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
     seg = ArcSegment(0.0, 1.0, order, [_corner(p) for p in coeffs])
     loop = LoopElement([seg], endpoints=[(seg.at(0.0), seg.at(1.0))])
     loop.validate_continuity(1e-10)  # the loop closes
-    worst = loop.sample_osu_residual()
-    if worst > 1e-10:
-        raise OsuValidationError(f"loop samples fail the OSU check: {worst:.3e}")
+    if not all(_is_osu(x, 1e-10) for x in loop._samples(4)):
+        raise OsuValidationError(f"loop samples fail the OSU check: "
+                                 f"{loop.sample_osu_residual():.3e}")
     return loop
 
 
@@ -369,6 +377,40 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
 # the four-segment torsion loop
 # ---------------------------------------------------------------------------
 
+def _torsion_preconditions(xb, eb, y, rs, derivations, measure) -> dict:
+    """measure applied to each defect of the torsion-loop preconditions, by
+    name; each defect is freed before the next one is formed."""
+    unit = AlgElement.unit(xb.grid, xb.m, xb.k)
+    checks = {
+        "y_even": measure(y.homogeneous_part(1)),
+        "y_anti_self_adjoint": measure(y.star() + y),
+        "y_unitary": measure(y * y.star() - unit),
+        "y_commutes_x": measure(y * xb - xb * y),
+        "y_commutes_e": measure(y * eb - eb * y),
+    }
+    for dv in derivations:
+        checks[f"dy_axis{dv.axis}"] = measure(apply_derivation(dv, y))
+        checks[f"de_axis{dv.axis}"] = measure(apply_derivation(dv, eb))
+    if rs is not None:
+        for name, z in (("y", y), ("x", xb), ("e", eb)):
+            checks[f"{name}_invariant"] = measure(apply_real_structure(rs, z) - z)
+    return checks
+
+
+def _half_symmetry(segments: list[Segment], rs: RealStructureSpec, measure) -> list:
+    """measure applied to the real-structure defect at every 8th node of the
+    four torsion arcs: rs extended by a fixed generator on the first half,
+    by a negated one on the second."""
+    out = []
+    for half, sign in ((segments[:2], 1), (segments[2:], -1)):
+        ext = rs.extend(sign)
+        for seg in half:
+            for j in range(0, seg.nodes.size, 8):
+                x = seg.element(j)
+                out.append(measure(apply_real_structure(ext, x) - x))
+    return out
+
+
 def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
                  rs: RealStructureSpec | None = None,
                  derivations=(), order: int = 64) -> LoopElement:
@@ -384,37 +426,27 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
     xb, eb = x.body, e.e
     xb._check(eb)
     xb._check(y)
-    unit = AlgElement.unit(xb.grid, xb.m, xb.k)
-    checks = {
-        "y_even": y.homogeneous_part(1).norm_inf(),
-        "y_anti_self_adjoint": (y.star() + y).norm_inf(),
-        "y_unitary": (y * y.star() - unit).norm_inf(),
-        "y_commutes_x": (y * xb - xb * y).norm_inf(),
-        "y_commutes_e": (y * eb - eb * y).norm_inf(),
-    }
-    for dv in derivations:
-        checks[f"dy_axis{dv.axis}"] = apply_derivation(dv, y).norm_inf()
-        checks[f"de_axis{dv.axis}"] = apply_derivation(dv, eb).norm_inf()
-    if rs is not None:
-        checks["y_invariant"] = check_invariance(rs, y, tol)[1]
-        checks["x_invariant"] = check_invariance(rs, xb, tol)[1]
-        checks["e_invariant"] = check_invariance(rs, eb, tol)[1]
-    bad = {n: r for n, r in checks.items() if r > tol}
-    if bad:
+
+    def within(d):
+        return d.within(tol)
+
+    if not all(_torsion_preconditions(xb, eb, y, rs, derivations, within).values()):
+        checks = _torsion_preconditions(xb, eb, y, rs, derivations, AlgElement.norm_inf)
+        bad = {n: r for n, r in checks.items() if r > tol}
         raise ValueError("torsion loop preconditions violated: " +
                          ", ".join(f"{n}={r:.3e}" for n, r in bad.items()))
 
     corners = [
         eb.append_generator(on_new=False),
-        unit.append_generator(),
+        AlgElement.unit(xb.grid, xb.m, xb.k).append_generator(),
         xb.append_generator(on_new=False),
         y.append_generator(coeff=1j),
     ]
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
-        res = (a * b + b * a).norm_inf()
-        if res > tol:
-            raise ValueError(f"corner elements {i},{i + 1} fail to anticommute: {res:.3e}")
+        require_within(a * b + b * a, tol,
+                       lambda r: f"corner elements {i},{i + 1} fail to anticommute: "
+                                 f"{r:.3e}")
 
     ends = [_corner(c) for c in corners]
     segments = [ArcSegment(i / 4, (i + 1) / 4, order, [ends[i], ends[(i + 1) % 4]])
@@ -422,14 +454,7 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
     endpoints = [(seg.at(0.0), seg.at(1.0)) for seg in segments]
     loop = LoopElement(segments, endpoints=endpoints)
     loop.validate_continuity(tol)
-    if rs is not None:
-        worst = 0.0
-        for half, sign in ((0, 1), (1, -1)):
-            ext = rs.extend(sign)
-            for seg_i in (2 * half, 2 * half + 1):
-                seg = segments[seg_i]
-                for j in range(0, seg.nodes.size, 8):
-                    worst = max(worst, check_invariance(ext, seg.element(j), tol)[1])
-        if worst > tol:
-            raise ValueError(f"torsion loop half-symmetry residual {worst:.3e}")
+    if rs is not None and not all(_half_symmetry(segments, rs, within)):
+        worst = max(_half_symmetry(segments, rs, AlgElement.norm_inf))
+        raise ValueError(f"torsion loop half-symmetry residual {worst:.3e}")
     return loop

@@ -30,7 +30,8 @@ from math import comb
 import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
-from .grid_alg import AlgElement, Derivation, _mul_data, apply_derivation
+from .grid_alg import (AlgElement, Derivation, _mul_data, apply_derivation,
+                       require_within)
 from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement, _combine
 
 @dataclass(frozen=True)
@@ -237,10 +238,9 @@ def _top_phase(k: int, n: int) -> complex:
 
 def _check_basepoint(cycle: CycleSpec, e: AlgElement, tol: float = 1e-10):
     for dv in cycle.derivations:
-        res = apply_derivation(dv, e).norm_inf()
-        if res > tol:
-            raise ValueError(f"base point not killed by derivation on axis "
-                             f"{dv.axis}: {res:.3e}")
+        require_within(apply_derivation(dv, e), tol,
+                       lambda r: f"base point not killed by derivation on axis "
+                                 f"{dv.axis}: {r:.3e}")
 
 
 def pair(cycle: CycleSpec, x: OsuElement | AlgElement,
@@ -277,9 +277,8 @@ def winding_number(u: AlgElement) -> complex:
     if u.k != 0 or u.grid.d != 1:
         raise ValueError("expects a plain matrix loop over one circle")
     unit = AlgElement.unit(u.grid, u.m, 0)
-    res = (u * u.star() - unit).norm_inf()
-    if res > 1e-10:
-        raise ValueError(f"input not unitary (residual {res:.3e})")
+    require_within(u * u.star() - unit, 1e-10,
+                   lambda r: f"input not unitary (residual {r:.3e})")
     du = apply_derivation(Derivation(0), u)
     tr = alt_trace((u.star() - unit).data, [du.data], 0)
     return complex(np.mean(tr)) * u.grid.period(0)
@@ -292,9 +291,12 @@ def chern_number(p: AlgElement, tol: float = 1e-8) -> float:
     the QWZ symbol at mass 1 the upper flattened band (1 + sign h)/2 gives
     +1 (this is minus the plaquette Berry-flux convention).
     """
-    res = max((p * p - p).norm_inf(), (p - p.star()).norm_inf())
-    if res > tol:
-        raise ValueError(f"input not a projection field (residual {res:.3e})")
+    def defects(measure):
+        return measure(p * p - p), measure(p - p.star())
+
+    if not all(defects(lambda d: d.within(tol))):
+        raise ValueError(f"input not a projection field "
+                         f"(residual {max(defects(AlgElement.norm_inf)):.3e})")
     d1 = apply_derivation(Derivation(0), p)
     d2 = apply_derivation(Derivation(1), p)
     val = 2j * np.pi * np.mean(alt_trace(p.data, [d1.data, d2.data], 0))
@@ -426,9 +428,8 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
     k = xb.k
     unit = AlgElement.unit(xb.grid, xb.m, xb.k)
     p_y = (unit - y.scale(1j)).scale(0.5)
-    proj_res = (p_y * p_y - p_y).norm_inf()
-    if proj_res > 1e-8:
-        raise ValueError(f"(1 - i y)/2 is not a projection (residual {proj_res:.3e})")
+    require_within(p_y * p_y - p_y, 1e-8,
+                   lambda r: f"(1 - i y)/2 is not a projection (residual {r:.3e})")
     diffs = [apply_derivation(dv, xb).data for dv in cycle.derivations]
     n = cycle.n
     trace = complex(np.mean(alt_trace((p_y * (xb - eb)).data, diffs, k)))

@@ -409,6 +409,27 @@ def test_z2_and_pair_flatten_once_per_grid(tmp_path, monkeypatch, capsys):
     assert read_report(capsys)["status"] == "ok"
 
 
+def test_tolerance_checks_take_no_svd(tmp_path, monkeypatch):
+    # the unreported checks (OSU, projection, base point, flatten's
+    # self-adjointness) settle their rounding-noise residuals on the
+    # Frobenius bound; z2's reported time-reversal residual is an exact zero
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    path = write_config(tmp_path, qwz_config(1.0, spin_doubling=True))
+    assert run_cli(["z2", "--config", path, "--grid", "24"]) == cli.EXIT_OK
+    assert calls == []
+    path = write_config(tmp_path, qwz_config(1.0), name="block.json")
+    assert run_cli(["pair", "--cycle", "ch2", "--config", path, "--grid", "16",
+                    "--tol", "1e-4"]) == cli.EXIT_OK
+    assert calls == []
+
+
 def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatch,
                                                             capsys):
     # the periodicity check and the degree route share the eps_0 loop

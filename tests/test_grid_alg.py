@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_element, random_hermitian_field
+from conftest import random_element, random_hermitian_field, random_matrix_field
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_derivation, apply_real_structure,
@@ -350,30 +350,56 @@ def assert_matches_oracle(x):
         assert abs(got - ref) <= 1e-14 * ref
 
 
+def oracle_elements(rng, grid, m, k):
+    """Elements whose norm_inf the oracle checks, for one (m, k)."""
+    full = random_element(rng, grid, m, k, modes=1)
+    yield full
+    # one large point among small ones: pruning keeps few points
+    spiky = full.copy()
+    spiky.data[(slice(None),) + (0,) * grid.d] *= 50.0
+    yield spiky
+    # squares that underflow or overflow: no pruning, same value
+    yield full.scale(1e-170)
+    yield full.scale(1e160)
+    for mask in (0, (1 << k) - 1):
+        single = AlgElement(grid, m, k)
+        single.data[mask] = full.data[mask]
+        yield single
+    yield AlgElement(grid, m, k)
+    # rounding-level residuals
+    a, b = (random_element(rng, grid, m, k, modes=1) for _ in range(2))
+    noise = (a * b).star() - b.star() * a.star()
+    if np.any(noise.data):
+        yield noise
+    # rank-one points: the Frobenius norm of a single component is its
+    # largest singular value
+    u, v = (random_matrix_field(rng, grid, m, modes=1)[..., 0] for _ in range(2))
+    for mask in (0, (1 << k) - 1):
+        rank_one = AlgElement(grid, m, k)
+        rank_one.data[mask] = u[..., :, None] * np.conj(v[..., None, :])
+        yield rank_one
+
+
 @pytest.mark.parametrize("sizes", [(), (6,), (8, 4)])
 def test_norm_inf_matches_svd_oracle(sizes, rng):
     grid = TorusGrid(sizes)
     for k in range(4):
         for m in range(1, 5):
-            full = random_element(rng, grid, m, k, modes=1)
-            assert_matches_oracle(full)
-            # one large point among small ones: pruning keeps few points
-            spiky = full.copy()
-            spiky.data[(slice(None),) + (0,) * grid.d] *= 50.0
-            assert_matches_oracle(spiky)
-            # squares that underflow or overflow: no pruning, same value
-            assert_matches_oracle(full.scale(1e-170))
-            assert_matches_oracle(full.scale(1e160))
-            for mask in (0, (1 << k) - 1):
-                single = AlgElement(grid, m, k)
-                single.data[mask] = full.data[mask]
-                assert_matches_oracle(single)
-            assert AlgElement(grid, m, k).norm_inf() == 0.0
-            # rounding-level residuals
-            a, b = (random_element(rng, grid, m, k, modes=1) for _ in range(2))
-            noise = (a * b).star() - b.star() * a.star()
-            if np.any(noise.data):
-                assert_matches_oracle(noise)
+            for x in oracle_elements(rng, grid, m, k):
+                assert_matches_oracle(x)
+
+
+@pytest.mark.parametrize("sizes", [(), (6,), (8, 4)])
+def test_within_matches_norm_inf(sizes, rng):
+    grid = TorusGrid(sizes)
+    for k in range(4):
+        for m in range(1, 5):
+            for x in oracle_elements(rng, grid, m, k):
+                value = x.norm_inf()
+                # the float just below norm_inf catches a Frobenius bound
+                # that rounding put below it
+                for tol in (value, 0.5 * value, 2.0 * value, np.nextafter(value, 0.0)):
+                    assert x.within(tol) == (value <= tol)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -383,6 +409,8 @@ def test_norm_inf_rejects_non_finite(grid16, rng, bad):
         x.data[0, 3, 5, 1, 0] = bad
         with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
             x.norm_inf()
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            x.within(1.0)
 
 
 def test_derivative_matches_whole_block_transform(grid16, rng):

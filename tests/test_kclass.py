@@ -44,6 +44,17 @@ def test_flatten_zero_has_no_gap(grid16):
         flatten(AlgElement(grid16, 2, 0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_flatten_rejects_non_finite(grid16, rng, bad):
+    # eigh returns NaN eigenvalues without raising; the gap check must not
+    # pass them
+    h = random_hermitian_field(rng, grid16, 2, shift=4.0)
+    for x in (h, h.append_generator()):
+        x.data[0, 3, 5, 1, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+            flatten(x)
+
+
 def test_flatten_commutes_with_real_structure(grid16, rng):
     rs = quaternionic_structure(k=0)
     h1 = random_hermitian_field(rng, grid16, 2, shift=4.0)

@@ -599,6 +599,36 @@ def test_spin_chern_scale_invariant(lam):
     assert abs(spin_chern(h.scale(lam)) - spin_chern(h)) <= 1e-12
 
 
+def _ch2_pairing(h):
+    """The pair --cycle ch2 value of a gapped two-dimensional symbol."""
+    x = osu_validate(flatten(h).append_generator())
+    e = BasePoint.standard_rho(h.grid, h.m, 1, sign=-1)
+    return pair(ch2(), x, e).value
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2 ** 31), st.sampled_from(["qwz", "noisy"]))
+@example(0, "qwz")
+@example(0, "noisy")
+def test_spin_chern_and_ch2_gauge_invariant(seed, model):
+    # g = exp(iB) with B a grid-constant hermitian matrix is a global gauge
+    # transformation: neither invariant may see it
+    grid = TorusGrid((16, 16))
+    rng = np.random.default_rng(seed)
+    h = qwz_symbol(grid, 1.0)
+    if model == "noisy":
+        noise = random_hermitian_field(np.random.default_rng(7), grid, 4, modes=1)
+        h = direct_sum(h, qwz_symbol(grid, 1.5)) + noise.scale(0.01)
+    a = rng.standard_normal((h.m, h.m)) + 1j * rng.standard_normal((h.m, h.m))
+    w, v = np.linalg.eigh(a + np.conj(a.T))
+    g = AlgElement.from_matrix_field(
+        grid, np.broadcast_to((v * np.exp(1j * w)) @ np.conj(v.T),
+                              (*grid.sizes, h.m, h.m)))
+    hg = g * h * g.star()
+    assert abs(spin_chern(hg) - spin_chern(h)) <= 1e-9
+    assert abs(_ch2_pairing(hg) - _ch2_pairing(h)) <= 1e-9
+
+
 def test_spin_chern_examples(grid16):
     const = AlgElement.from_matrix_field(
         grid16, np.broadcast_to(np.diag([1.0, -1.0]), (16, 16, 2, 2)).copy())
