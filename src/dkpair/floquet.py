@@ -5,7 +5,11 @@ the degree over T^3, and the resulting Z2 invariant.
 Drives are piecewise constant in time, so the evolution is a product of
 exact segment exponentials; all unitary eigendecompositions go through a
 Schur factorization (exactly diagonal for normal matrices) with an explicit
-residual contract.
+residual contract.  On each drive segment the periodized evolution is an
+entire function of time, held as a `FrameSegment` in the eigenframes of the
+segment and of H_eff rather than as node arrays: its endpoints come from the
+frame formula, `degree_t3` integrates it on Gauss-Legendre nodes, and its
+uniform nodes are built only when a caller exports them.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ import scipy.linalg
 from .grid_alg import (AlgElement, RealStructureSpec, _spectral_calculus,
                        apply_real_structure, require_within,
                        spectral_derivative_data)
-from .kclass import (GapClosedError, LoopElement, Segment,
-                     uniform_closed_segment)
+from .kclass import (GapClosedError, LoopElement, Segment, _gauss_rule,
+                     _simpson_rule, uniform_closed_segment)
 from .pairing import TorsionValue, alt_trace, chern_number, integer_check
 
 DEFAULT_T_SAMPLES = 256
@@ -31,9 +35,11 @@ _PHASE_GAP = 1e-9
 
 @dataclass(frozen=True)
 class FloquetDrive:
-    """Piecewise-constant time-periodic Hamiltonian over one period.  U(T) is
-    factorized once and cached, so segments must not be mutated after
-    construction; hermiticity is checked relative to each segment's scale."""
+    """Piecewise-constant time-periodic Hamiltonian over one period.  Each
+    segment is eigendecomposed at construction and U(T) factorized once, on
+    first use; both are cached, so segments must not be mutated after
+    construction.  Hermiticity is checked relative to each segment's scale
+    |h|, its largest |eigenvalue|."""
 
     period: float
     segments: tuple[tuple[float, AlgElement], ...]
@@ -49,7 +55,9 @@ class FloquetDrive:
                 raise ValueError("segment durations must be positive")
             if h.k != 0:
                 raise ValueError("drive Hamiltonians are plain matrix fields")
-            require_within(h - h.star(), 1e-12 * h.norm_inf(),
+        # eigh reads one triangle, so the comparison with h* stays
+        for (_, h), (w, _) in zip(self.segments, self._eigh):
+            require_within(h - h.star(), 1e-12 * float(np.abs(w).max()),
                            lambda r: f"drive segment not hermitian (residual {r:.3e})")
 
     @property
@@ -59,6 +67,11 @@ class FloquetDrive:
     @property
     def m(self):
         return self.segments[0][1].m
+
+    @cached_property
+    def _eigh(self):
+        """(w, v) with h = v diag(w) v^H, one pair per segment."""
+        return tuple(np.linalg.eigh(h.data[0]) for _, h in self.segments)
 
     @cached_property
     def _spectrum(self):
@@ -83,11 +96,10 @@ def _segment_product(drive: FloquetDrive, span: float = np.inf) -> np.ndarray:
     """Product of the segment exponentials over [0, min(span, T))."""
     u = np.broadcast_to(np.eye(drive.m, dtype=complex),
                         (*drive.grid.sizes, drive.m, drive.m)).copy()
-    for tau, h in drive.segments:
+    for (tau, _), (w, v) in zip(drive.segments, drive._eigh):
         if span <= 0:
             break
         step = min(tau, span)
-        w, v = np.linalg.eigh(h.data[0])
         u = np.matmul(_spectral_calculus(v, np.exp(-1j * step * w)), u)
         span -= step
     return u
@@ -170,7 +182,7 @@ def effective_hamiltonian(drive: FloquetDrive, branch: BranchChoice) -> AlgEleme
     """(i/T) log_eps U(T): hermitian, with exp(-i T H) = U(T)."""
     w, v = _effective_spectrum(drive, branch)
     out = AlgElement.from_matrix_field(drive.grid, _spectral_calculus(v, w))
-    require_within(out - out.star(), 1e-10 * out.norm_inf(),
+    require_within(out - out.star(), 1e-10 * float(np.abs(w).max()),
                    lambda r: f"effective Hamiltonian not hermitian (residual {r:.3e})")
     return out
 
@@ -209,82 +221,136 @@ def arc_projection(drive: FloquetDrive, z0: complex, z1: complex) -> ArcProjecti
 # periodized evolution and the T^3 degree
 # ---------------------------------------------------------------------------
 
-def _segments_split_at_half(drive: FloquetDrive):
-    """Drive segments with any piece straddling T/2 cut there, so loop
-    segment boundaries always include the half period."""
-    half = drive.period / 2
-    out = []
+def _split_at_half(period: float, pieces):
+    """(tau, x) pieces of one period with any piece straddling the half period
+    cut there (both parts keep x), so loop segment boundaries always include
+    the half period."""
+    half = period / 2
     t = 0.0
-    for tau, h in drive.segments:
+    for tau, x in pieces:
         if t < half - 1e-12 and t + tau > half + 1e-12:
-            out.append((half - t, h))
-            out.append((tau - (half - t), h))
+            yield half - t, x
+            yield tau - (half - t), x
         else:
-            out.append((tau, h))
+            yield tau, x
         t += tau
-    return out
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """One loop segment of a periodized evolution in the eigenframes of its
-    drive segment (h = v diag(w) v^H) and of H_eff (eigenvectors v_eff):
-    a = v^H U(t0) v_eff."""
+def _segments_split_at_half(drive: FloquetDrive):
+    """The drive segments (tau, h), cut at the half period."""
+    return _split_at_half(drive.period, drive.segments)
 
-    t0: float
-    tau: float
-    w: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
 
-    def middle(self, w_eff: np.ndarray, dt: float) -> np.ndarray:
-        """M with V(t) = v M v_eff^H at t = t0 + dt:
-        M_ij = e^{-i dt w_i} a_ij e^{i t w_eff_j}."""
+class _AnalyticSegment(Segment):
+    """A loop segment with a closed formula for V and dV/ds at any local s
+    (`values_at`, `derivs_at`; an array of s gives a leading node axis).
+    `degree_t3` integrates it on its own `order`-node Gauss-Legendre rule.
+    Its closed uniform nodes (`nnodes` of them, Simpson weights) are the
+    export grid: `.values` and `.derivs` evaluate the formula there on every
+    access."""
+
+    nnodes: int
+    order: int
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return _simpson_rule(self.nnodes)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _simpson_rule(self.nnodes)[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.values_at(self.nodes)[None]
+
+    @property
+    def derivs(self) -> np.ndarray:
+        return self.derivs_at(self.nodes)[None]
+
+    def gauss(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(weights, V, dV/ds) on the segment's Gauss rule."""
+        nodes, weights = _gauss_rule(self.order)
+        return weights, self.values_at(nodes), self.derivs_at(nodes)
+
+
+class FrameSegment(_AnalyticSegment):
+    """One loop segment of a periodized evolution, of duration tau from time
+    `start`, held in the eigenframes of its drive segment (h = v diag(w) v^H)
+    and of H_eff (w_eff, v_eff): with a = v^H U(start) v_eff,
+    V(start + dt) = v M v_eff^H where M_ij = e^{-i dt w_i} a_ij
+    e^{i (start + dt) w_eff_j}.  Since H_eff commutes with exp(i t H_eff),
+    dV/ds = v (i tau (w_eff_j - w_i) M_ij) v_eff^H exactly (dt = s tau).
+
+    V is entire in s.  The Gauss order grows with the phase range
+    tau max|w_i - w_eff_j| over the grid, which (lambda H, T / lambda)
+    leaves unchanged."""
+
+    def __init__(self, grid, period: float, start: float, tau: float,
+                 frame, eff, nnodes: int):
+        # Segment's own __init__ would assign the node arrays
+        self.t0, self.t1 = start / period, (start + tau) / period
+        self.start, self.tau = start, tau
+        self.w, self.v, self.a = frame
+        self.w_eff, self.v_eff_h = eff
+        self.grid, self.m, self.k = grid, self.v.shape[-1], 0
+        self.nnodes = nnodes
+        # 8 Gauss nodes plus one per radian of the phase range: on frames
+        # with ranges from 1.5 to 51 rad the degree reached rounding level
+        # with at most 40 nodes (at 51 rad), so the rule keeps a margin
+        phase = tau * float(np.max(np.abs(self.w[..., :, None] - self.w_eff[..., None, :])))
+        self.order = 8 + int(np.ceil(phase))
+
+    def middle(self, dt) -> np.ndarray:
+        """M at the time offset dt from the segment start; an array of
+        offsets gives a leading node axis."""
+        dt = np.reshape(dt, np.shape(dt) + (1,) * self.w.ndim)
         return (np.exp(-1j * dt * self.w)[..., :, None] * self.a
-                * np.exp(1j * (self.t0 + dt) * w_eff)[..., None, :])
+                * np.exp(1j * (self.start + dt) * self.w_eff)[..., None, :])
+
+    def outer(self, mid: np.ndarray) -> np.ndarray:
+        """v mid v_eff^H."""
+        return np.matmul(np.matmul(self.v, mid), self.v_eff_h)
+
+    def values_at(self, s) -> np.ndarray:
+        return self.outer(self.middle(s * self.tau))
+
+    def derivs_at(self, s) -> np.ndarray:
+        rate = 1j * self.tau * (self.w_eff[..., None, :] - self.w[..., :, None])
+        return self.outer(self.middle(s * self.tau) * rate)
 
 
-def _eigenframes(drive: FloquetDrive, v_eff: np.ndarray):
+def _eigenframes(drive: FloquetDrive, branch: BranchChoice,
+                 t_samples: int) -> list[FrameSegment]:
     """Frames of V(t) = U(t) exp(i t H_eff), one per drive segment cut at
-    the half period, generated in time order."""
-    t0 = 0.0
-    b = v_eff  # U(t0) v_eff
-    for tau, h in _segments_split_at_half(drive):
-        w, v = np.linalg.eigh(h.data[0])
+    the half period, in time order, from the drive's cached eigenframes."""
+    w_eff, v_eff = _effective_spectrum(drive, branch)
+    eff = (w_eff, np.conj(np.swapaxes(v_eff, -1, -2)))
+    pieces = [(tau, wv) for (tau, _), wv in zip(drive.segments, drive._eigh)]
+    frames = []
+    start = 0.0
+    b = v_eff  # U(start) v_eff
+    for tau, (w, v) in _split_at_half(drive.period, pieces):
         a = np.matmul(np.conj(np.swapaxes(v, -1, -2)), b)
-        yield _Frame(t0, tau, w, v, a)
+        nnodes = max(9, int(round(t_samples * tau / drive.period)) | 1)
+        frames.append(FrameSegment(drive.grid, drive.period, start, tau,
+                                   (w, v, a), eff, nnodes))
         b = np.matmul(v, np.exp(-1j * tau * w)[..., :, None] * a)
-        t0 += tau
+        start += tau
+    return frames
 
 
 def periodized_evolution(drive: FloquetDrive, branch: BranchChoice,
                          t_samples: int = DEFAULT_T_SAMPLES) -> LoopElement:
-    """V(t) = U(t) exp(i t H_eff): 1-periodic in t/T, one loop segment per
-    drive segment with analytic local derivatives (segments are additionally
-    cut at the half period so contractions can take over there).
+    """V(t) = U(t) exp(i t H_eff): 1-periodic in t/T, one `FrameSegment` per
+    drive segment (segments are additionally cut at the half period so
+    contractions can take over there).
 
-    Each node is v M v_eff^H (see `_Frame.middle`); since H_eff commutes with
-    exp(i t H_eff), the exact derivative is v (i tau (w_eff_j - w_i) M_ij) v_eff^H.
-    Nodes are written one at a time into the segment arrays."""
-    w_eff, v_eff = _effective_spectrum(drive, branch)
-    v_eff_h = np.conj(np.swapaxes(v_eff, -1, -2))
-    grid, m = drive.grid, drive.m
-    segments = []
-    vm = np.empty((*grid.sizes, m, m), dtype=complex)  # v M
-    for f in _eigenframes(drive, v_eff):
-        nn = max(9, int(round(t_samples * f.tau / drive.period)) | 1)
-        values = np.empty((1, nn, *grid.sizes, m, m), dtype=complex)
-        derivs = np.empty_like(values)
-        rate = 1j * f.tau * (w_eff[..., None, :] - f.w[..., :, None])
-        for j, s in enumerate(np.linspace(0.0, 1.0, nn)):
-            mid = f.middle(w_eff, s * f.tau)
-            np.matmul(np.matmul(f.v, mid, out=vm), v_eff_h, out=values[0, j])
-            mid *= rate
-            np.matmul(np.matmul(f.v, mid, out=vm), v_eff_h, out=derivs[0, j])
-        segments.append(uniform_closed_segment(
-            values, f.t0 / drive.period, (f.t0 + f.tau) / drive.period,
-            grid, m, 0, derivs=derivs))
-    return _closed_loop(segments, 1e-9)
+    No node array is built.  The loop's endpoints come from the frame
+    formula, and `degree_t3` integrates each frame on its own Gauss rule.
+    t_samples sets only the exported uniform nodes: a segment of duration
+    tau has max(9, round(t_samples tau / T) | 1) of them, built on access."""
+    return _closed_loop(_eigenframes(drive, branch, t_samples), 1e-9)
 
 
 def periodicity_residual(loop: LoopElement) -> float:
@@ -296,14 +362,11 @@ def periodicity_residual(loop: LoopElement) -> float:
 def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
                           rs: RealStructureSpec) -> float:
     """Residual of Ad_{sigma_y x 1} V(t,k) = conj(V(-t,-k)) on 16 probe times."""
-    w_eff, v_eff = _effective_spectrum(drive, branch)
-    v_eff_h = np.conj(np.swapaxes(v_eff, -1, -2))
-    frames = list(_eigenframes(drive, v_eff))
+    frames = _eigenframes(drive, branch, DEFAULT_T_SAMPLES)
 
     def v_of(t):
-        f = next(f for f in reversed(frames) if f.t0 <= t)
-        vt = np.matmul(np.matmul(f.v, f.middle(w_eff, t - f.t0)), v_eff_h)
-        return AlgElement.from_matrix_field(drive.grid, vt)
+        f = next(f for f in reversed(frames) if f.start <= t)
+        return AlgElement.from_matrix_field(drive.grid, f.outer(f.middle(t - f.start)))
 
     worst = 0.0
     for t in np.linspace(0.0, drive.period, 16, endpoint=False):
@@ -316,24 +379,32 @@ def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
 def degree_t3(loop: LoopElement, integer_tol: float = 1e-3) -> float:
     """Degree (1/24 pi^2) * integral over T^3 of Tr (V* dV)^3 for a unitary
     loop over a two-dimensional momentum grid.  The loop must be unitary
-    within 1e-9 and the degree an integer within integer_tol."""
+    within 1e-9 and the degree an integer within integer_tol.
+
+    A segment of a periodized evolution or of its decoupled contraction is
+    integrated on its own Gauss rule (`_AnalyticSegment.gauss`); any other
+    segment on its stored nodes and weights."""
     grid = loop.grid
     if grid.d != 2 or loop.k != 0:
         raise ValueError("degree needs a plain unitary loop over T^2")
     total = 0.0 + 0.0j
     for seg in loop.segments:
-        v = seg.values
+        if isinstance(seg, _AnalyticSegment):
+            weights, v, dv = seg.gauss()
+            v, dv = v[None], dv[None]
+        else:
+            weights, v, dv = seg.weights, seg.values, seg.derivs
         vh = np.conj(np.swapaxes(v, -1, -2))
         ures = np.max(np.abs(np.matmul(v, vh) - np.eye(loop.m)))
         if ures > 1e-9:
             raise ValueError(f"loop not unitary (residual {ures:.3e})")
-        a0 = np.matmul(vh, seg.derivs)
+        a0 = np.matmul(vh, dv)
         a1, a2 = (np.matmul(vh, spectral_derivative_data(v, grid, axis, 2))
                   for axis in range(2))
         # cyclicity of the full matrix trace (valid at k = 0 only) folds the
         # six signed triple products into three times Tr a0 [a1, a2]
         per_node = 3 * np.mean(alt_trace(a0, [a1, a2], 0), axis=(1, 2))
-        total += np.sum(seg.weights * per_node)
+        total += np.sum(weights * per_node)
     deg = complex(total) / 6.0
     if abs(deg.imag) > integer_tol:
         raise ValueError(f"degree has imaginary part {deg.imag:.3e}")
@@ -370,14 +441,54 @@ def _first_half(v_loop: LoopElement) -> list[Segment]:
 
 
 def _closed_loop(segments: list[Segment], tol: float) -> LoopElement:
-    """Periodic loop of plain segments, checked for continuity within tol."""
+    """Periodic loop of plain segments, checked for continuity within tol.
+    An analytic segment's endpoints come from its formula, a stored one's
+    from its first and last closed node."""
     grid = segments[0].grid
-    endpoints = [(AlgElement.from_matrix_field(grid, s.values[0, 0]),
-                  AlgElement.from_matrix_field(grid, s.values[0, -1]))
+
+    def ends(seg):
+        if isinstance(seg, _AnalyticSegment):
+            return seg.values_at(0.0), seg.values_at(1.0)
+        return seg.values[0, 0], seg.values[0, -1]
+
+    endpoints = [tuple(AlgElement.from_matrix_field(grid, e) for e in ends(s))
                  for s in segments]
     loop = LoopElement(segments, endpoints=endpoints)
     loop.validate_continuity(tol)
     return loop
+
+
+def _spin_mirror(arr: np.ndarray, d: int) -> np.ndarray:
+    """The upper spin block of arr (..., *grid, m, m) kept, the lower block
+    replaced by conj(upper)(-k) over the d grid axes, off-diagonal blocks
+    zero."""
+    m2 = arr.shape[-1] // 2
+    out = np.zeros_like(arr)
+    up = arr[..., :m2, :m2]
+    out[..., :m2, :m2] = up
+    low = np.conj(up)
+    for axis in range(-2 - d, -2):  # k -> -k
+        low = np.flip(np.roll(low, -1, axis=axis), axis=axis)
+    out[..., m2:, m2:] = low
+    return out
+
+
+class _MirroredFrame(_AnalyticSegment):
+    """The retrace of a first-half frame on [1/2, 1]: at local s, the spin
+    mirror (`_spin_mirror`) of the frame at 1 - s.  The Simpson and Gauss
+    rules are symmetric, so it keeps the frame's node count and order."""
+
+    def __init__(self, frame: FrameSegment):
+        self.frame = frame
+        self.t0, self.t1 = 1.0 - frame.t1, 1.0 - frame.t0
+        self.grid, self.m, self.k = frame.grid, frame.m, 0
+        self.nnodes, self.order = frame.nnodes, frame.order
+
+    def values_at(self, s) -> np.ndarray:
+        return _spin_mirror(self.frame.values_at(1.0 - s), self.grid.d)
+
+    def derivs_at(self, s) -> np.ndarray:
+        return -_spin_mirror(self.frame.derivs_at(1.0 - s), self.grid.d)
 
 
 def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
@@ -385,27 +496,13 @@ def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
     V-hat meeting the contraction constraints: on [1/2, 1] the upper spin
     block retraces its first half, v-hat(t) = v(1 - t), and the lower block
     is conj(upper)(t, -k) so that Ad_{sigma_y x 1} V-hat(t,k) = conj(V-hat(t,-k)).
+
+    The second half mirrors the first half's frames lazily: like them it
+    holds no node array, and `degree_t3` integrates it on the frames' Gauss
+    rules.
     """
-    grid, m = v_loop.grid, v_loop.m
-    m2 = m // 2
     half = _first_half(v_loop)
-    mirrored = []
-    for seg in reversed(half):
-        vals = seg.values[:, ::-1].copy()
-        ders = -seg.derivs[:, ::-1].copy()
-        for arr in (vals, ders):
-            up = arr[..., :m2, :m2]
-            low = np.conj(up)
-            for axis in (2, 3):  # both momentum axes: k -> -k
-                low = np.flip(np.roll(low, -1, axis=axis), axis=axis)
-            arr[..., m2:, m2:] = low
-            arr[..., :m2, m2:] = 0.0
-            arr[..., m2:, :m2] = 0.0
-        t0 = 1.0 - seg.t1
-        t1 = 1.0 - seg.t0
-        mirrored.append(Segment(t0, t1, seg.nodes, seg.weights, vals, ders,
-                                grid, m, 0))
-    return _closed_loop(half + mirrored, 1e-8)
+    return _closed_loop(half + [_MirroredFrame(seg) for seg in reversed(half)], 1e-8)
 
 
 def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
@@ -419,7 +516,7 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     boundary_tol = 1e-8
     grid, m = v_loop.grid, v_loop.m
     half = _first_half(v_loop)
-    v_half_end = half[-1].values[0, -1]
+    v_half_end = half[-1].values_at(1.0)
     if samples.ndim != 2 + grid.d + 1 or samples.shape[-1] != m:
         raise ValueError("contraction samples have the wrong shape")
     res0 = float(np.max(np.abs(samples[0] - v_half_end)))
@@ -427,7 +524,8 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     if res0 > boundary_tol or res1 > boundary_tol:
         raise ValueError(f"contraction boundary conditions violated: "
                          f"V(1/2) residual {res0:.3e}, V(1) residual {res1:.3e}")
-    seg = uniform_closed_segment(samples[None].astype(complex), 0.5, 1.0, grid, m, 0)
+    seg = uniform_closed_segment(np.asarray(samples, dtype=complex)[None], 0.5, 1.0,
+                                 grid, m, 0)
 
     def symmetry(measure):
         out = []

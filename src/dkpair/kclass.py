@@ -5,8 +5,9 @@ Loops are stored segmentwise with quadrature nodes and analytic (or spectral)
 local time derivatives, because the constructed loops are only piecewise
 smooth on the circle.  Consumers read one node at a time (`Segment.node`).
 The Bott and torsion loops are `ArcSegment`s, homogeneous polynomials in
-(cos, sin)(pi s/2) that build each node from their coefficients; only the
-Floquet loops store node arrays.
+(cos, sin)(pi s/2) that build each node from their coefficients, and the
+Floquet loops evaluate theirs from eigenframes (`floquet.FrameSegment`);
+only loops built from samples store node arrays.
 """
 
 from __future__ import annotations
@@ -240,7 +241,14 @@ def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
 def uniform_closed_segment(values: np.ndarray, t0: float, t1: float,
                            grid, m, k, derivs: np.ndarray | None = None) -> Segment:
     """Segment on closed nodes j/(M-1), Simpson weights, 4th-order FD derivative."""
-    nnodes = values.shape[1]
+    nodes, weights = _simpson_rule(values.shape[1])
+    if derivs is None:
+        derivs = _fd_derivative(values, 1.0 / (nodes.size - 1))
+    return Segment(t0, t1, nodes, weights, values, derivs, grid, m, k)
+
+
+def _simpson_rule(nnodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed nodes j/(M-1) on [0, 1] and their composite Simpson weights."""
     if nnodes < 7 or nnodes % 2 == 0:
         raise ValueError("closed segments need an odd node count >= 7")
     nodes = np.linspace(0.0, 1.0, nnodes)
@@ -248,9 +256,7 @@ def uniform_closed_segment(values: np.ndarray, t0: float, t1: float,
     weights = np.full(nnodes, 2 * h / 3)
     weights[1::2] = 4 * h / 3
     weights[0] = weights[-1] = h / 3
-    if derivs is None:
-        derivs = _fd_derivative(values, h)
-    return Segment(t0, t1, nodes, weights, values, derivs, grid, m, k)
+    return nodes, weights
 
 
 def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:

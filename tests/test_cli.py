@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,6 +431,26 @@ def test_tolerance_checks_take_no_svd(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_floquet_drive_tolerances_take_no_svd(monkeypatch):
+    # a drive segment's hermiticity scale comes from its cached eigh, and
+    # H_eff's from its eigenvalues
+    from dkpair import floquet
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    raw = floquet_config(1.0)
+    cfg = cli.ModelConfig(raw)
+    drive = cfg.drive_object(cfg.grid(16))
+    for branch in floquet.branch_pair(1.0 + 0j, -1.0 + 0j, drive.period):
+        floquet.effective_hamiltonian(drive, branch)
+    assert calls == []
+
+
 def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatch,
                                                             capsys):
     # the periodicity check and the degree route share the eps_0 loop
@@ -460,6 +481,32 @@ def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatc
     assert run_cli([*base, "--strategy", "decoupled"]) == cli.EXIT_OK
     assert len(calls) == 1
     assert read_report(capsys)["status"] == "ok"
+
+
+def test_committed_floquet_config_is_the_test_drive():
+    # the console-script step of the CI workflow runs this file
+    path = Path(__file__).parent / "data" / "floquet_qwz.json"
+    assert json.loads(path.read_text()) == floquet_config(1.0)
+
+
+def test_decoupled_floquet_materializes_no_loop_nodes(monkeypatch, capsys):
+    # the periodicity check reads the loop's endpoints from its frames
+    from dkpair import floquet, kclass
+    seg_cls = floquet._AnalyticSegment
+    reads = []
+    for name in ("values", "derivs"):
+        monkeypatch.setattr(seg_cls, name, property(
+            lambda seg, name=name, get=getattr(seg_cls, name).fget:
+            reads.append(name) or get(seg)))
+    gauss = seg_cls.gauss
+    monkeypatch.setattr(seg_cls, "gauss", lambda seg: reads.append("gauss") or gauss(seg))
+    built = count_calls(monkeypatch, kclass.uniform_closed_segment)
+    path = Path(__file__).parent / "data" / "floquet_qwz.json"
+    assert run_cli(["floquet", "--config", str(path), "--strategy", "decoupled",
+                    "--arc0", "0", "--arc1", "3.14159265", "--grid", "16",
+                    "--tgrid", "64", "--tol", "1e-3"]) == cli.EXIT_OK
+    assert read_report(capsys)["status"] == "ok"
+    assert reads == [] and built == []
 
 
 def test_cmd_floquet_accepts_rescaled_drive(tmp_path, capsys):

@@ -4,7 +4,8 @@ import pytest
 from conftest import chern_fhs
 from dkpair import floquet as fl
 from dkpair.grid_alg import AlgElement, TorusGrid, apply_real_structure
-from dkpair.kclass import GapClosedError, exp_projection_loop, flatten
+from dkpair.kclass import (GapClosedError, LoopElement, exp_projection_loop, flatten,
+                           uniform_closed_segment)
 from dkpair.models import (conjugate_flip, quaternionic_structure, qwz_symbol,
                            spin_double)
 from dkpair.pairing import chern_number, spin_chern
@@ -370,3 +371,76 @@ def test_periodized_evolution_matches_per_node_formula(tri_drive, case):
             for got, ref in ((seg.values, values), (seg.derivs, derivs)):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def criterion_12_drive(n):
+    """The drive of acceptance criterion 12 on an n x n grid."""
+    grid = TorusGrid((n, n))
+    rs = quaternionic_structure(k=0)
+    h1 = qwz_symbol(grid, 1.0)
+    ha = blockdiag(h1, conjugate_flip(h1).scale(0.7))
+    return fl.FloquetDrive(1.0, ((0.5, ha), (0.5, apply_real_structure(rs, ha))))
+
+
+def simpson_reference(loop):
+    """The loop's uniform exports as stored segments, which `degree_t3`
+    integrates with Simpson's rule on their nodes."""
+    return LoopElement([uniform_closed_segment(seg.values, seg.t0, seg.t1, seg.grid,
+                                               seg.m, 0, derivs=seg.derivs)
+                        for seg in loop.segments])
+
+
+@pytest.fixture(scope="module")
+def criterion_12_contractions():
+    drive = criterion_12_drive(24)
+    z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
+    loops = [fl.decoupled_contraction(fl.periodized_evolution(drive, b, 256))
+             for b in fl.branch_pair(z0, z1, drive.period)]
+    return [(loop, simpson_reference(loop)) for loop in loops]
+
+
+def test_gauss_degree_matches_simpson_oracle(criterion_12_contractions):
+    # both branches, each loop through both halves of its decoupled contraction
+    for loop, ref in criterion_12_contractions:
+        assert [type(seg) for seg in loop.segments] == [fl.FrameSegment,
+                                                        fl._MirroredFrame]
+        assert abs(fl.degree_t3(loop) - fl.degree_t3(ref)) <= 1e-10
+
+
+def test_simpson_oracle_catches_wrong_gauss_derivative(criterion_12_contractions,
+                                                       monkeypatch):
+    # dV/ds without the H_eff term, read by the Gauss path only: the oracle's
+    # node arrays were exported before the mutation
+    def without_h_eff(seg, s):
+        return seg.outer(seg.middle(s * seg.tau) * (-1j * seg.tau * seg.w[..., :, None]))
+
+    monkeypatch.setattr(fl.FrameSegment, "derivs_at", without_h_eff)
+    loop, ref = criterion_12_contractions[0]
+    assert abs(fl.degree_t3(loop, integer_tol=0.5) - fl.degree_t3(ref)) > 1e-3
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4])
+def test_frames_are_energy_scale_invariant(tri_drive, lam):
+    # (lambda H, T / lambda) leaves each frame's phase range, hence its Gauss
+    # order, and the degree unchanged; periodicity holds its absolute bound
+    z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
+    scaled = rescaled(tri_drive, lam)
+    for b, b_scaled in zip(fl.branch_pair(z0, z1, tri_drive.period),
+                           fl.branch_pair(z0, z1, scaled.period)):
+        loop = fl.periodized_evolution(tri_drive, b, 64)
+        loop_scaled = fl.periodized_evolution(scaled, b_scaled, 64)
+        assert ([seg.order for seg in loop_scaled.segments]
+                == [seg.order for seg in loop.segments])
+        assert fl.periodicity_residual(loop_scaled) <= 1e-9
+        deg = fl.degree_t3(fl.decoupled_contraction(loop), integer_tol=5e-3)
+        deg_scaled = fl.degree_t3(fl.decoupled_contraction(loop_scaled),
+                                  integer_tol=5e-3)
+        assert abs(deg_scaled - deg) <= 1e-12
+
+
+def test_contraction_samples_are_not_copied(tri_drive, rs):
+    # complex128 samples back the contraction segment as they are
+    v_loop = fl.periodized_evolution(tri_drive, fl.BranchChoice(0.0), 32)
+    samples = fl.decoupled_contraction(v_loop).segments[-1].values[0]
+    loop = fl.contraction_loop_from_samples(v_loop, samples, rs)
+    assert np.shares_memory(loop.segments[-1].values, samples)
