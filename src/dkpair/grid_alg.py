@@ -371,7 +371,20 @@ def scalar_trace(x: AlgElement) -> complex:
     return complex(trace(x).coeffs[0])
 
 
-_SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+def _quaternionic_swap(data: np.ndarray, nb: int, half: int) -> np.ndarray:
+    """u X u^H for u = 1_nb (x) sigma_y (x) 1_half, as slices: on each pair of
+    blocks of size 2 half, [[X11, X12], [X21, X22]] -> [[X22, -X21], [-X12, X11]]."""
+    lead = data.shape[:-2]
+    src = data.reshape(*lead, nb, 2, half, nb, 2, half)
+    out = np.empty_like(src)
+    for a in (0, 1):
+        for c in (0, 1):
+            part = src[..., 1 - a, :, :, 1 - c, :]
+            if a == c:
+                out[..., a, :, :, c, :] = part
+            else:
+                np.negative(part, out=out[..., a, :, :, c, :])
+    return out.reshape(data.shape)
 
 
 def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
@@ -389,8 +402,7 @@ def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
         if block % 2 or x.m % block:
             raise ValueError("quaternionic fiber needs an even block size "
                              "dividing the matrix size")
-        u = np.kron(np.eye(x.m // block), np.kron(_SIGMA_Y, np.eye(block // 2)))
-        out = u @ out @ np.conj(u.T)
+        out = _quaternionic_swap(out, x.m // block, block // 2)
     _negate(out, generator_signs(tuple(rs.clifford_signs)) < 0)
     return AlgElement(x.grid, x.m, x.k, out)
 

@@ -179,6 +179,15 @@ def test_cmd_z2_trivial_insulator(tmp_path, capsys):
     assert rep["values"]["z2_class"]["rounded"] == 0
 
 
+def test_cmd_z2_committed_config(capsys):
+    # the CI run of z2 on the committed spin-doubled QWZ block, at default --tol
+    path = Path(__file__).parent / "data" / "z2_qwz.json"
+    assert run_cli(["z2", "--config", str(path), "--grid", "24"]) == cli.EXIT_OK
+    rep = read_report(capsys)
+    assert rep["values"]["z2_class"]["rounded"] == 1
+    assert rep["status"] == "ok"
+
+
 def test_cmd_z2_requires_decoupled(tmp_path):
     cfg = qwz_config(1.0, spin_doubling=True)
     cfg["rashba"] = [{"offset": [0, 0], "matrix": mat_json(0.1 * np.eye(2))}]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -433,6 +435,28 @@ def test_quaternionic_fiber_matches_einsum(grid16, rng):
     ref = np.einsum("ij,...jk,kl->...il", u, flipped, np.conj(u.T))
     got = apply_real_structure(quaternionic_structure(k=1), x).data
     assert np.array_equal(got, ref)
+
+
+def quaternionic_fiber_dense(rs, x):
+    """The quaternionic real structure as conj, flips and signs followed by
+    u X u^H with the dense u = 1 (x) sigma_y (x) 1 (reference)."""
+    block = rs.fiber_block or x.m
+    sy = np.array([[0, -1j], [1j, 0]])
+    u = np.kron(np.eye(x.m // block), np.kron(sy, np.eye(block // 2)))
+    out = apply_real_structure(dataclasses.replace(rs, fiber="c"), x).data
+    return u @ out @ np.conj(u.T)
+
+
+@pytest.mark.parametrize("m, block", [(4, None), (4, 2), (8, 4), (8, 2)])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("flip", [False, True])
+def test_quaternionic_swap_matches_dense_oracle(rng, m, block, k, flip):
+    grid = TorusGrid((4, 6))
+    x = random_element(rng, grid, m, k)
+    rs = RealStructureSpec("h", flip, False, (1, -1)[:k], block)
+    got = apply_real_structure(rs, x).data
+    # equal up to the sign of zero
+    assert np.array_equal(got, quaternionic_fiber_dense(rs, x))
 
 
 def test_spectral_calculus_matches_einsum(grid16, rng):

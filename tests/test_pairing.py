@@ -8,20 +8,21 @@ from hypothesis import strategies as st
 
 from conftest import (chern_fhs, count_calls, ko2_generator, random_element,
                       random_hermitian_field, spin_y)
-from dkpair.clifford import CliffordSignature
+from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                             _mul_data, apply_real_structure, direct_sum, psi_e,
-                             psi_e_inverse, spectral_derivative_data,
-                             unitary_exp)
+                             _mul_data, apply_derivation, apply_real_structure,
+                             direct_sum, psi_e, psi_e_inverse,
+                             spectral_derivative_data, unitary_exp)
 from dkpair.kclass import (BasePoint, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
-                           qwz_symbol, winding_unitary)
-from dkpair.pairing import (MODULUS_KANE_MELE_CH2, TorsionValue, alt_trace,
-                            ch0, ch1, ch2, chern_number, integer_check,
-                            mu_prime, pair, pair_suspended, pimsner_constant,
-                            selection_rule, spin_chern,
+                           qwz_symbol, spin_double, winding_unitary)
+from dkpair.pairing import (MODULUS_KANE_MELE_CH2, TorsionValue,
+                            _check_basepoint, _on_real_ray, _top_phase,
+                            alt_trace, ch0, ch1, ch2, chern_number,
+                            integer_check, mu_prime, pair, pair_suspended,
+                            pimsner_constant, selection_rule, spin_chern,
                             torsion_pairing_closed_form,
                             torsion_pairing_via_loop, winding_number)
 
@@ -417,6 +418,14 @@ def test_torsion_value_arithmetic():
     assert TorsionValue(1 / np.pi, 1 / np.pi).z2_class(2 * np.pi) == 0
 
 
+def test_torsion_value_reduced_below_modulus():
+    # np.mod rounds these tiny negative values up to the modulus itself
+    for value, modulus in ((-3.25e-19, MODULUS_KANE_MELE_CH2), (-1e-17, 2.0)):
+        assert np.mod(value, modulus) == modulus
+        assert TorsionValue(value, modulus).reduced == 0.0
+    assert TorsionValue(-0.5, 2.0).reduced == 1.5
+
+
 def test_ko2_ground_truth(point_grid):
     x, e, y = ko2_generator(point_grid)
     xt = (y * x.body).scale(-1j)
@@ -484,6 +493,84 @@ def test_doubled_kane_mele_class_trivial(grid16):
                         derivations=cyc.derivations, order=48)
     via = torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
     assert via.distance(0.0) < 1e-6
+
+
+def closed_form_full_size(cycle, x, e, y, modulus):
+    """The closed form at full matrix size: Tr [p_y (x - e) (dx)^n]_top with
+    the derivations of the whole x (reference for the compressed route)."""
+    xb, eb = x.body, e.e
+    unit = AlgElement.unit(xb.grid, xb.m, xb.k)
+    p_y = (unit - y.scale(1j)).scale(0.5)
+    diffs = [apply_derivation(dv, xb).data for dv in cycle.derivations]
+    k, n = xb.k, cycle.n
+    trace = complex(np.mean(alt_trace((p_y * (xb - eb)).data, diffs, k)))
+    raw = trace * _top_phase(k, n) * cycle.scale(k) * (1j) ** (mu(n) % 4)
+    return _on_real_ray((1j) ** ((n - 1 + mu_prime(k + 1)) % 4) * raw, modulus)
+
+
+def doubled_kane_mele_data(grid):
+    """The doubled Kane-Mele class with the block-swap y [[0, 1], [-1, 0]]."""
+    h = decoupled_tri_symbol(grid, 1.0)
+    x = make_osu_from_hamiltonian(h)
+    e = BasePoint.standard_rho(grid, 4, 1, sign=-1)
+    xx = osu_validate(direct_sum(x.body, x.body), 1e-10)
+    ee = BasePoint(direct_sum(e.e, e.e))
+    y = AlgElement(grid, 8, 1)
+    y.data[0][..., :4, 4:] = np.eye(4)
+    y.data[0][..., 4:, :4] = -np.eye(4)
+    return xx, ee, y
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("m", [4, 8])
+def test_closed_form_matches_full_size_oracle_spin_y(n, m):
+    # diag(-i, i) (x) 1: the compression is a column slice
+    grid = TorusGrid((n, n))
+    h1 = qwz_symbol(grid, 1.0)
+    if m == 8:
+        h1 = direct_sum(h1, qwz_symbol(grid, -1.5))
+    x = make_osu_from_hamiltonian(spin_double(h1))
+    e = BasePoint.standard_rho(grid, m, 1, sign=-1)
+    y = spin_y(grid, m)
+    got = torsion_pairing_closed_form(ch2(), x, e, y, MODULUS_KANE_MELE_CH2)
+    want = closed_form_full_size(ch2(), x, e, y, MODULUS_KANE_MELE_CH2)
+    assert got.distance(want) <= 1e-15
+    assert got.z2_class(2 * np.pi) == (1 if m == 4 else 0)
+
+
+def test_closed_form_matches_full_size_oracle_block_swap(grid16):
+    # a y that is no diagonal projection: the compression is V+ a V
+    xx, ee, y = doubled_kane_mele_data(grid16)
+    got = torsion_pairing_closed_form(ch2(), xx, ee, y, MODULUS_KANE_MELE_CH2)
+    want = closed_form_full_size(ch2(), xx, ee, y, MODULUS_KANE_MELE_CH2)
+    assert got.distance(want) <= 1e-15
+
+
+def test_closed_form_matches_full_size_oracle_ko2(point_grid):
+    x, e, y = ko2_generator(point_grid)
+    got = torsion_pairing_closed_form(ch0(), x, e, y, 2.0)
+    assert got == closed_form_full_size(ch0(), x, e, y, 2.0)
+    assert got.value == 1.0
+
+
+def test_closed_form_rejects_varying_or_non_scalar_y(grid16):
+    x, e, y = kane_mele_torsion_data(grid16, 1.0)
+    # a spin axis that turns over the grid: p_y is a projection at every
+    # point, but not a constant one
+    theta = 0.1 * np.sin(grid16.coordinates(0))[:, None, None, None]
+    g = (np.cos(theta) * np.eye(4)
+         + 1j * np.sin(theta) * np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)))
+    turned = AlgElement(grid16, 4, 1)
+    turned.data[0] = g @ y.data[0] @ np.conj(np.swapaxes(g, -1, -2))
+    with pytest.raises(ValueError, match="grid-constant scalar projection"):
+        torsion_pairing_closed_form(ch2(), x, e, turned, MODULUS_KANE_MELE_CH2)
+    # k = 2: y = 1 (x) e1 e2 squares to -1, so (1 - i y)/2 is a projection,
+    # but it lives on the e1 e2 component
+    e2 = BasePoint.sigma_x(grid16, 4, 2)
+    y2 = AlgElement(grid16, 4, 2)
+    y2.data[3] = np.eye(4)
+    with pytest.raises(ValueError, match="grid-constant scalar projection"):
+        torsion_pairing_closed_form(ch2(), e2.e, e2, y2, MODULUS_KANE_MELE_CH2)
 
 
 def kane_mele_torsion_data(grid, mass, g=None):
@@ -676,3 +763,26 @@ def test_pair_rejects_live_base_point(tgrid64):
     bad.data[2] = x.data[2].copy()
     with pytest.raises(ValueError, match="killed"):
         pair(ch1(0), osu_validate(x, 1e-10), bad)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_basepoint_check_rejects_one_small_mode(grid16, qwz_osu, axis):
+    x, e = qwz_osu
+    live = e.e.copy()
+    mode = np.exp(1j * grid16.coordinates(axis))
+    live.data[1] += 1e-6 * mode.reshape((-1, 1) if axis == 0 else (1, -1))[..., None, None]
+    with pytest.raises(ValueError, match="killed"):
+        pair(ch2(), x, live)
+
+
+def test_basepoint_check_takes_no_transform_of_a_constant(qwz_osu, monkeypatch):
+    # D kills constants: the check derives e less its value at the origin,
+    # which has no live component for a grid-constant e
+    x, e = qwz_osu
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(a) or fft(*a, **kw))
+    _check_basepoint(ch2(), e.e)
+    assert calls == []
+    monkeypatch.undo()
+    assert abs(pair(ch2(), x, e).value.real * 2 * np.pi - 1) < 1e-4
