@@ -330,17 +330,14 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
     if args.strategy == "user_supplied":
         if not args.contraction:
             raise ConfigError("user_supplied strategy needs --contraction")
-        from .gridio import read_contraction_grid
-        try:
-            contractions = tuple(read_contraction_grid(f)
-                                 for f in args.contraction)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"contraction grid file: {exc}") from exc
         if tri > 1e-9:
             raise ValueError(f"drive is not time-reversal invariant "
                              f"(residual {tri:.3e})")
         # the degree route reuses the b0 loop the periodicity check read
         loop1 = fl.periodized_evolution(drive, b1, args.tgrid)
+        # each file is read when its branch's degree is taken
+        contractions = (_read_contraction(f, (*grid.sizes, drive.m, drive.m))
+                        for f in args.contraction)
         kval, _ = fl.degree_difference((loop0, loop1), contractions, rs)
         info = {"rank": arc.rank, "gap_margin": arc.gap_margin}
     else:
@@ -360,6 +357,19 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
         report.value("k_refinement", 0.0,
                      note="fixed user-supplied contraction grid")
     return _finish(report, args.report)
+
+
+def _read_contraction(path: str, shape: tuple) -> np.ndarray:
+    """A contraction grid file's samples (nt, *shape), or a ConfigError."""
+    from .gridio import read_contraction_grid
+    try:
+        samples = read_contraction_grid(path)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"contraction grid file: {exc}") from exc
+    if samples.shape[1:] != shape or samples.shape[0] < 7 or samples.shape[0] % 2 == 0:
+        raise ConfigError(f"contraction grid file {path} holds shape {samples.shape}, the "
+                          f"grid needs (nt, {', '.join(map(str, shape))}), nt odd >= 7")
+    return samples
 
 
 def cmd_verify(args) -> int:

@@ -8,8 +8,9 @@ Schur factorization (exactly diagonal for normal matrices) with an explicit
 residual contract.  On each drive segment the periodized evolution is an
 entire function of time, held as a `FrameSegment` in the eigenframes of the
 segment and of H_eff rather than as node arrays: its endpoints come from the
-frame formula, `degree_t3` integrates it on Gauss-Legendre nodes, and its
-uniform nodes are built only when a caller exports them.
+frame formula, `degree_t3` integrates it one Gauss-Legendre node at a time
+through `Segment.quadrature`, and its uniform nodes are built only when a
+caller exports them.
 """
 
 from __future__ import annotations
@@ -236,18 +237,13 @@ def _split_at_half(period: float, pieces):
         t += tau
 
 
-def _segments_split_at_half(drive: FloquetDrive):
-    """The drive segments (tau, h), cut at the half period."""
-    return _split_at_half(drive.period, drive.segments)
-
-
 class _AnalyticSegment(Segment):
     """A loop segment with a closed formula for V and dV/ds at any local s
     (`values_at`, `derivs_at`; an array of s gives a leading node axis).
-    `degree_t3` integrates it on its own `order`-node Gauss-Legendre rule.
-    Its closed uniform nodes (`nnodes` of them, Simpson weights) are the
-    export grid: `.values` and `.derivs` evaluate the formula there on every
-    access."""
+    Its `quadrature` is its own `order`-node Gauss-Legendre rule, evaluated
+    one node at a time.  Its closed uniform nodes (`nnodes` of them, Simpson
+    weights) are the export grid: `.values` and `.derivs` evaluate the
+    formula there on every access."""
 
     nnodes: int
     order: int
@@ -268,10 +264,12 @@ class _AnalyticSegment(Segment):
     def derivs(self) -> np.ndarray:
         return self.derivs_at(self.nodes)[None]
 
-    def gauss(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(weights, V, dV/ds) on the segment's Gauss rule."""
+    def quadrature(self, axes):
         nodes, weights = _gauss_rule(self.order)
-        return weights, self.values_at(nodes), self.derivs_at(nodes)
+        for s, weight in zip(nodes, weights):
+            value = self.values_at(s)[None]
+            yield (weight, value, self.derivs_at(s)[None],
+                   [spectral_derivative_data(value, self.grid, a, 1) for a in axes])
 
 
 class FrameSegment(_AnalyticSegment):
@@ -347,7 +345,7 @@ def periodized_evolution(drive: FloquetDrive, branch: BranchChoice,
     contractions can take over there).
 
     No node array is built.  The loop's endpoints come from the frame
-    formula, and `degree_t3` integrates each frame on its own Gauss rule.
+    formula, and each frame's `quadrature` is its own Gauss rule.
     t_samples sets only the exported uniform nodes: a segment of duration
     tau has max(9, round(t_samples tau / T) | 1) of them, built on access."""
     return _closed_loop(_eigenframes(drive, branch, t_samples), 1e-9)
@@ -379,32 +377,22 @@ def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
 def degree_t3(loop: LoopElement, integer_tol: float = 1e-3) -> float:
     """Degree (1/24 pi^2) * integral over T^3 of Tr (V* dV)^3 for a unitary
     loop over a two-dimensional momentum grid.  The loop must be unitary
-    within 1e-9 and the degree an integer within integer_tol.
+    within 1e-9 at every node and the degree an integer within integer_tol.
 
-    A segment of a periodized evolution or of its decoupled contraction is
-    integrated on its own Gauss rule (`_AnalyticSegment.gauss`); any other
-    segment on its stored nodes and weights."""
-    grid = loop.grid
-    if grid.d != 2 or loop.k != 0:
+    Every segment is integrated through `Segment.quadrature`, one node of its
+    own rule at a time: Gauss nodes on a frame, stored nodes otherwise."""
+    if loop.grid.d != 2 or loop.k != 0:
         raise ValueError("degree needs a plain unitary loop over T^2")
     total = 0.0 + 0.0j
     for seg in loop.segments:
-        if isinstance(seg, _AnalyticSegment):
-            weights, v, dv = seg.gauss()
-            v, dv = v[None], dv[None]
-        else:
-            weights, v, dv = seg.weights, seg.values, seg.derivs
-        vh = np.conj(np.swapaxes(v, -1, -2))
-        ures = np.max(np.abs(np.matmul(v, vh) - np.eye(loop.m)))
-        if ures > 1e-9:
-            raise ValueError(f"loop not unitary (residual {ures:.3e})")
-        a0 = np.matmul(vh, dv)
-        a1, a2 = (np.matmul(vh, spectral_derivative_data(v, grid, axis, 2))
-                  for axis in range(2))
-        # cyclicity of the full matrix trace (valid at k = 0 only) folds the
-        # six signed triple products into three times Tr a0 [a1, a2]
-        per_node = 3 * np.mean(alt_trace(a0, [a1, a2], 0), axis=(1, 2))
-        total += np.sum(weights * per_node)
+        for weight, v, dv, space in seg.quadrature((0, 1)):
+            vh = np.conj(np.swapaxes(v, -1, -2))
+            ures = np.max(np.abs(np.matmul(v, vh) - np.eye(loop.m)))
+            if ures > 1e-9:
+                raise ValueError(f"loop not unitary (residual {ures:.3e})")
+            # cyclicity of the full matrix trace (valid at k = 0 only) folds the six
+            # signed triple products into 3 Tr (V* dV/ds) [V* d_1 V, V* d_2 V]
+            total += weight * 3 * np.mean(alt_trace(vh @ dv, [vh @ d for d in space], 0))
     deg = complex(total) / 6.0
     if abs(deg.imag) > integer_tol:
         raise ValueError(f"degree has imaginary part {deg.imag:.3e}")
@@ -498,8 +486,7 @@ def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
     is conj(upper)(t, -k) so that Ad_{sigma_y x 1} V-hat(t,k) = conj(V-hat(t,-k)).
 
     The second half mirrors the first half's frames lazily: like them it
-    holds no node array, and `degree_t3` integrates it on the frames' Gauss
-    rules.
+    holds no node array, and its `quadrature` is the frames' Gauss rules.
     """
     half = _first_half(v_loop)
     return _closed_loop(half + [_MirroredFrame(seg) for seg in reversed(half)], 1e-8)
@@ -511,14 +498,15 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     caller-supplied contraction sampled uniformly on [1/2, 1].
 
     samples has shape (nt, *grid.sizes, m, m) on closed nodes including both
-    endpoints; boundary and symmetry constraints are validated.
+    endpoints; shape, boundary and symmetry constraints are validated.
     """
     boundary_tol = 1e-8
     grid, m = v_loop.grid, v_loop.m
     half = _first_half(v_loop)
     v_half_end = half[-1].values_at(1.0)
-    if samples.ndim != 2 + grid.d + 1 or samples.shape[-1] != m:
-        raise ValueError("contraction samples have the wrong shape")
+    if np.shape(samples)[1:] != (*grid.sizes, m, m):
+        raise ValueError(f"contraction samples have shape {np.shape(samples)}, the "
+                         f"loop needs (nt, {', '.join(map(str, (*grid.sizes, m, m)))})")
     res0 = float(np.max(np.abs(samples[0] - v_half_end)))
     res1 = float(np.max(np.abs(samples[-1] - np.eye(m))))
     if res0 > boundary_tol or res1 > boundary_tol:
@@ -590,8 +578,11 @@ def degree_difference(v_loops, contractions, rs: RealStructureSpec
     """Z2 invariant from the periodized evolutions of the branches eps_0 and
     eps_1 (in that order; any iterable, consumed one loop at a time), each
     completed by its contraction samples: the difference of the degrees of
-    the completed loops mod 2.  Returns (invariant, degrees)."""
-    degs = tuple(degree_t3(contraction_loop_from_samples(v_loop, samples, rs))
-                 for v_loop, samples in zip(v_loops, contractions))
+    the completed loops mod 2.  Returns (invariant, degrees).  A branch's
+    samples are drawn as its degree is taken and dropped after it (map, unlike
+    zip, holds no earlier pair), so a lazy iterable holds one at a time."""
+    def degree(v_loop, samples):
+        return degree_t3(contraction_loop_from_samples(v_loop, samples, rs))
+    degs = tuple(map(degree, v_loops, contractions))
     k_val = (integer_check(degs[1], 1e-3) - integer_check(degs[0], 1e-3)) % 2
     return TorsionValue(float(k_val), 2.0), degs

@@ -3,11 +3,11 @@ and the explicit loops used by the suspension and torsion pairings.
 
 Loops are stored segmentwise with quadrature nodes and analytic (or spectral)
 local time derivatives, because the constructed loops are only piecewise
-smooth on the circle.  Consumers read one node at a time (`Segment.node`).
-The Bott and torsion loops are `ArcSegment`s, homogeneous polynomials in
-(cos, sin)(pi s/2) that build each node from their coefficients, and the
-Floquet loops evaluate theirs from eigenframes (`floquet.FrameSegment`);
-only loops built from samples store node arrays.
+smooth on the circle.  Consumers read one node of a segment's own rule at a
+time (`Segment.quadrature`).  The Bott and torsion loops are `ArcSegment`s,
+homogeneous polynomials in (cos, sin)(pi s/2) that build each node from
+their coefficients, and the Floquet loops evaluate theirs from eigenframes
+(`floquet.FrameSegment`); only loops built from samples store node arrays.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ class Segment:
 
     values/derivs have shape (2^k, nnodes, *grid.sizes, m, m); derivs are
     d/ds at the nodes.  weights integrate over local s.  Consumers read one
-    node at a time through `node`; a subclass that builds nodes on demand
-    materializes values/derivs on every access.
+    node at a time through `node` or `quadrature`; a subclass that builds
+    nodes on demand materializes values/derivs on every access.
     """
 
     t0: float
@@ -155,13 +155,23 @@ class Segment:
     k: int
 
     def element(self, j: int) -> AlgElement:
-        return AlgElement(self.grid, self.m, self.k, self.node(j)[0])
+        return AlgElement(self.grid, self.m, self.k, self.values[:, j])
 
     def node(self, j: int, axes=()) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
         """(value, d/ds, [d_axis value for axis in axes]) at node j."""
         value = self.values[:, j]
-        return value, self.derivs[:, j], [spectral_derivative_data(value, self.grid, a, 1)
-                                          for a in axes]
+        return value, self.deriv(j), [spectral_derivative_data(value, self.grid, a, 1)
+                                      for a in axes]
+
+    def deriv(self, j: int) -> np.ndarray:
+        """d/ds at node j."""
+        return self.derivs[:, j]
+
+    def quadrature(self, axes):
+        """(weight, value, d/ds, [d_axis value for axis in axes]) at each node
+        of the segment's own rule, one node at a time: here the stored ones."""
+        for j, weight in enumerate(self.weights):
+            yield (weight, *self.node(j, axes))
 
 
 @dataclass
@@ -205,19 +215,6 @@ class LoopElement:
         return worst
 
 
-def gauss_segment(f, dfds, t0: float, t1: float, order: int,
-                  grid, m, k) -> Segment:
-    """Build a segment from callables s -> AlgElement on Gauss-Legendre nodes."""
-    nodes, weights = _gauss_rule(order)
-    first = f(nodes[0])
-    values = np.zeros((1 << k, nodes.size, *grid.sizes, m, m), dtype=complex)
-    derivs = np.zeros_like(values)
-    for j, s in enumerate(nodes):
-        values[:, j] = (first if j == 0 else f(s)).data
-        derivs[:, j] = dfds(s).data
-    return Segment(t0, t1, nodes, weights, values, derivs, grid, m, k)
-
-
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
     xg, wg = np.polynomial.legendre.leggauss(order)
@@ -239,12 +236,9 @@ def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
 
 
 def uniform_closed_segment(values: np.ndarray, t0: float, t1: float,
-                           grid, m, k, derivs: np.ndarray | None = None) -> Segment:
+                           grid, m, k) -> Segment:
     """Segment on closed nodes j/(M-1), Simpson weights, 4th-order FD derivative."""
-    nodes, weights = _simpson_rule(values.shape[1])
-    if derivs is None:
-        derivs = _fd_derivative(values, 1.0 / (nodes.size - 1))
-    return Segment(t0, t1, nodes, weights, values, derivs, grid, m, k)
+    return _ClosedSegment(t0, t1, *_simpson_rule(values.shape[1]), values, None, grid, m, k)
 
 
 def _simpson_rule(nnodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -259,17 +253,21 @@ def _simpson_rule(nnodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _fd_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """4th-order finite differences along axis 1, one-sided at the edges."""
-    v = np.moveaxis(values, 1, 0)
-    d = np.zeros_like(v)
-    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-    fwd = np.array([-25, 48, -36, 16, -3]) / (12 * h)
-    for row, idx in ((0, [0, 1, 2, 3, 4]), (1, [1, 2, 3, 4, 5])):
-        d[row] = sum(c * v[i] for c, i in zip(fwd, idx))
-    for row, idx in ((-1, [-1, -2, -3, -4, -5]), (-2, [-2, -3, -4, -5, -6])):
-        d[row] = -sum(c * v[i] for c, i in zip(fwd, idx))
-    return np.moveaxis(d, 0, 1)
+class _ClosedSegment(Segment):
+    """Values stored on closed nodes j/(M-1) with Simpson weights and no
+    derivs array: d/ds at a node is its 4th-order finite difference
+    (one-sided at the edges), formed when the node is read."""
+
+    def deriv(self, j: int) -> np.ndarray:
+        n = self.nodes.size
+        j = range(n)[j]
+        v, h = self.values, 1.0 / (n - 1)
+        if 2 <= j < n - 2:
+            return (v[:, j - 2] - 8 * v[:, j - 1] + 8 * v[:, j + 1] - v[:, j + 2]) / (12 * h)
+        fwd = np.array([-25, 48, -36, 16, -3]) / (12 * h)
+        if j < 2:
+            return sum(c * v[:, j + i] for i, c in enumerate(fwd))
+        return -sum(c * v[:, j - i] for i, c in enumerate(fwd))
 
 
 def _corner(x: AlgElement):

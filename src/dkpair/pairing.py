@@ -354,8 +354,7 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
             total += _arc_integral(seg, base.data, axes, k_loop)
             continue
         # one quadrature node at a time bounds the working set
-        for j, weight in enumerate(seg.weights):
-            value, dvalue, space = seg.node(j, axes)
+        for weight, value, dvalue, space in seg.quadrature(axes):
             tr = alt_trace(value - base.data, space + [dvalue], k_loop)
             total += weight * np.mean(tr)
     # suspension trace: one half of the standard (n+1)-cycle trace on the

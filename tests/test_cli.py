@@ -333,7 +333,7 @@ def test_gridio_rejects_malformed_text(tmp_path):
         read_contraction_grid(str(path))
 
 
-def test_cmd_floquet_malformed_contraction_files(tmp_path, rng):
+def test_cmd_floquet_malformed_contraction_files(tmp_path, rng, capsys):
     path = write_config(tmp_path, floquet_config(1.0))
     samples = (rng.standard_normal((9, 8, 8, 4, 4))
                + 1j * rng.standard_normal((9, 8, 8, 4, 4)))
@@ -350,12 +350,20 @@ def test_cmd_floquet_malformed_contraction_files(tmp_path, rng):
     # a header declaring 2^32 - 1 axes must not size a read from itself
     oversized = tmp_path / "oversized.grid"
     oversized.write_bytes(b"DKGRID1\n" + b"\xff" * 4)
-    for bad in (truncated, header_only, mismatched, oversized):
+    # well-formed files with an even node count, and sampled on a 16 x 16
+    # grid, both read at grid 8
+    even_nt = tmp_path / "even_nt.grid"
+    write_contraction_grid(str(even_nt), np.broadcast_to(np.eye(4), (8, 8, 8, 4, 4)))
+    other_grid = tmp_path / "other_grid.grid"
+    write_contraction_grid(str(other_grid), np.broadcast_to(np.eye(4), (9, 16, 16, 4, 4)))
+    for bad in (truncated, header_only, mismatched, oversized, even_nt, other_grid):
         code = run_cli(["floquet", "--config", path, "--arc0", "0.0",
                         "--arc1", "3.14159265", "--grid", "8", "--tgrid", "32",
                         "--strategy", "user_supplied",
                         "--contraction", str(bad), str(bad)])
         assert code == cli.EXIT_VALIDATION, bad.name
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert "(9, 16, 16, 4, 4)" in err and "(nt, 8, 8, 4, 4)" in err
 
 
 def test_gridio_roundtrip(tmp_path, rng):
@@ -507,8 +515,9 @@ def test_decoupled_floquet_materializes_no_loop_nodes(monkeypatch, capsys):
         monkeypatch.setattr(seg_cls, name, property(
             lambda seg, name=name, get=getattr(seg_cls, name).fget:
             reads.append(name) or get(seg)))
-    gauss = seg_cls.gauss
-    monkeypatch.setattr(seg_cls, "gauss", lambda seg: reads.append("gauss") or gauss(seg))
+    quadrature = seg_cls.quadrature
+    monkeypatch.setattr(seg_cls, "quadrature", lambda seg, *axes:
+                        reads.append("quadrature") or quadrature(seg, *axes))
     built = count_calls(monkeypatch, kclass.uniform_closed_segment)
     path = Path(__file__).parent / "data" / "floquet_qwz.json"
     assert run_cli(["floquet", "--config", str(path), "--strategy", "decoupled",

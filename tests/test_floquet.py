@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import chern_fhs
 from dkpair import floquet as fl
 from dkpair.grid_alg import AlgElement, TorusGrid, apply_real_structure
-from dkpair.kclass import (GapClosedError, LoopElement, exp_projection_loop, flatten,
-                           uniform_closed_segment)
+from dkpair.kclass import (GapClosedError, LoopElement, Segment, _simpson_rule,
+                           exp_projection_loop, flatten)
 from dkpair.models import (conjugate_flip, quaternionic_structure, qwz_symbol,
                            spin_double)
 from dkpair.pairing import chern_number, spin_chern
@@ -332,7 +334,7 @@ def per_node_periodized_evolution(drive, branch, t_samples):
     out = []
     t_start = 0.0
     u_start = np.broadcast_to(np.eye(m, dtype=complex), (*grid.sizes, m, m)).copy()
-    for tau, h in fl._segments_split_at_half(drive):
+    for tau, h in fl._split_at_half(drive.period, drive.segments):
         w, v = np.linalg.eigh(h.data[0])
         nn = max(9, int(round(t_samples * tau / drive.period)) | 1)
         values = np.zeros((1, nn, *grid.sizes, m, m), dtype=complex)
@@ -385,8 +387,8 @@ def criterion_12_drive(n):
 def simpson_reference(loop):
     """The loop's uniform exports as stored segments, which `degree_t3`
     integrates with Simpson's rule on their nodes."""
-    return LoopElement([uniform_closed_segment(seg.values, seg.t0, seg.t1, seg.grid,
-                                               seg.m, 0, derivs=seg.derivs)
+    return LoopElement([Segment(seg.t0, seg.t1, *_simpson_rule(seg.nnodes), seg.values,
+                                seg.derivs, seg.grid, seg.m, 0)
                         for seg in loop.segments])
 
 
@@ -436,6 +438,34 @@ def test_frames_are_energy_scale_invariant(tri_drive, lam):
         deg_scaled = fl.degree_t3(fl.decoupled_contraction(loop_scaled),
                                   integer_tol=5e-3)
         assert abs(deg_scaled - deg) <= 1e-12
+
+
+def test_degree_difference_holds_no_node_array(rs):
+    # every loop segment is integrated one quadrature node at a time, so the
+    # degrees take less working memory than one branch's contraction samples
+    drive = criterion_12_drive(32)
+    loops, contractions = [], []
+    for branch in fl.branch_pair(1.0 + 0j, np.exp(1j * np.pi), drive.period):
+        loops.append(fl.periodized_evolution(drive, branch, 128))
+        second = [seg for seg in fl.decoupled_contraction(loops[-1]).segments
+                  if seg.t0 >= 0.5 - 1e-12]
+        contractions.append(np.concatenate([second[0].values[0]]
+                                           + [seg.values[0, 1:] for seg in second[1:]]))
+    tracemalloc.start()
+    try:
+        k_val, degs = fl.degree_difference(loops, contractions, rs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fl.degree_difference(loops, (c.copy() for c in contractions), rs)
+        lazy_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k_val.reduced == 1.0
+    assert all(abs(deg - round(deg)) < 1e-6 for deg in degs)
+    assert peak < contractions[0].nbytes
+    # samples drawn lazily, as the CLI reads its files, are held one branch
+    # at a time
+    assert lazy_peak < peak + 1.5 * contractions[0].nbytes
 
 
 def test_contraction_samples_are_not_copied(tri_drive, rs):

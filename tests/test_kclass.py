@@ -6,9 +6,9 @@ from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_real_structure, direct_sum,
                              spectral_derivative_data)
 from dkpair.kclass import (BasePoint, GapClosedError, LoopElement,
-                           OsuValidationError, bott_loop, exp_projection_loop,
-                           flatten, gauss_segment, make_osu_from_hamiltonian,
-                           osu_validate, torsion_loop)
+                           OsuValidationError, Segment, _gauss_rule, bott_loop,
+                           exp_projection_loop, flatten, make_osu_from_hamiltonian,
+                           osu_validate, torsion_loop, uniform_closed_segment)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_symbol, spin_double)
 from dkpair.pairing import _arc_integral, alt_trace, ch0, ch2, pair_suspended
@@ -205,6 +205,18 @@ def test_doubled_class_satisfies_property_y(grid16):
     assert loop.sample_osu_residual() < 1e-12
 
 
+def gauss_segment(f, dfds, t0, t1, order, grid, m, k):
+    """A segment with node arrays from callables s -> AlgElement on
+    Gauss-Legendre nodes."""
+    nodes, weights = _gauss_rule(order)
+    values = np.zeros((1 << k, nodes.size, *grid.sizes, m, m), dtype=complex)
+    derivs = np.zeros_like(values)
+    for j, s in enumerate(nodes):
+        values[:, j] = f(s).data
+        derivs[:, j] = dfds(s).data
+    return Segment(t0, t1, nodes, weights, values, derivs, grid, m, k)
+
+
 def materialized_torsion_segments(x, e, y, order, arcs=range(4)):
     """The quarter arcs (all four unless `arcs` picks some) as gauss_segment
     arrays, from callables on the corners e (x) 1, 1 (x) rho, x (x) 1,
@@ -364,6 +376,33 @@ def test_bott_loop_nodes_match_materialized_oracle(point_grid, grid16, rng):
         got = pair_suspended(cycle, loop).value
         assert abs(oracle) > 0.1
         assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+
+def fd_derivative(values, h):
+    """4th-order finite differences along axis 1, one-sided at the edges."""
+    v = np.moveaxis(values, 1, 0)
+    d = np.zeros_like(v)
+    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
+    fwd = np.array([-25, 48, -36, 16, -3]) / (12 * h)
+    for row, idx in ((0, [0, 1, 2, 3, 4]), (1, [1, 2, 3, 4, 5])):
+        d[row] = sum(c * v[i] for c, i in zip(fwd, idx))
+    for row, idx in ((-1, [-1, -2, -3, -4, -5]), (-2, [-2, -3, -4, -5, -6])):
+        d[row] = -sum(c * v[i] for c, i in zip(fwd, idx))
+    return np.moveaxis(d, 0, 1)
+
+
+@pytest.mark.parametrize("nnodes", [7, 9, 65])
+def test_closed_segment_derivative_matches_whole_array_stencil(grid16, rng, nnodes):
+    # d/ds formed at one node is bit for bit the whole-array stencil
+    shape = (1, nnodes, *grid16.sizes, 2, 2)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    seg = uniform_closed_segment(values, 0.5, 1.0, grid16, 2, 0)
+    want = fd_derivative(values, 1.0 / (nnodes - 1))
+    got = [dvalue for _, _, dvalue, _ in seg.quadrature(())]
+    assert len(got) == nnodes
+    for j, dvalue in enumerate(got):
+        assert np.array_equal(dvalue, want[:, j])
+    assert np.array_equal(seg.node(-1)[1], want[:, -1])
 
 
 def test_exp_projection_loop_periodic(grid16):
