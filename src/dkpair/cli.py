@@ -338,15 +338,16 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
         # each file is read when its branch's degree is taken
         contractions = (_read_contraction(f, (*grid.sizes, drive.m, drive.m))
                         for f in args.contraction)
-        kval, _ = fl.degree_difference((loop0, loop1), contractions, rs)
+        kval, degrees = fl.degree_difference((loop0, loop1), contractions, rs)
         info = {"rank": arc.rank, "gap_margin": arc.gap_margin}
+        for b, (deg, n) in enumerate(zip(degrees, map(round, degrees))):
+            report.value(f"degree_branch{b}", deg, rounded=n, residual=abs(deg - n))
     else:
         kval, info = fl.kane_mele_floquet_invariant(
             drive, z0, z1, strategy="decoupled", rs=rs, integer_tol=args.tol)
     report.value("k_invariant", kval.reduced, modulus=kval.modulus)
     for key, val in info.items():
-        if isinstance(val, (int, float)):
-            report.value(key, float(val))
+        report.value(key, float(val))
     if args.strategy == "decoupled":
         fine_drive = cfg.drive_object(cfg.grid(2 * args.grid))
         kfine, _ = fl.kane_mele_floquet_invariant(

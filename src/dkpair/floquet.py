@@ -3,8 +3,8 @@ effective Hamiltonians, arc spectral projections, periodized evolutions,
 the degree over T^3, and the resulting Z2 invariant.
 
 Drives are piecewise constant in time, so the evolution is a product of
-exact segment exponentials; all unitary eigendecompositions go through a
-Schur factorization (exactly diagonal for normal matrices) with an explicit
+exact segment exponentials; all unitary eigendecompositions go through one
+batched hermitian eigensolve of a Cayley transform, with an explicit
 residual contract.  On each drive segment the periodized evolution is an
 entire function of time, held as a `FrameSegment` in the eigenframes of the
 segment and of H_eff rather than as node arrays: its endpoints come from the
@@ -20,7 +20,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from .grid_alg import (AlgElement, RealStructureSpec, _spectral_calculus,
                        apply_real_structure, require_within,
@@ -123,26 +122,27 @@ def evolve(drive: FloquetDrive, t: float) -> AlgElement:
 
 
 def unitary_eig(u: AlgElement):
-    """Pointwise eigendecomposition of a unitary field via complex Schur.
+    """Pointwise eigendecomposition of a unitary field, batched over the grid.
 
-    Returns (phases, vectors) with phases in (-pi, pi] and orthonormal
-    vectors; the eigenvector residual must stay within 1e-10.
+    z = e^{i theta} sits mid-way in each point's widest eigenphase gap (from `eigvals`),
+    so |z - lambda| >= 2 sin(pi / 2m): the Cayley transform K = i (z + U)(z - U)^{-1}
+    is hermitian, well conditioned, and maps the phase phi to cot((theta - phi) / 2),
+    strictly monotone.  `eigh` of K + K* gives orthonormal V, the phases (in [-pi, pi])
+    are angle(diag(V* U V)), and the eigenvector residual must stay within 1e-10.
     """
-    arr = u.data[0]
-    flat = arr.reshape(-1, u.m, u.m)
-    phases = np.empty((flat.shape[0], u.m))
-    vecs = np.empty_like(flat)
-    worst = 0.0
-    for i, mat in enumerate(flat):
-        t, q = scipy.linalg.schur(mat, output="complex")
-        lam = np.diag(t)
-        phases[i] = np.angle(lam)
-        vecs[i] = q
-        worst = max(worst, float(np.max(np.abs(mat @ q - q * lam[None, :]))))
+    flat = u.data[0].reshape(-1, u.m, u.m)
+    ang = np.sort(np.angle(np.linalg.eigvals(flat)), axis=-1)
+    gaps = np.diff(ang, axis=-1, append=ang[:, :1] + 2 * np.pi)
+    theta = (ang + gaps / 2)[np.arange(len(ang)), np.argmax(gaps, axis=-1)]
+    z = np.exp(1j * theta)[:, None, None] * np.eye(u.m)
+    k = 1j * np.linalg.solve(z - flat, z + flat)
+    vecs = np.linalg.eigh(k + np.conj(np.swapaxes(k, -1, -2)))[1]
+    uv = np.matmul(flat, vecs)
+    lam = np.diagonal(np.conj(np.swapaxes(vecs, -1, -2)) @ uv, axis1=-2, axis2=-1)
+    worst = float(np.max(np.abs(uv - vecs * lam[:, None, :])))
     if worst > 1e-10:
         raise ValueError(f"unitary eigensolve residual {worst:.3e} exceeds 1e-10")
-    shape = (*u.grid.sizes, u.m)
-    return phases.reshape(shape), vecs.reshape(*u.grid.sizes, u.m, u.m)
+    return np.angle(lam).reshape(u.data[0].shape[:-1]), vecs.reshape(u.data[0].shape)
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,7 @@ def effective_hamiltonian(drive: FloquetDrive, branch: BranchChoice) -> AlgEleme
 
 def branch_pair(z0: complex, z1: complex, period: float) -> tuple[BranchChoice, BranchChoice]:
     """Branches eps_i with e^{i eps_i T} = z_i and 0 <= (eps_1 - eps_0) T < 2 pi."""
-    th0 = float(np.angle(z0))
-    th1 = float(np.angle(z1))
+    th0, th1 = float(np.angle(z0)), float(np.angle(z1))
     if np.mod(th1 - th0, 2 * np.pi) == 0 and z0 != z1:
         raise ValueError("arc endpoints coincide in phase")
     th1 = th0 + np.mod(th1 - th0, 2 * np.pi)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -381,15 +384,12 @@ def test_gridio_roundtrip(tmp_path, rng):
 # each operator is decomposed once
 # ---------------------------------------------------------------------------
 
-def test_floquet_factorizes_each_stroboscopic_operator_once(tmp_path, monkeypatch,
-                                                            capsys):
+def decoupled_contraction_files(tmp_path, drive):
+    """Binary grid files of the decoupled contractions of both branches of
+    the arc from 1 to -1, in branch order."""
     from dkpair import floquet
-    raw = floquet_config(1.0)
-    path = write_config(tmp_path, raw)
-    cfg = cli.ModelConfig(raw)
-    drive = cfg.drive_object(cfg.grid(16))
     files = []
-    for b, branch in enumerate(floquet.branch_pair(1.0 + 0j, -1.0 + 0j, 1.0)):
+    for b, branch in enumerate(floquet.branch_pair(1.0 + 0j, -1.0 + 0j, drive.period)):
         loop = floquet.decoupled_contraction(
             floquet.periodized_evolution(drive, branch, 64))
         second = [seg for seg in loop.segments if seg.t0 >= 0.5 - 1e-12]
@@ -397,6 +397,17 @@ def test_floquet_factorizes_each_stroboscopic_operator_once(tmp_path, monkeypatc
                                  + [seg.values[0, 1:] for seg in second[1:]])
         files.append(str(tmp_path / f"branch{b}.grid"))
         write_contraction_grid(files[-1], samples, binary=True)
+    return files
+
+
+def test_floquet_factorizes_each_stroboscopic_operator_once(tmp_path, monkeypatch,
+                                                            capsys):
+    from dkpair import floquet
+    raw = floquet_config(1.0)
+    path = write_config(tmp_path, raw)
+    cfg = cli.ModelConfig(raw)
+    drive = cfg.drive_object(cfg.grid(16))
+    files = decoupled_contraction_files(tmp_path, drive)
     base = ["floquet", "--config", path, "--arc0", "0.0", "--arc1", repr(np.pi),
             "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
     calls = count_calls(monkeypatch, floquet.unitary_eig)
@@ -476,15 +487,7 @@ def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatc
     path = write_config(tmp_path, raw)
     cfg = cli.ModelConfig(raw)
     drive = cfg.drive_object(cfg.grid(16))
-    files = []
-    for b, branch in enumerate(floquet.branch_pair(1.0 + 0j, -1.0 + 0j, 1.0)):
-        loop = floquet.decoupled_contraction(
-            floquet.periodized_evolution(drive, branch, 64))
-        second = [seg for seg in loop.segments if seg.t0 >= 0.5 - 1e-12]
-        samples = np.concatenate([second[0].values[0]]
-                                 + [seg.values[0, 1:] for seg in second[1:]])
-        files.append(str(tmp_path / f"branch{b}.grid"))
-        write_contraction_grid(files[-1], samples, binary=True)
+    files = decoupled_contraction_files(tmp_path, drive)
     base = ["floquet", "--config", path, "--arc0", "0.0", "--arc1", repr(np.pi),
             "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
     calls = count_calls(monkeypatch, floquet.periodized_evolution)
@@ -498,6 +501,43 @@ def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatc
     assert run_cli([*base, "--strategy", "decoupled"]) == cli.EXIT_OK
     assert len(calls) == 1
     assert read_report(capsys)["status"] == "ok"
+
+
+def test_cmd_floquet_reports_branch_degrees(tmp_path, capsys):
+    # each branch's degree with its nearest integer and distance to it, as
+    # the API's degree difference gives them
+    from dkpair import floquet, models
+    raw = floquet_config(1.0)
+    cfg = cli.ModelConfig(raw)
+    drive = cfg.drive_object(cfg.grid(16))
+    files = decoupled_contraction_files(tmp_path, drive)
+    assert run_cli(["floquet", "--config", write_config(tmp_path, raw),
+                    "--arc0", "0.0", "--arc1", repr(np.pi), "--grid", "16",
+                    "--tgrid", "64", "--strategy", "user_supplied",
+                    "--contraction", *files]) == cli.EXIT_OK
+    rep = read_report(capsys)
+    loops = [floquet.periodized_evolution(drive, b, 64)
+             for b in floquet.branch_pair(1.0 + 0j, np.exp(1j * np.pi), drive.period)]
+    _, want = floquet.degree_difference(
+        loops, [read_contraction_grid(f) for f in files],
+        models.quaternionic_structure(k=0))
+    got = [rep["values"][f"degree_branch{b}"] for b in (0, 1)]
+    assert [g["value"] for g in got] == list(want)
+    for g in got:
+        assert g["rounded"] == round(g["value"])
+        assert g["residual"] == abs(g["value"] - g["rounded"]) < 1e-4
+    assert (got[1]["rounded"] - got[0]["rounded"]) % 2 \
+        == rep["values"]["k_invariant"]["value"] == 1.0
+
+
+def test_import_loads_no_scipy():
+    # dkpair's start-up pays for numpy alone; scipy would add ~0.2 s per process
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, dkpair; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_committed_floquet_config_is_the_test_drive():

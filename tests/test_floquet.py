@@ -287,6 +287,66 @@ def test_stroboscopic_spectrum_reuse_matches_fresh_factorization(tri_drive):
                           want_p)
 
 
+def haar_unitaries(rng, n, m):
+    """n Haar-random m x m unitaries: QR of a complex Gaussian, phases fixed."""
+    q, r = np.linalg.qr(rng.standard_normal((n, m, m))
+                        + 1j * rng.standard_normal((n, m, m)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def with_phases(rng, n, phases):
+    """n unitaries with the given eigenphases, each in a Haar-random basis."""
+    q = haar_unitaries(rng, n, len(phases))
+    return np.einsum("nij,j,nkj->nik", q, np.exp(1j * np.asarray(phases)),
+                     np.conj(q))
+
+
+def unitary_cases(drive):
+    """Name -> (n, m, m) unitary field for the eigensolve tests."""
+    rng = np.random.default_rng(7)
+    eye = np.broadcast_to(np.eye(4, dtype=complex), (16, 4, 4))
+    u_period = fl.evolve(drive, drive.period).data[0]
+    cases = {f"haar{m}": haar_unitaries(rng, 16, m) for m in (1, 2, 4, 8)}
+    cases.update(
+        identity=eye.copy(),
+        minus_identity=-eye,
+        kramers=with_phases(rng, 16, [0.4, 0.4, -1.3, -1.3]),
+        cluster_at_zero=with_phases(rng, 16, [0, 1e-9, 1e-7, 1e-6, 2, 2]),
+        cluster_at_pi=with_phases(
+            rng, 16, [np.pi, np.pi - 1e-9, 1e-7 - np.pi, np.pi - 1e-6, 0.3, -0.3]),
+        # U(T) of the spin-doubled TRI drive at k in {0, pi}^2: Kramers pairs
+        tri_trim=u_period[::8, ::8].reshape(4, drive.m, drive.m))
+    return cases
+
+
+@pytest.mark.parametrize("name", ["haar1", "haar2", "haar4", "haar8", "identity",
+                                  "minus_identity", "kramers", "cluster_at_zero",
+                                  "cluster_at_pi", "tri_trim"])
+def test_unitary_eig_against_numpy_eigvals(name, tri_drive):
+    u = unitary_cases(tri_drive)[name]
+    n, m = u.shape[:2]
+    phases, vecs = fl.unitary_eig(AlgElement.from_matrix_field(TorusGrid((n,)), u))
+    assert phases.shape == (n, m) and vecs.shape == (n, m, m)
+    vh = np.conj(np.swapaxes(vecs, -1, -2))
+    assert np.max(np.abs(vh @ vecs - np.eye(m))) <= 1e-13
+    assert np.max(np.abs((vecs * np.exp(1j * phases)[:, None, :]) @ vh - u)) <= 1e-13
+    # near the cut at +-pi the two angles of one eigenvalue may differ by 2 pi
+    def away_from_cut(p):
+        return np.sort(p[np.pi - np.abs(p) > 1e-3])
+
+    for got, want in zip(phases, np.angle(np.linalg.eigvals(u))):
+        np.testing.assert_allclose(away_from_cut(got), away_from_cut(want),
+                                   rtol=0, atol=1e-13)
+
+
+def test_unitary_eig_rejects_non_normal_field():
+    u = haar_unitaries(np.random.default_rng(3), 8, 3)
+    u[:, 0, 1] += 0.5
+    with pytest.raises(ValueError, match="residual"):
+        fl.unitary_eig(AlgElement.from_matrix_field(TorusGrid((8,)), u))
+
+
 @pytest.mark.parametrize("lam", [1e-6, 1e4, 1e8])
 def test_invariant_independent_of_drive_scale(tri_drive, rs, lam):
     # (lambda H, T / lambda) has the same evolution operator over a period
