@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, _spectral_calculus,
-                       apply_real_structure, require_within,
+                       apply_real_structure, failing, named, require_within,
                        spectral_derivative_data)
 from .kclass import (GapClosedError, LoopElement, Segment, _gauss_rule,
                      _simpson_rule, uniform_closed_segment)
@@ -513,17 +513,12 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
                          f"V(1/2) residual {res0:.3e}, V(1) residual {res1:.3e}")
     seg = uniform_closed_segment(np.asarray(samples, dtype=complex)[None], 0.5, 1.0,
                                  grid, m, 0)
-
-    def symmetry(measure):
-        out = []
-        for j in range(0, seg.nodes.size, max(1, seg.nodes.size // 8)):
-            el = seg.element(j)
-            out.append(measure(apply_real_structure(rs, el) - el))
-        return out
-
-    if not all(symmetry(lambda d: d.within(boundary_tol))):
-        worst = max(symmetry(AlgElement.norm_inf))
-        raise ValueError(f"contraction symmetry residual {worst:.3e}")
+    nodes = range(0, seg.nodes.size, max(1, seg.nodes.size // 8))
+    # a node's element is a view of the samples, so forming it twice is free
+    bad = failing(((f"node{j}", apply_real_structure(rs, seg.element(j)) - seg.element(j))
+                   for j in nodes), boundary_tol)
+    if bad:
+        raise ValueError(f"contraction symmetry residuals: {named(bad)}")
     return _closed_loop(half + [seg], boundary_tol)
 
 

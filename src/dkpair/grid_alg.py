@@ -412,12 +412,32 @@ def check_invariance(rs: RealStructureSpec, x: AlgElement, tol: float) -> tuple[
     return residual <= tol, residual
 
 
+def failing(defects, tol: float) -> dict:
+    """{name: exact norm_inf} of the (name, defect) pairs, drawn one at a
+    time, whose defect is not within tol.  A passing defect settles on
+    `within`'s bound and takes no SVD; the exact norm is taken only for a
+    failing one.  Each defect is dropped before the next one is drawn, so a
+    generator of defects holds one at a time."""
+    bad = {}
+    for name, defect in defects:
+        if not defect.within(tol):
+            bad[name] = defect.norm_inf()
+        del defect
+    return bad
+
+
+def named(residuals: dict) -> str:
+    """The residuals `failing` returns, as 'name=residual, ...'."""
+    return ", ".join(f"{name}={r:.3e}" for name, r in residuals.items())
+
+
 def require_within(defect: AlgElement, tol: float, message):
-    """Raise ValueError(message(defect.norm_inf())) unless defect.within(tol):
-    the exact norm is taken only for the error message.  The caller holds no
-    reference to the defect, so it is freed on return."""
-    if not defect.within(tol):
-        raise ValueError(message(defect.norm_inf()))
+    """Raise ValueError(message(residual)) unless defect is within tol: the
+    one-defect case of `failing`.  The caller holds no reference to the
+    defect, so it is freed on return."""
+    bad = failing([("defect", defect)], tol)
+    if bad:
+        raise ValueError(message(bad["defect"]))
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +602,12 @@ def psi_e_inverse(y: AlgElement, e: AlgElement) -> AlgElement:
 def _validate_osi(e: AlgElement):
     """Odd within 1e-10 and self-inverse within 1e-10; the second check also
     rejects the zero element and any even element too small for the first."""
-    if not e.homogeneous_part(0).within(1e-10):
-        raise ValueError("base element must be odd")
-    require_within(e * e - AlgElement.unit(e.grid, e.m, e.k), 1e-10,
-                   lambda r: f"base element not self-inverse (residual {r:.2e})")
+    bad = failing(_osi_defects(e), 1e-10)
+    if bad:
+        raise ValueError(f"bad base element: {named(bad)}")
+
+
+def _osi_defects(e: AlgElement):
+    """(name, defect) of each odd self-inverse check, formed as it is drawn."""
+    yield "odd", e.homogeneous_part(0)
+    yield "self-inverse", e * e - AlgElement.unit(e.grid, e.m, e.k)

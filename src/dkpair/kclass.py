@@ -19,8 +19,8 @@ import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                        _spectral_calculus, apply_derivation,
-                       apply_real_structure, represent, require_within,
-                       spectral_derivative_data, unrepresent)
+                       apply_real_structure, failing, named, represent,
+                       require_within, spectral_derivative_data, unrepresent)
 
 
 class GapClosedError(ValueError):
@@ -31,9 +31,9 @@ class GapClosedError(ValueError):
 
 
 class OsuValidationError(ValueError):
-    def __init__(self, message, residuals=None):
+    def __init__(self, message, residuals):
         super().__init__(message)
-        self.residuals = residuals or {}
+        self.residuals = residuals  # {name: exact norm_inf} of the failing defects
 
 
 @dataclass(frozen=True)
@@ -66,29 +66,18 @@ class BasePoint:
         return cls(e)
 
 
-def _osu_defects(x: AlgElement, measure) -> dict:
-    """measure applied to each OSU defect of x, by name; each defect is freed
-    before the next one is formed."""
-    return {
-        "even_part": measure(x.homogeneous_part(0)),
-        "self_adjoint": measure(x - x.star()),
-        "square": measure(x * x - AlgElement.unit(x.grid, x.m, x.k)),
-    }
-
-
-def _is_osu(x: AlgElement, tol: float) -> bool:
-    """Every OSU residual of x within tol."""
-    return all(_osu_defects(x, lambda d: d.within(tol)).values())
+def _osu_defects(x: AlgElement, where: str):
+    """(name + where, defect) of each OSU check of x, formed as it is drawn."""
+    yield "even_part" + where, x.homogeneous_part(0)
+    yield "self_adjoint" + where, x - x.star()
+    yield "square" + where, x * x - AlgElement.unit(x.grid, x.m, x.k)
 
 
 def osu_validate(x: AlgElement, tol: float = 1e-10) -> OsuElement:
-    if _is_osu(x, tol):
-        return OsuElement(x, tol)
-    residuals = _osu_defects(x, AlgElement.norm_inf)
-    bad = {name: r for name, r in residuals.items() if r > tol}
-    raise OsuValidationError(f"not an OSU within {tol:g}: " +
-                             ", ".join(f"{n}={r:.3e}" for n, r in bad.items()),
-                             residuals)
+    bad = failing(_osu_defects(x, ""), tol)
+    if bad:
+        raise OsuValidationError(f"not an OSU within {tol:g}: {named(bad)}", bad)
+    return OsuElement(x, tol)
 
 
 def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
@@ -194,24 +183,25 @@ class LoopElement:
         return self.segments[0].k
 
     def validate_continuity(self, tol: float = 1e-9):
-        if not self.endpoints:
-            return
-        n = len(self.endpoints)
-        for i in range(n):
-            a = self.endpoints[i][1]
-            b = self.endpoints[(i + 1) % n][0]
-            require_within(a - b, tol,
-                           lambda r: f"loop discontinuous at segment {i}: {r:.3e}")
+        ends = self.endpoints
+        n = len(ends)
+        bad = failing(((f"segment{i}_end", ends[i][1] - ends[(i + 1) % n][0])
+                       for i in range(n)), tol)
+        if bad:
+            raise ValueError(f"loop discontinuous: {named(bad)}")
 
-    def _samples(self, stride: int):
-        for seg in self.segments:
+    def _sample_defects(self, stride: int):
+        """(name, defect) of each OSU check at every stride-th node of each
+        segment, formed as it is drawn."""
+        for i, seg in enumerate(self.segments):
             for j in range(0, seg.nodes.size, stride):
-                yield seg.element(j)
+                yield from _osu_defects(seg.element(j), f" at segment {i} node {j}")
 
     def sample_osu_residual(self, stride: int = 4) -> float:
         worst = 0.0
-        for x in self._samples(stride):
-            worst = max(worst, *_osu_defects(x, AlgElement.norm_inf).values())
+        for _, defect in self._sample_defects(stride):
+            worst = max(worst, defect.norm_inf())
+            del defect  # before the next one is formed
         return worst
 
 
@@ -356,9 +346,9 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
     seg = ArcSegment(0.0, 1.0, order, [_corner(p) for p in coeffs])
     loop = LoopElement([seg], endpoints=[(seg.at(0.0), seg.at(1.0))])
     loop.validate_continuity(1e-10)  # the loop closes
-    if not all(_is_osu(x, 1e-10) for x in loop._samples(4)):
-        raise OsuValidationError(f"loop samples fail the OSU check: "
-                                 f"{loop.sample_osu_residual():.3e}")
+    bad = failing(loop._sample_defects(4), 1e-10)
+    if bad:
+        raise OsuValidationError(f"loop samples fail the OSU check: {named(bad)}", bad)
     return loop
 
 
@@ -381,38 +371,31 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
 # the four-segment torsion loop
 # ---------------------------------------------------------------------------
 
-def _torsion_preconditions(xb, eb, y, rs, derivations, measure) -> dict:
-    """measure applied to each defect of the torsion-loop preconditions, by
-    name; each defect is freed before the next one is formed."""
+def _torsion_preconditions(xb, eb, y, rs, derivations):
+    """(name, defect) of each torsion-loop precondition, formed as it is drawn."""
     unit = AlgElement.unit(xb.grid, xb.m, xb.k)
-    checks = {
-        "y_even": measure(y.homogeneous_part(1)),
-        "y_anti_self_adjoint": measure(y.star() + y),
-        "y_unitary": measure(y * y.star() - unit),
-        "y_commutes_x": measure(y * xb - xb * y),
-        "y_commutes_e": measure(y * eb - eb * y),
-    }
+    yield "y_even", y.homogeneous_part(1)
+    yield "y_anti_self_adjoint", y.star() + y
+    yield "y_unitary", y * y.star() - unit
+    yield "y_commutes_x", y * xb - xb * y
+    yield "y_commutes_e", y * eb - eb * y
     for dv in derivations:
-        checks[f"dy_axis{dv.axis}"] = measure(apply_derivation(dv, y))
-        checks[f"de_axis{dv.axis}"] = measure(apply_derivation(dv, eb))
+        yield f"dy_axis{dv.axis}", apply_derivation(dv, y)
+        yield f"de_axis{dv.axis}", apply_derivation(dv, eb)
     if rs is not None:
         for name, z in (("y", y), ("x", xb), ("e", eb)):
-            checks[f"{name}_invariant"] = measure(apply_real_structure(rs, z) - z)
-    return checks
+            yield f"{name}_invariant", apply_real_structure(rs, z) - z
 
 
-def _half_symmetry(segments: list[Segment], rs: RealStructureSpec, measure) -> list:
-    """measure applied to the real-structure defect at every 8th node of the
-    four torsion arcs: rs extended by a fixed generator on the first half,
-    by a negated one on the second."""
-    out = []
-    for half, sign in ((segments[:2], 1), (segments[2:], -1)):
-        ext = rs.extend(sign)
-        for seg in half:
-            for j in range(0, seg.nodes.size, 8):
-                x = seg.element(j)
-                out.append(measure(apply_real_structure(ext, x) - x))
-    return out
+def _half_symmetry(segments: list[Segment], rs: RealStructureSpec):
+    """(name, real-structure defect) at every 8th node of the four torsion
+    arcs, formed as it is drawn: rs extended by a fixed generator on the
+    first half, by a negated one on the second."""
+    for i, seg in enumerate(segments):
+        ext = rs.extend(1 if i < 2 else -1)
+        for j in range(0, seg.nodes.size, 8):
+            x = seg.element(j)
+            yield f"arc{i}_node{j}", apply_real_structure(ext, x) - x
 
 
 def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
@@ -430,15 +413,9 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
     xb, eb = x.body, e.e
     xb._check(eb)
     xb._check(y)
-
-    def within(d):
-        return d.within(tol)
-
-    if not all(_torsion_preconditions(xb, eb, y, rs, derivations, within).values()):
-        checks = _torsion_preconditions(xb, eb, y, rs, derivations, AlgElement.norm_inf)
-        bad = {n: r for n, r in checks.items() if r > tol}
-        raise ValueError("torsion loop preconditions violated: " +
-                         ", ".join(f"{n}={r:.3e}" for n, r in bad.items()))
+    bad = failing(_torsion_preconditions(xb, eb, y, rs, derivations), tol)
+    if bad:
+        raise ValueError(f"torsion loop preconditions violated: {named(bad)}")
 
     corners = [
         eb.append_generator(on_new=False),
@@ -446,11 +423,10 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
         xb.append_generator(on_new=False),
         y.append_generator(coeff=1j),
     ]
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        require_within(a * b + b * a, tol,
-                       lambda r: f"corner elements {i},{i + 1} fail to anticommute: "
-                                 f"{r:.3e}")
+    bad = failing(((f"corners{i}{(i + 1) % 4}", a * b + b * a)
+                   for i, (a, b) in enumerate(zip(corners, corners[1:] + corners[:1]))), tol)
+    if bad:
+        raise ValueError(f"corner elements fail to anticommute: {named(bad)}")
 
     ends = [_corner(c) for c in corners]
     segments = [ArcSegment(i / 4, (i + 1) / 4, order, [ends[i], ends[(i + 1) % 4]])
@@ -458,7 +434,7 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
     endpoints = [(seg.at(0.0), seg.at(1.0)) for seg in segments]
     loop = LoopElement(segments, endpoints=endpoints)
     loop.validate_continuity(tol)
-    if rs is not None and not all(_half_symmetry(segments, rs, within)):
-        worst = max(_half_symmetry(segments, rs, AlgElement.norm_inf))
-        raise ValueError(f"torsion loop half-symmetry residual {worst:.3e}")
+    bad = {} if rs is None else failing(_half_symmetry(segments, rs), tol)
+    if bad:
+        raise ValueError(f"torsion loop half-symmetry residuals: {named(bad)}")
     return loop

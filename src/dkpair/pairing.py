@@ -31,7 +31,7 @@ import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
 from .grid_alg import (AlgElement, Derivation, _mul_data, apply_derivation,
-                       require_within)
+                       failing, named, require_within)
 from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement, _combine
 
 @dataclass(frozen=True)
@@ -291,6 +291,12 @@ def winding_number(u: AlgElement) -> complex:
     return complex(np.mean(tr)) * u.grid.period(0)
 
 
+def _projection_defects(p: AlgElement):
+    """(name, defect) of each projection check, formed as it is drawn."""
+    yield "idempotent", p * p - p
+    yield "self_adjoint", p - p.star()
+
+
 def chern_number(p: AlgElement, tol: float = 1e-8) -> float:
     """Chern number of a projection field over T^2 (grid axes 0 and 1).
 
@@ -298,12 +304,9 @@ def chern_number(p: AlgElement, tol: float = 1e-8) -> float:
     the QWZ symbol at mass 1 the upper flattened band (1 + sign h)/2 gives
     +1 (this is minus the plaquette Berry-flux convention).
     """
-    def defects(measure):
-        return measure(p * p - p), measure(p - p.star())
-
-    if not all(defects(lambda d: d.within(tol))):
-        raise ValueError(f"input not a projection field "
-                         f"(residual {max(defects(AlgElement.norm_inf)):.3e})")
+    bad = failing(_projection_defects(p), tol)
+    if bad:
+        raise ValueError(f"input not a projection field: {named(bad)}")
     d1 = apply_derivation(Derivation(0), p)
     d2 = apply_derivation(Derivation(1), p)
     val = 2j * np.pi * np.mean(alt_trace(p.data, [d1.data, d2.data], 0))

@@ -503,6 +503,44 @@ def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatc
     assert read_report(capsys)["status"] == "ok"
 
 
+def test_floquet_reports_rank_and_gap_margin_once(tmp_path, capsys):
+    raw = floquet_config(1.0)
+    cfg = cli.ModelConfig(raw)
+    files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(16)))
+    base = ["floquet", "--config", write_config(tmp_path, raw), "--arc0", "0.0",
+            "--arc1", repr(np.pi), "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
+    for strategy in (["decoupled"], ["user_supplied", "--contraction", *files]):
+        assert run_cli([*base, "--strategy", *strategy]) == cli.EXIT_OK
+        rep = read_report(capsys)
+        assert rep["schema"] == "dkpair-report/2"
+        assert [k for k in rep["values"] if "rank" in k] == ["rank"]
+        assert [k for k in rep["values"] if "gap_margin" in k] == ["gap_margin"]
+
+
+def test_floquet_checks_time_reversal_once_per_grid(tmp_path, monkeypatch, capsys):
+    # the decoupled route checks the drive on its grid and on the doubled one
+    from dkpair import floquet
+    calls = count_calls(monkeypatch, floquet.check_time_reversal)
+    base = ["floquet", "--arc0", "0.0", "--arc1", repr(np.pi), "--grid", "16",
+            "--tgrid", "64", "--tol", "1e-3"]
+    path = Path(__file__).parent / "data" / "floquet_qwz.json"
+    assert run_cli([*base, "--config", str(path), "--strategy", "decoupled"]) \
+        == cli.EXIT_OK
+    assert len(calls) == 2
+    assert read_report(capsys)["status"] == "ok"
+    # a second segment of another mass breaks R(H(t)) = H(-t); both
+    # strategies stop at the check, before any contraction file is read
+    raw = floquet_config(1.0)
+    hops = {off: 0.5 * mat for off, mat in qwz_hoppings(-1.5).items()}
+    raw["drive"]["segments"][1] = {"duration": 0.5, "hoppings": hoppings_json(hops)}
+    path = write_config(tmp_path, raw)
+    for strategy in (["decoupled"], ["user_supplied", "--contraction", "a", "b"]):
+        assert run_cli([*base, "--config", path, "--strategy", *strategy]) \
+            == cli.EXIT_CONVERGENCE
+        assert capsys.readouterr().err.strip() \
+            == "error: drive is not time-reversal invariant (residual 1.250e+00)"
+
+
 def test_cmd_floquet_reports_branch_degrees(tmp_path, capsys):
     # each branch's degree with its nearest integer and distance to it, as
     # the API's degree difference gives them

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,62 @@ def test_osu_validate(point_grid):
     even = AlgElement.unit(point_grid, 2, 1)
     with pytest.raises(OsuValidationError):
         osu_validate(even, 1e-10)
+
+
+def test_osu_validate_holds_one_defect_at_a_time():
+    # the square defect is live with the product and the unit it is formed
+    # from: three elements, plus bookkeeping far below the 8 MiB element that
+    # a second live defect would add
+    x = BasePoint.standard_rho(TorusGrid((128, 128)), 4, 1).e
+    tracemalloc.start()
+    try:
+        osu_validate(x, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * x.data.nbytes + 2 ** 16
+
+
+def named_residuals(message):
+    """{name: formatted residual} from an error message ending in
+    'name=residual, ...'."""
+    return dict(item.split("=") for item in message.split(": ", 1)[1].split(", "))
+
+
+def test_checks_name_every_failing_defect_and_skip_passing_svds(point_grid, monkeypatch):
+    # every SVD taken is the exact norm of a failing defect: a passing one,
+    # though nonzero, settles on the Frobenius bound
+    x = AlgElement(point_grid, 2, 1)
+    x.data[0] = 0.3 * np.eye(2)
+    x.data[1] = (0.5 + 1e-13j) * np.eye(2)
+    osu_bad = {"even_part": x.homogeneous_part(0).norm_inf(),
+               "square": (x * x - AlgElement.unit(point_grid, 2, 1)).norm_inf()}
+    assert 0 < (x - x.star()).norm_inf() < 1e-10
+    xo, e, y = ko2_generator(point_grid)
+    y.data[0] += 0.1 * np.eye(2) + 1e-13 * np.diag([1.0, -1.0])
+    torsion_bad = {"y_anti_self_adjoint": (y.star() + y).norm_inf(),
+                   "y_unitary": (y * y.star() - AlgElement.unit(point_grid, 2, 1)).norm_inf()}
+    assert 0 < (y * xo.body - xo.body * y).norm_inf() < 1e-10
+    peaks = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        out = svd(*args, **kwargs)
+        peaks.append(float(np.max(out)))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    with pytest.raises(OsuValidationError) as err:
+        osu_validate(x, 1e-10)
+    assert err.value.residuals == osu_bad
+    assert named_residuals(str(err.value)) == {n: f"{r:.3e}" for n, r in osu_bad.items()}
+    assert peaks and set(peaks) <= set(osu_bad.values())
+    peaks.clear()
+    with pytest.raises(ValueError) as err:
+        torsion_loop(xo, e, y, order=8)
+    assert named_residuals(str(err.value)) \
+        == {n: f"{r:.3e}" for n, r in torsion_bad.items()}
+    assert peaks and set(peaks) <= set(torsion_bad.values())
 
 
 def test_osu_midpoint_of_anticommuting_pair(point_grid):
