@@ -22,10 +22,9 @@ from .pairing import (MODULUS_KANE_MELE_CH2, MODULUS_KO2_CH0, CycleSpec,
                       pimsner_constant, selection_rule, spin_chern,
                       torsion_pairing_closed_form, torsion_pairing_via_loop,
                       winding_number)
-from .floquet import (ArcProjection, BranchChoice, FloquetDrive,
+from .floquet import (ArcInvariant, ArcProjection, BranchChoice, FloquetDrive,
                       arc_projection, branch_pair, check_time_reversal,
                       decoupled_contraction, degree_t3, effective_hamiltonian,
-                      evolve, kane_mele_floquet_invariant,
-                      periodized_evolution, tri_symmetry_residual)
+                      evolve, periodized_evolution, tri_symmetry_residual)
 
 __version__ = "0.1.0"

@@ -314,43 +314,28 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
     z0 = complex(np.exp(1j * args.arc0))
     z1 = complex(np.exp(1j * args.arc1))
     rs = models.quaternionic_structure(k=0)
-    b0, b1 = fl.branch_pair(z0, z1, drive.period)
-    h0 = fl.effective_hamiltonian(drive, b0)
-    h1 = fl.effective_hamiltonian(drive, b1)
-    arc = fl.arc_projection(drive, z0, z1)
-    ident = (h1 - h0).scale(-1j * drive.period) \
-        - arc.projection.scale(2j * np.pi)
-    ident_res = ident.norm_inf()
+    inv = fl.ArcInvariant(drive, z0, z1, rs)
+    ident_res = inv.branch_identity()
     report.check("branch_identity", ident_res <= 1e-9, ident_res, 1e-9)
-    tri = fl.check_time_reversal(drive, rs)
-    report.check("time_reversal", tri <= 1e-9, tri, 1e-9)
-    if tri > 1e-9:
-        raise ValueError(f"drive is not time-reversal invariant (residual {tri:.3e})")
-    loop0 = fl.periodized_evolution(drive, b0, args.tgrid)
-    per_res = fl.periodicity_residual(loop0)
+    report.check("time_reversal", True, inv.time_reversal, 1e-9)
+    per_res = fl.periodicity_residual(inv.loop0)
     report.check("periodicity", per_res <= 1e-9, per_res, 1e-9)
     if args.strategy == "user_supplied":
-        # the degree route reuses the b0 loop the periodicity check read
-        loop1 = fl.periodized_evolution(drive, b1, args.tgrid)
         # each file is read when its branch's degree is taken
         contractions = (_read_contraction(f, (*grid.sizes, drive.m, drive.m))
                         for f in args.contraction)
-        kval, degrees = fl.degree_difference((loop0, loop1), contractions, rs)
-        info = {"rank": arc.rank, "gap_margin": arc.gap_margin}
+        kval, degrees = inv.degrees(contractions)
         for b, (deg, n) in enumerate(zip(degrees, map(round, degrees))):
             report.value(f"degree_branch{b}", deg, rounded=n, residual=abs(deg - n))
     else:
-        # time reversal is checked above; the fine grid's is checked in the call
-        kval, info = fl.kane_mele_floquet_invariant(
-            drive, z0, z1, strategy="decoupled", rs=None, integer_tol=args.tol)
+        kval, spin_chern = inv.decoupled(args.tol)
     report.value("k_invariant", kval.reduced, modulus=kval.modulus)
-    for key, val in info.items():
-        report.value(key, float(val))
+    report.value("rank", float(inv.arc.rank))
+    report.value("gap_margin", float(inv.arc.gap_margin))
     if args.strategy == "decoupled":
+        report.value("spin_chern", float(spin_chern))
         fine_drive = cfg.drive_object(cfg.grid(2 * args.grid))
-        kfine, _ = fl.kane_mele_floquet_invariant(
-            fine_drive, z0, z1, strategy="decoupled", rs=rs,
-            integer_tol=args.tol)
+        kfine, _ = fl.ArcInvariant(fine_drive, z0, z1, rs).decoupled(args.tol)
         report.check("k_refinement_stable", kval.reduced == kfine.reduced)
     else:
         report.value("k_refinement", 0.0,

@@ -21,9 +21,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .grid_alg import (AlgElement, RealStructureSpec, _spectral_calculus,
-                       apply_real_structure, failing, named, require_within,
-                       spectral_derivative_data)
+from .grid_alg import (AlgElement, RealStructureSpec, _minus_unit,
+                       _spectral_calculus, apply_real_structure, failing, named,
+                       require_within, spectral_derivative_data)
 from .kclass import (GapClosedError, LoopElement, Segment, _gauss_rule,
                      _simpson_rule, uniform_closed_segment)
 from .pairing import TorsionValue, alt_trace, chern_number, integer_check
@@ -116,7 +116,7 @@ def evolve(drive: FloquetDrive, t: float) -> AlgElement:
         for _ in range(n_full):
             u = np.matmul(u_period, u)
     out = AlgElement.from_matrix_field(drive.grid, u)
-    require_within(out * out.star() - AlgElement.unit(out.grid, out.m, 0), 1e-11,
+    require_within(_minus_unit(out * out.star()), 1e-11,
                    lambda r: f"evolution lost unitarity (residual {r:.3e})")
     return out
 
@@ -522,49 +522,51 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     return _closed_loop(half + [seg], boundary_tol)
 
 
-def kane_mele_floquet_invariant(drive: FloquetDrive, z0: complex, z1: complex,
-                                strategy: str = "decoupled",
-                                rs: RealStructureSpec | None = None,
-                                contractions: tuple[np.ndarray, np.ndarray] | None = None,
-                                t_samples: int = DEFAULT_T_SAMPLES,
-                                integer_tol: float = 1e-6) -> tuple[TorsionValue, dict]:
-    """Z2 invariant of the arc projection of a time-reversal-invariant drive.
+class ArcInvariant:
+    """The Z2 invariant of the arc projection from z0 to z1 of a drive, and
+    the drive-level checks behind it, each built once.  Construction checks
+    time reversal under rs within 1e-9 and keeps the residual.  The two
+    routes to the invariant are `decoupled` and `degrees`."""
 
-    strategy 'decoupled': the drive must commute with diag(-i, i) (x) 1; the
-    invariant is the spin Chern parity of the arc projection's upper block.
-    strategy 'user_supplied': contraction grids for both branches complete
-    the periodized evolutions and the invariant is the degree difference
-    mod 2.
-    """
-    if rs is not None:
-        tri_res = check_time_reversal(drive, rs)
-        if tri_res > 1e-9:
+    def __init__(self, drive: FloquetDrive, z0: complex, z1: complex,
+                 rs: RealStructureSpec):
+        self.time_reversal = check_time_reversal(drive, rs)
+        if self.time_reversal > 1e-9:
             raise ValueError(f"drive is not time-reversal invariant "
-                             f"(residual {tri_res:.3e})")
-    arc = arc_projection(drive, z0, z1)
-    info = {"rank": arc.rank, "gap_margin": arc.gap_margin}
+                             f"(residual {self.time_reversal:.3e})")
+        self.drive, self.z0, self.z1, self.rs = drive, z0, z1, rs
+        self.branches = branch_pair(z0, z1, drive.period)
 
-    if strategy == "decoupled":
-        for _, h in drive.segments:
-            if not commutes_with_spin(h):
-                raise ValueError("decoupled strategy needs a drive commuting "
-                                 "with diag(-i, i) (x) 1")
-        p_up, _ = split_blocks(arc.projection)
-        ch = chern_number(p_up, tol=max(1e-8, integer_tol))
-        k_val = integer_check(ch, integer_tol) % 2
-        info["spin_chern"] = ch
-        return TorsionValue(float(k_val), 2.0), info
+    @cached_property
+    def arc(self) -> ArcProjection:
+        return arc_projection(self.drive, self.z0, self.z1)
 
-    if strategy == "user_supplied":
-        if rs is None or contractions is None:
-            raise ValueError("user_supplied strategy needs a real structure "
-                             "and contraction grids")
-        v_loops = (periodized_evolution(drive, branch, t_samples)
-                   for branch in branch_pair(z0, z1, drive.period))
-        k_val, info["degrees"] = degree_difference(v_loops, contractions, rs)
-        return k_val, info
+    @cached_property
+    def loop0(self) -> LoopElement:
+        """The periodized evolution of the branch eps_0."""
+        return periodized_evolution(self.drive, self.branches[0])
 
-    raise ValueError(f"unknown strategy {strategy!r}")
+    def branch_identity(self) -> float:
+        """Residual of -i T (H_eps1 - H_eps0) = 2 pi i P_arc."""
+        h0, h1 = (effective_hamiltonian(self.drive, b) for b in self.branches)
+        return ((h1 - h0).scale(-1j * self.drive.period)
+                - self.arc.projection.scale(2j * np.pi)).norm_inf()
+
+    def decoupled(self, integer_tol: float) -> tuple[TorsionValue, float]:
+        """(invariant, spin Chern number) for a drive commuting with
+        diag(-i, i) (x) 1: the parity of the arc projection's upper block's
+        Chern number, which must be an integer within integer_tol."""
+        proj = self.arc.projection
+        if not all(commutes_with_spin(h) for _, h in self.drive.segments):
+            raise ValueError("decoupled strategy needs a drive commuting "
+                             "with diag(-i, i) (x) 1")
+        ch = chern_number(split_blocks(proj)[0], tol=max(1e-8, integer_tol))
+        return TorsionValue(float(integer_check(ch, integer_tol) % 2), 2.0), ch
+
+    def degrees(self, contractions) -> tuple[TorsionValue, tuple[float, float]]:
+        """(invariant, degrees) of `degree_difference` on both branches' loops."""
+        v_loops = (self.loop0, periodized_evolution(self.drive, self.branches[1]))
+        return degree_difference(v_loops, contractions, self.rs)
 
 
 def degree_difference(v_loops, contractions, rs: RealStructureSpec

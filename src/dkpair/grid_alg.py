@@ -256,14 +256,19 @@ class AlgElement:
         the answer is the exact norm_inf() <= tol.  Raises LinAlgError on
         non-finite input.
         """
+        return self._bound_or_norm(tol) <= tol
+
+    def _bound_or_norm(self, tol: float) -> float:
+        """`within`'s Frobenius bound when it is within tol, else the exact
+        norm_inf(): either way a value within tol exactly when norm_inf is."""
         live, _, n, fro2 = self._point_squares()
         if not live:
-            return 0.0 <= tol
+            return 0.0
         top = fro2.max()
         bound = np.sqrt(top * (n // self.m)) * (1 + 1e-12)
         if _FRO2_MIN <= top < np.inf and bound <= tol:
-            return True
-        return self.norm_inf() <= tol
+            return bound
+        return self.norm_inf()
 
     # -- Clifford factor manipulation -----------------------------------
     def append_generator(self, on_new: bool = True, coeff: complex = 1.0) -> "AlgElement":
@@ -420,8 +425,9 @@ def failing(defects, tol: float) -> dict:
     generator of defects holds one at a time."""
     bad = {}
     for name, defect in defects:
-        if not defect.within(tol):
-            bad[name] = defect.norm_inf()
+        residual = defect._bound_or_norm(tol)
+        if not residual <= tol:
+            bad[name] = residual
         del defect
     return bad
 
@@ -438,6 +444,12 @@ def require_within(defect: AlgElement, tol: float, message):
     bad = failing([("defect", defect)], tol)
     if bad:
         raise ValueError(message(bad["defect"]))
+
+
+def _minus_unit(x: AlgElement) -> AlgElement:
+    """x - 1, the identity subtracted from x's scalar component in place."""
+    x.data[0] -= np.eye(x.m)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -610,4 +622,4 @@ def _validate_osi(e: AlgElement):
 def _osi_defects(e: AlgElement):
     """(name, defect) of each odd self-inverse check, formed as it is drawn."""
     yield "odd", e.homogeneous_part(0)
-    yield "self-inverse", e * e - AlgElement.unit(e.grid, e.m, e.k)
+    yield "self-inverse", _minus_unit(e * e)

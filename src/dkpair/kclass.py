@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
+from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _minus_unit,
                        _spectral_calculus, apply_derivation,
                        apply_real_structure, failing, named, represent,
                        require_within, spectral_derivative_data, unrepresent)
@@ -70,7 +70,7 @@ def _osu_defects(x: AlgElement, where: str):
     """(name + where, defect) of each OSU check of x, formed as it is drawn."""
     yield "even_part" + where, x.homogeneous_part(0)
     yield "self_adjoint" + where, x - x.star()
-    yield "square" + where, x * x - AlgElement.unit(x.grid, x.m, x.k)
+    yield "square" + where, _minus_unit(x * x)
 
 
 def osu_validate(x: AlgElement, tol: float = 1e-10) -> OsuElement:
@@ -373,10 +373,9 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
 
 def _torsion_preconditions(xb, eb, y, rs, derivations):
     """(name, defect) of each torsion-loop precondition, formed as it is drawn."""
-    unit = AlgElement.unit(xb.grid, xb.m, xb.k)
     yield "y_even", y.homogeneous_part(1)
     yield "y_anti_self_adjoint", y.star() + y
-    yield "y_unitary", y * y.star() - unit
+    yield "y_unitary", _minus_unit(y * y.star())
     yield "y_commutes_x", y * xb - xb * y
     yield "y_commutes_e", y * eb - eb * y
     for dv in derivations:

@@ -365,8 +365,7 @@ def test_criterion_12_floquet():
         degs.append(fl.degree_t3(fl.decoupled_contraction(vloop),
                                  integer_tol=1e-3))
     k_deg = (round(degs[1]) - round(degs[0])) % 2
-    kval, info = fl.kane_mele_floquet_invariant(drive, z0, z1, "decoupled",
-                                                rs=rs, integer_tol=1e-6)
+    kval, _ = fl.ArcInvariant(drive, z0, z1, rs).decoupled(1e-6)
     sc = spin_chern(qwz_symbol(grid, 1.0))
     assert int(kval.reduced) == integer_check(sc, 1e-6) % 2 == k_deg == 1
     report(12, "Floquet pipeline",

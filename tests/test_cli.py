@@ -215,18 +215,23 @@ def floquet_config(mass=1.0, scale=0.5):
 
 
 def test_cmd_floquet_undriven_topological(tmp_path, capsys):
+    # --tgrid sets only the exported time nodes, which no reported value reads
     path = write_config(tmp_path, floquet_config(1.0))
-    code = run_cli(["floquet", "--config", path, "--arc0", "0.0",
-                    "--arc1", "3.14159265", "--grid", "16", "--tgrid", "64",
-                    "--tol", "1e-3"])
-    assert code == cli.EXIT_OK
-    rep = read_report(capsys)
+    reports = []
+    for tgrid in ("64", "256"):
+        code = run_cli(["floquet", "--config", path, "--arc0", "0.0",
+                        "--arc1", "3.14159265", "--grid", "16", "--tgrid", tgrid,
+                        "--tol", "1e-3"])
+        assert code == cli.EXIT_OK
+        reports.append(read_report(capsys))
+    rep = reports[0]
     checks = {c["name"]: c for c in rep["checks"]}
     assert checks["branch_identity"]["passed"]
     assert checks["time_reversal"]["passed"]
     assert checks["periodicity"]["passed"]
     assert checks["k_refinement_stable"]["passed"]
     assert rep["values"]["k_invariant"]["value"] == 1.0
+    assert (reports[1]["values"], reports[1]["checks"]) == (rep["values"], rep["checks"])
 
 
 def test_cmd_floquet_trivial_drive(tmp_path, capsys):
@@ -503,6 +508,26 @@ def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatc
     assert read_report(capsys)["status"] == "ok"
 
 
+def test_floquet_builds_one_arc_projection_per_grid(tmp_path, monkeypatch, capsys):
+    # the branch identity, the reported rank and gap margin and the decoupled
+    # route read one arc projection; the refinement check builds its own
+    from dkpair import floquet
+    raw = floquet_config(1.0)
+    cfg = cli.ModelConfig(raw)
+    files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(16)))
+    base = ["floquet", "--config", write_config(tmp_path, raw), "--arc0", "0.0",
+            "--arc1", repr(np.pi), "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
+    calls = count_calls(monkeypatch, floquet.arc_projection)
+    assert run_cli([*base, "--strategy", "decoupled"]) == cli.EXIT_OK
+    assert [drive.grid.sizes for drive in calls] == [(16, 16), (32, 32)]
+    assert read_report(capsys)["status"] == "ok"
+    calls.clear()
+    assert run_cli([*base, "--strategy", "user_supplied",
+                    "--contraction", *files]) == cli.EXIT_OK
+    assert [drive.grid.sizes for drive in calls] == [(16, 16)]
+    assert read_report(capsys)["status"] == "ok"
+
+
 def test_floquet_reports_rank_and_gap_margin_once(tmp_path, capsys):
     raw = floquet_config(1.0)
     cfg = cli.ModelConfig(raw)
@@ -539,6 +564,21 @@ def test_floquet_checks_time_reversal_once_per_grid(tmp_path, monkeypatch, capsy
             == cli.EXIT_CONVERGENCE
         assert capsys.readouterr().err.strip() \
             == "error: drive is not time-reversal invariant (residual 1.250e+00)"
+
+
+def test_floquet_checks_time_reversal_before_any_gap(tmp_path, capsys):
+    # U(T) = exp(-0.4i) everywhere puts every eigenphase on the branch cut at
+    # arc0 = -0.4, and the unequal halves break R(H(t)) = H(-t): the broken
+    # premise is reported, not the closed gap
+    raw = floquet_config(1.0)
+    raw["drive"]["segments"] = [
+        {"duration": 0.5, "hoppings": hoppings_json({(0, 0): energy * np.eye(2)})}
+        for energy in (0.3, 0.5)]
+    code = run_cli(["floquet", "--config", write_config(tmp_path, raw), "--arc0", "-0.4",
+                    "--arc1", "3.0", "--grid", "8", "--tgrid", "32"])
+    assert code == cli.EXIT_CONVERGENCE
+    assert capsys.readouterr().err.strip() \
+        == "error: drive is not time-reversal invariant (residual 2.000e-01)"
 
 
 def test_cmd_floquet_reports_branch_degrees(tmp_path, capsys):

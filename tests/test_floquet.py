@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chern_fhs
 from dkpair import floquet as fl
@@ -170,10 +172,34 @@ def test_degree_of_projection_exponential(grid):
     assert abs(deg + chern_fhs(p)) < 1e-4
 
 
+@pytest.fixture(scope="module")
+def qwz_projection_degree(grid):
+    """A QWZ projection and the T^3 degree of its exponential loop."""
+    s = flatten(qwz_symbol(grid, 1.0))
+    p = (s + AlgElement.unit(grid, 2, 0)).scale(0.5)
+    return p, fl.degree_t3(exp_projection_loop(p, 48), integer_tol=1e-3)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2 ** 31))
+@example(0)
+@example(2 ** 31)
+def test_degree_gauge_invariant(qwz_projection_degree, seed):
+    # g p g* with g = exp(iB), B a grid-constant hermitian matrix, is a global
+    # gauge transformation, which the T^3 degree may not see
+    p, deg = qwz_projection_degree
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    w, v = np.linalg.eigh(a + np.conj(a.T))
+    g = AlgElement.from_matrix_field(
+        p.grid, np.broadcast_to((v * np.exp(1j * w)) @ np.conj(v.T), (*p.grid.sizes, 2, 2)))
+    deg_g = fl.degree_t3(exp_projection_loop(g * p * g.star(), 48), integer_tol=1e-3)
+    assert abs(deg_g - deg) <= 1e-12
+
+
 def test_decoupled_invariant_matches_spin_chern(tri_drive, rs, grid):
     z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
-    kval, info = fl.kane_mele_floquet_invariant(
-        tri_drive, z0, z1, "decoupled", rs=rs, integer_tol=1e-4)
+    kval, _ = fl.ArcInvariant(tri_drive, z0, z1, rs).decoupled(1e-4)
     assert kval.modulus == 2.0
     sc = spin_chern(qwz_symbol(grid, 1.0))
     assert kval.reduced == round(abs(sc)) % 2 == 1
@@ -183,9 +209,7 @@ def test_undriven_trivial_model(grid, rs):
     # scaled so the eigenphases stay inside (-pi, pi): spectrum in [0.5, 2.5]
     h = spin_double(qwz_symbol(grid, 3.0)).scale(0.5)
     drive = fl.FloquetDrive(1.0, ((0.5, h), (0.5, h)))
-    kval, info = fl.kane_mele_floquet_invariant(
-        drive, 1.0 + 0j, np.exp(1j * np.pi), "decoupled", rs=rs,
-        integer_tol=1e-4)
+    kval, _ = fl.ArcInvariant(drive, 1.0 + 0j, np.exp(1j * np.pi), rs).decoupled(1e-4)
     assert kval.reduced == 0.0
 
 
@@ -196,9 +220,7 @@ def test_wrapped_spectrum_is_caught(grid, rs):
     h = spin_double(qwz_symbol(grid, 3.0))
     drive = fl.FloquetDrive(1.0, ((0.5, h), (0.5, h)))
     with pytest.raises((GapClosedError, ValueError)):
-        fl.kane_mele_floquet_invariant(
-            drive, 1.0 + 0j, np.exp(1j * np.pi), "decoupled", rs=rs,
-            integer_tol=1e-4)
+        fl.ArcInvariant(drive, 1.0 + 0j, np.exp(1j * np.pi), rs).decoupled(1e-4)
 
 
 def test_degree_difference_route(tri_drive, rs):
@@ -210,8 +232,7 @@ def test_degree_difference_route(tri_drive, rs):
         vhat = fl.decoupled_contraction(loop)
         degs.append(fl.degree_t3(vhat, integer_tol=5e-3))
     k_deg = (round(degs[1]) - round(degs[0])) % 2
-    kval, _ = fl.kane_mele_floquet_invariant(tri_drive, z0, z1, "decoupled",
-                                             rs=rs, integer_tol=1e-4)
+    kval, _ = fl.ArcInvariant(tri_drive, z0, z1, rs).decoupled(1e-4)
     assert k_deg == int(kval.reduced)
 
 
@@ -227,11 +248,9 @@ def test_user_supplied_contraction_route(tri_drive, rs):
         samples = np.concatenate([second[0].values[0]]
                                  + [seg.values[0, 1:] for seg in second[1:]])
         contractions.append(samples)
-    kval, info = fl.kane_mele_floquet_invariant(
-        tri_drive, z0, z1, "user_supplied", rs=rs,
-        contractions=tuple(contractions), t_samples=96, integer_tol=1e-4)
+    kval, degrees = fl.ArcInvariant(tri_drive, z0, z1, rs).degrees(tuple(contractions))
     assert int(kval.reduced) == 1
-    assert "degrees" in info
+    assert len(degrees) == 2
 
 
 def test_user_supplied_contraction_validation(tri_drive, rs):
@@ -239,21 +258,17 @@ def test_user_supplied_contraction_validation(tri_drive, rs):
     nt = 97
     bad = np.broadcast_to(np.eye(4), (nt, 16, 16, 4, 4)).copy()
     with pytest.raises(ValueError, match="boundary"):
-        fl.kane_mele_floquet_invariant(
-            tri_drive, z0, z1, "user_supplied", rs=rs,
-            contractions=(bad, bad), t_samples=96)
+        fl.ArcInvariant(tri_drive, z0, z1, rs).degrees((bad, bad))
 
 
 def test_arc_swap_regression(tri_drive, rs):
     # swapping the arc endpoints selects the complementary projection; the
     # computed values are recorded as regression data, not asserted a priori
     z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
-    k1, i1 = fl.kane_mele_floquet_invariant(tri_drive, z0, z1, "decoupled",
-                                            rs=rs, integer_tol=1e-4)
-    k2, i2 = fl.kane_mele_floquet_invariant(tri_drive, z1, z0, "decoupled",
-                                            rs=rs, integer_tol=1e-4)
-    assert round(i1["spin_chern"]) == -1
-    assert round(i2["spin_chern"]) == 1
+    k1, ch1 = fl.ArcInvariant(tri_drive, z0, z1, rs).decoupled(1e-4)
+    k2, ch2 = fl.ArcInvariant(tri_drive, z1, z0, rs).decoupled(1e-4)
+    assert round(ch1) == -1
+    assert round(ch2) == 1
     assert (int(k1.reduced), int(k2.reduced)) == (1, 1)
 
 
@@ -354,12 +369,10 @@ def test_invariant_independent_of_drive_scale(tri_drive, rs, lam):
     scaled = fl.FloquetDrive(tri_drive.period / lam,
                              tuple((tau / lam, h.scale(lam))
                                    for tau, h in tri_drive.segments))
-    ref, ref_info = fl.kane_mele_floquet_invariant(
-        tri_drive, z0, z1, "decoupled", rs=rs, integer_tol=1e-3)
-    kval, info = fl.kane_mele_floquet_invariant(
-        scaled, z0, z1, "decoupled", rs=rs, integer_tol=1e-3)
+    ref, ref_ch = fl.ArcInvariant(tri_drive, z0, z1, rs).decoupled(1e-3)
+    kval, ch = fl.ArcInvariant(scaled, z0, z1, rs).decoupled(1e-3)
     assert kval.reduced == ref.reduced
-    assert abs(info["spin_chern"] - ref_info["spin_chern"]) < 1e-9
+    assert abs(ch - ref_ch) < 1e-9
 
 
 def rescaled(drive, lam):

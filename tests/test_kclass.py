@@ -77,8 +77,8 @@ def test_osu_validate(point_grid):
 
 
 def test_osu_validate_holds_one_defect_at_a_time():
-    # the square defect is live with the product and the unit it is formed
-    # from: three elements, plus bookkeeping far below the 8 MiB element that
+    # the square defect is the product with the unit subtracted in place, live
+    # with x: two elements, plus bookkeeping far below the 8 MiB element that
     # a second live defect would add
     x = BasePoint.standard_rho(TorusGrid((128, 128)), 4, 1).e
     tracemalloc.start()
@@ -87,7 +87,7 @@ def test_osu_validate_holds_one_defect_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * x.data.nbytes + 2 ** 16
+    assert peak < 2 * x.data.nbytes + 2 ** 18
 
 
 def named_residuals(message):
@@ -97,8 +97,9 @@ def named_residuals(message):
 
 
 def test_checks_name_every_failing_defect_and_skip_passing_svds(point_grid, monkeypatch):
-    # every SVD taken is the exact norm of a failing defect: a passing one,
-    # though nonzero, settles on the Frobenius bound
+    # every SVD taken is the exact norm of a failing defect, taken once (one
+    # SVD on one grid point): a passing one, though nonzero, settles on the
+    # Frobenius bound
     x = AlgElement(point_grid, 2, 1)
     x.data[0] = 0.3 * np.eye(2)
     x.data[1] = (0.5 + 1e-13j) * np.eye(2)
@@ -123,13 +124,13 @@ def test_checks_name_every_failing_defect_and_skip_passing_svds(point_grid, monk
         osu_validate(x, 1e-10)
     assert err.value.residuals == osu_bad
     assert named_residuals(str(err.value)) == {n: f"{r:.3e}" for n, r in osu_bad.items()}
-    assert peaks and set(peaks) <= set(osu_bad.values())
+    assert len(peaks) == len(osu_bad) and set(peaks) <= set(osu_bad.values())
     peaks.clear()
     with pytest.raises(ValueError) as err:
         torsion_loop(xo, e, y, order=8)
     assert named_residuals(str(err.value)) \
         == {n: f"{r:.3e}" for n, r in torsion_bad.items()}
-    assert peaks and set(peaks) <= set(torsion_bad.values())
+    assert len(peaks) == len(torsion_bad) and set(peaks) <= set(torsion_bad.values())
 
 
 def test_osu_midpoint_of_anticommuting_pair(point_grid):
