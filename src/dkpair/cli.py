@@ -22,7 +22,7 @@ from .kclass import (BasePoint, GapClosedError, flatten,
                      make_osu_from_hamiltonian, osu_validate)
 from .pairing import integer_check
 
-REPORT_SCHEMA = "dkpair-report/2"
+REPORT_SCHEMA = "dkpair-report/3"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -209,7 +209,8 @@ def _quantized(report: Report, name: str, coarse: float, fine: float,
 # ---------------------------------------------------------------------------
 
 def cmd_pair(cfg: ModelConfig, args) -> int:
-    grids = {"momentum": args.grid, "time": args.tgrid}
+    # ch1 reads a time circle, ch0 and ch2 the momentum grid
+    grids = {"time": args.tgrid} if args.cycle == "ch1" else {"momentum": args.grid}
     report = Report("pair", cfg.digest(), grids)
     cycle_name = args.cycle
     if cycle_name == "ch0":
@@ -270,24 +271,28 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     rs = models.quaternionic_structure(k=0)
     spins = []
     torsions = []
-    m = 2 * cfg.matrix_size
+    m = cfg.matrix_size
     for n in (args.grid, 2 * args.grid):
         grid = cfg.grid(n)
+        h1 = cfg.block_symbol(grid)
         if n == args.grid:
-            inv, res = check_invariance(rs, cfg.symbol(grid), 1e-9)
+            # without rashba terms the model's symbol is diag(h1, f h1)
+            inv, res = check_invariance(rs, models.spin_double(h1), 1e-9)
             report.check("time_reversal_invariance", inv, res, 1e-9)
             if not inv:
                 report.finish(args.report)
                 return EXIT_VALIDATION
         # sign(diag(h1, f h1)) = diag(sign h1, f sign h1): one flattening of
-        # the block gives both the spin Chern number and the doubled OSU
-        s1 = flatten(cfg.block_symbol(grid))
+        # the block gives the spin Chern number and the class.  With the spin
+        # symmetry diag(-i, i) (x) 1 the closed form reads only the block
+        # f(s1) (x) rho of the doubled class, so z2 passes it with y = i 1
+        s1 = flatten(h1)
         spins.append(pairing.chern_number(
             (s1 + AlgElement.unit(grid, s1.m, 0)).scale(0.5)))
-        x = osu_validate(models.spin_double(s1).append_generator())
+        x = osu_validate(models.conjugate_flip(s1).append_generator())
         e = BasePoint.standard_rho(grid, m, 1, sign=-1)
         y = AlgElement(grid, m, 1)
-        y.data[0] = np.kron(np.diag([-1j, 1j]), np.eye(m // 2))
+        y.data[0] = 1j * np.eye(m)
         torsions.append(pairing.torsion_pairing_closed_form(
             pairing.ch2(), x, e, y, pairing.MODULUS_KANE_MELE_CH2))
     sc = _quantized(report, "spin_chern", spins[0], spins[1], args.tol)
@@ -307,8 +312,7 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
         raise ConfigError("floquet needs a spin-doubled model")
     if args.strategy == "user_supplied" and not args.contraction:
         raise ConfigError("user_supplied strategy needs --contraction")
-    report = Report("floquet", cfg.digest(),
-                    {"momentum": args.grid, "time": args.tgrid})
+    report = Report("floquet", cfg.digest(), {"momentum": args.grid})
     grid = cfg.grid(args.grid)
     drive = cfg.drive_object(grid)
     z0 = complex(np.exp(1j * args.arc0))

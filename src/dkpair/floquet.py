@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
 
 import numpy as np
 
@@ -148,10 +147,9 @@ def unitary_eig(u: AlgElement):
 @dataclass(frozen=True)
 class BranchChoice:
     """Branch of the logarithm with eigenphases placed in [eps*T, eps*T + 2pi),
-    none of them closer than gap_tol to the cut."""
+    none of them closer than _PHASE_GAP to the cut."""
 
     eps: float
-    gap_tol: ClassVar[float] = _PHASE_GAP
 
 
 @dataclass(frozen=True)
@@ -163,10 +161,10 @@ class ArcProjection:
     gap_margin: float
 
 
-def _branch_phases(phases: np.ndarray, cut: float, gap_tol: float) -> np.ndarray:
+def _branch_phases(phases: np.ndarray, cut: float) -> np.ndarray:
     shifted = np.mod(phases - cut, 2 * np.pi)
     margin = float(min(shifted.min(), (2 * np.pi - shifted).min()))
-    if margin < gap_tol:
+    if margin < _PHASE_GAP:
         raise GapClosedError(f"eigenphase within {margin:.3e} of the branch cut",
                              smallest=margin)
     return cut + shifted
@@ -175,7 +173,7 @@ def _branch_phases(phases: np.ndarray, cut: float, gap_tol: float) -> np.ndarray
 def _effective_spectrum(drive: FloquetDrive, branch: BranchChoice):
     """Eigenvalues and orthonormal eigenvectors of the effective Hamiltonian."""
     phases, vecs = drive._spectrum
-    phi = _branch_phases(phases, branch.eps * drive.period, branch.gap_tol)
+    phi = _branch_phases(phases, branch.eps * drive.period)
     return -phi / drive.period, vecs
 
 

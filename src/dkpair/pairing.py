@@ -431,9 +431,9 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
 
     y is grid-constant and lives in the matrix factor, so p_y = V V* for an
     isometry V onto its range, taken from the eigenvectors of p_y at the grid
-    origin; the derivations commute with a -> V* a V, and the trace is
-    Tr [ (V*(x - e)V) (d V*xV)^n ]_top at the rank of p_y (m/2 for a spin
-    symmetry).  Precondition, checked within 1e-8: p_y equals its value at
+    origin; the derivations commute with a -> V* a V, so the trace is `pair`
+    of V*xV against V*eV, at the rank of p_y (m/2 for a spin symmetry, m for
+    y = i 1).  Precondition, checked within 1e-8: p_y equals its value at
     the origin on the scalar Clifford component and 0 on the others, and
     that value is a projection.  It rejects a y that varies over the grid or
     has a non-scalar even Clifford part; no caller in the package, its
@@ -459,20 +459,15 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
         raise ValueError(f"(1 - i y)/2 is not a projection (residual {residual:.3e})")
     w, vecs = np.linalg.eigh(p0)
     v = vecs[:, w > 0.5]
-    xc = _compress(xb, v)
-    diffs = [apply_derivation(dv, xc).data for dv in cycle.derivations]
-    n = cycle.n
-    z = (xc - _compress(eb, v)).data
-    trace = complex(np.mean(alt_trace(z, diffs, k)))
-    raw = trace * _top_phase(k, n) * cycle.scale(k) * (1j) ** (mu(n) % 4)
-    return _on_real_ray((1j) ** ((n - 1 + mu_prime(k + 1)) % 4) * raw, modulus)
+    raw = pair(cycle, _compress(xb, v), _compress(eb, v)).value
+    return _on_real_ray((1j) ** ((cycle.n - 1 + mu_prime(k + 1)) % 4) * raw, modulus)
 
 
 def _compress(a: AlgElement, v: np.ndarray) -> AlgElement:
     """V* a V at every grid point and Clifford component, for an m x r
-    isometry V.  When V is a run of unit columns, as eigh gives for the
-    spin-doubling y = diag(-i, i) (x) 1, this is a slice: the stacked
-    product made z2-sweep solves about 15% slower."""
+    isometry V.  When V is a run of unit columns, as eigh gives for y = i 1
+    and the spin-doubling y = diag(-i, i) (x) 1, this is a slice: it reads
+    the block without forming two products over every point."""
     m, r = v.shape
     j = int(np.argmax(v.any(axis=1)))  # the first row V touches
     if np.array_equal(v, np.eye(m)[:, j:j + r]):

@@ -215,7 +215,8 @@ def floquet_config(mass=1.0, scale=0.5):
 
 
 def test_cmd_floquet_undriven_topological(tmp_path, capsys):
-    # --tgrid sets only the exported time nodes, which no reported value reads
+    # --tgrid sets only the exported time nodes, which no reported value reads,
+    # and the report names only the momentum grid
     path = write_config(tmp_path, floquet_config(1.0))
     reports = []
     for tgrid in ("64", "256"):
@@ -231,7 +232,9 @@ def test_cmd_floquet_undriven_topological(tmp_path, capsys):
     assert checks["periodicity"]["passed"]
     assert checks["k_refinement_stable"]["passed"]
     assert rep["values"]["k_invariant"]["value"] == 1.0
-    assert (reports[1]["values"], reports[1]["checks"]) == (rep["values"], rep["checks"])
+    for r in reports:
+        del r["wall_time_s"]
+    assert reports[1] == rep
 
 
 def test_cmd_floquet_trivial_drive(tmp_path, capsys):
@@ -430,10 +433,14 @@ def test_floquet_factorizes_each_stroboscopic_operator_once(tmp_path, monkeypatc
 def test_z2_and_pair_flatten_once_per_grid(tmp_path, monkeypatch, capsys):
     from dkpair import kclass
     calls = count_calls(monkeypatch, kclass.flatten)
+    # z2 validates the class at block size, not the doubled one
+    osus = count_calls(monkeypatch, kclass.osu_validate)
     path = write_config(tmp_path, qwz_config(1.0, spin_doubling=True))
     assert run_cli(["z2", "--config", path, "--grid", "24", "--tol", "1e-4"]) \
         == cli.EXIT_OK
     assert [(h.grid.sizes, h.m) for h in calls] == [((24, 24), 2), ((48, 48), 2)]
+    assert [(x.grid.sizes, x.m, x.k) for x in osus] == [((24, 24), 2, 1),
+                                                        ((48, 48), 2, 1)]
     assert read_report(capsys)["status"] == "ok"
     calls.clear()
     path = write_config(tmp_path, qwz_config(1.0), name="block.json")
@@ -537,7 +544,7 @@ def test_floquet_reports_rank_and_gap_margin_once(tmp_path, capsys):
     for strategy in (["decoupled"], ["user_supplied", "--contraction", *files]):
         assert run_cli([*base, "--strategy", *strategy]) == cli.EXIT_OK
         rep = read_report(capsys)
-        assert rep["schema"] == "dkpair-report/2"
+        assert rep["schema"] == "dkpair-report/3"
         assert [k for k in rep["values"] if "rank" in k] == ["rank"]
         assert [k for k in rep["values"] if "gap_margin" in k] == ["gap_margin"]
 

@@ -290,7 +290,7 @@ def test_stroboscopic_spectrum_reuse_matches_fresh_factorization(tri_drive):
     T = tri_drive.period
     phases, vecs = fl.unitary_eig(fl.evolve(tri_drive, T))
     branch = fl.BranchChoice(0.3)
-    phi = fl._branch_phases(phases, branch.eps * T, branch.gap_tol)
+    phi = fl._branch_phases(phases, branch.eps * T)
     want_h = np.einsum("...ij,...j,...kj->...ik", vecs, -phi / T, np.conj(vecs))
     assert np.array_equal(fl.effective_hamiltonian(tri_drive, branch).data[0], want_h)
     z0, z1 = np.exp(0.1j), np.exp(1j * np.pi)
