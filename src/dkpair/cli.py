@@ -20,9 +20,8 @@ from . import models, pairing
 from .grid_alg import AlgElement, TorusGrid, check_invariance
 from .kclass import (BasePoint, GapClosedError, flatten,
                      make_osu_from_hamiltonian, osu_validate)
-from .pairing import integer_check
 
-REPORT_SCHEMA = "dkpair-report/3"
+REPORT_SCHEMA = "dkpair-report/4"
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -164,11 +163,14 @@ class Report:
         entry.update(extra)
         self.payload["values"][name] = entry
 
-    def check(self, name, passed, residual=None, tolerance=None):
+    def check(self, name, residual, tolerance):
+        """Record a contract; it passes when residual <= tolerance, so a NaN
+        residual fails.  A verdict records its mismatch against 0.0."""
+        residual, tolerance = float(residual), float(tolerance)
+        passed = residual <= tolerance
         self.payload["checks"].append({
-            "name": name, "passed": bool(passed),
-            "residual": None if residual is None else float(residual),
-            "tolerance": tolerance,
+            "name": name, "passed": passed,
+            "residual": residual, "tolerance": tolerance,
         })
         if not passed:
             self.payload["status"] = "failed"
@@ -191,16 +193,14 @@ def _finish(report: Report, path: str | None) -> int:
 
 def _quantized(report: Report, name: str, coarse: float, fine: float,
                tol: float) -> int:
-    """Record a quantized value with its refinement check; raises on failure."""
-    n_coarse = integer_check(coarse, tol)
-    n_fine = integer_check(fine, tol)
-    stable = n_coarse == n_fine
+    """Record a quantized value with its integerness and refinement checks."""
+    n_coarse, n_fine = round(coarse), round(fine)
     report.value(name, coarse, rounded=n_coarse,
                  residual=abs(coarse - n_coarse), refined=fine,
-                 refinement_stable=stable)
-    if not stable:
-        raise ValueError(f"{name}: rounded value changed under grid doubling "
-                         f"({n_coarse} vs {n_fine})")
+                 refinement_stable=n_coarse == n_fine)
+    report.check(f"{name}_integer",
+                 max(abs(coarse - n_coarse), abs(fine - n_fine)), tol)
+    report.check(f"{name}_refinement", abs(n_coarse - n_fine), 0.0)
     return n_coarse
 
 
@@ -220,9 +220,9 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
         e = BasePoint.standard_rho(grid, h.m, 1, sign=-1)
         val = pairing.pair(pairing.ch0(), x, e).value
         report.value("pairing", val)
-        rank = integer_check(val.real, args.tol)
+        rank = round(val.real)
         report.value("rank", float(rank), rounded=rank)
-        report.check("integer", True, abs(val.real - rank), args.tol)
+        report.check("integer", abs(val.real - rank), args.tol)
     elif cycle_name == "ch1":
         if cfg.dimension != 1:
             raise ConfigError("ch1 needs a one-dimensional model")
@@ -232,9 +232,9 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
             w = pairing.winding_number(u)
         except ValueError as exc:
             raise ConfigError(f"loop modes do not define a unitary: {exc}")
-        n = integer_check((w / (2j * np.pi)).real, args.tol)
+        n = round((w / (2j * np.pi)).real)
         report.value("pairing", w, winding=n)
-        report.check("integer", True, abs(w / (2j * np.pi) - n), args.tol)
+        report.check("integer", abs(w / (2j * np.pi) - n), args.tol)
     elif cycle_name == "ch2":
         if cfg.dimension != 2:
             raise ConfigError("ch2 needs a two-dimensional model")
@@ -251,10 +251,8 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
         e = BasePoint.standard_rho(x.body.grid, x.body.m, 1, sign=-1)
         val = pairing.pair(pairing.ch2(), x, e).value
         report.value("pairing", val, two_pi_times=2 * np.pi * val.real)
-        report.check("ray", abs(val.imag) <= args.tol, abs(val.imag), args.tol)
-        report.check("chern_consistency",
-                     abs(2 * np.pi * val.real - ch) <= args.tol,
-                     abs(2 * np.pi * val.real - ch), args.tol)
+        report.check("ray", abs(val.imag), args.tol)
+        report.check("chern_consistency", abs(2 * np.pi * val.real - ch), args.tol)
     else:
         raise ConfigError(f"unknown cycle {cycle_name!r} (use ch0|ch1|ch2)")
     return _finish(report, args.report)
@@ -277,11 +275,8 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
         h1 = cfg.block_symbol(grid)
         if n == args.grid:
             # without rashba terms the model's symbol is diag(h1, f h1)
-            inv, res = check_invariance(rs, models.spin_double(h1), 1e-9)
-            report.check("time_reversal_invariance", inv, res, 1e-9)
-            if not inv:
-                report.finish(args.report)
-                return EXIT_VALIDATION
+            _, res = check_invariance(rs, models.spin_double(h1), 1e-9)
+            report.check("time_reversal_invariance", res, 1e-9)
         # sign(diag(h1, f h1)) = diag(sign h1, f sign h1): one flattening of
         # the block gives the spin Chern number and the class.  With the spin
         # symmetry diag(-i, i) (x) 1 the closed form reads only the block
@@ -298,12 +293,10 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     sc = _quantized(report, "spin_chern", spins[0], spins[1], args.tol)
     report.value("torsion_pairing", torsions[0].reduced,
                  modulus=torsions[0].modulus)
-    report.check("torsion_refinement",
-                 torsions[0].distance(torsions[1]) <= 1e-6,
-                 torsions[0].distance(torsions[1]), 1e-6)
+    report.check("torsion_refinement", torsions[0].distance(torsions[1]), 1e-6)
     z2 = torsions[0].z2_class(2 * np.pi)
     report.value("z2_class", float(z2), rounded=z2)
-    report.check("parity_consistency", z2 == sc % 2)
+    report.check("parity_consistency", (z2 - sc) % 2, 0.0)
     return _finish(report, args.report)
 
 
@@ -319,11 +312,9 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
     z1 = complex(np.exp(1j * args.arc1))
     rs = models.quaternionic_structure(k=0)
     inv = fl.ArcInvariant(drive, z0, z1, rs)
-    ident_res = inv.branch_identity()
-    report.check("branch_identity", ident_res <= 1e-9, ident_res, 1e-9)
-    report.check("time_reversal", True, inv.time_reversal, 1e-9)
-    per_res = fl.periodicity_residual(inv.loop0)
-    report.check("periodicity", per_res <= 1e-9, per_res, 1e-9)
+    report.check("branch_identity", inv.branch_identity(), 1e-9)
+    report.check("time_reversal", inv.time_reversal, 1e-9)
+    report.check("periodicity", fl.periodicity_residual(inv.loop0), 1e-9)
     if args.strategy == "user_supplied":
         # each file is read when its branch's degree is taken
         contractions = (_read_contraction(f, (*grid.sizes, drive.m, drive.m))
@@ -340,7 +331,7 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
         report.value("spin_chern", float(spin_chern))
         fine_drive = cfg.drive_object(cfg.grid(2 * args.grid))
         kfine, _ = fl.ArcInvariant(fine_drive, z0, z1, rs).decoupled(args.tol)
-        report.check("k_refinement_stable", kval.reduced == kfine.reduced)
+        report.check("k_refinement_stable", kval.distance(kfine), 0.0)
     else:
         report.value("k_refinement", 0.0,
                      note="fixed user-supplied contraction grid")
@@ -362,19 +353,22 @@ def _read_contraction(path: str, shape: tuple) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
+    # each suite with the sample counts it reads: (keyword, grids key, size)
+    momentum = ("grid_n", "momentum", args.grid)
+    time_ = ("t_n", "time", args.tgrid)
     suites = {
-        "clifford": verify_mod.suite_clifford,
-        "selection-rules": verify_mod.suite_selection_rules,
-        "pimsner": verify_mod.suite_pimsner,
-        "torsion": verify_mod.suite_torsion,
-        "ko-examples": verify_mod.suite_ko_examples,
+        "clifford": (verify_mod.suite_clifford, ()),
+        "selection-rules": (verify_mod.suite_selection_rules, (momentum, time_)),
+        "pimsner": (verify_mod.suite_pimsner, (momentum,)),
+        "torsion": (verify_mod.suite_torsion, (momentum,)),
+        "ko-examples": (verify_mod.suite_ko_examples, (time_,)),
     }
     if args.suite not in suites:
         raise ConfigError(f"unknown suite {args.suite!r}; "
                           f"choose from {sorted(suites)}")
-    report = Report(f"verify:{args.suite}", None,
-                    {"momentum": args.grid, "time": args.tgrid})
-    suites[args.suite](report, grid_n=args.grid, t_n=args.tgrid)
+    suite, sizes = suites[args.suite]
+    report = Report(f"verify:{args.suite}", None, {key: n for _, key, n in sizes})
+    suite(report, **{kw: n for kw, _, n in sizes})
     return _finish(report, args.report)
 
 

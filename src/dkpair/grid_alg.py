@@ -93,7 +93,6 @@ class RealStructureSpec:
 
     fiber: str = "c"
     momentum_flip: bool = False
-    time_flip: bool = False
     clifford_signs: tuple[int, ...] = ()
     fiber_block: int | None = None
 
@@ -107,7 +106,7 @@ class RealStructureSpec:
 
     def extend(self, sign: int) -> "RealStructureSpec":
         """Same structure with one appended Clifford generator of given sign."""
-        return RealStructureSpec(self.fiber, self.momentum_flip, self.time_flip,
+        return RealStructureSpec(self.fiber, self.momentum_flip,
                                  self.clifford_signs + (sign,), self.fiber_block)
 
 
@@ -399,8 +398,7 @@ def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
     out = np.conj(x.data)
     # axis flips: index negation n -> -n mod N (exact for even sizes)
     for axis in range(x.grid.d):
-        role = x.grid.axis_roles[axis]
-        if (role == MOMENTUM and rs.momentum_flip) or (role == TIME and rs.time_flip):
+        if rs.momentum_flip and x.grid.axis_roles[axis] == MOMENTUM:
             out = np.flip(np.roll(out, -1, axis=1 + axis), axis=1 + axis)
     if rs.fiber == "h":
         block = rs.fiber_block or x.m

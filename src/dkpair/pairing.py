@@ -1,11 +1,11 @@
 """Characters of cycles and their pairings with K-class representatives.
 
 A cycle is described by its dimension n, an ordered list of commuting
-spectral derivations, the normalization of its closed graded trace, and its
-sign/parity under the *-operation and the real structure.  The pairing of an
-n-dimensional character with an OSU x in M_m(A) (x) Cl_k is
+spectral derivations and the base-2 exponent norm_log2 of the normalization
+of its closed graded trace.  The pairing of an n-dimensional character with
+an OSU x in M_m(A) (x) Cl_k is
 
-    2^(k/2) * norm_const * i^mu(n) * sum_{perm} sgn *
+    2^(k/2 + norm_log2) * i^mu(n) * sum_{perm} sgn *
         Tr_A Tr_m [ (x - e) d_{perm(1)}x ... d_{perm(n)}x ]_top
 
 where [.]_top extracts the chirality-element coefficient of the Clifford
@@ -36,51 +36,40 @@ from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement, _combine
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """Descriptor of a character: dimension, derivations, trace normalization,
-    sign under * and parity under the real structure.
+    """Descriptor of a character: dimension, derivations and trace
+    normalization.
 
-    norm_log2, when set, is the exact base-2 exponent of a real positive
-    norm_const; it lets the 2^{k/2} pairing prefactor combine into a single
-    power so that integer-valued pairings come out exact.
+    norm_log2 is the base-2 exponent of the real positive trace
+    normalization; it lets the 2^{k/2} pairing prefactor combine into a
+    single power so that integer-valued pairings come out exact.
     """
 
     name: str
     n: int
     derivations: tuple[Derivation, ...]
-    norm_const: complex
-    sign: int = 1
-    parity: int = 1
-    norm_log2: float | None = None
+    norm_log2: float
 
     def __post_init__(self):
         if len(self.derivations) != self.n:
             raise ValueError("cycle needs one derivation per dimension")
-        if self.norm_log2 is not None and \
-                complex(2.0 ** self.norm_log2) != complex(self.norm_const):
-            raise ValueError("norm_log2 disagrees with norm_const")
 
-    def scale(self, k: int) -> complex:
+    def scale(self, k: int) -> float:
         """2^{k/2} times the trace normalization."""
-        if self.norm_log2 is not None:
-            return 2.0 ** (k / 2 + self.norm_log2)
-        return 2 ** (k / 2) * self.norm_const
+        return 2.0 ** (k / 2 + self.norm_log2)
 
 
 def ch0() -> CycleSpec:
-    return CycleSpec("ch0", 0, (), 2.0 ** -1.5, sign=1, parity=1,
-                     norm_log2=-1.5)
+    return CycleSpec("ch0", 0, (), -1.5)
 
 
 def ch1(axis: int = 0) -> CycleSpec:
     """Winding cycle over a unit-period circle; trace normalized to 1/2."""
-    return CycleSpec("ch1", 1, (Derivation(axis),), 0.5, sign=1, parity=1,
-                     norm_log2=-1.0)
+    return CycleSpec("ch1", 1, (Derivation(axis),), -1.0)
 
 
 def ch2() -> CycleSpec:
     """Chern cycle over the momentum axes 0 and 1."""
-    return CycleSpec("ch2", 2, (Derivation(0), Derivation(1)), 2.0 ** -3.5,
-                     sign=1, parity=-1, norm_log2=-3.5)
+    return CycleSpec("ch2", 2, (Derivation(0), Derivation(1)), -3.5)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls
-from dkpair import cli, verify
+from dkpair import cli
 from dkpair.gridio import read_contraction_grid, write_contraction_grid
 from dkpair.models import qwz_hoppings
 
@@ -272,23 +272,37 @@ def test_cmd_verify_all_suites(tmp_path, capsys):
         assert all(c["passed"] for c in rep["checks"])
 
 
-def test_verify_torsion_contracts_carry_residual_and_tolerance():
-    # every numerical contract goes into the report with its residual and
-    # bound, so a failed check says by how much it failed
+def test_verify_torsion_contracts_carry_residual_and_tolerance(capsys):
+    # every check of every suite goes into the report with its residual and
+    # bound, so a failed check says by how much it failed, and the report
+    # names only the grids the suite reads
     named = {"ko2_nontrivial", "kane_mele_order_two", "ko2_twisted_pairing_two",
-             "ko2_delta_one_mod_two"}
+             "ko2_delta_one_mod_two", "kramers_even_rank", "real_structure_on_gamma"}
+    grids = {"clifford": {}, "selection-rules": {"momentum": 24, "time": 64},
+             "pimsner": {"momentum": 24}, "torsion": {"momentum": 24},
+             "ko-examples": {"time": 64}}
     seen = set()
-    for suite in (verify.suite_torsion, verify.suite_ko_examples):
-        report = cli.Report("verify", None, {})
-        suite(report, grid_n=24, t_n=64)
-        for check in report.payload["checks"]:
+    for suite, want in grids.items():
+        assert run_cli(["verify", suite, "--grid", "24", "--tgrid", "64"]) == cli.EXIT_OK
+        rep = read_report(capsys)
+        assert rep["status"] == "ok" and rep["grids"] == want, suite
+        for check in rep["checks"]:
             assert check["passed"], check
-            if check["name"] in named:
-                seen.add(check["name"])
-                assert check["residual"] is not None, check
-                assert check["tolerance"] is not None, check
-                assert check["residual"] <= check["tolerance"], check
-    assert seen == named
+            assert type(check["residual"]) is type(check["tolerance"]) is float, check
+            assert check["passed"] == (check["residual"] <= check["tolerance"]), check
+            seen.add(check["name"])
+    assert named <= seen
+
+
+def test_verify_report_ignores_an_unread_grid(capsys):
+    # the pimsner suite reads no time grid, so --tgrid changes nothing
+    reports = []
+    for tgrid in ("64", "256"):
+        assert run_cli(["verify", "pimsner", "--grid", "16", "--tgrid", tgrid]) \
+            == cli.EXIT_OK
+        reports.append(read_report(capsys))
+        del reports[-1]["wall_time_s"]
+    assert reports[0] == reports[1]
 
 
 def test_report_roundtrip(tmp_path, capsys):
@@ -544,7 +558,7 @@ def test_floquet_reports_rank_and_gap_margin_once(tmp_path, capsys):
     for strategy in (["decoupled"], ["user_supplied", "--contraction", *files]):
         assert run_cli([*base, "--strategy", *strategy]) == cli.EXIT_OK
         rep = read_report(capsys)
-        assert rep["schema"] == "dkpair-report/3"
+        assert rep["schema"] == "dkpair-report/4"
         assert [k for k in rep["values"] if "rank" in k] == ["rank"]
         assert [k for k in rep["values"] if "gap_margin" in k] == ["gap_margin"]
 
@@ -679,3 +693,20 @@ def test_failed_check_exits_convergence(tmp_path, capsys):
     assert [c["name"] for c in rep["checks"] if not c["passed"]] \
         == ["torsion_refinement"]
     assert code == cli.EXIT_CONVERGENCE
+
+
+def test_failed_integerness_prints_report(tmp_path, capsys):
+    # at grid 16 and the default --tol the Chern numbers are 9.75e-6 off an
+    # integer: the run records that, prints its report and exits 3
+    z2_path = str(Path(__file__).parent / "data" / "z2_qwz.json")
+    block_path = write_config(tmp_path, qwz_config(1.0))
+    for argv, failed in (
+            (["z2", "--config", z2_path], ["spin_chern_integer", "torsion_refinement"]),
+            (["pair", "--cycle", "ch2", "--config", block_path],
+             ["chern_integer", "chern_consistency"])):
+        assert run_cli([*argv, "--grid", "16"]) == cli.EXIT_CONVERGENCE
+        rep = read_report(capsys)
+        assert rep["status"] == "failed"
+        assert [c["name"] for c in rep["checks"] if not c["passed"]] == failed
+        bad = [c["residual"] for c in rep["checks"] if not c["passed"]]
+        assert all(1e-6 < r < 1e-5 for r in bad), bad

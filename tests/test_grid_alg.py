@@ -154,13 +154,13 @@ def test_real_structure_order_two(grid16, rng):
     x = random_element(rng, grid16, 2, 2)
     for fiber in ("c", "h"):
         for mflip in (False, True):
-            rs = RealStructureSpec(fiber, mflip, False, (1, -1))
+            rs = RealStructureSpec(fiber, mflip, (1, -1))
             twice = apply_real_structure(rs, apply_real_structure(rs, x))
             assert (twice - x).norm_inf() == 0.0
 
 
 def test_real_structure_antilinear_automorphism(grid16, rng):
-    rs = RealStructureSpec("h", True, False, (1, -1))
+    rs = RealStructureSpec("h", True, (1, -1))
     x = random_element(rng, grid16, 2, 2)
     y = random_element(rng, grid16, 2, 2)
     lhs = apply_real_structure(rs, x * y)
@@ -453,7 +453,7 @@ def quaternionic_fiber_dense(rs, x):
 def test_quaternionic_swap_matches_dense_oracle(rng, m, block, k, flip):
     grid = TorusGrid((4, 6))
     x = random_element(rng, grid, m, k)
-    rs = RealStructureSpec("h", flip, False, (1, -1)[:k], block)
+    rs = RealStructureSpec("h", flip, (1, -1)[:k], block)
     got = apply_real_structure(rs, x).data
     # equal up to the sign of zero
     assert np.array_equal(got, quaternionic_fiber_dense(rs, x))
