@@ -123,14 +123,17 @@ def evolve(drive: FloquetDrive, t: float) -> AlgElement:
 def unitary_eig(u: AlgElement):
     """Pointwise eigendecomposition of a unitary field, batched over the grid.
 
-    z = e^{i theta} sits mid-way in each point's widest eigenphase gap (from `eigvals`),
-    so |z - lambda| >= 2 sin(pi / 2m): the Cayley transform K = i (z + U)(z - U)^{-1}
-    is hermitian, well conditioned, and maps the phase phi to cot((theta - phi) / 2),
-    strictly monotone.  `eigh` of K + K* gives orthonormal V, the phases (in [-pi, pi])
-    are angle(diag(V* U V)), and the eigenvector residual must stay within 1e-10.
+    z = e^{i theta} sits mid-way in each point's widest gap between the 2m candidates
+    +-arccos of eigvalsh((U + U*)/2), which hold every eigenphase, so theta is at least
+    pi / 2m from each: the Cayley transform K = i (z + U)(z - U)^{-1} is hermitian, well
+    conditioned, and maps phi to cot((theta - phi) / 2), strictly monotone.  `eigh` of
+    K + K* gives orthonormal V, the phases (in [-pi, pi]) are angle(diag(V* U V)), and
+    the eigenvector residual must stay within 1e-10.
     """
     flat = u.data[0].reshape(-1, u.m, u.m)
-    ang = np.sort(np.angle(np.linalg.eigvals(flat)), axis=-1)
+    cos = np.linalg.eigvalsh((flat + np.conj(np.swapaxes(flat, -1, -2))) / 2)
+    half = np.arccos(np.clip(cos, -1.0, 1.0))
+    ang = np.sort(np.concatenate([-half, half], axis=-1), axis=-1)
     gaps = np.diff(ang, axis=-1, append=ang[:, :1] + 2 * np.pi)
     theta = (ang + gaps / 2)[np.arange(len(ang)), np.argmax(gaps, axis=-1)]
     z = np.exp(1j * theta)[:, None, None] * np.eye(u.m)

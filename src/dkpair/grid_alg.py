@@ -204,7 +204,7 @@ class AlgElement:
         norm 2^q sum_S |x_S|_F^2; a single component x_S (x) R_S has the
         singular values of x_S, and its SVD is taken on x_S.  Either way the
         matrix of size n has squared Frobenius norm (n / m) times the sum."""
-        live = _live_components(self.data)
+        live = list(_parts(self.data))
         data = self.data.reshape(self.data.shape[0], -1, self.m, self.m)
         n = self.m if len(live) == 1 else self.m << representation(self.k)[1]
         fro2 = sum(np.einsum("pij,pij->p", part, part)
@@ -297,30 +297,46 @@ _FRO2_MIN = 1e-200
 _SVD_CHUNK = 1 << 20
 
 
-def _live_components(data: np.ndarray) -> list[int]:
-    """Clifford components of a component-first data block that are not
-    identically zero."""
-    return [s for s in range(data.shape[0]) if np.any(data[s])]
-
-
 def _negate(data: np.ndarray, flagged: np.ndarray):
     """Negate the flagged components of a component-first block in place."""
     for mask in np.flatnonzero(flagged):
         np.negative(data[mask], out=data[mask])
 
 
-def _mul_data(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Raw product of two component-first data blocks of the same trailing shape."""
+def _parts(data: np.ndarray) -> dict:
+    """{mask: block} of the Clifford components of a component-first block
+    that are not identically zero."""
+    return {s: data[s] for s in range(data.shape[0]) if np.any(data[s])}
+
+
+def _accumulate(acc: dict, mask: int, block: np.ndarray, negate: bool):
+    """acc[mask] -= or += block; a mask acc lacks takes the fresh block over."""
+    if mask not in acc:
+        acc[mask] = np.negative(block, out=block) if negate else block
+    elif negate:
+        acc[mask] -= block
+    else:
+        acc[mask] += block
+
+
+def _mul_parts(a: dict, b: dict, k: int) -> dict:
+    """Product of blocks given by their live components {mask: block}: one
+    matmul per live pair (s, t), signed into s ^ t; no live pair gives {}."""
     table = sign_table(k)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    nontrivial_b = _live_components(b)
-    for s in _live_components(a):
-        for t in nontrivial_b:
-            prod = np.matmul(a[s], b[t])
-            if table[s, t] < 0:
-                out[s ^ t] -= prod
-            else:
-                out[s ^ t] += prod
+    out = {}
+    for s, x in a.items():
+        for t, y in b.items():
+            _accumulate(out, s ^ t, np.matmul(x, y), table[s, t] < 0)
+    return out
+
+
+def _mul_data(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """Raw product of two component-first data blocks of the same trailing
+    shape: `_mul_parts` of their live components, the absent ones zeroed."""
+    parts = _mul_parts(_parts(a), _parts(b), k)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    for u in range(out.shape[0]):
+        out[u] = parts.get(u, 0)
     return out
 
 
@@ -348,8 +364,8 @@ def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int,
     shape[ax] = mult.size
     mult = mult.reshape(shape)
     out = np.zeros(data.shape, dtype=complex)
-    for s in _live_components(data):
-        np.fft.ifft(np.fft.fft(data[s], axis=ax) * mult, axis=ax, out=out[s])
+    for s, block in _parts(data).items():
+        np.fft.ifft(np.fft.fft(block, axis=ax) * mult, axis=ax, out=out[s])
     return out
 
 
@@ -456,7 +472,7 @@ def _minus_unit(x: AlgElement) -> AlgElement:
 
 def represent(x: AlgElement) -> np.ndarray:
     """Pointwise matrix image of shape (*sizes, m*2^q, m*2^q), a *-homomorphism."""
-    return _represent_blocks(x.data, x.k, _live_components(x.data))
+    return _represent_blocks(x.data, x.k, list(_parts(x.data)))
 
 
 def _represent_blocks(data: np.ndarray, k: int, masks: list[int]) -> np.ndarray:

@@ -13,8 +13,9 @@ factor (with the *-compatible phase of the iterated contraction), and the
 antisymmetrized permutation sum realizes (dx)^n over a Grassmann basis.
 Every character here (and the Floquet T^3 degree) evaluates through the one
 kernel `alt_trace`; the arcs of the Bott and torsion loops go through its
-two halves, the antisymmetrized expansion `_alt_terms` and the contraction
-`_top_trace`, once per arc.
+two halves, the antisymmetrized product `_alt` and the contraction
+`_top_trace`, once per arc.  Both take blocks by their live Clifford
+components, so an identically zero one is neither formed nor scanned again.
 
 The torsion-valued pairing is computed two independent ways: from the
 suspended character evaluated on an explicit four-segment loop, and from a
@@ -30,8 +31,8 @@ from math import comb
 import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
-from .grid_alg import (AlgElement, Derivation, _mul_data, apply_derivation,
-                       failing, named, require_within)
+from .grid_alg import (AlgElement, Derivation, _accumulate, _mul_parts, _parts,
+                       apply_derivation, failing, named, require_within)
 from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement, _combine
 
 @dataclass(frozen=True)
@@ -169,56 +170,45 @@ def alt_trace(z: np.ndarray, diffs: list[np.ndarray], k: int) -> np.ndarray:
 
     Inputs are component-first data blocks (2^k, *batch, m, m); the result
     has shape batch.  The antisymmetrized product expands along its first
-    factor, Alt(d_1..d_n) = sum_i (-1)^(i-1) d_i Alt(d_1..^d_i..d_n), and
-    the last product with z is never formed: only its top component is
-    contracted.
+    factor, Alt(d_1..d_n) = sum_i (-1)^(i-1) d_i Alt(d_1..^d_i..d_n), over
+    the live Clifford components of each diff, and the last product with z
+    is never formed: only its top component is contracted.
     """
     if not diffs:
         return np.trace(z[(1 << k) - 1], axis1=-2, axis2=-1)
-    return _top_trace(z, _alt([(d,) for d in diffs], k)[0], k)
+    return _top_trace(z, _alt([(_parts(d),) for d in diffs], k)[0], k)
 
 
-def _top_trace(z: np.ndarray, right: np.ndarray, k: int) -> np.ndarray:
-    """Per-point Tr_m of the top Clifford component of z * right, without
-    forming the product."""
+def _top_trace(z: np.ndarray, right: dict, k: int) -> np.ndarray:
+    """Per-point Tr_m of the top Clifford component of z * right, right given
+    by its live components, without forming the product."""
     top = (1 << k) - 1
     table = sign_table(k)
-    return sum(table[s, s ^ top]
-               * np.einsum("...ij,...ji->...", z[s], right[s ^ top])
-               for s in range(1 << k))
+    return sum((table[s, s ^ top] * np.einsum("...ij,...ji->...", z[s], right[s ^ top])
+                for s in range(1 << k) if s ^ top in right),
+               np.zeros(z.shape[1:-2], dtype=complex))
 
 
-def _alt(factors: list[tuple[np.ndarray, ...]], k: int) -> list[np.ndarray]:
+def _alt(factors: list[tuple[dict, ...]], k: int) -> list[dict]:
     """sum_sigma sgn(sigma) f_sigma(1) ... f_sigma(n) for factors that are
-    homogeneous polynomials in two commuting scalars (c, s): factors[i][g] is
-    the block multiplying c^(d_i - g) s^g, and entry g of the result the block
+    homogeneous polynomials in two commuting scalars (c, s), each block given
+    by its live components {mask: block}: factors[i][g] is the block
+    multiplying c^(d_i - g) s^g, and entry g of the result the block
     multiplying c^(d - g) s^g, d = sum d_i.  A plain block b is the tuple (b,).
+    The expansion Alt(f_1..f_n) = sum_i (-1)^(i-1) f_i Alt(f_1..^f_i..f_n)
+    forms one product per pair of blocks; for n = 1 it is f_1's blocks.
     """
-    out = [None] * (sum(len(f) - 1 for f in factors) + 1)
-    for g, sign, term in _alt_terms(factors, k):
-        if out[g] is None:
-            out[g] = term
-        elif sign < 0:
-            out[g] -= term
-        else:
-            out[g] += term
-    return out
-
-
-def _alt_terms(factors: list[tuple[np.ndarray, ...]], k: int):
-    """The terms (degree, sign, block) of the first-factor expansion
-    Alt(f_1..f_n) = sum_i (-1)^(i-1) f_i Alt(f_1..^f_i..f_n), one product
-    each; for n = 1 the blocks of f_1 themselves.  The terms of f_1 come
-    first and reach every degree."""
     if len(factors) == 1:
-        yield from ((g, 1, d) for g, d in enumerate(factors[0]))
-        return
+        return list(factors[0])
+    out = [{} for _ in range(sum(len(f) - 1 for f in factors) + 1)]
     for i, blocks in enumerate(factors):
         rest = _alt(factors[:i] + factors[i + 1:], k)
         for g, d in enumerate(blocks):
             for h, r in enumerate(rest):
-                yield g + h, -1 if i % 2 else 1, _mul_data(d, r, k)
+                for mask, block in _mul_parts(d, r, k).items():
+                    _accumulate(out[g + h], mask, block, i % 2)
         del rest  # before the next factor's expansion is formed
+    return out
 
 
 def _top_phase(k: int, n: int) -> complex:
@@ -367,24 +357,25 @@ def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
     With c, s = cos, sin(pi s/2), every factor of the integrand is a
     polynomial of the arc's degree d: the value sum_g c^(d-g) s^g P_g less
     the base point, each space derivative (blocks dP_g) and d/ds (blocks
-    (pi/2)((g+1) P_(g+1) - (d-g+1) P_(g-1))).  Each term of the expansion is
-    formed once per arc and contracted against the moments sum_j w_j c_j^i s_j^l.
+    (pi/2)((g+1) P_(g+1) - (d-g+1) P_(g-1))).  Their antisymmetrized product
+    is summed per degree g and contracted against the moments
+    sum_j w_j c_j^(D-g) s_j^g (value_j - base), formed once per degree.
     """
     p, d = seg.blocks, len(seg.blocks) - 1
     # d/ds blocks, terms outside 0..d dropped; its factor pi/2 is applied to the sum
     dds = ([p[1]] + [(g + 1) * p[g + 1] - (d - g + 1) * p[g - 1] for g in range(1, d)]
            + [-p[d - 1]])
-    factors = [tuple(dx(ax) for dx in seg.space) for ax in axes] + [tuple(dds)]
+    factors = ([tuple(_parts(dx(ax)) for dx in seg.space) for ax in axes]
+               + [tuple(_parts(b) for b in dds)])
     degree = d * len(factors)
     c, s = np.cos(np.pi * seg.nodes / 2), np.sin(np.pi * seg.nodes / 2)
     powers = seg._powers(seg.nodes)
     total = 0.0 + 0.0j
-    # each term is contracted as it is formed, so no coefficient sum is held
-    for g, sign, term in _alt_terms(factors, k):
+    for g, right in enumerate(_alt(factors, k)):
         w = seg.weights * c ** (degree - g) * s ** g
         z = _combine([w @ q for q in powers], p)
         z -= w.sum() * base
-        total += sign * np.mean(_top_trace(z, term, k))
+        total += np.mean(_top_trace(z, right, k))
     return (np.pi / 2) * total
 
 

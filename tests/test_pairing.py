@@ -10,10 +10,11 @@ from conftest import (chern_fhs, count_calls, ko2_generator, random_element,
                       random_hermitian_field, spin_y)
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                             _mul_data, apply_derivation, apply_real_structure,
-                             direct_sum, psi_e, psi_e_inverse,
-                             spectral_derivative_data, unitary_exp)
-from dkpair.kclass import (BasePoint, bott_loop, flatten,
+                             _mul_data, _mul_parts, _parts, apply_derivation,
+                             apply_real_structure, direct_sum, psi_e,
+                             psi_e_inverse, spectral_derivative_data,
+                             unitary_exp)
+from dkpair.kclass import (BasePoint, _combine, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
@@ -67,6 +68,64 @@ def test_alt_trace_matches_permutation_sum(n, k, rng):
     got = alt_trace(stacked[0], stacked[1:], k)
     assert got.shape == (2, *grid.sizes)
     assert _close(got, np.stack(refs))
+    # randomly zeroed Clifford components, which the kernel skips
+    for z, *diffs in sets:
+        for x in (z, *diffs):
+            x.data[rng.random(1 << k) < 0.5] = 0
+        got = alt_trace(z.data, [d.data for d in diffs], k)
+        assert got.shape == grid.sizes
+        assert _close(got, alt_trace_oracle(z, diffs))
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_alt_trace_of_dead_diff_is_batch_shaped_zero(k, rng):
+    grid = TorusGrid((4, 6))
+    z, d = (random_element(rng, grid, 2, k) for _ in range(2))
+    dead = AlgElement(grid, 2, k)
+    for diffs in ([dead], [d, dead], [dead, d, d]):
+        got = alt_trace(z.data, [x.data for x in diffs], k)
+        assert got.shape == grid.sizes
+        assert not np.any(got)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_alt_trace_writes_no_input(k, rng):
+    # the same block passed twice, and as z: nothing is accumulated in place,
+    # so the trace equals the one of distinct copies
+    grid = TorusGrid((4, 6))
+    d = random_element(rng, grid, 2, k)
+    d.data[rng.random(1 << k) < 0.5] = 0
+    before = d.data.copy()
+    for n in range(1, 4):
+        got = alt_trace(d.data, [d.data] * n, k)
+        assert np.array_equal(d.data, before)
+        assert np.array_equal(got, alt_trace(before.copy(),
+                                             [before.copy() for _ in range(n)], k))
+
+
+def test_mul_parts_forms_one_product_per_live_pair(rng, monkeypatch):
+    k = 3
+    grid = TorusGrid((4, 6))
+    a, b = (random_element(rng, grid, 2, k).data for _ in range(2))
+    a[[0, 3, 5, 6]] = 0
+    b[[1, 2, 4, 7]] = 0
+    products = []
+    matmul = np.matmul
+
+    def counted(x, y):
+        products.append((x, y))
+        return matmul(x, y)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    parts = _mul_parts(_parts(a), _parts(b), k)
+    monkeypatch.undo()
+    live_a, live_b = [1, 2, 4, 7], [0, 3, 5, 6]
+    assert len(products) == len(live_a) * len(live_b)
+    assert sorted(parts) == sorted({s ^ t for s in live_a for t in live_b})
+    dense = _mul_data(a, b, k)
+    for u in range(1 << k):
+        assert np.array_equal(dense[u], parts[u]) if u in parts else not np.any(dense[u])
+    assert _mul_parts(_parts(a), {}, k) == {}
 
 
 def test_alt_trace_cyclic_identity_at_k0(grid16, rng):
@@ -617,13 +676,35 @@ def test_torsion_loop_route_products_do_not_grow_with_order(grid16, monkeypatch)
     loops = [torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
                           derivations=cyc.derivations, order=order)
              for order in (8, 48)]
-    calls = count_calls(monkeypatch, _mul_data)
+    calls = count_calls(monkeypatch, _mul_parts)
     counts = []
     for loop in loops:
         before = len(calls)
         pair_suspended(cyc, loop)
         counts.append(len(calls) - before)
     assert counts[0] == counts[1] < 4 * 9 * 8
+
+
+@pytest.mark.parametrize("route", ["torsion", "bott"])
+def test_loop_route_forms_one_moment_block_per_degree(route, grid16, qwz_osu,
+                                                      monkeypatch):
+    # the antisymmetrized product of an arc's derivative factors is summed
+    # per total degree, and each degree's moment block (the weight moments
+    # combined over the arc's coefficients, less the base point) is formed
+    # once; one per expansion term would make 18 per torsion arc and 135 on
+    # the Bott arc
+    cyc = ch2()
+    if route == "torsion":
+        x, e, y = kane_mele_torsion_data(grid16, 1.0)
+        loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                            derivations=cyc.derivations, order=16)
+    else:
+        loop = bott_loop(*qwz_osu, order=16)
+    calls = count_calls(monkeypatch, _combine)
+    pair_suspended(cyc, loop)
+    factors = cyc.n + 1
+    assert len(calls) == sum((len(arc.blocks) - 1) * factors + 1
+                             for arc in loop.segments)
 
 
 def test_bott_loop_route_products_do_not_grow_with_order(qwz_osu, monkeypatch):
@@ -633,7 +714,7 @@ def test_bott_loop_route_products_do_not_grow_with_order(qwz_osu, monkeypatch):
     x, e = qwz_osu
     cyc = ch2()
     loops = [bott_loop(x, e, order=order) for order in (16, 64)]
-    calls = count_calls(monkeypatch, _mul_data)
+    calls = count_calls(monkeypatch, _mul_parts)
     counts = []
     for loop in loops:
         before = len(calls)
