@@ -10,7 +10,10 @@ entire function of time, held as a `FrameSegment` in the eigenframes of the
 segment and of H_eff rather than as node arrays: its endpoints come from the
 frame formula, `degree_t3` integrates it one Gauss-Legendre node at a time
 through `Segment.quadrature`, and its uniform nodes are built only when a
-caller exports them.
+caller exports them.  A node evaluates its frame once, V and dV/ds from one
+stacked product pair.  The degree's integrand at a node is two batched
+products: V* times the stacked [V | dV/ds | d_1 V | d_2 V], which also gives
+the unitarity residual, and A_s [A_1 | A_2], whose blocks give the cubic trace.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .grid_alg import (AlgElement, RealStructureSpec, _minus_unit,
                        require_within, spectral_derivative_data)
 from .kclass import (GapClosedError, LoopElement, Segment, _gauss_rule,
                      _simpson_rule, uniform_closed_segment)
-from .pairing import TorsionValue, alt_trace, chern_number, integer_check
+from .pairing import TorsionValue, chern_number, integer_check
 
 DEFAULT_T_SAMPLES = 256
 # smallest distance of an eigenphase of U(T) to a branch cut or arc endpoint
@@ -238,12 +241,13 @@ def _split_at_half(period: float, pieces):
 
 
 class _AnalyticSegment(Segment):
-    """A loop segment with a closed formula for V and dV/ds at any local s
-    (`values_at`, `derivs_at`; an array of s gives a leading node axis).
-    Its `quadrature` is its own `order`-node Gauss-Legendre rule, evaluated
-    one node at a time.  Its closed uniform nodes (`nnodes` of them, Simpson
-    weights) are the export grid: `.values` and `.derivs` evaluate the
-    formula there on every access."""
+    """A loop segment with a closed formula for V at any local s
+    (`values_at`) and for the pair (V, dV/ds) (`at`); an array of s gives a
+    leading node axis.  Its `quadrature` is its own `order`-node
+    Gauss-Legendre rule, evaluated one node at a time, each node by one `at`.
+    Its closed uniform nodes (`nnodes` of them, Simpson weights) are the
+    export grid: `.values` and `.derivs` evaluate the formula there on every
+    access."""
 
     nnodes: int
     order: int
@@ -262,13 +266,13 @@ class _AnalyticSegment(Segment):
 
     @property
     def derivs(self) -> np.ndarray:
-        return self.derivs_at(self.nodes)[None]
+        return self.at(self.nodes)[1][None]
 
     def quadrature(self, axes):
         nodes, weights = _gauss_rule(self.order)
         for s, weight in zip(nodes, weights):
-            value = self.values_at(s)[None]
-            yield (weight, value, self.derivs_at(s)[None],
+            value, deriv = (x[None] for x in self.at(s))
+            yield (weight, value, deriv,
                    [spectral_derivative_data(value, self.grid, a, 1) for a in axes])
 
 
@@ -278,10 +282,11 @@ class FrameSegment(_AnalyticSegment):
     and of H_eff (w_eff, v_eff): with a = v^H U(start) v_eff,
     V(start + dt) = v M v_eff^H where M_ij = e^{-i dt w_i} a_ij
     e^{i (start + dt) w_eff_j}.  Since H_eff commutes with exp(i t H_eff),
-    dV/ds = v (i tau (w_eff_j - w_i) M_ij) v_eff^H exactly (dt = s tau).
+    dV/ds = i v (M o R) v_eff^H exactly (dt = s tau), with the real rate
+    R_ij = tau (w_eff_j - w_i) of the frame, which s does not change.
 
     V is entire in s.  The Gauss order grows with the phase range
-    tau max|w_i - w_eff_j| over the grid, which (lambda H, T / lambda)
+    tau max|w_i - w_eff_j| = max|R| over the grid, which (lambda H, T / lambda)
     leaves unchanged."""
 
     def __init__(self, grid, period: float, start: float, tau: float,
@@ -293,11 +298,11 @@ class FrameSegment(_AnalyticSegment):
         self.w_eff, self.v_eff_h = eff
         self.grid, self.m, self.k = grid, self.v.shape[-1], 0
         self.nnodes = nnodes
+        self.rate = tau * (self.w_eff[..., None, :] - self.w[..., :, None])
         # 8 Gauss nodes plus one per radian of the phase range: on frames
         # with ranges from 1.5 to 51 rad the degree reached rounding level
         # with at most 40 nodes (at 51 rad), so the rule keeps a margin
-        phase = tau * float(np.max(np.abs(self.w[..., :, None] - self.w_eff[..., None, :])))
-        self.order = 8 + int(np.ceil(phase))
+        self.order = 8 + int(np.ceil(float(np.max(np.abs(self.rate)))))
 
     def middle(self, dt) -> np.ndarray:
         """M at the time offset dt from the segment start; an array of
@@ -313,9 +318,18 @@ class FrameSegment(_AnalyticSegment):
     def values_at(self, s) -> np.ndarray:
         return self.outer(self.middle(s * self.tau))
 
-    def derivs_at(self, s) -> np.ndarray:
-        rate = 1j * self.tau * (self.w_eff[..., None, :] - self.w[..., :, None])
-        return self.outer(self.middle(s * self.tau) * rate)
+    def at(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """(V, dV/ds) from one M: v [M | i M o R] is one product, and its
+        rows, read as the rows of v M and i v (M o R) in turn, times v_eff^H
+        one more."""
+        mid = self.middle(s * self.tau)
+        dmid = mid * self.rate
+        dmid *= 1j
+        rows = np.matmul(self.v, np.concatenate([mid, dmid], axis=-1))
+        m, batch = self.m, rows.shape[:-2]
+        out = np.matmul(rows.reshape(*batch, 2 * m, m), self.v_eff_h)
+        out = out.reshape(*batch, m, 2, m)
+        return out[..., 0, :], out[..., 1, :]
 
 
 def _eigenframes(drive: FloquetDrive, branch: BranchChoice,
@@ -374,25 +388,37 @@ def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
     return worst
 
 
+def _cubic_trace(v: np.ndarray, dv: np.ndarray, space: list) -> np.ndarray:
+    """Per-point Tr A_s [A_1, A_2] of A_s = V* dV/ds and A_i = V* d_i V, in two
+    products: P = V* [V | dV/ds | d_1 V | d_2 V], whose first block must be
+    the unit within 1e-9, and Y = A_s [A_1 | A_2], whose blocks give
+    Tr Y_1 A_2 - Tr Y_2 A_1 as sums of elementwise products."""
+    m = v.shape[-1]
+    p = np.matmul(np.conj(np.swapaxes(v, -1, -2)), np.concatenate([v, dv, *space], axis=-1))
+    ures = np.max(np.abs(p[..., :m] - np.eye(m)))
+    if ures > 1e-9:
+        raise ValueError(f"loop not unitary (residual {ures:.3e})")
+    y = np.matmul(p[..., m:2 * m], p[..., 2 * m:])
+    return (np.einsum("...ij,...ji->...", y[..., :m], p[..., 3 * m:])
+            - np.einsum("...ij,...ji->...", y[..., m:], p[..., 2 * m:3 * m]))
+
+
 def degree_t3(loop: LoopElement, integer_tol: float = 1e-3) -> float:
     """Degree (1/24 pi^2) * integral over T^3 of Tr (V* dV)^3 for a unitary
     loop over a two-dimensional momentum grid.  The loop must be unitary
     within 1e-9 at every node and the degree an integer within integer_tol.
 
     Every segment is integrated through `Segment.quadrature`, one node of its
-    own rule at a time: Gauss nodes on a frame, stored nodes otherwise."""
+    own rule at a time: Gauss nodes on a frame, stored nodes otherwise.
+    Cyclicity of the full matrix trace folds the six signed triple products
+    of the integrand into 3 Tr A_s [A_1, A_2] (`_cubic_trace`), a k = 0
+    contraction whose factors share their left factor V*."""
     if loop.grid.d != 2 or loop.k != 0:
         raise ValueError("degree needs a plain unitary loop over T^2")
     total = 0.0 + 0.0j
     for seg in loop.segments:
         for weight, v, dv, space in seg.quadrature((0, 1)):
-            vh = np.conj(np.swapaxes(v, -1, -2))
-            ures = np.max(np.abs(np.matmul(v, vh) - np.eye(loop.m)))
-            if ures > 1e-9:
-                raise ValueError(f"loop not unitary (residual {ures:.3e})")
-            # cyclicity of the full matrix trace (valid at k = 0 only) folds the six
-            # signed triple products into 3 Tr (V* dV/ds) [V* d_1 V, V* d_2 V]
-            total += weight * 3 * np.mean(alt_trace(vh @ dv, [vh @ d for d in space], 0))
+            total += weight * 3 * np.mean(_cubic_trace(v, dv, space))
     deg = complex(total) / 6.0
     if abs(deg.imag) > integer_tol:
         raise ValueError(f"degree has imaginary part {deg.imag:.3e}")
@@ -475,8 +501,9 @@ class _MirroredFrame(_AnalyticSegment):
     def values_at(self, s) -> np.ndarray:
         return _spin_mirror(self.frame.values_at(1.0 - s), self.grid.d)
 
-    def derivs_at(self, s) -> np.ndarray:
-        return -_spin_mirror(self.frame.derivs_at(1.0 - s), self.grid.d)
+    def at(self, s) -> tuple[np.ndarray, np.ndarray]:
+        value, deriv = self.frame.at(1.0 - s)
+        return _spin_mirror(value, self.grid.d), -_spin_mirror(deriv, self.grid.d)
 
 
 def decoupled_contraction(v_loop: LoopElement) -> LoopElement:

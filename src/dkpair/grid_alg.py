@@ -319,24 +319,27 @@ def _accumulate(acc: dict, mask: int, block: np.ndarray, negate: bool):
         acc[mask] += block
 
 
-def _mul_parts(a: dict, b: dict, k: int) -> dict:
+def _mul_parts(a: dict, b: dict, k: int, dense=None) -> dict:
     """Product of blocks given by their live components {mask: block}: one
-    matmul per live pair (s, t), signed into s ^ t; no live pair gives {}."""
+    matmul per live pair (s, t), signed into s ^ t; no live pair gives {}.
+    With a component-first block `dense`, the first product of each mask
+    lands in dense[mask], which the result then holds."""
     table = sign_table(k)
     out = {}
     for s, x in a.items():
         for t, y in b.items():
-            _accumulate(out, s ^ t, np.matmul(x, y), table[s, t] < 0)
+            u = s ^ t
+            land = dense[u] if dense is not None and u not in out else None
+            _accumulate(out, u, np.matmul(x, y, out=land), table[s, t] < 0)
     return out
 
 
 def _mul_data(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     """Raw product of two component-first data blocks of the same trailing
-    shape: `_mul_parts` of their live components, the absent ones zeroed."""
-    parts = _mul_parts(_parts(a), _parts(b), k)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    for u in range(out.shape[0]):
-        out[u] = parts.get(u, 0)
+    shape: `_mul_parts` of their live components, formed in place in a
+    zeroed block."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    _mul_parts(_parts(a), _parts(b), k, out)
     return out
 
 

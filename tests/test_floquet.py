@@ -12,7 +12,7 @@ from dkpair.kclass import (GapClosedError, LoopElement, Segment, _simpson_rule,
                            exp_projection_loop, flatten)
 from dkpair.models import (conjugate_flip, quaternionic_structure, qwz_symbol,
                            spin_double)
-from dkpair.pairing import chern_number, spin_chern
+from dkpair.pairing import alt_trace, chern_number, spin_chern
 
 
 def blockdiag(a, b):
@@ -485,13 +485,79 @@ def test_gauss_degree_matches_simpson_oracle(criterion_12_contractions):
 def test_simpson_oracle_catches_wrong_gauss_derivative(criterion_12_contractions,
                                                        monkeypatch):
     # dV/ds without the H_eff term, read by the Gauss path only: the oracle's
-    # node arrays were exported before the mutation
-    def without_h_eff(seg, s):
-        return seg.outer(seg.middle(s * seg.tau) * (-1j * seg.tau * seg.w[..., :, None]))
-
-    monkeypatch.setattr(fl.FrameSegment, "derivs_at", without_h_eff)
+    # node arrays were exported before the mutation.  The rate is the one
+    # place a frame keeps its derivative, and the mirrored half reads it too
     loop, ref = criterion_12_contractions[0]
+    frame = loop.segments[0]
+    assert loop.segments[1].frame is frame
+    monkeypatch.setattr(frame, "rate", -frame.tau * frame.w[..., :, None])
     assert abs(fl.degree_t3(loop, integer_tol=0.5) - fl.degree_t3(ref)) > 1e-3
+
+
+def alt_trace_degree(loop):
+    """The unrounded T^3 degree of a loop by the six-product integrand
+    3 Tr (V* dV/ds) [V* d_1 V, V* d_2 V] through `alt_trace`: the reference
+    that `degree_t3`'s two-product `_cubic_trace` is held to."""
+    total = 0.0 + 0.0j
+    for seg in loop.segments:
+        for weight, v, dv, space in seg.quadrature((0, 1)):
+            vh = np.conj(np.swapaxes(v, -1, -2))
+            total += weight * 3 * np.mean(alt_trace(vh @ dv, [vh @ d for d in space], 0))
+    return total / 6.0
+
+
+def conjugated(loop, g):
+    """The stored loop g V g* for a constant unitary g."""
+    gh = np.conj(g.T)
+    return LoopElement([Segment(seg.t0, seg.t1, seg.nodes, seg.weights, g @ seg.values @ gh,
+                                g @ seg.derivs @ gh, seg.grid, seg.m, 0)
+                        for seg in loop.segments])
+
+
+def test_cubic_trace_matches_alt_trace_oracle(grid):
+    drive = criterion_12_drive(16)
+    frames = fl.periodized_evolution(drive, fl.BranchChoice(0.0), 64)
+    branch = fl.branch_pair(1.0 + 0j, np.exp(1j * np.pi), drive.period)[0]
+    loop = fl.decoupled_contraction(fl.periodized_evolution(drive, branch, 64))
+    ref = simpson_reference(loop)
+    # a Haar unitary mixes the spin blocks, so no off-diagonal block is dead
+    g = haar_unitaries(np.random.default_rng(5), 1, 4)[0]
+    s = flatten(qwz_symbol(grid, 1.0))
+    p = (s + AlgElement.unit(grid, 2, 0)).scale(0.5)
+    cases = [frames, loop, ref, conjugated(ref, g), exp_projection_loop(p, 48)]
+    assert {type(seg) for seg in frames.segments} == {fl.FrameSegment}
+    assert [type(seg) for seg in loop.segments] == [fl.FrameSegment, fl._MirroredFrame]
+    for case in cases:
+        want = alt_trace_degree(case)
+        assert abs(want.imag) <= 1e-12
+        assert abs(fl.degree_t3(case, integer_tol=0.5) - want.real) <= 1e-12
+
+
+def test_degree_rejects_a_non_unitary_node(criterion_12_contractions):
+    _, ref = criterion_12_contractions[0]
+    seg = ref.segments[0]
+    values = seg.values.copy()
+    values[0, 5] *= 1 + 1e-6
+    bad = LoopElement([Segment(seg.t0, seg.t1, seg.nodes, seg.weights, values, seg.derivs,
+                               seg.grid, seg.m, 0), *ref.segments[1:]])
+    with pytest.raises(ValueError, match="loop not unitary"):
+        fl.degree_t3(bad)
+
+
+def test_frame_gauss_node_evaluates_its_frame_once(criterion_12_contractions, monkeypatch):
+    loop, _ = criterion_12_contractions[0]
+    middle = fl.FrameSegment.middle
+    calls = []
+
+    def counted(seg, dt):
+        calls.append(dt)
+        return middle(seg, dt)
+
+    monkeypatch.setattr(fl.FrameSegment, "middle", counted)
+    for seg in loop.segments:  # a frame and its mirror
+        calls.clear()
+        assert sum(1 for _ in seg.quadrature((0, 1))) == seg.order
+        assert len(calls) == seg.order
 
 
 @pytest.mark.parametrize("lam", [1e-4, 1.0, 1e4])

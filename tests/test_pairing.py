@@ -112,9 +112,9 @@ def test_mul_parts_forms_one_product_per_live_pair(rng, monkeypatch):
     products = []
     matmul = np.matmul
 
-    def counted(x, y):
+    def counted(x, y, **kwargs):
         products.append((x, y))
-        return matmul(x, y)
+        return matmul(x, y, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
     parts = _mul_parts(_parts(a), _parts(b), k)
