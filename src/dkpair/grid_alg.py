@@ -414,11 +414,13 @@ def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
     if len(rs.clifford_signs) != x.k:
         raise ValueError(f"real structure carries {len(rs.clifford_signs)} "
                          f"generator signs, element has {x.k}")
-    out = np.conj(x.data)
-    # axis flips: index negation n -> -n mod N (exact for even sizes)
-    for axis in range(x.grid.d):
-        if rs.momentum_flip and x.grid.axis_roles[axis] == MOMENTUM:
-            out = np.flip(np.roll(out, -1, axis=1 + axis), axis=1 + axis)
+    # momentum flips n -> -n mod N, one index gather per axis; np.take keeps
+    # the C layout, which a multi-axis fancy index would not
+    out = x.data
+    for axis, (n, role) in enumerate(zip(x.grid.sizes, x.grid.axis_roles)):
+        if rs.momentum_flip and role == MOMENTUM:
+            out = np.take(out, -np.arange(n) % n, axis=1 + axis)
+    out = np.conj(out) if out is x.data else np.conj(out, out=out)
     if rs.fiber == "h":
         block = rs.fiber_block or x.m
         if block % 2 or x.m % block:

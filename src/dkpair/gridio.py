@@ -33,10 +33,8 @@ def write_contraction_grid(path: str, samples: np.ndarray, binary: bool = True):
             fh.write(np.uint32(len(sizes)).tobytes())
             fh.write(np.asarray(sizes, dtype="<u4").tobytes())
             fh.write(np.uint32(samples.shape[-1]).tobytes())
-            inter = np.empty(samples.size * 2, dtype="<f8")
-            inter[0::2] = samples.real.ravel()
-            inter[1::2] = samples.imag.ravel()
-            fh.write(inter.tobytes())
+            # complex128 in memory is the re/im float64 pairs of the format
+            fh.write(np.ascontiguousarray(samples, dtype="<c16"))
     else:
         flat = samples.ravel()
         payload = {"shape": list(samples.shape),

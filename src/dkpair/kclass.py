@@ -205,10 +205,15 @@ class LoopElement:
         return worst
 
 
+@functools.cache
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
+    """Gauss-Legendre nodes and weights on [0, 1], formed once per order and
+    shared read-only."""
     xg, wg = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (xg + 1.0), 0.5 * wg
+    rule = 0.5 * (xg + 1.0), 0.5 * wg
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
@@ -386,15 +391,27 @@ def _torsion_preconditions(xb, eb, y, rs, derivations):
             yield f"{name}_invariant", apply_real_structure(rs, z) - z
 
 
-def _half_symmetry(segments: list[Segment], rs: RealStructureSpec):
+def _half_symmetry(corners: list[AlgElement], segments: list[Segment],
+                   rs: RealStructureSpec):
     """(name, real-structure defect) at every 8th node of the four torsion
     arcs, formed as it is drawn: rs extended by a fixed generator on the
-    first half, by a negated one on the second."""
-    for i, seg in enumerate(segments):
-        ext = rs.extend(1 if i < 2 else -1)
-        for j in range(0, seg.nodes.size, 8):
-            x = seg.element(j)
-            yield f"arc{i}_node{j}", apply_real_structure(ext, x) - x
+    first half, by a negated one on the second.  Arc i runs from corner i to
+    corner i + 1 as cos a + sin b with real weights, and an extended rs is
+    real-linear, so a node's defect is cos D_a + sin D_b with D = rs(c) - c
+    of each corner c.  Each corner's defect is formed once per half, and
+    only the two of the current arc are held."""
+    ring = corners + corners[:1]
+    for half in (0, 1):
+        ext = rs.extend(1 - 2 * half)
+        a = (apply_real_structure(ext, ring[2 * half]) - ring[2 * half]).data
+        for i in (2 * half, 2 * half + 1):
+            b = (apply_real_structure(ext, ring[i + 1]) - ring[i + 1]).data
+            seg = segments[i]
+            for j in range(0, seg.nodes.size, 8):
+                yield f"arc{i}_node{j}", AlgElement(
+                    seg.grid, seg.m, seg.k, _combine(seg._powers(seg.nodes[j]), [a, b]))
+            a = b
+        del a, b  # before the next half's first defect is formed
 
 
 def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
@@ -433,7 +450,7 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
     endpoints = [(seg.at(0.0), seg.at(1.0)) for seg in segments]
     loop = LoopElement(segments, endpoints=endpoints)
     loop.validate_continuity(tol)
-    bad = {} if rs is None else failing(_half_symmetry(segments, rs), tol)
+    bad = {} if rs is None else failing(_half_symmetry(corners, segments, rs), tol)
     if bad:
         raise ValueError(f"torsion loop half-symmetry residuals: {named(bad)}")
     return loop

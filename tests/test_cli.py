@@ -402,6 +402,34 @@ def test_gridio_roundtrip(tmp_path, rng):
         assert np.max(np.abs(back - samples)) == 0.0
 
 
+def interleaved_grid_bytes(samples):
+    """A binary grid file as the format describes it: magic, uint32 LE
+    ndim, sizes and m, then the samples' re/im pairs as LE float64 in
+    row-major order (reference)."""
+    samples = np.asarray(samples)
+    sizes = samples.shape[:-2]
+    header = b"DKGRID1\n" + np.asarray([len(sizes), *sizes, samples.shape[-1]],
+                                       dtype="<u4").tobytes()
+    inter = np.empty(2 * samples.size, dtype="<f8")
+    inter[0::2] = samples.real.ravel()
+    inter[1::2] = samples.imag.ravel()
+    return header + inter.tobytes()
+
+
+def test_binary_grid_file_is_header_and_interleaved_pairs(tmp_path, rng):
+    full = (rng.standard_normal((9, 8, 12, 4, 4))
+            + 1j * rng.standard_normal((9, 8, 12, 4, 4)))
+    inputs = {"strided": full[::2, :, ::3],
+              "broadcast": np.broadcast_to(np.diag([1.0, -1j, 2.0, 0.5j]),
+                                           (5, 8, 8, 4, 4)),
+              "real": full.real[:3]}
+    for name, samples in inputs.items():
+        path = tmp_path / f"{name}.grid"
+        write_contraction_grid(str(path), samples, binary=True)
+        assert path.read_bytes() == interleaved_grid_bytes(samples), name
+        assert np.array_equal(read_contraction_grid(str(path)), samples), name
+
+
 # ---------------------------------------------------------------------------
 # each operator is decomposed once
 # ---------------------------------------------------------------------------

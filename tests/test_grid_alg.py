@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_hermitian_field, random_matrix_field
-from dkpair.clifford import CliffordSignature, mu
-from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
-                             TorusGrid, apply_derivation, apply_real_structure,
+from dkpair.clifford import CliffordSignature, generator_signs, mu
+from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, Derivation,
+                             RealStructureSpec, TorusGrid, _negate,
+                             _quaternionic_swap, apply_derivation,
+                             apply_real_structure,
                              check_invariance, direct_sum, hermitian_calculus,
                              psi_e, psi_e_inverse, represent, scalar_trace,
                              spectral_derivative_data, trace, unitary_exp,
@@ -457,6 +460,39 @@ def test_quaternionic_swap_matches_dense_oracle(rng, m, block, k, flip):
     got = apply_real_structure(rs, x).data
     # equal up to the sign of zero
     assert np.array_equal(got, quaternionic_fiber_dense(rs, x))
+
+
+def roll_flip_real_structure(rs, x):
+    """The real structure with each momentum flip n -> -n mod N taken as a
+    roll by one followed by a reversal of the axis (reference)."""
+    out = np.conj(x.data)
+    for axis, role in enumerate(x.grid.axis_roles):
+        if rs.momentum_flip and role == MOMENTUM:
+            out = np.flip(np.roll(out, -1, axis=1 + axis), axis=1 + axis)
+    if rs.fiber == "h":
+        block = rs.fiber_block or x.m
+        out = _quaternionic_swap(out, x.m // block, block // 2)
+    _negate(out, generator_signs(rs.clifford_signs) < 0)
+    return out
+
+
+@pytest.mark.parametrize("sizes", [(8, 9), (7, 12), (8, 12)])
+@pytest.mark.parametrize("roles", [(MOMENTUM, TIME), (TIME, MOMENTUM), (MOMENTUM, MOMENTUM)])
+@pytest.mark.parametrize("fiber", ["c", "h"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_real_structure_gather_matches_roll_flip(rng, sizes, roles, fiber, k):
+    # TorusGrid takes even sizes only; the index gather holds for any N, so
+    # odd sizes run on a stand-in grid carrying just sizes and axis roles
+    grid = types.SimpleNamespace(sizes=sizes, axis_roles=roles, d=len(sizes))
+    x = AlgElement(grid, 4, k, rng.standard_normal((1 << k, *sizes, 4, 4))
+                   + 1j * rng.standard_normal((1 << k, *sizes, 4, 4)))
+    for flip in (False, True):
+        rs = RealStructureSpec(fiber, flip, (1, -1)[:k])
+        got = apply_real_structure(rs, x).data
+        assert got.tobytes() == roll_flip_real_structure(rs, x).tobytes()
+        assert not np.shares_memory(got, x.data)
+        # every later product and norm reads the result in C order
+        assert got.flags.c_contiguous
 
 
 def test_spectral_calculus_matches_einsum(grid16, rng):

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ko2_generator, random_hermitian_field, spin_y
+from conftest import count_calls, ko2_generator, random_hermitian_field, spin_y
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_real_structure, direct_sum,
-                             spectral_derivative_data)
-from dkpair.kclass import (BasePoint, GapClosedError, LoopElement,
-                           OsuValidationError, Segment, _gauss_rule, bott_loop,
+                             failing, spectral_derivative_data)
+from dkpair.kclass import (ArcSegment, BasePoint, GapClosedError, LoopElement,
+                           OsuValidationError, Segment, _corner, _gauss_rule,
+                           _half_symmetry, bott_loop,
                            exp_projection_loop, flatten, make_osu_from_hamiltonian,
                            osu_validate, torsion_loop, uniform_closed_segment)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
@@ -249,6 +250,73 @@ def test_torsion_loop_half_symmetries(grid16):
         assert res_wrong > 1e-3
 
 
+def half_symmetry_oracle(segments, rs):
+    """(name, real-structure defect) at every 8th node of the four torsion
+    arcs, each formed from the node itself (reference): rs extended by a
+    fixed generator on the first half, by a negated one on the second."""
+    for i, seg in enumerate(segments):
+        ext = rs.extend(1 if i < 2 else -1)
+        for j in range(0, seg.nodes.size, 8):
+            yield f"arc{i}_node{j}", apply_real_structure(ext, seg.element(j)) - seg.element(j)
+
+
+def kane_mele_torsion_datum(grid):
+    h = decoupled_tri_symbol(grid, 1.0)
+    x = make_osu_from_hamiltonian(h)
+    return x, BasePoint.standard_rho(grid, 4, 1, sign=-1), spin_y(grid, 4)
+
+
+def test_half_symmetry_defects_match_per_node_oracle(grid16):
+    # a node's defect is combined from its two corners' defects, with the
+    # node's own (cos, sin) weights
+    x, e, y = kane_mele_torsion_datum(grid16)
+    rs = quaternionic_structure(k=1)
+    loop = torsion_loop(x, e, y, rs=rs, derivations=(Derivation(0), Derivation(1)),
+                        order=32)
+    got = list(_half_symmetry(torsion_corners(x, e, y), loop.segments, rs))
+    want = list(half_symmetry_oracle(loop.segments, rs))
+    assert [name for name, _ in got] == [name for name, _ in want]
+    assert len(got) == 16
+    for (_, a), (_, b) in zip(got, want):
+        assert np.max(np.abs(a.data - b.data)) <= 1e-15
+
+
+def test_half_symmetry_flags_the_oracle_nodes_of_a_perturbed_corner(grid16, rng):
+    # corner 0 ends arc 3 and starts arc 0, so it sits in both halves; its
+    # perturbation is scaled to a real-structure defect of 2.5e-10, which
+    # fails the 1e-10 check only where the corner's weight exceeds 0.4
+    x, e, y = kane_mele_torsion_datum(grid16)
+    rs = quaternionic_structure(k=1)
+    corners = torsion_corners(x, e, y)
+    p = AlgElement(grid16, 4, 2)
+    p.data[0] = random_hermitian_field(rng, grid16, 4).data[0]
+    p = p.scale(2.5e-10 / (apply_real_structure(rs.extend(1), p) - p).norm_inf())
+    corners[0] = corners[0] + p
+    ends = [_corner(c) for c in corners]
+    segments = [ArcSegment(i / 4, (i + 1) / 4, 32, [ends[i], ends[(i + 1) % 4]])
+                for i in range(4)]
+    bad = failing(_half_symmetry(corners, segments, rs), 1e-10)
+    want = failing(half_symmetry_oracle(segments, rs), 1e-10)
+    assert list(bad) == list(want)
+    assert {name.split("_")[0] for name in bad} == {"arc0", "arc3"}
+    assert 0 < len(bad) < 8
+    for name, residual in bad.items():
+        assert residual == pytest.approx(want[name], rel=1e-9)
+
+
+@pytest.mark.parametrize("order", [32, 48])
+def test_torsion_loop_forms_one_real_structure_defect_per_corner(grid16, monkeypatch,
+                                                                 order):
+    # 3 precondition checks (y, x, e), then one defect per corner of each
+    # half-loop: 3 + 6 calls at any order, where one per checked node made
+    # 3 + 16 at order 32 and 3 + 24 at order 48
+    x, e, y = kane_mele_torsion_datum(grid16)
+    calls = count_calls(monkeypatch, apply_real_structure)
+    torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                 derivations=(Derivation(0), Derivation(1)), order=order)
+    assert len(calls) <= 3 + 6
+
+
 def test_doubled_class_satisfies_property_y(grid16):
     h = decoupled_tri_symbol(grid16, 1.0)
     x = make_osu_from_hamiltonian(h)
@@ -276,14 +344,31 @@ def gauss_segment(f, dfds, t0, t1, order, grid, m, k):
     return Segment(t0, t1, nodes, weights, values, derivs, grid, m, k)
 
 
+def test_gauss_rule_is_formed_once_per_order_and_read_only():
+    nodes, weights = _gauss_rule(12)
+    assert _gauss_rule(12)[0] is nodes
+    xg, wg = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(nodes, 0.5 * (xg + 1.0))
+    assert np.array_equal(weights, 0.5 * wg)
+    for a in (nodes, weights):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def torsion_corners(x, e, y):
+    """The torsion loop's corners e (x) 1, 1 (x) rho, x (x) 1, y (x) i rho."""
+    xb, eb = x.body, e.e
+    unit = AlgElement.unit(xb.grid, xb.m, xb.k)
+    return [eb.append_generator(on_new=False), unit.append_generator(),
+            xb.append_generator(on_new=False), y.append_generator(coeff=1j)]
+
+
 def materialized_torsion_segments(x, e, y, order, arcs=range(4)):
     """The quarter arcs (all four unless `arcs` picks some) as gauss_segment
     arrays, from callables on the corners e (x) 1, 1 (x) rho, x (x) 1,
     y (x) i rho."""
-    xb, eb = x.body, e.e
-    unit = AlgElement.unit(xb.grid, xb.m, xb.k)
-    corners = [eb.append_generator(on_new=False), unit.append_generator(),
-               xb.append_generator(on_new=False), y.append_generator(coeff=1j)]
+    xb = x.body
+    corners = torsion_corners(x, e, y)
     segments = []
     for i in arcs:
         a, b = corners[i], corners[(i + 1) % 4]

@@ -770,6 +770,29 @@ def test_spin_chern_scale_invariant(lam):
     assert abs(spin_chern(h.scale(lam)) - spin_chern(h)) <= 1e-12
 
 
+def _torsion_loop_route(h):
+    """The Kane-Mele torsion value of a spin-doubled symbol by the loop route."""
+    cyc = ch2()
+    loop = torsion_loop(make_osu_from_hamiltonian(h),
+                        BasePoint.standard_rho(h.grid, h.m, 1, sign=-1),
+                        spin_y(h.grid, h.m), rs=quaternionic_structure(k=1),
+                        derivations=cyc.derivations, order=8)
+    return torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e8))
+@example(1e-6)
+@example(1e8)
+def test_torsion_loop_route_scale_invariant(lam):
+    # sign(lambda h) = sign(h) for lambda > 0, so neither the class nor the
+    # value of the loop route may see the energy scale
+    h = decoupled_tri_symbol(TorusGrid((16, 16)), 1.0)
+    ref, got = _torsion_loop_route(h), _torsion_loop_route(h.scale(lam))
+    assert got.z2_class(2 * np.pi) == ref.z2_class(2 * np.pi) == 1
+    assert got.distance(ref) <= 1e-10
+
+
 def _ch2_pairing(h):
     """The pair --cycle ch2 value of a gapped two-dimensional symbol."""
     x = osu_validate(flatten(h).append_generator())
