@@ -13,9 +13,8 @@ from .grid_alg import (AlgElement, Derivation, RealStructureSpec, TorusGrid,
                        hermitian_calculus, psi_e, psi_e_inverse, trace,
                        unitary_exp)
 from .kclass import (BasePoint, GapClosedError, LoopElement, OsuElement,
-                     OsuValidationError, bott_loop, exp_projection_loop,
-                     flatten, make_osu_from_hamiltonian, osu_validate,
-                     torsion_loop)
+                     OsuValidationError, bott_loop, flatten,
+                     make_osu_from_hamiltonian, osu_validate, torsion_loop)
 from .pairing import (MODULUS_KANE_MELE_CH2, MODULUS_KO2_CH0, CycleSpec,
                       PairingValue, SelectionRule, TorsionValue, ch0, ch1,
                       ch2, chern_number, integer_check, pair, pair_suspended,

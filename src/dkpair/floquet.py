@@ -7,7 +7,7 @@ exact segment exponentials; all unitary eigendecompositions go through one
 batched hermitian eigensolve of a Cayley transform, with an explicit
 residual contract.  On each drive segment the periodized evolution is an
 entire function of time, held as a `FrameSegment` in the eigenframes of the
-segment and of H_eff rather than as node arrays: its endpoints come from the
+segment and of H_eff rather than as node arrays: its ends come from the
 frame formula, `degree_t3` integrates it one Gauss-Legendre node at a time
 through `Segment.quadrature`, and its uniform nodes are built only when a
 caller exports them.  A node evaluates its frame once, V and dV/ds from one
@@ -244,10 +244,10 @@ class _AnalyticSegment(Segment):
     """A loop segment with a closed formula for V at any local s
     (`values_at`) and for the pair (V, dV/ds) (`at`); an array of s gives a
     leading node axis.  Its `quadrature` is its own `order`-node
-    Gauss-Legendre rule, evaluated one node at a time, each node by one `at`.
-    Its closed uniform nodes (`nnodes` of them, Simpson weights) are the
-    export grid: `.values` and `.derivs` evaluate the formula there on every
-    access."""
+    Gauss-Legendre rule, evaluated one node at a time, each node by one `at`,
+    and its `ends` are the formula at s = 0 and s = 1.  Its closed uniform
+    nodes (`nnodes` of them, Simpson weights) are the export grid: `.values`
+    and `.derivs` evaluate the formula there on every access."""
 
     nnodes: int
     order: int
@@ -267,6 +267,9 @@ class _AnalyticSegment(Segment):
     @property
     def derivs(self) -> np.ndarray:
         return self.at(self.nodes)[1][None]
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.values_at(0.0)[None], self.values_at(1.0)[None]
 
     def quadrature(self, axes):
         nodes, weights = _gauss_rule(self.order)
@@ -358,17 +361,16 @@ def periodized_evolution(drive: FloquetDrive, branch: BranchChoice,
     drive segment (segments are additionally cut at the half period so
     contractions can take over there).
 
-    No node array is built.  The loop's endpoints come from the frame
-    formula, and each frame's `quadrature` is its own Gauss rule.
+    No node array is built.  The loop's ends come from the frame formula,
+    and each frame's `quadrature` is its own Gauss rule.
     t_samples sets only the exported uniform nodes: a segment of duration
     tau has max(9, round(t_samples tau / T) | 1) of them, built on access."""
-    return _closed_loop(_eigenframes(drive, branch, t_samples), 1e-9)
+    return LoopElement(_eigenframes(drive, branch, t_samples), 1e-9)
 
 
 def periodicity_residual(loop: LoopElement) -> float:
-    first = loop.endpoints[0][0]
-    last = loop.endpoints[-1][1]
-    return (first - last).norm_inf()
+    first, last = loop.segments[0].ends()[0], loop.segments[-1].ends()[1]
+    return AlgElement(loop.grid, loop.m, loop.k, first - last).norm_inf()
 
 
 def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
@@ -454,24 +456,6 @@ def _first_half(v_loop: LoopElement) -> list[Segment]:
     return half
 
 
-def _closed_loop(segments: list[Segment], tol: float) -> LoopElement:
-    """Periodic loop of plain segments, checked for continuity within tol.
-    An analytic segment's endpoints come from its formula, a stored one's
-    from its first and last closed node."""
-    grid = segments[0].grid
-
-    def ends(seg):
-        if isinstance(seg, _AnalyticSegment):
-            return seg.values_at(0.0), seg.values_at(1.0)
-        return seg.values[0, 0], seg.values[0, -1]
-
-    endpoints = [tuple(AlgElement.from_matrix_field(grid, e) for e in ends(s))
-                 for s in segments]
-    loop = LoopElement(segments, endpoints=endpoints)
-    loop.validate_continuity(tol)
-    return loop
-
-
 def _spin_mirror(arr: np.ndarray, d: int) -> np.ndarray:
     """The upper spin block of arr (..., *grid, m, m) kept, the lower block
     replaced by conj(upper)(-k) over the d grid axes, off-diagonal blocks
@@ -516,7 +500,7 @@ def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
     holds no node array, and its `quadrature` is the frames' Gauss rules.
     """
     half = _first_half(v_loop)
-    return _closed_loop(half + [_MirroredFrame(seg) for seg in reversed(half)], 1e-8)
+    return LoopElement(half + [_MirroredFrame(seg) for seg in reversed(half)], 1e-8)
 
 
 def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
@@ -547,7 +531,7 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
                    for j in nodes), boundary_tol)
     if bad:
         raise ValueError(f"contraction symmetry residuals: {named(bad)}")
-    return _closed_loop(half + [seg], boundary_tol)
+    return LoopElement(half + [seg], boundary_tol)
 
 
 class ArcInvariant:

@@ -13,7 +13,7 @@ their coefficients, and the Floquet loops evaluate theirs from eigenframes
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -162,13 +162,26 @@ class Segment:
         for j, weight in enumerate(self.weights):
             yield (weight, *self.node(j, axes))
 
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The data blocks at s = 0 and s = 1: views of the first and last node."""
+        return self.values[:, 0], self.values[:, -1]
+
 
 @dataclass
 class LoopElement:
-    """Piecewise-smooth OSU- or unitary-valued closed loop over one period."""
+    """Piecewise-smooth OSU- or unitary-valued closed loop over one period,
+    built only if each segment ends within tol of where the next, cyclically,
+    starts (`Segment.ends`)."""
 
     segments: list[Segment]
-    endpoints: list[tuple[AlgElement, AlgElement]] = field(default_factory=list)
+    tol: InitVar[float]
+
+    def __post_init__(self, tol: float):
+        ends = [seg.ends() for seg in self.segments]
+        bad = failing(((f"segment{i}_end", AlgElement(self.grid, self.m, self.k, a[1] - b[0]))
+                       for i, (a, b) in enumerate(zip(ends, ends[1:] + ends[:1]))), tol)
+        if bad:
+            raise ValueError(f"loop discontinuous: {named(bad)}")
 
     @property
     def grid(self):
@@ -182,27 +195,12 @@ class LoopElement:
     def k(self):
         return self.segments[0].k
 
-    def validate_continuity(self, tol: float = 1e-9):
-        ends = self.endpoints
-        n = len(ends)
-        bad = failing(((f"segment{i}_end", ends[i][1] - ends[(i + 1) % n][0])
-                       for i in range(n)), tol)
-        if bad:
-            raise ValueError(f"loop discontinuous: {named(bad)}")
-
     def _sample_defects(self, stride: int):
         """(name, defect) of each OSU check at every stride-th node of each
         segment, formed as it is drawn."""
         for i, seg in enumerate(self.segments):
             for j in range(0, seg.nodes.size, stride):
                 yield from _osu_defects(seg.element(j), f" at segment {i} node {j}")
-
-    def sample_osu_residual(self, stride: int = 4) -> float:
-        worst = 0.0
-        for _, defect in self._sample_defects(stride):
-            worst = max(worst, defect.norm_inf())
-            del defect  # before the next one is formed
-        return worst
 
 
 @functools.cache
@@ -214,20 +212,6 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     for a in rule:
         a.flags.writeable = False
     return rule
-
-
-def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
-    """Single smooth 1-periodic segment sampled at j/M; spectral s-derivative."""
-    nnodes = values.shape[1]
-    nodes = np.arange(nnodes) / nnodes
-    weights = np.full(nnodes, 1.0 / nnodes)
-    fhat = np.fft.fft(values, axis=1)
-    modes = np.fft.fftfreq(nnodes, d=1.0 / nnodes)
-    modes[nnodes // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[1] = nnodes
-    derivs = np.fft.ifft(fhat * (2j * np.pi * modes).reshape(shape), axis=1)
-    return Segment(0.0, 1.0, nodes, weights, values, derivs, grid, m, k)
 
 
 def uniform_closed_segment(values: np.ndarray, t0: float, t1: float,
@@ -301,6 +285,10 @@ class ArcSegment(Segment):
     def at(self, s: float) -> AlgElement:
         return AlgElement(self.grid, self.m, self.k, _combine(self._powers(s), self.blocks))
 
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """P_0 and P_d, the arc's exact values at s = 0 and s = 1, as stored."""
+        return self.blocks[0], self.blocks[-1]
+
     def element(self, j: int) -> AlgElement:
         return self.at(self.nodes[j])
 
@@ -338,8 +326,8 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
     """Suspension-image loop nu_x nu_e^-1 rho nu_e nu_x^-1 of an OSU class,
     with rho the appended generator and nu_y = cos 1 + sin y (x) rho at
     (cos, sin)(pi s/2).  The factors are multiplied out once into one
-    `ArcSegment` of degree 4; it closes at 1 (x) rho but is only piecewise
-    smooth on the circle."""
+    `ArcSegment` of degree 4; it closes at 1 (x) rho within 1e-10 but is
+    only piecewise smooth on the circle."""
     xb, eb = x.body, e.e
     xb._check(eb)
     unit = AlgElement.unit(xb.grid, xb.m, xb.k + 1)
@@ -348,28 +336,11 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
     coeffs = [unit, xr]
     for factor in ([unit, -er], [rho], [unit, er], [unit, -xr]):
         coeffs = _poly_product(coeffs, factor)
-    seg = ArcSegment(0.0, 1.0, order, [_corner(p) for p in coeffs])
-    loop = LoopElement([seg], endpoints=[(seg.at(0.0), seg.at(1.0))])
-    loop.validate_continuity(1e-10)  # the loop closes
+    loop = LoopElement([ArcSegment(0.0, 1.0, order, [_corner(p) for p in coeffs])], 1e-10)
     bad = failing(loop._sample_defects(4), 1e-10)
     if bad:
         raise OsuValidationError(f"loop samples fail the OSU check: {named(bad)}", bad)
     return loop
-
-
-def loop_from_unitary_samples(values: np.ndarray, grid, m) -> LoopElement:
-    """Smooth 1-periodic unitary loop from samples (nt, *sizes, m, m)."""
-    data = values[None, ...].astype(complex)
-    seg = uniform_periodic_segment(data, grid, m, 0)
-    return LoopElement([seg])
-
-
-def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopElement:
-    """s -> exp(sign * 2*pi*i*s*P) for a projection field P (k = 0)."""
-    w, v = np.linalg.eigh(p.data[0])
-    t = np.arange(nt).reshape((nt,) + (1,) * w.ndim) / nt
-    phases = np.exp(sign * 2j * np.pi * t * w[None])
-    return loop_from_unitary_samples(_spectral_calculus(v, phases), p.grid, p.m)
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +418,7 @@ def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
     ends = [_corner(c) for c in corners]
     segments = [ArcSegment(i / 4, (i + 1) / 4, order, [ends[i], ends[(i + 1) % 4]])
                 for i in range(4)]
-    endpoints = [(seg.at(0.0), seg.at(1.0)) for seg in segments]
-    loop = LoopElement(segments, endpoints=endpoints)
-    loop.validate_continuity(tol)
+    loop = LoopElement(segments, tol)
     bad = {} if rs is None else failing(_half_symmetry(corners, segments, rs), tol)
     if bad:
         raise ValueError(f"torsion loop half-symmetry residuals: {named(bad)}")

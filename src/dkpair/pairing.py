@@ -324,8 +324,7 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
     from the class representative; the subtraction matters numerically
     because the loops are only piecewise smooth.
     """
-    loop.validate_continuity()
-    base = loop.endpoints[0][0] if loop.endpoints else loop.segments[0].element(0)
+    base = AlgElement(loop.grid, loop.m, loop.k, loop.segments[0].ends()[0])
     _check_basepoint(cycle, base)
     n = cycle.n
     k_loop = loop.k

@@ -3,8 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from dkpair.grid_alg import AlgElement, TorusGrid
-from dkpair.kclass import BasePoint, osu_validate
+from dkpair.grid_alg import AlgElement, TorusGrid, _spectral_calculus
+from dkpair.kclass import BasePoint, LoopElement, Segment, osu_validate
 from dkpair.models import qwz_symbol
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -130,3 +130,50 @@ def qwz_osu(grid16):
     x = make_osu_from_hamiltonian(qwz_symbol(grid16, 1.0))
     e = BasePoint.standard_rho(grid16, 2, 1, sign=-1)
     return x, e
+
+
+def sample_osu_residual(loop: LoopElement, stride: int) -> float:
+    """The largest OSU defect at every stride-th node of each segment."""
+    worst = 0.0
+    for _, defect in loop._sample_defects(stride):
+        worst = max(worst, defect.norm_inf())
+        del defect  # before the next one is formed
+    return worst
+
+
+class PeriodicSegment(Segment):
+    """A 1-periodic segment stored at j/M for j < M: s = 1 is node 0 again,
+    so both its ends are its first node."""
+
+    def ends(self):
+        start = self.values[:, 0]
+        return start, start
+
+
+def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
+    """Single smooth 1-periodic segment sampled at j/M; spectral s-derivative."""
+    nnodes = values.shape[1]
+    nodes = np.arange(nnodes) / nnodes
+    weights = np.full(nnodes, 1.0 / nnodes)
+    fhat = np.fft.fft(values, axis=1)
+    modes = np.fft.fftfreq(nnodes, d=1.0 / nnodes)
+    modes[nnodes // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[1] = nnodes
+    derivs = np.fft.ifft(fhat * (2j * np.pi * modes).reshape(shape), axis=1)
+    return PeriodicSegment(0.0, 1.0, nodes, weights, values, derivs, grid, m, k)
+
+
+def loop_from_unitary_samples(values: np.ndarray, grid, m) -> LoopElement:
+    """Smooth 1-periodic unitary loop from samples (nt, *sizes, m, m)."""
+    data = values[None, ...].astype(complex)
+    seg = uniform_periodic_segment(data, grid, m, 0)
+    return LoopElement([seg], 1e-9)
+
+
+def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopElement:
+    """s -> exp(sign * 2*pi*i*s*P) for a projection field P (k = 0)."""
+    w, v = np.linalg.eigh(p.data[0])
+    t = np.arange(nt).reshape((nt,) + (1,) * w.ndim) / nt
+    phases = np.exp(sign * 2j * np.pi * t * w[None])
+    return loop_from_unitary_samples(_spectral_calculus(v, phases), p.grid, p.m)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chern_fhs
+from conftest import chern_fhs, exp_projection_loop, loop_from_unitary_samples
 from dkpair import floquet as fl
 from dkpair.grid_alg import AlgElement, TorusGrid, apply_real_structure
 from dkpair.kclass import (GapClosedError, LoopElement, Segment, _simpson_rule,
-                           exp_projection_loop, flatten)
+                           flatten)
 from dkpair.models import (conjugate_flip, quaternionic_structure, qwz_symbol,
                            spin_double)
 from dkpair.pairing import alt_trace, chern_number, spin_chern
@@ -137,7 +137,7 @@ def test_periodized_evolution(tri_drive, rs):
     assert fl.periodicity_residual(loop) < 1e-9
     assert fl.tri_symmetry_residual(tri_drive, b0, rs) < 1e-9
     # V(0) = 1
-    start = loop.endpoints[0][0]
+    start = AlgElement(loop.grid, 4, 0, loop.segments[0].ends()[0])
     assert (start - AlgElement.unit(loop.grid, 4, 0)).norm_inf() < 1e-12
 
 
@@ -153,7 +153,6 @@ def test_periodized_evolution_constant_drive(grid):
 
 def test_degree_trivial_loops(grid):
     one = np.broadcast_to(np.eye(2), (32, 16, 16, 2, 2)).copy()
-    from dkpair.kclass import loop_from_unitary_samples
     loop = loop_from_unitary_samples(one, grid, 2)
     assert fl.degree_t3(loop) == 0.0
     t = np.arange(32) / 32
@@ -462,7 +461,7 @@ def simpson_reference(loop):
     integrates with Simpson's rule on their nodes."""
     return LoopElement([Segment(seg.t0, seg.t1, *_simpson_rule(seg.nnodes), seg.values,
                                 seg.derivs, seg.grid, seg.m, 0)
-                        for seg in loop.segments])
+                        for seg in loop.segments], 1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -511,7 +510,7 @@ def conjugated(loop, g):
     gh = np.conj(g.T)
     return LoopElement([Segment(seg.t0, seg.t1, seg.nodes, seg.weights, g @ seg.values @ gh,
                                 g @ seg.derivs @ gh, seg.grid, seg.m, 0)
-                        for seg in loop.segments])
+                        for seg in loop.segments], 1e-8)
 
 
 def test_cubic_trace_matches_alt_trace_oracle(grid):
@@ -539,7 +538,7 @@ def test_degree_rejects_a_non_unitary_node(criterion_12_contractions):
     values = seg.values.copy()
     values[0, 5] *= 1 + 1e-6
     bad = LoopElement([Segment(seg.t0, seg.t1, seg.nodes, seg.weights, values, seg.derivs,
-                               seg.grid, seg.m, 0), *ref.segments[1:]])
+                               seg.grid, seg.m, 0), *ref.segments[1:]], 1e-8)
     with pytest.raises(ValueError, match="loop not unitary"):
         fl.degree_t3(bad)
 
@@ -613,3 +612,19 @@ def test_contraction_samples_are_not_copied(tri_drive, rs):
     samples = fl.decoupled_contraction(v_loop).segments[-1].values[0]
     loop = fl.contraction_loop_from_samples(v_loop, samples, rs)
     assert np.shares_memory(loop.segments[-1].values, samples)
+
+
+def test_segment_ends_are_the_values_at_0_and_1(tri_drive, rs):
+    # a frame and its mirror evaluate their formula at s = 0 and s = 1; a
+    # contraction half's ends are views of its first and last sample
+    v_loop = fl.periodized_evolution(tri_drive, fl.BranchChoice(0.0), 32)
+    completed = fl.decoupled_contraction(v_loop)
+    assert {type(seg) for seg in completed.segments} == {fl.FrameSegment, fl._MirroredFrame}
+    for seg in completed.segments:
+        start, end = seg.ends()
+        assert np.array_equal(start, seg.values_at(0.0)[None])
+        assert np.array_equal(end, seg.values_at(1.0)[None])
+    samples = completed.segments[-1].values[0]
+    start, end = fl.contraction_loop_from_samples(v_loop, samples, rs).segments[-1].ends()
+    for got, want in ((start, samples[0]), (end, samples[-1])):
+        assert np.array_equal(got[0], want) and np.shares_memory(got, want)

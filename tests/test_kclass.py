@@ -1,20 +1,23 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from conftest import count_calls, ko2_generator, random_hermitian_field, spin_y
+from conftest import (count_calls, exp_projection_loop, ko2_generator,
+                      random_hermitian_field, sample_osu_residual, spin_y)
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_real_structure, direct_sum,
                              failing, spectral_derivative_data)
 from dkpair.kclass import (ArcSegment, BasePoint, GapClosedError, LoopElement,
                            OsuValidationError, Segment, _corner, _gauss_rule,
-                           _half_symmetry, bott_loop,
-                           exp_projection_loop, flatten, make_osu_from_hamiltonian,
-                           osu_validate, torsion_loop, uniform_closed_segment)
+                           _half_symmetry, bott_loop, flatten,
+                           make_osu_from_hamiltonian, osu_validate, torsion_loop,
+                           uniform_closed_segment)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_symbol, spin_double)
-from dkpair.pairing import _arc_integral, alt_trace, ch0, ch2, pair_suspended
+from dkpair.pairing import (MODULUS_KANE_MELE_CH2, _arc_integral, alt_trace, ch0, ch2,
+                            pair_suspended, torsion_pairing_via_loop)
 
 
 def test_flatten_sign_function(point_grid):
@@ -165,9 +168,9 @@ def test_bott_loop_constant_at_base(point_grid):
 def test_bott_loop_osu_samples_and_closure(qwz_osu):
     x, e = qwz_osu
     loop = bott_loop(x, e, order=24)
-    assert loop.sample_osu_residual(stride=3) < 1e-10
-    a, b = loop.endpoints[0]
-    assert (a - b).norm_inf() < 1e-12
+    assert sample_osu_residual(loop, 3) < 1e-10
+    a, b = loop.segments[0].ends()
+    assert AlgElement(loop.grid, loop.m, loop.k, a - b).norm_inf() < 1e-12
 
 
 def test_bott_loop_matches_exponential_form(grid16):
@@ -198,11 +201,11 @@ def test_torsion_loop_structure(point_grid):
     rs = RealStructureSpec(fiber="c", clifford_signs=(-1,))
     loop = torsion_loop(x, e, y, rs=rs, order=12)
     assert len(loop.segments) == 4
-    start = loop.endpoints[0][0]
+    start, half = (AlgElement(loop.grid, loop.m, loop.k, loop.segments[i].ends()[0])
+                   for i in (0, 2))
     assert (start - e.e.append_generator(on_new=False)).norm_inf() < 1e-13
-    half = loop.endpoints[2][0]
     assert (half - x.body.append_generator(on_new=False)).norm_inf() < 1e-13
-    assert loop.sample_osu_residual(stride=2) < 1e-12
+    assert sample_osu_residual(loop, 2) < 1e-12
 
 
 def test_torsion_loop_corner_products(point_grid):
@@ -329,19 +332,73 @@ def test_doubled_class_satisfies_property_y(grid16):
     rs = quaternionic_structure(k=1, fiber_block=4)
     loop = torsion_loop(xx, ee, y, rs=rs,
                         derivations=(Derivation(0), Derivation(1)), order=12)
-    assert loop.sample_osu_residual() < 1e-12
+    assert sample_osu_residual(loop, 4) < 1e-12
+
+
+@pytest.mark.parametrize("second, gap", [((3, 1), "segment0_end"), ((2, 2), "segment1_end")])
+def test_loop_with_a_gap_is_rejected_when_built(grid16, second, gap):
+    # two halves, the first from 1 to 2 (times the unit); the second starts
+    # 1 off the first one's end (an interior gap) or ends 1 off its start
+    # (the wrap-around), and the message names that end alone
+    one = np.broadcast_to(np.eye(2, dtype=complex), (1, 1, *grid16.sizes, 2, 2))
+    s = np.linspace(0.0, 1.0, 7).reshape(1, 7, 1, 1, 1, 1)
+
+    def half(a, b, t0):
+        return uniform_closed_segment(((1 - s) * a + s * b) * one, t0, t0 + 0.5, grid16, 2, 0)
+
+    LoopElement([half(1, 2, 0.0), half(2, 1, 0.5)], 1e-12)
+    with pytest.raises(ValueError, match=rf"^loop discontinuous: {gap}=1\.000e\+00$"):
+        LoopElement([half(1, 2, 0.0), half(*second, 0.5)], 1e-12)
+
+
+def test_arc_ends_are_its_first_and_last_block(qwz_osu, grid16):
+    # at(0) is P_0 exactly; at(1) adds cos(pi/2) = 6e-17 times P_(d-1)
+    x, e = qwz_osu
+    loops = [bott_loop(x, e, order=8), torsion_loop(*kane_mele_torsion_datum(grid16), order=8)]
+    for seg in [seg for loop in loops for seg in loop.segments]:
+        start, end = seg.ends()
+        assert start is seg.blocks[0] and end is seg.blocks[-1]
+        assert np.array_equal(start, seg.at(0.0).data)
+        scale = max(np.max(np.abs(block)) for block in seg.blocks)
+        assert np.max(np.abs(end - seg.at(1.0).data)) <= 1e-15 * scale
+
+
+def test_torsion_loop_and_its_pairing_form_no_arc_element(grid16, monkeypatch):
+    # the loop's continuity check and the pairing's base point read the
+    # arcs' corner blocks, the half-symmetry check combines corner defects
+    # and the pairing integrates each arc in closed form
+    x, e, y = kane_mele_torsion_datum(grid16)
+    at, calls = ArcSegment.at, []
+    monkeypatch.setattr(ArcSegment, "at", lambda seg, s: calls.append(s) or at(seg, s))
+    cycle = ch2()
+    loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                        derivations=cycle.derivations, order=32)
+    torsion_pairing_via_loop(cycle, loop, MODULUS_KANE_MELE_CH2)
+    assert calls == []
+
+
+@dataclass
+class GaussSegment(Segment):
+    """A stored segment on Gauss-Legendre nodes, which reach neither s = 0
+    nor s = 1: its ends are held beside the nodes."""
+
+    end_blocks: tuple[np.ndarray, np.ndarray]
+
+    def ends(self):
+        return self.end_blocks
 
 
 def gauss_segment(f, dfds, t0, t1, order, grid, m, k):
     """A segment with node arrays from callables s -> AlgElement on
-    Gauss-Legendre nodes."""
+    Gauss-Legendre nodes, and ends f(0) and f(1)."""
     nodes, weights = _gauss_rule(order)
     values = np.zeros((1 << k, nodes.size, *grid.sizes, m, m), dtype=complex)
     derivs = np.zeros_like(values)
     for j, s in enumerate(nodes):
         values[:, j] = f(s).data
         derivs[:, j] = dfds(s).data
-    return Segment(t0, t1, nodes, weights, values, derivs, grid, m, k)
+    return GaussSegment(t0, t1, nodes, weights, values, derivs, grid, m, k,
+                        (f(0.0).data, f(1.0).data))
 
 
 def test_gauss_rule_is_formed_once_per_order_and_read_only():
@@ -409,7 +466,7 @@ def test_torsion_loop_nodes_match_materialized_arrays(point_grid, grid16):
                 assert len(space) == len(axes)
                 for got, w in zip([value, dvalue, *space], want):
                     assert np.max(np.abs(got - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
-        oracle = pair_suspended(cycle, LoopElement(old, endpoints=loop.endpoints)).value
+        oracle = pair_suspended(cycle, LoopElement(old, 1e-10)).value
         got = pair_suspended(cycle, loop).value
         assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
@@ -431,7 +488,7 @@ def test_arc_integral_matches_materialized_oracle():
     order = 48
     loop = torsion_loop(xx, ee, y, rs=quaternionic_structure(k=1, fiber_block=4),
                         derivations=cycle.derivations, order=order)
-    base = loop.endpoints[0][0].data
+    base = loop.segments[0].ends()[0]
     got, want = [], []
     for i, arc in enumerate(loop.segments):
         ref, = materialized_torsion_segments(xx, ee, y, order, arcs=(i,))
@@ -516,7 +573,7 @@ def test_bott_loop_nodes_match_materialized_oracle(point_grid, grid16, rng):
             assert len(space) == len(axes)
             for got, w in zip([value, dvalue, *space], want):
                 assert np.max(np.abs(got - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
-        oracle = pair_suspended(cycle, LoopElement([ref], endpoints=loop.endpoints)).value
+        oracle = pair_suspended(cycle, LoopElement([ref], 1e-10)).value
         got = pair_suspended(cycle, loop).value
         assert abs(oracle) > 0.1
         assert abs(got - oracle) <= 1e-12 * abs(oracle)
