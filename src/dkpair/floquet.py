@@ -26,8 +26,8 @@ import numpy as np
 from .grid_alg import (AlgElement, RealStructureSpec, _minus_unit,
                        _spectral_calculus, apply_real_structure, failing, named,
                        require_within, spectral_derivative_data)
-from .kclass import (GapClosedError, LoopElement, Segment, _gauss_rule,
-                     _simpson_rule, uniform_closed_segment)
+from .kclass import (ClosedSegment, GapClosedError, LoopElement, Segment,
+                     _gauss_rule, _simpson_rule)
 from .pairing import TorsionValue, chern_number, integer_check
 
 DEFAULT_T_SAMPLES = 256
@@ -245,28 +245,16 @@ class _AnalyticSegment(Segment):
     (`values_at`) and for the pair (V, dV/ds) (`at`); an array of s gives a
     leading node axis.  Its `quadrature` is its own `order`-node
     Gauss-Legendre rule, evaluated one node at a time, each node by one `at`,
-    and its `ends` are the formula at s = 0 and s = 1.  Its closed uniform
-    nodes (`nnodes` of them, Simpson weights) are the export grid: `.values`
-    and `.derivs` evaluate the formula there on every access."""
+    and its `ends` are the formula at s = 0 and s = 1.  Its one export is
+    `.values`, the formula on `nnodes` closed uniform nodes j/(nnodes - 1),
+    evaluated on every access."""
 
     nnodes: int
     order: int
 
     @property
-    def nodes(self) -> np.ndarray:
-        return _simpson_rule(self.nnodes)[0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _simpson_rule(self.nnodes)[1]
-
-    @property
     def values(self) -> np.ndarray:
-        return self.values_at(self.nodes)[None]
-
-    @property
-    def derivs(self) -> np.ndarray:
-        return self.at(self.nodes)[1][None]
+        return self.values_at(_simpson_rule(self.nnodes)[0])[None]
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         return self.values_at(0.0)[None], self.values_at(1.0)[None]
@@ -294,7 +282,6 @@ class FrameSegment(_AnalyticSegment):
 
     def __init__(self, grid, period: float, start: float, tau: float,
                  frame, eff, nnodes: int):
-        # Segment's own __init__ would assign the node arrays
         self.t0, self.t1 = start / period, (start + tau) / period
         self.start, self.tau = start, tau
         self.w, self.v, self.a = frame
@@ -523,12 +510,12 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     if res0 > boundary_tol or res1 > boundary_tol:
         raise ValueError(f"contraction boundary conditions violated: "
                          f"V(1/2) residual {res0:.3e}, V(1) residual {res1:.3e}")
-    seg = uniform_closed_segment(np.asarray(samples, dtype=complex)[None], 0.5, 1.0,
-                                 grid, m, 0)
-    nodes = range(0, seg.nodes.size, max(1, seg.nodes.size // 8))
-    # a node's element is a view of the samples, so forming it twice is free
-    bad = failing(((f"node{j}", apply_real_structure(rs, seg.element(j)) - seg.element(j))
-                   for j in nodes), boundary_tol)
+    seg = ClosedSegment(np.asarray(samples, dtype=complex)[None], 0.5, 1.0, grid, m, 0)
+    # a node's element is a view of the samples
+    nodes = ((j, AlgElement(grid, m, 0, seg.values[:, j]))
+             for j in range(0, seg.weights.size, max(1, seg.weights.size // 8)))
+    bad = failing(((f"node{j}", apply_real_structure(rs, x) - x) for j, x in nodes),
+                  boundary_tol)
     if bad:
         raise ValueError(f"contraction symmetry residuals: {named(bad)}")
     return LoopElement(half + [seg], boundary_tol)
@@ -592,5 +579,6 @@ def degree_difference(v_loops, contractions, rs: RealStructureSpec
     def degree(v_loop, samples):
         return degree_t3(contraction_loop_from_samples(v_loop, samples, rs))
     degs = tuple(map(degree, v_loops, contractions))
-    k_val = (integer_check(degs[1], 1e-3) - integer_check(degs[0], 1e-3)) % 2
+    # degree_t3 has held each degree within 1e-3 of an integer
+    k_val = (round(degs[1]) - round(degs[0])) % 2
     return TorsionValue(float(k_val), 2.0), degs

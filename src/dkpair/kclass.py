@@ -1,13 +1,15 @@
 """K-theory representatives: spectral flattening, validated OSUs, base points,
 and the explicit loops used by the suspension and torsion pairings.
 
-Loops are stored segmentwise with quadrature nodes and analytic (or spectral)
-local time derivatives, because the constructed loops are only piecewise
-smooth on the circle.  Consumers read one node of a segment's own rule at a
-time (`Segment.quadrature`).  The Bott and torsion loops are `ArcSegment`s,
-homogeneous polynomials in (cos, sin)(pi s/2) that build each node from
-their coefficients, and the Floquet loops evaluate theirs from eigenframes
-(`floquet.FrameSegment`); only loops built from samples store node arrays.
+Loops are lists of segments, because the constructed loops are only
+piecewise smooth on the circle.  Every consumer reads a segment through two
+methods: `Segment.quadrature`, one node of its own rule at a time with the
+value, d/ds and space derivatives there, and `Segment.ends`, its values at
+s = 0 and s = 1.  The Bott and torsion loops are `ArcSegment`s, homogeneous
+polynomials in (cos, sin)(pi s/2) that build each node from their
+coefficients, and the Floquet loops evaluate theirs from eigenframes
+(`floquet.FrameSegment`); only `ClosedSegment`, a loop piece given as
+samples, stores node arrays.
 """
 
 from __future__ import annotations
@@ -123,48 +125,27 @@ def make_osu_from_hamiltonian(h: AlgElement, gap_tol: float = 1e-8) -> OsuElemen
 # loops
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Segment:
-    """One piece of a loop, parametrized by local s in [0,1].
-
-    values/derivs have shape (2^k, nnodes, *grid.sizes, m, m); derivs are
-    d/ds at the nodes.  weights integrate over local s.  Consumers read one
-    node at a time through `node` or `quadrature`; a subclass that builds
-    nodes on demand materializes values/derivs on every access.
-    """
+    """One piece of a loop over [t0, t1] of the period, parametrized by local
+    s in [0, 1], with values in M_m(A) (x) Cl_k on `grid`.  A subclass sets
+    t0, t1, grid, m and k and answers the two reads every consumer makes:
+    `quadrature`, its own rule one node at a time, and `ends`."""
 
     t0: float
     t1: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    values: np.ndarray
-    derivs: np.ndarray
     grid: TorusGrid
     m: int
     k: int
 
-    def element(self, j: int) -> AlgElement:
-        return AlgElement(self.grid, self.m, self.k, self.values[:, j])
-
-    def node(self, j: int, axes=()) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """(value, d/ds, [d_axis value for axis in axes]) at node j."""
-        value = self.values[:, j]
-        return value, self.deriv(j), [spectral_derivative_data(value, self.grid, a, 1)
-                                      for a in axes]
-
-    def deriv(self, j: int) -> np.ndarray:
-        """d/ds at node j."""
-        return self.derivs[:, j]
-
     def quadrature(self, axes):
         """(weight, value, d/ds, [d_axis value for axis in axes]) at each node
-        of the segment's own rule, one node at a time: here the stored ones."""
-        for j, weight in enumerate(self.weights):
-            yield (weight, *self.node(j, axes))
+        of the segment's own rule, one node at a time, as data blocks of
+        shape (2^k, *grid.sizes, m, m)."""
+        raise NotImplementedError
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The data blocks at s = 0 and s = 1: views of the first and last node."""
-        return self.values[:, 0], self.values[:, -1]
+        """The data blocks at s = 0 and s = 1."""
+        raise NotImplementedError
 
 
 @dataclass
@@ -195,13 +176,6 @@ class LoopElement:
     def k(self):
         return self.segments[0].k
 
-    def _sample_defects(self, stride: int):
-        """(name, defect) of each OSU check at every stride-th node of each
-        segment, formed as it is drawn."""
-        for i, seg in enumerate(self.segments):
-            for j in range(0, seg.nodes.size, stride):
-                yield from _osu_defects(seg.element(j), f" at segment {i} node {j}")
-
 
 @functools.cache
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,12 +186,6 @@ def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     for a in rule:
         a.flags.writeable = False
     return rule
-
-
-def uniform_closed_segment(values: np.ndarray, t0: float, t1: float,
-                           grid, m, k) -> Segment:
-    """Segment on closed nodes j/(M-1), Simpson weights, 4th-order FD derivative."""
-    return _ClosedSegment(t0, t1, *_simpson_rule(values.shape[1]), values, None, grid, m, k)
 
 
 def _simpson_rule(nnodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,13 +200,19 @@ def _simpson_rule(nnodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-class _ClosedSegment(Segment):
-    """Values stored on closed nodes j/(M-1) with Simpson weights and no
-    derivs array: d/ds at a node is its 4th-order finite difference
-    (one-sided at the edges), formed when the node is read."""
+class ClosedSegment(Segment):
+    """Values (2^k, M, *grid.sizes, m, m) stored on closed nodes j/(M-1),
+    M odd and >= 7, with Simpson weights: d/ds at a node is its 4th-order
+    finite difference (one-sided at the edges), formed when the node is read."""
+
+    def __init__(self, values: np.ndarray, t0: float, t1: float, grid, m, k):
+        self.weights = _simpson_rule(values.shape[1])[1]
+        self.values, self.t0, self.t1 = values, t0, t1
+        self.grid, self.m, self.k = grid, m, k
 
     def deriv(self, j: int) -> np.ndarray:
-        n = self.nodes.size
+        """d/ds at node j."""
+        n = self.weights.size
         j = range(n)[j]
         v, h = self.values, 1.0 / (n - 1)
         if 2 <= j < n - 2:
@@ -247,6 +221,16 @@ class _ClosedSegment(Segment):
         if j < 2:
             return sum(c * v[:, j + i] for i, c in enumerate(fwd))
         return -sum(c * v[:, j - i] for i, c in enumerate(fwd))
+
+    def quadrature(self, axes):
+        for j, weight in enumerate(self.weights):
+            value = self.values[:, j]
+            yield (weight, value, self.deriv(j),
+                   [spectral_derivative_data(value, self.grid, a, 1) for a in axes])
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the first and last node."""
+        return self.values[:, 0], self.values[:, -1]
 
 
 def _corner(x: AlgElement):
@@ -264,12 +248,12 @@ def _combine(weights, blocks) -> np.ndarray:
 
 class ArcSegment(Segment):
     """Arc s -> sum_g cos^(d-g) sin^g (pi s/2) P_g of degree d in (cos, sin)
-    from `_corner` coefficients.  A node is built on demand from scalar
-    weights on the blocks P_g (for d/ds, (pi/2)(g cos^(d-g+1) sin^(g-1) -
-    (d-g) cos^(d-g-1) sin^(g+1))) and on their cached space derivatives."""
+    from `_corner` coefficients, on an `order`-node Gauss-Legendre rule.  A
+    node is built on demand from scalar weights on the blocks P_g (for d/ds,
+    (pi/2)(g cos^(d-g+1) sin^(g-1) - (d-g) cos^(d-g-1) sin^(g+1))) and on
+    their cached space derivatives."""
 
     def __init__(self, t0: float, t1: float, order: int, coeffs):
-        # Segment's own __init__ would assign the node arrays
         self.t0, self.t1 = t0, t1
         self.nodes, self.weights = _gauss_rule(order)
         self.blocks = [x.data for x, _ in coeffs]
@@ -289,24 +273,22 @@ class ArcSegment(Segment):
         """P_0 and P_d, the arc's exact values at s = 0 and s = 1, as stored."""
         return self.blocks[0], self.blocks[-1]
 
-    def element(self, j: int) -> AlgElement:
-        return self.at(self.nodes[j])
+    def quadrature(self, axes):
+        for s, weight in zip(self.nodes, self.weights):
+            w = self._powers(s)
+            d, pad = len(w) - 1, [0.0, *w, 0.0]
+            # the d/ds weight of P_g is (pi/2)(g w[g-1] - (d-g) w[g+1])
+            dw = [g * pad[g] - (d - g) * pad[g + 2] for g in range(d + 1)]
+            yield (weight, _combine(w, self.blocks), (np.pi / 2) * _combine(dw, self.blocks),
+                   [_combine(w, [dx(ax) for dx in self.space]) for ax in axes])
 
-    def node(self, j: int, axes=()) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        w = self._powers(self.nodes[j])
-        d, pad = len(w) - 1, [0.0, *w, 0.0]
-        # the d/ds weight of P_g is (pi/2)(g w[g-1] - (d-g) w[g+1])
-        dw = [g * pad[g] - (d - g) * pad[g + 2] for g in range(d + 1)]
-        return (_combine(w, self.blocks), (np.pi / 2) * _combine(dw, self.blocks),
-                [_combine(w, [dx(ax) for dx in self.space]) for ax in axes])
 
-    @property
-    def values(self) -> np.ndarray:
-        return np.stack([self.node(j)[0] for j in range(self.nodes.size)], axis=1)
-
-    @property
-    def derivs(self) -> np.ndarray:
-        return np.stack([self.node(j)[1] for j in range(self.nodes.size)], axis=1)
+def _sample_defects(arcs: list[ArcSegment], stride: int):
+    """(name, defect) of each OSU check at every stride-th node of each arc,
+    formed as it is drawn."""
+    for i, seg in enumerate(arcs):
+        for j in range(0, seg.nodes.size, stride):
+            yield from _osu_defects(seg.at(seg.nodes[j]), f" at segment {i} node {j}")
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +319,7 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
     for factor in ([unit, -er], [rho], [unit, er], [unit, -xr]):
         coeffs = _poly_product(coeffs, factor)
     loop = LoopElement([ArcSegment(0.0, 1.0, order, [_corner(p) for p in coeffs])], 1e-10)
-    bad = failing(loop._sample_defects(4), 1e-10)
+    bad = failing(_sample_defects(loop.segments, 4), 1e-10)
     if bad:
         raise OsuValidationError(f"loop samples fail the OSU check: {named(bad)}", bad)
     return loop
@@ -362,7 +344,7 @@ def _torsion_preconditions(xb, eb, y, rs, derivations):
             yield f"{name}_invariant", apply_real_structure(rs, z) - z
 
 
-def _half_symmetry(corners: list[AlgElement], segments: list[Segment],
+def _half_symmetry(corners: list[AlgElement], segments: list[ArcSegment],
                    rs: RealStructureSpec):
     """(name, real-structure defect) at every 8th node of the four torsion
     arcs, formed as it is drawn: rs extended by a fixed generator on the

@@ -99,9 +99,6 @@ class TorsionValue:
         d = np.mod(self.value - o, self.modulus)
         return float(min(d, self.modulus - d))
 
-    def has_order_two(self, tol: float = 1e-6) -> bool:
-        return TorsionValue(2 * self.value, self.modulus).distance(0.0) <= tol
-
     def z2_class(self, scale: float = 1.0, tol: float = 1e-3) -> int:
         """Round scale*value to an integer mod (scale*modulus = 2) semantics."""
         v = self.value * scale

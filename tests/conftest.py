@@ -3,8 +3,10 @@ import sys
 import numpy as np
 import pytest
 
-from dkpair.grid_alg import AlgElement, TorusGrid, _spectral_calculus
-from dkpair.kclass import BasePoint, LoopElement, Segment, osu_validate
+from dkpair.grid_alg import (AlgElement, TorusGrid, _spectral_calculus,
+                             spectral_derivative_data)
+from dkpair.kclass import (BasePoint, LoopElement, Segment, _sample_defects,
+                           osu_validate)
 from dkpair.models import qwz_symbol
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -133,25 +135,39 @@ def qwz_osu(grid16):
 
 
 def sample_osu_residual(loop: LoopElement, stride: int) -> float:
-    """The largest OSU defect at every stride-th node of each segment."""
+    """The largest OSU defect at every stride-th node of each arc of a loop."""
     worst = 0.0
-    for _, defect in loop._sample_defects(stride):
+    for _, defect in _sample_defects(loop.segments, stride):
         worst = max(worst, defect.norm_inf())
         del defect  # before the next one is formed
     return worst
 
 
-class PeriodicSegment(Segment):
-    """A 1-periodic segment stored at j/M for j < M: s = 1 is node 0 again,
-    so both its ends are its first node."""
+class StoredSegment(Segment):
+    """The reference storage that tests compare against: values and d/ds
+    (2^k, nnodes, *grid.sizes, m, m) held at the nodes of a rule with its
+    weights, and the blocks at s = 0 and s = 1, by default the first and last
+    node (a rule need not reach either end)."""
+
+    def __init__(self, t0, t1, nodes, weights, values, derivs, grid, m, k, ends=None):
+        self.t0, self.t1, self.nodes, self.weights = t0, t1, nodes, weights
+        self.values, self.derivs = values, derivs
+        self.end_blocks = (values[:, 0], values[:, -1]) if ends is None else ends
+        self.grid, self.m, self.k = grid, m, k
+
+    def quadrature(self, axes):
+        for j, weight in enumerate(self.weights):
+            value = self.values[:, j]
+            yield (weight, value, self.derivs[:, j],
+                   [spectral_derivative_data(value, self.grid, a, 1) for a in axes])
 
     def ends(self):
-        start = self.values[:, 0]
-        return start, start
+        return self.end_blocks
 
 
 def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
-    """Single smooth 1-periodic segment sampled at j/M; spectral s-derivative."""
+    """Single smooth 1-periodic segment sampled at j/M, spectral s-derivative:
+    s = 1 is node 0 again, so both its ends are its first node."""
     nnodes = values.shape[1]
     nodes = np.arange(nnodes) / nnodes
     weights = np.full(nnodes, 1.0 / nnodes)
@@ -161,7 +177,8 @@ def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
     shape = [1] * values.ndim
     shape[1] = nnodes
     derivs = np.fft.ifft(fhat * (2j * np.pi * modes).reshape(shape), axis=1)
-    return PeriodicSegment(0.0, 1.0, nodes, weights, values, derivs, grid, m, k)
+    return StoredSegment(0.0, 1.0, nodes, weights, values, derivs, grid, m, k,
+                         (values[:, 0], values[:, 0]))
 
 
 def loop_from_unitary_samples(values: np.ndarray, grid, m) -> LoopElement:

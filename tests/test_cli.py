@@ -678,14 +678,13 @@ def test_decoupled_floquet_materializes_no_loop_nodes(monkeypatch, capsys):
     from dkpair import floquet, kclass
     seg_cls = floquet._AnalyticSegment
     reads = []
-    for name in ("values", "derivs"):
-        monkeypatch.setattr(seg_cls, name, property(
-            lambda seg, name=name, get=getattr(seg_cls, name).fget:
-            reads.append(name) or get(seg)))
+    values = seg_cls.values.fget
+    monkeypatch.setattr(seg_cls, "values", property(
+        lambda seg: reads.append("values") or values(seg)))
     quadrature = seg_cls.quadrature
     monkeypatch.setattr(seg_cls, "quadrature", lambda seg, *axes:
                         reads.append("quadrature") or quadrature(seg, *axes))
-    built = count_calls(monkeypatch, kclass.uniform_closed_segment)
+    built = count_calls(monkeypatch, kclass.ClosedSegment)
     path = Path(__file__).parent / "data" / "floquet_qwz.json"
     assert run_cli(["floquet", "--config", str(path), "--strategy", "decoupled",
                     "--arc0", "0", "--arc1", "3.14159265", "--grid", "16",

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chern_fhs, exp_projection_loop, loop_from_unitary_samples
+from conftest import (StoredSegment, chern_fhs, exp_projection_loop,
+                      loop_from_unitary_samples)
 from dkpair import floquet as fl
 from dkpair.grid_alg import AlgElement, TorusGrid, apply_real_structure
-from dkpair.kclass import (GapClosedError, LoopElement, Segment, _simpson_rule,
-                           flatten)
+from dkpair.kclass import GapClosedError, LoopElement, _simpson_rule, flatten
 from dkpair.models import (conjugate_flip, quaternionic_structure, qwz_symbol,
                            spin_double)
 from dkpair.pairing import alt_trace, chern_number, spin_chern
@@ -442,7 +442,8 @@ def test_periodized_evolution_matches_per_node_formula(tri_drive, case):
         assert len(loop.segments) == len(want) == (4 if case == "straddling" else 2)
         for seg, (t0, t1, values, derivs) in zip(loop.segments, want):
             assert (seg.t0, seg.t1) == (t0, t1)
-            for got, ref in ((seg.values, values), (seg.derivs, derivs)):
+            derivs_got = seg.at(_simpson_rule(seg.nnodes)[0])[1][None]
+            for got, ref in ((seg.values, values), (derivs_got, derivs)):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -457,11 +458,14 @@ def criterion_12_drive(n):
 
 
 def simpson_reference(loop):
-    """The loop's uniform exports as stored segments, which `degree_t3`
-    integrates with Simpson's rule on their nodes."""
-    return LoopElement([Segment(seg.t0, seg.t1, *_simpson_rule(seg.nnodes), seg.values,
-                                seg.derivs, seg.grid, seg.m, 0)
-                        for seg in loop.segments], 1e-8)
+    """The loop's uniform exports, with d/ds from `at` on the same nodes, as
+    stored segments, which `degree_t3` integrates with Simpson's rule."""
+    segments = []
+    for seg in loop.segments:
+        nodes, weights = _simpson_rule(seg.nnodes)
+        segments.append(StoredSegment(seg.t0, seg.t1, nodes, weights, seg.values,
+                                      seg.at(nodes)[1][None], seg.grid, seg.m, 0))
+    return LoopElement(segments, 1e-8)
 
 
 @pytest.fixture(scope="module")
@@ -508,8 +512,9 @@ def alt_trace_degree(loop):
 def conjugated(loop, g):
     """The stored loop g V g* for a constant unitary g."""
     gh = np.conj(g.T)
-    return LoopElement([Segment(seg.t0, seg.t1, seg.nodes, seg.weights, g @ seg.values @ gh,
-                                g @ seg.derivs @ gh, seg.grid, seg.m, 0)
+    return LoopElement([StoredSegment(seg.t0, seg.t1, seg.nodes, seg.weights,
+                                      g @ seg.values @ gh, g @ seg.derivs @ gh,
+                                      seg.grid, seg.m, 0)
                         for seg in loop.segments], 1e-8)
 
 
@@ -537,8 +542,9 @@ def test_degree_rejects_a_non_unitary_node(criterion_12_contractions):
     seg = ref.segments[0]
     values = seg.values.copy()
     values[0, 5] *= 1 + 1e-6
-    bad = LoopElement([Segment(seg.t0, seg.t1, seg.nodes, seg.weights, values, seg.derivs,
-                               seg.grid, seg.m, 0), *ref.segments[1:]], 1e-8)
+    bad = LoopElement([StoredSegment(seg.t0, seg.t1, seg.nodes, seg.weights, values,
+                                     seg.derivs, seg.grid, seg.m, 0),
+                       *ref.segments[1:]], 1e-8)
     with pytest.raises(ValueError, match="loop not unitary"):
         fl.degree_t3(bad)
 
@@ -612,6 +618,15 @@ def test_contraction_samples_are_not_copied(tri_drive, rs):
     samples = fl.decoupled_contraction(v_loop).segments[-1].values[0]
     loop = fl.contraction_loop_from_samples(v_loop, samples, rs)
     assert np.shares_memory(loop.segments[-1].values, samples)
+
+
+def test_contraction_samples_need_an_odd_node_count(tri_drive, rs):
+    # one interior sample dropped: shape and boundary values still hold
+    v_loop = fl.periodized_evolution(tri_drive, fl.BranchChoice(0.0), 32)
+    samples = np.delete(fl.decoupled_contraction(v_loop).segments[-1].values[0], 1, axis=0)
+    assert len(samples) % 2 == 0
+    with pytest.raises(ValueError, match="odd node count >= 7"):
+        fl.contraction_loop_from_samples(v_loop, samples, rs)
 
 
 def test_segment_ends_are_the_values_at_0_and_1(tri_drive, rs):

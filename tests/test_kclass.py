@@ -1,19 +1,18 @@
 import tracemalloc
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from conftest import (count_calls, exp_projection_loop, ko2_generator,
-                      random_hermitian_field, sample_osu_residual, spin_y)
+from conftest import (StoredSegment, count_calls, exp_projection_loop,
+                      ko2_generator, random_hermitian_field, sample_osu_residual,
+                      spin_y)
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_real_structure, direct_sum,
-                             failing, spectral_derivative_data)
-from dkpair.kclass import (ArcSegment, BasePoint, GapClosedError, LoopElement,
-                           OsuValidationError, Segment, _corner, _gauss_rule,
+                             failing)
+from dkpair.kclass import (ArcSegment, BasePoint, ClosedSegment, GapClosedError,
+                           LoopElement, OsuValidationError, _corner, _gauss_rule,
                            _half_symmetry, bott_loop, flatten,
-                           make_osu_from_hamiltonian, osu_validate, torsion_loop,
-                           uniform_closed_segment)
+                           make_osu_from_hamiltonian, osu_validate, torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_symbol, spin_double)
 from dkpair.pairing import (MODULUS_KANE_MELE_CH2, _arc_integral, alt_trace, ch0, ch2,
@@ -160,9 +159,11 @@ def test_bott_loop_constant_at_base(point_grid):
     loop = bott_loop(x, e, order=16)
     seg = loop.segments[0]
     rho_new = AlgElement.unit(point_grid, 2, 1).append_generator()
-    for j in range(seg.nodes.size):
-        assert (seg.element(j) - rho_new).norm_inf() < 1e-13
-        assert np.max(np.abs(seg.derivs[:, j])) < 1e-13
+    nodes = list(seg.quadrature(()))
+    assert len(nodes) == seg.nodes.size
+    for _, value, dvalue, _ in nodes:
+        assert (AlgElement(seg.grid, seg.m, seg.k, value) - rho_new).norm_inf() < 1e-13
+        assert np.max(np.abs(dvalue)) < 1e-13
 
 
 def test_bott_loop_osu_samples_and_closure(qwz_osu):
@@ -193,7 +194,7 @@ def test_bott_loop_matches_exponential_form(grid16):
         expect = AlgElement(grid16, 2, 2)
         expect.data[2] = c          # 1 (x) rho_new
         expect.data[1] = sn         # -sin * e (x) 1, e = -1 (x) rho_1
-        assert (seg.element(j) - expect).norm_inf() < 1e-10
+        assert (seg.at(t) - expect).norm_inf() < 1e-10
 
 
 def test_torsion_loop_structure(point_grid):
@@ -245,7 +246,7 @@ def test_torsion_loop_half_symmetries(grid16):
     from dkpair.grid_alg import check_invariance
     for seg, sign in ((loop.segments[0], 1), (loop.segments[3], -1)):
         ext = rs.extend(sign)
-        mid = seg.element(seg.nodes.size // 2)
+        mid = seg.at(seg.nodes[seg.nodes.size // 2])
         ok, res = check_invariance(ext, mid, 1e-12)
         assert ok, res
         wrong = rs.extend(-sign)
@@ -260,7 +261,8 @@ def half_symmetry_oracle(segments, rs):
     for i, seg in enumerate(segments):
         ext = rs.extend(1 if i < 2 else -1)
         for j in range(0, seg.nodes.size, 8):
-            yield f"arc{i}_node{j}", apply_real_structure(ext, seg.element(j)) - seg.element(j)
+            node = seg.at(seg.nodes[j])
+            yield f"arc{i}_node{j}", apply_real_structure(ext, node) - node
 
 
 def kane_mele_torsion_datum(grid):
@@ -344,7 +346,7 @@ def test_loop_with_a_gap_is_rejected_when_built(grid16, second, gap):
     s = np.linspace(0.0, 1.0, 7).reshape(1, 7, 1, 1, 1, 1)
 
     def half(a, b, t0):
-        return uniform_closed_segment(((1 - s) * a + s * b) * one, t0, t0 + 0.5, grid16, 2, 0)
+        return ClosedSegment(((1 - s) * a + s * b) * one, t0, t0 + 0.5, grid16, 2, 0)
 
     LoopElement([half(1, 2, 0.0), half(2, 1, 0.5)], 1e-12)
     with pytest.raises(ValueError, match=rf"^loop discontinuous: {gap}=1\.000e\+00$"):
@@ -377,28 +379,18 @@ def test_torsion_loop_and_its_pairing_form_no_arc_element(grid16, monkeypatch):
     assert calls == []
 
 
-@dataclass
-class GaussSegment(Segment):
-    """A stored segment on Gauss-Legendre nodes, which reach neither s = 0
-    nor s = 1: its ends are held beside the nodes."""
-
-    end_blocks: tuple[np.ndarray, np.ndarray]
-
-    def ends(self):
-        return self.end_blocks
-
-
 def gauss_segment(f, dfds, t0, t1, order, grid, m, k):
-    """A segment with node arrays from callables s -> AlgElement on
-    Gauss-Legendre nodes, and ends f(0) and f(1)."""
+    """A stored segment with node arrays from callables s -> AlgElement on
+    Gauss-Legendre nodes, which reach neither s = 0 nor s = 1: its ends are
+    f(0) and f(1), held beside the nodes."""
     nodes, weights = _gauss_rule(order)
     values = np.zeros((1 << k, nodes.size, *grid.sizes, m, m), dtype=complex)
     derivs = np.zeros_like(values)
     for j, s in enumerate(nodes):
         values[:, j] = f(s).data
         derivs[:, j] = dfds(s).data
-    return GaussSegment(t0, t1, nodes, weights, values, derivs, grid, m, k,
-                        (f(0.0).data, f(1.0).data))
+    return StoredSegment(t0, t1, nodes, weights, values, derivs, grid, m, k,
+                         (f(0.0).data, f(1.0).data))
 
 
 def test_gauss_rule_is_formed_once_per_order_and_read_only():
@@ -455,16 +447,13 @@ def test_torsion_loop_nodes_match_materialized_arrays(point_grid, grid16):
         old = materialized_torsion_segments(x, e, y, order)
         for seg, ref in zip(loop.segments, old):
             assert np.array_equal(seg.nodes, ref.nodes)
-            assert np.array_equal(seg.weights, ref.weights)
-            assert np.array_equal(seg.values, ref.values)
-            assert np.array_equal(seg.derivs, ref.derivs)
-            for j in range(order):
-                value, dvalue, space = seg.node(j, axes)
-                want = [ref.values[:, j], ref.derivs[:, j]] + [
-                    spectral_derivative_data(ref.values[:, j], ref.grid, a, 1)
-                    for a in axes]
+            nodes = list(zip(seg.quadrature(axes), ref.quadrature(axes)))
+            assert len(nodes) == order
+            for (weight, value, dvalue, space), (w_ref, v_ref, d_ref, s_ref) in nodes:
+                assert weight == w_ref
+                assert np.array_equal(value, v_ref) and np.array_equal(dvalue, d_ref)
                 assert len(space) == len(axes)
-                for got, w in zip([value, dvalue, *space], want):
+                for got, w in zip([value, dvalue, *space], [v_ref, d_ref, *s_ref]):
                     assert np.max(np.abs(got - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
         oracle = pair_suspended(cycle, LoopElement(old, 1e-10)).value
         got = pair_suspended(cycle, loop).value
@@ -493,8 +482,7 @@ def test_arc_integral_matches_materialized_oracle():
     for i, arc in enumerate(loop.segments):
         ref, = materialized_torsion_segments(xx, ee, y, order, arcs=(i,))
         oracle = 0.0
-        for j, weight in enumerate(ref.weights):
-            value, dvalue, space = ref.node(j, axes)
+        for weight, value, dvalue, space in ref.quadrature(axes):
             oracle += weight * np.mean(alt_trace(value - base, space + [dvalue], loop.k))
         del ref
         want.append(oracle)
@@ -565,13 +553,12 @@ def test_bott_loop_nodes_match_materialized_oracle(point_grid, grid16, rng):
         seg, = loop.segments
         ref = materialized_bott_segment(x, e, order)
         assert np.array_equal(seg.nodes, ref.nodes)
-        assert np.array_equal(seg.weights, ref.weights)
-        for j in range(order):
-            value, dvalue, space = seg.node(j, axes)
-            want = [ref.values[:, j], ref.derivs[:, j]] + [
-                spectral_derivative_data(ref.values[:, j], ref.grid, a, 1) for a in axes]
+        nodes = list(zip(seg.quadrature(axes), ref.quadrature(axes)))
+        assert len(nodes) == order
+        for (weight, value, dvalue, space), (w_ref, v_ref, d_ref, s_ref) in nodes:
+            assert weight == w_ref
             assert len(space) == len(axes)
-            for got, w in zip([value, dvalue, *space], want):
+            for got, w in zip([value, dvalue, *space], [v_ref, d_ref, *s_ref]):
                 assert np.max(np.abs(got - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
         oracle = pair_suspended(cycle, LoopElement([ref], 1e-10)).value
         got = pair_suspended(cycle, loop).value
@@ -597,13 +584,20 @@ def test_closed_segment_derivative_matches_whole_array_stencil(grid16, rng, nnod
     # d/ds formed at one node is bit for bit the whole-array stencil
     shape = (1, nnodes, *grid16.sizes, 2, 2)
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    seg = uniform_closed_segment(values, 0.5, 1.0, grid16, 2, 0)
+    seg = ClosedSegment(values, 0.5, 1.0, grid16, 2, 0)
     want = fd_derivative(values, 1.0 / (nnodes - 1))
     got = [dvalue for _, _, dvalue, _ in seg.quadrature(())]
     assert len(got) == nnodes
     for j, dvalue in enumerate(got):
         assert np.array_equal(dvalue, want[:, j])
-    assert np.array_equal(seg.node(-1)[1], want[:, -1])
+    assert np.array_equal(seg.deriv(-1), want[:, -1])
+
+
+@pytest.mark.parametrize("nnodes", [5, 6, 8])
+def test_closed_segment_needs_an_odd_node_count_of_at_least_7(grid16, nnodes):
+    values = np.zeros((1, nnodes, *grid16.sizes, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="odd node count >= 7"):
+        ClosedSegment(values, 0.5, 1.0, grid16, 2, 0)
 
 
 def test_exp_projection_loop_periodic(grid16):
@@ -611,7 +605,8 @@ def test_exp_projection_loop_periodic(grid16):
     p = (s + AlgElement.unit(grid16, 2, 0)).scale(0.5)
     loop = exp_projection_loop(p, 32)
     seg = loop.segments[0]
-    assert (seg.element(0) - AlgElement.unit(grid16, 2, 0)).norm_inf() < 1e-13
+    start = AlgElement(grid16, 2, 0, seg.values[:, 0])
+    assert (start - AlgElement.unit(grid16, 2, 0)).norm_inf() < 1e-13
 
 
 def test_flatten_with_clifford_factor(point_grid):

@@ -469,8 +469,8 @@ def test_torsion_value_arithmetic():
     assert v.reduced == 1.0
     assert v.distance(-1.0) == 0.0
     assert v.distance(0.0) == 1.0
-    assert v.has_order_two(1e-12)
-    assert TorsionValue(0.7, 2.0).has_order_two(1e-12) is False
+    assert TorsionValue(2 * v.value, v.modulus).distance(0.0) <= 1e-12
+    assert TorsionValue(2 * 0.7, 2.0).distance(0.0) > 1e-12
     km = TorsionValue(1 / (2 * np.pi), 1 / np.pi)
     assert km.z2_class(2 * np.pi) == 1
     assert TorsionValue(-1 / (2 * np.pi), 1 / np.pi).z2_class(2 * np.pi) == 1
@@ -497,7 +497,7 @@ def test_ko2_ground_truth(point_grid):
     assert abs(val - 2) < 1e-12
     delta = torsion_pairing_closed_form(ch0(), x, e, y, 2.0)
     assert delta.distance(1.0) < 1e-12
-    assert delta.has_order_two(1e-9)
+    assert TorsionValue(2 * delta.value, delta.modulus).distance(0.0) <= 1e-9
 
 
 def test_ko2_loop_route_cross_validation(point_grid):
