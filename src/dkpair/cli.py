@@ -17,8 +17,8 @@ import numpy as np
 
 from . import floquet as fl
 from . import models, pairing
-from .grid_alg import AlgElement, TorusGrid, check_invariance
-from .kclass import (BasePoint, GapClosedError, flatten,
+from .grid_alg import AlgElement, TorusGrid, check_invariance, even_subgrid
+from .kclass import (BasePoint, GapClosedError, flatten_refinement,
                      make_osu_from_hamiltonian, osu_validate)
 
 REPORT_SCHEMA = "dkpair-report/4"
@@ -208,6 +208,14 @@ def _quantized(report: Report, name: str, coarse: float, fine: float,
 # commands
 # ---------------------------------------------------------------------------
 
+def _refined_symbol(cfg: ModelConfig, n: int, symbol) -> AlgElement:
+    """symbol(grid) on the 2n grid, the refinement of a quantized value; its
+    even subgrid is the n grid.  The n grid is checked first, so a bad
+    --grid fails before the model is read."""
+    cfg.grid(n)
+    return symbol(cfg.grid(2 * n))
+
+
 def cmd_pair(cfg: ModelConfig, args) -> int:
     # ch1 reads a time circle, ch0 and ch2 the momentum grid
     grids = {"time": args.tgrid} if args.cycle == "ch1" else {"momentum": args.grid}
@@ -238,16 +246,11 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
     elif cycle_name == "ch2":
         if cfg.dimension != 2:
             raise ConfigError("ch2 needs a two-dimensional model")
-        values = []
-        for n in (args.grid, 2 * args.grid):
-            grid = cfg.grid(n)
-            s = flatten(cfg.symbol(grid))
-            p = (s + AlgElement.unit(grid, s.m, 0)).scale(0.5)
-            values.append(pairing.chern_number(p))
-            if n == args.grid:
-                flat = s
+        flats = flatten_refinement(_refined_symbol(cfg, args.grid, cfg.symbol))
+        values = [pairing.chern_number((s + AlgElement.unit(s.grid, s.m, 0)).scale(0.5))
+                  for s in flats]
         ch = _quantized(report, "chern", values[0], values[1], args.tol)
-        x = osu_validate(flat.append_generator())
+        x = osu_validate(flats[0].append_generator())
         e = BasePoint.standard_rho(x.body.grid, x.body.m, 1, sign=-1)
         val = pairing.pair(pairing.ch2(), x, e).value
         report.value("pairing", val, two_pi_times=2 * np.pi * val.real)
@@ -270,18 +273,16 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     spins = []
     torsions = []
     m = cfg.matrix_size
-    for n in (args.grid, 2 * args.grid):
-        grid = cfg.grid(n)
-        h1 = cfg.block_symbol(grid)
-        if n == args.grid:
-            # without rashba terms the model's symbol is diag(h1, f h1)
-            _, res = check_invariance(rs, models.spin_double(h1), 1e-9)
-            report.check("time_reversal_invariance", res, 1e-9)
-        # sign(diag(h1, f h1)) = diag(sign h1, f sign h1): one flattening of
-        # the block gives the spin Chern number and the class.  With the spin
-        # symmetry diag(-i, i) (x) 1 the closed form reads only the block
-        # f(s1) (x) rho of the doubled class, so z2 passes it with y = i 1
-        s1 = flatten(h1)
+    h1 = _refined_symbol(cfg, args.grid, cfg.block_symbol)
+    # without rashba terms the model's symbol is diag(h1, f h1)
+    _, res = check_invariance(rs, models.spin_double(even_subgrid(h1)), 1e-9)
+    report.check("time_reversal_invariance", res, 1e-9)
+    # sign(diag(h1, f h1)) = diag(sign h1, f sign h1): one flattening of the
+    # block gives the spin Chern number and the class.  With the spin
+    # symmetry diag(-i, i) (x) 1 the closed form reads only the block
+    # f(s1) (x) rho of the doubled class, so z2 passes it with y = i 1
+    for s1 in flatten_refinement(h1):
+        grid = s1.grid
         spins.append(pairing.chern_number(
             (s1 + AlgElement.unit(grid, s1.m, 0)).scale(0.5)))
         x = osu_validate(models.conjugate_flip(s1).append_generator())

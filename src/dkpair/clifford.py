@@ -134,12 +134,6 @@ class Multivector:
         m.coeffs[1 << (i - 1)] = 1.0
         return m
 
-    @classmethod
-    def basis(cls, k: int, mask: int) -> "Multivector":
-        m = cls(k)
-        m.coeffs[mask] = 1.0
-        return m
-
     # -- algebra ------------------------------------------------------
     def __add__(self, other: "Multivector") -> "Multivector":
         self._check(other)

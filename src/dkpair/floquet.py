@@ -245,9 +245,9 @@ class _AnalyticSegment(Segment):
     (`values_at`) and for the pair (V, dV/ds) (`at`); an array of s gives a
     leading node axis.  Its `quadrature` is its own `order`-node
     Gauss-Legendre rule, evaluated one node at a time, each node by one `at`,
-    and its `ends` are the formula at s = 0 and s = 1.  Its one export is
-    `.values`, the formula on `nnodes` closed uniform nodes j/(nnodes - 1),
-    evaluated on every access."""
+    and its `ends` are the formula at s = 0 and s = 1, formed once.  Its one
+    export is `.values`, the formula on `nnodes` closed uniform nodes
+    j/(nnodes - 1), evaluated on every access."""
 
     nnodes: int
     order: int
@@ -257,6 +257,18 @@ class _AnalyticSegment(Segment):
         return self.values_at(_simpson_rule(self.nnodes)[0])[None]
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Formed once, on first use, and shared read-only by every loop and
+        check that reads them."""
+        return self._ends
+
+    @cached_property
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        ends = self._formula_ends()
+        for a in ends:
+            a.flags.writeable = False
+        return ends
+
+    def _formula_ends(self) -> tuple[np.ndarray, np.ndarray]:
         return self.values_at(0.0)[None], self.values_at(1.0)[None]
 
     def quadrature(self, axes):
@@ -302,8 +314,10 @@ class FrameSegment(_AnalyticSegment):
                 * np.exp(1j * (self.start + dt) * self.w_eff)[..., None, :])
 
     def outer(self, mid: np.ndarray) -> np.ndarray:
-        """v mid v_eff^H."""
-        return np.matmul(np.matmul(self.v, mid), self.v_eff_h)
+        """v mid v_eff^H, formed in mid's buffer: every caller passes a fresh
+        `middle`, so an exported `values` peaks at two arrays of its nodes,
+        not three."""
+        return np.matmul(np.matmul(self.v, mid), self.v_eff_h, out=mid)
 
     def values_at(self, s) -> np.ndarray:
         return self.outer(self.middle(s * self.tau))
@@ -472,6 +486,10 @@ class _MirroredFrame(_AnalyticSegment):
     def values_at(self, s) -> np.ndarray:
         return _spin_mirror(self.frame.values_at(1.0 - s), self.grid.d)
 
+    def _formula_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The mirrors of the frame's ends, in reverse."""
+        return tuple(_spin_mirror(a, self.grid.d) for a in reversed(self.frame.ends()))
+
     def at(self, s) -> tuple[np.ndarray, np.ndarray]:
         value, deriv = self.frame.at(1.0 - s)
         return _spin_mirror(value, self.grid.d), -_spin_mirror(deriv, self.grid.d)
@@ -501,7 +519,7 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     boundary_tol = 1e-8
     grid, m = v_loop.grid, v_loop.m
     half = _first_half(v_loop)
-    v_half_end = half[-1].values_at(1.0)
+    v_half_end = half[-1].ends()[1][0]
     if np.shape(samples)[1:] != (*grid.sizes, m, m):
         raise ValueError(f"contraction samples have shape {np.shape(samples)}, the "
                          f"loop needs (nt, {', '.join(map(str, (*grid.sizes, m, m)))})")

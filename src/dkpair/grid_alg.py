@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford
-from .clifford import (CliffordSignature, Multivector, generator_signs,
-                       representation, reversion_signs, sign_table)
+from .clifford import (Multivector, generator_signs, representation,
+                       reversion_signs, sign_table)
 
 MOMENTUM = "momentum"
 TIME = "time"
@@ -50,10 +50,6 @@ class TorusGrid:
     @property
     def d(self) -> int:
         return len(self.sizes)
-
-    @property
-    def npoints(self) -> int:
-        return int(np.prod(self.sizes)) if self.sizes else 1
 
     def period(self, axis: int) -> float:
         return 2 * np.pi if self.axis_roles[axis] == MOMENTUM else 1.0
@@ -100,10 +96,6 @@ class RealStructureSpec:
         if self.fiber not in ("c", "h"):
             raise ValueError(f"unknown fiber map {self.fiber!r}")
 
-    @classmethod
-    def from_signature(cls, sig: CliffordSignature) -> "RealStructureSpec":
-        return cls(clifford_signs=sig.signs)
-
     def extend(self, sign: int) -> "RealStructureSpec":
         """Same structure with one appended Clifford generator of given sign."""
         return RealStructureSpec(self.fiber, self.momentum_flip,
@@ -141,14 +133,6 @@ class AlgElement:
         field_arr = np.asarray(field_arr, dtype=complex)
         x = cls(grid, field_arr.shape[-1], 0)
         x.data[0] = field_arr
-        return x
-
-    @classmethod
-    def from_multivector(cls, grid, m, mv: Multivector):
-        x = cls(grid, m, mv.k)
-        eye = np.eye(m)
-        for mask in np.flatnonzero(mv.coeffs):
-            x.data[mask] = mv.coeffs[mask] * eye
         return x
 
     def copy(self) -> "AlgElement":
@@ -372,9 +356,14 @@ def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int,
     return out
 
 
+def _check_axis(dv: Derivation, grid: TorusGrid):
+    """Raise ValueError unless dv's axis is one of the grid's."""
+    if not 0 <= dv.axis < grid.d:
+        raise ValueError(f"axis {dv.axis} out of range for d={grid.d}")
+
+
 def apply_derivation(dv: Derivation, x: AlgElement) -> AlgElement:
-    if not 0 <= dv.axis < x.grid.d:
-        raise ValueError(f"axis {dv.axis} out of range for d={x.grid.d}")
+    _check_axis(dv, x.grid)
     return AlgElement(x.grid, x.m, x.k,
                       spectral_derivative_data(x.data, x.grid, dv.axis, axis_offset=1))
 
@@ -387,11 +376,6 @@ def trace(x: AlgElement) -> Multivector:
     tr = np.trace(x.data, axis1=-2, axis2=-1)
     axes = tuple(range(1, tr.ndim))
     return Multivector(x.k, np.mean(tr, axis=axes) if axes else tr)
-
-
-def scalar_trace(x: AlgElement) -> complex:
-    """Trace of the scalar (empty-subset) Clifford component."""
-    return complex(trace(x).coeffs[0])
 
 
 def _quaternionic_swap(data: np.ndarray, nb: int, half: int) -> np.ndarray:
@@ -529,6 +513,15 @@ def unitary_exp(a: AlgElement) -> AlgElement:
 # ---------------------------------------------------------------------------
 # block helpers
 # ---------------------------------------------------------------------------
+
+def even_subgrid(x: AlgElement) -> AlgElement:
+    """x at the points of even index on every axis, a contiguous copy on the
+    grid of half the size: the points of that grid, at the same coordinates
+    (j P / n and 2j P / 2n round alike)."""
+    grid = TorusGrid(tuple(n // 2 for n in x.grid.sizes), x.grid.axis_roles)
+    data = x.data[(slice(None),) + (slice(None, None, 2),) * x.grid.d]
+    return AlgElement(grid, x.m, x.k, np.ascontiguousarray(data))
+
 
 def direct_sum(x: AlgElement, y: AlgElement) -> AlgElement:
     if (x.grid, x.k) != (y.grid, y.k):

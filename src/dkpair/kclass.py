@@ -21,8 +21,9 @@ import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _minus_unit,
                        _spectral_calculus, apply_derivation,
-                       apply_real_structure, failing, named, represent,
-                       require_within, spectral_derivative_data, unrepresent)
+                       apply_real_structure, even_subgrid, failing, named,
+                       represent, require_within, spectral_derivative_data,
+                       unrepresent)
 
 
 class GapClosedError(ValueError):
@@ -58,13 +59,6 @@ class BasePoint:
         """sign * 1 (x) rho_k (the last generator)."""
         e = AlgElement(grid, m, k)
         e.data[1 << (k - 1)] = sign * np.eye(m)
-        return cls(e)
-
-    @classmethod
-    def sigma_x(cls, grid, m, k=2):
-        """1 (x) rho_1, the sigma_x base point for k=2 classes."""
-        e = AlgElement(grid, m, k)
-        e.data[1] = np.eye(m)
         return cls(e)
 
 
@@ -104,6 +98,31 @@ def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
     if h.k == 0:
         return AlgElement.from_matrix_field(h.grid, sign)
     return unrepresent(sign, h.grid, h.m, h.k)
+
+
+def flatten_refinement(h: AlgElement) -> tuple[AlgElement, AlgElement]:
+    """(flatten(h_n), flatten(h)) for h on a 2n grid and h_n = even_subgrid(h),
+    from the one eigendecomposition of flatten(h): it is pointwise, so at the
+    even points it is h_n's, and sign(h_n) is the even subgrid of sign(h).
+
+    The verdicts are those of flatten(h_n) and then flatten(h).  h_n's gap
+    is open when h's is: its eigenvalues are among h's, and gap_tol |h| >=
+    gap_tol |h_n|.  h_n's self-adjointness is settled against half of
+    max|h_n|_F / sqrt(m), a lower bound of |h_n| that leaves room for the
+    defect itself and the eigensolver's rounding, or else by flatten(h_n).
+    When flatten(h) fails, flatten(h_n) runs before its error is raised, so a
+    failure the base grid has is reported there.
+    """
+    base = even_subgrid(h)
+    floor = 0.5 * np.sqrt(np.max(base._point_squares()[3]) / h.m)
+    if not (np.isfinite(floor) and (base - base.star()).within(1e-10 * floor)):
+        flatten(base)
+    try:
+        fine = flatten(h)
+    except ValueError:
+        flatten(base)
+        raise
+    return even_subgrid(fine), fine
 
 
 def _check_gap(w, gap):

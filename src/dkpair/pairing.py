@@ -31,8 +31,9 @@ from math import comb
 import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
-from .grid_alg import (AlgElement, Derivation, _accumulate, _mul_parts, _parts,
-                       apply_derivation, failing, named, require_within)
+from .grid_alg import (AlgElement, Derivation, _accumulate, _check_axis,
+                       _mul_parts, _parts, apply_derivation, failing, named,
+                       require_within)
 from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement, _combine
 
 @dataclass(frozen=True)
@@ -217,8 +218,14 @@ def _top_phase(k: int, n: int) -> complex:
 
 def _check_basepoint(cycle: CycleSpec, e: AlgElement, tol: float = 1e-10):
     # D kills constants, so e less its value at the grid origin has the same
-    # derivatives; a grid-constant e leaves no live component to transform
+    # derivatives.  That difference is zero exactly when the origin's value
+    # is finite and e equals it everywhere: a grid-constant e costs one scan
+    # and the axis checks, and forms no derivative
     origin = e.data[(slice(None),) + (slice(0, 1),) * e.grid.d]
+    if np.isfinite(origin).all() and (e.data == origin).all():
+        for dv in cycle.derivations:
+            _check_axis(dv, e.grid)
+        return
     varying = AlgElement(e.grid, e.m, e.k, e.data - origin)
     for dv in cycle.derivations:
         require_within(apply_derivation(dv, varying), tol,

@@ -3,11 +3,13 @@ import sys
 import numpy as np
 import pytest
 
-from dkpair.grid_alg import (AlgElement, TorusGrid, _spectral_calculus,
-                             spectral_derivative_data)
+from dkpair.clifford import CliffordSignature, Multivector
+from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
+                             _spectral_calculus, spectral_derivative_data,
+                             trace)
 from dkpair.kclass import (BasePoint, LoopElement, Segment, _sample_defects,
                            osu_validate)
-from dkpair.models import qwz_symbol
+from dkpair.models import qwz_hoppings, qwz_symbol
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -30,6 +32,51 @@ def grid16():
 @pytest.fixture
 def tgrid64():
     return TorusGrid((64,), ("time",))
+
+
+def npoints(grid: TorusGrid) -> int:
+    """The number of grid points."""
+    return int(np.prod(grid.sizes)) if grid.sizes else 1
+
+
+def scalar_trace(x: AlgElement) -> complex:
+    """Trace of the scalar (empty-subset) Clifford component."""
+    return complex(trace(x).coeffs[0])
+
+
+def multivector_basis(k: int, mask: int) -> Multivector:
+    """The blade e_mask of Cl_k."""
+    mv = Multivector(k)
+    mv.coeffs[mask] = 1.0
+    return mv
+
+
+def element_from_multivector(grid, m, mv: Multivector) -> AlgElement:
+    """The grid-constant element 1_m (x) mv."""
+    x = AlgElement(grid, m, mv.k)
+    eye = np.eye(m)
+    for mask in np.flatnonzero(mv.coeffs):
+        x.data[mask] = mv.coeffs[mask] * eye
+    return x
+
+
+def real_structure_from_signature(sig: CliffordSignature) -> RealStructureSpec:
+    """Entrywise conjugation with the signature's generator signs."""
+    return RealStructureSpec(clifford_signs=sig.signs)
+
+
+def sigma_x_base_point(grid, m, k) -> BasePoint:
+    """1 (x) rho_1, the sigma_x base point for k = 2 classes."""
+    e = AlgElement(grid, m, k)
+    e.data[1] = np.eye(m)
+    return BasePoint(e)
+
+
+def shifted_qwz_hoppings(mass, shift):
+    """QWZ hoppings with k1 -> k1 - shift; at mass 2 the gap closes at
+    (shift, 0) alone."""
+    return {off: np.exp(-1j * off[0] * shift) * mat
+            for off, mat in qwz_hoppings(mass).items()}
 
 
 def random_matrix_field(rng, grid, m, modes=2):

@@ -8,12 +8,12 @@ samples.
 import numpy as np
 import pytest
 
-from conftest import exp_projection_loop, ko2_generator, spin_y
+from conftest import exp_projection_loop, ko2_generator, scalar_trace, spin_y
 from dkpair.clifford import (CliffordSignature, Multivector, gamma_element,
                              mu, real_structure_l)
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_real_structure, direct_sum,
-                             psi_e, scalar_trace, trace, unitary_exp)
+                             psi_e, trace, unitary_exp)
 from dkpair.kclass import (BasePoint, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)

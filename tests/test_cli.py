@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, shifted_qwz_hoppings
 from dkpair import cli
+from dkpair.kclass import GapClosedError
 from dkpair.gridio import read_contraction_grid, write_contraction_grid
 from dkpair.models import qwz_hoppings
 
@@ -480,7 +481,8 @@ def test_z2_and_pair_flatten_once_per_grid(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, qwz_config(1.0, spin_doubling=True))
     assert run_cli(["z2", "--config", path, "--grid", "24", "--tol", "1e-4"]) \
         == cli.EXIT_OK
-    assert [(h.grid.sizes, h.m) for h in calls] == [((24, 24), 2), ((48, 48), 2)]
+    # one flattening, on the refined grid: the base grid is its even subgrid
+    assert [(h.grid.sizes, h.m) for h in calls] == [((48, 48), 2)]
     assert [(x.grid.sizes, x.m, x.k) for x in osus] == [((24, 24), 2, 1),
                                                         ((48, 48), 2, 1)]
     assert read_report(capsys)["status"] == "ok"
@@ -488,8 +490,59 @@ def test_z2_and_pair_flatten_once_per_grid(tmp_path, monkeypatch, capsys):
     path = write_config(tmp_path, qwz_config(1.0), name="block.json")
     assert run_cli(["pair", "--cycle", "ch2", "--config", path, "--grid", "24",
                     "--tol", "1e-5"]) == cli.EXIT_OK
-    assert [h.grid.sizes for h in calls] == [(24, 24), (48, 48)]
+    assert [h.grid.sizes for h in calls] == [(48, 48)]
     assert read_report(capsys)["status"] == "ok"
+
+
+def noisy_qwz_config(rng, layers, amp=0.006):
+    """`layers` stacked QWZ blocks at a topological mass with seeded onsite
+    and nearest-neighbour noise, each term of spectral norm amp."""
+    m = 2 * layers
+    hops = {off: np.kron(np.eye(layers), mat) for off, mat in qwz_hoppings(1.0).items()}
+    for off in ((0, 0), (1, 0), (0, 1)):
+        b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        b = b + b.conj().T if off == (0, 0) else b
+        b *= amp / np.linalg.norm(b, 2)
+        hops[off] = hops[off] + b
+        if off != (0, 0):
+            hops[(-off[0], -off[1])] = hops[(-off[0], -off[1])] + b.conj().T
+    return {"dimension": 2, "matrix_size": m, "hoppings": hoppings_json(hops)}
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_base_grid_is_the_refined_grids_even_subgrid(layers):
+    # the premise of one flatten per refinement: the symbol on the n grid and
+    # its flattening are the even subgrids of those on the 2n grid, bit for bit
+    from dkpair.grid_alg import even_subgrid
+    from dkpair.kclass import flatten
+    rng = np.random.default_rng(7 + layers)
+    for n in (8, 12, 16, 24, 32):
+        cfg = cli.ModelConfig(noisy_qwz_config(rng, layers))
+        h, fine = (cfg.block_symbol(cfg.grid(size)) for size in (n, 2 * n))
+        assert even_subgrid(fine).grid == h.grid
+        assert np.array_equal(h.data, even_subgrid(fine).data)
+        assert np.array_equal(flatten(h).data, even_subgrid(flatten(fine)).data)
+
+
+@pytest.mark.parametrize("command", [["pair", "--cycle", "ch2"], ["z2"]])
+def test_refinement_exits_4_where_either_grid_closes_its_gap(tmp_path, capsys, command):
+    # shifted by pi / 8, the gap closes at an odd point of the 16 grid, which
+    # the base grid 8 does not hold; at mass 2 and 0 it closes at base points.
+    # The error is the one flattening the first grid that closes gives
+    from dkpair.kclass import flatten
+    tri = command == ["z2"]
+    shifted = {**qwz_config(2.0, tri),
+               "hoppings": hoppings_json(shifted_qwz_hoppings(2.0, np.pi / 8))}
+    for raw, closes in ((shifted, 16), (qwz_config(2.0, tri), 8), (qwz_config(0.0, tri), 8)):
+        path = write_config(tmp_path, raw)
+        assert run_cli([*command, "--config", path, "--grid", "8"]) == cli.EXIT_GAP
+        cfg = cli.ModelConfig(raw)
+        symbol = cfg.block_symbol if tri else cfg.symbol
+        if closes == 16:
+            flatten(symbol(cfg.grid(8)))
+        with pytest.raises(GapClosedError) as exc:
+            flatten(symbol(cfg.grid(closes)))
+        assert capsys.readouterr().err.strip() == f"gap closed: {exc.value}"
 
 
 def test_tolerance_checks_take_no_svd(tmp_path, monkeypatch):
@@ -555,6 +608,26 @@ def test_floquet_builds_one_periodized_evolution_per_branch(tmp_path, monkeypatc
     assert run_cli([*base, "--strategy", "decoupled"]) == cli.EXIT_OK
     assert len(calls) == 1
     assert read_report(capsys)["status"] == "ok"
+
+
+def test_floquet_forms_each_frame_end_once(tmp_path, monkeypatch, capsys):
+    # the loops, the periodicity check and the contraction boundary check
+    # share each frame's ends: two frames per branch, two ends per frame
+    from dkpair import floquet
+    raw = floquet_config(1.0)
+    cfg = cli.ModelConfig(raw)
+    files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(16)))
+    frame = floquet.FrameSegment
+    calls = []
+    values_at = frame.values_at
+    monkeypatch.setattr(frame, "values_at",
+                        lambda seg, s: calls.append(s) or values_at(seg, s))
+    assert run_cli(["floquet", "--config", write_config(tmp_path, raw), "--arc0", "0.0",
+                    "--arc1", repr(np.pi), "--grid", "16", "--tgrid", "64",
+                    "--tol", "1e-3", "--strategy", "user_supplied",
+                    "--contraction", *files]) == cli.EXIT_OK
+    assert read_report(capsys)["status"] == "ok"
+    assert len(calls) <= 8
 
 
 def test_floquet_builds_one_arc_projection_per_grid(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import multivector_basis
 from dkpair.clifford import (CliffordSignature, Multivector, gamma_element,
                              generator_signs, j_functional, mu, mv_mul,
                              mv_star, parity, real_structure_l, representation,
@@ -41,7 +42,7 @@ def test_generator_relations():
 
 def test_mul_examples():
     r1, r2 = Multivector.generator(2, 1), Multivector.generator(2, 2)
-    assert (r2 * r1).allclose(Multivector.basis(2, 0b11).scale(-1))
+    assert (r2 * r1).allclose(multivector_basis(2, 0b11).scale(-1))
     # -i rho1 rho2 equals the chirality element (sigma_z in the matrix image)
     assert (r1 * r2).scale(-1j).allclose(gamma_element(2))
 
@@ -99,7 +100,7 @@ def test_generator_signs_match_signed_generator_products():
                 for i in range(k):
                     if mask >> i & 1:
                         prod = mv_mul(prod, Multivector.generator(k, i + 1).scale(signs[i]))
-                assert prod.allclose(Multivector.basis(k, mask).scale(table[mask]))
+                assert prod.allclose(multivector_basis(k, mask).scale(table[mask]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -115,7 +116,7 @@ def test_star_antihomomorphism(data):
 def test_star_examples():
     r1 = Multivector.generator(2, 1)
     assert mv_star(r1).allclose(r1)
-    r12 = Multivector.basis(2, 0b11)
+    r12 = multivector_basis(2, 0b11)
     assert mv_star(r12).allclose(r12.scale(-1))
     for k in range(0, 9):
         g = gamma_element(k)
@@ -180,7 +181,7 @@ def test_j_functional_graded_trace(data):
     k = data.draw(st.integers(0, 6))
     sa = data.draw(st.integers(0, (1 << k) - 1))
     sb = data.draw(st.integers(0, (1 << k) - 1))
-    a, b = Multivector.basis(k, sa), Multivector.basis(k, sb)
+    a, b = multivector_basis(k, sa), multivector_basis(k, sb)
     da, db = subset_size(sa) % 2, subset_size(sb) % 2
     lhs = j_functional(mv_mul(a, b))
     rhs = (-1) ** (da * db) * j_functional(mv_mul(b, a))

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_element, random_hermitian_field, random_matrix_field
+from conftest import (element_from_multivector, npoints, random_element,
+                      random_hermitian_field, random_matrix_field,
+                      real_structure_from_signature, scalar_trace)
 from dkpair.clifford import CliffordSignature, generator_signs, mu
 from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, Derivation,
                              RealStructureSpec, TorusGrid, _negate,
                              _quaternionic_swap, apply_derivation,
                              apply_real_structure,
                              check_invariance, direct_sum, hermitian_calculus,
-                             psi_e, psi_e_inverse, represent, scalar_trace,
+                             psi_e, psi_e_inverse, represent,
                              spectral_derivative_data, trace, unitary_exp,
                              unrepresent)
 
@@ -26,8 +28,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         TorusGrid((8, 8), ("momentum",))
     g = TorusGrid((8, 16), ("momentum", "time"))
-    assert g.d == 2 and g.npoints == 128
-    assert TorusGrid(()).npoints == 1
+    assert g.d == 2 and npoints(g) == 128
+    assert npoints(TorusGrid(())) == 1
 
 
 def test_unit_and_identity(grid16, rng):
@@ -53,10 +55,10 @@ def test_unrepresent_roundtrip(grid16, rng):
 
 
 def test_clifford_anticommutation_in_algebra(point_grid):
-    r1 = AlgElement.from_multivector(point_grid, 2,
-                                     __import__("dkpair").Multivector.generator(2, 1))
-    r2 = AlgElement.from_multivector(point_grid, 2,
-                                     __import__("dkpair").Multivector.generator(2, 2))
+    r1 = element_from_multivector(point_grid, 2,
+                                  __import__("dkpair").Multivector.generator(2, 1))
+    r2 = element_from_multivector(point_grid, 2,
+                                  __import__("dkpair").Multivector.generator(2, 2))
     assert ((r1 * r2) + (r2 * r1)).norm_inf() == 0.0
 
 
@@ -208,8 +210,8 @@ def test_invariance_of_gamma_under_signature(point_grid):
     for r in range(0, 4):
         for s in range(0, 4 - r):
             k = r + s
-            g = AlgElement.from_multivector(point_grid, 1, gamma_element(k))
-            rs = RealStructureSpec.from_signature(CliffordSignature(r, s))
+            g = element_from_multivector(point_grid, 1, gamma_element(k))
+            rs = real_structure_from_signature(CliffordSignature(r, s))
             ok, res = check_invariance(rs, g, 0.0)
             assert ok == (mu(r - s) % 2 == 0)
 

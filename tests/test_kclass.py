@@ -5,16 +5,17 @@ import pytest
 
 from conftest import (StoredSegment, count_calls, exp_projection_loop,
                       ko2_generator, random_hermitian_field, sample_osu_residual,
-                      spin_y)
+                      shifted_qwz_hoppings, spin_y)
+from dkpair import kclass
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_real_structure, direct_sum,
-                             failing)
+                             even_subgrid, failing)
 from dkpair.kclass import (ArcSegment, BasePoint, ClosedSegment, GapClosedError,
                            LoopElement, OsuValidationError, _corner, _gauss_rule,
-                           _half_symmetry, bott_loop, flatten,
+                           _half_symmetry, bott_loop, flatten, flatten_refinement,
                            make_osu_from_hamiltonian, osu_validate, torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
-                           qwz_symbol, spin_double)
+                           qwz_symbol, spin_double, symbol_from_hoppings)
 from dkpair.pairing import (MODULUS_KANE_MELE_CH2, _arc_integral, alt_trace, ch0, ch2,
                             pair_suspended, torsion_pairing_via_loop)
 
@@ -58,6 +59,61 @@ def test_flatten_rejects_non_finite(grid16, rng, bad):
         x.data[0, 3, 5, 1, 1] = bad
         with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
             flatten(x)
+
+
+def _flattened_each(h):
+    """(flatten(h_n), flatten(h)), each grid flattened on its own, or the
+    (type, message) of the first error."""
+    try:
+        return flatten(even_subgrid(h)), flatten(h)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _refinement_cases():
+    fine = TorusGrid((16, 16))
+    h = qwz_symbol(fine, 1.0)
+    yield "gapped", h
+    yield "gap closed at base points", qwz_symbol(fine, 0.0)
+    yield "gap closed at an odd point only", symbol_from_hoppings(
+        fine, shifted_qwz_hoppings(2.0, np.pi / 8), 2)
+    yield "zero", AlgElement(fine, 2, 0)
+    # an anti-self-adjoint defect on the even points, against |h_n| = 3
+    defect = np.zeros_like(h.data)
+    defect[:, ::2, ::2] = 1j * np.eye(2)
+    for size in (1e-9, 1e-10):
+        big = h.copy()
+        # |h| = 300 at one odd point: 1e-10 |h| passes the fine grid
+        big.data[0, 3, 5] *= 100
+        big.data += size * defect
+        yield f"base defect {size:g}, fine scale 300", big
+    yield "defect on both grids", AlgElement(fine, 2, 0, h.data + 1e-6 * np.triu(
+        np.ones((2, 2)), 1))
+    for point in ((2, 4), (3, 5)):
+        bad = h.copy()
+        bad.data[(0, *point, 1, 1)] = np.nan
+        yield f"NaN at {point}", bad
+
+
+@pytest.mark.parametrize("case", [name for name, _ in _refinement_cases()])
+def test_flatten_refinement_verdicts_are_each_grids(case, monkeypatch):
+    # one flatten, on the refined grid, returns or raises what flattening the
+    # base grid and then the refined grid returns or raises
+    h = dict(_refinement_cases())[case]
+    with np.errstate(invalid="ignore"):
+        want = _flattened_each(h)
+        calls = count_calls(monkeypatch, kclass.flatten)
+        try:
+            got = flatten_refinement(h)
+        except ValueError as exc:
+            got = type(exc), str(exc)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    assert [s.grid.sizes for s in got] == [(8, 8), (16, 16)]
+    assert all(np.array_equal(a.data, b.data) for a, b in zip(got, want))
+    # a defect past the Frobenius settle is settled by flatten(h_n) itself
+    assert len(calls) == (1 if case == "gapped" else 2)
 
 
 def test_flatten_commutes_with_real_structure(grid16, rng):

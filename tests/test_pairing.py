@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (chern_fhs, count_calls, ko2_generator, random_element,
-                      random_hermitian_field, spin_y)
+                      random_hermitian_field, sigma_x_base_point, spin_y)
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              _mul_data, _mul_parts, _parts, apply_derivation,
@@ -218,7 +218,7 @@ def test_winding_matches_ch1_pairing(tgrid64):
     x.data[1] = (u.data[0] + np.conj(np.swapaxes(u.data[0], -1, -2))) / 2
     x.data[2] = (u.data[0] - np.conj(np.swapaxes(u.data[0], -1, -2))) / 2j
     xo = osu_validate(x, 1e-10)
-    e = BasePoint.sigma_x(tgrid64, 1, 2)
+    e = sigma_x_base_point(tgrid64, 1, 2)
     val = pair(ch1(0), xo, e).value
     assert abs(val - winding_number(u)) < 1e-10
 
@@ -319,7 +319,7 @@ def test_homotopy_invariance_along_rotation(tgrid64):
 
     x, z = osu_of(u), osu_of(v)
     assert (x * z + z * x).norm_inf() < 1e-12
-    e = BasePoint.sigma_x(tgrid64, 2, 2)
+    e = sigma_x_base_point(tgrid64, 2, 2)
     values = []
     for s in np.linspace(0.0, 1.0, 16):
         mid = x.scale(np.cos(np.pi * s / 2)) + z.scale(np.sin(np.pi * s / 2))
@@ -625,7 +625,7 @@ def test_closed_form_rejects_varying_or_non_scalar_y(grid16):
         torsion_pairing_closed_form(ch2(), x, e, turned, MODULUS_KANE_MELE_CH2)
     # k = 2: y = 1 (x) e1 e2 squares to -1, so (1 - i y)/2 is a projection,
     # but it lives on the e1 e2 component
-    e2 = BasePoint.sigma_x(grid16, 4, 2)
+    e2 = sigma_x_base_point(grid16, 4, 2)
     y2 = AlgElement(grid16, 4, 2)
     y2.data[3] = np.eye(4)
     with pytest.raises(ValueError, match="grid-constant scalar projection"):
@@ -891,3 +891,26 @@ def test_basepoint_check_takes_no_transform_of_a_constant(qwz_osu, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert abs(pair(ch2(), x, e).value.real * 2 * np.pi - 1) < 1e-4
+
+
+def test_constant_basepoint_forms_no_derivative_and_no_bound(qwz_osu, monkeypatch):
+    # a grid-constant e costs one scan; an axis outside the grid still
+    # raises, and an infinite constant, whose difference to itself is NaN,
+    # still fails the check
+    from dkpair import grid_alg
+    from dkpair.grid_alg import Derivation
+    from dkpair.pairing import CycleSpec
+    _, e = qwz_osu
+    derived = count_calls(monkeypatch, grid_alg.spectral_derivative_data)
+    bounds = []
+    bound = AlgElement._bound_or_norm
+    monkeypatch.setattr(AlgElement, "_bound_or_norm",
+                        lambda x, tol: bounds.append(tol) or bound(x, tol))
+    _check_basepoint(ch2(), e.e)
+    assert derived == [] and bounds == []
+    with pytest.raises(ValueError, match="axis 2 out of range for d=2"):
+        _check_basepoint(CycleSpec("c", 1, (Derivation(2),), 0.0), e.e)
+    infinite = e.e.copy()
+    infinite.data[1] = np.inf
+    with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+        _check_basepoint(ch2(), infinite)
