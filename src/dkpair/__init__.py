@@ -10,8 +10,7 @@ from .clifford import (CliffordSignature, Multivector, gamma_element,
 from .grid_alg import (AlgElement, Derivation, RealStructureSpec, TorusGrid,
                        alg_mul, alg_star, apply_derivation,
                        apply_real_structure, check_invariance, direct_sum,
-                       hermitian_calculus, psi_e, psi_e_inverse, trace,
-                       unitary_exp)
+                       psi_e, trace)
 from .kclass import (BasePoint, GapClosedError, LoopElement, OsuElement,
                      OsuValidationError, bott_loop, flatten,
                      make_osu_from_hamiltonian, osu_validate, torsion_loop)
@@ -22,8 +21,8 @@ from .pairing import (MODULUS_KANE_MELE_CH2, MODULUS_KO2_CH0, CycleSpec,
                       torsion_pairing_closed_form, torsion_pairing_via_loop,
                       winding_number)
 from .floquet import (ArcInvariant, ArcProjection, BranchChoice, FloquetDrive,
-                      arc_projection, branch_pair, check_time_reversal,
-                      decoupled_contraction, degree_t3, effective_hamiltonian,
-                      evolve, periodized_evolution, tri_symmetry_residual)
+                      SpinDoubledDrive, arc_projection, branch_pair,
+                      check_time_reversal, decoupled_contraction, degree_t3,
+                      effective_hamiltonian, evolve, periodized_evolution)
 
 __version__ = "0.1.0"

@@ -124,16 +124,18 @@ class ModelConfig:
         return h
 
     def drive_object(self, grid: TorusGrid) -> fl.FloquetDrive:
+        """The block drive of matrix_size segments; for a spin-doubled model,
+        the doubled drive built from it, which solves nothing at double size."""
         if self.drive is None:
             raise ConfigError("config has no drive section")
         segments = []
         try:
             for i, seg in enumerate(self.drive["segments"]):
                 hop = self._parse_hoppings(seg.get("hoppings", []), f"drive[{i}]")
-                h1 = models.symbol_from_hoppings(grid, hop, self.matrix_size)
-                h = models.spin_double(h1) if self.spin_doubling else h1
-                segments.append((float(seg["duration"]), h))
-            return fl.FloquetDrive(float(self.drive["period"]), tuple(segments))
+                segments.append((float(seg["duration"]),
+                                 models.symbol_from_hoppings(grid, hop, self.matrix_size)))
+            block = fl.FloquetDrive(float(self.drive["period"]), tuple(segments))
+            return fl.SpinDoubledDrive(block) if self.spin_doubling else block
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -313,9 +315,12 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
     z1 = complex(np.exp(1j * args.arc1))
     rs = models.quaternionic_structure(k=0)
     inv = fl.ArcInvariant(drive, z0, z1, rs)
-    report.check("branch_identity", inv.branch_identity(), 1e-9)
+    # the decoupled route reads the spin block alone; the contraction files
+    # are full size, so the degree route reads the doubled drive
+    route = inv.block if args.strategy == "decoupled" else inv
+    report.check("branch_identity", route.branch_identity(), 1e-9)
     report.check("time_reversal", inv.time_reversal, 1e-9)
-    report.check("periodicity", fl.periodicity_residual(inv.loop0), 1e-9)
+    report.check("periodicity", fl.periodicity_residual(route.loop0), 1e-9)
     if args.strategy == "user_supplied":
         # each file is read when its branch's degree is taken
         contractions = (_read_contraction(f, (*grid.sizes, drive.m, drive.m))
@@ -326,12 +331,14 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
     else:
         kval, spin_chern = inv.decoupled(args.tol)
     report.value("k_invariant", kval.reduced, modulus=kval.modulus)
-    report.value("rank", float(inv.arc.rank))
-    report.value("gap_margin", float(inv.arc.gap_margin))
+    # the drive's arc has twice the block's rank and the block's margin
+    report.value("rank", float(route.arc.rank * drive.m // route.drive.m))
+    report.value("gap_margin", float(route.arc.gap_margin))
     if args.strategy == "decoupled":
         report.value("spin_chern", float(spin_chern))
-        fine_drive = cfg.drive_object(cfg.grid(2 * args.grid))
-        kfine, _ = fl.ArcInvariant(fine_drive, z0, z1, rs).decoupled(args.tol)
+        del inv, route, drive  # the n grid's arrays, before the 2n grid's
+        kfine, _ = fl.ArcInvariant(cfg.drive_object(cfg.grid(2 * args.grid)),
+                                   z0, z1, rs).decoupled(args.tol)
         report.check("k_refinement_stable", kval.distance(kfine), 0.0)
     else:
         report.value("k_refinement", 0.0,

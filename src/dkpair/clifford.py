@@ -166,10 +166,6 @@ class Multivector:
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
-    def allclose(self, other: "Multivector", tol: float = 0.0) -> bool:
-        self._check(other)
-        return bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
-
     def __repr__(self):
         terms = []
         for mask in np.flatnonzero(self.coeffs):

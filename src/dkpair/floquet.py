@@ -14,6 +14,10 @@ caller exports them.  A node evaluates its frame once, V and dV/ds from one
 stacked product pair.  The degree's integrand at a node is two batched
 products: V* times the stacked [V | dV/ds | d_1 V | d_2 V], which also gives
 the unitarity residual, and A_s [A_1 | A_2], whose blocks give the cubic trace.
+
+A spin-doubled drive, segments diag(h_j, f h_j) with f(x)(k) = conj x(-k),
+is solved at block size: `SpinDoubledDrive` reads every eigendecomposition
+from its block drive's, and the decoupled route runs on the block alone.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .grid_alg import (AlgElement, RealStructureSpec, _minus_unit,
                        require_within, spectral_derivative_data)
 from .kclass import (ClosedSegment, GapClosedError, LoopElement, Segment,
                      _gauss_rule, _simpson_rule)
+from .models import spin_double
 from .pairing import TorsionValue, chern_number, integer_check
 
 DEFAULT_T_SAMPLES = 256
@@ -79,6 +84,77 @@ class FloquetDrive:
     def _spectrum(self):
         """(phases, vectors) of U(T), shared by every function of the drive."""
         return unitary_eig(evolve(self, self.period))
+
+    def spin_block(self) -> "FloquetDrive":
+        """The drive of the upper spin blocks of segments that commute with
+        diag(-i, i) (x) 1: its U(T), and every function of it, are the upper
+        blocks of this drive's."""
+        if not all(commutes_with_spin(h) for _, h in self.segments):
+            raise ValueError("decoupled strategy needs a drive commuting "
+                             "with diag(-i, i) (x) 1")
+        return FloquetDrive(self.period, tuple((tau, split_blocks(h)[0])
+                                               for tau, h in self.segments))
+
+
+def _at_minus_k(arr: np.ndarray, grid, fiber: int) -> np.ndarray:
+    """arr (..., *grid.sizes, <fiber axes>) read at -k: n -> -n mod N on each
+    grid axis, one index gather per axis."""
+    for axis, n in enumerate(grid.sizes):
+        arr = np.take(arr, -np.arange(n) % n, axis=axis - grid.d - fiber)
+    return arr
+
+
+def _doubled_eig(upper, lower, grid):
+    """(w, v) of diag(x, f y), f(y)(k) = conj y(-k), for normal x and y, from
+    the eigendecompositions (w, v) of x and of y*, each eigenvalue held as a
+    real number (an energy or a phase): f(y) has the eigenvalues of y* at -k
+    and the eigenvectors conj v(-k)."""
+    (w, v), (w_low, v_low) = upper, lower
+    m = v.shape[-1]
+    vecs = np.zeros((*v.shape[:-2], 2 * m, 2 * m), dtype=complex)
+    vecs[..., :m, :m] = v
+    vecs[..., m:, m:] = np.conj(_at_minus_k(v_low, grid, 2))
+    return np.concatenate([w, _at_minus_k(w_low, grid, 1)], axis=-1), vecs
+
+
+class SpinDoubledDrive(FloquetDrive):
+    """The drive of segments diag(h_j, f h_j), f(x)(k) = conj x(-k), of a
+    block drive of segments h_j (`block`), as `models.spin_double` doubles a
+    symbol.  It runs no eigensolve at its own size: f is an antilinear
+    homomorphism, so segment j's lower block has the eigenvalues w_j(-k) and
+    the eigenvectors conj v_j(-k), and the lower block of U(T) is
+    f(U_rev(T)*), with U_rev the block evolution with the segments in reverse
+    order, whose phases are phi_rev(-k) and vectors conj V_rev(-k).  When the
+    block segments read the same in reverse (equal durations, equal data),
+    U_rev is U and the block's one spectrum serves both blocks; otherwise
+    U_rev takes one more block-size solve.  Every check of the segments and
+    of U(T) runs on the block: f keeps hermiticity and |h|."""
+
+    block: FloquetDrive
+
+    def __init__(self, block: FloquetDrive):
+        object.__setattr__(self, "block", block)
+        super().__init__(block.period, tuple((tau, spin_double(h))
+                                             for tau, h in block.segments))
+
+    def __post_init__(self):
+        """The block drive has checked the period, durations and segments."""
+
+    @cached_property
+    def _eigh(self):
+        return tuple(_doubled_eig(wv, wv, self.grid) for wv in self.block._eigh)
+
+    @cached_property
+    def _spectrum(self):
+        block, reverse = self.block, self.block.segments[::-1]
+        palindromic = all(tau == tau_r and np.array_equal(h.data, h_r.data)
+                          for (tau, h), (tau_r, h_r) in zip(block.segments, reverse))
+        lower = (block._spectrum if palindromic
+                 else FloquetDrive(block.period, reverse)._spectrum)
+        return _doubled_eig(block._spectrum, lower, self.grid)
+
+    def spin_block(self) -> FloquetDrive:
+        return self.block
 
 
 def check_time_reversal(drive: FloquetDrive, rs: RealStructureSpec) -> float:
@@ -374,23 +450,6 @@ def periodicity_residual(loop: LoopElement) -> float:
     return AlgElement(loop.grid, loop.m, loop.k, first - last).norm_inf()
 
 
-def tri_symmetry_residual(drive: FloquetDrive, branch: BranchChoice,
-                          rs: RealStructureSpec) -> float:
-    """Residual of Ad_{sigma_y x 1} V(t,k) = conj(V(-t,-k)) on 16 probe times."""
-    frames = _eigenframes(drive, branch, DEFAULT_T_SAMPLES)
-
-    def v_of(t):
-        f = next(f for f in reversed(frames) if f.start <= t)
-        return AlgElement.from_matrix_field(drive.grid, f.outer(f.middle(t - f.start)))
-
-    worst = 0.0
-    for t in np.linspace(0.0, drive.period, 16, endpoint=False):
-        v_t = v_of(float(t))
-        v_mt = v_of(float(np.mod(-t, drive.period)))
-        worst = max(worst, (apply_real_structure(rs, v_mt) - v_t).norm_inf())
-    return worst
-
-
 def _cubic_trace(v: np.ndarray, dv: np.ndarray, space: list) -> np.ndarray:
     """Per-point Tr A_s [A_1, A_2] of A_s = V* dV/ds and A_i = V* d_i V, in two
     products: P = V* [V | dV/ds | d_1 V | d_2 V], whose first block must be
@@ -457,18 +516,14 @@ def _first_half(v_loop: LoopElement) -> list[Segment]:
     return half
 
 
-def _spin_mirror(arr: np.ndarray, d: int) -> np.ndarray:
-    """The upper spin block of arr (..., *grid, m, m) kept, the lower block
-    replaced by conj(upper)(-k) over the d grid axes, off-diagonal blocks
-    zero."""
+def _spin_mirror(arr: np.ndarray, grid) -> np.ndarray:
+    """The upper spin block of arr (..., *grid.sizes, m, m) kept, the lower
+    block replaced by conj(upper)(-k), off-diagonal blocks zero."""
     m2 = arr.shape[-1] // 2
     out = np.zeros_like(arr)
     up = arr[..., :m2, :m2]
     out[..., :m2, :m2] = up
-    low = np.conj(up)
-    for axis in range(-2 - d, -2):  # k -> -k
-        low = np.flip(np.roll(low, -1, axis=axis), axis=axis)
-    out[..., m2:, m2:] = low
+    out[..., m2:, m2:] = np.conj(_at_minus_k(up, grid, 2))
     return out
 
 
@@ -484,15 +539,15 @@ class _MirroredFrame(_AnalyticSegment):
         self.nnodes, self.order = frame.nnodes, frame.order
 
     def values_at(self, s) -> np.ndarray:
-        return _spin_mirror(self.frame.values_at(1.0 - s), self.grid.d)
+        return _spin_mirror(self.frame.values_at(1.0 - s), self.grid)
 
     def _formula_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """The mirrors of the frame's ends, in reverse."""
-        return tuple(_spin_mirror(a, self.grid.d) for a in reversed(self.frame.ends()))
+        return tuple(_spin_mirror(a, self.grid) for a in reversed(self.frame.ends()))
 
     def at(self, s) -> tuple[np.ndarray, np.ndarray]:
         value, deriv = self.frame.at(1.0 - s)
-        return _spin_mirror(value, self.grid.d), -_spin_mirror(deriv, self.grid.d)
+        return _spin_mirror(value, self.grid), -_spin_mirror(deriv, self.grid)
 
 
 def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
@@ -543,7 +598,8 @@ class ArcInvariant:
     """The Z2 invariant of the arc projection from z0 to z1 of a drive, and
     the drive-level checks behind it, each built once.  Construction checks
     time reversal under rs within 1e-9 and keeps the residual.  The two
-    routes to the invariant are `decoupled` and `degrees`."""
+    routes to the invariant are `decoupled`, which runs on the drive's spin
+    block (`block`), and `degrees`."""
 
     def __init__(self, drive: FloquetDrive, z0: complex, z1: complex,
                  rs: RealStructureSpec):
@@ -553,6 +609,20 @@ class ArcInvariant:
                              f"(residual {self.time_reversal:.3e})")
         self.drive, self.z0, self.z1, self.rs = drive, z0, z1, rs
         self.branches = branch_pair(z0, z1, drive.period)
+
+    @cached_property
+    def block(self) -> "ArcInvariant":
+        """The same arc of the upper spin block (`FloquetDrive.spin_block`) of
+        a drive commuting with diag(-i, i) (x) 1, with the same branches and
+        the drive's time-reversal residual.  Time reversal gives the lower
+        block the upper block's phases at -k, and the grid is closed under
+        k -> -k, so the drive's arc has twice the block's rank and the
+        block's gap margin."""
+        block = object.__new__(ArcInvariant)
+        block.time_reversal, block.z0, block.z1, block.rs, block.branches = (
+            self.time_reversal, self.z0, self.z1, self.rs, self.branches)
+        block.drive = self.drive.spin_block()
+        return block
 
     @cached_property
     def arc(self) -> ArcProjection:
@@ -571,13 +641,9 @@ class ArcInvariant:
 
     def decoupled(self, integer_tol: float) -> tuple[TorsionValue, float]:
         """(invariant, spin Chern number) for a drive commuting with
-        diag(-i, i) (x) 1: the parity of the arc projection's upper block's
-        Chern number, which must be an integer within integer_tol."""
-        proj = self.arc.projection
-        if not all(commutes_with_spin(h) for _, h in self.drive.segments):
-            raise ValueError("decoupled strategy needs a drive commuting "
-                             "with diag(-i, i) (x) 1")
-        ch = chern_number(split_blocks(proj)[0], tol=max(1e-8, integer_tol))
+        diag(-i, i) (x) 1: the parity of the Chern number of its spin block's
+        arc projection, which must be an integer within integer_tol."""
+        ch = chern_number(self.block.arc.projection, tol=max(1e-8, integer_tol))
         return TorsionValue(float(integer_check(ch, integer_tol) % 2), 2.0), ch
 
     def degrees(self, contractions) -> tuple[TorsionValue, tuple[float, float]]:

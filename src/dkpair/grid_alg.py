@@ -213,8 +213,11 @@ class AlgElement:
         if _FRO2_MIN <= top < np.inf:
             # the relative slack stays well above the rounding in fro2
             points = np.flatnonzero(~(fro2 < top * (1 - 1e-12) / n))
+        elif np.isnan(top):
+            # a NaN entry, which no SVD would take
+            raise np.linalg.LinAlgError("norm_inf of a non-finite element")
         else:
-            # squares that underflow, overflow or are NaN: keep every point
+            # squares that underflow or overflow: keep every point
             points = np.arange(fro2.size)
         step = max(1, _SVD_CHUNK // (n * n))
         peaks = []
@@ -496,20 +499,6 @@ def _spectral_calculus(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, fw, np.conj(v))
 
 
-def hermitian_calculus(x: AlgElement, fn) -> AlgElement:
-    """Apply a scalar function to a self-adjoint element, pointwise.
-
-    fn maps an eigenvalue array to an array of the same shape.
-    """
-    w, v = np.linalg.eigh(represent(x))
-    return unrepresent(_spectral_calculus(v, fn(w)), x.grid, x.m, x.k)
-
-
-def unitary_exp(a: AlgElement) -> AlgElement:
-    """exp(i*a) for self-adjoint a."""
-    return hermitian_calculus(a, lambda w: np.exp(1j * w))
-
-
 # ---------------------------------------------------------------------------
 # block helpers
 # ---------------------------------------------------------------------------
@@ -576,17 +565,6 @@ def _split_cl2(x: AlgElement) -> tuple[AlgElement, AlgElement, AlgElement, AlgEl
     return tuple(parts)
 
 
-def _join_cl2(parts, grid, m, kh) -> AlgElement:
-    x = AlgElement(grid, m, kh + 2)
-    dim = 1 << kh
-    for low in range(dim):
-        x.data[low] += parts[0].data[low]
-        x.data[low | dim] += parts[1].data[low]
-        x.data[low | (2 * dim)] += parts[2].data[low]
-        x.data[low | (3 * dim)] += -1j * parts[3].data[low]
-    return x
-
-
 def psi_e(x: AlgElement, e: AlgElement) -> AlgElement:
     """Graded isomorphism M_m(A)(x)Cl_{k-2}(x)Cl_2 -> M_2(M_m(A)(x)Cl_{k-2}).
 
@@ -601,26 +579,6 @@ def psi_e(x: AlgElement, e: AlgElement) -> AlgElement:
     top = [x0 + x3, (x1 - 1j * x2) * e]
     bot = [e * (g(x1) + 1j * g(x2)), e * (g(x0) - g(x3)) * e]
     return block_matrix([top, bot])
-
-
-def psi_e_inverse(y: AlgElement, e: AlgElement) -> AlgElement:
-    """Inverse of psi_e: M_2(M_m(A)(x)Cl_{k}) -> M_m(A)(x)Cl_{k}(x)Cl_2."""
-    _validate_osi(e)
-    m = y.m // 2
-    grid, k = y.grid, y.k
-    blocks = []
-    for i in range(2):
-        for j in range(2):
-            b = AlgElement(grid, m, k,
-                           y.data[..., i * m:(i + 1) * m, j * m:(j + 1) * m].copy())
-            blocks.append(b)
-    y00, y01, y10, y11 = blocks
-    g = AlgElement.grading
-    x0 = (y00 + g(e * y11 * e)).scale(0.5)
-    x3 = (y00 - g(e * y11 * e)).scale(0.5)
-    x1 = (y01 * e + g(e * y10)).scale(0.5)
-    x2 = (g(e * y10) - y01 * e).scale(-0.5j)
-    return _join_cl2([x0, x1, x2, x3], grid, m, k)
 
 
 def _validate_osi(e: AlgElement):

@@ -90,9 +90,13 @@ def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
     scale = float(np.abs(w).max())
     if not np.isfinite(scale):
         raise np.linalg.LinAlgError("flatten of a non-finite element")
-    require_within(h - h.star(), 1e-10 * scale,
-                   lambda r: f"flatten needs a self-adjoint input (residual "
-                             f"{r:.2e} at scale {scale:.2e})")
+    try:
+        require_within(h - h.star(), 1e-10 * scale,
+                       lambda r: f"flatten needs a self-adjoint input (residual "
+                                 f"{r:.2e} at scale {scale:.2e})")
+    except np.linalg.LinAlgError:
+        # a NaN entry can leave eigh's eigenvalues finite and its vectors NaN
+        raise np.linalg.LinAlgError("flatten of a non-finite element") from None
     _check_gap(w, gap_tol * scale)
     sign = _spectral_calculus(v, np.sign(w))
     if h.k == 0:

@@ -3,10 +3,12 @@ import sys
 import numpy as np
 import pytest
 
+from dkpair import floquet as fl
 from dkpair.clifford import CliffordSignature, Multivector
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                             _spectral_calculus, spectral_derivative_data,
-                             trace)
+                             _spectral_calculus, _validate_osi,
+                             apply_real_structure, represent,
+                             spectral_derivative_data, trace, unrepresent)
 from dkpair.kclass import (BasePoint, LoopElement, Segment, _sample_defects,
                            osu_validate)
 from dkpair.models import qwz_hoppings, qwz_symbol
@@ -49,6 +51,12 @@ def multivector_basis(k: int, mask: int) -> Multivector:
     mv = Multivector(k)
     mv.coeffs[mask] = 1.0
     return mv
+
+
+def mv_allclose(a: Multivector, b: Multivector, tol: float = 0.0) -> bool:
+    """Coefficients of a and b, of one generator count, within tol."""
+    a._check(b)
+    return bool(np.max(np.abs(a.coeffs - b.coeffs)) <= tol)
 
 
 def element_from_multivector(grid, m, mv: Multivector) -> AlgElement:
@@ -241,3 +249,64 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
     t = np.arange(nt).reshape((nt,) + (1,) * w.ndim) / nt
     phases = np.exp(sign * 2j * np.pi * t * w[None])
     return loop_from_unitary_samples(_spectral_calculus(v, phases), p.grid, p.m)
+
+
+def hermitian_calculus(x: AlgElement, fn) -> AlgElement:
+    """Apply a scalar function to a self-adjoint element, pointwise.
+
+    fn maps an eigenvalue array to an array of the same shape.
+    """
+    w, v = np.linalg.eigh(represent(x))
+    return unrepresent(_spectral_calculus(v, fn(w)), x.grid, x.m, x.k)
+
+
+def unitary_exp(a: AlgElement) -> AlgElement:
+    """exp(i*a) for self-adjoint a."""
+    return hermitian_calculus(a, lambda w: np.exp(1j * w))
+
+
+def _join_cl2(parts, grid, m, kh) -> AlgElement:
+    x = AlgElement(grid, m, kh + 2)
+    dim = 1 << kh
+    for low in range(dim):
+        x.data[low] += parts[0].data[low]
+        x.data[low | dim] += parts[1].data[low]
+        x.data[low | (2 * dim)] += parts[2].data[low]
+        x.data[low | (3 * dim)] += -1j * parts[3].data[low]
+    return x
+
+
+def psi_e_inverse(y: AlgElement, e: AlgElement) -> AlgElement:
+    """Inverse of psi_e: M_2(M_m(A)(x)Cl_{k}) -> M_m(A)(x)Cl_{k}(x)Cl_2."""
+    _validate_osi(e)
+    m = y.m // 2
+    grid, k = y.grid, y.k
+    blocks = []
+    for i in range(2):
+        for j in range(2):
+            b = AlgElement(grid, m, k,
+                           y.data[..., i * m:(i + 1) * m, j * m:(j + 1) * m].copy())
+            blocks.append(b)
+    y00, y01, y10, y11 = blocks
+    g = AlgElement.grading
+    x0 = (y00 + g(e * y11 * e)).scale(0.5)
+    x3 = (y00 - g(e * y11 * e)).scale(0.5)
+    x1 = (y01 * e + g(e * y10)).scale(0.5)
+    x2 = (g(e * y10) - y01 * e).scale(-0.5j)
+    return _join_cl2([x0, x1, x2, x3], grid, m, k)
+
+
+def tri_symmetry_residual(drive, branch, rs: RealStructureSpec) -> float:
+    """Residual of Ad_{sigma_y x 1} V(t,k) = conj(V(-t,-k)) on 16 probe times."""
+    frames = fl._eigenframes(drive, branch, fl.DEFAULT_T_SAMPLES)
+
+    def v_of(t):
+        f = next(f for f in reversed(frames) if f.start <= t)
+        return AlgElement.from_matrix_field(drive.grid, f.outer(f.middle(t - f.start)))
+
+    worst = 0.0
+    for t in np.linspace(0.0, drive.period, 16, endpoint=False):
+        v_t = v_of(float(t))
+        v_mt = v_of(float(np.mod(-t, drive.period)))
+        worst = max(worst, (apply_real_structure(rs, v_mt) - v_t).norm_inf())
+    return worst

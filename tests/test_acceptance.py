@@ -8,12 +8,13 @@ samples.
 import numpy as np
 import pytest
 
-from conftest import exp_projection_loop, ko2_generator, scalar_trace, spin_y
+from conftest import (exp_projection_loop, ko2_generator, mv_allclose, scalar_trace,
+                      spin_y, tri_symmetry_residual, unitary_exp)
 from dkpair.clifford import (CliffordSignature, Multivector, gamma_element,
                              mu, real_structure_l)
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
                              TorusGrid, apply_real_structure, direct_sum,
-                             psi_e, trace, unitary_exp)
+                             psi_e, trace)
 from dkpair.kclass import (BasePoint, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)
@@ -37,11 +38,11 @@ def report(num, name, detail=""):
 def test_criterion_01_clifford_exactness():
     for k in range(0, 7):
         g = gamma_element(k)
-        assert g.star().allclose(g)
-        assert (g * g).allclose(Multivector.unit(k))
+        assert mv_allclose(g.star(), g)
+        assert mv_allclose(g * g, Multivector.unit(k))
         for i in range(1, k + 1):
             ri = Multivector.generator(k, i)
-            assert (ri * ri).allclose(Multivector.unit(k))
+            assert mv_allclose(ri * ri, Multivector.unit(k))
             for j in range(i + 1, k + 1):
                 rj = Multivector.generator(k, j)
                 assert (ri * rj + rj * ri).norm() == 0.0
@@ -49,7 +50,7 @@ def test_criterion_01_clifford_exactness():
         for s in range(0, 7 - r):
             g = gamma_element(r + s)
             expect = g.scale((-1.0) ** (mu(r - s) % 2))
-            assert real_structure_l(CliffordSignature(r, s), g).allclose(expect)
+            assert mv_allclose(real_structure_l(CliffordSignature(r, s), g), expect)
     report(1, "clifford exactness", "all identities exact for r+s <= 6")
 
 
@@ -349,7 +350,7 @@ def test_criterion_12_floquet():
     assert ident < 1e-9
     loop0 = fl.periodized_evolution(drive, b0, 256)
     per = fl.periodicity_residual(loop0)
-    sym = fl.tri_symmetry_residual(drive, b0, rs)
+    sym = tri_symmetry_residual(drive, b0, rs)
     assert per < 1e-9 and sym < 1e-9
     # degree on the projection exponential equals the Chern oracle
     p_up, _ = fl.split_blocks(arc.projection)

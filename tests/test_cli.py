@@ -688,6 +688,65 @@ def test_floquet_checks_time_reversal_once_per_grid(tmp_path, monkeypatch, capsy
             == "error: drive is not time-reversal invariant (residual 1.250e+00)"
 
 
+def test_floquet_checks_the_branch_cut_before_the_arc(capsys):
+    # an eigenphase of the committed drive at 16 x 16 sits at 0.5, both on the
+    # branch cut eps_0 T = arc0 and on the arc endpoint arc0: both strategies
+    # check the effective Hamiltonians first, before any contraction file
+    path = str(Path(__file__).parent / "data" / "floquet_qwz.json")
+    base = ["floquet", "--config", path, "--grid", "16", "--arc0", "0.5", "--arc1", "3.0"]
+    for strategy in (["decoupled"], ["user_supplied", "--contraction", "a", "b"]):
+        assert run_cli([*base, "--strategy", *strategy]) == cli.EXIT_GAP
+        assert capsys.readouterr().err.strip() \
+            == "gap closed: eigenphase within 0.000e+00 of the branch cut"
+
+
+@pytest.mark.parametrize("n", [16, 24])
+@pytest.mark.parametrize("arc", [(0.0, np.pi), (0.3, 2.5)])
+def test_decoupled_report_matches_the_full_drive(n, arc, capsys):
+    # the decoupled route runs on the spin block; the full drive, factorized
+    # afresh at double size, gives the same invariant, rank and margin, and
+    # its upper block the same spin Chern number
+    from dkpair import floquet, models, pairing
+    path = str(Path(__file__).parent / "data" / "floquet_qwz.json")
+    assert run_cli(["floquet", "--config", path, "--strategy", "decoupled",
+                    "--grid", str(n), "--arc0", repr(arc[0]), "--arc1", repr(arc[1]),
+                    "--tol", "1e-3"]) == cli.EXIT_OK
+    values = read_report(capsys)["values"]
+    cfg = cli.ModelConfig.load(path)
+    drive = cfg.drive_object(cfg.grid(n))
+    full = floquet.ArcInvariant(floquet.FloquetDrive(drive.period, drive.segments),
+                                *(complex(np.exp(1j * a)) for a in arc),
+                                models.quaternionic_structure(k=0)).arc
+    ch = pairing.chern_number(floquet.split_blocks(full.projection)[0], tol=1e-3)
+    assert values["k_invariant"]["value"] == round(ch) % 2
+    assert values["rank"]["value"] == full.rank
+    assert abs(values["spin_chern"]["value"] - ch) <= 1e-12
+    assert abs(values["gap_margin"]["value"] - full.gap_margin) <= 1e-12
+
+
+def test_spin_doubled_floquet_factors_only_block_matrices(tmp_path, monkeypatch, capsys):
+    # every pointwise eigensolve over the grid of either strategy, the Cayley
+    # transform's included, is of block-size matrices: the doubled drive reads
+    # the block's.  (A Gauss rule's Jacobi matrix is one unbatched eigh.)
+    raw = floquet_config(1.0)
+    cfg = cli.ModelConfig(raw)
+    files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(16)))
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            if a.ndim > 2:
+                sizes.append(a.shape[-1])
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    base = ["floquet", "--config", write_config(tmp_path, raw), "--arc0", "0.0",
+            "--arc1", repr(np.pi), "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
+    for strategy in (["decoupled"], ["user_supplied", "--contraction", *files]):
+        sizes.clear()
+        assert run_cli([*base, "--strategy", *strategy]) == cli.EXIT_OK
+        assert read_report(capsys)["status"] == "ok"
+        assert sizes and set(sizes) == {raw["matrix_size"]}, strategy
+
+
 def test_floquet_checks_time_reversal_before_any_gap(tmp_path, capsys):
     # U(T) = exp(-0.4i) everywhere puts every eigenphase on the branch cut at
     # arc0 = -0.4, and the unequal halves break R(H(t)) = H(-t): the broken

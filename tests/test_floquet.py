@@ -1,12 +1,14 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (StoredSegment, chern_fhs, exp_projection_loop,
-                      loop_from_unitary_samples)
+from conftest import (StoredSegment, chern_fhs, count_calls, exp_projection_loop,
+                      loop_from_unitary_samples, tri_symmetry_residual,
+                      unitary_exp)
 from dkpair import floquet as fl
 from dkpair.grid_alg import AlgElement, TorusGrid, apply_real_structure
 from dkpair.kclass import GapClosedError, LoopElement, _simpson_rule, flatten
@@ -97,7 +99,6 @@ def test_branch_identity_and_roundtrip(tri_drive, grid):
         - arc.projection.scale(2j * np.pi)
     assert ident.norm_inf() < 1e-9
     # functional-calculus roundtrip exp(-i T Heff) = U(T)
-    from dkpair.grid_alg import unitary_exp
     ut = fl.evolve(tri_drive, tri_drive.period)
     back = unitary_exp(h0.scale(-tri_drive.period))
     assert (ut - back).norm_inf() < 1e-9
@@ -135,7 +136,7 @@ def test_periodized_evolution(tri_drive, rs):
     b0 = fl.BranchChoice(0.0)
     loop = fl.periodized_evolution(tri_drive, b0, 64)
     assert fl.periodicity_residual(loop) < 1e-9
-    assert fl.tri_symmetry_residual(tri_drive, b0, rs) < 1e-9
+    assert tri_symmetry_residual(tri_drive, b0, rs) < 1e-9
     # V(0) = 1
     start = AlgElement(loop.grid, 4, 0, loop.segments[0].ends()[0])
     assert (start - AlgElement.unit(loop.grid, 4, 0)).norm_inf() < 1e-12
@@ -643,3 +644,43 @@ def test_segment_ends_are_the_values_at_0_and_1(tri_drive, rs):
     start, end = fl.contraction_loop_from_samples(v_loop, samples, rs).segments[-1].ends()
     for got, want in ((start, samples[0]), (end, samples[-1])):
         assert np.array_equal(got[0], want) and np.shares_memory(got, want)
+
+
+def doubled_drive(case):
+    """A spin-doubled drive: the committed palindromic one, or a doubling of
+    a block drive whose segments do not read the same in reverse."""
+    from dkpair import cli
+    if case == "committed":
+        cfg = cli.ModelConfig.load(str(Path(__file__).parent / "data" / "floquet_qwz.json"))
+        return cfg.drive_object(cfg.grid(16))
+    grid = TorusGrid((16, 16))
+    return fl.SpinDoubledDrive(fl.FloquetDrive(1.0, (
+        (0.3, qwz_symbol(grid, 1.0).scale(0.5)), (0.7, qwz_symbol(grid, -0.6).scale(0.4)))))
+
+
+@pytest.mark.parametrize("case", ["committed", "non_palindromic"])
+def test_doubled_drive_eigendata_match_a_fresh_factorization(case, monkeypatch):
+    # the doubled drive reads its segments' and U(T)'s eigendata from the
+    # block's, one block spectrum for a palindromic drive and two otherwise;
+    # a fresh factorization at double size gives the same spectra (as
+    # multisets) and the same operators
+    drive = doubled_drive(case)
+    assert isinstance(drive, fl.SpinDoubledDrive) and (drive.m, drive.block.m) == (4, 2)
+    calls = count_calls(monkeypatch, fl.unitary_eig)
+    phases, vecs = drive._spectrum
+    assert [u.m for u in calls] == ([2] if case == "committed" else [2, 2])
+    monkeypatch.undo()
+    # the same segments as a plain drive: every eigendecomposition afresh at 4x4
+    ref = fl.FloquetDrive(drive.period, drive.segments)
+    for (w, v), (w_ref, _), (_, h) in zip(drive._eigh, ref._eigh, drive.segments):
+        assert np.max(np.abs(np.sort(w, axis=-1) - w_ref)) <= 1e-12
+        vh = np.conj(np.swapaxes(v, -1, -2))
+        assert np.max(np.abs(vh @ v - np.eye(4))) <= 1e-12
+        assert np.max(np.abs((v * w[..., None, :]) @ vh - h.data[0])) <= 1e-12
+    u_ref = fl.evolve(ref, ref.period).data[0]
+    phases_ref, _ = ref._spectrum
+    assert np.max(np.abs(np.sort(phases, axis=-1) - np.sort(phases_ref, axis=-1))) <= 1e-12
+    vh = np.conj(np.swapaxes(vecs, -1, -2))
+    assert np.max(np.abs(vh @ vecs - np.eye(4))) <= 1e-12
+    assert np.max(np.abs((vecs * np.exp(1j * phases)[..., None, :]) @ vh - u_ref)) <= 1e-12
+    assert np.max(np.abs(fl.evolve(drive, drive.period).data[0] - u_ref)) <= 1e-12

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (element_from_multivector, npoints, random_element,
-                      random_hermitian_field, random_matrix_field,
-                      real_structure_from_signature, scalar_trace)
+from conftest import (element_from_multivector, hermitian_calculus, npoints,
+                      psi_e_inverse, random_element, random_hermitian_field,
+                      random_matrix_field, real_structure_from_signature,
+                      scalar_trace, unitary_exp)
 from dkpair.clifford import CliffordSignature, generator_signs, mu
 from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, Derivation,
                              RealStructureSpec, TorusGrid, _negate,
                              _quaternionic_swap, apply_derivation,
                              apply_real_structure,
-                             check_invariance, direct_sum, hermitian_calculus,
-                             psi_e, psi_e_inverse, represent,
-                             spectral_derivative_data, trace, unitary_exp,
-                             unrepresent)
+                             check_invariance, direct_sum, psi_e, represent,
+                             spectral_derivative_data, trace, unrepresent)
 
 
 def test_grid_validation():

@@ -109,6 +109,10 @@ def test_flatten_refinement_verdicts_are_each_grids(case, monkeypatch):
             got = type(exc), str(exc)
     if isinstance(want[0], type):
         assert got == want
+        if case.startswith("NaN"):
+            # eigh gives finite eigenvalues and NaN eigenvectors here; the
+            # self-adjointness check names the input before any SVD
+            assert got == (np.linalg.LinAlgError, "flatten of a non-finite element")
         return
     assert [s.grid.sizes for s in got] == [(8, 8), (16, 16)]
     assert all(np.array_equal(a.data, b.data) for a, b in zip(got, want))

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (chern_fhs, count_calls, ko2_generator, random_element,
-                      random_hermitian_field, sigma_x_base_point, spin_y)
+from conftest import (chern_fhs, count_calls, ko2_generator, psi_e_inverse,
+                      random_element, random_hermitian_field,
+                      sigma_x_base_point, spin_y, unitary_exp)
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              _mul_data, _mul_parts, _parts, apply_derivation,
                              apply_real_structure, direct_sum, psi_e,
-                             psi_e_inverse, spectral_derivative_data,
-                             unitary_exp)
+                             spectral_derivative_data)
 from dkpair.kclass import (BasePoint, _combine, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)
