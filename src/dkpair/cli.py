@@ -282,17 +282,26 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     # sign(diag(h1, f h1)) = diag(sign h1, f sign h1): one flattening of the
     # block gives the spin Chern number and the class.  With the spin
     # symmetry diag(-i, i) (x) 1 the closed form reads only the block
-    # f(s1) (x) rho of the doubled class, so z2 passes it with y = i 1
-    for s1 in flatten_refinement(h1):
+    # f(s1) (x) rho of the doubled class, so z2 passes it with y = i 1,
+    # grid-constant like the base point: a broadcast view of one block
+    signs = list(flatten_refinement(h1))
+    del h1
+    iy = np.zeros((2, 1, 1, m, m), dtype=complex)
+    iy[0] = 1j * np.eye(m)
+    while signs:
+        # each of a grid's arrays is freed once read, so that no pairing
+        # holds a sign or another grid's class
+        s1 = signs.pop(0)
         grid = s1.grid
         spins.append(pairing.chern_number(
             (s1 + AlgElement.unit(grid, s1.m, 0)).scale(0.5)))
         x = osu_validate(models.conjugate_flip(s1).append_generator())
+        del s1
         e = BasePoint.standard_rho(grid, m, 1, sign=-1)
-        y = AlgElement(grid, m, 1)
-        y.data[0] = 1j * np.eye(m)
+        y = AlgElement(grid, m, 1, np.broadcast_to(iy, (2, *grid.sizes, m, m)))
         torsions.append(pairing.torsion_pairing_closed_form(
             pairing.ch2(), x, e, y, pairing.MODULUS_KANE_MELE_CH2))
+        del x, e, y
     sc = _quantized(report, "spin_chern", spins[0], spins[1], args.tol)
     report.value("torsion_pairing", torsions[0].reduced,
                  modulus=torsions[0].modulus)

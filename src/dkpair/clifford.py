@@ -49,7 +49,7 @@ def sign_table(k: int) -> np.ndarray:
     return table
 
 
-def _shared(values: list[int]) -> np.ndarray:
+def _shared(values) -> np.ndarray:
     """A read-only array, safe to hand out from a cache."""
     arr = np.array(values)
     arr.flags.writeable = False

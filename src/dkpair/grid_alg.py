@@ -12,12 +12,13 @@ exact on trigonometric polynomials below the Nyquist mode.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import clifford
-from .clifford import (Multivector, generator_signs, representation,
+from .clifford import (Multivector, _shared, generator_signs, representation,
                        reversion_signs, sign_table)
 
 MOMENTUM = "momentum"
@@ -59,12 +60,16 @@ class TorusGrid:
         return np.arange(n) * self.period(axis) / n
 
     def mode_multiplier(self, axis: int) -> np.ndarray:
-        """Fourier multiplier of the derivation along `axis` (Nyquist zeroed)."""
-        n = self.sizes[axis]
-        modes = np.fft.fftfreq(n, d=1.0 / n)
-        modes[n // 2] = 0.0
-        factor = 1j if self.axis_roles[axis] == MOMENTUM else 2j * np.pi
-        return factor * modes
+        """Fourier multiplier of the derivation along `axis` (Nyquist zeroed),
+        read-only, formed once per axis size and role."""
+        return _mode_multiplier(self.sizes[axis], self.axis_roles[axis])
+
+
+@functools.cache
+def _mode_multiplier(n: int, role: str) -> np.ndarray:
+    modes = np.fft.fftfreq(n, d=1.0 / n)
+    modes[n // 2] = 0.0
+    return _shared((1j if role == MOMENTUM else 2j * np.pi) * modes)
 
 
 @dataclass(frozen=True)

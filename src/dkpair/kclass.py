@@ -56,10 +56,12 @@ class BasePoint:
 
     @classmethod
     def standard_rho(cls, grid, m, k, sign=-1):
-        """sign * 1 (x) rho_k (the last generator)."""
-        e = AlgElement(grid, m, k)
-        e.data[1 << (k - 1)] = sign * np.eye(m)
-        return cls(e)
+        """sign * 1 (x) rho_k (the last generator), grid-constant: a read-only
+        broadcast view of one point's block, so it holds no grid of its own
+        (its .copy() is dense)."""
+        block = np.zeros((1 << k, *(1,) * grid.d, m, m), dtype=complex)
+        block[1 << (k - 1)] = sign * np.eye(m)
+        return cls(AlgElement(grid, m, k, np.broadcast_to(block, (1 << k, *grid.sizes, m, m))))
 
 
 def _osu_defects(x: AlgElement, where: str):

@@ -14,7 +14,8 @@ antisymmetrized permutation sum realizes (dx)^n over a Grassmann basis.
 Every character here (and the Floquet T^3 degree) evaluates through the one
 kernel `alt_trace`; the arcs of the Bott and torsion loops go through its
 two halves, the antisymmetrized product `_alt` and the contraction
-`_top_trace`, once per arc.  Both take blocks by their live Clifford
+`_top_trace`, once per arc, and so does `pair`, which frees the derivatives
+between the two.  Both take blocks by their live Clifford
 components, so an identically zero one is neither formed nor scanned again.
 
 The torsion-valued pairing is computed two independent ways: from the
@@ -241,18 +242,20 @@ def pair(cycle: CycleSpec, x: OsuElement | AlgElement,
     it); for n = 0 it is required.
     """
     xb = x.body if isinstance(x, OsuElement) else x
+    n, k = cycle.n, xb.k
     if e is None:
-        if cycle.n == 0:
+        if n == 0:
             raise ValueError("a zero-dimensional pairing needs a base point")
-        z = xb
     else:
         eb = e.e if isinstance(e, BasePoint) else e
         xb._check(eb)
         _check_basepoint(cycle, eb)
-        z = xb - eb
-    diffs = [apply_derivation(dv, xb).data for dv in cycle.derivations]
-    n, k = cycle.n, xb.k
-    raw = complex(np.mean(alt_trace(z.data, diffs, k))) * _top_phase(k, n)
+    # the derivatives are contracted into their antisymmetrized product, and
+    # freed, before z = x - e is formed
+    right = _alt([(_parts(apply_derivation(dv, xb).data),) for dv in cycle.derivations], k)[0]
+    z = (xb if e is None else xb - eb).data
+    tr = _top_trace(z, right, k) if n else alt_trace(z, [], k)
+    raw = complex(np.mean(tr)) * _top_phase(k, n)
     value = cycle.scale(k) * (1j) ** (mu(n) % 4) * raw
     return PairingValue(complex(value), cycle.name, k)
 

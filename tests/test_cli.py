@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,49 @@ def test_cmd_z2_committed_config(capsys):
     rep = read_report(capsys)
     assert rep["values"]["z2_class"]["rounded"] == 1
     assert rep["status"] == "ok"
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e6])
+def test_cmd_z2_energy_scale_invariant(tmp_path, capsys, lam):
+    # sign(lambda h) = sign(h) for lambda > 0: every hopping of the committed
+    # block scaled by lambda leaves the spin Chern number, the torsion class
+    # and the z2 class where they are
+    path = Path(__file__).parent / "data" / "z2_qwz.json"
+    cfg = json.loads(path.read_text())
+    for hop in cfg["hoppings"]:
+        hop["matrix"] = (lam * np.array(hop["matrix"])).tolist()
+    values = []
+    for config in (str(path), write_config(tmp_path, cfg)):
+        assert run_cli(["z2", "--config", config, "--grid", "24"]) == cli.EXIT_OK
+        values.append(read_report(capsys)["values"])
+    ref, got = values
+    for key in ("value", "refined"):
+        assert abs(got["spin_chern"][key] - ref["spin_chern"][key]) <= 1e-12
+    assert got["spin_chern"]["rounded"] == ref["spin_chern"]["rounded"] == 1
+    assert abs(got["torsion_pairing"]["value"] - ref["torsion_pairing"]["value"]) <= 1e-12
+    assert got["z2_class"] == ref["z2_class"]
+
+
+def test_cmd_z2_holds_one_grids_working_set(tmp_path, capsys):
+    # two stacked QWZ blocks at 64^2; one 4x4 k = 1 element on the 128^2
+    # refinement grid is 8 MiB, and the run peaks in its pairing near 32 MiB.
+    # The symbol is freed once flattened, each sign once its class is built,
+    # each grid's class, base point and symmetry before the next grid's are
+    # built, the last two are broadcast views, and `pair` frees the
+    # derivatives before it forms x - e; without these the run read 65 MiB
+    stacked = {off: np.kron(np.eye(2), mat) for off, mat in qwz_hoppings(1.0).items()}
+    path = write_config(tmp_path, {"dimension": 2, "matrix_size": 4,
+                                   "hoppings": hoppings_json(stacked),
+                                   "spin_doubling": True, "real_structure": "quaternionic"})
+    tracemalloc.start()
+    try:
+        code = run_cli(["z2", "--config", path, "--grid", "64"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert read_report(capsys)["values"]["z2_class"]["rounded"] == 0
+    assert peak < 36 * 2 ** 20
 
 
 def test_cmd_z2_requires_decoupled(tmp_path):

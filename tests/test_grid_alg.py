@@ -419,6 +419,15 @@ def test_norm_inf_rejects_non_finite(grid16, rng, bad):
             x.within(1.0)
 
 
+def test_mode_multiplier_is_formed_once_per_axis():
+    grid = TorusGrid((8, 16), ("momentum", "time"))
+    mult = grid.mode_multiplier(1)
+    assert TorusGrid((16,), ("time",)).mode_multiplier(0) is mult
+    assert not mult.flags.writeable
+    assert np.array_equal(mult, 2j * np.pi * np.r_[0:8, 0, -7:0])
+    assert np.array_equal(grid.mode_multiplier(0), 1j * np.r_[0:4, 0, -3:0])
+
+
 def test_derivative_matches_whole_block_transform(grid16, rng):
     x = random_element(rng, grid16, 2, 2, parity=1)
     for axis in range(2):

@@ -142,8 +142,9 @@ def test_osu_validate(point_grid):
 def test_osu_validate_holds_one_defect_at_a_time():
     # the square defect is the product with the unit subtracted in place, live
     # with x: two elements, plus bookkeeping far below the 8 MiB element that
-    # a second live defect would add
-    x = BasePoint.standard_rho(TorusGrid((128, 128)), 4, 1).e
+    # a second live defect would add.  x is dense, as a validated class is:
+    # the base point is a broadcast view, which holds none of its 8 MiB
+    x = BasePoint.standard_rho(TorusGrid((128, 128)), 4, 1).e.copy()
     tracemalloc.start()
     try:
         osu_validate(x, 1e-10)
@@ -151,6 +152,22 @@ def test_osu_validate_holds_one_defect_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2 * x.data.nbytes + 2 ** 18
+
+
+def test_standard_rho_is_a_read_only_view_of_one_point():
+    # grid-constant, the base point holds one point's block: its grid axes
+    # have zero strides, and it cannot be written through
+    grid = TorusGrid((16, 8))
+    e = BasePoint.standard_rho(grid, 2, 2, sign=-1).e
+    assert e.data.shape == (4, 16, 8, 2, 2)
+    assert e.data.strides[1:3] == (0, 0)
+    assert not e.data.flags.writeable
+    with pytest.raises(ValueError):
+        e.data[2, 3, 5] = 0.0
+    assert np.array_equal(e.data[2], np.broadcast_to(-np.eye(2), (16, 8, 2, 2)))
+    assert not np.any(np.delete(e.data, 2, axis=0))
+    dense = e.copy()
+    assert dense.data.flags.writeable and np.array_equal(dense.data, e.data)
 
 
 def named_residuals(message):

@@ -18,7 +18,8 @@ from dkpair.kclass import (BasePoint, _combine, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
-                           qwz_symbol, spin_double, winding_unitary)
+                           qwz_hoppings, qwz_symbol, spin_double,
+                           symbol_from_hoppings, winding_unitary)
 from dkpair.pairing import (MODULUS_KANE_MELE_CH2, TorsionValue,
                             _check_basepoint, _on_real_ray, _top_phase,
                             alt_trace, ch0, ch1, ch2, chern_number,
@@ -721,6 +722,24 @@ def test_bott_loop_route_products_do_not_grow_with_order(qwz_osu, monkeypatch):
         pair_suspended(cyc, loop)
         counts.append(len(calls) - before)
     assert counts[0] == counts[1] < 9 * 64
+
+
+def test_pair_frees_the_derivatives_before_forming_x_minus_e():
+    # the two derivatives of x, 2 elements, are contracted into Alt(dx), half
+    # an element here, and freed before x - e, 1 element, is formed: the
+    # pairing peaks near 3 elements, where holding them together took 4
+    grid = TorusGrid((128, 128))
+    stacked = {off: np.kron(np.eye(2), mat) for off, mat in qwz_hoppings(1.0).items()}
+    x = make_osu_from_hamiltonian(symbol_from_hoppings(grid, stacked, 4))
+    e = BasePoint.standard_rho(grid, 4, 1, sign=-1)
+    tracemalloc.start()
+    try:
+        val = pair(ch2(), x, e).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(2 * np.pi * val.real - 2) <= 1e-6
+    assert peak < 3.5 * x.body.data.nbytes
 
 
 def test_torsion_loop_route_memory():
