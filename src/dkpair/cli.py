@@ -125,15 +125,21 @@ class ModelConfig:
 
     def drive_object(self, grid: TorusGrid) -> fl.FloquetDrive:
         """The block drive of matrix_size segments; for a spin-doubled model,
-        the doubled drive built from it, which solves nothing at double size."""
+        its partner doubling, which solves nothing at double size."""
         if self.drive is None:
             raise ConfigError("config has no drive section")
+        if self.rashba:
+            raise ConfigError("a drive takes no rashba terms: its spin blocks stay decoupled")
         segments = []
         try:
             for i, seg in enumerate(self.drive["segments"]):
+                try:
+                    tau = float(seg["duration"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ConfigError(f"drive[{i}]: missing or non-numeric duration") from exc
                 hop = self._parse_hoppings(seg.get("hoppings", []), f"drive[{i}]")
-                segments.append((float(seg["duration"]),
-                                 models.symbol_from_hoppings(grid, hop, self.matrix_size)))
+                segments.append(
+                    (tau, models.symbol_from_hoppings(grid, hop, self.matrix_size)))
             block = fl.FloquetDrive(float(self.drive["period"]), tuple(segments))
             return fl.SpinDoubledDrive(block) if self.spin_doubling else block
         except ValueError as exc:

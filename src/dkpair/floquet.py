@@ -15,9 +15,9 @@ stacked product pair.  The degree's integrand at a node is two batched
 products: V* times the stacked [V | dV/ds | d_1 V | d_2 V], which also gives
 the unitarity residual, and A_s [A_1 | A_2], whose blocks give the cubic trace.
 
-A spin-doubled drive, segments diag(h_j, f h_j) with f(x)(k) = conj x(-k),
-is solved at block size: `SpinDoubledDrive` reads every eigendecomposition
-from its block drive's, and the decoupled route runs on the block alone.
+A spin-doubled drive, diag(h(t), f h(T - t)) with f(x)(k) = conj x(-k), is
+time-reversal invariant by construction and read from its block drive's
+eigendata (`SpinDoubledDrive`); the decoupled route runs on the block alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .grid_alg import (AlgElement, RealStructureSpec, _minus_unit,
                        require_within, spectral_derivative_data)
 from .kclass import (ClosedSegment, GapClosedError, LoopElement, Segment,
                      _gauss_rule, _simpson_rule)
-from .models import spin_double
+from .models import quaternionic_structure
 from .pairing import TorsionValue, chern_number, integer_check
 
 DEFAULT_T_SAMPLES = 256
@@ -52,10 +52,10 @@ class FloquetDrive:
     segments: tuple[tuple[float, AlgElement], ...]
 
     def __post_init__(self):
-        if self.period <= 0:
+        if not self.period > 0:
             raise ValueError("period must be positive")
-        total = sum(tau for tau, _ in self.segments)
-        if abs(total - self.period) > 1e-12 * max(1.0, self.period):
+        total = sum(self.durations)
+        if not abs(total - self.period) <= 1e-12 * max(1.0, self.period):
             raise ValueError(f"segment durations sum to {total}, period is {self.period}")
         for tau, h in self.segments:
             if tau <= 0:
@@ -67,13 +67,17 @@ class FloquetDrive:
             require_within(h - h.star(), 1e-12 * float(np.abs(w).max()),
                            lambda r: f"drive segment not hermitian (residual {r:.3e})")
 
-    @property
+    @cached_property
     def grid(self):
         return self.segments[0][1].grid
 
-    @property
+    @cached_property
     def m(self):
         return self.segments[0][1].m
+
+    @cached_property
+    def durations(self) -> tuple[float, ...]:
+        return tuple(tau for tau, _ in self.segments)
 
     @cached_property
     def _eigh(self):
@@ -83,17 +87,11 @@ class FloquetDrive:
     @cached_property
     def _spectrum(self):
         """(phases, vectors) of U(T), shared by every function of the drive."""
-        return unitary_eig(evolve(self, self.period))
+        return unitary_eig(evolve(self))
 
-    def spin_block(self) -> "FloquetDrive":
-        """The drive of the upper spin blocks of segments that commute with
-        diag(-i, i) (x) 1: its U(T), and every function of it, are the upper
-        blocks of this drive's."""
-        if not all(commutes_with_spin(h) for _, h in self.segments):
-            raise ValueError("decoupled strategy needs a drive commuting "
-                             "with diag(-i, i) (x) 1")
-        return FloquetDrive(self.period, tuple((tau, split_blocks(h)[0])
-                                               for tau, h in self.segments))
+    def time_reversal_residual(self, rs: RealStructureSpec) -> float:
+        """The residual of R(H(t)) = H(-t) under rs (`check_time_reversal`)."""
+        return check_time_reversal(self, rs)
 
 
 def _at_minus_k(arr: np.ndarray, grid, fiber: int) -> np.ndarray:
@@ -104,95 +102,97 @@ def _at_minus_k(arr: np.ndarray, grid, fiber: int) -> np.ndarray:
     return arr
 
 
+def _partner_diag(upper: np.ndarray, lower: np.ndarray, grid) -> np.ndarray:
+    """diag(upper, conj lower(-k)) of two (..., *grid.sizes, m, m) arrays."""
+    m = upper.shape[-1]
+    out = np.zeros((*upper.shape[:-2], 2 * m, 2 * m), dtype=complex)
+    out[..., :m, :m] = upper
+    out[..., m:, m:] = np.conj(_at_minus_k(lower, grid, 2))
+    return out
+
+
 def _doubled_eig(upper, lower, grid):
     """(w, v) of diag(x, f y), f(y)(k) = conj y(-k), for normal x and y, from
     the eigendecompositions (w, v) of x and of y*, each eigenvalue held as a
     real number (an energy or a phase): f(y) has the eigenvalues of y* at -k
     and the eigenvectors conj v(-k)."""
     (w, v), (w_low, v_low) = upper, lower
-    m = v.shape[-1]
-    vecs = np.zeros((*v.shape[:-2], 2 * m, 2 * m), dtype=complex)
-    vecs[..., :m, :m] = v
-    vecs[..., m:, m:] = np.conj(_at_minus_k(v_low, grid, 2))
-    return np.concatenate([w, _at_minus_k(w_low, grid, 1)], axis=-1), vecs
+    return (np.concatenate([w, _at_minus_k(w_low, grid, 1)], axis=-1),
+            _partner_diag(v, v_low, grid))
 
 
 class SpinDoubledDrive(FloquetDrive):
-    """The drive of segments diag(h_j, f h_j), f(x)(k) = conj x(-k), of a
-    block drive of segments h_j (`block`), as `models.spin_double` doubles a
-    symbol.  It runs no eigensolve at its own size: f is an antilinear
-    homomorphism, so segment j's lower block has the eigenvalues w_j(-k) and
-    the eigenvectors conj v_j(-k), and the lower block of U(T) is
-    f(U_rev(T)*), with U_rev the block evolution with the segments in reverse
-    order, whose phases are phi_rev(-k) and vectors conj V_rev(-k).  When the
-    block segments read the same in reverse (equal durations, equal data),
-    U_rev is U and the block's one spectrum serves both blocks; otherwise
-    U_rev takes one more block-size solve.  Every check of the segments and
-    of U(T) runs on the block: f keeps hermiticity and |h|."""
+    """The time-reversal partner doubling diag(h(t), f h(T - t)),
+    f(x)(k) = conj x(-k), of a block drive h (`block`).  Its pieces refine the
+    block's segment boundaries b and their mirror images T - b (merged within
+    1e-12 T), one per segment when the durations are palindromic.  Under the
+    quaternionic R, R(diag(A, f B)) = diag(B, f A): R(H(t)) = H(T - t) exactly.
+
+    It solves nothing at double size and forms no 2m x 2m segment unless
+    `segments` is read: f is an antilinear homomorphism, so a piece's lower
+    block has its block segment's eigenvalues w(-k) and vectors conj v(-k),
+    and U(T)'s lower block is f(U(T)*), with the block's phases phi(-k) and
+    vectors conj V(-k).  Every check runs on the block, as f keeps
+    hermiticity and |h|."""
 
     block: FloquetDrive
 
     def __init__(self, block: FloquetDrive):
-        object.__setattr__(self, "block", block)
-        super().__init__(block.period, tuple((tau, spin_double(h))
-                                             for tau, h in block.segments))
+        # per piece, block segment j in force at t and i at T - t: the block
+        # walked both ways at once; one index past either end reads 0.0
+        taus, tol = block.durations + (0.0,), 1e-12 * block.period
+        durations, sources, j, i = [], [], 0, len(taus) - 2
+        ahead, behind = taus[j], taus[i]
+        while j < len(taus) - 1:
+            step = ahead if abs(ahead - behind) <= tol else min(ahead, behind)
+            durations.append(step)
+            sources.append((j, i))
+            ahead, behind = ahead - step, behind - step
+            if ahead <= tol:
+                j, ahead = j + 1, taus[j + 1]
+            if behind <= tol:
+                i, behind = i - 1, taus[i - 1]
+        # the fields and cached properties, past the frozen __setattr__
+        vars(self).update(block=block, period=block.period, grid=block.grid, m=2 * block.m,
+                          durations=tuple(durations), _sources=tuple(sources))
 
-    def __post_init__(self):
-        """The block drive has checked the period, durations and segments."""
+    @cached_property
+    def segments(self):
+        """(duration, diag(h_j, f h_i)) per piece, formed on first read."""
+        h, grid = [seg.data[0] for _, seg in self.block.segments], self.grid
+        return tuple((tau, AlgElement.from_matrix_field(grid, _partner_diag(h[j], h[i], grid)))
+                     for tau, (j, i) in zip(self.durations, self._sources))
 
     @cached_property
     def _eigh(self):
-        return tuple(_doubled_eig(wv, wv, self.grid) for wv in self.block._eigh)
+        eigh = self.block._eigh
+        return tuple(_doubled_eig(eigh[j], eigh[i], self.grid) for j, i in self._sources)
 
     @cached_property
     def _spectrum(self):
-        block, reverse = self.block, self.block.segments[::-1]
-        palindromic = all(tau == tau_r and np.array_equal(h.data, h_r.data)
-                          for (tau, h), (tau_r, h_r) in zip(block.segments, reverse))
-        lower = (block._spectrum if palindromic
-                 else FloquetDrive(block.period, reverse)._spectrum)
-        return _doubled_eig(block._spectrum, lower, self.grid)
+        return _doubled_eig(self.block._spectrum, self.block._spectrum, self.grid)
 
-    def spin_block(self) -> FloquetDrive:
-        return self.block
+    def time_reversal_residual(self, rs: RealStructureSpec) -> float:
+        """0.0 under the quaternionic structure, by construction."""
+        return 0.0 if rs == quaternionic_structure(k=0) else check_time_reversal(self, rs)
 
 
 def check_time_reversal(drive: FloquetDrive, rs: RealStructureSpec) -> float:
-    """Residual of the segment-mirroring property R(H(t)) = H(-t):
-    durations palindromic and R(H_j) equal to the reversed segment."""
-    taus = [tau for tau, _ in drive.segments]
-    if any(abs(a - b) > 1e-12 for a, b in zip(taus, taus[::-1])):
+    """Residual of the segment-mirroring property R(H(t)) = H(-t): durations
+    palindromic within 1e-12 max(1, T), R(H_j) equal to the reversed segment."""
+    taus, hs = drive.durations, [h for _, h in drive.segments]
+    if any(abs(a - b) > 1e-12 * max(1.0, drive.period) for a, b in zip(taus, taus[::-1])):
         raise ValueError("drive durations are not palindromic")
-    worst = 0.0
-    hs = [h for _, h in drive.segments]
-    for h, h_rev in zip(hs, hs[::-1]):
-        worst = max(worst, (apply_real_structure(rs, h) - h_rev).norm_inf())
-    return worst
+    return max((apply_real_structure(rs, h) - h_rev).norm_inf()
+               for h, h_rev in zip(hs, hs[::-1]))
 
 
-def _segment_product(drive: FloquetDrive, span: float = np.inf) -> np.ndarray:
-    """Product of the segment exponentials over [0, min(span, T))."""
+def evolve(drive: FloquetDrive) -> AlgElement:
+    """U(T), the product of the drive's segment exponentials over one period."""
     u = np.broadcast_to(np.eye(drive.m, dtype=complex),
                         (*drive.grid.sizes, drive.m, drive.m)).copy()
-    for (tau, _), (w, v) in zip(drive.segments, drive._eigh):
-        if span <= 0:
-            break
-        step = min(tau, span)
-        u = np.matmul(_spectral_calculus(v, np.exp(-1j * step * w)), u)
-        span -= step
-    return u
-
-
-def evolve(drive: FloquetDrive, t: float) -> AlgElement:
-    """Time evolution U(t) of the drive, extended by U(t + T) = U(T) U(t)."""
-    if t < 0:
-        raise ValueError("negative times not supported")
-    n_full = int(t // drive.period)
-    u = _segment_product(drive, t - n_full * drive.period)
-    if n_full:
-        u_period = _segment_product(drive)
-        for _ in range(n_full):
-            u = np.matmul(u_period, u)
+    for tau, (w, v) in zip(drive.durations, drive._eigh):
+        u = np.matmul(_spectral_calculus(v, np.exp(-1j * tau * w)), u)
     out = AlgElement.from_matrix_field(drive.grid, u)
     require_within(_minus_unit(out * out.star()), 1e-11,
                    lambda r: f"evolution lost unitarity (residual {r:.3e})")
@@ -418,7 +418,7 @@ def _eigenframes(drive: FloquetDrive, branch: BranchChoice,
     the half period, in time order, from the drive's cached eigenframes."""
     w_eff, v_eff = _effective_spectrum(drive, branch)
     eff = (w_eff, np.conj(np.swapaxes(v_eff, -1, -2)))
-    pieces = [(tau, wv) for (tau, _), wv in zip(drive.segments, drive._eigh)]
+    pieces = zip(drive.durations, drive._eigh)
     frames = []
     start = 0.0
     b = v_eff  # U(start) v_eff
@@ -492,21 +492,6 @@ def degree_t3(loop: LoopElement, integer_tol: float = 1e-3) -> float:
 # the Z2 invariant of an arc projection
 # ---------------------------------------------------------------------------
 
-def commutes_with_spin(x: AlgElement) -> bool:
-    """True when the field is block diagonal for y = diag(-i, i) (x) 1."""
-    m2 = x.m // 2
-    off = max(float(np.max(np.abs(x.data[0][..., :m2, m2:]))),
-              float(np.max(np.abs(x.data[0][..., m2:, :m2]))))
-    return off <= 1e-10
-
-
-def split_blocks(x: AlgElement) -> tuple[AlgElement, AlgElement]:
-    m2 = x.m // 2
-    up = AlgElement.from_matrix_field(x.grid, x.data[0][..., :m2, :m2].copy())
-    dn = AlgElement.from_matrix_field(x.grid, x.data[0][..., m2:, m2:].copy())
-    return up, dn
-
-
 def _first_half(v_loop: LoopElement) -> list[Segment]:
     """The segments of a periodized evolution up to t = 1/2."""
     half = [seg for seg in v_loop.segments if seg.t1 <= 0.5 + 1e-12]
@@ -520,11 +505,7 @@ def _spin_mirror(arr: np.ndarray, grid) -> np.ndarray:
     """The upper spin block of arr (..., *grid.sizes, m, m) kept, the lower
     block replaced by conj(upper)(-k), off-diagonal blocks zero."""
     m2 = arr.shape[-1] // 2
-    out = np.zeros_like(arr)
-    up = arr[..., :m2, :m2]
-    out[..., :m2, :m2] = up
-    out[..., m2:, m2:] = np.conj(_at_minus_k(up, grid, 2))
-    return out
+    return _partner_diag(arr[..., :m2, :m2], arr[..., :m2, :m2], grid)
 
 
 class _MirroredFrame(_AnalyticSegment):
@@ -596,14 +577,14 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
 
 class ArcInvariant:
     """The Z2 invariant of the arc projection from z0 to z1 of a drive, and
-    the drive-level checks behind it, each built once.  Construction checks
-    time reversal under rs within 1e-9 and keeps the residual.  The two
-    routes to the invariant are `decoupled`, which runs on the drive's spin
-    block (`block`), and `degrees`."""
+    the drive-level checks behind it, each built once.  Construction keeps
+    the drive's time-reversal residual under rs and raises beyond 1e-9.  The
+    two routes are `decoupled`, on a spin-doubled drive's block (`block`),
+    and `degrees`."""
 
     def __init__(self, drive: FloquetDrive, z0: complex, z1: complex,
                  rs: RealStructureSpec):
-        self.time_reversal = check_time_reversal(drive, rs)
+        self.time_reversal = drive.time_reversal_residual(rs)
         if self.time_reversal > 1e-9:
             raise ValueError(f"drive is not time-reversal invariant "
                              f"(residual {self.time_reversal:.3e})")
@@ -612,16 +593,18 @@ class ArcInvariant:
 
     @cached_property
     def block(self) -> "ArcInvariant":
-        """The same arc of the upper spin block (`FloquetDrive.spin_block`) of
-        a drive commuting with diag(-i, i) (x) 1, with the same branches and
-        the drive's time-reversal residual.  Time reversal gives the lower
-        block the upper block's phases at -k, and the grid is closed under
-        k -> -k, so the drive's arc has twice the block's rank and the
-        block's gap margin."""
+        """The same arc of a spin-doubled drive's block drive
+        (`SpinDoubledDrive.block`), with the same branches and the drive's
+        time-reversal residual.  Time reversal gives the lower block the
+        upper block's phases at -k, and the grid is closed under k -> -k, so
+        the drive's arc has twice the block's rank and the block's gap
+        margin."""
+        if not isinstance(self.drive, SpinDoubledDrive):
+            raise ValueError("decoupled route needs a spin-doubled drive (SpinDoubledDrive)")
         block = object.__new__(ArcInvariant)
         block.time_reversal, block.z0, block.z1, block.rs, block.branches = (
             self.time_reversal, self.z0, self.z1, self.rs, self.branches)
-        block.drive = self.drive.spin_block()
+        block.drive = self.drive.block
         return block
 
     @cached_property
@@ -640,9 +623,9 @@ class ArcInvariant:
                 - self.arc.projection.scale(2j * np.pi)).norm_inf()
 
     def decoupled(self, integer_tol: float) -> tuple[TorsionValue, float]:
-        """(invariant, spin Chern number) for a drive commuting with
-        diag(-i, i) (x) 1: the parity of the Chern number of its spin block's
-        arc projection, which must be an integer within integer_tol."""
+        """(invariant, spin Chern number) of a spin-doubled drive: the parity
+        of the Chern number of its block's arc projection, which must be an
+        integer within integer_tol."""
         ch = chern_number(self.block.arc.projection, tol=max(1e-8, integer_tol))
         return TorsionValue(float(integer_check(ch, integer_tol) % 2), 2.0), ch
 

@@ -186,15 +186,17 @@ class AlgElement:
         return AlgElement(self.grid, self.m, self.k, out)
 
     def _point_squares(self):
-        """(live components, data with the grid flattened to one axis, size n
-        of the matrices whose singular values norm_inf takes, sum_S |x_S|_F^2
-        per point).  The blade images R_S are unitary and trace-orthogonal,
-        so the represented matrix sum_S x_S (x) R_S has squared Frobenius
-        norm 2^q sum_S |x_S|_F^2; a single component x_S (x) R_S has the
-        singular values of x_S, and its SVD is taken on x_S.  Either way the
-        matrix of size n has squared Frobenius norm (n / m) times the sum."""
-        live = list(_parts(self.data))
-        data = self.data.reshape(self.data.shape[0], -1, self.m, self.m)
+        """(live components, data with its `_distinct` points flattened to one
+        axis, size n of the matrices whose singular values norm_inf takes,
+        sum_S |x_S|_F^2 per point).  The blade images R_S are unitary and
+        trace-orthogonal, so the represented matrix sum_S x_S (x) R_S has
+        squared Frobenius norm 2^q sum_S |x_S|_F^2; a single component
+        x_S (x) R_S has the singular values of x_S, and its SVD is taken on
+        x_S.  Either way the matrix of size n has squared Frobenius norm
+        (n / m) times the sum."""
+        data = _distinct(self.data)
+        live = list(_parts(data))
+        data = data.reshape(data.shape[0], -1, self.m, self.m)
         n = self.m if len(live) == 1 else self.m << representation(self.k)[1]
         fro2 = sum(np.einsum("pij,pij->p", part, part)
                    for s in live for part in (data[s].real, data[s].imag))
@@ -293,6 +295,13 @@ def _negate(data: np.ndarray, flagged: np.ndarray):
     """Negate the flagged components of a component-first block in place."""
     for mask in np.flatnonzero(flagged):
         np.negative(data[mask], out=data[mask])
+
+
+def _distinct(data: np.ndarray) -> np.ndarray:
+    """data (2^k, *grid.sizes, m, m) read once along each grid axis of stride
+    0, where a broadcast view repeats one point: a view, every axis kept."""
+    return data[(slice(None),) + tuple(slice(None) if stride else slice(0, 1)
+                                       for stride in data.strides[1:-2])]
 
 
 def _parts(data: np.ndarray) -> dict:

@@ -33,8 +33,8 @@ import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
 from .grid_alg import (AlgElement, Derivation, _accumulate, _check_axis,
-                       _mul_parts, _parts, apply_derivation, failing, named,
-                       require_within)
+                       _distinct, _mul_parts, _parts, apply_derivation, failing,
+                       named, require_within)
 from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement, _combine
 
 @dataclass(frozen=True)
@@ -433,10 +433,11 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
     _check_basepoint(cycle, eb)
     k = xb.k
     y0 = y.data[(0,) * (1 + xb.grid.d)]
-    scalar = np.zeros_like(y.data[(slice(None),) + (slice(0, 1),) * xb.grid.d])
-    scalar[0] = y0
-    # p_y less its scalar value at the origin, up to a factor -i
-    require_within(AlgElement(y.grid, y.m, k, 0.5 * (y.data - scalar)), 1e-8,
+    # p_y less its scalar value at the origin, up to a factor -i, formed at
+    # y's distinct points: once for z2's broadcast y
+    defect = 0.5 * _distinct(y.data)
+    defect[0] -= 0.5 * y0
+    require_within(AlgElement(y.grid, y.m, k, np.broadcast_to(defect, y.data.shape)), 1e-8,
                    lambda r: f"(1 - i y)/2 is not a grid-constant scalar "
                              f"projection (residual {r:.3e})")
     p0 = (np.eye(xb.m) - 1j * y0) / 2

@@ -310,3 +310,38 @@ def tri_symmetry_residual(drive, branch, rs: RealStructureSpec) -> float:
         v_mt = v_of(float(np.mod(-t, drive.period)))
         worst = max(worst, (apply_real_structure(rs, v_mt) - v_t).norm_inf())
     return worst
+
+
+def evolve_at(drive, t: float) -> AlgElement:
+    """U(t) of a drive at any t >= 0, extended by U(t + T) = U(T) U(t): the
+    product of its segment exponentials up to t (`floquet.evolve` is U(T))."""
+    if t < 0:
+        raise ValueError("negative times not supported")
+    n_full = int(t // drive.period)
+    span = t - n_full * drive.period
+    u = np.broadcast_to(np.eye(drive.m, dtype=complex),
+                        (*drive.grid.sizes, drive.m, drive.m)).copy()
+    for tau, (w, v) in zip(drive.durations, drive._eigh):
+        if span <= 0:
+            break
+        u = np.matmul(_spectral_calculus(v, np.exp(-1j * min(tau, span) * w)), u)
+        span -= tau
+    for _ in range(n_full):
+        u = np.matmul(fl.evolve(drive).data[0], u)
+    return AlgElement.from_matrix_field(drive.grid, u)
+
+
+def commutes_with_spin(x: AlgElement) -> bool:
+    """True when the field is block diagonal for y = diag(-i, i) (x) 1."""
+    m2 = x.m // 2
+    off = max(float(np.max(np.abs(x.data[0][..., :m2, m2:]))),
+              float(np.max(np.abs(x.data[0][..., m2:, :m2]))))
+    return off <= 1e-10
+
+
+def split_blocks(x: AlgElement) -> tuple[AlgElement, AlgElement]:
+    """The diagonal spin blocks of a field commuting with diag(-i, i) (x) 1."""
+    m2 = x.m // 2
+    up = AlgElement.from_matrix_field(x.grid, x.data[0][..., :m2, :m2].copy())
+    dn = AlgElement.from_matrix_field(x.grid, x.data[0][..., m2:, m2:].copy())
+    return up, dn

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (exp_projection_loop, ko2_generator, mv_allclose, scalar_trace,
-                      spin_y, tri_symmetry_residual, unitary_exp)
+                      spin_y, split_blocks, tri_symmetry_residual, unitary_exp)
 from dkpair.clifford import (CliffordSignature, Multivector, gamma_element,
                              mu, real_structure_l)
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
@@ -19,8 +19,7 @@ from dkpair.kclass import (BasePoint, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)
 from dkpair import floquet as fl
-from dkpair.models import (conjugate_flip, decoupled_tri_symbol,
-                           quaternionic_structure, qwz_hoppings, qwz_symbol,
+from dkpair.models import (decoupled_tri_symbol, quaternionic_structure, qwz_hoppings, qwz_symbol,
                            spin_double, symbol_from_hoppings, winding_unitary)
 from dkpair.pairing import (MODULUS_KANE_MELE_CH2, ch0, ch1, ch2,
                             chern_number, integer_check, pair, pair_suspended,
@@ -332,13 +331,12 @@ def _stacked_qwz(grid):
 def test_criterion_12_floquet():
     grid = TorusGrid((32, 32))
     rs = quaternionic_structure(k=0)
+    # the partner doubling of the block drive (h1, 0.7 h1): segments
+    # diag(h1, 0.7 f h1) and its time reverse diag(0.7 h1, f h1)
     h1 = qwz_symbol(grid, 1.0)
-    h1f = conjugate_flip(h1)
-    ha = AlgElement(grid, 4, 0)
-    ha.data[0][..., :2, :2] = h1.data[0]
-    ha.data[0][..., 2:, 2:] = 0.7 * h1f.data[0]
-    hb = apply_real_structure(rs, ha)
-    drive = fl.FloquetDrive(1.0, ((0.5, ha), (0.5, hb)))
+    drive = fl.SpinDoubledDrive(fl.FloquetDrive(1.0, ((0.5, h1), (0.5, h1.scale(0.7)))))
+    ha, hb = (h for _, h in drive.segments)
+    assert (hb - apply_real_structure(rs, ha)).norm_inf() == 0.0
     assert fl.check_time_reversal(drive, rs) < 1e-12
     z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
     b0, b1 = fl.branch_pair(z0, z1, drive.period)
@@ -353,7 +351,7 @@ def test_criterion_12_floquet():
     sym = tri_symmetry_residual(drive, b0, rs)
     assert per < 1e-9 and sym < 1e-9
     # degree on the projection exponential equals the Chern oracle
-    p_up, _ = fl.split_blocks(arc.projection)
+    p_up, _ = split_blocks(arc.projection)
     ch_up = chern_number(p_up, tol=1e-6)
     deg = fl.degree_t3(exp_projection_loop(p_up, 128, sign=-1.0),
                        integer_tol=1e-3)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import count_calls, shifted_qwz_hoppings
+from conftest import count_calls, shifted_qwz_hoppings, split_blocks
 from dkpair import cli
 from dkpair.kclass import GapClosedError
 from dkpair.gridio import read_contraction_grid, write_contraction_grid
@@ -708,8 +708,10 @@ def test_floquet_reports_rank_and_gap_margin_once(tmp_path, capsys):
         assert [k for k in rep["values"] if "gap_margin" in k] == ["gap_margin"]
 
 
-def test_floquet_checks_time_reversal_once_per_grid(tmp_path, monkeypatch, capsys):
-    # the decoupled route checks the drive on its grid and on the doubled one
+def test_floquet_takes_time_reversal_from_the_doubling(tmp_path, monkeypatch, capsys):
+    # a spin-doubled drive diag(h(t), f h(T - t)) is time-reversal invariant
+    # by construction: no run checks its segments, and the report records
+    # the residual 0.0
     from dkpair import floquet
     calls = count_calls(monkeypatch, floquet.check_time_reversal)
     base = ["floquet", "--arc0", "0.0", "--arc1", repr(np.pi), "--grid", "16",
@@ -717,19 +719,23 @@ def test_floquet_checks_time_reversal_once_per_grid(tmp_path, monkeypatch, capsy
     path = Path(__file__).parent / "data" / "floquet_qwz.json"
     assert run_cli([*base, "--config", str(path), "--strategy", "decoupled"]) \
         == cli.EXIT_OK
-    assert len(calls) == 2
     assert read_report(capsys)["status"] == "ok"
-    # a second segment of another mass breaks R(H(t)) = H(-t); both
-    # strategies stop at the check, before any contraction file is read
+    # a second segment of another mass: a block that does not read the same
+    # in reverse, whose doubling both strategies run; its spin Chern number
+    # is within 1e-3 of 1 from grid 32 on (0.985 at 16)
     raw = floquet_config(1.0)
     hops = {off: 0.5 * mat for off, mat in qwz_hoppings(-1.5).items()}
     raw["drive"]["segments"][1] = {"duration": 0.5, "hoppings": hoppings_json(hops)}
+    cfg = cli.ModelConfig(raw)
+    files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(32)))
     path = write_config(tmp_path, raw)
-    for strategy in (["decoupled"], ["user_supplied", "--contraction", "a", "b"]):
-        assert run_cli([*base, "--config", path, "--strategy", *strategy]) \
-            == cli.EXIT_CONVERGENCE
-        assert capsys.readouterr().err.strip() \
-            == "error: drive is not time-reversal invariant (residual 1.250e+00)"
+    base[base.index("--grid") + 1] = "32"
+    for strategy in (["decoupled"], ["user_supplied", "--contraction", *files]):
+        assert run_cli([*base, "--config", path, "--strategy", *strategy]) == cli.EXIT_OK
+        rep = read_report(capsys)
+        assert rep["status"] == "ok"
+        assert [c["residual"] for c in rep["checks"] if c["name"] == "time_reversal"] == [0.0]
+    assert calls == []
 
 
 def test_floquet_checks_the_branch_cut_before_the_arc(capsys):
@@ -761,7 +767,7 @@ def test_decoupled_report_matches_the_full_drive(n, arc, capsys):
     full = floquet.ArcInvariant(floquet.FloquetDrive(drive.period, drive.segments),
                                 *(complex(np.exp(1j * a)) for a in arc),
                                 models.quaternionic_structure(k=0)).arc
-    ch = pairing.chern_number(floquet.split_blocks(full.projection)[0], tol=1e-3)
+    ch = pairing.chern_number(split_blocks(full.projection)[0], tol=1e-3)
     assert values["k_invariant"]["value"] == round(ch) % 2
     assert values["rank"]["value"] == full.rank
     assert abs(values["spin_chern"]["value"] - ch) <= 1e-12
@@ -793,17 +799,27 @@ def test_spin_doubled_floquet_factors_only_block_matrices(tmp_path, monkeypatch,
 
 def test_floquet_checks_time_reversal_before_any_gap(tmp_path, capsys):
     # U(T) = exp(-0.4i) everywhere puts every eigenphase on the branch cut at
-    # arc0 = -0.4, and the unequal halves break R(H(t)) = H(-t): the broken
-    # premise is reported, not the closed gap
+    # arc0 = -0.4.  The spin-doubled drive of unequal halves is time-reversal
+    # invariant, so the closed gap is reported; the same segments doubled as
+    # diag(h_j, f h_j), a plain drive, break R(H(t)) = H(-t), and that broken
+    # premise is reported before any gap
+    from dkpair import floquet, models
     raw = floquet_config(1.0)
     raw["drive"]["segments"] = [
         {"duration": 0.5, "hoppings": hoppings_json({(0, 0): energy * np.eye(2)})}
         for energy in (0.3, 0.5)]
     code = run_cli(["floquet", "--config", write_config(tmp_path, raw), "--arc0", "-0.4",
                     "--arc1", "3.0", "--grid", "8", "--tgrid", "32"])
-    assert code == cli.EXIT_CONVERGENCE
+    assert code == cli.EXIT_GAP
     assert capsys.readouterr().err.strip() \
-        == "error: drive is not time-reversal invariant (residual 2.000e-01)"
+        == "gap closed: eigenphase within 0.000e+00 of the branch cut"
+    block = cli.ModelConfig(raw).drive_object(cli.ModelConfig(raw).grid(8)).block
+    plain = floquet.FloquetDrive(block.period, tuple((tau, models.spin_double(h))
+                                                     for tau, h in block.segments))
+    with pytest.raises(ValueError) as err:
+        floquet.ArcInvariant(plain, complex(np.exp(-0.4j)), complex(np.exp(3j)),
+                             models.quaternionic_structure(k=0))
+    assert str(err.value) == "drive is not time-reversal invariant (residual 2.000e-01)"
 
 
 def test_cmd_floquet_reports_branch_degrees(tmp_path, capsys):
@@ -913,3 +929,71 @@ def test_failed_integerness_prints_report(tmp_path, capsys):
         assert [c["name"] for c in rep["checks"] if not c["passed"]] == failed
         bad = [c["residual"] for c in rep["checks"] if not c["passed"]]
         assert all(1e-6 < r < 1e-5 for r in bad), bad
+
+
+def test_floquet_forms_no_doubled_segment(tmp_path, monkeypatch, capsys):
+    # every solve of a spin-doubled drive reads its block's segments and
+    # eigendata: neither strategy forms a 2m x 2m segment array
+    from dkpair import floquet
+    raw = floquet_config(1.0)
+    cfg = cli.ModelConfig(raw)
+    files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(16)))
+    reads = []
+    formed = floquet.SpinDoubledDrive.segments.func
+    monkeypatch.setattr(floquet.SpinDoubledDrive, "segments",
+                        property(lambda drive: reads.append(drive) or formed(drive)))
+    base = ["floquet", "--config", write_config(tmp_path, raw), "--arc0", "0.0",
+            "--arc1", repr(np.pi), "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
+    for strategy in (["decoupled"], ["user_supplied", "--contraction", *files]):
+        assert run_cli([*base, "--strategy", *strategy]) == cli.EXIT_OK
+        assert read_report(capsys)["status"] == "ok"
+    assert reads == []
+
+
+def test_anomalous_rlbl_drive_has_odd_branch_degrees(capsys):
+    # the spin doubling of the anomalous drive of Rudner, Lindner, Berg and
+    # Levin (PRX 3, 031005 (2013)): four hopping steps of J T / 5 = pi / 2,
+    # each moving a particle wholly to the other sublattice, then a sublattice
+    # potential.  U(T) = exp(-0.5 i sigma_z) at every k, so the arc projection
+    # is flat and its spin Chern parity 0, while each branch's degree is odd
+    from dkpair import floquet
+    path = str(Path(__file__).parent / "data" / "floquet_rlbl.json")
+    assert run_cli(["floquet", "--config", path, "--strategy", "decoupled", "--grid", "16",
+                    "--arc0", "0", "--arc1", repr(np.pi)]) == cli.EXIT_OK
+    rep = read_report(capsys)
+    assert rep["status"] == "ok"
+    assert rep["values"]["k_invariant"]["value"] == 0.0
+    cfg = cli.ModelConfig.load(path)
+    drive = cfg.drive_object(cfg.grid(16))
+    assert isinstance(drive, floquet.SpinDoubledDrive) and len(drive.durations) == 5
+    for branch in floquet.branch_pair(1.0 + 0j, -1.0 + 0j, drive.period):
+        deg = floquet.degree_t3(floquet.decoupled_contraction(
+            floquet.periodized_evolution(drive, branch)))
+        assert abs(deg - round(deg)) <= 1e-12 and round(deg) % 2 == 1
+
+
+def test_floquet_rejects_rashba_terms(tmp_path, capsys):
+    # a drive's spin blocks stay decoupled, so rashba terms would be dropped
+    raw = floquet_config(1.0)
+    raw["rashba"] = hoppings_json({(0, 0): 0.1 * np.eye(2)})
+    assert run_cli(["floquet", "--config", write_config(tmp_path, raw), "--arc0", "0",
+                    "--arc1", "3.0", "--grid", "8"]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "rashba" in err
+
+
+@pytest.mark.parametrize("duration", [None, "half", [0.5], {"value": 0.5}],
+                         ids=["missing", "string", "list", "object"])
+def test_floquet_rejects_a_malformed_drive_duration(tmp_path, capsys, duration):
+    # a missing or non-numeric duration names its segment and exits 2
+    raw = floquet_config(1.0)
+    segment = dict(raw["drive"]["segments"][1])
+    if duration is None:
+        del segment["duration"]
+    else:
+        segment["duration"] = duration
+    raw["drive"]["segments"][1] = segment
+    assert run_cli(["floquet", "--config", write_config(tmp_path, raw), "--arc0", "0",
+                    "--arc1", "3.0", "--grid", "8"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.strip() \
+        == "validation error: drive[1]: missing or non-numeric duration"

@@ -6,22 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (StoredSegment, chern_fhs, count_calls, exp_projection_loop,
-                      loop_from_unitary_samples, tri_symmetry_residual,
-                      unitary_exp)
+from conftest import (StoredSegment, chern_fhs, commutes_with_spin, count_calls,
+                      evolve_at, exp_projection_loop, loop_from_unitary_samples,
+                      tri_symmetry_residual, unitary_exp)
 from dkpair import floquet as fl
 from dkpair.grid_alg import AlgElement, TorusGrid, apply_real_structure
 from dkpair.kclass import GapClosedError, LoopElement, _simpson_rule, flatten
-from dkpair.models import (conjugate_flip, quaternionic_structure, qwz_symbol,
-                           spin_double)
+from dkpair.models import conjugate_flip, quaternionic_structure, qwz_symbol, spin_double
 from dkpair.pairing import alt_trace, chern_number, spin_chern
-
-
-def blockdiag(a, b):
-    out = AlgElement(a.grid, a.m + b.m, 0)
-    out.data[0][..., :a.m, :a.m] = a.data[0]
-    out.data[0][..., a.m:, a.m:] = b.data[0]
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -29,14 +21,19 @@ def grid():
     return TorusGrid((16, 16))
 
 
+def partner_drive(grid):
+    """The partner doubling of the block drive (h1, 0.7 h1), h1 the QWZ
+    symbol at mass 1, in halves of a unit period: segments
+    diag(h1, 0.7 f h1) and diag(0.7 h1, f h1)."""
+    h1 = qwz_symbol(grid, 1.0)
+    return fl.SpinDoubledDrive(fl.FloquetDrive(1.0, ((0.5, h1), (0.5, h1.scale(0.7)))))
+
+
 @pytest.fixture(scope="module")
 def tri_drive(grid):
-    """Palindromic two-segment drive commuting with the spin splitting."""
-    h1 = qwz_symbol(grid, 1.0)
-    h1f = conjugate_flip(h1)
-    ha = blockdiag(h1, h1f.scale(0.7))
-    hb = blockdiag(h1.scale(0.7), h1f)
-    return fl.FloquetDrive(1.0, ((0.5, ha), (0.5, hb)))
+    """Two-segment spin-doubled drive whose block does not read the same in
+    reverse."""
+    return partner_drive(grid)
 
 
 @pytest.fixture(scope="module")
@@ -61,22 +58,23 @@ def test_time_reversal_check(tri_drive, rs, grid):
 
 
 def test_evolve_basics(tri_drive, grid):
-    u0 = fl.evolve(tri_drive, 0.0)
+    u0 = evolve_at(tri_drive, 0.0)
     assert (u0 - AlgElement.unit(grid, 4, 0)).norm_inf() < 1e-14
     # single constant segment evolves by the exponential
     h = spin_double(qwz_symbol(grid, 1.0))
     single = fl.FloquetDrive(2.0, ((2.0, h),))
-    u = fl.evolve(single, 0.7)
+    u = evolve_at(single, 0.7)
     w, v = np.linalg.eigh(h.data[0])
     expect = np.einsum("...ij,...j,...kj->...ik", v, np.exp(-0.7j * w), np.conj(v))
     assert np.max(np.abs(u.data[0] - expect)) < 1e-12
 
 
 def test_evolve_cocycle(tri_drive):
-    u1 = fl.evolve(tri_drive, 0.3)
-    u2 = fl.evolve(tri_drive, 1.3)
-    uT = fl.evolve(tri_drive, 1.0)
+    u1 = evolve_at(tri_drive, 0.3)
+    u2 = evolve_at(tri_drive, 1.3)
+    uT = evolve_at(tri_drive, 1.0)
     assert (u2 - uT * u1).norm_inf() < 1e-10
+    assert (fl.evolve(tri_drive) - uT).norm_inf() < 1e-14
 
 
 def test_effective_hamiltonian_scalar_branch(grid):
@@ -99,7 +97,7 @@ def test_branch_identity_and_roundtrip(tri_drive, grid):
         - arc.projection.scale(2j * np.pi)
     assert ident.norm_inf() < 1e-9
     # functional-calculus roundtrip exp(-i T Heff) = U(T)
-    ut = fl.evolve(tri_drive, tri_drive.period)
+    ut = fl.evolve(tri_drive)
     back = unitary_exp(h0.scale(-tri_drive.period))
     assert (ut - back).norm_inf() < 1e-9
 
@@ -207,8 +205,8 @@ def test_decoupled_invariant_matches_spin_chern(tri_drive, rs, grid):
 
 def test_undriven_trivial_model(grid, rs):
     # scaled so the eigenphases stay inside (-pi, pi): spectrum in [0.5, 2.5]
-    h = spin_double(qwz_symbol(grid, 3.0)).scale(0.5)
-    drive = fl.FloquetDrive(1.0, ((0.5, h), (0.5, h)))
+    h = qwz_symbol(grid, 3.0).scale(0.5)
+    drive = fl.SpinDoubledDrive(fl.FloquetDrive(1.0, ((0.5, h), (0.5, h))))
     kval, _ = fl.ArcInvariant(drive, 1.0 + 0j, np.exp(1j * np.pi), rs).decoupled(1e-4)
     assert kval.reduced == 0.0
 
@@ -217,8 +215,8 @@ def test_wrapped_spectrum_is_caught(grid, rs):
     # mass-3 spectrum reaches past pi, so the arc at z1 = -1 is not in a
     # true gap; the sampled margin may pass but the quantization check
     # must reject the broken projection
-    h = spin_double(qwz_symbol(grid, 3.0))
-    drive = fl.FloquetDrive(1.0, ((0.5, h), (0.5, h)))
+    h = qwz_symbol(grid, 3.0)
+    drive = fl.SpinDoubledDrive(fl.FloquetDrive(1.0, ((0.5, h), (0.5, h))))
     with pytest.raises((GapClosedError, ValueError)):
         fl.ArcInvariant(drive, 1.0 + 0j, np.exp(1j * np.pi), rs).decoupled(1e-4)
 
@@ -286,20 +284,23 @@ def test_contraction_with_straddling_segment(grid, rs):
 
 def test_stroboscopic_spectrum_reuse_matches_fresh_factorization(tri_drive):
     # the cached spectrum of U(T) gives exactly what a fresh factorization
-    # of a fresh evolution gives, through the same formulas
-    T = tri_drive.period
-    phases, vecs = fl.unitary_eig(fl.evolve(tri_drive, T))
-    branch = fl.BranchChoice(0.3)
-    phi = fl._branch_phases(phases, branch.eps * T)
-    want_h = np.einsum("...ij,...j,...kj->...ik", vecs, -phi / T, np.conj(vecs))
-    assert np.array_equal(fl.effective_hamiltonian(tri_drive, branch).data[0], want_h)
-    z0, z1 = np.exp(0.1j), np.exp(1j * np.pi)
-    rel = np.mod(phases - np.angle(z0), 2 * np.pi)
-    inside = rel < np.mod(np.angle(z1) - np.angle(z0), 2 * np.pi)
-    want_p = np.einsum("...ij,...j,...kj->...ik", vecs, inside.astype(float),
-                       np.conj(vecs))
-    assert np.array_equal(fl.arc_projection(tri_drive, z0, z1).projection.data[0],
-                          want_p)
+    # of a fresh evolution gives, through the same formulas: a plain drive's
+    # its own, a spin-doubled drive's its block's, doubled
+    fresh = fl.unitary_eig(fl.evolve(tri_drive.block))
+    doubled = fl._doubled_eig(fresh, fresh, tri_drive.grid)
+    for drive, (phases, vecs) in ((tri_drive.block, fresh), (tri_drive, doubled)):
+        T = drive.period
+        branch = fl.BranchChoice(0.3)
+        phi = fl._branch_phases(phases, branch.eps * T)
+        want_h = np.einsum("...ij,...j,...kj->...ik", vecs, -phi / T, np.conj(vecs))
+        assert np.array_equal(fl.effective_hamiltonian(drive, branch).data[0], want_h)
+        z0, z1 = np.exp(0.1j), np.exp(1j * np.pi)
+        rel = np.mod(phases - np.angle(z0), 2 * np.pi)
+        inside = rel < np.mod(np.angle(z1) - np.angle(z0), 2 * np.pi)
+        want_p = np.einsum("...ij,...j,...kj->...ik", vecs, inside.astype(float),
+                           np.conj(vecs))
+        assert np.array_equal(fl.arc_projection(drive, z0, z1).projection.data[0],
+                              want_p)
 
 
 def haar_unitaries(rng, n, m):
@@ -321,7 +322,7 @@ def unitary_cases(drive):
     """Name -> (n, m, m) unitary field for the eigensolve tests."""
     rng = np.random.default_rng(7)
     eye = np.broadcast_to(np.eye(4, dtype=complex), (16, 4, 4))
-    u_period = fl.evolve(drive, drive.period).data[0]
+    u_period = fl.evolve(drive).data[0]
     cases = {f"haar{m}": haar_unitaries(rng, 16, m) for m in (1, 2, 4, 8)}
     cases.update(
         identity=eye.copy(),
@@ -366,9 +367,7 @@ def test_unitary_eig_rejects_non_normal_field():
 def test_invariant_independent_of_drive_scale(tri_drive, rs, lam):
     # (lambda H, T / lambda) has the same evolution operator over a period
     z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
-    scaled = fl.FloquetDrive(tri_drive.period / lam,
-                             tuple((tau / lam, h.scale(lam))
-                                   for tau, h in tri_drive.segments))
+    scaled = rescaled(tri_drive, lam)
     ref, ref_ch = fl.ArcInvariant(tri_drive, z0, z1, rs).decoupled(1e-3)
     kval, ch = fl.ArcInvariant(scaled, z0, z1, rs).decoupled(1e-3)
     assert kval.reduced == ref.reduced
@@ -376,10 +375,10 @@ def test_invariant_independent_of_drive_scale(tri_drive, rs, lam):
 
 
 def rescaled(drive, lam):
-    """(lambda H, T / lambda): the same evolution operator over a period."""
-    return fl.FloquetDrive(drive.period / lam,
-                           tuple((tau / lam, h.scale(lam))
-                                 for tau, h in drive.segments))
+    """(lambda H, T / lambda) of a spin-doubled drive, as the doubling of its
+    rescaled block: the same evolution operator over a period."""
+    return fl.SpinDoubledDrive(fl.FloquetDrive(
+        drive.period / lam, tuple((tau / lam, h.scale(lam)) for tau, h in drive.block.segments)))
 
 
 def test_effective_hamiltonian_hermiticity_is_scale_relative(tri_drive):
@@ -451,11 +450,7 @@ def test_periodized_evolution_matches_per_node_formula(tri_drive, case):
 
 def criterion_12_drive(n):
     """The drive of acceptance criterion 12 on an n x n grid."""
-    grid = TorusGrid((n, n))
-    rs = quaternionic_structure(k=0)
-    h1 = qwz_symbol(grid, 1.0)
-    ha = blockdiag(h1, conjugate_flip(h1).scale(0.7))
-    return fl.FloquetDrive(1.0, ((0.5, ha), (0.5, apply_real_structure(rs, ha))))
+    return partner_drive(TorusGrid((n, n)))
 
 
 def simpson_reference(loop):
@@ -647,8 +642,9 @@ def test_segment_ends_are_the_values_at_0_and_1(tri_drive, rs):
 
 
 def doubled_drive(case):
-    """A spin-doubled drive: the committed palindromic one, or a doubling of
-    a block drive whose segments do not read the same in reverse."""
+    """A spin-doubled drive: the committed palindromic one, or the partner
+    doubling of a block drive whose segments do not read the same in
+    reverse, in three pieces of 0.3, 0.4 and 0.3."""
     from dkpair import cli
     if case == "committed":
         cfg = cli.ModelConfig.load(str(Path(__file__).parent / "data" / "floquet_qwz.json"))
@@ -660,15 +656,14 @@ def doubled_drive(case):
 
 @pytest.mark.parametrize("case", ["committed", "non_palindromic"])
 def test_doubled_drive_eigendata_match_a_fresh_factorization(case, monkeypatch):
-    # the doubled drive reads its segments' and U(T)'s eigendata from the
-    # block's, one block spectrum for a palindromic drive and two otherwise;
-    # a fresh factorization at double size gives the same spectra (as
-    # multisets) and the same operators
+    # the doubled drive reads its pieces' and U(T)'s eigendata from the
+    # block's, one block spectrum for every drive; a fresh factorization at
+    # double size gives the same spectra (as multisets) and the same operators
     drive = doubled_drive(case)
     assert isinstance(drive, fl.SpinDoubledDrive) and (drive.m, drive.block.m) == (4, 2)
     calls = count_calls(monkeypatch, fl.unitary_eig)
     phases, vecs = drive._spectrum
-    assert [u.m for u in calls] == ([2] if case == "committed" else [2, 2])
+    assert [u.m for u in calls] == [2]
     monkeypatch.undo()
     # the same segments as a plain drive: every eigendecomposition afresh at 4x4
     ref = fl.FloquetDrive(drive.period, drive.segments)
@@ -677,10 +672,63 @@ def test_doubled_drive_eigendata_match_a_fresh_factorization(case, monkeypatch):
         vh = np.conj(np.swapaxes(v, -1, -2))
         assert np.max(np.abs(vh @ v - np.eye(4))) <= 1e-12
         assert np.max(np.abs((v * w[..., None, :]) @ vh - h.data[0])) <= 1e-12
-    u_ref = fl.evolve(ref, ref.period).data[0]
+    u_ref = fl.evolve(ref).data[0]
     phases_ref, _ = ref._spectrum
     assert np.max(np.abs(np.sort(phases, axis=-1) - np.sort(phases_ref, axis=-1))) <= 1e-12
     vh = np.conj(np.swapaxes(vecs, -1, -2))
     assert np.max(np.abs(vh @ vecs - np.eye(4))) <= 1e-12
     assert np.max(np.abs((vecs * np.exp(1j * phases)[..., None, :]) @ vh - u_ref)) <= 1e-12
-    assert np.max(np.abs(fl.evolve(drive, drive.period).data[0] - u_ref)) <= 1e-12
+    assert np.max(np.abs(fl.evolve(drive).data[0] - u_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("durations", [(0.25, 0.5, 0.25), (0.3, 0.7), (0.2, 0.5, 0.1, 0.2)],
+                         ids=["palindromic", "two_segments", "four_segments"])
+def test_partner_doubling_is_its_own_time_reverse(grid, rs, durations):
+    # the pieces refine the block's segment boundaries b and their mirror
+    # images 1 - b, one piece per segment when the durations are palindromic;
+    # on each piece the materialized segment is diag(h(t), f h(1 - t)), and
+    # the segment-mirroring check reads exactly 0.0
+    masses = (1.0, -0.6, 2.5, 0.4)
+    block = fl.FloquetDrive(1.0, tuple((tau, qwz_symbol(grid, mass).scale(0.5))
+                                       for tau, mass in zip(durations, masses)))
+    drive = fl.SpinDoubledDrive(block)
+    bounds = np.cumsum(durations)[:-1]
+    cuts = np.unique(np.round(np.concatenate([bounds, 1.0 - bounds]), 12))
+    starts = np.concatenate([[0.0], np.cumsum(drive.durations)[:-1]])
+    assert np.max(np.abs(starts[1:] - cuts)) <= 1e-12
+    if durations == durations[::-1]:
+        assert drive.durations == durations
+    assert fl.check_time_reversal(fl.FloquetDrive(drive.period, drive.segments), rs) == 0.0
+
+    def block_at(t):
+        return block.segments[int(np.searchsorted(bounds, t))][1]
+
+    for (tau, h), t0 in zip(drive.segments, starts):
+        mid = t0 + tau / 2
+        assert commutes_with_spin(h)
+        assert np.array_equal(h.data[0][..., :2, :2], block_at(mid).data[0])
+        assert np.array_equal(h.data[0][..., 2:, 2:],
+                              conjugate_flip(block_at(1.0 - mid)).data[0])
+
+
+def test_time_reversal_check_is_relative_to_the_period(grid, rs):
+    # a block of durations 0.17 T and T - 0.17 T at T = 1 / 7e-9: the pieces
+    # of its doubling are palindromic to the rounding of T, 4e-9 here, and
+    # the check's tolerance is 1e-12 T, as for the durations' sum
+    period = 1 / 7e-9
+    h = qwz_symbol(grid, 1.0).scale(7e-9)
+    drive = fl.SpinDoubledDrive(fl.FloquetDrive(period, ((0.17 * period, h),
+                                                         (period - 0.17 * period, h))))
+    taus = drive.durations
+    assert 1e-12 < abs(taus[0] - taus[-1]) <= 1e-12 * period
+    assert fl.check_time_reversal(fl.FloquetDrive(period, drive.segments), rs) == 0.0
+
+
+def test_decoupled_route_needs_a_spin_doubled_drive(tri_drive, rs):
+    # the same segments as a plain drive pass time reversal, but carry no
+    # block for the decoupled route to run on
+    plain = fl.FloquetDrive(tri_drive.period, tri_drive.segments)
+    inv = fl.ArcInvariant(plain, 1.0 + 0j, np.exp(1j * np.pi), rs)
+    assert inv.time_reversal == 0.0
+    with pytest.raises(ValueError, match="decoupled route needs a spin-doubled drive"):
+        inv.decoupled(1e-4)

@@ -20,7 +20,8 @@ from dkpair.kclass import (BasePoint, _combine, bott_loop, flatten,
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_hoppings, qwz_symbol, spin_double,
                            symbol_from_hoppings, winding_unitary)
-from dkpair.pairing import (MODULUS_KANE_MELE_CH2, TorsionValue,
+from dkpair import pairing
+from dkpair.pairing import (MODULUS_KANE_MELE_CH2, PairingValue, TorsionValue,
                             _check_basepoint, _on_real_ray, _top_phase,
                             alt_trace, ch0, ch1, ch2, chern_number,
                             integer_check, mu_prime, pair, pair_suspended,
@@ -933,3 +934,43 @@ def test_constant_basepoint_forms_no_derivative_and_no_bound(qwz_osu, monkeypatc
     infinite.data[1] = np.inf
     with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
         _check_basepoint(ch2(), infinite)
+
+
+def test_closed_form_rejects_a_y_broadcast_along_one_axis_only(grid16):
+    # y constant along axis 1 (a zero-stride view there) but turning along
+    # axis 0: its distinct points still vary, and the check reads the
+    # residual of its dense copy
+    x, e, y = kane_mele_torsion_data(grid16, 1.0)
+    theta = 0.1 * np.sin(grid16.coordinates(0))[:, None, None, None]
+    g = (np.cos(theta) * np.eye(4)
+         + 1j * np.sin(theta) * np.kron(np.array([[0, 1], [1, 0]]), np.eye(2)))
+    column = np.zeros((2, 16, 1, 4, 4), dtype=complex)
+    column[0] = g @ y.data[0][:, :1] @ np.conj(np.swapaxes(g, -1, -2))
+    turned = AlgElement(grid16, 4, 1, np.broadcast_to(column, (2, 16, 16, 4, 4)))
+    messages = []
+    for y_turned in (turned, AlgElement(grid16, 4, 1, turned.data.copy())):
+        with pytest.raises(ValueError, match="grid-constant scalar projection") as err:
+            torsion_pairing_closed_form(ch2(), x, e, y_turned, MODULUS_KANE_MELE_CH2)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_closed_form_checks_a_broadcast_y_at_one_point(monkeypatch):
+    # z2's y = i 1 is a zero-stride view of one point: the check that y is
+    # grid-constant forms its defect at that point, not at every grid point
+    # (the pairing itself stubbed out, so the trace holds the check alone)
+    grid, m = TorusGrid((64, 64)), 4
+    stacked = {off: np.kron(np.eye(2), mat) for off, mat in qwz_hoppings(1.0).items()}
+    x = make_osu_from_hamiltonian(symbol_from_hoppings(grid, stacked, m))
+    e = BasePoint.standard_rho(grid, m, 1, sign=-1)
+    iy = np.zeros((2, 1, 1, m, m), dtype=complex)
+    iy[0] = 1j * np.eye(m)
+    y = AlgElement(grid, m, 1, np.broadcast_to(iy, (2, *grid.sizes, m, m)))
+    monkeypatch.setattr(pairing, "pair", lambda *args: PairingValue(0j, "ch2", 1))
+    tracemalloc.start()
+    try:
+        torsion_pairing_closed_form(ch2(), x, e, y, MODULUS_KANE_MELE_CH2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < y.data.nbytes / 4
