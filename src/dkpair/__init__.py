@@ -5,12 +5,11 @@ Applications: winding and Chern numbers, the spin Chern number and the
 Kane-Mele Z2 invariant, and Z2 invariants of periodically driven models.
 """
 
-from .clifford import (CliffordSignature, Multivector, gamma_element,
-                       j_functional, mu, mv_mul, mv_star, real_structure_l)
+from .clifford import CliffordSignature, mu
 from .grid_alg import (AlgElement, Derivation, RealStructureSpec, TorusGrid,
                        alg_mul, alg_star, apply_derivation,
                        apply_real_structure, check_invariance, direct_sum,
-                       psi_e, trace)
+                       gamma_element, j_functional, psi_e, trace)
 from .kclass import (BasePoint, GapClosedError, LoopElement, OsuElement,
                      OsuValidationError, bott_loop, flatten,
                      make_osu_from_hamiltonian, osu_validate, torsion_loop)

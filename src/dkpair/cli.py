@@ -38,11 +38,27 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _as_complex_matrix(rows, m, where):
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected {m}x{m} [re, im] pairs of numbers") from exc
     if arr.shape != (m, m, 2):
         raise ConfigError(f"{where}: expected {m}x{m} [re, im] pairs, "
                           f"got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where}: non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _number(value, kind, where):
+    """kind(value) when it is finite, or a ConfigError naming the field."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = float("nan")
+    if not abs(out) < float("inf"):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return out
 
 
 class ModelConfig:
@@ -54,14 +70,18 @@ class ModelConfig:
     """
 
     def __init__(self, raw: dict):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
         self.raw = raw
-        self.dimension = int(raw.get("dimension", 2))
+        self.dimension = _number(raw.get("dimension", 2), int, "dimension")
         if not 0 <= self.dimension <= 3:
             raise ConfigError("dimension must be 0..3")
-        self.matrix_size = int(raw.get("matrix_size", 1))
+        self.matrix_size = _number(raw.get("matrix_size", 1), int, "matrix_size")
         if self.matrix_size < 1:
             raise ConfigError("matrix_size must be positive")
-        self.spin_doubling = bool(raw.get("spin_doubling", False))
+        self.spin_doubling = raw.get("spin_doubling", False)
+        if not isinstance(self.spin_doubling, bool):
+            raise ConfigError(f"spin_doubling: expected a boolean, got {self.spin_doubling!r}")
         self.hoppings = self._parse_hoppings(raw.get("hoppings", []), "hoppings")
         self.rashba = self._parse_hoppings(raw.get("rashba", []), "rashba") \
             if "rashba" in raw else None
@@ -70,16 +90,19 @@ class ModelConfig:
             raise ConfigError(f"unknown real_structure {self.real_structure!r}")
         self.drive = raw.get("drive")
         if self.drive is not None:
-            if "period" not in self.drive or "segments" not in self.drive:
-                raise ConfigError("drive needs period and segments")
+            if not (isinstance(self.drive, dict) and "period" in self.drive
+                    and isinstance(self.drive.get("segments"), list)):
+                raise ConfigError("drive: needs a period and a list of segments")
 
     def _parse_hoppings(self, items, where):
+        if not isinstance(items, list):
+            raise ConfigError(f"{where}: expected a list of hoppings, got {items!r}")
         out = {}
         m = self.matrix_size
         for i, item in enumerate(items):
             try:
                 offset = tuple(int(v) for v in item["offset"])
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{where}[{i}]: bad offset") from exc
             if len(offset) != self.dimension:
                 raise ConfigError(f"{where}[{i}]: offset dimension mismatch")
@@ -130,6 +153,7 @@ class ModelConfig:
             raise ConfigError("config has no drive section")
         if self.rashba:
             raise ConfigError("a drive takes no rashba terms: its spin blocks stay decoupled")
+        period = _number(self.drive["period"], float, "drive.period")
         segments = []
         try:
             for i, seg in enumerate(self.drive["segments"]):
@@ -137,10 +161,10 @@ class ModelConfig:
                     tau = float(seg["duration"])
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"drive[{i}]: missing or non-numeric duration") from exc
-                hop = self._parse_hoppings(seg.get("hoppings", []), f"drive[{i}]")
+                hop = self._parse_hoppings(seg.get("hoppings", []), f"drive[{i}].hoppings")
                 segments.append(
                     (tau, models.symbol_from_hoppings(grid, hop, self.matrix_size)))
-            block = fl.FloquetDrive(float(self.drive["period"]), tuple(segments))
+            block = fl.FloquetDrive(period, tuple(segments))
             return fl.SpinDoubledDrive(block) if self.spin_doubling else block
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -412,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=32,
                        help="momentum samples per axis (default 32)")
         p.add_argument("--tgrid", type=int, default=256,
-                       help="time samples per period (default 256)")
+                       help="time samples per period, read only by pair --cycle ch1 "
+                            "and the verify suites selection-rules and ko-examples "
+                            "(default 256)")
         p.add_argument("--tol", type=float, default=1e-6,
                        help="integerness and Chern-consistency tolerance (default 1e-6)")
         p.add_argument("--report", help="write the JSON report to this file")

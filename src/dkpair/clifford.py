@@ -1,9 +1,10 @@
-"""Exact complex Clifford algebra engine on the generator-subset basis.
+"""Sign tables of the complex Clifford algebra on the generator-subset basis.
 
 Basis elements are indexed by subsets S of {1..k} encoded as bitmasks
 (bit i-1 set means generator rho_i is present, factors in ascending
-index order).  All products only ever multiply coefficients by +-1 or
-+-i, so results are exact for exact inputs.
+index order).  Every table entry is +-1, so the products, star and real
+structures that `grid_alg` builds on them are exact for exact inputs; an
+element of Cl_k alone is a `grid_alg.AlgElement` at one point with m = 1.
 """
 
 from __future__ import annotations
@@ -95,131 +96,6 @@ class CliffordSignature:
     def signs(self) -> tuple[int, ...]:
         """Per-generator sign under the real structure, (+1,)*r + (-1,)*s."""
         return (1,) * self.r + (-1,) * self.s
-
-
-class Multivector:
-    """Element of the complex Clifford algebra on k generators.
-
-    coeffs[S] is the coefficient of the basis element e_S.  Instances are
-    treated as immutable values.
-    """
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k: int, coeffs=None):
-        if not 0 <= k <= MAX_GENERATORS:
-            raise ValueError(f"generator count must be in [0, {MAX_GENERATORS}], got {k}")
-        self.k = k
-        if coeffs is None:
-            self.coeffs = np.zeros(1 << k, dtype=complex)
-        else:
-            coeffs = np.asarray(coeffs, dtype=complex)
-            if coeffs.shape != (1 << k,):
-                raise ValueError(f"expected {1 << k} coefficients, got {coeffs.shape}")
-            self.coeffs = coeffs.copy()
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def unit(cls, k: int) -> "Multivector":
-        m = cls(k)
-        m.coeffs[0] = 1.0
-        return m
-
-    @classmethod
-    def generator(cls, k: int, i: int) -> "Multivector":
-        """rho_i, 1-indexed."""
-        if not 1 <= i <= k:
-            raise ValueError(f"generator index {i} out of range 1..{k}")
-        m = cls(k)
-        m.coeffs[1 << (i - 1)] = 1.0
-        return m
-
-    # -- algebra ------------------------------------------------------
-    def __add__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        return Multivector(self.k, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "Multivector") -> "Multivector":
-        self._check(other)
-        return Multivector(self.k, self.coeffs - other.coeffs)
-
-    def __neg__(self) -> "Multivector":
-        return Multivector(self.k, -self.coeffs)
-
-    def scale(self, c: complex) -> "Multivector":
-        return Multivector(self.k, c * self.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, Multivector):
-            return mv_mul(self, other)
-        return self.scale(other)
-
-    __rmul__ = scale
-
-    def _check(self, other: "Multivector"):
-        if self.k != other.k:
-            raise ValueError(f"generator count mismatch: {self.k} vs {other.k}")
-
-    def star(self) -> "Multivector":
-        return mv_star(self)
-
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-    def __repr__(self):
-        terms = []
-        for mask in np.flatnonzero(self.coeffs):
-            name = "1" if mask == 0 else "".join(
-                f"r{i + 1}" for i in range(self.k) if mask >> i & 1
-            )
-            terms.append(f"({self.coeffs[mask]:.4g})*{name}")
-        return f"Multivector(k={self.k}, {' + '.join(terms) or '0'})"
-
-
-def mv_mul(a: Multivector, b: Multivector) -> Multivector:
-    a._check(b)
-    table = sign_table(a.k)
-    out = np.zeros_like(a.coeffs)
-    for s in np.flatnonzero(a.coeffs):
-        for t in np.flatnonzero(b.coeffs):
-            out[s ^ t] += table[s, t] * a.coeffs[s] * b.coeffs[t]
-    return Multivector(a.k, out)
-
-
-def mv_star(a: Multivector) -> Multivector:
-    """Antilinear involution: generators are self-adjoint, products reverse."""
-    out = np.conj(a.coeffs)
-    out[reversion_signs(a.k) < 0] *= -1
-    return Multivector(a.k, out)
-
-
-def gamma_element(k: int) -> Multivector:
-    """Chirality element i^{-mu(k)} rho_1 ... rho_k; self-adjoint, squares to 1."""
-    m = Multivector(k)
-    m.coeffs[(1 << k) - 1] = (1j) ** (-mu(k) % 4)
-    return m
-
-
-def real_structure_l(sig: CliffordSignature, a: Multivector) -> Multivector:
-    """Antilinear *-automorphism fixing the first r generators, negating the rest."""
-    if a.k != sig.k:
-        raise ValueError(f"element has {a.k} generators, signature needs {sig.k}")
-    return apply_generator_signs(sig.signs, a)
-
-
-def apply_generator_signs(signs: tuple[int, ...], a: Multivector) -> Multivector:
-    """Antilinear map rho_i -> signs[i-1] * rho_i extended as a *-automorphism."""
-    if len(signs) != a.k:
-        raise ValueError("one sign per generator required")
-    out = np.conj(a.coeffs)
-    out[generator_signs(tuple(signs)) < 0] *= -1
-    return Multivector(a.k, out)
-
-
-def j_functional(a: Multivector) -> complex:
-    """Coefficient of the chirality element: linear, graded trace, j(Gamma_k) = 1."""
-    k = a.k
-    return complex(a.coeffs[(1 << k) - 1] * (1j) ** (mu(k) % 4))
 
 
 @lru_cache(maxsize=None)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clifford
-from .clifford import (Multivector, _shared, generator_signs, representation,
-                       reversion_signs, sign_table)
+from .clifford import (MAX_GENERATORS, _shared, generator_signs, mu,
+                       representation, reversion_signs, sign_table)
 
 MOMENTUM = "momentum"
 TIME = "time"
@@ -385,14 +385,37 @@ def apply_derivation(dv: Derivation, x: AlgElement) -> AlgElement:
                       spectral_derivative_data(x.data, x.grid, dv.axis, axis_offset=1))
 
 
-def trace(x: AlgElement) -> Multivector:
-    """Grid average of the matrix trace, per Clifford component.
+def trace(x: AlgElement) -> AlgElement:
+    """Grid average of the matrix trace, per Clifford component: an element
+    of Cl_k, at one point with m = 1.
 
     Normalized so the unit of M_m(C(T^d)) has trace m on the scalar component.
     """
-    tr = np.trace(x.data, axis1=-2, axis2=-1)
-    axes = tuple(range(1, tr.ndim))
-    return Multivector(x.k, np.mean(tr, axis=axes) if axes else tr)
+    tr = np.trace(x.data, axis1=-2, axis2=-1).mean(axis=tuple(range(1, x.grid.d + 1)))
+    return AlgElement(TorusGrid(()), 1, x.k, tr[:, None, None])
+
+
+def blade(k: int, mask: int) -> AlgElement:
+    """The basis element e_mask of Cl_k, at one point with m = 1."""
+    x = AlgElement(TorusGrid(()), 1, k)
+    x.data[mask] = 1.0
+    return x
+
+
+def gamma_element(k: int) -> AlgElement:
+    """Chirality element i^{-mu(k)} rho_1 ... rho_k of Cl_k, at one point with
+    m = 1; self-adjoint, squares to 1."""
+    if not 0 <= k <= MAX_GENERATORS:
+        raise ValueError(f"generator count must be in [0, {MAX_GENERATORS}], got {k}")
+    g = AlgElement(TorusGrid(()), 1, k)
+    g.data[-1] = (1j) ** (-mu(k) % 4)
+    return g
+
+
+def j_functional(a: AlgElement) -> complex:
+    """Coefficient of the chirality element of a point element of Cl_k (m = 1),
+    such as a `trace`: linear, a graded trace, j(gamma_element(k)) = 1."""
+    return complex(a.data[-1].item() * (1j) ** (mu(a.k) % 4))
 
 
 def _quaternionic_swap(data: np.ndarray, nb: int, half: int) -> np.ndarray:

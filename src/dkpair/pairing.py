@@ -11,12 +11,13 @@ an OSU x in M_m(A) (x) Cl_k is
 where [.]_top extracts the chirality-element coefficient of the Clifford
 factor (with the *-compatible phase of the iterated contraction), and the
 antisymmetrized permutation sum realizes (dx)^n over a Grassmann basis.
-Every character here (and the Floquet T^3 degree) evaluates through the one
-kernel `alt_trace`; the arcs of the Bott and torsion loops go through its
-two halves, the antisymmetrized product `_alt` and the contraction
-`_top_trace`, once per arc, and so does `pair`, which frees the derivatives
-between the two.  Both take blocks by their live Clifford
-components, so an identically zero one is neither formed nor scanned again.
+Every character here evaluates through the one kernel `alt_trace`; the
+arcs of the Bott and torsion loops go through its two halves, the
+antisymmetrized product `_alt` and the contraction `_top_trace`, once per
+arc, and so does `pair`, which frees the derivatives between the two.  Both
+take blocks by their live Clifford components, so an identically zero one
+is neither formed nor scanned again.  The Floquet T^3 degree is not a
+character pairing and takes its integrand from `floquet._cubic_trace`.
 
 The torsion-valued pairing is computed two independent ways: from the
 suspended character evaluated on an explicit four-segment loop, and from a

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dkpair import floquet as fl
-from dkpair.clifford import CliffordSignature, Multivector
+from dkpair.clifford import CliffordSignature
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              _spectral_calculus, _validate_osi,
                              apply_real_structure, represent,
@@ -43,28 +43,21 @@ def npoints(grid: TorusGrid) -> int:
 
 def scalar_trace(x: AlgElement) -> complex:
     """Trace of the scalar (empty-subset) Clifford component."""
-    return complex(trace(x).coeffs[0])
+    return complex(trace(x).data[0].item())
 
 
-def multivector_basis(k: int, mask: int) -> Multivector:
-    """The blade e_mask of Cl_k."""
-    mv = Multivector(k)
-    mv.coeffs[mask] = 1.0
-    return mv
-
-
-def mv_allclose(a: Multivector, b: Multivector, tol: float = 0.0) -> bool:
-    """Coefficients of a and b, of one generator count, within tol."""
+def same_element(a: AlgElement, b: AlgElement) -> bool:
+    """a and b of one shape, with equal coefficients: an exact comparison
+    that runs no algebra operation."""
     a._check(b)
-    return bool(np.max(np.abs(a.coeffs - b.coeffs)) <= tol)
+    return bool(np.array_equal(a.data, b.data))
 
 
-def element_from_multivector(grid, m, mv: Multivector) -> AlgElement:
-    """The grid-constant element 1_m (x) mv."""
-    x = AlgElement(grid, m, mv.k)
-    eye = np.eye(m)
-    for mask in np.flatnonzero(mv.coeffs):
-        x.data[mask] = mv.coeffs[mask] * eye
+def constant_element(grid, m, a: AlgElement) -> AlgElement:
+    """The grid-constant element 1_m (x) a of a point element a of Cl_k."""
+    x = AlgElement(grid, m, a.k)
+    for mask, coeff in enumerate(a.data[:, 0, 0]):
+        x.data[mask] = coeff * np.eye(m)
     return x
 
 

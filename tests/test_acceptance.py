@@ -8,13 +8,13 @@ samples.
 import numpy as np
 import pytest
 
-from conftest import (exp_projection_loop, ko2_generator, mv_allclose, scalar_trace,
-                      spin_y, split_blocks, tri_symmetry_residual, unitary_exp)
-from dkpair.clifford import (CliffordSignature, Multivector, gamma_element,
-                             mu, real_structure_l)
+from conftest import (exp_projection_loop, ko2_generator, real_structure_from_signature,
+                      same_element, scalar_trace, spin_y, split_blocks,
+                      tri_symmetry_residual, unitary_exp)
+from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, Derivation, RealStructureSpec,
-                             TorusGrid, apply_real_structure, direct_sum,
-                             psi_e, trace)
+                             TorusGrid, apply_real_structure, blade, direct_sum,
+                             gamma_element, j_functional, psi_e, trace)
 from dkpair.kclass import (BasePoint, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate,
                            torsion_loop)
@@ -35,21 +35,24 @@ def report(num, name, detail=""):
 
 
 def test_criterion_01_clifford_exactness():
+    # point elements of Cl_k, through the products, star and real structures
+    # that every pairing runs
     for k in range(0, 7):
         g = gamma_element(k)
-        assert mv_allclose(g.star(), g)
-        assert mv_allclose(g * g, Multivector.unit(k))
-        for i in range(1, k + 1):
-            ri = Multivector.generator(k, i)
-            assert mv_allclose(ri * ri, Multivector.unit(k))
-            for j in range(i + 1, k + 1):
-                rj = Multivector.generator(k, j)
-                assert (ri * rj + rj * ri).norm() == 0.0
+        assert same_element(g.star(), g)
+        assert same_element(g * g, blade(k, 0))
+        for i in range(k):
+            ri = blade(k, 1 << i)
+            assert same_element(ri * ri, blade(k, 0))
+            for j in range(i + 1, k):
+                rj = blade(k, 1 << j)
+                assert not np.any((ri * rj + rj * ri).data)
     for r in range(0, 7):
         for s in range(0, 7 - r):
             g = gamma_element(r + s)
             expect = g.scale((-1.0) ** (mu(r - s) % 2))
-            assert mv_allclose(real_structure_l(CliffordSignature(r, s), g), expect)
+            rs = real_structure_from_signature(CliffordSignature(r, s))
+            assert same_element(apply_real_structure(rs, g), expect)
     report(1, "clifford exactness", "all identities exact for r+s <= 6")
 
 
@@ -69,7 +72,6 @@ def test_criterion_02_psi_e_and_trace_identity():
         return x
 
     from dkpair.grid_alg import _split_cl2
-    from dkpair.clifford import j_functional
     worst_hom = worst_tr = 0.0
     for _ in range(64):
         u, v = random_homogeneous(), random_homogeneous()

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, shifted_qwz_hoppings, split_blocks
-from dkpair import cli
+from dkpair import cli, grid_alg
+from dkpair.clifford import reversion_signs
 from dkpair.kclass import GapClosedError
 from dkpair.gridio import read_contraction_grid, write_contraction_grid
 from dkpair.models import qwz_hoppings
@@ -315,6 +316,17 @@ def test_cmd_verify_all_suites(tmp_path, capsys):
         rep = read_report(capsys)
         assert rep["status"] == "ok"
         assert all(c["passed"] for c in rep["checks"])
+
+
+def test_verify_clifford_reads_the_production_star(monkeypatch, capsys):
+    # the suite's star is grid_alg's, the one every pairing runs: flipping the
+    # reversion signs it reads fails the gamma self-adjointness checks
+    monkeypatch.setattr(grid_alg, "reversion_signs", lambda k: -reversion_signs(k))
+    assert run_cli(["verify", "clifford"]) == cli.EXIT_CONVERGENCE
+    rep = read_report(capsys)
+    failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+    assert rep["status"] == "failed"
+    assert all(f"gamma_{k}_self_adjoint" in failed for k in range(7)), failed
 
 
 def test_verify_torsion_contracts_carry_residual_and_tolerance(capsys):
@@ -997,3 +1009,46 @@ def test_floquet_rejects_a_malformed_drive_duration(tmp_path, capsys, duration):
                     "--arc1", "3.0", "--grid", "8"]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.strip() \
         == "validation error: drive[1]: missing or non-numeric duration"
+
+
+def replaced(raw, path, value):
+    """raw with its entry at `path`, a list of keys and indices, replaced by
+    value; the empty path replaces raw itself."""
+    if not path:
+        return value
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+PAIR_CH0 = ["pair", "--cycle", "ch0"]
+FLOQUET_ARC = ["floquet", "--arc0", "0", "--arc1", "3.0"]
+NAN_ENTRY = ["hoppings", 0, "matrix", 0, 0, 0]
+
+
+@pytest.mark.parametrize("command, path, value, field", [
+    (PAIR_CH0, [], [floquet_config(1.0)], "config"),
+    (PAIR_CH0, ["matrix_size"], "two", "matrix_size"),
+    (FLOQUET_ARC, ["drive", "period"], None, "drive.period"),
+    (PAIR_CH0, ["hoppings"], 3, "hoppings"),
+    (FLOQUET_ARC, ["drive", "segments", 0, "hoppings"], 3, "drive[0].hoppings"),
+    (FLOQUET_ARC, ["drive", "segments"], 3, "drive"),
+    (["pair", "--cycle", "ch2"], NAN_ENTRY, float("nan"), "hoppings[0].matrix"),
+    (["z2"], NAN_ENTRY, float("nan"), "hoppings[0].matrix"),
+    (PAIR_CH0, ["dimension"], float("inf"), "dimension"),
+    (PAIR_CH0, ["hoppings", 0, "offset"], [float("inf"), 0], "hoppings[0]"),
+    (FLOQUET_ARC, ["drive", "period"], float("inf"), "drive.period"),
+    (["z2"], ["spin_doubling"], "no", "spin_doubling"),
+], ids=["top_level_list", "matrix_size_string", "null_period", "number_hoppings",
+        "number_segment_hoppings", "number_segments", "nan_entry_pair", "nan_entry_z2",
+        "infinite_dimension", "infinite_offset", "infinite_period", "string_spin_doubling"])
+def test_malformed_config_is_a_validation_error_naming_its_field(tmp_path, capsys, command,
+                                                                 path, value, field):
+    # each one crashed, exited 3 from the solver or (spin_doubling) was read as
+    # true, before it was checked at load
+    raw = replaced(floquet_config(1.0), path, value)
+    assert run_cli([*command, "--config", write_config(tmp_path, raw),
+                    "--grid", "8"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: {field}: ")
