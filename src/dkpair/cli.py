@@ -51,14 +51,16 @@ def _as_complex_matrix(rows, m, where):
 
 
 def _number(value, kind, where):
-    """kind(value) when it is finite, or a ConfigError naming the field."""
+    """kind(value) when value is a finite number, not a boolean, and for kind
+    int an integral one; otherwise a ConfigError naming the field."""
     try:
-        out = kind(value)
+        out = float(value)
     except (TypeError, ValueError, OverflowError):
         out = float("nan")
-    if not abs(out) < float("inf"):
-        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-    return out
+    if isinstance(value, bool) or not abs(out) < float("inf") or kind(out) != out:
+        raise ConfigError(f"{where}: expected {'an integer' if kind is int else 'a finite number'}"
+                          f", got {value!r}")
+    return kind(out)
 
 
 class ModelConfig:
@@ -66,7 +68,8 @@ class ModelConfig:
 
     JSON fields: dimension, matrix_size, hoppings (list of {offset, matrix}),
     optional spin_doubling, rashba (hopping list for the off-diagonal block),
-    drive ({period, segments: [{duration, hoppings}]}), real_structure.
+    drive ({period, segments: [{duration, hoppings}]}) and real_structure,
+    which restates spin_doubling: "quaternionic" with it, "none" without.
     """
 
     def __init__(self, raw: dict):
@@ -85,9 +88,10 @@ class ModelConfig:
         self.hoppings = self._parse_hoppings(raw.get("hoppings", []), "hoppings")
         self.rashba = self._parse_hoppings(raw.get("rashba", []), "rashba") \
             if "rashba" in raw else None
-        self.real_structure = raw.get("real_structure", "none")
-        if self.real_structure not in ("none", "quaternionic"):
-            raise ConfigError(f"unknown real_structure {self.real_structure!r}")
+        implied = "quaternionic" if self.spin_doubling else "none"
+        if raw.get("real_structure", implied) != implied:
+            raise ConfigError(f"real_structure: expected {implied!r}, as spin_doubling is "
+                              f"{str(self.spin_doubling).lower()}, got {raw['real_structure']!r}")
         self.drive = raw.get("drive")
         if self.drive is not None:
             if not (isinstance(self.drive, dict) and "period" in self.drive
@@ -101,8 +105,8 @@ class ModelConfig:
         m = self.matrix_size
         for i, item in enumerate(items):
             try:
-                offset = tuple(int(v) for v in item["offset"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                offset = tuple(_number(v, int, where) for v in item["offset"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{where}[{i}]: bad offset") from exc
             if len(offset) != self.dimension:
                 raise ConfigError(f"{where}[{i}]: offset dimension mismatch")
@@ -258,7 +262,7 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
         h = cfg.symbol(grid)
         x = make_osu_from_hamiltonian(h)
         e = BasePoint.standard_rho(grid, h.m, 1, sign=-1)
-        val = pairing.pair(pairing.ch0(), x, e).value
+        val = pairing.pair(pairing.ch0(), x, e)
         report.value("pairing", val)
         rank = round(val.real)
         report.value("rank", float(rank), rounded=rank)
@@ -283,8 +287,8 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
                   for s in flats]
         ch = _quantized(report, "chern", values[0], values[1], args.tol)
         x = osu_validate(flats[0].append_generator())
-        e = BasePoint.standard_rho(x.body.grid, x.body.m, 1, sign=-1)
-        val = pairing.pair(pairing.ch2(), x, e).value
+        e = BasePoint.standard_rho(x.grid, x.m, 1, sign=-1)
+        val = pairing.pair(pairing.ch2(), x, e)
         report.value("pairing", val, two_pi_times=2 * np.pi * val.real)
         report.check("ray", abs(val.imag), args.tol)
         report.check("chern_consistency", abs(2 * np.pi * val.real - ch), args.tol)

@@ -1,6 +1,9 @@
 """Periodically driven lattice models: stroboscopic evolution, branch-cut
 effective Hamiltonians, arc spectral projections, periodized evolutions,
-the degree over T^3, and the resulting Z2 invariant.
+the degree over T^3, and the resulting Z2 invariant.  A branch of the
+logarithm of U(T) is a real eps, its eigenphases placed in [eps T,
+eps T + 2 pi); the arc from z0 to z1 has the two of `branch_pair`, and
+its spectral projection (`ArcProjection`) comes with its rank and margin.
 
 Drives are piecewise constant in time, so the evolution is a product of
 exact segment exponentials; all unitary eigendecompositions go through one
@@ -52,8 +55,8 @@ class FloquetDrive:
     segments: tuple[tuple[float, AlgElement], ...]
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period < float("inf"):
+            raise ValueError("period must be positive and finite")
         total = sum(self.durations)
         if not abs(total - self.period) <= 1e-12 * max(1.0, self.period):
             raise ValueError(f"segment durations sum to {total}, period is {self.period}")
@@ -227,18 +230,8 @@ def unitary_eig(u: AlgElement):
 
 
 @dataclass(frozen=True)
-class BranchChoice:
-    """Branch of the logarithm with eigenphases placed in [eps*T, eps*T + 2pi),
-    none of them closer than _PHASE_GAP to the cut."""
-
-    eps: float
-
-
-@dataclass(frozen=True)
 class ArcProjection:
     projection: AlgElement
-    z0: complex
-    z1: complex
     rank: int
     gap_margin: float
 
@@ -252,29 +245,31 @@ def _branch_phases(phases: np.ndarray, cut: float) -> np.ndarray:
     return cut + shifted
 
 
-def _effective_spectrum(drive: FloquetDrive, branch: BranchChoice):
-    """Eigenvalues and orthonormal eigenvectors of the effective Hamiltonian."""
+def _effective_spectrum(drive: FloquetDrive, eps: float):
+    """Eigenvalues and orthonormal eigenvectors of the effective Hamiltonian
+    of the branch eps of the logarithm: eigenphases in [eps T, eps T + 2 pi),
+    none of them closer than _PHASE_GAP to the cut."""
     phases, vecs = drive._spectrum
-    phi = _branch_phases(phases, branch.eps * drive.period)
+    phi = _branch_phases(phases, eps * drive.period)
     return -phi / drive.period, vecs
 
 
-def effective_hamiltonian(drive: FloquetDrive, branch: BranchChoice) -> AlgElement:
+def effective_hamiltonian(drive: FloquetDrive, eps: float) -> AlgElement:
     """(i/T) log_eps U(T): hermitian, with exp(-i T H) = U(T)."""
-    w, v = _effective_spectrum(drive, branch)
+    w, v = _effective_spectrum(drive, eps)
     out = AlgElement.from_matrix_field(drive.grid, _spectral_calculus(v, w))
     require_within(out - out.star(), 1e-10 * float(np.abs(w).max()),
                    lambda r: f"effective Hamiltonian not hermitian (residual {r:.3e})")
     return out
 
 
-def branch_pair(z0: complex, z1: complex, period: float) -> tuple[BranchChoice, BranchChoice]:
+def branch_pair(z0: complex, z1: complex, period: float) -> tuple[float, float]:
     """Branches eps_i with e^{i eps_i T} = z_i and 0 <= (eps_1 - eps_0) T < 2 pi."""
     th0, th1 = float(np.angle(z0)), float(np.angle(z1))
     if np.mod(th1 - th0, 2 * np.pi) == 0 and z0 != z1:
         raise ValueError("arc endpoints coincide in phase")
     th1 = th0 + np.mod(th1 - th0, 2 * np.pi)
-    return BranchChoice(th0 / period), BranchChoice(th1 / period)
+    return th0 / period, th1 / period
 
 
 def arc_projection(drive: FloquetDrive, z0: complex, z1: complex) -> ArcProjection:
@@ -294,7 +289,7 @@ def arc_projection(drive: FloquetDrive, z0: complex, z1: complex) -> ArcProjecti
         raise GapClosedError("arc projection rank jumps across the grid")
     proj = AlgElement.from_matrix_field(
         drive.grid, _spectral_calculus(vecs, inside.astype(float)))
-    return ArcProjection(proj, z0, z1, int(ranks.min()), margin)
+    return ArcProjection(proj, int(ranks.min()), margin)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +347,7 @@ class _AnalyticSegment(Segment):
         for s, weight in zip(nodes, weights):
             value, deriv = (x[None] for x in self.at(s))
             yield (weight, value, deriv,
-                   [spectral_derivative_data(value, self.grid, a, 1) for a in axes])
+                   [spectral_derivative_data(value, self.grid, a) for a in axes])
 
 
 class FrameSegment(_AnalyticSegment):
@@ -412,11 +407,10 @@ class FrameSegment(_AnalyticSegment):
         return out[..., 0, :], out[..., 1, :]
 
 
-def _eigenframes(drive: FloquetDrive, branch: BranchChoice,
-                 t_samples: int) -> list[FrameSegment]:
+def _eigenframes(drive: FloquetDrive, eps: float, t_samples: int) -> list[FrameSegment]:
     """Frames of V(t) = U(t) exp(i t H_eff), one per drive segment cut at
     the half period, in time order, from the drive's cached eigenframes."""
-    w_eff, v_eff = _effective_spectrum(drive, branch)
+    w_eff, v_eff = _effective_spectrum(drive, eps)
     eff = (w_eff, np.conj(np.swapaxes(v_eff, -1, -2)))
     pieces = zip(drive.durations, drive._eigh)
     frames = []
@@ -432,7 +426,7 @@ def _eigenframes(drive: FloquetDrive, branch: BranchChoice,
     return frames
 
 
-def periodized_evolution(drive: FloquetDrive, branch: BranchChoice,
+def periodized_evolution(drive: FloquetDrive, eps: float,
                          t_samples: int = DEFAULT_T_SAMPLES) -> LoopElement:
     """V(t) = U(t) exp(i t H_eff): 1-periodic in t/T, one `FrameSegment` per
     drive segment (segments are additionally cut at the half period so
@@ -442,7 +436,7 @@ def periodized_evolution(drive: FloquetDrive, branch: BranchChoice,
     and each frame's `quadrature` is its own Gauss rule.
     t_samples sets only the exported uniform nodes: a segment of duration
     tau has max(9, round(t_samples tau / T) | 1) of them, built on access."""
-    return LoopElement(_eigenframes(drive, branch, t_samples), 1e-9)
+    return LoopElement(_eigenframes(drive, eps, t_samples), 1e-9)
 
 
 def periodicity_residual(loop: LoopElement) -> float:

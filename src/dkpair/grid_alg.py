@@ -73,13 +73,6 @@ def _mode_multiplier(n: int, role: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Derivation:
-    """Spectral derivation along one grid axis."""
-
-    axis: int
-
-
-@dataclass(frozen=True)
 class RealStructureSpec:
     """Antilinear *-automorphism of order 2 on an AlgElement algebra.
 
@@ -357,32 +350,30 @@ def alg_star(x: AlgElement) -> AlgElement:
     return AlgElement(x.grid, x.m, x.k, out)
 
 
-def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int,
-                             axis_offset: int) -> np.ndarray:
+def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
     """Apply the spectral derivation along grid axis `axis` to a component-first
-    data block whose grid axes start at position `axis_offset`.  Identically
-    zero Clifford components stay exact zeros without a transform."""
-    ax = axis_offset + axis - 1  # position within one component
+    data block (2^k, *grid.sizes, m, m).  Identically zero Clifford
+    components stay exact zeros without a transform."""
     mult = grid.mode_multiplier(axis)
     shape = [1] * (data.ndim - 1)
-    shape[ax] = mult.size
+    shape[axis] = mult.size
     mult = mult.reshape(shape)
     out = np.zeros(data.shape, dtype=complex)
     for s, block in _parts(data).items():
-        np.fft.ifft(np.fft.fft(block, axis=ax) * mult, axis=ax, out=out[s])
+        np.fft.ifft(np.fft.fft(block, axis=axis) * mult, axis=axis, out=out[s])
     return out
 
 
-def _check_axis(dv: Derivation, grid: TorusGrid):
-    """Raise ValueError unless dv's axis is one of the grid's."""
-    if not 0 <= dv.axis < grid.d:
-        raise ValueError(f"axis {dv.axis} out of range for d={grid.d}")
+def _check_axis(axis: int, grid: TorusGrid):
+    """Raise ValueError unless axis is one of the grid's."""
+    if not 0 <= axis < grid.d:
+        raise ValueError(f"axis {axis} out of range for d={grid.d}")
 
 
-def apply_derivation(dv: Derivation, x: AlgElement) -> AlgElement:
-    _check_axis(dv, x.grid)
-    return AlgElement(x.grid, x.m, x.k,
-                      spectral_derivative_data(x.data, x.grid, dv.axis, axis_offset=1))
+def apply_derivation(axis: int, x: AlgElement) -> AlgElement:
+    """The spectral derivation along grid axis `axis` of x."""
+    _check_axis(axis, x.grid)
+    return AlgElement(x.grid, x.m, x.k, spectral_derivative_data(x.data, x.grid, axis))
 
 
 def trace(x: AlgElement) -> AlgElement:

@@ -27,9 +27,8 @@ from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _minus_unit,
 
 
 class GapClosedError(ValueError):
-    def __init__(self, message, point=None, smallest=None):
+    def __init__(self, message, smallest=None):
         super().__init__(message)
-        self.point = point
         self.smallest = smallest
 
 
@@ -37,14 +36,6 @@ class OsuValidationError(ValueError):
     def __init__(self, message, residuals):
         super().__init__(message)
         self.residuals = residuals  # {name: exact norm_inf} of the failing defects
-
-
-@dataclass(frozen=True)
-class OsuElement:
-    """A validated odd self-adjoint unitary."""
-
-    body: AlgElement
-    osu_tol: float
 
 
 @dataclass(frozen=True)
@@ -71,11 +62,12 @@ def _osu_defects(x: AlgElement, where: str):
     yield "square" + where, _minus_unit(x * x)
 
 
-def osu_validate(x: AlgElement, tol: float = 1e-10) -> OsuElement:
+def osu_validate(x: AlgElement, tol: float = 1e-10) -> AlgElement:
+    """x itself, once it is an odd self-adjoint unitary within tol."""
     bad = failing(_osu_defects(x, ""), tol)
     if bad:
         raise OsuValidationError(f"not an OSU within {tol:g}: {named(bad)}", bad)
-    return OsuElement(x, tol)
+    return x
 
 
 def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
@@ -138,10 +130,10 @@ def _check_gap(w, gap):
         point = np.unravel_index(int(np.argmin(absw.min(axis=-1))), absw.shape[:-1])
         raise GapClosedError(
             f"spectral gap closed: smallest |eigenvalue| {smallest:.3e} "
-            f"< {gap:.3e} at grid point {point}", point, smallest)
+            f"< {gap:.3e} at grid point {point}", smallest)
 
 
-def make_osu_from_hamiltonian(h: AlgElement, gap_tol: float = 1e-8) -> OsuElement:
+def make_osu_from_hamiltonian(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
     """flatten(h) (x) rho on one appended Clifford generator."""
     return osu_validate(flatten(h, gap_tol).append_generator())
 
@@ -251,7 +243,7 @@ class ClosedSegment(Segment):
         for j, weight in enumerate(self.weights):
             value = self.values[:, j]
             yield (weight, value, self.deriv(j),
-                   [spectral_derivative_data(value, self.grid, a, 1) for a in axes])
+                   [spectral_derivative_data(value, self.grid, a) for a in axes])
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the first and last node."""
@@ -260,7 +252,7 @@ class ClosedSegment(Segment):
 
 def _corner(x: AlgElement):
     """An arc coefficient with its space derivative per axis, cached on first use."""
-    return x, functools.cache(lambda axis: spectral_derivative_data(x.data, x.grid, axis, 1))
+    return x, functools.cache(lambda axis: spectral_derivative_data(x.data, x.grid, axis))
 
 
 def _combine(weights, blocks) -> np.ndarray:
@@ -329,17 +321,16 @@ def _poly_product(p: list[AlgElement], q: list[AlgElement]) -> list[AlgElement]:
     return out
 
 
-def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
+def bott_loop(x: AlgElement, e: BasePoint, order: int = 64) -> LoopElement:
     """Suspension-image loop nu_x nu_e^-1 rho nu_e nu_x^-1 of an OSU class,
     with rho the appended generator and nu_y = cos 1 + sin y (x) rho at
     (cos, sin)(pi s/2).  The factors are multiplied out once into one
     `ArcSegment` of degree 4; it closes at 1 (x) rho within 1e-10 but is
     only piecewise smooth on the circle."""
-    xb, eb = x.body, e.e
-    xb._check(eb)
-    unit = AlgElement.unit(xb.grid, xb.m, xb.k + 1)
-    rho = AlgElement.unit(xb.grid, xb.m, xb.k).append_generator()
-    xr, er = xb.append_generator(), eb.append_generator()
+    x._check(e.e)
+    unit = AlgElement.unit(x.grid, x.m, x.k + 1)
+    rho = AlgElement.unit(x.grid, x.m, x.k).append_generator()
+    xr, er = x.append_generator(), e.e.append_generator()
     coeffs = [unit, xr]
     for factor in ([unit, -er], [rho], [unit, er], [unit, -xr]):
         coeffs = _poly_product(coeffs, factor)
@@ -354,18 +345,18 @@ def bott_loop(x: OsuElement, e: BasePoint, order: int = 64) -> LoopElement:
 # the four-segment torsion loop
 # ---------------------------------------------------------------------------
 
-def _torsion_preconditions(xb, eb, y, rs, derivations):
+def _torsion_preconditions(x, e, y, rs, derivations):
     """(name, defect) of each torsion-loop precondition, formed as it is drawn."""
     yield "y_even", y.homogeneous_part(1)
     yield "y_anti_self_adjoint", y.star() + y
     yield "y_unitary", _minus_unit(y * y.star())
-    yield "y_commutes_x", y * xb - xb * y
-    yield "y_commutes_e", y * eb - eb * y
-    for dv in derivations:
-        yield f"dy_axis{dv.axis}", apply_derivation(dv, y)
-        yield f"de_axis{dv.axis}", apply_derivation(dv, eb)
+    yield "y_commutes_x", y * x - x * y
+    yield "y_commutes_e", y * e - e * y
+    for axis in derivations:
+        yield f"dy_axis{axis}", apply_derivation(axis, y)
+        yield f"de_axis{axis}", apply_derivation(axis, e)
     if rs is not None:
-        for name, z in (("y", y), ("x", xb), ("e", eb)):
+        for name, z in (("y", y), ("x", x), ("e", e)):
             yield f"{name}_invariant", apply_real_structure(rs, z) - z
 
 
@@ -392,29 +383,29 @@ def _half_symmetry(corners: list[AlgElement], segments: list[ArcSegment],
         del a, b  # before the next half's first defect is formed
 
 
-def torsion_loop(x: OsuElement, e: BasePoint, y: AlgElement,
+def torsion_loop(x: AlgElement, e: BasePoint, y: AlgElement,
                  rs: RealStructureSpec | None = None,
                  derivations=(), order: int = 64) -> LoopElement:
     """Four-segment loop through e(x)1, 1(x)rho, x(x)1, y(x)i*rho.
 
     y must be even, anti-self-adjoint, unitary, commute with x and e, be
-    killed by the cycle derivations and fixed by the model's real structure.
-    Consecutive corner elements anticommute exactly, so every sample is an
-    OSU; the first half is invariant under rs extended by a fixed generator,
-    the second half under rs extended by a negated one.
+    killed by the cycle derivations (grid axes) and fixed by the model's
+    real structure.  Consecutive corner elements anticommute exactly, so
+    every sample is an OSU; the first half is invariant under rs extended
+    by a fixed generator, the second half under rs extended by a negated one.
     """
     tol = 1e-10
-    xb, eb = x.body, e.e
-    xb._check(eb)
-    xb._check(y)
-    bad = failing(_torsion_preconditions(xb, eb, y, rs, derivations), tol)
+    eb = e.e
+    x._check(eb)
+    x._check(y)
+    bad = failing(_torsion_preconditions(x, eb, y, rs, derivations), tol)
     if bad:
         raise ValueError(f"torsion loop preconditions violated: {named(bad)}")
 
     corners = [
         eb.append_generator(on_new=False),
-        AlgElement.unit(xb.grid, xb.m, xb.k).append_generator(),
-        xb.append_generator(on_new=False),
+        AlgElement.unit(x.grid, x.m, x.k).append_generator(),
+        x.append_generator(on_new=False),
         y.append_generator(coeff=1j),
     ]
     bad = failing(((f"corners{i}{(i + 1) % 4}", a * b + b * a)

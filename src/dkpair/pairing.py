@@ -1,9 +1,9 @@
 """Characters of cycles and their pairings with K-class representatives.
 
-A cycle is described by its dimension n, an ordered list of commuting
-spectral derivations and the base-2 exponent norm_log2 of the normalization
-of its closed graded trace.  The pairing of an n-dimensional character with
-an OSU x in M_m(A) (x) Cl_k is
+A cycle is described by an ordered list of commuting spectral derivations,
+each a grid axis, whose length is its dimension n, and the base-2 exponent
+norm_log2 of the normalization of its closed graded trace.  The pairing of
+an n-dimensional character with an OSU x in M_m(A) (x) Cl_k is
 
     2^(k/2 + norm_log2) * i^mu(n) * sum_{perm} sgn *
         Tr_A Tr_m [ (x - e) d_{perm(1)}x ... d_{perm(n)}x ]_top
@@ -18,6 +18,8 @@ arc, and so does `pair`, which frees the derivatives between the two.  Both
 take blocks by their live Clifford components, so an identically zero one
 is neither formed nor scanned again.  The Floquet T^3 degree is not a
 character pairing and takes its integrand from `floquet._cubic_trace`.
+A pairing is the complex number itself, and the class it reads is the
+validated `AlgElement` of `kclass.osu_validate`.
 
 The torsion-valued pairing is computed two independent ways: from the
 suspended character evaluated on an explicit four-segment loop, and from a
@@ -33,29 +35,27 @@ from math import comb
 import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
-from .grid_alg import (AlgElement, Derivation, _accumulate, _check_axis,
-                       _distinct, _mul_parts, _parts, apply_derivation, failing,
-                       named, require_within)
-from .kclass import ArcSegment, BasePoint, LoopElement, OsuElement, _combine
+from .grid_alg import (AlgElement, _accumulate, _check_axis, _distinct,
+                       _mul_parts, _parts, apply_derivation, failing, named,
+                       require_within)
+from .kclass import ArcSegment, BasePoint, LoopElement, _combine
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """Descriptor of a character: dimension, derivations and trace
-    normalization.
+    """Descriptor of a character: its derivations, one grid axis per
+    dimension, and its trace normalization.
 
     norm_log2 is the base-2 exponent of the real positive trace
     normalization; it lets the 2^{k/2} pairing prefactor combine into a
     single power so that integer-valued pairings come out exact.
     """
 
-    name: str
-    n: int
-    derivations: tuple[Derivation, ...]
+    derivations: tuple[int, ...]
     norm_log2: float
 
-    def __post_init__(self):
-        if len(self.derivations) != self.n:
-            raise ValueError("cycle needs one derivation per dimension")
+    @property
+    def n(self) -> int:
+        return len(self.derivations)
 
     def scale(self, k: int) -> float:
         """2^{k/2} times the trace normalization."""
@@ -63,24 +63,17 @@ class CycleSpec:
 
 
 def ch0() -> CycleSpec:
-    return CycleSpec("ch0", 0, (), -1.5)
+    return CycleSpec((), -1.5)
 
 
 def ch1(axis: int = 0) -> CycleSpec:
     """Winding cycle over a unit-period circle; trace normalized to 1/2."""
-    return CycleSpec("ch1", 1, (Derivation(axis),), -1.0)
+    return CycleSpec((axis,), -1.0)
 
 
 def ch2() -> CycleSpec:
     """Chern cycle over the momentum axes 0 and 1."""
-    return CycleSpec("ch2", 2, (Derivation(0), Derivation(1)), -3.5)
-
-
-@dataclass(frozen=True)
-class PairingValue:
-    value: complex
-    cycle: str
-    clifford_k: int
+    return CycleSpec((0, 1), -3.5)
 
 
 @dataclass(frozen=True)
@@ -112,11 +105,6 @@ class TorsionValue:
 
 @dataclass(frozen=True)
 class SelectionRule:
-    n: int
-    sign: int
-    parity: int
-    signature: CliffordSignature | None
-    degree: int | None
     verdict: str            # "may-pair" | "must-vanish"
     value_ray: str | None   # "real" | "imaginary" when may-pair
 
@@ -140,8 +128,7 @@ def selection_rule(n: int, sign: int, parity: int,
     if (sig.k + n) % 2 == 0:
         vanish = True
     ray = None if vanish else ("real" if star_exp % 2 == 0 else "imaginary")
-    return SelectionRule(n, sign, parity, sig, degree,
-                         "must-vanish" if vanish else "may-pair", ray)
+    return SelectionRule("must-vanish" if vanish else "may-pair", ray)
 
 
 def pimsner_constant(n: int) -> complex:
@@ -225,40 +212,38 @@ def _check_basepoint(cycle: CycleSpec, e: AlgElement, tol: float = 1e-10):
     # and the axis checks, and forms no derivative
     origin = e.data[(slice(None),) + (slice(0, 1),) * e.grid.d]
     if np.isfinite(origin).all() and (e.data == origin).all():
-        for dv in cycle.derivations:
-            _check_axis(dv, e.grid)
+        for axis in cycle.derivations:
+            _check_axis(axis, e.grid)
         return
     varying = AlgElement(e.grid, e.m, e.k, e.data - origin)
-    for dv in cycle.derivations:
-        require_within(apply_derivation(dv, varying), tol,
+    for axis in cycle.derivations:
+        require_within(apply_derivation(axis, varying), tol,
                        lambda r: f"base point not killed by derivation on axis "
-                                 f"{dv.axis}: {r:.3e}")
+                                 f"{axis}: {r:.3e}")
 
 
-def pair(cycle: CycleSpec, x: OsuElement | AlgElement,
-         e: BasePoint | AlgElement | None = None) -> PairingValue:
+def pair(cycle: CycleSpec, x: AlgElement,
+         e: BasePoint | AlgElement | None = None) -> complex:
     """Pair a character with the class of an OSU relative to a base point.
 
     For n > 0 the base point may be omitted (the pairing is independent of
     it); for n = 0 it is required.
     """
-    xb = x.body if isinstance(x, OsuElement) else x
-    n, k = cycle.n, xb.k
+    n, k = cycle.n, x.k
     if e is None:
         if n == 0:
             raise ValueError("a zero-dimensional pairing needs a base point")
     else:
         eb = e.e if isinstance(e, BasePoint) else e
-        xb._check(eb)
+        x._check(eb)
         _check_basepoint(cycle, eb)
     # the derivatives are contracted into their antisymmetrized product, and
     # freed, before z = x - e is formed
-    right = _alt([(_parts(apply_derivation(dv, xb).data),) for dv in cycle.derivations], k)[0]
-    z = (xb if e is None else xb - eb).data
+    right = _alt([(_parts(apply_derivation(axis, x).data),) for axis in cycle.derivations], k)[0]
+    z = (x if e is None else x - eb).data
     tr = _top_trace(z, right, k) if n else alt_trace(z, [], k)
     raw = complex(np.mean(tr)) * _top_phase(k, n)
-    value = cycle.scale(k) * (1j) ** (mu(n) % 4) * raw
-    return PairingValue(complex(value), cycle.name, k)
+    return complex(cycle.scale(k) * (1j) ** (mu(n) % 4) * raw)
 
 
 def winding_number(u: AlgElement) -> complex:
@@ -273,7 +258,7 @@ def winding_number(u: AlgElement) -> complex:
     unit = AlgElement.unit(u.grid, u.m, 0)
     require_within(u * u.star() - unit, 1e-10,
                    lambda r: f"input not unitary (residual {r:.3e})")
-    du = apply_derivation(Derivation(0), u)
+    du = apply_derivation(0, u)
     tr = alt_trace((u.star() - unit).data, [du.data], 0)
     return complex(np.mean(tr)) * u.grid.period(0)
 
@@ -294,8 +279,8 @@ def chern_number(p: AlgElement, tol: float = 1e-8) -> float:
     bad = failing(_projection_defects(p), tol)
     if bad:
         raise ValueError(f"input not a projection field: {named(bad)}")
-    d1 = apply_derivation(Derivation(0), p)
-    d2 = apply_derivation(Derivation(1), p)
+    d1 = apply_derivation(0, p)
+    d2 = apply_derivation(1, p)
     val = 2j * np.pi * np.mean(alt_trace(p.data, [d1.data, d2.data], 0))
     if abs(val.imag) > tol:
         raise ValueError(f"Chern integrand not real (imag {val.imag:.3e})")
@@ -322,7 +307,7 @@ def spin_chern(h1: AlgElement, gap_tol: float = 1e-8) -> float:
 # suspended pairing over loops
 # ---------------------------------------------------------------------------
 
-def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
+def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> complex:
     """Pairing of the suspended (n+1)-dimensional character with a loop class.
 
     The loop contributes one extra Clifford generator and the time
@@ -336,14 +321,13 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
     _check_basepoint(cycle, base)
     n = cycle.n
     k_loop = loop.k
-    axes = [dv.axis for dv in cycle.derivations]
     total = 0.0 + 0.0j
     for seg in loop.segments:
         if isinstance(seg, ArcSegment):
-            total += _arc_integral(seg, base.data, axes, k_loop)
+            total += _arc_integral(seg, base.data, cycle.derivations, k_loop)
             continue
         # one quadrature node at a time bounds the working set
-        for weight, value, dvalue, space in seg.quadrature(axes):
+        for weight, value, dvalue, space in seg.quadrature(cycle.derivations):
             tr = alt_trace(value - base.data, space + [dvalue], k_loop)
             total += weight * np.mean(tr)
     # suspension trace: one half of the standard (n+1)-cycle trace on the
@@ -351,11 +335,10 @@ def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> PairingValue:
     # is i^mu(n+1); for n = 2 this differs by -1 from the naive product of
     # the base phase with i^n, and only this choice is consistent with the
     # suspension identity <xi^S, beta[x]> = c_n <xi, [x]> at n = 2.
-    value = (cycle.scale(k_loop)
-             * (1j) ** (mu(n + 1) % 4) * 0.5
-             * _top_phase(k_loop, n + 1)
-             * total)
-    return PairingValue(complex(value), cycle.name + "^S", k_loop)
+    return complex(cycle.scale(k_loop)
+                   * (1j) ** (mu(n + 1) % 4) * 0.5
+                   * _top_phase(k_loop, n + 1)
+                   * total)
 
 
 def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
@@ -401,11 +384,11 @@ def _on_real_ray(value: complex, modulus: float) -> TorsionValue:
 def torsion_pairing_via_loop(cycle: CycleSpec, loop: LoopElement,
                              modulus: float) -> TorsionValue:
     """c_n^{-1} times the suspended pairing of the loop, reduced mod modulus."""
-    raw = pair_suspended(cycle, loop).value
+    raw = pair_suspended(cycle, loop)
     return _on_real_ray(raw / pimsner_constant(cycle.n), modulus)
 
 
-def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
+def torsion_pairing_closed_form(cycle: CycleSpec, x: AlgElement,
                                 e: BasePoint | AlgElement, y: AlgElement,
                                 modulus: float) -> TorsionValue:
     """Closed form of the torsion pairing when an auxiliary even
@@ -427,13 +410,12 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
     tests, its benchmark or the README passes either.  That y commutes with
     x and e stays an unchecked premise, as before.
     """
-    xb = x.body if isinstance(x, OsuElement) else x
     eb = e.e if isinstance(e, BasePoint) else e
-    xb._check(eb)
-    xb._check(y)
+    x._check(eb)
+    x._check(y)
     _check_basepoint(cycle, eb)
-    k = xb.k
-    y0 = y.data[(0,) * (1 + xb.grid.d)]
+    k = x.k
+    y0 = y.data[(0,) * (1 + x.grid.d)]
     # p_y less its scalar value at the origin, up to a factor -i, formed at
     # y's distinct points: once for z2's broadcast y
     defect = 0.5 * _distinct(y.data)
@@ -441,13 +423,13 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: OsuElement | AlgElement,
     require_within(AlgElement(y.grid, y.m, k, np.broadcast_to(defect, y.data.shape)), 1e-8,
                    lambda r: f"(1 - i y)/2 is not a grid-constant scalar "
                              f"projection (residual {r:.3e})")
-    p0 = (np.eye(xb.m) - 1j * y0) / 2
+    p0 = (np.eye(x.m) - 1j * y0) / 2
     residual = np.linalg.norm(p0 @ p0 - p0, 2)
     if residual > 1e-8:
         raise ValueError(f"(1 - i y)/2 is not a projection (residual {residual:.3e})")
     w, vecs = np.linalg.eigh(p0)
     v = vecs[:, w > 0.5]
-    raw = pair(cycle, _compress(xb, v), _compress(eb, v)).value
+    raw = pair(cycle, _compress(x, v), _compress(eb, v))
     return _on_real_ray((1j) ** ((cycle.n - 1 + mu_prime(k + 1)) % 4) * raw, modulus)
 
 

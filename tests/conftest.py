@@ -207,7 +207,7 @@ class StoredSegment(Segment):
         for j, weight in enumerate(self.weights):
             value = self.values[:, j]
             yield (weight, value, self.derivs[:, j],
-                   [spectral_derivative_data(value, self.grid, a, 1) for a in axes])
+                   [spectral_derivative_data(value, self.grid, a) for a in axes])
 
     def ends(self):
         return self.end_blocks

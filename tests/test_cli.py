@@ -1041,13 +1041,22 @@ NAN_ENTRY = ["hoppings", 0, "matrix", 0, 0, 0]
     (PAIR_CH0, ["hoppings", 0, "offset"], [float("inf"), 0], "hoppings[0]"),
     (FLOQUET_ARC, ["drive", "period"], float("inf"), "drive.period"),
     (["z2"], ["spin_doubling"], "no", "spin_doubling"),
+    (PAIR_CH0, ["dimension"], 2.5, "dimension"),
+    (PAIR_CH0, ["matrix_size"], 2.9, "matrix_size"),
+    (PAIR_CH0, ["dimension"], True, "dimension"),
+    (PAIR_CH0, ["hoppings", 0, "offset"], [1.7, 0], "hoppings[0]"),
+    (["z2"], ["real_structure"], "none", "real_structure"),
+    (PAIR_CH0, ["spin_doubling"], False, "real_structure"),
 ], ids=["top_level_list", "matrix_size_string", "null_period", "number_hoppings",
         "number_segment_hoppings", "number_segments", "nan_entry_pair", "nan_entry_z2",
-        "infinite_dimension", "infinite_offset", "infinite_period", "string_spin_doubling"])
+        "infinite_dimension", "infinite_offset", "infinite_period", "string_spin_doubling",
+        "fractional_dimension", "fractional_matrix_size", "boolean_dimension",
+        "fractional_offset", "none_with_spin_doubling", "quaternionic_without_spin_doubling"])
 def test_malformed_config_is_a_validation_error_naming_its_field(tmp_path, capsys, command,
                                                                  path, value, field):
-    # each one crashed, exited 3 from the solver or (spin_doubling) was read as
-    # true, before it was checked at load
+    # each one crashed, exited 3 from the solver, was read as another value
+    # (spin_doubling as true, a fractional or boolean integer field rounded
+    # down) or, for real_structure, went unread, before it was checked at load
     raw = replaced(floquet_config(1.0), path, value)
     assert run_cli([*command, "--config", write_config(tmp_path, raw),
                     "--grid", "8"]) == cli.EXIT_VALIDATION

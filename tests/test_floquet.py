@@ -48,6 +48,8 @@ def test_drive_validation(grid):
     skew = h.scale(1j)
     with pytest.raises(ValueError):
         fl.FloquetDrive(1.0, ((1.0, skew),))
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        fl.FloquetDrive(np.inf, ((0.5, h), (0.5, h)))
 
 
 def test_time_reversal_check(tri_drive, rs, grid):
@@ -83,7 +85,7 @@ def test_effective_hamiltonian_scalar_branch(grid):
         grid, np.broadcast_to((theta * np.eye(2)), (16, 16, 2, 2)).copy())
     drive = fl.FloquetDrive(1.0, ((1.0, h),))
     # U(T) = e^{-i theta}; branch window [-pi, pi) contains -theta
-    heff = fl.effective_hamiltonian(drive, fl.BranchChoice(-np.pi))
+    heff = fl.effective_hamiltonian(drive, -np.pi)
     assert np.max(np.abs(heff.data[0] - theta * np.eye(2))) < 1e-12
 
 
@@ -107,7 +109,7 @@ def test_effective_hamiltonian_gap_guard(grid):
         grid, np.broadcast_to(np.diag([0.8, -0.8]), (16, 16, 2, 2)).copy())
     drive = fl.FloquetDrive(1.0, ((1.0, h),))
     with pytest.raises(GapClosedError):
-        fl.effective_hamiltonian(drive, fl.BranchChoice(-0.8))
+        fl.effective_hamiltonian(drive, -0.8)
 
 
 def test_arc_projection_properties(tri_drive, rs):
@@ -131,7 +133,7 @@ def test_arc_projection_gap_guard(tri_drive):
 
 
 def test_periodized_evolution(tri_drive, rs):
-    b0 = fl.BranchChoice(0.0)
+    b0 = 0.0
     loop = fl.periodized_evolution(tri_drive, b0, 64)
     assert fl.periodicity_residual(loop) < 1e-9
     assert tri_symmetry_residual(tri_drive, b0, rs) < 1e-9
@@ -144,7 +146,7 @@ def test_periodized_evolution_constant_drive(grid):
     h = AlgElement.from_matrix_field(
         grid, np.broadcast_to(0.3 * np.diag([1.0, -1.0]), (16, 16, 2, 2)).copy())
     drive = fl.FloquetDrive(1.0, ((0.5, h), (0.5, h)))
-    loop = fl.periodized_evolution(drive, fl.BranchChoice(-np.pi), 32)
+    loop = fl.periodized_evolution(drive, -np.pi, 32)
     for seg in loop.segments:
         assert np.max(np.abs(seg.values[0]
                              - np.eye(2))) < 1e-12
@@ -275,7 +277,7 @@ def test_contraction_with_straddling_segment(grid, rs):
     # automatically, so the half-time contraction applies
     h = spin_double(qwz_symbol(grid, 1.0)).scale(0.5)
     drive = fl.FloquetDrive(1.0, ((1.0, h),))
-    loop = fl.periodized_evolution(drive, fl.BranchChoice(0.0), 64)
+    loop = fl.periodized_evolution(drive, 0.0, 64)
     assert any(abs(seg.t1 - 0.5) < 1e-12 for seg in loop.segments)
     vhat = fl.decoupled_contraction(loop)
     deg = fl.degree_t3(vhat, integer_tol=5e-3)
@@ -290,8 +292,8 @@ def test_stroboscopic_spectrum_reuse_matches_fresh_factorization(tri_drive):
     doubled = fl._doubled_eig(fresh, fresh, tri_drive.grid)
     for drive, (phases, vecs) in ((tri_drive.block, fresh), (tri_drive, doubled)):
         T = drive.period
-        branch = fl.BranchChoice(0.3)
-        phi = fl._branch_phases(phases, branch.eps * T)
+        branch = 0.3
+        phi = fl._branch_phases(phases, branch * T)
         want_h = np.einsum("...ij,...j,...kj->...ik", vecs, -phi / T, np.conj(vecs))
         assert np.array_equal(fl.effective_hamiltonian(drive, branch).data[0], want_h)
         z0, z1 = np.exp(0.1j), np.exp(1j * np.pi)
@@ -516,7 +518,7 @@ def conjugated(loop, g):
 
 def test_cubic_trace_matches_alt_trace_oracle(grid):
     drive = criterion_12_drive(16)
-    frames = fl.periodized_evolution(drive, fl.BranchChoice(0.0), 64)
+    frames = fl.periodized_evolution(drive, 0.0, 64)
     branch = fl.branch_pair(1.0 + 0j, np.exp(1j * np.pi), drive.period)[0]
     loop = fl.decoupled_contraction(fl.periodized_evolution(drive, branch, 64))
     ref = simpson_reference(loop)
@@ -610,7 +612,7 @@ def test_degree_difference_holds_no_node_array(rs):
 
 def test_contraction_samples_are_not_copied(tri_drive, rs):
     # complex128 samples back the contraction segment as they are
-    v_loop = fl.periodized_evolution(tri_drive, fl.BranchChoice(0.0), 32)
+    v_loop = fl.periodized_evolution(tri_drive, 0.0, 32)
     samples = fl.decoupled_contraction(v_loop).segments[-1].values[0]
     loop = fl.contraction_loop_from_samples(v_loop, samples, rs)
     assert np.shares_memory(loop.segments[-1].values, samples)
@@ -618,7 +620,7 @@ def test_contraction_samples_are_not_copied(tri_drive, rs):
 
 def test_contraction_samples_need_an_odd_node_count(tri_drive, rs):
     # one interior sample dropped: shape and boundary values still hold
-    v_loop = fl.periodized_evolution(tri_drive, fl.BranchChoice(0.0), 32)
+    v_loop = fl.periodized_evolution(tri_drive, 0.0, 32)
     samples = np.delete(fl.decoupled_contraction(v_loop).segments[-1].values[0], 1, axis=0)
     assert len(samples) % 2 == 0
     with pytest.raises(ValueError, match="odd node count >= 7"):
@@ -628,7 +630,7 @@ def test_contraction_samples_need_an_odd_node_count(tri_drive, rs):
 def test_segment_ends_are_the_values_at_0_and_1(tri_drive, rs):
     # a frame and its mirror evaluate their formula at s = 0 and s = 1; a
     # contraction half's ends are views of its first and last sample
-    v_loop = fl.periodized_evolution(tri_drive, fl.BranchChoice(0.0), 32)
+    v_loop = fl.periodized_evolution(tri_drive, 0.0, 32)
     completed = fl.decoupled_contraction(v_loop)
     assert {type(seg) for seg in completed.segments} == {fl.FrameSegment, fl._MirroredFrame}
     for seg in completed.segments:
