@@ -15,7 +15,7 @@ from .kclass import (BasePoint, GapClosedError, LoopElement,
                      make_osu_from_hamiltonian, osu_validate, torsion_loop)
 from .pairing import (MODULUS_KANE_MELE_CH2, MODULUS_KO2_CH0, CycleSpec,
                       SelectionRule, TorsionValue, ch0, ch1, ch2,
-                      chern_number, integer_check, pair, pair_suspended,
+                      chern_number, pair, pair_suspended,
                       pimsner_constant, selection_rule, spin_chern,
                       torsion_pairing_closed_form, torsion_pairing_via_loop,
                       winding_number)

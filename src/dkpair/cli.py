@@ -51,13 +51,13 @@ def _as_complex_matrix(rows, m, where):
 
 
 def _number(value, kind, where):
-    """kind(value) when value is a finite number, not a boolean, and for kind
-    int an integral one; otherwise a ConfigError naming the field."""
+    """kind(value) when value is a finite number, neither a boolean nor a
+    string, and for kind int an integral one; else a ConfigError naming it."""
     try:
         out = float(value)
     except (TypeError, ValueError, OverflowError):
         out = float("nan")
-    if isinstance(value, bool) or not abs(out) < float("inf") or kind(out) != out:
+    if isinstance(value, (bool, str)) or not abs(out) < float("inf") or kind(out) != out:
         raise ConfigError(f"{where}: expected {'an integer' if kind is int else 'a finite number'}"
                           f", got {value!r}")
     return kind(out)
@@ -162,7 +162,7 @@ class ModelConfig:
         try:
             for i, seg in enumerate(self.drive["segments"]):
                 try:
-                    tau = float(seg["duration"])
+                    tau = _number(seg["duration"], float, f"drive[{i}]")
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"drive[{i}]: missing or non-numeric duration") from exc
                 hop = self._parse_hoppings(seg.get("hoppings", []), f"drive[{i}].hoppings")
@@ -311,8 +311,8 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     m = cfg.matrix_size
     h1 = _refined_symbol(cfg, args.grid, cfg.block_symbol)
     # without rashba terms the model's symbol is diag(h1, f h1)
-    _, res = check_invariance(rs, models.spin_double(even_subgrid(h1)), 1e-9)
-    report.check("time_reversal_invariance", res, 1e-9)
+    report.check("time_reversal_invariance",
+                 check_invariance(rs, models.spin_double(even_subgrid(h1))), 1e-9)
     # sign(diag(h1, f h1)) = diag(sign h1, f sign h1): one flattening of the
     # block gives the spin Chern number and the class.  With the spin
     # symmetry diag(-i, i) (x) 1 the closed form reads only the block
@@ -371,17 +371,18 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
         kval, degrees = inv.degrees(contractions)
         for b, (deg, n) in enumerate(zip(degrees, map(round, degrees))):
             report.value(f"degree_branch{b}", deg, rounded=n, residual=abs(deg - n))
+            report.check(f"degree_branch{b}_integer", abs(deg - n), fl.DEGREE_TOL)
     else:
-        kval, spin_chern = inv.decoupled(args.tol)
+        kval, spin_chern = inv.decoupled()
     report.value("k_invariant", kval.reduced, modulus=kval.modulus)
     # the drive's arc has twice the block's rank and the block's margin
     report.value("rank", float(route.arc.rank * drive.m // route.drive.m))
     report.value("gap_margin", float(route.arc.gap_margin))
     if args.strategy == "decoupled":
-        report.value("spin_chern", float(spin_chern))
         del inv, route, drive  # the n grid's arrays, before the 2n grid's
-        kfine, _ = fl.ArcInvariant(cfg.drive_object(cfg.grid(2 * args.grid)),
-                                   z0, z1, rs).decoupled(args.tol)
+        kfine, fine = fl.ArcInvariant(cfg.drive_object(cfg.grid(2 * args.grid)),
+                                      z0, z1, rs).decoupled()
+        _quantized(report, "spin_chern", spin_chern, fine, args.tol)
         report.check("k_refinement_stable", kval.distance(kfine), 0.0)
     else:
         report.value("k_refinement", 0.0,

@@ -36,11 +36,14 @@ from .grid_alg import (AlgElement, RealStructureSpec, _minus_unit,
 from .kclass import (ClosedSegment, GapClosedError, LoopElement, Segment,
                      _gauss_rule, _simpson_rule)
 from .models import quaternionic_structure
-from .pairing import TorsionValue, chern_number, integer_check
+from .pairing import TorsionValue, chern_number
 
 DEFAULT_T_SAMPLES = 256
 # smallest distance of an eigenphase of U(T) to a branch cut or arc endpoint
 _PHASE_GAP = 1e-9
+# bound on the imaginary part of a T^3 degree, and on a branch degree's
+# distance to an integer in the floquet report
+DEGREE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -459,10 +462,10 @@ def _cubic_trace(v: np.ndarray, dv: np.ndarray, space: list) -> np.ndarray:
             - np.einsum("...ij,...ji->...", y[..., m:], p[..., 2 * m:3 * m]))
 
 
-def degree_t3(loop: LoopElement, integer_tol: float = 1e-3) -> float:
+def degree_t3(loop: LoopElement) -> float:
     """Degree (1/24 pi^2) * integral over T^3 of Tr (V* dV)^3 for a unitary
-    loop over a two-dimensional momentum grid.  The loop must be unitary
-    within 1e-9 at every node and the degree an integer within integer_tol.
+    loop over a two-dimensional momentum grid, unrounded.  The loop must be
+    unitary within 1e-9 at every node, and the degree real within DEGREE_TOL.
 
     Every segment is integrated through `Segment.quadrature`, one node of its
     own rule at a time: Gauss nodes on a frame, stored nodes otherwise.
@@ -476,9 +479,8 @@ def degree_t3(loop: LoopElement, integer_tol: float = 1e-3) -> float:
         for weight, v, dv, space in seg.quadrature((0, 1)):
             total += weight * 3 * np.mean(_cubic_trace(v, dv, space))
     deg = complex(total) / 6.0
-    if abs(deg.imag) > integer_tol:
+    if abs(deg.imag) > DEGREE_TOL:
         raise ValueError(f"degree has imaginary part {deg.imag:.3e}")
-    integer_check(deg.real, integer_tol)
     return float(deg.real)
 
 
@@ -616,12 +618,12 @@ class ArcInvariant:
         return ((h1 - h0).scale(-1j * self.drive.period)
                 - self.arc.projection.scale(2j * np.pi)).norm_inf()
 
-    def decoupled(self, integer_tol: float) -> tuple[TorsionValue, float]:
+    def decoupled(self) -> tuple[TorsionValue, float]:
         """(invariant, spin Chern number) of a spin-doubled drive: the parity
-        of the Chern number of its block's arc projection, which must be an
-        integer within integer_tol."""
-        ch = chern_number(self.block.arc.projection, tol=max(1e-8, integer_tol))
-        return TorsionValue(float(integer_check(ch, integer_tol) % 2), 2.0), ch
+        of the rounded Chern number of its block's arc projection, and that
+        Chern number unrounded."""
+        ch = chern_number(self.block.arc.projection)
+        return TorsionValue(round(ch) % 2, 2.0), ch
 
     def degrees(self, contractions) -> tuple[TorsionValue, tuple[float, float]]:
         """(invariant, degrees) of `degree_difference` on both branches' loops."""
@@ -633,13 +635,13 @@ def degree_difference(v_loops, contractions, rs: RealStructureSpec
                       ) -> tuple[TorsionValue, tuple[float, float]]:
     """Z2 invariant from the periodized evolutions of the branches eps_0 and
     eps_1 (in that order; any iterable, consumed one loop at a time), each
-    completed by its contraction samples: the difference of the degrees of
-    the completed loops mod 2.  Returns (invariant, degrees).  A branch's
-    samples are drawn as its degree is taken and dropped after it (map, unlike
-    zip, holds no earlier pair), so a lazy iterable holds one at a time."""
+    completed by its contraction samples: the difference of the rounded
+    degrees of the completed loops mod 2.  Returns (invariant, degrees), the
+    degrees unrounded.  A branch's samples are drawn as its degree is taken
+    and dropped after it (map, unlike zip, holds no earlier pair), so a lazy
+    iterable holds one at a time."""
     def degree(v_loop, samples):
         return degree_t3(contraction_loop_from_samples(v_loop, samples, rs))
     degs = tuple(map(degree, v_loops, contractions))
-    # degree_t3 has held each degree within 1e-3 of an integer
     k_val = (round(degs[1]) - round(degs[0])) % 2
     return TorsionValue(float(k_val), 2.0), degs

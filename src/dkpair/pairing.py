@@ -95,11 +95,12 @@ class TorsionValue:
         d = np.mod(self.value - o, self.modulus)
         return float(min(d, self.modulus - d))
 
-    def z2_class(self, scale: float = 1.0, tol: float = 1e-3) -> int:
-        """Round scale*value to an integer mod (scale*modulus = 2) semantics."""
+    def z2_class(self, scale: float) -> int:
+        """scale*value rounded to an integer mod 2 (scale*modulus = 2); it
+        must lie within 1e-3 of that integer."""
         v = self.value * scale
-        if abs(v - round(v)) > tol:
-            raise ValueError(f"value {v} is not within {tol} of an integer")
+        if abs(v - round(v)) > 1e-3:
+            raise ValueError(f"value {v} is not within 0.001 of an integer")
         return int(round(v)) % 2
 
 
@@ -269,30 +270,24 @@ def _projection_defects(p: AlgElement):
     yield "self_adjoint", p - p.star()
 
 
-def chern_number(p: AlgElement, tol: float = 1e-8) -> float:
-    """Chern number of a projection field over T^2 (grid axes 0 and 1).
+def chern_number(p: AlgElement) -> float:
+    """Chern number of a projection field over T^2 (grid axes 0 and 1),
+    unrounded: how far it lies from an integer is the caller's to judge.
 
     Convention: 2*pi*i*Tr_A(p [d_1 p, d_2 p]) with the grid-mean trace; for
     the QWZ symbol at mass 1 the upper flattened band (1 + sign h)/2 gives
-    +1 (this is minus the plaquette Berry-flux convention).
+    +1 (this is minus the plaquette Berry-flux convention).  The projection
+    defects and the imaginary part must stay within 1e-8.
     """
-    bad = failing(_projection_defects(p), tol)
+    bad = failing(_projection_defects(p), 1e-8)
     if bad:
         raise ValueError(f"input not a projection field: {named(bad)}")
     d1 = apply_derivation(0, p)
     d2 = apply_derivation(1, p)
     val = 2j * np.pi * np.mean(alt_trace(p.data, [d1.data, d2.data], 0))
-    if abs(val.imag) > tol:
+    if abs(val.imag) > 1e-8:
         raise ValueError(f"Chern integrand not real (imag {val.imag:.3e})")
     return float(val.real)
-
-
-def integer_check(value: float, tol: float = 1e-8) -> int:
-    """Round-half-even integer snap; mismatch beyond tol is an error."""
-    nearest = round(value)
-    if abs(value - nearest) > tol:
-        raise ValueError(f"{value} is not within {tol:g} of an integer")
-    return int(nearest)
 
 
 def spin_chern(h1: AlgElement, gap_tol: float = 1e-8) -> float:

@@ -22,7 +22,7 @@ from dkpair import floquet as fl
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure, qwz_hoppings, qwz_symbol,
                            spin_double, symbol_from_hoppings, winding_unitary)
 from dkpair.pairing import (MODULUS_KANE_MELE_CH2, ch0, ch1, ch2,
-                            chern_number, integer_check, pair, pair_suspended,
+                            chern_number, pair, pair_suspended,
                             pimsner_constant, spin_chern,
                             torsion_pairing_closed_form,
                             torsion_pairing_via_loop, winding_number)
@@ -120,7 +120,8 @@ def test_criterion_03_ch0_values():
         val = pair(ch0(), x, e)
         worst = max(worst, abs(val - rank))
         if trial % 2:
-            assert integer_check(val.real, 1e-9) % 2 == 0
+            assert abs(val.real - round(val.real)) <= 1e-9
+            assert round(val.real) % 2 == 0
     assert worst < 1e-9
     report(3, "ch0 counts ranks, Kramers ranks even",
            f"100 trials, worst residual {worst:.1e}")
@@ -303,8 +304,10 @@ def test_criterion_11_kane_mele_z2():
         delta = torsion_pairing_closed_form(cyc, x, e, y,
                                             MODULUS_KANE_MELE_CH2)
         sc = spin_chern(h1)
-        z2 = delta.z2_class(2 * np.pi, tol=1e-4)
-        assert z2 == integer_check(sc, 1e-6) % 2
+        z2 = delta.z2_class(2 * np.pi)
+        assert abs(2 * np.pi * delta.value - round(2 * np.pi * delta.value)) <= 1e-4
+        assert abs(sc - round(sc)) <= 1e-6
+        assert z2 == round(sc) % 2
         # the class value is the stated commutator trace mod 1/pi
         p1 = (flatten(h1) + AlgElement.unit(grid, h1.m, 0)).scale(0.5)
         d1 = 0
@@ -354,21 +357,21 @@ def test_criterion_12_floquet():
     assert per < 1e-9 and sym < 1e-9
     # degree on the projection exponential equals the Chern oracle
     p_up, _ = split_blocks(arc.projection)
-    ch_up = chern_number(p_up, tol=1e-6)
-    deg = fl.degree_t3(exp_projection_loop(p_up, 128, sign=-1.0),
-                       integer_tol=1e-3)
+    ch_up = chern_number(p_up)
+    deg = fl.degree_t3(exp_projection_loop(p_up, 128, sign=-1.0))
     assert abs(deg - round(deg)) < 1e-3
     assert round(deg) == round(ch_up)
     # K from the half-completed degree difference and the decoupled route
     degs = []
     for b in (b0, b1):
         vloop = fl.periodized_evolution(drive, b, 256)
-        degs.append(fl.degree_t3(fl.decoupled_contraction(vloop),
-                                 integer_tol=1e-3))
+        degs.append(fl.degree_t3(fl.decoupled_contraction(vloop)))
+    assert all(abs(d - round(d)) <= 1e-3 for d in degs), degs
     k_deg = (round(degs[1]) - round(degs[0])) % 2
-    kval, _ = fl.ArcInvariant(drive, z0, z1, rs).decoupled(1e-6)
+    kval, ch = fl.ArcInvariant(drive, z0, z1, rs).decoupled()
     sc = spin_chern(qwz_symbol(grid, 1.0))
-    assert int(kval.reduced) == integer_check(sc, 1e-6) % 2 == k_deg == 1
+    assert abs(ch - round(ch)) <= 1e-6 and abs(sc - round(sc)) <= 1e-6
+    assert int(kval.reduced) == round(sc) % 2 == k_deg == 1
     report(12, "Floquet pipeline",
            f"branch identity {ident:.1e}, periodicity {per:.1e}, symmetry "
            f"{sym:.1e}, deg residual {abs(deg - round(deg)):.1e}, K = "

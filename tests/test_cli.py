@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import count_calls, shifted_qwz_hoppings, split_blocks
 from dkpair import cli, grid_alg
@@ -293,6 +295,32 @@ def test_cmd_floquet_trivial_drive(tmp_path, capsys):
     assert code == cli.EXIT_OK
     rep = read_report(capsys)
     assert rep["values"]["k_invariant"]["value"] == 0.0
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.floats(0.9, 1.4), st.floats(2.9, 3.5)))
+@example(0.9)
+@example(1.4)
+@example(2.9)
+@example(3.5)
+def test_floquet_invariant_is_the_same_on_grids_16_and_24(tmp_path, capsys, mass):
+    # the grid cell of the invariance matrix on the Floquet route, over the
+    # bench's floquet-drive mass windows: the rounded spin Chern number and
+    # the invariant do not depend on the grid.  At 16 the spin Chern number
+    # may miss the default --tol; it is then read from the failed report
+    path = write_config(tmp_path, floquet_config(mass))
+    got = []
+    for n in ("16", "24"):
+        code = run_cli(["floquet", "--config", path, "--strategy", "decoupled",
+                        "--arc0", "0", "--arc1", repr(np.pi), "--grid", n])
+        rep = read_report(capsys)
+        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert code == (cli.EXIT_CONVERGENCE if failed else cli.EXIT_OK)
+        assert set(failed) <= {"spin_chern_integer"}, (n, failed)
+        got.append((rep["values"]["spin_chern"]["rounded"],
+                    rep["values"]["k_invariant"]["value"]))
+    assert got[0] == got[1], got
 
 
 def test_cmd_floquet_needs_spin_doubling(tmp_path, capsys):
@@ -779,7 +807,7 @@ def test_decoupled_report_matches_the_full_drive(n, arc, capsys):
     full = floquet.ArcInvariant(floquet.FloquetDrive(drive.period, drive.segments),
                                 *(complex(np.exp(1j * a)) for a in arc),
                                 models.quaternionic_structure(k=0)).arc
-    ch = pairing.chern_number(split_blocks(full.projection)[0], tol=1e-3)
+    ch = pairing.chern_number(split_blocks(full.projection)[0])
     assert values["k_invariant"]["value"] == round(ch) % 2
     assert values["rank"]["value"] == full.rank
     assert abs(values["spin_chern"]["value"] - ch) <= 1e-12
@@ -929,18 +957,43 @@ def test_failed_check_exits_convergence(tmp_path, capsys):
 def test_failed_integerness_prints_report(tmp_path, capsys):
     # at grid 16 and the default --tol the Chern numbers are 9.75e-6 off an
     # integer: the run records that, prints its report and exits 3
-    z2_path = str(Path(__file__).parent / "data" / "z2_qwz.json")
+    data = Path(__file__).parent / "data"
     block_path = write_config(tmp_path, qwz_config(1.0))
+    floquet = ["floquet", "--config", str(data / "floquet_qwz.json"), "--arc0", "0",
+               "--arc1", "3.14159265", "--strategy", "decoupled"]
     for argv, failed in (
-            (["z2", "--config", z2_path], ["spin_chern_integer", "torsion_refinement"]),
+            (["z2", "--config", str(data / "z2_qwz.json")],
+             ["spin_chern_integer", "torsion_refinement"]),
             (["pair", "--cycle", "ch2", "--config", block_path],
-             ["chern_integer", "chern_consistency"])):
+             ["chern_integer", "chern_consistency"]),
+            (floquet, ["spin_chern_integer"])):
         assert run_cli([*argv, "--grid", "16"]) == cli.EXIT_CONVERGENCE
         rep = read_report(capsys)
         assert rep["status"] == "failed"
         assert [c["name"] for c in rep["checks"] if not c["passed"]] == failed
         bad = [c["residual"] for c in rep["checks"] if not c["passed"]]
         assert all(1e-6 < r < 1e-5 for r in bad), bad
+    # the floquet report keeps the drive checks computed before the verdict
+    assert {"branch_identity", "time_reversal", "periodicity"} \
+        <= {c["name"] for c in rep["checks"] if c["passed"]}
+    assert rep["values"]["spin_chern"]["rounded"] == -1
+    # stored halves of the anomalous drive at 16^2 put each branch degree
+    # 4.2e-3 off -1, over the degree bound
+    path = str(data / "floquet_rlbl.json")
+    cfg = cli.ModelConfig.load(path)
+    files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(16)))
+    assert run_cli(["floquet", "--config", path, "--strategy", "user_supplied",
+                    "--grid", "16", "--arc0", "0", "--arc1", repr(np.pi),
+                    "--contraction", *files]) == cli.EXIT_CONVERGENCE
+    rep = read_report(capsys)
+    assert rep["status"] == "failed"
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] \
+        == ["degree_branch0_integer", "degree_branch1_integer"]
+    for b in (0, 1):
+        degree = rep["values"][f"degree_branch{b}"]
+        check, = [c for c in rep["checks"] if c["name"] == f"degree_branch{b}_integer"]
+        assert degree["rounded"] == -1
+        assert check["residual"] == degree["residual"] > check["tolerance"] == 1e-3
 
 
 def test_floquet_forms_no_doubled_segment(tmp_path, monkeypatch, capsys):
@@ -1047,16 +1100,23 @@ NAN_ENTRY = ["hoppings", 0, "matrix", 0, 0, 0]
     (PAIR_CH0, ["hoppings", 0, "offset"], [1.7, 0], "hoppings[0]"),
     (["z2"], ["real_structure"], "none", "real_structure"),
     (PAIR_CH0, ["spin_doubling"], False, "real_structure"),
+    (PAIR_CH0, ["dimension"], "2", "dimension"),
+    (FLOQUET_ARC, ["drive", "period"], "1.0", "drive.period"),
+    (FLOQUET_ARC, ["drive", "segments", 0, "duration"], "0.5", "drive[0]"),
+    (FLOQUET_ARC, ["drive", "segments", 0, "duration"], True, "drive[0]"),
 ], ids=["top_level_list", "matrix_size_string", "null_period", "number_hoppings",
         "number_segment_hoppings", "number_segments", "nan_entry_pair", "nan_entry_z2",
         "infinite_dimension", "infinite_offset", "infinite_period", "string_spin_doubling",
         "fractional_dimension", "fractional_matrix_size", "boolean_dimension",
-        "fractional_offset", "none_with_spin_doubling", "quaternionic_without_spin_doubling"])
+        "fractional_offset", "none_with_spin_doubling", "quaternionic_without_spin_doubling",
+        "string_dimension", "string_period", "string_duration", "boolean_duration"])
 def test_malformed_config_is_a_validation_error_naming_its_field(tmp_path, capsys, command,
                                                                  path, value, field):
     # each one crashed, exited 3 from the solver, was read as another value
     # (spin_doubling as true, a fractional or boolean integer field rounded
-    # down) or, for real_structure, went unread, before it was checked at load
+    # down, a number given as a string read as that number, a boolean
+    # duration as 1.0) or, for real_structure, went unread, before it was
+    # checked at load
     raw = replaced(floquet_config(1.0), path, value)
     assert run_cli([*command, "--config", write_config(tmp_path, raw),
                     "--grid", "8"]) == cli.EXIT_VALIDATION

@@ -180,24 +180,24 @@ def test_quaternionic_fixed_points(point_grid, rng):
     quat = np.block([[a, b], [-np.conj(b), np.conj(a)]])
     x = AlgElement.from_matrix_field(point_grid, quat)
     rs = RealStructureSpec("h")
-    ok, res = check_invariance(rs, x, 1e-12)
-    assert ok, res
+    res = check_invariance(rs, x)
+    assert res <= 1e-12, res
 
 
 def test_spin_doubled_invariance(grid16, rng):
     from dkpair.models import quaternionic_structure, spin_double
     h1 = random_hermitian_field(rng, grid16, 2, modes=2)
     h = spin_double(h1)
-    ok, res = check_invariance(quaternionic_structure(k=0), h, 1e-12)
-    assert ok, res
+    res = check_invariance(quaternionic_structure(k=0), h)
+    assert res <= 1e-12, res
 
 
 def test_check_invariance_detects_violation(grid16):
     rs = RealStructureSpec("c")
     x = AlgElement.unit(grid16, 1, 0)
     x = x + AlgElement.unit(grid16, 1, 0).scale(1e-3j)
-    ok, res = check_invariance(rs, x, 1e-6)
-    assert not ok
+    res = check_invariance(rs, x)
+    assert not res <= 1e-6
     assert abs(res - 2e-3) < 1e-9
 
 
@@ -207,8 +207,8 @@ def test_invariance_of_gamma_under_signature():
             k = r + s
             g = gamma_element(k)
             rs = real_structure_from_signature(CliffordSignature(r, s))
-            ok, res = check_invariance(rs, g, 0.0)
-            assert ok == (mu(r - s) % 2 == 0)
+            res = check_invariance(rs, g)
+            assert (res <= 0.0) == (mu(r - s) % 2 == 0)
 
 
 def test_hermitian_calculus_and_exp(grid16, rng):

@@ -24,7 +24,7 @@ from dkpair import pairing
 from dkpair.pairing import (MODULUS_KANE_MELE_CH2, TorsionValue,
                             _check_basepoint, _on_real_ray, _top_phase,
                             alt_trace, ch0, ch1, ch2, chern_number,
-                            integer_check, mu_prime, pair, pair_suspended,
+                            mu_prime, pair, pair_suspended,
                             pimsner_constant, selection_rule, spin_chern,
                             torsion_pairing_closed_form,
                             torsion_pairing_via_loop, winding_number)
@@ -170,7 +170,8 @@ def test_ch0_quaternionic_classes_even(point_grid, rng):
         x = make_osu_from_hamiltonian(sym, gap_tol=1e-10)
         e = BasePoint.standard_rho(point_grid, 6, 1, sign=-1)
         val = pair(ch0(), x, e)
-        n = integer_check(val.real, 1e-9)
+        n = round(val.real)
+        assert abs(val.real - n) <= 1e-9
         assert n % 2 == 0
 
 
@@ -267,8 +268,7 @@ def test_chern_additive(grid16):
     s2 = flatten(qwz_symbol(grid16, -1.0))
     p2 = (s2 + AlgElement.unit(grid16, 2, 0)).scale(0.5)
     both = direct_sum(p1, p2)
-    assert abs(chern_number(both, tol=1e-4)
-               - chern_number(p1, tol=1e-4) - chern_number(p2, tol=1e-4)) < 1e-10
+    assert abs(chern_number(both) - chern_number(p1) - chern_number(p2)) < 1e-10
 
 
 def test_chern_rejects_nonprojection(grid16):
@@ -282,7 +282,7 @@ def test_ch2_pairing_equals_chern_over_two_pi(qwz_osu):
     assert abs(val.imag) < 1e-10
     s = flatten(qwz_symbol(x.grid, 1.0))
     p = (s + AlgElement.unit(x.grid, 2, 0)).scale(0.5)
-    assert abs(2 * np.pi * val.real - chern_number(p, tol=1e-4)) < 1e-9
+    assert abs(2 * np.pi * val.real - chern_number(p)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +390,6 @@ def test_pimsner_constant_values():
     assert abs(pimsner_constant(0) - (-1j * np.pi / np.sqrt(2))) < 1e-15
     assert abs(pimsner_constant(1) - (-1j * 2 ** 1.5)) < 1e-15
     assert abs(pimsner_constant(2) - (-3j * np.pi * 2 ** -1.5)) < 1e-15
-
-
-def test_integer_check():
-    assert integer_check(2.0000000001, 1e-8) == 2
-    assert integer_check(-1.0, 1e-12) == -1
-    with pytest.raises(ValueError):
-        integer_check(0.5, 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +528,8 @@ def test_kane_mele_cross_validation(grid16):
     sc = spin_chern(h1, gap_tol=1e-8)
     assert closed.distance(-sc / (2 * np.pi)) < 1e-4 or \
         closed.distance(sc / (2 * np.pi)) < 1e-4
-    assert closed.z2_class(2 * np.pi, tol=1e-3) == integer_check(sc, 1e-4) % 2
+    assert abs(sc - round(sc)) <= 1e-4
+    assert closed.z2_class(2 * np.pi) == round(sc) % 2
 
 
 def test_doubled_kane_mele_class_trivial(grid16):
