@@ -14,9 +14,9 @@ from .kclass import (BasePoint, GapClosedError, LoopElement,
                      OsuValidationError, bott_loop, flatten,
                      make_osu_from_hamiltonian, osu_validate, torsion_loop)
 from .pairing import (MODULUS_KANE_MELE_CH2, MODULUS_KO2_CH0, CycleSpec,
-                      SelectionRule, TorsionValue, ch0, ch1, ch2,
+                      SelectionRule, TorsionValue, band_chern, ch0, ch1, ch2,
                       chern_number, pair, pair_suspended,
-                      pimsner_constant, selection_rule, spin_chern,
+                      pimsner_constant, selection_rule,
                       torsion_pairing_closed_form, torsion_pairing_via_loop,
                       winding_number)
 from .floquet import (ArcInvariant, ArcProjection, FloquetDrive,

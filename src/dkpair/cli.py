@@ -45,8 +45,10 @@ def _as_complex_matrix(rows, m, where):
     if arr.shape != (m, m, 2):
         raise ConfigError(f"{where}: expected {m}x{m} [re, im] pairs, "
                           f"got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"{where}: non-finite entry")
+    # np.asarray reads a string or a boolean entry as a number: each entry,
+    # as given, goes through the scalar fields' check
+    for value in np.asarray(rows, dtype=object).flat:
+        _number(value, float, where)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -283,9 +285,7 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
         if cfg.dimension != 2:
             raise ConfigError("ch2 needs a two-dimensional model")
         flats = flatten_refinement(_refined_symbol(cfg, args.grid, cfg.symbol))
-        values = [pairing.chern_number((s + AlgElement.unit(s.grid, s.m, 0)).scale(0.5))
-                  for s in flats]
-        ch = _quantized(report, "chern", values[0], values[1], args.tol)
+        ch = _quantized(report, "chern", *map(pairing.band_chern, flats), args.tol)
         x = osu_validate(flats[0].append_generator())
         e = BasePoint.standard_rho(x.grid, x.m, 1, sign=-1)
         val = pairing.pair(pairing.ch2(), x, e)
@@ -327,8 +327,7 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
         # holds a sign or another grid's class
         s1 = signs.pop(0)
         grid = s1.grid
-        spins.append(pairing.chern_number(
-            (s1 + AlgElement.unit(grid, s1.m, 0)).scale(0.5)))
+        spins.append(pairing.band_chern(s1))
         x = osu_validate(models.conjugate_flip(s1).append_generator())
         del s1
         e = BasePoint.standard_rho(grid, m, 1, sign=-1)

@@ -133,9 +133,6 @@ class AlgElement:
         x.data[0] = field_arr
         return x
 
-    def copy(self) -> "AlgElement":
-        return AlgElement(self.grid, self.m, self.k, self.data.copy())
-
     # -- linear structure ----------------------------------------------
     def _check(self, other: "AlgElement"):
         if (self.grid, self.m, self.k) != (other.grid, other.m, other.k):
@@ -487,13 +484,8 @@ def _minus_unit(x: AlgElement) -> AlgElement:
 
 
 # ---------------------------------------------------------------------------
-# faithful matrix representation and pointwise hermitian calculus
+# faithful matrix representation and pointwise functional calculus
 # ---------------------------------------------------------------------------
-
-def represent(x: AlgElement) -> np.ndarray:
-    """Pointwise matrix image of shape (*sizes, m*2^q, m*2^q), a *-homomorphism."""
-    return _represent_blocks(x.data, x.k, list(_parts(x.data)))
-
 
 def _represent_blocks(data: np.ndarray, k: int, masks: list[int]) -> np.ndarray:
     """Image sum_S data[S] (x) R_S over the components `masks` of a
@@ -506,18 +498,6 @@ def _represent_blocks(data: np.ndarray, k: int, masks: list[int]) -> np.ndarray:
     for mask in masks:
         view += data[mask][..., :, None, :, None] * images[mask][None, :, None, :]
     return out
-
-
-def unrepresent(rep: np.ndarray, grid: TorusGrid, m: int, k: int) -> AlgElement:
-    """Inverse of `represent` on its image, via blade orthogonality."""
-    images, q = representation(k)
-    dim = 1 << q
-    view = rep.reshape(*grid.sizes, m, dim, m, dim)
-    x = AlgElement(grid, m, k)
-    for mask in range(1 << k):
-        # coefficient block: tr(R_S^dag . block) / 2^q on the Clifford indices
-        x.data[mask] = np.einsum("qp,...iqjp->...ij", np.conj(images[mask]), view) / dim
-    return x
 
 
 def _spectral_calculus(v: np.ndarray, fw: np.ndarray) -> np.ndarray:

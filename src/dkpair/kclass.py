@@ -2,14 +2,14 @@
 and the explicit loops used by the suspension and torsion pairings.
 
 Loops are lists of segments, because the constructed loops are only
-piecewise smooth on the circle.  Every consumer reads a segment through two
-methods: `Segment.quadrature`, one node of its own rule at a time with the
-value, d/ds and space derivatives there, and `Segment.ends`, its values at
-s = 0 and s = 1.  The Bott and torsion loops are `ArcSegment`s, homogeneous
-polynomials in (cos, sin)(pi s/2) that build each node from their
-coefficients, and the Floquet loops evaluate theirs from eigenframes
-(`floquet.FrameSegment`); only `ClosedSegment`, a loop piece given as
-samples, stores node arrays.
+piecewise smooth on the circle.  Every segment answers `ends()`, its values
+at s = 0 and s = 1.  The Bott and torsion loops are `ArcSegment`s,
+homogeneous polynomials in (cos, sin)(pi s/2) that `pairing.pair_suspended`
+integrates in closed form from their coefficients.  The Floquet loops
+answer `quadrature(axes)` as well, one node of their own rule at a time with
+the value, d/ds and space derivatives there, which `floquet.degree_t3`
+reads: frames evaluate theirs from eigenframes (`floquet.FrameSegment`), and
+only `ClosedSegment`, a loop piece given as samples, stores node arrays.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ import numpy as np
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _minus_unit,
                        _spectral_calculus, apply_derivation,
                        apply_real_structure, even_subgrid, failing, named,
-                       represent, require_within, spectral_derivative_data,
-                       unrepresent)
+                       require_within, spectral_derivative_data)
+
+# the spectral gap at zero that flatten needs, relative to the scale |h|
+GAP_TOL = 1e-8
 
 
 class GapClosedError(ValueError):
@@ -49,7 +51,7 @@ class BasePoint:
     def standard_rho(cls, grid, m, k, sign=-1):
         """sign * 1 (x) rho_k (the last generator), grid-constant: a read-only
         broadcast view of one point's block, so it holds no grid of its own
-        (its .copy() is dense)."""
+        (a copy of its data is dense)."""
         block = np.zeros((1 << k, *(1,) * grid.d, m, m), dtype=complex)
         block[1 << (k - 1)] = sign * np.eye(m)
         return cls(AlgElement(grid, m, k, np.broadcast_to(block, (1 << k, *grid.sizes, m, m))))
@@ -70,17 +72,20 @@ def osu_validate(x: AlgElement, tol: float = 1e-10) -> AlgElement:
     return x
 
 
-def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
-    """Spectral flattening sign(h) of a self-adjoint invertible element.
+def flatten(h: AlgElement) -> AlgElement:
+    """Spectral flattening sign(h) of a self-adjoint invertible symbol, a
+    plain matrix field (k = 0); any other k raises ValueError.
 
     Pointwise hermitian eigendecomposition; eigenvalues map to +-1.  Both
     checks are relative to the scale |h|, the largest |eigenvalue| (for a
     self-adjoint h its norm_inf), as sign(lambda h) = sign(h) for lambda > 0:
     the self-adjointness residual must stay within 1e-10 |h|, and
     GapClosedError reports the offending grid point if the spectral gap at
-    zero falls below gap_tol |h|.  Raises LinAlgError on non-finite input.
+    zero falls below GAP_TOL |h|.  Raises LinAlgError on non-finite input.
     """
-    w, v = np.linalg.eigh(h.data[0] if h.k == 0 else represent(h))
+    if h.k != 0:
+        raise ValueError(f"flatten takes a symbol with k = 0, got k = {h.k}")
+    w, v = np.linalg.eigh(h.data[0])
     scale = float(np.abs(w).max())
     if not np.isfinite(scale):
         raise np.linalg.LinAlgError("flatten of a non-finite element")
@@ -91,11 +96,8 @@ def flatten(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
     except np.linalg.LinAlgError:
         # a NaN entry can leave eigh's eigenvalues finite and its vectors NaN
         raise np.linalg.LinAlgError("flatten of a non-finite element") from None
-    _check_gap(w, gap_tol * scale)
-    sign = _spectral_calculus(v, np.sign(w))
-    if h.k == 0:
-        return AlgElement.from_matrix_field(h.grid, sign)
-    return unrepresent(sign, h.grid, h.m, h.k)
+    _check_gap(w, GAP_TOL * scale)
+    return AlgElement.from_matrix_field(h.grid, _spectral_calculus(v, np.sign(w)))
 
 
 def flatten_refinement(h: AlgElement) -> tuple[AlgElement, AlgElement]:
@@ -104,8 +106,8 @@ def flatten_refinement(h: AlgElement) -> tuple[AlgElement, AlgElement]:
     even points it is h_n's, and sign(h_n) is the even subgrid of sign(h).
 
     The verdicts are those of flatten(h_n) and then flatten(h).  h_n's gap
-    is open when h's is: its eigenvalues are among h's, and gap_tol |h| >=
-    gap_tol |h_n|.  h_n's self-adjointness is settled against half of
+    is open when h's is: its eigenvalues are among h's, and GAP_TOL |h| >=
+    GAP_TOL |h_n|.  h_n's self-adjointness is settled against half of
     max|h_n|_F / sqrt(m), a lower bound of |h_n| that leaves room for the
     defect itself and the eigensolver's rounding, or else by flatten(h_n).
     When flatten(h) fails, flatten(h_n) runs before its error is raised, so a
@@ -133,9 +135,9 @@ def _check_gap(w, gap):
             f"< {gap:.3e} at grid point {point}", smallest)
 
 
-def make_osu_from_hamiltonian(h: AlgElement, gap_tol: float = 1e-8) -> AlgElement:
+def make_osu_from_hamiltonian(h: AlgElement) -> AlgElement:
     """flatten(h) (x) rho on one appended Clifford generator."""
-    return osu_validate(flatten(h, gap_tol).append_generator())
+    return osu_validate(flatten(h).append_generator())
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +147,8 @@ def make_osu_from_hamiltonian(h: AlgElement, gap_tol: float = 1e-8) -> AlgElemen
 class Segment:
     """One piece of a loop over [t0, t1] of the period, parametrized by local
     s in [0, 1], with values in M_m(A) (x) Cl_k on `grid`.  A subclass sets
-    t0, t1, grid, m and k and answers the two reads every consumer makes:
-    `quadrature`, its own rule one node at a time, and `ends`."""
+    t0, t1, grid, m and k and answers `ends`; a segment that
+    `floquet.degree_t3` integrates also answers `quadrature`."""
 
     t0: float
     t1: float
@@ -157,7 +159,8 @@ class Segment:
     def quadrature(self, axes):
         """(weight, value, d/ds, [d_axis value for axis in axes]) at each node
         of the segment's own rule, one node at a time, as data blocks of
-        shape (2^k, *grid.sizes, m, m)."""
+        shape (2^k, *grid.sizes, m, m).  An arc has none: it is integrated
+        in closed form (`pairing.pair_suspended`)."""
         raise NotImplementedError
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,10 +268,9 @@ def _combine(weights, blocks) -> np.ndarray:
 
 class ArcSegment(Segment):
     """Arc s -> sum_g cos^(d-g) sin^g (pi s/2) P_g of degree d in (cos, sin)
-    from `_corner` coefficients, on an `order`-node Gauss-Legendre rule.  A
-    node is built on demand from scalar weights on the blocks P_g (for d/ds,
-    (pi/2)(g cos^(d-g+1) sin^(g-1) - (d-g) cos^(d-g-1) sin^(g+1))) and on
-    their cached space derivatives."""
+    from `_corner` coefficients, with an `order`-node Gauss-Legendre rule
+    whose moments `pairing.pair_suspended` contracts in closed form; `at`
+    builds one value from scalar weights on the blocks P_g."""
 
     def __init__(self, t0: float, t1: float, order: int, coeffs):
         self.t0, self.t1 = t0, t1
@@ -289,15 +291,6 @@ class ArcSegment(Segment):
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """P_0 and P_d, the arc's exact values at s = 0 and s = 1, as stored."""
         return self.blocks[0], self.blocks[-1]
-
-    def quadrature(self, axes):
-        for s, weight in zip(self.nodes, self.weights):
-            w = self._powers(s)
-            d, pad = len(w) - 1, [0.0, *w, 0.0]
-            # the d/ds weight of P_g is (pi/2)(g w[g-1] - (d-g) w[g+1])
-            dw = [g * pad[g] - (d - g) * pad[g + 2] for g in range(d + 1)]
-            yield (weight, _combine(w, self.blocks), (np.pi / 2) * _combine(dw, self.blocks),
-                   [_combine(w, [dx(ax) for dx in self.space]) for ax in axes])
 
 
 def _sample_defects(arcs: list[ArcSegment], stride: int):

@@ -290,12 +290,10 @@ def chern_number(p: AlgElement) -> float:
     return float(val.real)
 
 
-def spin_chern(h1: AlgElement, gap_tol: float = 1e-8) -> float:
-    """Chern number of the positive spectral projection of a gapped block."""
-    from .kclass import flatten
-    s = flatten(h1, gap_tol)
-    p1 = (s + AlgElement.unit(s.grid, s.m, 0)).scale(0.5)
-    return chern_number(p1)
+def band_chern(s: AlgElement) -> float:
+    """Chern number of the positive band (1 + s)/2 of a flattened sign s,
+    unrounded: for s = flatten(h1) of a spin block, its spin Chern number."""
+    return chern_number((s + AlgElement.unit(s.grid, s.m, 0)).scale(0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -303,28 +301,25 @@ def spin_chern(h1: AlgElement, gap_tol: float = 1e-8) -> float:
 # ---------------------------------------------------------------------------
 
 def pair_suspended(cycle: CycleSpec, loop: LoopElement) -> complex:
-    """Pairing of the suspended (n+1)-dimensional character with a loop class.
+    """Pairing of the suspended (n+1)-dimensional character with a loop class
+    whose segments are arcs (`ArcSegment`, as the Bott and torsion loops);
+    any other segment raises ValueError.
 
     The loop contributes one extra Clifford generator and the time
-    derivation; segments integrate in their local parametrization (the
-    chain-rule factors cancel because each term is linear in the time
-    derivative).  The base point is the loop's starting value, subtracted
-    from the class representative; the subtraction matters numerically
-    because the loops are only piecewise smooth.
+    derivation; each arc is integrated in its local parametrization, in
+    closed form (`_arc_integral`; the chain-rule factors cancel because each
+    term is linear in the time derivative).  The base point is the loop's
+    starting value, subtracted from the class representative; the
+    subtraction matters numerically because the loops are only piecewise
+    smooth.
     """
+    if not all(isinstance(seg, ArcSegment) for seg in loop.segments):
+        raise ValueError("pair_suspended integrates loops of arcs (ArcSegment) only")
     base = AlgElement(loop.grid, loop.m, loop.k, loop.segments[0].ends()[0])
     _check_basepoint(cycle, base)
-    n = cycle.n
-    k_loop = loop.k
-    total = 0.0 + 0.0j
-    for seg in loop.segments:
-        if isinstance(seg, ArcSegment):
-            total += _arc_integral(seg, base.data, cycle.derivations, k_loop)
-            continue
-        # one quadrature node at a time bounds the working set
-        for weight, value, dvalue, space in seg.quadrature(cycle.derivations):
-            tr = alt_trace(value - base.data, space + [dvalue], k_loop)
-            total += weight * np.mean(tr)
+    n, k_loop = cycle.n, loop.k
+    total = sum(_arc_integral(seg, base.data, cycle.derivations, k_loop)
+                for seg in loop.segments)
     # suspension trace: one half of the standard (n+1)-cycle trace on the
     # base trace.  The *-compatible phase of the top Grassmann contraction
     # is i^mu(n+1); for n = 2 this differs by -1 from the naive product of

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from dkpair import floquet as fl
-from dkpair.clifford import CliffordSignature
-from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                             _spectral_calculus, _validate_osi,
-                             apply_real_structure, represent,
-                             spectral_derivative_data, trace, unrepresent)
-from dkpair.kclass import (BasePoint, LoopElement, Segment, _sample_defects,
-                           osu_validate)
+from dkpair.clifford import CliffordSignature, mu, representation
+from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _parts,
+                             _represent_blocks, _spectral_calculus,
+                             _validate_osi, apply_real_structure,
+                             spectral_derivative_data, trace)
+from dkpair.kclass import (ArcSegment, BasePoint, LoopElement, Segment,
+                           _combine, _sample_defects, osu_validate)
 from dkpair.models import qwz_hoppings, qwz_symbol
+from dkpair.pairing import _top_phase, alt_trace
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -44,6 +45,11 @@ def npoints(grid: TorusGrid) -> int:
 def scalar_trace(x: AlgElement) -> complex:
     """Trace of the scalar (empty-subset) Clifford component."""
     return complex(trace(x).data[0].item())
+
+
+def dense_copy(x: AlgElement) -> AlgElement:
+    """x with its own writable copy of the data (a broadcast view copies dense)."""
+    return AlgElement(x.grid, x.m, x.k, x.data.copy())
 
 
 def same_element(a: AlgElement, b: AlgElement) -> bool:
@@ -242,6 +248,51 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
     t = np.arange(nt).reshape((nt,) + (1,) * w.ndim) / nt
     phases = np.exp(sign * 2j * np.pi * t * w[None])
     return loop_from_unitary_samples(_spectral_calculus(v, phases), p.grid, p.m)
+
+
+def arc_nodes(seg: ArcSegment, axes):
+    """(weight, value, d/ds, [d_axis value for axis in axes]) at each node of
+    an arc's Gauss rule, one node at a time, each built from scalar weights
+    on the arc's blocks P_g (for d/ds, (pi/2)(g cos^(d-g+1) sin^(g-1) -
+    (d-g) cos^(d-g-1) sin^(g+1))) and on their cached space derivatives."""
+    for s, weight in zip(seg.nodes, seg.weights):
+        w = seg._powers(s)
+        d, pad = len(w) - 1, [0.0, *w, 0.0]
+        # the d/ds weight of P_g is (pi/2)(g w[g-1] - (d-g) w[g+1])
+        dw = [g * pad[g] - (d - g) * pad[g + 2] for g in range(d + 1)]
+        yield (weight, _combine(w, seg.blocks), (np.pi / 2) * _combine(dw, seg.blocks),
+               [_combine(w, [dx(ax) for dx in seg.space]) for ax in axes])
+
+
+def pair_suspended_by_nodes(cycle, loop: LoopElement) -> complex:
+    """The oracle of `pairing.pair_suspended`: the suspended character
+    integrated one node of each segment's `quadrature` at a time, such as a
+    materialized arc's, the value less the loop's starting value at each
+    node."""
+    base, n, k = loop.segments[0].ends()[0], cycle.n, loop.k
+    total = 0.0 + 0.0j
+    for seg in loop.segments:
+        for weight, value, dvalue, space in seg.quadrature(cycle.derivations):
+            total += weight * np.mean(alt_trace(value - base, space + [dvalue], k))
+    return complex(cycle.scale(k) * (1j) ** (mu(n + 1) % 4) * 0.5
+                   * _top_phase(k, n + 1) * total)
+
+
+def represent(x: AlgElement) -> np.ndarray:
+    """Pointwise matrix image of shape (*sizes, m*2^q, m*2^q), a *-homomorphism."""
+    return _represent_blocks(x.data, x.k, list(_parts(x.data)))
+
+
+def unrepresent(rep: np.ndarray, grid: TorusGrid, m: int, k: int) -> AlgElement:
+    """Inverse of `represent` on its image, via blade orthogonality."""
+    images, q = representation(k)
+    dim = 1 << q
+    view = rep.reshape(*grid.sizes, m, dim, m, dim)
+    x = AlgElement(grid, m, k)
+    for mask in range(1 << k):
+        # coefficient block: tr(R_S^dag . block) / 2^q on the Clifford indices
+        x.data[mask] = np.einsum("qp,...iqjp->...ij", np.conj(images[mask]), view) / dim
+    return x
 
 
 def hermitian_calculus(x: AlgElement, fn) -> AlgElement:

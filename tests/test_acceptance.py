@@ -21,9 +21,9 @@ from dkpair.kclass import (BasePoint, bott_loop, flatten,
 from dkpair import floquet as fl
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure, qwz_hoppings, qwz_symbol,
                            spin_double, symbol_from_hoppings, winding_unitary)
-from dkpair.pairing import (MODULUS_KANE_MELE_CH2, ch0, ch1, ch2,
+from dkpair.pairing import (MODULUS_KANE_MELE_CH2, band_chern, ch0, ch1, ch2,
                             chern_number, pair, pair_suspended,
-                            pimsner_constant, spin_chern,
+                            pimsner_constant,
                             torsion_pairing_closed_form,
                             torsion_pairing_via_loop, winding_number)
 
@@ -115,7 +115,7 @@ def test_criterion_03_ch0_values():
         p = (v * keep) @ np.conj(v.T)
         rank = int(keep.sum())
         x = make_osu_from_hamiltonian(
-            AlgElement.from_matrix_field(grid, 2 * p - np.eye(m)), gap_tol=1e-12)
+            AlgElement.from_matrix_field(grid, 2 * p - np.eye(m)))
         e = BasePoint.standard_rho(grid, m, 1, sign=-1)
         val = pair(ch0(), x, e)
         worst = max(worst, abs(val - rank))
@@ -303,7 +303,7 @@ def test_criterion_11_kane_mele_z2():
         y = spin_y(grid, h.m)
         delta = torsion_pairing_closed_form(cyc, x, e, y,
                                             MODULUS_KANE_MELE_CH2)
-        sc = spin_chern(h1)
+        sc = band_chern(flatten(h1))
         z2 = delta.z2_class(2 * np.pi)
         assert abs(2 * np.pi * delta.value - round(2 * np.pi * delta.value)) <= 1e-4
         assert abs(sc - round(sc)) <= 1e-6
@@ -369,7 +369,7 @@ def test_criterion_12_floquet():
     assert all(abs(d - round(d)) <= 1e-3 for d in degs), degs
     k_deg = (round(degs[1]) - round(degs[0])) % 2
     kval, ch = fl.ArcInvariant(drive, z0, z1, rs).decoupled()
-    sc = spin_chern(qwz_symbol(grid, 1.0))
+    sc = band_chern(flatten(qwz_symbol(grid, 1.0)))
     assert abs(ch - round(ch)) <= 1e-6 and abs(sc - round(sc)) <= 1e-6
     assert int(kval.reduced) == round(sc) % 2 == k_deg == 1
     report(12, "Floquet pipeline",

@@ -15,7 +15,7 @@ from dkpair import cli, grid_alg
 from dkpair.clifford import reversion_signs
 from dkpair.kclass import GapClosedError
 from dkpair.gridio import read_contraction_grid, write_contraction_grid
-from dkpair.models import qwz_hoppings
+from dkpair.models import SY, quaternionic_structure, qwz_hoppings
 
 
 def mat_json(m):
@@ -244,6 +244,26 @@ def test_cmd_z2_requires_decoupled(tmp_path):
     cfg["rashba"] = [{"offset": [0, 0], "matrix": mat_json(0.1 * np.eye(2))}]
     path = write_config(tmp_path, cfg)
     assert run_cli(["z2", "--config", path]) == cli.EXIT_VALIDATION
+
+
+def test_rashba_block_couples_the_spins_of_the_committed_block(tmp_path, capsys):
+    # pair --cycle ch2 is the command that reads rashba terms: the committed
+    # spin-doubled block with the (0, 0) coupling r = 0.3 (-i sigma_y) holds r
+    # above its diagonal blocks and r^H below them, stays hermitian and
+    # time-reversal invariant, and its two bands carry Chern number 0
+    raw = json.loads((Path(__file__).parent / "data" / "z2_qwz.json").read_text())
+    r = 0.3 * (-1j * SY)
+    raw["rashba"] = hoppings_json({(0, 0): r})
+    grid = grid_alg.TorusGrid((16, 16))
+    h = cli.ModelConfig(raw).symbol(grid)
+    assert np.array_equal(h.data[0][..., :2, 2:], np.broadcast_to(r, (16, 16, 2, 2)))
+    assert np.array_equal(h.data[0][..., 2:, :2],
+                          np.broadcast_to(np.conj(r.T), (16, 16, 2, 2)))
+    assert (h - h.star()).norm_inf() <= 1e-14
+    assert grid_alg.check_invariance(quaternionic_structure(k=0), h) <= 1e-12
+    assert run_cli(["pair", "--cycle", "ch2", "--config", write_config(tmp_path, raw),
+                    "--grid", "24"]) == cli.EXIT_OK
+    assert read_report(capsys)["values"]["chern"]["rounded"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1078,7 +1098,7 @@ def replaced(raw, path, value):
 
 PAIR_CH0 = ["pair", "--cycle", "ch0"]
 FLOQUET_ARC = ["floquet", "--arc0", "0", "--arc1", "3.0"]
-NAN_ENTRY = ["hoppings", 0, "matrix", 0, 0, 0]
+MATRIX_ENTRY = ["hoppings", 0, "matrix", 0, 0, 0]
 
 
 @pytest.mark.parametrize("command, path, value, field", [
@@ -1088,8 +1108,8 @@ NAN_ENTRY = ["hoppings", 0, "matrix", 0, 0, 0]
     (PAIR_CH0, ["hoppings"], 3, "hoppings"),
     (FLOQUET_ARC, ["drive", "segments", 0, "hoppings"], 3, "drive[0].hoppings"),
     (FLOQUET_ARC, ["drive", "segments"], 3, "drive"),
-    (["pair", "--cycle", "ch2"], NAN_ENTRY, float("nan"), "hoppings[0].matrix"),
-    (["z2"], NAN_ENTRY, float("nan"), "hoppings[0].matrix"),
+    (["pair", "--cycle", "ch2"], MATRIX_ENTRY, float("nan"), "hoppings[0].matrix"),
+    (["z2"], MATRIX_ENTRY, float("nan"), "hoppings[0].matrix"),
     (PAIR_CH0, ["dimension"], float("inf"), "dimension"),
     (PAIR_CH0, ["hoppings", 0, "offset"], [float("inf"), 0], "hoppings[0]"),
     (FLOQUET_ARC, ["drive", "period"], float("inf"), "drive.period"),
@@ -1104,19 +1124,22 @@ NAN_ENTRY = ["hoppings", 0, "matrix", 0, 0, 0]
     (FLOQUET_ARC, ["drive", "period"], "1.0", "drive.period"),
     (FLOQUET_ARC, ["drive", "segments", 0, "duration"], "0.5", "drive[0]"),
     (FLOQUET_ARC, ["drive", "segments", 0, "duration"], True, "drive[0]"),
+    (PAIR_CH0, MATRIX_ENTRY, "1.0", "hoppings[0].matrix"),
+    (PAIR_CH0, MATRIX_ENTRY, True, "hoppings[0].matrix"),
 ], ids=["top_level_list", "matrix_size_string", "null_period", "number_hoppings",
         "number_segment_hoppings", "number_segments", "nan_entry_pair", "nan_entry_z2",
         "infinite_dimension", "infinite_offset", "infinite_period", "string_spin_doubling",
         "fractional_dimension", "fractional_matrix_size", "boolean_dimension",
         "fractional_offset", "none_with_spin_doubling", "quaternionic_without_spin_doubling",
-        "string_dimension", "string_period", "string_duration", "boolean_duration"])
+        "string_dimension", "string_period", "string_duration", "boolean_duration",
+        "string_matrix_entry", "boolean_matrix_entry"])
 def test_malformed_config_is_a_validation_error_naming_its_field(tmp_path, capsys, command,
                                                                  path, value, field):
     # each one crashed, exited 3 from the solver, was read as another value
     # (spin_doubling as true, a fractional or boolean integer field rounded
     # down, a number given as a string read as that number, a boolean
-    # duration as 1.0) or, for real_structure, went unread, before it was
-    # checked at load
+    # duration or matrix entry as 1.0) or, for real_structure, went unread,
+    # before it was checked at load
     raw = replaced(floquet_config(1.0), path, value)
     assert run_cli([*command, "--config", write_config(tmp_path, raw),
                     "--grid", "8"]) == cli.EXIT_VALIDATION

@@ -13,7 +13,7 @@ from dkpair import floquet as fl
 from dkpair.grid_alg import AlgElement, TorusGrid, apply_real_structure
 from dkpair.kclass import GapClosedError, LoopElement, _simpson_rule, flatten
 from dkpair.models import conjugate_flip, quaternionic_structure, qwz_symbol, spin_double
-from dkpair.pairing import alt_trace, chern_number, spin_chern
+from dkpair.pairing import alt_trace, band_chern, chern_number
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +204,7 @@ def test_decoupled_invariant_matches_spin_chern(tri_drive, rs, grid):
     kval, ch = fl.ArcInvariant(tri_drive, z0, z1, rs).decoupled()
     assert abs(ch - round(ch)) <= 1e-4
     assert kval.modulus == 2.0
-    sc = spin_chern(qwz_symbol(grid, 1.0))
+    sc = band_chern(flatten(qwz_symbol(grid, 1.0)))
     assert kval.reduced == round(abs(sc)) % 2 == 1
 
 

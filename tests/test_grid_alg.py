@@ -6,18 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (constant_element, hermitian_calculus, npoints,
-                      psi_e_inverse, random_element, random_hermitian_field,
-                      random_matrix_field, real_structure_from_signature,
-                      scalar_trace, unitary_exp)
+from conftest import (constant_element, dense_copy, hermitian_calculus,
+                      npoints, psi_e_inverse, random_element,
+                      random_hermitian_field, random_matrix_field,
+                      real_structure_from_signature, represent, scalar_trace,
+                      unitary_exp, unrepresent)
 from dkpair.clifford import CliffordSignature, generator_signs, mu
 from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, RealStructureSpec,
                              TorusGrid, _negate, _quaternionic_swap,
                              apply_derivation,
                              apply_real_structure, blade, check_invariance,
                              direct_sum, gamma_element, j_functional, psi_e,
-                             represent, spectral_derivative_data, trace,
-                             unrepresent)
+                             spectral_derivative_data, trace)
+
+
+def test_repr_names_the_grid_and_the_sizes(grid16):
+    assert repr(AlgElement(grid16, 2, 1)) == "AlgElement(d=2, sizes=(16, 16), m=2, k=1)"
 
 
 def test_grid_validation():
@@ -357,7 +361,7 @@ def oracle_elements(rng, grid, m, k):
     full = random_element(rng, grid, m, k, modes=1)
     yield full
     # one large point among small ones: pruning keeps few points
-    spiky = full.copy()
+    spiky = dense_copy(full)
     spiky.data[(slice(None),) + (0,) * grid.d] *= 50.0
     yield spiky
     # squares that underflow or overflow: no pruning, same value

@@ -3,17 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (StoredSegment, count_calls, exp_projection_loop,
-                      ko2_generator, random_hermitian_field, sample_osu_residual,
-                      shifted_qwz_hoppings, spin_y)
+from conftest import (StoredSegment, arc_nodes, count_calls, dense_copy,
+                      exp_projection_loop, hermitian_calculus, ko2_generator,
+                      pair_suspended_by_nodes, random_hermitian_field,
+                      sample_osu_residual, shifted_qwz_hoppings, spin_y)
 from dkpair import kclass
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              apply_real_structure, direct_sum, even_subgrid,
                              failing)
 from dkpair.kclass import (ArcSegment, BasePoint, ClosedSegment, GapClosedError,
-                           LoopElement, OsuValidationError, _corner, _gauss_rule,
-                           _half_symmetry, bott_loop, flatten, flatten_refinement,
-                           make_osu_from_hamiltonian, osu_validate, torsion_loop)
+                           LoopElement, OsuValidationError, Segment, _corner,
+                           _gauss_rule, _half_symmetry, bott_loop, flatten,
+                           flatten_refinement, make_osu_from_hamiltonian,
+                           osu_validate, torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_symbol, spin_double, symbol_from_hoppings)
 from dkpair.pairing import (MODULUS_KANE_MELE_CH2, _arc_integral, alt_trace, ch0, ch2,
@@ -53,11 +55,13 @@ def test_flatten_zero_has_no_gap(grid16):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_flatten_rejects_non_finite(grid16, rng, bad):
     # eigh returns NaN eigenvalues without raising; the gap check must not
-    # pass them
+    # pass them.  An element with a Clifford factor is refused before its
+    # entries are read
     h = random_hermitian_field(rng, grid16, 2, shift=4.0)
-    for x in (h, h.append_generator()):
+    for x, error, message in ((h, np.linalg.LinAlgError, "non-finite"),
+                              (h.append_generator(), ValueError, "k = 0, got k = 1")):
         x.data[0, 3, 5, 1, 1] = bad
-        with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
+        with pytest.raises(error, match=message), np.errstate(invalid="ignore"):
             flatten(x)
 
 
@@ -82,7 +86,7 @@ def _refinement_cases():
     defect = np.zeros_like(h.data)
     defect[:, ::2, ::2] = 1j * np.eye(2)
     for size in (1e-9, 1e-10):
-        big = h.copy()
+        big = dense_copy(h)
         # |h| = 300 at one odd point: 1e-10 |h| passes the fine grid
         big.data[0, 3, 5] *= 100
         big.data += size * defect
@@ -90,7 +94,7 @@ def _refinement_cases():
     yield "defect on both grids", AlgElement(fine, 2, 0, h.data + 1e-6 * np.triu(
         np.ones((2, 2)), 1))
     for point in ((2, 4), (3, 5)):
-        bad = h.copy()
+        bad = dense_copy(h)
         bad.data[(0, *point, 1, 1)] = np.nan
         yield f"NaN at {point}", bad
 
@@ -144,7 +148,7 @@ def test_osu_validate_holds_one_defect_at_a_time():
     # with x: two elements, plus bookkeeping far below the 8 MiB element that
     # a second live defect would add.  x is dense, as a validated class is:
     # the base point is a broadcast view, which holds none of its 8 MiB
-    x = BasePoint.standard_rho(TorusGrid((128, 128)), 4, 1).e.copy()
+    x = dense_copy(BasePoint.standard_rho(TorusGrid((128, 128)), 4, 1).e)
     tracemalloc.start()
     try:
         osu_validate(x, 1e-10)
@@ -166,7 +170,7 @@ def test_standard_rho_is_a_read_only_view_of_one_point():
         e.data[2, 3, 5] = 0.0
     assert np.array_equal(e.data[2], np.broadcast_to(-np.eye(2), (16, 8, 2, 2)))
     assert not np.any(np.delete(e.data, 2, axis=0))
-    dense = e.copy()
+    dense = dense_copy(e)
     assert dense.data.flags.writeable and np.array_equal(dense.data, e.data)
 
 
@@ -236,11 +240,22 @@ def test_bott_loop_constant_at_base(point_grid):
     loop = bott_loop(x, e, order=16)
     seg = loop.segments[0]
     rho_new = AlgElement.unit(point_grid, 2, 1).append_generator()
-    nodes = list(seg.quadrature(()))
+    nodes = list(arc_nodes(seg, ()))
     assert len(nodes) == seg.nodes.size
     for _, value, dvalue, _ in nodes:
         assert (AlgElement(seg.grid, seg.m, seg.k, value) - rho_new).norm_inf() < 1e-13
         assert np.max(np.abs(dvalue)) < 1e-13
+
+
+def test_segment_names_its_reads(point_grid):
+    # Segment answers neither read itself, and an arc answers ends() alone:
+    # pair_suspended integrates it in closed form, not node by node
+    with pytest.raises(NotImplementedError):
+        Segment().ends()
+    e = BasePoint.standard_rho(point_grid, 2, 1, sign=-1)
+    arc, = bott_loop(osu_validate(e.e, 1e-12), e, order=8).segments
+    with pytest.raises(NotImplementedError):
+        arc.quadrature(())
 
 
 def test_bott_loop_osu_samples_and_closure(qwz_osu):
@@ -524,7 +539,7 @@ def test_torsion_loop_nodes_match_materialized_arrays(point_grid, grid16):
         old = materialized_torsion_segments(x, e, y, order)
         for seg, ref in zip(loop.segments, old):
             assert np.array_equal(seg.nodes, ref.nodes)
-            nodes = list(zip(seg.quadrature(axes), ref.quadrature(axes)))
+            nodes = list(zip(arc_nodes(seg, axes), ref.quadrature(axes)))
             assert len(nodes) == order
             for (weight, value, dvalue, space), (w_ref, v_ref, d_ref, s_ref) in nodes:
                 assert weight == w_ref
@@ -532,7 +547,7 @@ def test_torsion_loop_nodes_match_materialized_arrays(point_grid, grid16):
                 assert len(space) == len(axes)
                 for got, w in zip([value, dvalue, *space], [v_ref, d_ref, *s_ref]):
                     assert np.max(np.abs(got - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
-        oracle = pair_suspended(cycle, LoopElement(old, 1e-10))
+        oracle = pair_suspended_by_nodes(cycle, LoopElement(old, 1e-10))
         got = pair_suspended(cycle, loop)
         assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
@@ -630,14 +645,14 @@ def test_bott_loop_nodes_match_materialized_oracle(point_grid, grid16, rng):
         seg, = loop.segments
         ref = materialized_bott_segment(x, e, order)
         assert np.array_equal(seg.nodes, ref.nodes)
-        nodes = list(zip(seg.quadrature(axes), ref.quadrature(axes)))
+        nodes = list(zip(arc_nodes(seg, axes), ref.quadrature(axes)))
         assert len(nodes) == order
         for (weight, value, dvalue, space), (w_ref, v_ref, d_ref, s_ref) in nodes:
             assert weight == w_ref
             assert len(space) == len(axes)
             for got, w in zip([value, dvalue, *space], [v_ref, d_ref, *s_ref]):
                 assert np.max(np.abs(got - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
-        oracle = pair_suspended(cycle, LoopElement([ref], 1e-10))
+        oracle = pair_suspended_by_nodes(cycle, LoopElement([ref], 1e-10))
         got = pair_suspended(cycle, loop)
         assert abs(oracle) > 0.1
         assert abs(got - oracle) <= 1e-12 * abs(oracle)
@@ -687,9 +702,13 @@ def test_exp_projection_loop_periodic(grid16):
 
 
 def test_flatten_with_clifford_factor(point_grid):
+    # flatten takes a symbol (k = 0) alone; the sign of an element with a
+    # Clifford factor is the hermitian calculus of its representation
     x = AlgElement(point_grid, 2, 1)
     x.data[1] = np.diag([2.0, -0.5])
-    s = flatten(x)
+    with pytest.raises(ValueError, match="k = 0, got k = 1"):
+        flatten(x)
+    s = hermitian_calculus(x, np.sign)
     expect = AlgElement(point_grid, 2, 1)
     expect.data[1] = np.diag([1.0, -1.0])
     assert (s - expect).norm_inf() < 1e-12

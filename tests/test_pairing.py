@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (chern_fhs, count_calls, ko2_generator, psi_e_inverse,
-                      random_element, random_hermitian_field,
+from conftest import (chern_fhs, count_calls, dense_copy, ko2_generator,
+                      psi_e_inverse, random_element, random_hermitian_field,
                       sigma_x_base_point, spin_y, unitary_exp)
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              _mul_data, _mul_parts, _parts, apply_derivation,
                              apply_real_structure, direct_sum, psi_e,
                              spectral_derivative_data)
-from dkpair.kclass import (BasePoint, _combine, bott_loop, flatten,
-                           make_osu_from_hamiltonian, osu_validate,
-                           torsion_loop)
+from dkpair.kclass import (BasePoint, ClosedSegment, LoopElement, _combine,
+                           bott_loop, flatten, make_osu_from_hamiltonian,
+                           osu_validate, torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_hoppings, qwz_symbol, spin_double,
                            symbol_from_hoppings, winding_unitary)
@@ -24,8 +24,8 @@ from dkpair import pairing
 from dkpair.pairing import (MODULUS_KANE_MELE_CH2, TorsionValue,
                             _check_basepoint, _on_real_ray, _top_phase,
                             alt_trace, ch0, ch1, ch2, chern_number,
-                            mu_prime, pair, pair_suspended,
-                            pimsner_constant, selection_rule, spin_chern,
+                            band_chern, mu_prime, pair, pair_suspended,
+                            pimsner_constant, selection_rule,
                             torsion_pairing_closed_form,
                             torsion_pairing_via_loop, winding_number)
 
@@ -167,7 +167,7 @@ def test_ch0_quaternionic_classes_even(point_grid, rng):
         a = (a + np.conj(a.T)) / 2
         field = AlgElement.from_matrix_field(point_grid, a)
         sym = (field + apply_real_structure(rs, field)).scale(0.5)
-        x = make_osu_from_hamiltonian(sym, gap_tol=1e-10)
+        x = make_osu_from_hamiltonian(sym)
         e = BasePoint.standard_rho(point_grid, 6, 1, sign=-1)
         val = pair(ch0(), x, e)
         n = round(val.real)
@@ -431,6 +431,16 @@ def test_suspended_pairing_constant_loop(point_grid):
     assert abs(val) < 1e-13
 
 
+def test_pair_suspended_takes_arc_loops_only(grid16):
+    # a loop's arcs are integrated in closed form; a loop of stored samples
+    # has none, and its node-by-node integral is the tests' oracle
+    values = np.zeros((2, 9, 16, 16, 2, 2), dtype=complex)
+    values[1] = np.eye(2)
+    loop = LoopElement([ClosedSegment(values, 0.0, 1.0, grid16, 2, 1)], 1e-10)
+    with pytest.raises(ValueError, match="ArcSegment"):
+        pair_suspended(ch2(), loop)
+
+
 def test_pimsner_identity_n0(point_grid, rng):
     m = 4
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -525,7 +535,7 @@ def test_kane_mele_cross_validation(grid16):
     assert via.distance(closed) < 1e-4
     # the class value is the spin Chern number over 2 pi, mod 1/pi
     h1 = qwz_symbol(grid16, 1.0)
-    sc = spin_chern(h1, gap_tol=1e-8)
+    sc = band_chern(flatten(h1))
     assert closed.distance(-sc / (2 * np.pi)) < 1e-4 or \
         closed.distance(sc / (2 * np.pi)) < 1e-4
     assert abs(sc - round(sc)) <= 1e-4
@@ -781,7 +791,7 @@ def test_torsion_routes_agree_and_are_gauge_invariant(window, where, b):
 @example(1e8)
 def test_spin_chern_scale_invariant(lam):
     h = qwz_symbol(TorusGrid((16, 16)), 1.0)
-    assert abs(spin_chern(h.scale(lam)) - spin_chern(h)) <= 1e-12
+    assert abs(band_chern(flatten(h.scale(lam))) - band_chern(flatten(h))) <= 1e-12
 
 
 def _torsion_loop_route(h):
@@ -833,15 +843,15 @@ def test_spin_chern_and_ch2_gauge_invariant(seed, model):
         grid, np.broadcast_to((v * np.exp(1j * w)) @ np.conj(v.T),
                               (*grid.sizes, h.m, h.m)))
     hg = g * h * g.star()
-    assert abs(spin_chern(hg) - spin_chern(h)) <= 1e-9
+    assert abs(band_chern(flatten(hg)) - band_chern(flatten(h))) <= 1e-9
     assert abs(_ch2_pairing(hg) - _ch2_pairing(h)) <= 1e-9
 
 
 def test_spin_chern_examples(grid16):
     const = AlgElement.from_matrix_field(
         grid16, np.broadcast_to(np.diag([1.0, -1.0]), (16, 16, 2, 2)).copy())
-    assert spin_chern(const) == 0.0
-    assert abs(abs(spin_chern(qwz_symbol(grid16, 1.0))) - 1) < 1e-4
+    assert band_chern(flatten(const)) == 0.0
+    assert abs(abs(band_chern(flatten(qwz_symbol(grid16, 1.0)))) - 1) < 1e-4
 
 
 def test_value_ray_may_pair_case(tgrid64):
@@ -887,7 +897,7 @@ def test_pair_rejects_live_base_point(tgrid64, grid16, qwz_osu):
     # so is a constant base point plus one small Fourier mode on either axis
     x, e = qwz_osu
     for shape in ((-1, 1), (1, -1)):
-        live = e.e.copy()
+        live = dense_copy(e.e)
         mode = np.exp(1j * grid16.coordinates(shape.index(-1))).reshape(shape)
         live.data[1] += 1e-6 * mode[..., None, None]
         with pytest.raises(ValueError, match="killed"):
@@ -923,7 +933,7 @@ def test_constant_basepoint_forms_no_derivative_and_no_bound(qwz_osu, monkeypatc
     assert derived == [] and bounds == []
     with pytest.raises(ValueError, match="axis 2 out of range for d=2"):
         _check_basepoint(CycleSpec((2,), 0.0), e.e)
-    infinite = e.e.copy()
+    infinite = dense_copy(e.e)
     infinite.data[1] = np.inf
     with pytest.raises(np.linalg.LinAlgError), np.errstate(invalid="ignore"):
         _check_basepoint(ch2(), infinite)
