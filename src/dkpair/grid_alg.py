@@ -140,17 +140,17 @@ class AlgElement:
 
     def __add__(self, other):
         self._check(other)
-        return AlgElement(self.grid, self.m, self.k, self.data + other.data)
+        return self._like(_distinct(self.data) + _distinct(other.data))
 
     def __sub__(self, other):
         self._check(other)
-        return AlgElement(self.grid, self.m, self.k, self.data - other.data)
+        return self._like(_distinct(self.data) - _distinct(other.data))
 
     def __neg__(self):
-        return AlgElement(self.grid, self.m, self.k, -self.data)
+        return self._like(-_distinct(self.data))
 
     def scale(self, c: complex) -> "AlgElement":
-        return AlgElement(self.grid, self.m, self.k, c * self.data)
+        return self._like(c * _distinct(self.data))
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
@@ -162,18 +162,24 @@ class AlgElement:
     def star(self) -> "AlgElement":
         return alg_star(self)
 
+    def _like(self, block: np.ndarray) -> "AlgElement":
+        """An element of self's shape from a block formed at its `_distinct`
+        points, `_spread` over the grid."""
+        return AlgElement(self.grid, self.m, self.k, _spread(block, self.data.shape))
+
     # -- structure queries ----------------------------------------------
     def grading(self) -> "AlgElement":
         """Image under the Z2-grading automorphism (odd components negated)."""
-        out = self.data.copy()
+        out = _distinct(self.data).copy()
         _negate(out, clifford.parity(self.k) == 1)
-        return AlgElement(self.grid, self.m, self.k, out)
+        return self._like(out)
 
     def homogeneous_part(self, parity: int) -> "AlgElement":
-        out = np.zeros_like(self.data)
+        data = _distinct(self.data)
+        out = np.zeros(data.shape, dtype=complex)
         for mask in np.flatnonzero(clifford.parity(self.k) == parity):
-            out[mask] = self.data[mask]
-        return AlgElement(self.grid, self.m, self.k, out)
+            out[mask] = data[mask]
+        return self._like(out)
 
     def _point_squares(self):
         """(live components, data with its `_distinct` points flattened to one
@@ -256,13 +262,15 @@ class AlgElement:
     # -- Clifford factor manipulation -----------------------------------
     def append_generator(self, on_new: bool = True, coeff: complex = 1.0) -> "AlgElement":
         """x -> x (x) rho_{k+1} (on_new=True) or x (x) 1 into the larger algebra."""
-        out = AlgElement(self.grid, self.m, self.k + 1)
+        data = _distinct(self.data)
+        out = np.zeros((2 * data.shape[0], *data.shape[1:]), dtype=complex)
         dim = 1 << self.k
         if on_new:
-            out.data[dim:] = coeff * self.data
+            out[dim:] = coeff * data
         else:
-            out.data[:dim] = coeff * self.data
-        return out
+            out[:dim] = coeff * data
+        return AlgElement(self.grid, self.m, self.k + 1,
+                          _spread(out, (2 * dim, *self.data.shape[1:])))
 
     def __repr__(self):
         return (f"AlgElement(d={self.grid.d}, sizes={self.grid.sizes}, "
@@ -294,10 +302,29 @@ def _distinct(data: np.ndarray) -> np.ndarray:
                                        for stride in data.strides[1:-2])]
 
 
+def _spread(block: np.ndarray, shape: tuple) -> np.ndarray:
+    """A block formed at `_distinct` points, back on the grid of `shape`:
+    the block itself when it has that shape, else a read-only broadcast
+    view, which holds one point per grid-constant axis."""
+    return block if block.shape == shape else np.broadcast_to(block, shape)
+
+
+def constant_view(x: AlgElement) -> AlgElement | None:
+    """x as a read-only broadcast view of its value at the grid origin, when
+    that value is finite and x equals it at every point; else None.  The
+    test is by value, one scan of x's `_distinct` points, so it also finds a
+    grid-constant x that is stored dense."""
+    origin = x.data[(slice(None),) + (slice(0, 1),) * x.grid.d]
+    if np.isfinite(origin).all() and (_distinct(x.data) == origin).all():
+        return x._like(origin.copy())  # a copy: the view does not hold x's grid
+    return None
+
+
 def _parts(data: np.ndarray) -> dict:
     """{mask: block} of the Clifford components of a component-first block
-    that are not identically zero."""
-    return {s: data[s] for s in range(data.shape[0]) if np.any(data[s])}
+    that are not identically zero, scanned at its `_distinct` points."""
+    scan = _distinct(data)
+    return {s: data[s] for s in range(data.shape[0]) if np.any(scan[s])}
 
 
 def _accumulate(acc: dict, mask: int, block: np.ndarray, negate: bool):
@@ -326,9 +353,9 @@ def _mul_parts(a: dict, b: dict, k: int, dense=None) -> dict:
 
 
 def _mul_data(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """Raw product of two component-first data blocks of the same trailing
-    shape: `_mul_parts` of their live components, formed in place in a
-    zeroed block."""
+    """Raw product of two component-first data blocks whose grid and matrix
+    axes broadcast: `_mul_parts` of their live components, formed in place
+    in a zeroed block of the broadcast shape."""
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     _mul_parts(_parts(a), _parts(b), k, out)
     return out
@@ -336,29 +363,34 @@ def _mul_data(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
 def alg_mul(x: AlgElement, y: AlgElement) -> AlgElement:
     x._check(y)
-    return AlgElement(x.grid, x.m, x.k, _mul_data(x.data, y.data, x.k))
+    return x._like(_mul_data(_distinct(x.data), _distinct(y.data), x.k))
 
 
 def alg_star(x: AlgElement) -> AlgElement:
     """Involutive antihomomorphism: conjugate-transpose the matrix fields and
     reverse the Clifford factors."""
-    out = np.conj(np.swapaxes(x.data, -1, -2))
+    out = np.conj(np.swapaxes(_distinct(x.data), -1, -2))
     _negate(out, reversion_signs(x.k) < 0)
-    return AlgElement(x.grid, x.m, x.k, out)
+    return x._like(out)
 
 
 def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
     """Apply the spectral derivation along grid axis `axis` to a component-first
-    data block (2^k, *grid.sizes, m, m).  Identically zero Clifford
+    data block (2^k, *grid.sizes, m, m), at its `_distinct` points.  Along
+    an axis of stride 0, on which the block is constant, it is a read-only
+    zero of stride 0 with no transform; identically zero Clifford
     components stay exact zeros without a transform."""
+    if data.strides[1 + axis] == 0:
+        return np.broadcast_to(np.zeros((), dtype=complex), data.shape)
     mult = grid.mode_multiplier(axis)
     shape = [1] * (data.ndim - 1)
     shape[axis] = mult.size
     mult = mult.reshape(shape)
-    out = np.zeros(data.shape, dtype=complex)
-    for s, block in _parts(data).items():
-        np.fft.ifft(np.fft.fft(block, axis=axis) * mult, axis=axis, out=out[s])
-    return out
+    block = _distinct(data)
+    out = np.zeros(block.shape, dtype=complex)
+    for s, part in _parts(block).items():
+        np.fft.ifft(np.fft.fft(part, axis=axis) * mult, axis=axis, out=out[s])
+    return _spread(out, data.shape)
 
 
 def _check_axis(axis: int, grid: TorusGrid):
@@ -426,13 +458,15 @@ def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
     if len(rs.clifford_signs) != x.k:
         raise ValueError(f"real structure carries {len(rs.clifford_signs)} "
                          f"generator signs, element has {x.k}")
-    # momentum flips n -> -n mod N, one index gather per axis; np.take keeps
-    # the C layout, which a multi-axis fancy index would not
-    out = x.data
-    for axis, (n, role) in enumerate(zip(x.grid.sizes, x.grid.axis_roles)):
+    # momentum flips n -> -n mod N at the distinct points, one index gather
+    # per axis; np.take keeps the C layout, which a multi-axis fancy index
+    # would not
+    out = data = _distinct(x.data)
+    for axis, role in enumerate(x.grid.axis_roles):
         if rs.momentum_flip and role == MOMENTUM:
+            n = data.shape[1 + axis]
             out = np.take(out, -np.arange(n) % n, axis=1 + axis)
-    out = np.conj(out) if out is x.data else np.conj(out, out=out)
+    out = np.conj(out) if out is data else np.conj(out, out=out)
     if rs.fiber == "h":
         block = rs.fiber_block or x.m
         if block % 2 or x.m % block:
@@ -440,7 +474,7 @@ def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
                              "dividing the matrix size")
         out = _quaternionic_swap(out, x.m // block, block // 2)
     _negate(out, generator_signs(tuple(rs.clifford_signs)) < 0)
-    return AlgElement(x.grid, x.m, x.k, out)
+    return x._like(out)
 
 
 def check_invariance(rs: RealStructureSpec, x: AlgElement) -> float:
@@ -478,9 +512,14 @@ def require_within(defect: AlgElement, tol: float, message):
 
 
 def _minus_unit(x: AlgElement) -> AlgElement:
-    """x - 1, the identity subtracted from x's scalar component in place."""
-    x.data[0] -= np.eye(x.m)
-    return x
+    """x - 1, the identity subtracted from x's scalar component at its
+    `_distinct` points: in place, unless x is a read-only view, whose points
+    are copied first."""
+    data = _distinct(x.data)
+    if not data.flags.writeable:
+        data = data.copy()
+    data[0] -= np.eye(x.m)
+    return x._like(data)
 
 
 # ---------------------------------------------------------------------------
@@ -523,10 +562,12 @@ def even_subgrid(x: AlgElement) -> AlgElement:
 def direct_sum(x: AlgElement, y: AlgElement) -> AlgElement:
     if (x.grid, x.k) != (y.grid, y.k):
         raise ValueError("direct sum needs matching grid and Clifford factor")
-    out = AlgElement(x.grid, x.m + y.m, x.k)
-    out.data[..., :x.m, :x.m] = x.data
-    out.data[..., x.m:, x.m:] = y.data
-    return out
+    a, b = _distinct(x.data), _distinct(y.data)
+    m = x.m + y.m
+    out = np.zeros((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), m, m), dtype=complex)
+    out[..., :x.m, :x.m] = a
+    out[..., x.m:, x.m:] = b
+    return AlgElement(x.grid, m, x.k, _spread(out, (*x.data.shape[:-2], m, m)))
 
 
 def block_matrix(blocks: list[list[AlgElement | None]]) -> AlgElement:

@@ -19,10 +19,11 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _minus_unit,
-                       _spectral_calculus, apply_derivation,
-                       apply_real_structure, even_subgrid, failing, named,
-                       require_within, spectral_derivative_data)
+from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _distinct,
+                       _minus_unit, _spectral_calculus, _spread,
+                       apply_derivation, apply_real_structure, constant_view,
+                       even_subgrid, failing, named, require_within,
+                       spectral_derivative_data)
 
 # the spectral gap at zero that flatten needs, relative to the scale |h|
 GAP_TOL = 1e-8
@@ -178,8 +179,9 @@ class LoopElement:
     tol: InitVar[float]
 
     def __post_init__(self, tol: float):
-        ends = [seg.ends() for seg in self.segments]
-        bad = failing(((f"segment{i}_end", AlgElement(self.grid, self.m, self.k, a[1] - b[0]))
+        ends = [[AlgElement(self.grid, self.m, self.k, end) for end in seg.ends()]
+                for seg in self.segments]
+        bad = failing(((f"segment{i}_end", a[1] - b[0])
                        for i, (a, b) in enumerate(zip(ends, ends[1:] + ends[:1]))), tol)
         if bad:
             raise ValueError(f"loop discontinuous: {named(bad)}")
@@ -259,11 +261,14 @@ def _corner(x: AlgElement):
 
 
 def _combine(weights, blocks) -> np.ndarray:
-    """sum_g weights[g] blocks[g], accumulated in place."""
-    out = weights[0] * blocks[0]
-    for w, b in zip(weights[1:], blocks[1:]):
-        out += w * b
-    return out
+    """sum_g weights[g] blocks[g] for blocks of one shape, accumulated in
+    place at their `_distinct` points and `_spread` over the grid: a
+    read-only view when every block is grid-constant."""
+    parts = [_distinct(b) for b in blocks]
+    out = np.zeros(np.broadcast_shapes(*(q.shape for q in parts)), dtype=complex)
+    for w, q in zip(weights, parts):
+        out += w * q
+    return _spread(out, blocks[0].shape)
 
 
 class ArcSegment(Segment):
@@ -386,18 +391,23 @@ def torsion_loop(x: AlgElement, e: BasePoint, y: AlgElement,
     real structure.  Consecutive corner elements anticommute exactly, so
     every sample is an OSU; the first half is invariant under rs extended
     by a fixed generator, the second half under rs extended by a negated one.
+
+    A grid-constant e or y, stored dense or not, is read as the broadcast
+    view of its one point (`constant_view`), and so are the corners formed
+    from it and 1 (x) rho: every check and product on them runs at that
+    point, and their space derivatives are zero without a transform.
     """
     tol = 1e-10
-    eb = e.e
-    x._check(eb)
+    x._check(e.e)
     x._check(y)
+    eb, y = (constant_view(z) or z for z in (e.e, y))
     bad = failing(_torsion_preconditions(x, eb, y, rs, derivations), tol)
     if bad:
         raise ValueError(f"torsion loop preconditions violated: {named(bad)}")
 
     corners = [
         eb.append_generator(on_new=False),
-        AlgElement.unit(x.grid, x.m, x.k).append_generator(),
+        BasePoint.standard_rho(x.grid, x.m, x.k + 1, sign=1).e,
         x.append_generator(on_new=False),
         y.append_generator(coeff=1j),
     ]

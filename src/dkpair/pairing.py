@@ -36,8 +36,8 @@ import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
 from .grid_alg import (AlgElement, _accumulate, _check_axis, _distinct,
-                       _mul_parts, _parts, apply_derivation, failing, named,
-                       require_within)
+                       _mul_parts, _parts, apply_derivation, constant_view,
+                       failing, named, require_within)
 from .kclass import ArcSegment, BasePoint, LoopElement, _combine
 
 @dataclass(frozen=True)
@@ -207,15 +207,14 @@ def _top_phase(k: int, n: int) -> complex:
 
 
 def _check_basepoint(cycle: CycleSpec, e: AlgElement, tol: float = 1e-10):
-    # D kills constants, so e less its value at the grid origin has the same
-    # derivatives.  That difference is zero exactly when the origin's value
-    # is finite and e equals it everywhere: a grid-constant e costs one scan
-    # and the axis checks, and forms no derivative
-    origin = e.data[(slice(None),) + (slice(0, 1),) * e.grid.d]
-    if np.isfinite(origin).all() and (e.data == origin).all():
+    # D kills constants: a grid-constant e (`constant_view`) costs one scan
+    # of its distinct points and the axis checks, and forms no derivative.
+    # Any other e has the derivatives of e less its value at the grid origin
+    if constant_view(e) is not None:
         for axis in cycle.derivations:
             _check_axis(axis, e.grid)
         return
+    origin = e.data[(slice(None),) + (slice(0, 1),) * e.grid.d]
     varying = AlgElement(e.grid, e.m, e.k, e.data - origin)
     for axis in cycle.derivations:
         require_within(apply_derivation(axis, varying), tol,
@@ -339,10 +338,14 @@ def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
     the base point, each space derivative (blocks dP_g) and d/ds (blocks
     (pi/2)((g+1) P_(g+1) - (d-g+1) P_(g-1))).  Their antisymmetrized product
     is summed per degree g and contracted against the moments
-    sum_j w_j c_j^(D-g) s_j^g (value_j - base), formed once per degree.
+    sum_j w_j c_j^(D-g) s_j^g (value_j - base), formed once per live degree:
+    a degree whose product has no live component forms none, so an arc
+    between grid-constant corners, whose space derivatives are zero,
+    contracts nothing.
     """
-    p, d = seg.blocks, len(seg.blocks) - 1
-    # d/ds blocks, terms outside 0..d dropped; its factor pi/2 is applied to the sum
+    p, d = [_distinct(b) for b in seg.blocks], len(seg.blocks) - 1
+    # d/ds blocks at the distinct points, terms outside 0..d dropped; its
+    # factor pi/2 is applied to the sum
     dds = ([p[1]] + [(g + 1) * p[g + 1] - (d - g + 1) * p[g - 1] for g in range(1, d)]
            + [-p[d - 1]])
     factors = ([tuple(_parts(dx(ax)) for dx in seg.space) for ax in axes]
@@ -352,9 +355,10 @@ def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
     powers = seg._powers(seg.nodes)
     total = 0.0 + 0.0j
     for g, right in enumerate(_alt(factors, k)):
+        if not right:
+            continue  # a dead degree: its moment block would contract nothing
         w = seg.weights * c ** (degree - g) * s ** g
-        z = _combine([w @ q for q in powers], p)
-        z -= w.sum() * base
+        z = _combine([w @ q for q in powers] + [-w.sum()], seg.blocks + [base])
         total += np.mean(_top_trace(z, right, k))
     return (np.pi / 2) * total
 
@@ -410,7 +414,7 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: AlgElement,
     # y's distinct points: once for z2's broadcast y
     defect = 0.5 * _distinct(y.data)
     defect[0] -= 0.5 * y0
-    require_within(AlgElement(y.grid, y.m, k, np.broadcast_to(defect, y.data.shape)), 1e-8,
+    require_within(y._like(defect), 1e-8,
                    lambda r: f"(1 - i y)/2 is not a grid-constant scalar "
                              f"projection (residual {r:.3e})")
     p0 = (np.eye(x.m) - 1j * y0) / 2

@@ -15,8 +15,8 @@ import numpy as np
 from . import pairing
 from .clifford import CliffordSignature, mu, parity
 from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _split_cl2,
-                       apply_real_structure, blade, direct_sum,
-                       gamma_element, j_functional, psi_e, trace)
+                       apply_real_structure, blade, constant_view,
+                       direct_sum, gamma_element, j_functional, psi_e, trace)
 from .kclass import BasePoint, bott_loop, make_osu_from_hamiltonian, \
     osu_validate, torsion_loop
 from .models import decoupled_tri_symbol, qwz_symbol, quaternionic_structure, \
@@ -187,12 +187,15 @@ def suite_torsion(report, *, grid_n):
     report.check("kane_mele_cross_validation", vl2.distance(cf2), 1e-6)
     report.check("kane_mele_order_two",
                  pairing.TorsionValue(2 * cf2.value, cf2.modulus).distance(0.0), 1e-6)
-    # doubled class pairs to zero
+    del loop2  # it holds x2 (x) 1 and its derivatives
+    # doubled class pairs to zero; its base point and symmetry are
+    # grid-constant views, as in z2
     xx = osu_validate(direct_sum(x2, x2), 1e-9)
     ee = BasePoint(direct_sum(e2.e, e2.e))
     ydbl = AlgElement(grid, 2 * h.m, 1)
     ydbl.data[0][..., :h.m, h.m:] = np.eye(h.m)
     ydbl.data[0][..., h.m:, :h.m] = -np.eye(h.m)
+    ydbl = constant_view(ydbl)
     cfd = pairing.torsion_pairing_closed_form(cyc, xx, ee, ydbl,
                                               pairing.MODULUS_KANE_MELE_CH2)
     report.check("doubled_class_trivial", cfd.distance(0.0), 1e-6)

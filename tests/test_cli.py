@@ -120,6 +120,16 @@ def test_cmd_pair_ch1_winding(tmp_path, capsys):
     assert abs(rep["values"]["pairing"]["im"] - 4 * np.pi) < 1e-9
 
 
+def test_cmd_pair_ch1_on_the_committed_winding_loop(capsys):
+    # the committed one-dimensional config, the one-band loop U(t) = e^{2 pi i t}
+    path = str(Path(__file__).parent / "data" / "winding_loop.json")
+    assert run_cli(["pair", "--cycle", "ch1", "--config", path]) == cli.EXIT_OK
+    rep = read_report(capsys)
+    assert rep["status"] == "ok" and rep["grids"] == {"time": 256}
+    assert rep["values"]["pairing"]["winding"] == 1
+    assert abs(rep["values"]["pairing"]["im"] - 2 * np.pi) < 1e-12
+
+
 def test_cmd_pair_ch1_rejects_nonunitary(tmp_path):
     cfg = {"dimension": 1, "matrix_size": 1,
            "hoppings": [{"offset": [1], "matrix": mat_json([[1]])},

@@ -13,11 +13,12 @@ from conftest import (constant_element, dense_copy, hermitian_calculus,
                       unitary_exp, unrepresent)
 from dkpair.clifford import CliffordSignature, generator_signs, mu
 from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, RealStructureSpec,
-                             TorusGrid, _negate, _quaternionic_swap,
-                             apply_derivation,
+                             TorusGrid, _minus_unit, _negate,
+                             _quaternionic_swap, apply_derivation,
                              apply_real_structure, blade, check_invariance,
-                             direct_sum, gamma_element, j_functional, psi_e,
-                             spectral_derivative_data, trace)
+                             constant_view, direct_sum, gamma_element,
+                             j_functional, psi_e, spectral_derivative_data,
+                             trace)
 
 
 def test_repr_names_the_grid_and_the_sizes(grid16):
@@ -438,6 +439,90 @@ def test_derivative_matches_whole_block_transform(grid16, rng):
         got = spectral_derivative_data(x.data, grid16, axis)
         assert np.array_equal(got[1], ref[1])
         assert not np.any(got[0]) and not np.any(got[3])
+
+
+def broadcast_element(grid, point: np.ndarray) -> AlgElement:
+    """The grid-constant element of a point block (2^k, m, m), as a read-only
+    broadcast view."""
+    lead, m = point.shape[0], point.shape[-1]
+    block = point.reshape(lead, *(1,) * grid.d, m, m)
+    return AlgElement(grid, m, lead.bit_length() - 1,
+                      np.broadcast_to(block, (lead, *grid.sizes, m, m)))
+
+
+def is_one_point_view(x: AlgElement) -> bool:
+    return not x.data.flags.writeable and not any(x.data.strides[1:-2])
+
+
+def test_derivative_of_a_constant_axis_takes_no_transform(grid16, rng, monkeypatch):
+    # along an axis of stride 0 the block is constant: its derivative is an
+    # exact, read-only zero of stride 0, formed with no transform; along an
+    # axis on which it varies, the transform runs at the distinct points and
+    # equals the dense block's derivative
+    x = broadcast_element(grid16, random_element(rng, TorusGrid(()), 2, 2).data)
+    column = np.broadcast_to(random_element(rng, TorusGrid((16,)), 2, 2).data[:, :, None],
+                             (4, 16, 16, 2, 2))
+    calls, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(a) or fft(*a, **kw))
+    for data, axis in ((x.data, 0), (x.data, 1), (column, 1)):
+        got = spectral_derivative_data(data, grid16, axis)
+        assert got.shape == data.shape and not got.flags.writeable
+        assert not any(got.strides) and not np.any(got)
+    assert calls == []
+    got = spectral_derivative_data(column, grid16, 0)
+    assert got.strides[2] == 0 and len(calls) == 4
+    assert np.array_equal(got, spectral_derivative_data(column.copy(), grid16, 0))
+
+
+def test_grid_constant_operands_give_one_point_views(grid16, rng):
+    # every operation on grid-constant operands runs at their one point and
+    # returns a read-only view of it, equal to the operation on dense
+    # copies; one dense operand makes a dense, writable result
+    rs = RealStructureSpec(fiber="h", momentum_flip=True, clifford_signs=(1, -1))
+    a, b = (broadcast_element(grid16, random_element(rng, TorusGrid(()), 2, 2).data)
+            for _ in range(2))
+    unary = [lambda u: -u, lambda u: u.scale(0.5 - 1j), lambda u: u.star(),
+             lambda u: u.grading(), lambda u: u.homogeneous_part(1),
+             lambda u: u.append_generator(),
+             lambda u: u.append_generator(on_new=False, coeff=1j),
+             lambda u: apply_real_structure(rs, u)]
+    for op in unary:
+        got = op(a)
+        assert is_one_point_view(got)
+        assert np.array_equal(got.data, op(dense_copy(a)).data)
+    dense = random_element(rng, grid16, 2, 2)
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, direct_sum):
+        got = op(a, b)
+        assert is_one_point_view(got)
+        assert np.array_equal(got.data, op(dense_copy(a), dense_copy(b)).data)
+        mixed = op(a, dense)
+        assert mixed.data.flags.writeable
+        assert np.array_equal(mixed.data, op(dense_copy(a), dense).data)
+
+
+def test_minus_unit_of_a_view_writes_nothing(grid16, rng):
+    # a read-only view is not written through: x - 1 is a new view
+    point = random_element(rng, TorusGrid(()), 2, 1).data
+    x = broadcast_element(grid16, point.copy())
+    got = _minus_unit(x)
+    assert is_one_point_view(got) and got is not x
+    assert np.array_equal(x.data[:, 0, 0], point)
+    assert np.array_equal(got.data[0, 3, 5], point[0] - np.eye(2))
+    assert np.array_equal(got.data[1, 3, 5], point[1])
+
+
+def test_constant_view_tests_by_value(grid16, rng):
+    # a dense grid-constant element reads as the view of a copy of its
+    # origin point, which holds none of its grid; one differing point, or a
+    # non-finite origin, reads as varying
+    x = dense_copy(broadcast_element(grid16, random_element(rng, TorusGrid(()), 2, 1).data))
+    view = constant_view(x)
+    assert is_one_point_view(view) and np.array_equal(view.data, x.data)
+    assert not np.shares_memory(view.data, x.data)
+    x.data[1, 15, 15, 0, 1] += 1e-9
+    assert constant_view(x) is None
+    x.data[...] = np.inf
+    assert constant_view(x) is None
 
 
 def test_quaternionic_fiber_matches_einsum(grid16, rng):

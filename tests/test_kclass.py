@@ -13,7 +13,8 @@ from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              failing)
 from dkpair.kclass import (ArcSegment, BasePoint, ClosedSegment, GapClosedError,
                            LoopElement, OsuValidationError, Segment, _corner,
-                           _gauss_rule, _half_symmetry, bott_loop, flatten,
+                           _gauss_rule, _half_symmetry, _torsion_preconditions,
+                           bott_loop, flatten,
                            flatten_refinement, make_osu_from_hamiltonian,
                            osu_validate, torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
@@ -324,6 +325,20 @@ def test_torsion_loop_precondition_failures(point_grid):
     askew.data[0] = np.diag([1j, 2j])
     with pytest.raises(ValueError):
         torsion_loop(x, e, askew, order=8)
+
+
+def test_y_unitary_precondition_on_a_view_writes_nothing(grid16):
+    # on a grid-constant y given as a read-only view, y y* - 1 is formed at
+    # its one point, as a view, and y is left as it was; the loop builds
+    x, e, y = kane_mele_torsion_datum(grid16)
+    block = y.data[:, :1, :1].copy()
+    view = AlgElement(grid16, y.m, y.k, np.broadcast_to(block, y.data.shape))
+    defects = dict(_torsion_preconditions(x, e.e, view, None, ()))
+    unitary = defects["y_unitary"].data
+    assert not unitary.flags.writeable and unitary.strides[1:3] == (0, 0)
+    assert not np.any(unitary)
+    assert np.array_equal(block[0, 0, 0], np.kron(np.diag([-1j, 1j]), np.eye(2)))
+    torsion_loop(x, e, view, rs=quaternionic_structure(k=1), derivations=(0, 1), order=8)
 
 
 def test_torsion_loop_half_symmetries(grid16):

@@ -662,8 +662,9 @@ def kane_mele_routes(grid, mass, order, g=None):
 
 def test_torsion_loop_route_derives_each_corner_once(grid16, monkeypatch):
     # a node's space derivative is built from its corners' derivatives, so
-    # the pairing transforms the four corners once per axis, plus the base
-    # point check; one transform per node and axis would make 2 * 4 * 16 + 2
+    # the pairing derives the four corners once per axis (the three
+    # grid-constant ones with no transform); one derivative per node and
+    # axis would make 2 * 4 * 16 + 2
     x, e, y = kane_mele_torsion_data(grid16, 1.0)
     cyc = ch2()
     loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
@@ -695,10 +696,16 @@ def test_torsion_loop_route_products_do_not_grow_with_order(grid16, monkeypatch)
 def test_loop_route_forms_one_moment_block_per_degree(route, grid16, qwz_osu,
                                                       monkeypatch):
     # the antisymmetrized product of an arc's derivative factors is summed
-    # per total degree, and each degree's moment block (the weight moments
-    # combined over the arc's coefficients, less the base point) is formed
-    # once; one per expansion term would make 18 per torsion arc and 135 on
-    # the Bott arc
+    # per total degree, and each live degree's moment block (the weight
+    # moments combined over the arc's coefficients, less the base point) is
+    # formed once; one per expansion term would make 18 per torsion arc and
+    # 135 on the Bott arc.  A degree at which the product has no live
+    # component forms none.  The torsion arcs 0 and 3 join grid-constant
+    # corners, whose space derivatives are zero, so none of their 4 degrees
+    # is live; arcs 1 and 2 are live in their space factors only at the
+    # degree 1 of x (x) 1, so at the total degrees 2 and 3 of 0..3.  On the
+    # Bott arc P_0 = 1 (x) rho is grid-constant, so its space factors are
+    # live at the degrees 1..4, and its total degree at 2..12 of 0..12
     cyc = ch2()
     if route == "torsion":
         x, e, y = kane_mele_torsion_data(grid16, 1.0)
@@ -708,9 +715,55 @@ def test_loop_route_forms_one_moment_block_per_degree(route, grid16, qwz_osu,
         loop = bott_loop(*qwz_osu, order=16)
     calls = count_calls(monkeypatch, _combine)
     pair_suspended(cyc, loop)
-    factors = cyc.n + 1
-    assert len(calls) == sum((len(arc.blocks) - 1) * factors + 1
-                             for arc in loop.segments)
+    assert len(calls) == {"torsion": 2 + 2, "bott": 11}[route]
+
+
+def test_torsion_arcs_between_constant_corners_contract_nothing(grid16, monkeypatch):
+    # arc 0 runs from e (x) 1 to 1 (x) rho and arc 3 from y (x) i rho back to
+    # e (x) 1: every space derivative on them is zero, so each is exactly 0j
+    # and forms no moment block
+    x, e, y = kane_mele_torsion_data(grid16, 1.0)
+    cyc = ch2()
+    loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                        derivations=cyc.derivations, order=16)
+    base = loop.segments[0].ends()[0]
+    calls = count_calls(monkeypatch, _combine)
+    for i in (0, 3):
+        got = pairing._arc_integral(loop.segments[i], base, cyc.derivations, loop.k)
+        assert got == 0j and calls == []
+
+
+def test_torsion_loop_route_transforms_only_the_varying_corner(monkeypatch):
+    # at the km-torsion benchmark's size, with y stored dense as it stores
+    # it: e (x) 1, 1 (x) rho and y (x) i rho are grid-constant, so the loop
+    # and its pairing transform x (x) 1 alone, one transform per live
+    # Clifford component and derivation axis
+    grid = TorusGrid((32, 32))
+    x, e, y = kane_mele_torsion_data(grid, 1.0)
+    cyc = ch2()
+    live = len(_parts(x.append_generator(on_new=False).data))
+    calls, fft = [], np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(a) or fft(*a, **kw))
+    loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                        derivations=cyc.derivations, order=32)
+    torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
+    assert live == 1 and len(calls) == live * len(cyc.derivations)
+
+
+def test_dense_and_broadcast_y_give_identical_loop_pairings(grid16):
+    # a dense grid-constant y is read as the view of its one point, as a
+    # broadcast y is: the loops hold y (x) i rho as that view, and pair alike
+    x, e, y = kane_mele_torsion_data(grid16, 1.0)
+    view = AlgElement(grid16, y.m, y.k, np.broadcast_to(y.data[:, :1, :1], y.data.shape))
+    cyc = ch2()
+    values = []
+    for z in (y, view):
+        loop = torsion_loop(x, e, z, rs=quaternionic_structure(k=1),
+                            derivations=cyc.derivations, order=16)
+        corner = loop.segments[3].blocks[0]
+        assert not corner.flags.writeable and corner.strides[1:3] == (0, 0)
+        values.append(pair_suspended(cyc, loop))
+    assert values[0] == values[1]
 
 
 def test_bott_loop_route_products_do_not_grow_with_order(qwz_osu, monkeypatch):
