@@ -12,7 +12,7 @@ residual contract.  On each drive segment the periodized evolution is an
 entire function of time, held as a `FrameSegment` in the eigenframes of the
 segment and of H_eff rather than as node arrays: its ends come from the
 frame formula, `degree_t3` integrates it one Gauss-Legendre node at a time
-through `Segment.quadrature`, and its uniform nodes are built only when a
+through its `quadrature`, and its uniform nodes are built only when a
 caller exports them.  A node evaluates its frame once, V and dV/ds from one
 stacked product pair.  The degree's integrand at a node is two batched
 products: V* times the stacked [V | dV/ds | d_1 V | d_2 V], which also gives
@@ -31,10 +31,10 @@ from functools import cached_property
 import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, _minus_unit,
-                       _spectral_calculus, apply_real_structure, failing, named,
-                       require_within, spectral_derivative_data)
-from .kclass import (ClosedSegment, GapClosedError, LoopElement, Segment,
-                     _gauss_rule, _simpson_rule)
+                       _spectral_calculus, apply_real_structure, require,
+                       spectral_derivative_data)
+from .kclass import (ClosedSegment, GapClosedError, LoopElement, _gauss_rule,
+                     _simpson_rule)
 from .models import quaternionic_structure
 from .pairing import TorsionValue, chern_number
 
@@ -69,9 +69,9 @@ class FloquetDrive:
             if h.k != 0:
                 raise ValueError("drive Hamiltonians are plain matrix fields")
         # eigh reads one triangle, so the comparison with h* stays
-        for (_, h), (w, _) in zip(self.segments, self._eigh):
-            require_within(h - h.star(), 1e-12 * float(np.abs(w).max()),
-                           lambda r: f"drive segment not hermitian (residual {r:.3e})")
+        for j, ((_, h), (w, _)) in enumerate(zip(self.segments, self._eigh)):
+            require([(f"segment{j}", h - h.star())], 1e-12 * float(np.abs(w).max()),
+                    "drive segment not hermitian")
 
     @cached_property
     def grid(self):
@@ -200,8 +200,7 @@ def evolve(drive: FloquetDrive) -> AlgElement:
     for tau, (w, v) in zip(drive.durations, drive._eigh):
         u = np.matmul(_spectral_calculus(v, np.exp(-1j * tau * w)), u)
     out = AlgElement.from_matrix_field(drive.grid, u)
-    require_within(_minus_unit(out * out.star()), 1e-11,
-                   lambda r: f"evolution lost unitarity (residual {r:.3e})")
+    require([("unitary", _minus_unit(out * out.star()))], 1e-11, "evolution lost unitarity")
     return out
 
 
@@ -226,9 +225,8 @@ def unitary_eig(u: AlgElement):
     vecs = np.linalg.eigh(k + np.conj(np.swapaxes(k, -1, -2)))[1]
     uv = np.matmul(flat, vecs)
     lam = np.diagonal(np.conj(np.swapaxes(vecs, -1, -2)) @ uv, axis1=-2, axis2=-1)
-    worst = float(np.max(np.abs(uv - vecs * lam[:, None, :])))
-    if worst > 1e-10:
-        raise ValueError(f"unitary eigensolve residual {worst:.3e} exceeds 1e-10")
+    require([("eigenvector", float(np.max(np.abs(uv - vecs * lam[:, None, :]))))], 1e-10,
+            "unitary eigensolve residual exceeds 1e-10")
     return np.angle(lam).reshape(u.data[0].shape[:-1]), vecs.reshape(u.data[0].shape)
 
 
@@ -261,8 +259,8 @@ def effective_hamiltonian(drive: FloquetDrive, eps: float) -> AlgElement:
     """(i/T) log_eps U(T): hermitian, with exp(-i T H) = U(T)."""
     w, v = _effective_spectrum(drive, eps)
     out = AlgElement.from_matrix_field(drive.grid, _spectral_calculus(v, w))
-    require_within(out - out.star(), 1e-10 * float(np.abs(w).max()),
-                   lambda r: f"effective Hamiltonian not hermitian (residual {r:.3e})")
+    require([("hermitian", out - out.star())], 1e-10 * float(np.abs(w).max()),
+            "effective Hamiltonian not hermitian")
     return out
 
 
@@ -314,7 +312,7 @@ def _split_at_half(period: float, pieces):
         t += tau
 
 
-class _AnalyticSegment(Segment):
+class _AnalyticSegment:
     """A loop segment with a closed formula for V at any local s
     (`values_at`) and for the pair (V, dV/ds) (`at`); an array of s gives a
     leading node axis.  Its `quadrature` is its own `order`-node
@@ -454,9 +452,7 @@ def _cubic_trace(v: np.ndarray, dv: np.ndarray, space: list) -> np.ndarray:
     Tr Y_1 A_2 - Tr Y_2 A_1 as sums of elementwise products."""
     m = v.shape[-1]
     p = np.matmul(np.conj(np.swapaxes(v, -1, -2)), np.concatenate([v, dv, *space], axis=-1))
-    ures = np.max(np.abs(p[..., :m] - np.eye(m)))
-    if ures > 1e-9:
-        raise ValueError(f"loop not unitary (residual {ures:.3e})")
+    require([("unitary", np.max(np.abs(p[..., :m] - np.eye(m))))], 1e-9, "loop not unitary")
     y = np.matmul(p[..., m:2 * m], p[..., 2 * m:])
     return (np.einsum("...ij,...ji->...", y[..., :m], p[..., 3 * m:])
             - np.einsum("...ij,...ji->...", y[..., m:], p[..., 2 * m:3 * m]))
@@ -467,8 +463,9 @@ def degree_t3(loop: LoopElement) -> float:
     loop over a two-dimensional momentum grid, unrounded.  The loop must be
     unitary within 1e-9 at every node, and the degree real within DEGREE_TOL.
 
-    Every segment is integrated through `Segment.quadrature`, one node of its
-    own rule at a time: Gauss nodes on a frame, stored nodes otherwise.
+    Every segment is integrated through its `quadrature` (the `kclass`
+    segment protocol), one node of its own rule at a time: Gauss nodes on a
+    frame, stored nodes otherwise.
     Cyclicity of the full matrix trace folds the six signed triple products
     of the integrand into 3 Tr A_s [A_1, A_2] (`_cubic_trace`), a k = 0
     contraction whose factors share their left factor V*."""
@@ -479,8 +476,7 @@ def degree_t3(loop: LoopElement) -> float:
         for weight, v, dv, space in seg.quadrature((0, 1)):
             total += weight * 3 * np.mean(_cubic_trace(v, dv, space))
     deg = complex(total) / 6.0
-    if abs(deg.imag) > DEGREE_TOL:
-        raise ValueError(f"degree has imaginary part {deg.imag:.3e}")
+    require([("imag", abs(deg.imag))], DEGREE_TOL, "degree not real")
     return float(deg.real)
 
 
@@ -488,7 +484,7 @@ def degree_t3(loop: LoopElement) -> float:
 # the Z2 invariant of an arc projection
 # ---------------------------------------------------------------------------
 
-def _first_half(v_loop: LoopElement) -> list[Segment]:
+def _first_half(v_loop: LoopElement) -> list:
     """The segments of a periodized evolution up to t = 1/2."""
     half = [seg for seg in v_loop.segments if seg.t1 <= 0.5 + 1e-12]
     if not half or abs(half[-1].t1 - 0.5) > 1e-12:
@@ -555,19 +551,15 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     if np.shape(samples)[1:] != (*grid.sizes, m, m):
         raise ValueError(f"contraction samples have shape {np.shape(samples)}, the "
                          f"loop needs (nt, {', '.join(map(str, (*grid.sizes, m, m)))})")
-    res0 = float(np.max(np.abs(samples[0] - v_half_end)))
-    res1 = float(np.max(np.abs(samples[-1] - np.eye(m))))
-    if res0 > boundary_tol or res1 > boundary_tol:
-        raise ValueError(f"contraction boundary conditions violated: "
-                         f"V(1/2) residual {res0:.3e}, V(1) residual {res1:.3e}")
+    require([("V(1/2)", float(np.max(np.abs(samples[0] - v_half_end)))),
+             ("V(1)", float(np.max(np.abs(samples[-1] - np.eye(m)))))],
+            boundary_tol, "contraction boundary conditions violated")
     seg = ClosedSegment(np.asarray(samples, dtype=complex)[None], 0.5, 1.0, grid, m, 0)
     # a node's element is a view of the samples
     nodes = ((j, AlgElement(grid, m, 0, seg.values[:, j]))
              for j in range(0, seg.weights.size, max(1, seg.weights.size // 8)))
-    bad = failing(((f"node{j}", apply_real_structure(rs, x) - x) for j, x in nodes),
-                  boundary_tol)
-    if bad:
-        raise ValueError(f"contraction symmetry residuals: {named(bad)}")
+    require(((f"node{j}", apply_real_structure(rs, x) - x) for j, x in nodes),
+            boundary_tol, "contraction symmetry residuals")
     return LoopElement(half + [seg], boundary_tol)
 
 
@@ -581,9 +573,8 @@ class ArcInvariant:
     def __init__(self, drive: FloquetDrive, z0: complex, z1: complex,
                  rs: RealStructureSpec):
         self.time_reversal = drive.time_reversal_residual(rs)
-        if self.time_reversal > 1e-9:
-            raise ValueError(f"drive is not time-reversal invariant "
-                             f"(residual {self.time_reversal:.3e})")
+        require([("time_reversal", self.time_reversal)], 1e-9,
+                "drive is not time-reversal invariant")
         self.drive, self.z0, self.z1, self.rs = drive, z0, z1, rs
         self.branches = branch_pair(z0, z1, drive.period)
 

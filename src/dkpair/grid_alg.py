@@ -483,32 +483,30 @@ def check_invariance(rs: RealStructureSpec, x: AlgElement) -> float:
 
 
 def failing(defects, tol: float) -> dict:
-    """{name: exact norm_inf} of the (name, defect) pairs, drawn one at a
-    time, whose defect is not within tol.  A passing defect settles on
-    `within`'s bound and takes no SVD; the exact norm is taken only for a
-    failing one.  Each defect is dropped before the next one is drawn, so a
-    generator of defects holds one at a time."""
+    """{name: residual} of the (name, defect) pairs, drawn one at a time,
+    whose residual is not <= tol, so a NaN fails.  A defect is a float
+    residual, or an AlgElement whose residual is its exact norm_inf: a
+    passing one settles on `within`'s bound and takes no SVD, and the exact
+    norm is taken only for a failing one.  Each defect is dropped before the
+    next one is drawn, so a generator of defects holds one at a time."""
     bad = {}
     for name, defect in defects:
-        residual = defect._bound_or_norm(tol)
+        residual = defect._bound_or_norm(tol) if isinstance(defect, AlgElement) else defect
         if not residual <= tol:
             bad[name] = residual
         del defect
     return bad
 
 
-def named(residuals: dict) -> str:
-    """The residuals `failing` returns, as 'name=residual, ...'."""
-    return ", ".join(f"{name}={r:.3e}" for name, r in residuals.items())
-
-
-def require_within(defect: AlgElement, tol: float, message):
-    """Raise ValueError(message(residual)) unless defect is within tol: the
-    one-defect case of `failing`.  The caller holds no reference to the
-    defect, so it is freed on return."""
-    bad = failing([("defect", defect)], tol)
+def require(defects, tol: float, what: str, error=ValueError):
+    """Raise error('what: name=residual, ...'), its `.residuals` the
+    {name: residual} that `failing` returns, unless that is empty: the one
+    raise of every numerical contract."""
+    bad = failing(defects, tol)
     if bad:
-        raise ValueError(message(bad["defect"]))
+        err = error(f"{what}: " + ", ".join(f"{name}={r:.3e}" for name, r in bad.items()))
+        err.residuals = bad
+        raise err
 
 
 def _minus_unit(x: AlgElement) -> AlgElement:
@@ -633,9 +631,7 @@ def psi_e(x: AlgElement, e: AlgElement) -> AlgElement:
 def _validate_osi(e: AlgElement):
     """Odd within 1e-10 and self-inverse within 1e-10; the second check also
     rejects the zero element and any even element too small for the first."""
-    bad = failing(_osi_defects(e), 1e-10)
-    if bad:
-        raise ValueError(f"bad base element: {named(bad)}")
+    require(_osi_defects(e), 1e-10, "bad base element")
 
 
 def _osi_defects(e: AlgElement):

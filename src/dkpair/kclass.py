@@ -2,14 +2,17 @@
 and the explicit loops used by the suspension and torsion pairings.
 
 Loops are lists of segments, because the constructed loops are only
-piecewise smooth on the circle.  Every segment answers `ends()`, its values
-at s = 0 and s = 1.  The Bott and torsion loops are `ArcSegment`s,
-homogeneous polynomials in (cos, sin)(pi s/2) that `pairing.pair_suspended`
-integrates in closed form from their coefficients.  The Floquet loops
-answer `quadrature(axes)` as well, one node of their own rule at a time with
-the value, d/ds and space derivatives there, which `floquet.degree_t3`
-reads: frames evaluate theirs from eigenframes (`floquet.FrameSegment`), and
-only `ClosedSegment`, a loop piece given as samples, stores node arrays.
+piecewise smooth on the circle.  A segment is one piece of a loop over
+[t0, t1] of the period, parametrized by local s in [0, 1], with values in
+M_m(A) (x) Cl_k on `grid`: it sets t0, t1, grid, m and k, and answers
+`ends()`, its data blocks at s = 0 and s = 1.  The Bott and torsion loops
+are `ArcSegment`s, homogeneous polynomials in (cos, sin)(pi s/2) that
+`pairing.pair_suspended` integrates in closed form from their coefficients.
+The Floquet loops answer `quadrature(axes)` as well: (weight, value, d/ds,
+[d_axis value for axis in axes]) as data blocks at each node of their own
+rule, one node at a time, which `floquet.degree_t3` reads.  Frames evaluate
+theirs from eigenframes (`floquet.FrameSegment`), and only `ClosedSegment`,
+a loop piece given as samples, stores node arrays.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _distinct,
+from .grid_alg import (AlgElement, RealStructureSpec, _distinct,
                        _minus_unit, _spectral_calculus, _spread,
                        apply_derivation, apply_real_structure, constant_view,
-                       even_subgrid, failing, named, require_within,
-                       spectral_derivative_data)
+                       even_subgrid, require, spectral_derivative_data)
 
 # the spectral gap at zero that flatten needs, relative to the scale |h|
 GAP_TOL = 1e-8
@@ -36,9 +38,7 @@ class GapClosedError(ValueError):
 
 
 class OsuValidationError(ValueError):
-    def __init__(self, message, residuals):
-        super().__init__(message)
-        self.residuals = residuals  # {name: exact norm_inf} of the failing defects
+    """A failed OSU check, raised by `require` with its `.residuals`."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ def _osu_defects(x: AlgElement, where: str):
 
 def osu_validate(x: AlgElement, tol: float = 1e-10) -> AlgElement:
     """x itself, once it is an odd self-adjoint unitary within tol."""
-    bad = failing(_osu_defects(x, ""), tol)
-    if bad:
-        raise OsuValidationError(f"not an OSU within {tol:g}: {named(bad)}", bad)
+    require(_osu_defects(x, ""), tol, f"not an OSU within {tol:g}", OsuValidationError)
     return x
 
 
@@ -91,9 +89,8 @@ def flatten(h: AlgElement) -> AlgElement:
     if not np.isfinite(scale):
         raise np.linalg.LinAlgError("flatten of a non-finite element")
     try:
-        require_within(h - h.star(), 1e-10 * scale,
-                       lambda r: f"flatten needs a self-adjoint input (residual "
-                                 f"{r:.2e} at scale {scale:.2e})")
+        require([("self_adjoint", h - h.star())], 1e-10 * scale,
+                f"flatten needs a self-adjoint input at scale {scale:.2e}")
     except np.linalg.LinAlgError:
         # a NaN entry can leave eigh's eigenvalues finite and its vectors NaN
         raise np.linalg.LinAlgError("flatten of a non-finite element") from None
@@ -145,46 +142,21 @@ def make_osu_from_hamiltonian(h: AlgElement) -> AlgElement:
 # loops
 # ---------------------------------------------------------------------------
 
-class Segment:
-    """One piece of a loop over [t0, t1] of the period, parametrized by local
-    s in [0, 1], with values in M_m(A) (x) Cl_k on `grid`.  A subclass sets
-    t0, t1, grid, m and k and answers `ends`; a segment that
-    `floquet.degree_t3` integrates also answers `quadrature`."""
-
-    t0: float
-    t1: float
-    grid: TorusGrid
-    m: int
-    k: int
-
-    def quadrature(self, axes):
-        """(weight, value, d/ds, [d_axis value for axis in axes]) at each node
-        of the segment's own rule, one node at a time, as data blocks of
-        shape (2^k, *grid.sizes, m, m).  An arc has none: it is integrated
-        in closed form (`pairing.pair_suspended`)."""
-        raise NotImplementedError
-
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The data blocks at s = 0 and s = 1."""
-        raise NotImplementedError
-
-
 @dataclass
 class LoopElement:
     """Piecewise-smooth OSU- or unitary-valued closed loop over one period,
     built only if each segment ends within tol of where the next, cyclically,
-    starts (`Segment.ends`)."""
+    starts (each segment's `ends()`)."""
 
-    segments: list[Segment]
+    segments: list
     tol: InitVar[float]
 
     def __post_init__(self, tol: float):
         ends = [[AlgElement(self.grid, self.m, self.k, end) for end in seg.ends()]
                 for seg in self.segments]
-        bad = failing(((f"segment{i}_end", a[1] - b[0])
-                       for i, (a, b) in enumerate(zip(ends, ends[1:] + ends[:1]))), tol)
-        if bad:
-            raise ValueError(f"loop discontinuous: {named(bad)}")
+        require(((f"segment{i}_end", a[1] - b[0])
+                 for i, (a, b) in enumerate(zip(ends, ends[1:] + ends[:1]))),
+                tol, "loop discontinuous")
 
     @property
     def grid(self):
@@ -222,7 +194,7 @@ def _simpson_rule(nnodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-class ClosedSegment(Segment):
+class ClosedSegment:
     """Values (2^k, M, *grid.sizes, m, m) stored on closed nodes j/(M-1),
     M odd and >= 7, with Simpson weights: d/ds at a node is its 4th-order
     finite difference (one-sided at the edges), formed when the node is read."""
@@ -271,7 +243,7 @@ def _combine(weights, blocks) -> np.ndarray:
     return _spread(out, blocks[0].shape)
 
 
-class ArcSegment(Segment):
+class ArcSegment:
     """Arc s -> sum_g cos^(d-g) sin^g (pi s/2) P_g of degree d in (cos, sin)
     from `_corner` coefficients, with an `order`-node Gauss-Legendre rule
     whose moments `pairing.pair_suspended` contracts in closed form; `at`
@@ -333,9 +305,8 @@ def bott_loop(x: AlgElement, e: BasePoint, order: int = 64) -> LoopElement:
     for factor in ([unit, -er], [rho], [unit, er], [unit, -xr]):
         coeffs = _poly_product(coeffs, factor)
     loop = LoopElement([ArcSegment(0.0, 1.0, order, [_corner(p) for p in coeffs])], 1e-10)
-    bad = failing(_sample_defects(loop.segments, 4), 1e-10)
-    if bad:
-        raise OsuValidationError(f"loop samples fail the OSU check: {named(bad)}", bad)
+    require(_sample_defects(loop.segments, 4), 1e-10, "loop samples fail the OSU check",
+            OsuValidationError)
     return loop
 
 
@@ -353,9 +324,8 @@ def _torsion_preconditions(x, e, y, rs, derivations):
     for axis in derivations:
         yield f"dy_axis{axis}", apply_derivation(axis, y)
         yield f"de_axis{axis}", apply_derivation(axis, e)
-    if rs is not None:
-        for name, z in (("y", y), ("x", x), ("e", e)):
-            yield f"{name}_invariant", apply_real_structure(rs, z) - z
+    for name, z in (("y", y), ("x", x), ("e", e)):
+        yield f"{name}_invariant", apply_real_structure(rs, z) - z
 
 
 def _half_symmetry(corners: list[AlgElement], segments: list[ArcSegment],
@@ -382,8 +352,7 @@ def _half_symmetry(corners: list[AlgElement], segments: list[ArcSegment],
 
 
 def torsion_loop(x: AlgElement, e: BasePoint, y: AlgElement,
-                 rs: RealStructureSpec | None = None,
-                 derivations=(), order: int = 64) -> LoopElement:
+                 rs: RealStructureSpec, derivations=(), order: int = 64) -> LoopElement:
     """Four-segment loop through e(x)1, 1(x)rho, x(x)1, y(x)i*rho.
 
     y must be even, anti-self-adjoint, unitary, commute with x and e, be
@@ -401,9 +370,8 @@ def torsion_loop(x: AlgElement, e: BasePoint, y: AlgElement,
     x._check(e.e)
     x._check(y)
     eb, y = (constant_view(z) or z for z in (e.e, y))
-    bad = failing(_torsion_preconditions(x, eb, y, rs, derivations), tol)
-    if bad:
-        raise ValueError(f"torsion loop preconditions violated: {named(bad)}")
+    require(_torsion_preconditions(x, eb, y, rs, derivations), tol,
+            "torsion loop preconditions violated")
 
     corners = [
         eb.append_generator(on_new=False),
@@ -411,16 +379,13 @@ def torsion_loop(x: AlgElement, e: BasePoint, y: AlgElement,
         x.append_generator(on_new=False),
         y.append_generator(coeff=1j),
     ]
-    bad = failing(((f"corners{i}{(i + 1) % 4}", a * b + b * a)
-                   for i, (a, b) in enumerate(zip(corners, corners[1:] + corners[:1]))), tol)
-    if bad:
-        raise ValueError(f"corner elements fail to anticommute: {named(bad)}")
+    require(((f"corners{i}{(i + 1) % 4}", a * b + b * a)
+             for i, (a, b) in enumerate(zip(corners, corners[1:] + corners[:1]))),
+            tol, "corner elements fail to anticommute")
 
     ends = [_corner(c) for c in corners]
     segments = [ArcSegment(i / 4, (i + 1) / 4, order, [ends[i], ends[(i + 1) % 4]])
                 for i in range(4)]
     loop = LoopElement(segments, tol)
-    bad = {} if rs is None else failing(_half_symmetry(corners, segments, rs), tol)
-    if bad:
-        raise ValueError(f"torsion loop half-symmetry residuals: {named(bad)}")
+    require(_half_symmetry(corners, segments, rs), tol, "torsion loop half-symmetry residuals")
     return loop

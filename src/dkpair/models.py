@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 
-from .grid_alg import AlgElement, RealStructureSpec, TorusGrid
+from .grid_alg import AlgElement, RealStructureSpec, TorusGrid, require
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -51,9 +51,7 @@ def symbol_from_hoppings(grid: TorusGrid, hoppings: dict[tuple[int, ...], np.nda
         if neg not in seen:
             raise ValueError(f"hopping {offset} has no hermitian partner {neg}")
         dev = float(np.max(np.abs(seen[neg] - np.conj(seen[offset].T))))
-        if dev > 1e-12:
-            raise ValueError(f"hoppings at {offset}/{neg} violate hermiticity "
-                             f"by {dev:.3e}")
+        require([("deviation", dev)], 1e-12, f"hoppings at {offset}/{neg} violate hermiticity")
         if dev > 0:
             warnings.warn(f"symmetrizing hoppings at {offset}/{neg} "
                           f"(deviation {dev:.1e})")

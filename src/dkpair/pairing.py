@@ -37,7 +37,7 @@ import numpy as np
 from .clifford import CliffordSignature, mu, sign_table
 from .grid_alg import (AlgElement, _accumulate, _check_axis, _distinct,
                        _mul_parts, _parts, apply_derivation, constant_view,
-                       failing, named, require_within)
+                       require)
 from .kclass import ArcSegment, BasePoint, LoopElement, _combine
 
 @dataclass(frozen=True)
@@ -99,8 +99,8 @@ class TorsionValue:
         """scale*value rounded to an integer mod 2 (scale*modulus = 2); it
         must lie within 1e-3 of that integer."""
         v = self.value * scale
-        if abs(v - round(v)) > 1e-3:
-            raise ValueError(f"value {v} is not within 0.001 of an integer")
+        require([("distance", abs(v - round(v)))], 1e-3,
+                f"value {v} is not within 0.001 of an integer")
         return int(round(v)) % 2
 
 
@@ -216,10 +216,8 @@ def _check_basepoint(cycle: CycleSpec, e: AlgElement, tol: float = 1e-10):
         return
     origin = e.data[(slice(None),) + (slice(0, 1),) * e.grid.d]
     varying = AlgElement(e.grid, e.m, e.k, e.data - origin)
-    for axis in cycle.derivations:
-        require_within(apply_derivation(axis, varying), tol,
-                       lambda r: f"base point not killed by derivation on axis "
-                                 f"{axis}: {r:.3e}")
+    require(((f"axis{axis}", apply_derivation(axis, varying)) for axis in cycle.derivations),
+            tol, "base point not killed by its derivations")
 
 
 def pair(cycle: CycleSpec, x: AlgElement,
@@ -256,8 +254,7 @@ def winding_number(u: AlgElement) -> complex:
     if u.k != 0 or u.grid.d != 1:
         raise ValueError("expects a plain matrix loop over one circle")
     unit = AlgElement.unit(u.grid, u.m, 0)
-    require_within(u * u.star() - unit, 1e-10,
-                   lambda r: f"input not unitary (residual {r:.3e})")
+    require([("unitary", u * u.star() - unit)], 1e-10, "input not unitary")
     du = apply_derivation(0, u)
     tr = alt_trace((u.star() - unit).data, [du.data], 0)
     return complex(np.mean(tr)) * u.grid.period(0)
@@ -278,14 +275,11 @@ def chern_number(p: AlgElement) -> float:
     +1 (this is minus the plaquette Berry-flux convention).  The projection
     defects and the imaginary part must stay within 1e-8.
     """
-    bad = failing(_projection_defects(p), 1e-8)
-    if bad:
-        raise ValueError(f"input not a projection field: {named(bad)}")
+    require(_projection_defects(p), 1e-8, "input not a projection field")
     d1 = apply_derivation(0, p)
     d2 = apply_derivation(1, p)
     val = 2j * np.pi * np.mean(alt_trace(p.data, [d1.data, d2.data], 0))
-    if abs(val.imag) > 1e-8:
-        raise ValueError(f"Chern integrand not real (imag {val.imag:.3e})")
+    require([("imag", abs(val.imag))], 1e-8, "Chern integrand not real")
     return float(val.real)
 
 
@@ -370,8 +364,8 @@ def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
 def _on_real_ray(value: complex, modulus: float) -> TorsionValue:
     """The class of a pairing value that the selection rules put on the real
     axis; its imaginary part must stay within 1e-6 max(1, |value|)."""
-    if abs(value.imag) > 1e-6 * max(1.0, abs(value)):
-        raise ValueError(f"torsion value off the real ray: {value}")
+    require([("imag", abs(value.imag))], 1e-6 * max(1.0, abs(value)),
+            f"torsion value {value} off the real ray")
     return TorsionValue(float(value.real), modulus)
 
 
@@ -414,13 +408,11 @@ def torsion_pairing_closed_form(cycle: CycleSpec, x: AlgElement,
     # y's distinct points: once for z2's broadcast y
     defect = 0.5 * _distinct(y.data)
     defect[0] -= 0.5 * y0
-    require_within(y._like(defect), 1e-8,
-                   lambda r: f"(1 - i y)/2 is not a grid-constant scalar "
-                             f"projection (residual {r:.3e})")
+    require([("constant", y._like(defect))], 1e-8,
+            "(1 - i y)/2 is not a grid-constant scalar projection")
     p0 = (np.eye(x.m) - 1j * y0) / 2
-    residual = np.linalg.norm(p0 @ p0 - p0, 2)
-    if residual > 1e-8:
-        raise ValueError(f"(1 - i y)/2 is not a projection (residual {residual:.3e})")
+    require([("idempotent", np.linalg.norm(p0 @ p0 - p0, 2))], 1e-8,
+            "(1 - i y)/2 is not a projection")
     w, vecs = np.linalg.eigh(p0)
     v = vecs[:, w > 0.5]
     raw = pair(cycle, _compress(x, v), _compress(eb, v))

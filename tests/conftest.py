@@ -9,7 +9,7 @@ from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _parts,
                              _represent_blocks, _spectral_calculus,
                              _validate_osi, apply_real_structure,
                              spectral_derivative_data, trace)
-from dkpair.kclass import (ArcSegment, BasePoint, LoopElement, Segment,
+from dkpair.kclass import (ArcSegment, BasePoint, LoopElement,
                            _combine, _sample_defects, osu_validate)
 from dkpair.models import qwz_hoppings, qwz_symbol
 from dkpair.pairing import _top_phase, alt_trace
@@ -163,6 +163,12 @@ def chern_fhs(p: AlgElement) -> float:
     return total / (2 * np.pi)
 
 
+def named_residuals(message):
+    """{name: formatted residual} from an error message ending in
+    'name=residual, ...'."""
+    return dict(item.split("=") for item in message.split(": ", 1)[1].split(", "))
+
+
 def count_calls(monkeypatch, fn):
     """Wrap every binding of fn in the loaded dkpair modules; returns the
     list of first arguments the calls receive."""
@@ -197,7 +203,7 @@ def sample_osu_residual(loop: LoopElement, stride: int) -> float:
     return worst
 
 
-class StoredSegment(Segment):
+class StoredSegment:
     """The reference storage that tests compare against: values and d/ds
     (2^k, nnodes, *grid.sizes, m, m) held at the nodes of a rule with its
     weights, and the blocks at s = 0 and s = 1, by default the first and last
@@ -219,7 +225,7 @@ class StoredSegment(Segment):
         return self.end_blocks
 
 
-def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> Segment:
+def uniform_periodic_segment(values: np.ndarray, grid, m, k) -> StoredSegment:
     """Single smooth 1-periodic segment sampled at j/M, spectral s-derivative:
     s = 1 is node 0 again, so both its ends are its first node."""
     nnodes = values.shape[1]

@@ -889,7 +889,7 @@ def test_floquet_checks_time_reversal_before_any_gap(tmp_path, capsys):
     with pytest.raises(ValueError) as err:
         floquet.ArcInvariant(plain, complex(np.exp(-0.4j)), complex(np.exp(3j)),
                              models.quaternionic_structure(k=0))
-    assert str(err.value) == "drive is not time-reversal invariant (residual 2.000e-01)"
+    assert str(err.value) == "drive is not time-reversal invariant: time_reversal=2.000e-01"
 
 
 def test_cmd_floquet_reports_branch_degrees(tmp_path, capsys):

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (constant_element, dense_copy, hermitian_calculus,
-                      npoints, psi_e_inverse, random_element,
-                      random_hermitian_field, random_matrix_field,
-                      real_structure_from_signature, represent, scalar_trace,
-                      unitary_exp, unrepresent)
+                      ko2_generator, named_residuals, npoints, psi_e_inverse,
+                      random_element, random_hermitian_field,
+                      random_matrix_field, real_structure_from_signature,
+                      represent, scalar_trace, unitary_exp, unrepresent)
+from dkpair import floquet, kclass, models, pairing
 from dkpair.clifford import CliffordSignature, generator_signs, mu
 from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, RealStructureSpec,
                              TorusGrid, _minus_unit, _negate,
@@ -287,6 +288,61 @@ def test_psi_e_rejects_bad_base(point_grid):
     for tiny in (zero, AlgElement.unit(point_grid, m, 2).scale(1e-12)):
         with pytest.raises(ValueError, match="self-inverse"):
             psi_e(x, tiny)
+
+
+def _constant_field(grid, mat):
+    """The plain matrix field equal to mat at every point of grid."""
+    mat = np.asarray(mat, dtype=complex)
+    return AlgElement.from_matrix_field(grid, np.broadcast_to(mat, (*grid.sizes, *mat.shape)))
+
+
+def _failing_contracts():
+    """{case: (a call that fails one numerical contract, the class it raises)},
+    at least one per module that checks contracts."""
+    grid, tgrid = TorusGrid((4, 4)), TorusGrid((8,), ("time",))
+    x, e, y = ko2_generator(TorusGrid(()))
+    drive = floquet.FloquetDrive(1.0, ((1.0, _constant_field(grid, np.diag([0.3, -0.2]))),))
+    doubled = floquet.FloquetDrive(1.0, tuple(
+        (0.5, models.spin_double(_constant_field(grid, energy * np.eye(2))))
+        for energy in (0.3, 0.5)))
+    return {
+        "psi_e": (lambda: psi_e(AlgElement.unit(x.grid, 2, 3), AlgElement.unit(x.grid, 2, 1)),
+                  ValueError),
+        "osu_validate": (lambda: kclass.osu_validate(x.scale(0.5)), kclass.OsuValidationError),
+        "flatten": (lambda: kclass.flatten(_constant_field(grid, [[1, 1], [0, -1]])),
+                    ValueError),
+        "winding_number": (lambda: pairing.winding_number(models.winding_unitary(tgrid, 1)
+                                                          .scale(2.0)), ValueError),
+        "chern_number": (lambda: pairing.chern_number(_constant_field(grid, 0.5 * np.eye(2))),
+                         ValueError),
+        "torsion_closed_form": (lambda: pairing.torsion_pairing_closed_form(
+            pairing.ch0(), x, e, y.scale(0.5), 2.0), ValueError),
+        "z2_class": (lambda: pairing.TorsionValue(0.25, 2.0).z2_class(1.0), ValueError),
+        "cubic_trace": (lambda: floquet._cubic_trace(2.0 * np.eye(2), np.zeros((2, 2)),
+                                                     [np.zeros((2, 2))] * 2), ValueError),
+        "drive_hermitian": (lambda: floquet.FloquetDrive(
+            1.0, ((1.0, _constant_field(grid, [[1, 1], [0, -1]])),)), ValueError),
+        "contraction_boundary": (lambda: floquet.contraction_loop_from_samples(
+            floquet.periodized_evolution(drive, 0.0, 16), np.zeros((9, 4, 4, 2, 2)),
+            models.quaternionic_structure(k=0)), ValueError),
+        "time_reversal": (lambda: floquet.ArcInvariant(
+            doubled, 1.0 + 0j, -1.0 + 0j, models.quaternionic_structure(k=0)), ValueError),
+        "hoppings": (lambda: models.symbol_from_hoppings(
+            TorusGrid((4,)), {(1,): [[1.0]], (-1,): [[2.0]]}, 1), ValueError),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_failing_contracts()))
+def test_every_contract_fails_in_one_form(case):
+    # a failed contract raises its class with the message 'what: name=residual,
+    # ...', and its .residuals are the residuals that message names
+    call, error = _failing_contracts()[case]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    residuals = err.value.residuals
+    assert residuals
+    assert named_residuals(str(err.value)) == {n: f"{r:.3e}" for n, r in residuals.items()}
 
 
 def test_direct_sum_block_structure(grid16, rng):

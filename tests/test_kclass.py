@@ -5,14 +5,15 @@ import pytest
 
 from conftest import (StoredSegment, arc_nodes, count_calls, dense_copy,
                       exp_projection_loop, hermitian_calculus, ko2_generator,
-                      pair_suspended_by_nodes, random_hermitian_field,
-                      sample_osu_residual, shifted_qwz_hoppings, spin_y)
+                      named_residuals, pair_suspended_by_nodes,
+                      random_hermitian_field, sample_osu_residual,
+                      shifted_qwz_hoppings, spin_y)
 from dkpair import kclass
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              apply_real_structure, direct_sum, even_subgrid,
                              failing)
 from dkpair.kclass import (ArcSegment, BasePoint, ClosedSegment, GapClosedError,
-                           LoopElement, OsuValidationError, Segment, _corner,
+                           LoopElement, OsuValidationError, _corner,
                            _gauss_rule, _half_symmetry, _torsion_preconditions,
                            bott_loop, flatten,
                            flatten_refinement, make_osu_from_hamiltonian,
@@ -175,12 +176,6 @@ def test_standard_rho_is_a_read_only_view_of_one_point():
     assert dense.data.flags.writeable and np.array_equal(dense.data, e.data)
 
 
-def named_residuals(message):
-    """{name: formatted residual} from an error message ending in
-    'name=residual, ...'."""
-    return dict(item.split("=") for item in message.split(": ", 1)[1].split(", "))
-
-
 def test_checks_name_every_failing_defect_and_skip_passing_svds(point_grid, monkeypatch):
     # every SVD taken is the exact norm of a failing defect, taken once (one
     # SVD on one grid point): a passing one, though nonzero, settles on the
@@ -212,7 +207,7 @@ def test_checks_name_every_failing_defect_and_skip_passing_svds(point_grid, monk
     assert len(peaks) == len(osu_bad) and set(peaks) <= set(osu_bad.values())
     peaks.clear()
     with pytest.raises(ValueError) as err:
-        torsion_loop(xo, e, y, order=8)
+        torsion_loop(xo, e, y, rs=RealStructureSpec(fiber="c", clifford_signs=(-1,)), order=8)
     assert named_residuals(str(err.value)) \
         == {n: f"{r:.3e}" for n, r in torsion_bad.items()}
     assert len(peaks) == len(torsion_bad) and set(peaks) <= set(torsion_bad.values())
@@ -249,14 +244,11 @@ def test_bott_loop_constant_at_base(point_grid):
 
 
 def test_segment_names_its_reads(point_grid):
-    # Segment answers neither read itself, and an arc answers ends() alone:
-    # pair_suspended integrates it in closed form, not node by node
-    with pytest.raises(NotImplementedError):
-        Segment().ends()
+    # an arc answers ends() alone: pair_suspended integrates it in closed
+    # form, not node by node, so it has no quadrature
     e = BasePoint.standard_rho(point_grid, 2, 1, sign=-1)
     arc, = bott_loop(osu_validate(e.e, 1e-12), e, order=8).segments
-    with pytest.raises(NotImplementedError):
-        arc.quadrature(())
+    assert not hasattr(arc, "quadrature")
 
 
 def test_bott_loop_osu_samples_and_closure(qwz_osu):
@@ -318,13 +310,14 @@ def test_torsion_loop_corner_products(point_grid):
 
 def test_torsion_loop_precondition_failures(point_grid):
     x, e, y = ko2_generator(point_grid)
+    rs = RealStructureSpec(fiber="c", clifford_signs=(-1,))
     bad_y = y.scale(0.5)
     with pytest.raises(ValueError, match="unitary"):
-        torsion_loop(x, e, bad_y, order=8)
+        torsion_loop(x, e, bad_y, rs=rs, order=8)
     askew = AlgElement(point_grid, 2, 1)
     askew.data[0] = np.diag([1j, 2j])
     with pytest.raises(ValueError):
-        torsion_loop(x, e, askew, order=8)
+        torsion_loop(x, e, askew, rs=rs, order=8)
 
 
 def test_y_unitary_precondition_on_a_view_writes_nothing(grid16):
@@ -333,7 +326,7 @@ def test_y_unitary_precondition_on_a_view_writes_nothing(grid16):
     x, e, y = kane_mele_torsion_datum(grid16)
     block = y.data[:, :1, :1].copy()
     view = AlgElement(grid16, y.m, y.k, np.broadcast_to(block, y.data.shape))
-    defects = dict(_torsion_preconditions(x, e.e, view, None, ()))
+    defects = dict(_torsion_preconditions(x, e.e, view, quaternionic_structure(k=1), ()))
     unitary = defects["y_unitary"].data
     assert not unitary.flags.writeable and unitary.strides[1:3] == (0, 0)
     assert not np.any(unitary)
@@ -463,7 +456,9 @@ def test_loop_with_a_gap_is_rejected_when_built(grid16, second, gap):
 def test_arc_ends_are_its_first_and_last_block(qwz_osu, grid16):
     # at(0) is P_0 exactly; at(1) adds cos(pi/2) = 6e-17 times P_(d-1)
     x, e = qwz_osu
-    loops = [bott_loop(x, e, order=8), torsion_loop(*kane_mele_torsion_datum(grid16), order=8)]
+    loops = [bott_loop(x, e, order=8),
+             torsion_loop(*kane_mele_torsion_datum(grid16), rs=quaternionic_structure(k=1),
+                          order=8)]
     for seg in [seg for loop in loops for seg in loop.segments]:
         start, end = seg.ends()
         assert start is seg.blocks[0] and end is seg.blocks[-1]
