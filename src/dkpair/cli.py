@@ -65,6 +65,23 @@ def _number(value, kind, where):
     return kind(out)
 
 
+def _tolerance(args) -> float:
+    """--tol, a finite number >= 0, or a ConfigError naming it."""
+    tol = _number(args.tol, float, "--tol")
+    if tol < 0:
+        raise ConfigError(f"--tol: expected a number >= 0, got {tol!r}")
+    return tol
+
+
+def _flag_grid(flag: str, n: int, role: str, d: int) -> TorusGrid:
+    """d axes of n samples in role, or a ConfigError naming the flag that
+    set n: TorusGrid's own rule judges the size."""
+    try:
+        return TorusGrid((n,) * d, (role,) * d)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 class ModelConfig:
     """Validated model description.
 
@@ -129,7 +146,8 @@ class ModelConfig:
 
     # -- builders -----------------------------------------------------
     def grid(self, n: int) -> TorusGrid:
-        return TorusGrid((n,) * self.dimension)
+        """The momentum grid of --grid n."""
+        return _flag_grid("--grid", n, "momentum", self.dimension)
 
     def block_symbol(self, grid: TorusGrid) -> AlgElement:
         try:
@@ -258,6 +276,7 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
     # ch1 reads a time circle, ch0 and ch2 the momentum grid
     grids = {"time": args.tgrid} if args.cycle == "ch1" else {"momentum": args.grid}
     report = Report("pair", cfg.digest(), grids)
+    tol = _tolerance(args)
     cycle_name = args.cycle
     if cycle_name == "ch0":
         grid = cfg.grid(args.grid) if cfg.dimension else TorusGrid(())
@@ -268,11 +287,11 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
         report.value("pairing", val)
         rank = round(val.real)
         report.value("rank", float(rank), rounded=rank)
-        report.check("integer", abs(val.real - rank), args.tol)
+        report.check("integer", abs(val.real - rank), tol)
     elif cycle_name == "ch1":
         if cfg.dimension != 1:
             raise ConfigError("ch1 needs a one-dimensional model")
-        grid = TorusGrid((args.tgrid,), ("time",))
+        grid = _flag_grid("--tgrid", args.tgrid, "time", 1)
         u = models.unitary_loop_from_modes(grid, cfg.hoppings, cfg.matrix_size)
         try:
             w = pairing.winding_number(u)
@@ -280,18 +299,18 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
             raise ConfigError(f"loop modes do not define a unitary: {exc}")
         n = round((w / (2j * np.pi)).real)
         report.value("pairing", w, winding=n)
-        report.check("integer", abs(w / (2j * np.pi) - n), args.tol)
+        report.check("integer", abs(w / (2j * np.pi) - n), tol)
     elif cycle_name == "ch2":
         if cfg.dimension != 2:
             raise ConfigError("ch2 needs a two-dimensional model")
         flats = flatten_refinement(_refined_symbol(cfg, args.grid, cfg.symbol))
-        ch = _quantized(report, "chern", *map(pairing.band_chern, flats), args.tol)
+        ch = _quantized(report, "chern", *map(pairing.band_chern, flats), tol)
         x = osu_validate(flats[0].append_generator())
         e = BasePoint.standard_rho(x.grid, x.m, 1, sign=-1)
         val = pairing.pair(pairing.ch2(), x, e)
         report.value("pairing", val, two_pi_times=2 * np.pi * val.real)
-        report.check("ray", abs(val.imag), args.tol)
-        report.check("chern_consistency", abs(2 * np.pi * val.real - ch), args.tol)
+        report.check("ray", abs(val.imag), tol)
+        report.check("chern_consistency", abs(2 * np.pi * val.real - ch), tol)
     else:
         raise ConfigError(f"unknown cycle {cycle_name!r} (use ch0|ch1|ch2)")
     return _finish(report, args.report)
@@ -305,6 +324,7 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
                           "(no rashba terms); supply a contraction through "
                           "the floquet command otherwise")
     report = Report("z2", cfg.digest(), {"momentum": args.grid})
+    tol = _tolerance(args)
     rs = models.quaternionic_structure(k=0)
     spins = []
     torsions = []
@@ -335,7 +355,7 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
         torsions.append(pairing.torsion_pairing_closed_form(
             pairing.ch2(), x, e, y, pairing.MODULUS_KANE_MELE_CH2))
         del x, e, y
-    sc = _quantized(report, "spin_chern", spins[0], spins[1], args.tol)
+    sc = _quantized(report, "spin_chern", spins[0], spins[1], tol)
     report.value("torsion_pairing", torsions[0].reduced,
                  modulus=torsions[0].modulus)
     report.check("torsion_refinement", torsions[0].distance(torsions[1]), 1e-6)
@@ -351,12 +371,12 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
     if args.strategy == "user_supplied" and not args.contraction:
         raise ConfigError("user_supplied strategy needs --contraction")
     report = Report("floquet", cfg.digest(), {"momentum": args.grid})
+    tol = _tolerance(args)
+    z0, z1 = (complex(np.exp(1j * _number(phase, float, flag)))
+              for phase, flag in ((args.arc0, "--arc0"), (args.arc1, "--arc1")))
     grid = cfg.grid(args.grid)
     drive = cfg.drive_object(grid)
-    z0 = complex(np.exp(1j * args.arc0))
-    z1 = complex(np.exp(1j * args.arc1))
-    rs = models.quaternionic_structure(k=0)
-    inv = fl.ArcInvariant(drive, z0, z1, rs)
+    inv = fl.ArcInvariant(drive, z0, z1)
     # the decoupled route reads the spin block alone; the contraction files
     # are full size, so the degree route reads the doubled drive
     route = inv.block if args.strategy == "decoupled" else inv
@@ -373,16 +393,16 @@ def cmd_floquet(cfg: ModelConfig, args) -> int:
             report.check(f"degree_branch{b}_integer", abs(deg - n), fl.DEGREE_TOL)
     else:
         kval, spin_chern = inv.decoupled()
-    report.value("k_invariant", kval.reduced, modulus=kval.modulus)
+    report.value("k_invariant", float(kval), modulus=2.0)
     # the drive's arc has twice the block's rank and the block's margin
     report.value("rank", float(route.arc.rank * drive.m // route.drive.m))
     report.value("gap_margin", float(route.arc.gap_margin))
     if args.strategy == "decoupled":
         del inv, route, drive  # the n grid's arrays, before the 2n grid's
         kfine, fine = fl.ArcInvariant(cfg.drive_object(cfg.grid(2 * args.grid)),
-                                      z0, z1, rs).decoupled()
-        _quantized(report, "spin_chern", spin_chern, fine, args.tol)
-        report.check("k_refinement_stable", kval.distance(kfine), 0.0)
+                                      z0, z1).decoupled()
+        _quantized(report, "spin_chern", spin_chern, fine, tol)
+        report.check("k_refinement_stable", (kval - kfine) % 2, 0.0)
     else:
         report.value("k_refinement", 0.0,
                      note="fixed user-supplied contraction grid")
@@ -404,9 +424,10 @@ def _read_contraction(path: str, shape: tuple) -> np.ndarray:
 
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
-    # each suite with the sample counts it reads: (keyword, grids key, size)
-    momentum = ("grid_n", "momentum", args.grid)
-    time_ = ("t_n", "time", args.tgrid)
+    # each suite with the sample counts it reads: (keyword, grids key and
+    # axis role, flag, size)
+    momentum = ("grid_n", "momentum", "--grid", args.grid)
+    time_ = ("t_n", "time", "--tgrid", args.tgrid)
     suites = {
         "clifford": (verify_mod.suite_clifford, ()),
         "selection-rules": (verify_mod.suite_selection_rules, (momentum, time_)),
@@ -418,8 +439,10 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"unknown suite {args.suite!r}; "
                           f"choose from {sorted(suites)}")
     suite, sizes = suites[args.suite]
-    report = Report(f"verify:{args.suite}", None, {key: n for _, key, n in sizes})
-    suite(report, **{kw: n for kw, _, n in sizes})
+    for _, role, flag, n in sizes:
+        _flag_grid(flag, n, role, 1)
+    report = Report(f"verify:{args.suite}", None, {key: n for _, key, _, n in sizes})
+    suite(report, **{kw: n for kw, _, _, n in sizes})
     return _finish(report, args.report)
 
 

@@ -30,13 +30,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid_alg import (AlgElement, RealStructureSpec, _minus_unit,
+from .grid_alg import (AlgElement, _at_minus_k, _minus_unit,
                        _spectral_calculus, apply_real_structure, require,
                        spectral_derivative_data)
 from .kclass import (ClosedSegment, GapClosedError, LoopElement, _gauss_rule,
                      _simpson_rule)
-from .models import quaternionic_structure
-from .pairing import TorsionValue, chern_number
+from .models import _partner_diag, quaternionic_structure
+from .pairing import chern_number
 
 DEFAULT_T_SAMPLES = 256
 # smallest distance of an eigenphase of U(T) to a branch cut or arc endpoint
@@ -44,6 +44,9 @@ _PHASE_GAP = 1e-9
 # bound on the imaginary part of a T^3 degree, and on a branch degree's
 # distance to an integer in the floquet report
 DEGREE_TOL = 1e-3
+# the real structure of every drive: odd time reversal, Ad_{sigma_y x 1}
+# conj at -k
+_TIME_REVERSAL = quaternionic_structure(k=0)
 
 
 @dataclass(frozen=True)
@@ -95,26 +98,9 @@ class FloquetDrive:
         """(phases, vectors) of U(T), shared by every function of the drive."""
         return unitary_eig(evolve(self))
 
-    def time_reversal_residual(self, rs: RealStructureSpec) -> float:
-        """The residual of R(H(t)) = H(-t) under rs (`check_time_reversal`)."""
-        return check_time_reversal(self, rs)
-
-
-def _at_minus_k(arr: np.ndarray, grid, fiber: int) -> np.ndarray:
-    """arr (..., *grid.sizes, <fiber axes>) read at -k: n -> -n mod N on each
-    grid axis, one index gather per axis."""
-    for axis, n in enumerate(grid.sizes):
-        arr = np.take(arr, -np.arange(n) % n, axis=axis - grid.d - fiber)
-    return arr
-
-
-def _partner_diag(upper: np.ndarray, lower: np.ndarray, grid) -> np.ndarray:
-    """diag(upper, conj lower(-k)) of two (..., *grid.sizes, m, m) arrays."""
-    m = upper.shape[-1]
-    out = np.zeros((*upper.shape[:-2], 2 * m, 2 * m), dtype=complex)
-    out[..., :m, :m] = upper
-    out[..., m:, m:] = np.conj(_at_minus_k(lower, grid, 2))
-    return out
+    def time_reversal_residual(self) -> float:
+        """The residual of R(H(t)) = H(-t) (`check_time_reversal`)."""
+        return check_time_reversal(self)
 
 
 def _doubled_eig(upper, lower, grid):
@@ -178,18 +164,19 @@ class SpinDoubledDrive(FloquetDrive):
     def _spectrum(self):
         return _doubled_eig(self.block._spectrum, self.block._spectrum, self.grid)
 
-    def time_reversal_residual(self, rs: RealStructureSpec) -> float:
-        """0.0 under the quaternionic structure, by construction."""
-        return 0.0 if rs == quaternionic_structure(k=0) else check_time_reversal(self, rs)
+    def time_reversal_residual(self) -> float:
+        """0.0, by construction."""
+        return 0.0
 
 
-def check_time_reversal(drive: FloquetDrive, rs: RealStructureSpec) -> float:
-    """Residual of the segment-mirroring property R(H(t)) = H(-t): durations
-    palindromic within 1e-12 max(1, T), R(H_j) equal to the reversed segment."""
+def check_time_reversal(drive: FloquetDrive) -> float:
+    """Residual of the segment-mirroring property R(H(t)) = H(-t) under odd
+    time reversal R: durations palindromic within 1e-12 max(1, T), R(H_j)
+    equal to the reversed segment."""
     taus, hs = drive.durations, [h for _, h in drive.segments]
     if any(abs(a - b) > 1e-12 * max(1.0, drive.period) for a, b in zip(taus, taus[::-1])):
         raise ValueError("drive durations are not palindromic")
-    return max((apply_real_structure(rs, h) - h_rev).norm_inf()
+    return max((apply_real_structure(_TIME_REVERSAL, h) - h_rev).norm_inf()
                for h, h_rev in zip(hs, hs[::-1]))
 
 
@@ -241,8 +228,7 @@ def _branch_phases(phases: np.ndarray, cut: float) -> np.ndarray:
     shifted = np.mod(phases - cut, 2 * np.pi)
     margin = float(min(shifted.min(), (2 * np.pi - shifted).min()))
     if margin < _PHASE_GAP:
-        raise GapClosedError(f"eigenphase within {margin:.3e} of the branch cut",
-                             smallest=margin)
+        raise GapClosedError(f"eigenphase within {margin:.3e} of the branch cut")
     return cut + shifted
 
 
@@ -282,8 +268,7 @@ def arc_projection(drive: FloquetDrive, z0: complex, z1: complex) -> ArcProjecti
     margin = float(min(rel.min(), (2 * np.pi - rel).min(),
                        np.abs(rel - width).min()))
     if margin < _PHASE_GAP:
-        raise GapClosedError(f"eigenphase within {margin:.3e} of an arc endpoint",
-                             smallest=margin)
+        raise GapClosedError(f"eigenphase within {margin:.3e} of an arc endpoint")
     inside = rel < width
     ranks = inside.sum(axis=-1)
     if ranks.min() != ranks.max():
@@ -536,8 +521,7 @@ def decoupled_contraction(v_loop: LoopElement) -> LoopElement:
     return LoopElement(half + [_MirroredFrame(seg) for seg in reversed(half)], 1e-8)
 
 
-def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
-                                  rs: RealStructureSpec) -> LoopElement:
+def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray) -> LoopElement:
     """Assemble V-hat from the first half of a periodized evolution and a
     caller-supplied contraction sampled uniformly on [1/2, 1].
 
@@ -558,7 +542,7 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
     # a node's element is a view of the samples
     nodes = ((j, AlgElement(grid, m, 0, seg.values[:, j]))
              for j in range(0, seg.weights.size, max(1, seg.weights.size // 8)))
-    require(((f"node{j}", apply_real_structure(rs, x) - x) for j, x in nodes),
+    require(((f"node{j}", apply_real_structure(_TIME_REVERSAL, x) - x) for j, x in nodes),
             boundary_tol, "contraction symmetry residuals")
     return LoopElement(half + [seg], boundary_tol)
 
@@ -566,16 +550,15 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray,
 class ArcInvariant:
     """The Z2 invariant of the arc projection from z0 to z1 of a drive, and
     the drive-level checks behind it, each built once.  Construction keeps
-    the drive's time-reversal residual under rs and raises beyond 1e-9.  The
+    the drive's time-reversal residual and raises beyond 1e-9.  The
     two routes are `decoupled`, on a spin-doubled drive's block (`block`),
     and `degrees`."""
 
-    def __init__(self, drive: FloquetDrive, z0: complex, z1: complex,
-                 rs: RealStructureSpec):
-        self.time_reversal = drive.time_reversal_residual(rs)
+    def __init__(self, drive: FloquetDrive, z0: complex, z1: complex):
+        self.time_reversal = drive.time_reversal_residual()
         require([("time_reversal", self.time_reversal)], 1e-9,
                 "drive is not time-reversal invariant")
-        self.drive, self.z0, self.z1, self.rs = drive, z0, z1, rs
+        self.drive, self.z0, self.z1 = drive, z0, z1
         self.branches = branch_pair(z0, z1, drive.period)
 
     @cached_property
@@ -589,8 +572,8 @@ class ArcInvariant:
         if not isinstance(self.drive, SpinDoubledDrive):
             raise ValueError("decoupled route needs a spin-doubled drive (SpinDoubledDrive)")
         block = object.__new__(ArcInvariant)
-        block.time_reversal, block.z0, block.z1, block.rs, block.branches = (
-            self.time_reversal, self.z0, self.z1, self.rs, self.branches)
+        block.time_reversal, block.z0, block.z1, block.branches = (
+            self.time_reversal, self.z0, self.z1, self.branches)
         block.drive = self.drive.block
         return block
 
@@ -609,30 +592,28 @@ class ArcInvariant:
         return ((h1 - h0).scale(-1j * self.drive.period)
                 - self.arc.projection.scale(2j * np.pi)).norm_inf()
 
-    def decoupled(self) -> tuple[TorsionValue, float]:
+    def decoupled(self) -> tuple[int, float]:
         """(invariant, spin Chern number) of a spin-doubled drive: the parity
-        of the rounded Chern number of its block's arc projection, and that
-        Chern number unrounded."""
+        0 or 1 of the rounded Chern number of its block's arc projection, and
+        that Chern number unrounded."""
         ch = chern_number(self.block.arc.projection)
-        return TorsionValue(round(ch) % 2, 2.0), ch
+        return round(ch) % 2, ch
 
-    def degrees(self, contractions) -> tuple[TorsionValue, tuple[float, float]]:
+    def degrees(self, contractions) -> tuple[int, tuple[float, float]]:
         """(invariant, degrees) of `degree_difference` on both branches' loops."""
         v_loops = (self.loop0, periodized_evolution(self.drive, self.branches[1]))
-        return degree_difference(v_loops, contractions, self.rs)
+        return degree_difference(v_loops, contractions)
 
 
-def degree_difference(v_loops, contractions, rs: RealStructureSpec
-                      ) -> tuple[TorsionValue, tuple[float, float]]:
+def degree_difference(v_loops, contractions) -> tuple[int, tuple[float, float]]:
     """Z2 invariant from the periodized evolutions of the branches eps_0 and
     eps_1 (in that order; any iterable, consumed one loop at a time), each
     completed by its contraction samples: the difference of the rounded
     degrees of the completed loops mod 2.  Returns (invariant, degrees), the
-    degrees unrounded.  A branch's samples are drawn as its degree is taken
-    and dropped after it (map, unlike zip, holds no earlier pair), so a lazy
-    iterable holds one at a time."""
+    invariant 0 or 1 and the degrees unrounded.  A branch's samples are
+    drawn as its degree is taken and dropped after it (map, unlike zip,
+    holds no earlier pair), so a lazy iterable holds one at a time."""
     def degree(v_loop, samples):
-        return degree_t3(contraction_loop_from_samples(v_loop, samples, rs))
+        return degree_t3(contraction_loop_from_samples(v_loop, samples))
     degs = tuple(map(degree, v_loops, contractions))
-    k_val = (round(degs[1]) - round(degs[0])) % 2
-    return TorsionValue(float(k_val), 2.0), degs
+    return (round(degs[1]) - round(degs[0])) % 2, degs

@@ -78,17 +78,12 @@ class RealStructureSpec:
 
     fiber: 'c' for entrywise conjugation, 'h' for Ad_{sigma_y (x) 1} after
     conjugation (quaternionic; requires even matrix size).
-    fiber_block: matrix size of the algebra the quaternionic conjugation was
-    defined on; elements of M_j(that algebra) are conjugated blockwise (the
-    entrywise extension to matrix amplifications).  None means the element's
-    own size.
     clifford_signs: per-generator sign, +1 fixed / -1 negated.
     """
 
     fiber: str = "c"
     momentum_flip: bool = False
     clifford_signs: tuple[int, ...] = ()
-    fiber_block: int | None = None
 
     def __post_init__(self):
         if self.fiber not in ("c", "h"):
@@ -96,8 +91,7 @@ class RealStructureSpec:
 
     def extend(self, sign: int) -> "RealStructureSpec":
         """Same structure with one appended Clifford generator of given sign."""
-        return RealStructureSpec(self.fiber, self.momentum_flip,
-                                 self.clifford_signs + (sign,), self.fiber_block)
+        return RealStructureSpec(self.fiber, self.momentum_flip, self.clifford_signs + (sign,))
 
 
 class AlgElement:
@@ -438,41 +432,45 @@ def j_functional(a: AlgElement) -> complex:
     return complex(a.data[-1].item() * (1j) ** (mu(a.k) % 4))
 
 
-def _quaternionic_swap(data: np.ndarray, nb: int, half: int) -> np.ndarray:
-    """u X u^H for u = 1_nb (x) sigma_y (x) 1_half, as slices: on each pair of
-    blocks of size 2 half, [[X11, X12], [X21, X22]] -> [[X22, -X21], [-X12, X11]]."""
-    lead = data.shape[:-2]
-    src = data.reshape(*lead, nb, 2, half, nb, 2, half)
+def _quaternionic_swap(data: np.ndarray) -> np.ndarray:
+    """u X u^H for u = sigma_y (x) 1_half on an even matrix size, as slices:
+    [[X11, X12], [X21, X22]] -> [[X22, -X21], [-X12, X11]]."""
+    half = data.shape[-1] // 2
+    src = data.reshape(*data.shape[:-2], 2, half, 2, half)
     out = np.empty_like(src)
     for a in (0, 1):
         for c in (0, 1):
-            part = src[..., 1 - a, :, :, 1 - c, :]
+            part = src[..., 1 - a, :, 1 - c, :]
             if a == c:
-                out[..., a, :, :, c, :] = part
+                out[..., a, :, c, :] = part
             else:
-                np.negative(part, out=out[..., a, :, :, c, :])
+                np.negative(part, out=out[..., a, :, c, :])
     return out.reshape(data.shape)
+
+
+def _at_minus_k(arr: np.ndarray, grid: TorusGrid, fiber: int) -> np.ndarray:
+    """arr (..., *sizes, <fiber axes>) on the grid's axes read at -k: n -> -n
+    mod N on each momentum axis, one index gather per axis, time axes as
+    they are.  An axis of size 1, a `_distinct` point, gathers itself.
+    np.take keeps the C layout, which a multi-axis fancy index would not."""
+    for axis, role in enumerate(grid.axis_roles):
+        if role == MOMENTUM:
+            at = axis - grid.d - fiber
+            arr = np.take(arr, -np.arange(arr.shape[at]) % arr.shape[at], axis=at)
+    return arr
 
 
 def apply_real_structure(rs: RealStructureSpec, x: AlgElement) -> AlgElement:
     if len(rs.clifford_signs) != x.k:
         raise ValueError(f"real structure carries {len(rs.clifford_signs)} "
                          f"generator signs, element has {x.k}")
-    # momentum flips n -> -n mod N at the distinct points, one index gather
-    # per axis; np.take keeps the C layout, which a multi-axis fancy index
-    # would not
-    out = data = _distinct(x.data)
-    for axis, role in enumerate(x.grid.axis_roles):
-        if rs.momentum_flip and role == MOMENTUM:
-            n = data.shape[1 + axis]
-            out = np.take(out, -np.arange(n) % n, axis=1 + axis)
+    if rs.fiber == "h" and x.m % 2:
+        raise ValueError("quaternionic fiber needs an even matrix size")
+    data = _distinct(x.data)
+    out = _at_minus_k(data, x.grid, 2) if rs.momentum_flip else data
     out = np.conj(out) if out is data else np.conj(out, out=out)
     if rs.fiber == "h":
-        block = rs.fiber_block or x.m
-        if block % 2 or x.m % block:
-            raise ValueError("quaternionic fiber needs an even block size "
-                             "dividing the matrix size")
-        out = _quaternionic_swap(out, x.m // block, block // 2)
+        out = _quaternionic_swap(out)
     _negate(out, generator_signs(tuple(rs.clifford_signs)) < 0)
     return x._like(out)
 

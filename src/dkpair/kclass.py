@@ -32,9 +32,7 @@ GAP_TOL = 1e-8
 
 
 class GapClosedError(ValueError):
-    def __init__(self, message, smallest=None):
-        super().__init__(message)
-        self.smallest = smallest
+    """A spectral gap below its margin; the message states the margin."""
 
 
 class OsuValidationError(ValueError):
@@ -127,10 +125,11 @@ def _check_gap(w, gap):
     absw = np.abs(w)
     smallest = float(absw.min())
     if smallest < gap or smallest == 0:
-        point = np.unravel_index(int(np.argmin(absw.min(axis=-1))), absw.shape[:-1])
+        point = tuple(map(int, np.unravel_index(int(np.argmin(absw.min(axis=-1))),
+                                                absw.shape[:-1])))
         raise GapClosedError(
             f"spectral gap closed: smallest |eigenvalue| {smallest:.3e} "
-            f"< {gap:.3e} at grid point {point}", smallest)
+            f"< {gap:.3e} at grid point {point}")
 
 
 def make_osu_from_hamiltonian(h: AlgElement) -> AlgElement:

@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 
-from .grid_alg import AlgElement, RealStructureSpec, TorusGrid, require
+from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _at_minus_k,
+                       apply_real_structure, require)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -71,23 +72,27 @@ def block_from_hoppings(grid: TorusGrid, hoppings: dict[tuple[int, ...], np.ndar
 def conjugate_flip(x: AlgElement) -> AlgElement:
     """f(x)(k) = conj(x(-k)): the momentum-space form of entrywise conjugation."""
     rs = RealStructureSpec(fiber="c", momentum_flip=True, clifford_signs=(1,) * x.k)
-    from .grid_alg import apply_real_structure
     return apply_real_structure(rs, x)
+
+
+def _partner_diag(upper: np.ndarray, lower: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """diag(upper, f lower), f(y)(k) = conj y(-k), of two (..., *grid.sizes,
+    m, m) arrays: the one builder of a partner doubling."""
+    m = upper.shape[-1]
+    out = np.zeros((*upper.shape[:-2], 2 * m, 2 * m), dtype=complex)
+    out[..., :m, :m] = upper
+    np.conj(_at_minus_k(lower, grid, 2), out=out[..., m:, m:])
+    return out
 
 
 def spin_double(h1: AlgElement) -> AlgElement:
     """diag(h1, f(h1)): an odd-time-reversal-invariant block Hamiltonian."""
-    h2 = conjugate_flip(h1)
-    out = AlgElement(h1.grid, 2 * h1.m, 0)
-    out.data[0][..., :h1.m, :h1.m] = h1.data[0]
-    out.data[0][..., h1.m:, h1.m:] = h2.data[0]
-    return out
+    return AlgElement(h1.grid, 2 * h1.m, 0, _partner_diag(h1.data[0], h1.data[0], h1.grid)[None])
 
 
-def quaternionic_structure(k: int = 0, fiber_block: int | None = None) -> RealStructureSpec:
+def quaternionic_structure(k: int = 0) -> RealStructureSpec:
     """Odd time reversal on a spin-doubled symbol: Ad_{sigma_y x 1} conj at -k."""
-    return RealStructureSpec(fiber="h", momentum_flip=True,
-                             clifford_signs=(1,) * k, fiber_block=fiber_block)
+    return RealStructureSpec(fiber="h", momentum_flip=True, clifford_signs=(1,) * k)
 
 
 # ---------------------------------------------------------------------------

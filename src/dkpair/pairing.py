@@ -66,9 +66,10 @@ def ch0() -> CycleSpec:
     return CycleSpec((), -1.5)
 
 
-def ch1(axis: int = 0) -> CycleSpec:
-    """Winding cycle over a unit-period circle; trace normalized to 1/2."""
-    return CycleSpec((axis,), -1.0)
+def ch1() -> CycleSpec:
+    """Winding cycle over the unit-period circle of axis 0; trace normalized
+    to 1/2."""
+    return CycleSpec((0,), -1.0)
 
 
 def ch2() -> CycleSpec:
@@ -220,25 +221,16 @@ def _check_basepoint(cycle: CycleSpec, e: AlgElement, tol: float = 1e-10):
             tol, "base point not killed by its derivations")
 
 
-def pair(cycle: CycleSpec, x: AlgElement,
-         e: BasePoint | AlgElement | None = None) -> complex:
-    """Pair a character with the class of an OSU relative to a base point.
-
-    For n > 0 the base point may be omitted (the pairing is independent of
-    it); for n = 0 it is required.
-    """
+def pair(cycle: CycleSpec, x: AlgElement, e: BasePoint | AlgElement) -> complex:
+    """Pair a character with the class of an OSU relative to a base point."""
     n, k = cycle.n, x.k
-    if e is None:
-        if n == 0:
-            raise ValueError("a zero-dimensional pairing needs a base point")
-    else:
-        eb = e.e if isinstance(e, BasePoint) else e
-        x._check(eb)
-        _check_basepoint(cycle, eb)
+    eb = e.e if isinstance(e, BasePoint) else e
+    x._check(eb)
+    _check_basepoint(cycle, eb)
     # the derivatives are contracted into their antisymmetrized product, and
     # freed, before z = x - e is formed
     right = _alt([(_parts(apply_derivation(axis, x).data),) for axis in cycle.derivations], k)[0]
-    z = (x if e is None else x - eb).data
+    z = (x - eb).data
     tr = _top_trace(z, right, k) if n else alt_trace(z, [], k)
     raw = complex(np.mean(tr)) * _top_phase(k, n)
     return complex(cycle.scale(k) * (1j) ** (mu(n) % 4) * raw)

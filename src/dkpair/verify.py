@@ -121,7 +121,7 @@ def suite_selection_rules(report, *, grid_n, t_n):
         + 0.0j + 2.0 * np.eye(1))
     x1 = make_osu_from_hamiltonian(hfield)
     e1 = BasePoint.standard_rho(tgrid, 1, 1, sign=-1)
-    val1 = pairing.pair(pairing.ch1(0), x1, e1)
+    val1 = pairing.pair(pairing.ch1(), x1, e1)
     report.check("ch1_vanishes_on_k1_class", abs(val1), 1e-10)
 
 

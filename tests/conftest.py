@@ -8,10 +8,10 @@ from dkpair.clifford import CliffordSignature, mu, representation
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _parts,
                              _represent_blocks, _spectral_calculus,
                              _validate_osi, apply_real_structure,
-                             spectral_derivative_data, trace)
+                             check_invariance, spectral_derivative_data, trace)
 from dkpair.kclass import (ArcSegment, BasePoint, LoopElement,
                            _combine, _sample_defects, osu_validate)
-from dkpair.models import qwz_hoppings, qwz_symbol
+from dkpair.models import quaternionic_structure, qwz_hoppings, qwz_symbol
 from dkpair.pairing import _top_phase, alt_trace
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -138,6 +138,26 @@ def spin_y(grid, m):
     y = AlgElement(grid, m, 1)
     y.data[0] = np.kron(np.diag([-1j, 1j]), np.eye(m // 2))
     return y
+
+
+def swap_first_factors(x: AlgElement, j: int) -> AlgElement:
+    """P x P^T for the swap P: (b, a, c) -> (a, b, c) of the first two tensor
+    factors of C^j (x) C^2 (x) C^(m/2j): a dense copy whose C^2 factor is
+    outermost, where the quaternionic fiber sigma_y (x) 1 acts."""
+    perm = np.arange(x.m).reshape(j, 2, -1).transpose(1, 0, 2).ravel()
+    return AlgElement(x.grid, x.m, x.k, x.data[..., perm, :][..., perm])
+
+
+def swapped_doubled_class(xx: AlgElement, ee: BasePoint, y: AlgElement):
+    """(xx, ee, y) of a doubled spin-doubled class on C^2 (x) C^2 (x) C^2, the
+    copy factor first and the spin factor second, with those two swapped
+    (`swap_first_factors`): the standard quaternionic structure fixes each
+    exactly there, and the unswapped xx off by about 2."""
+    rs = quaternionic_structure(k=1)
+    assert check_invariance(rs, xx) > 1.0
+    out = [swap_first_factors(a, 2) for a in (xx, ee.e, y)]
+    assert [check_invariance(rs, a) for a in out] == [0.0] * 3
+    return osu_validate(out[0]), BasePoint(out[1]), out[2]
 
 
 def chern_fhs(p: AlgElement) -> float:

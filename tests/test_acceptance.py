@@ -10,7 +10,7 @@ import pytest
 
 from conftest import (exp_projection_loop, ko2_generator, real_structure_from_signature,
                       same_element, scalar_trace, spin_y, split_blocks,
-                      tri_symmetry_residual, unitary_exp)
+                      swapped_doubled_class, tri_symmetry_residual, unitary_exp)
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              apply_real_structure, blade, direct_sum,
@@ -200,7 +200,7 @@ def test_criterion_07_selection_rules_vanishing():
         tgrid, (np.cos(2 * np.pi * tgrid.coordinates(0)) + 2.0)[:, None, None]
         * np.eye(1))
     x1 = make_osu_from_hamiltonian(hfield)
-    v3 = abs(pair(ch1(0), x1, BasePoint.standard_rho(tgrid, 1, 1, -1)))
+    v3 = abs(pair(ch1(), x1, BasePoint.standard_rho(tgrid, 1, 1, -1)))
     assert v3 < 1e-10
     report(7, "selection-rule vanishing",
            f"ch2/TRI {v1:.1e}, ch0/conjugated {v2:.1e}, ch1/k=1 {v3:.1e}")
@@ -281,8 +281,10 @@ def test_criterion_10_order_two():
     delta1 = torsion_pairing_closed_form(cyc, xxk, eek, yk,
                                          MODULUS_KANE_MELE_CH2)
     assert delta1.distance(0.0) < 1e-6
-    loop = torsion_loop(xxk, eek, yk,
-                        rs=quaternionic_structure(k=1, fiber_block=4),
+    # the loop on the class with its copy and spin factors swapped, where the
+    # standard quaternionic structure fixes it
+    loop = torsion_loop(*swapped_doubled_class(xxk, eek, yk),
+                        rs=quaternionic_structure(k=1),
                         derivations=cyc.derivations, order=48)
     via = torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
     assert via.distance(0.0) < 1e-6
@@ -342,7 +344,7 @@ def test_criterion_12_floquet():
     drive = fl.SpinDoubledDrive(fl.FloquetDrive(1.0, ((0.5, h1), (0.5, h1.scale(0.7)))))
     ha, hb = (h for _, h in drive.segments)
     assert (hb - apply_real_structure(rs, ha)).norm_inf() == 0.0
-    assert fl.check_time_reversal(drive, rs) < 1e-12
+    assert fl.check_time_reversal(drive) < 1e-12
     z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
     b0, b1 = fl.branch_pair(z0, z1, drive.period)
     heff0 = fl.effective_hamiltonian(drive, b0)
@@ -368,11 +370,11 @@ def test_criterion_12_floquet():
         degs.append(fl.degree_t3(fl.decoupled_contraction(vloop)))
     assert all(abs(d - round(d)) <= 1e-3 for d in degs), degs
     k_deg = (round(degs[1]) - round(degs[0])) % 2
-    kval, ch = fl.ArcInvariant(drive, z0, z1, rs).decoupled()
+    kval, ch = fl.ArcInvariant(drive, z0, z1).decoupled()
     sc = band_chern(flatten(qwz_symbol(grid, 1.0)))
     assert abs(ch - round(ch)) <= 1e-6 and abs(sc - round(sc)) <= 1e-6
-    assert int(kval.reduced) == round(sc) % 2 == k_deg == 1
+    assert kval == round(sc) % 2 == k_deg == 1
     report(12, "Floquet pipeline",
            f"branch identity {ident:.1e}, periodicity {per:.1e}, symmetry "
            f"{sym:.1e}, deg residual {abs(deg - round(deg)):.1e}, K = "
-           f"{int(kval.reduced)} (= spin Chern parity, = degree route)")
+           f"{kval} (= spin Chern parity, = degree route)")

@@ -420,6 +420,55 @@ def test_verify_report_ignores_an_unread_grid(capsys):
     assert reports[0] == reports[1]
 
 
+DATA = Path(__file__).parent / "data"
+ARC = ["--arc0", "0", "--arc1", "3.14159265"]
+Z2_QWZ = ["--config", str(DATA / "z2_qwz.json")]
+FLOQUET_QWZ = ["floquet", "--config", str(DATA / "floquet_qwz.json"), "--grid", "16"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    pytest.param("--arc0", [*FLOQUET_QWZ, "--arc0", "nan", "--arc1", "3.14159265"],
+                 id="floquet-arc0-nan"),
+    pytest.param("--arc1", [*FLOQUET_QWZ, "--arc0", "0", "--arc1", "inf"], id="floquet-arc1-inf"),
+    pytest.param("--tol", ["pair", "--cycle", "ch0", *Z2_QWZ, "--grid", "16", "--tol", "nan"],
+                 id="pair-tol-nan"),
+    pytest.param("--tol", ["z2", *Z2_QWZ, "--grid", "16", "--tol", "-1"], id="z2-tol-negative"),
+    pytest.param("--tol", [*FLOQUET_QWZ, *ARC, "--tol", "nan"], id="floquet-tol-nan"),
+    pytest.param("--grid", ["pair", "--cycle", "ch0", *Z2_QWZ, "--grid", "7"],
+                 id="pair-ch0-grid-7"),
+    pytest.param("--grid", ["pair", "--cycle", "ch2", *Z2_QWZ, "--grid", "7"],
+                 id="pair-ch2-grid-7"),
+    pytest.param("--grid", ["z2", *Z2_QWZ, "--grid", "7"], id="z2-grid-7"),
+    pytest.param("--grid", ["floquet", "--config", str(DATA / "floquet_qwz.json"),
+                            "--grid", "7", *ARC], id="floquet-grid-7"),
+    pytest.param("--tgrid", ["pair", "--cycle", "ch1", "--config",
+                             str(DATA / "winding_loop.json"), "--tgrid", "7"],
+                 id="pair-ch1-tgrid-7"),
+    pytest.param("--grid", ["verify", "torsion", "--grid", "7"], id="verify-torsion-grid-7"),
+    pytest.param("--tgrid", ["verify", "ko-examples", "--tgrid", "7"],
+                 id="verify-ko-examples-tgrid-7"),
+])
+def test_malformed_numeric_flag_exits_2_naming_it(capsys, flag, argv):
+    # a non-finite phase or tolerance, a negative tolerance and a grid size
+    # that TorusGrid rejects are validation errors of the flag, caught before
+    # any report is written
+    assert run_cli(argv) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"validation error: {flag}: "), err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify", "clifford", "--grid", "7", "--tgrid", "7", "--tol", "nan"],
+                 id="verify-clifford"),
+    pytest.param(["pair", "--cycle", "ch1", "--config", str(DATA / "winding_loop.json"),
+                  "--grid", "7"], id="pair-ch1-grid-7"),
+])
+def test_a_flag_a_command_does_not_read_stays_unchecked(capsys, argv):
+    assert run_cli(argv) == cli.EXIT_OK
+    assert read_report(capsys)["status"] == "ok"
+
+
 def test_report_roundtrip(tmp_path, capsys):
     out = tmp_path / "report.json"
     path = write_config(tmp_path, qwz_config(1.0))
@@ -826,7 +875,7 @@ def test_decoupled_report_matches_the_full_drive(n, arc, capsys):
     # the decoupled route runs on the spin block; the full drive, factorized
     # afresh at double size, gives the same invariant, rank and margin, and
     # its upper block the same spin Chern number
-    from dkpair import floquet, models, pairing
+    from dkpair import floquet, pairing
     path = str(Path(__file__).parent / "data" / "floquet_qwz.json")
     assert run_cli(["floquet", "--config", path, "--strategy", "decoupled",
                     "--grid", str(n), "--arc0", repr(arc[0]), "--arc1", repr(arc[1]),
@@ -835,8 +884,7 @@ def test_decoupled_report_matches_the_full_drive(n, arc, capsys):
     cfg = cli.ModelConfig.load(path)
     drive = cfg.drive_object(cfg.grid(n))
     full = floquet.ArcInvariant(floquet.FloquetDrive(drive.period, drive.segments),
-                                *(complex(np.exp(1j * a)) for a in arc),
-                                models.quaternionic_structure(k=0)).arc
+                                *(complex(np.exp(1j * a)) for a in arc)).arc
     ch = pairing.chern_number(split_blocks(full.projection)[0])
     assert values["k_invariant"]["value"] == round(ch) % 2
     assert values["rank"]["value"] == full.rank
@@ -887,15 +935,14 @@ def test_floquet_checks_time_reversal_before_any_gap(tmp_path, capsys):
     plain = floquet.FloquetDrive(block.period, tuple((tau, models.spin_double(h))
                                                      for tau, h in block.segments))
     with pytest.raises(ValueError) as err:
-        floquet.ArcInvariant(plain, complex(np.exp(-0.4j)), complex(np.exp(3j)),
-                             models.quaternionic_structure(k=0))
+        floquet.ArcInvariant(plain, complex(np.exp(-0.4j)), complex(np.exp(3j)))
     assert str(err.value) == "drive is not time-reversal invariant: time_reversal=2.000e-01"
 
 
 def test_cmd_floquet_reports_branch_degrees(tmp_path, capsys):
     # each branch's degree with its nearest integer and distance to it, as
     # the API's degree difference gives them
-    from dkpair import floquet, models
+    from dkpair import floquet
     raw = floquet_config(1.0)
     cfg = cli.ModelConfig(raw)
     drive = cfg.drive_object(cfg.grid(16))
@@ -907,9 +954,7 @@ def test_cmd_floquet_reports_branch_degrees(tmp_path, capsys):
     rep = read_report(capsys)
     loops = [floquet.periodized_evolution(drive, b, 64)
              for b in floquet.branch_pair(1.0 + 0j, np.exp(1j * np.pi), drive.period)]
-    _, want = floquet.degree_difference(
-        loops, [read_contraction_grid(f) for f in files],
-        models.quaternionic_structure(k=0))
+    _, want = floquet.degree_difference(loops, [read_contraction_grid(f) for f in files])
     got = [rep["values"][f"degree_branch{b}"] for b in (0, 1)]
     assert [g["value"] for g in got] == list(want)
     for g in got:

@@ -10,7 +10,8 @@ from conftest import (constant_element, dense_copy, hermitian_calculus,
                       ko2_generator, named_residuals, npoints, psi_e_inverse,
                       random_element, random_hermitian_field,
                       random_matrix_field, real_structure_from_signature,
-                      represent, scalar_trace, unitary_exp, unrepresent)
+                      represent, scalar_trace, swap_first_factors, unitary_exp,
+                      unrepresent)
 from dkpair import floquet, kclass, models, pairing
 from dkpair.clifford import CliffordSignature, generator_signs, mu
 from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, RealStructureSpec,
@@ -323,10 +324,10 @@ def _failing_contracts():
         "drive_hermitian": (lambda: floquet.FloquetDrive(
             1.0, ((1.0, _constant_field(grid, [[1, 1], [0, -1]])),)), ValueError),
         "contraction_boundary": (lambda: floquet.contraction_loop_from_samples(
-            floquet.periodized_evolution(drive, 0.0, 16), np.zeros((9, 4, 4, 2, 2)),
-            models.quaternionic_structure(k=0)), ValueError),
-        "time_reversal": (lambda: floquet.ArcInvariant(
-            doubled, 1.0 + 0j, -1.0 + 0j, models.quaternionic_structure(k=0)), ValueError),
+            floquet.periodized_evolution(drive, 0.0, 16), np.zeros((9, 4, 4, 2, 2))),
+                                 ValueError),
+        "time_reversal": (lambda: floquet.ArcInvariant(doubled, 1.0 + 0j, -1.0 + 0j),
+                          ValueError),
         "hoppings": (lambda: models.symbol_from_hoppings(
             TorusGrid((4,)), {(1,): [[1.0]], (-1,): [[2.0]]}, 1), ValueError),
     }
@@ -591,10 +592,16 @@ def test_quaternionic_fiber_matches_einsum(grid16, rng):
     assert np.array_equal(got, ref)
 
 
-def quaternionic_fiber_dense(rs, x):
-    """The quaternionic real structure as conj, flips and signs followed by
-    u X u^H with the dense u = 1 (x) sigma_y (x) 1 (reference)."""
-    block = rs.fiber_block or x.m
+def test_quaternionic_fiber_needs_an_even_matrix_size(grid16, rng):
+    x = random_element(rng, grid16, 3, 0)
+    with pytest.raises(ValueError, match="^quaternionic fiber needs an even matrix size$"):
+        apply_real_structure(RealStructureSpec("h"), x)
+
+
+def quaternionic_fiber_dense(rs, x, block):
+    """The quaternionic real structure on M_(m/block)(M_block), blockwise, as
+    conj, flips and signs followed by u X u^H with the dense
+    u = 1 (x) sigma_y (x) 1 (reference)."""
     sy = np.array([[0, -1j], [1j, 0]])
     u = np.kron(np.eye(x.m // block), np.kron(sy, np.eye(block // 2)))
     out = apply_real_structure(dataclasses.replace(rs, fiber="c"), x).data
@@ -605,12 +612,17 @@ def quaternionic_fiber_dense(rs, x):
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("flip", [False, True])
 def test_quaternionic_swap_matches_dense_oracle(rng, m, block, k, flip):
+    # the structure acts on the whole matrix (block None); the blockwise one
+    # on M_j(M_block) is it after the swap of the first two tensor factors,
+    # as the doubled-class torsion loops use it
     grid = TorusGrid((4, 6))
+    j = m // (block or m)
     x = random_element(rng, grid, m, k)
-    rs = RealStructureSpec("h", flip, (1, -1)[:k], block)
-    got = apply_real_structure(rs, x).data
+    rs = RealStructureSpec("h", flip, (1, -1)[:k])
+    got = apply_real_structure(rs, swap_first_factors(x, j)).data
+    want = AlgElement(grid, m, k, quaternionic_fiber_dense(rs, x, block or m))
     # equal up to the sign of zero
-    assert np.array_equal(got, quaternionic_fiber_dense(rs, x))
+    assert np.array_equal(got, swap_first_factors(want, j).data)
 
 
 def roll_flip_real_structure(rs, x):
@@ -621,8 +633,7 @@ def roll_flip_real_structure(rs, x):
         if rs.momentum_flip and role == MOMENTUM:
             out = np.flip(np.roll(out, -1, axis=1 + axis), axis=1 + axis)
     if rs.fiber == "h":
-        block = rs.fiber_block or x.m
-        out = _quaternionic_swap(out, x.m // block, block // 2)
+        out = _quaternionic_swap(out)
     _negate(out, generator_signs(rs.clifford_signs) < 0)
     return out
 

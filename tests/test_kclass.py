@@ -7,7 +7,7 @@ from conftest import (StoredSegment, arc_nodes, count_calls, dense_copy,
                       exp_projection_loop, hermitian_calculus, ko2_generator,
                       named_residuals, pair_suspended_by_nodes,
                       random_hermitian_field, sample_osu_residual,
-                      shifted_qwz_hoppings, spin_y)
+                      shifted_qwz_hoppings, spin_y, swapped_doubled_class)
 from dkpair import kclass
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              apply_real_structure, direct_sum, even_subgrid,
@@ -46,7 +46,8 @@ def test_flatten_gap_error(grid16):
         grid16, np.broadcast_to(np.diag([1.0, 0.0]), (16, 16, 2, 2)).copy())
     with pytest.raises(GapClosedError) as err:
         flatten(h)
-    assert err.value.smallest is not None
+    assert str(err.value) == ("spectral gap closed: smallest |eigenvalue| 0.000e+00 "
+                              "< 1.000e-08 at grid point (0, 0)")
 
 
 def test_flatten_zero_has_no_gap(grid16):
@@ -426,13 +427,11 @@ def test_doubled_class_satisfies_property_y(grid16):
     h = decoupled_tri_symbol(grid16, 1.0)
     x = make_osu_from_hamiltonian(h)
     e = BasePoint.standard_rho(grid16, 4, 1, sign=-1)
-    xx = osu_validate(direct_sum(x, x), 1e-10)
-    ee = BasePoint(direct_sum(e.e, e.e))
     y = AlgElement(grid16, 8, 1)
     y.data[0][..., :4, 4:] = np.eye(4)
     y.data[0][..., 4:, :4] = -np.eye(4)
-    rs = quaternionic_structure(k=1, fiber_block=4)
-    loop = torsion_loop(xx, ee, y, rs=rs,
+    xx, ee, y = swapped_doubled_class(direct_sum(x, x), BasePoint(direct_sum(e.e, e.e)), y)
+    loop = torsion_loop(xx, ee, y, rs=quaternionic_structure(k=1),
                         derivations=(0, 1), order=12)
     assert sample_osu_residual(loop, 4) < 1e-12
 
@@ -564,20 +563,19 @@ def test_torsion_loop_nodes_match_materialized_arrays(point_grid, grid16):
 
 def test_arc_integral_matches_materialized_oracle():
     # the stacked m = 8 class of criterion 10 at order 48, one materialized
-    # arc at a time (all four would take 1.6 GB).  Under criterion 10's
-    # block-swap symmetry the integrand vanishes at every node, so the loop
-    # uses the blockwise spin symmetry, which also commutes with the stacked
-    # class and gives the arcs a nonzero sum
+    # arc at a time (all four would take 1.6 GB), its factors swapped as
+    # there.  Under criterion 10's block-swap symmetry the integrand vanishes
+    # at every node, so the loop uses each copy's spin symmetry, which also
+    # commutes with the stacked class and gives the arcs a nonzero sum
     grid = TorusGrid((32, 32))
     x = make_osu_from_hamiltonian(decoupled_tri_symbol(grid, 1.0))
     e = BasePoint.standard_rho(grid, 4, 1, sign=-1)
-    xx = osu_validate(direct_sum(x, x), 1e-10)
-    ee = BasePoint(direct_sum(e.e, e.e))
-    y = direct_sum(spin_y(grid, 4), spin_y(grid, 4))
+    xx, ee, y = swapped_doubled_class(direct_sum(x, x), BasePoint(direct_sum(e.e, e.e)),
+                                      direct_sum(spin_y(grid, 4), spin_y(grid, 4)))
     cycle = ch2()
     axes = list(cycle.derivations)
     order = 48
-    loop = torsion_loop(xx, ee, y, rs=quaternionic_structure(k=1, fiber_block=4),
+    loop = torsion_loop(xx, ee, y, rs=quaternionic_structure(k=1),
                         derivations=cycle.derivations, order=order)
     base = loop.segments[0].ends()[0]
     got, want = [], []

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (chern_fhs, count_calls, dense_copy, ko2_generator,
                       psi_e_inverse, random_element, random_hermitian_field,
-                      sigma_x_base_point, spin_y, unitary_exp)
+                      sigma_x_base_point, spin_y, swapped_doubled_class, unitary_exp)
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              _mul_data, _mul_parts, _parts, apply_derivation,
@@ -154,12 +154,6 @@ def test_ch0_counts_rank(point_grid, rng):
         assert abs(val - rank) < 1e-12
 
 
-def test_ch0_needs_base_point(point_grid):
-    x = osu_validate(AlgElement.unit(point_grid, 2, 0).append_generator())
-    with pytest.raises(ValueError):
-        pair(ch0(), x)
-
-
 def test_ch0_quaternionic_classes_even(point_grid, rng):
     rs = RealStructureSpec(fiber="h")
     for _ in range(20):
@@ -222,7 +216,7 @@ def test_winding_matches_ch1_pairing(tgrid64):
     x.data[2] = (u.data[0] - np.conj(np.swapaxes(u.data[0], -1, -2))) / 2j
     xo = osu_validate(x, 1e-10)
     e = sigma_x_base_point(tgrid64, 1, 2)
-    val = pair(ch1(0), xo, e)
+    val = pair(ch1(), xo, e)
     assert abs(val - winding_number(u)) < 1e-10
 
 
@@ -290,10 +284,10 @@ def test_ch2_pairing_equals_chern_over_two_pi(qwz_osu):
 # ---------------------------------------------------------------------------
 
 def test_base_point_independence_positive_dimension(qwz_osu):
-    x, e = qwz_osu
-    with_e = pair(ch2(), x, e)
-    without = pair(ch2(), x)
-    assert abs(with_e - without) < 1e-10
+    x, _ = qwz_osu
+    minus, plus = (pair(ch2(), x, BasePoint.standard_rho(x.grid, x.m, x.k, sign=sign))
+                   for sign in (-1, 1))
+    assert abs(minus - plus) < 1e-10
 
 
 def test_additivity(qwz_osu):
@@ -326,7 +320,7 @@ def test_homotopy_invariance_along_rotation(tgrid64):
     for s in np.linspace(0.0, 1.0, 16):
         mid = x.scale(np.cos(np.pi * s / 2)) + z.scale(np.sin(np.pi * s / 2))
         osu_validate(mid, 1e-10)
-        values.append(pair(ch1(0), mid, e))
+        values.append(pair(ch1(), mid, e))
     values = np.array(values)
     assert np.max(np.abs(values - values[0])) < 1e-8
     assert abs(values[0] - 2 * 2j * np.pi) < 1e-9  # winding 2 at both ends
@@ -554,7 +548,9 @@ def test_doubled_kane_mele_class_trivial(grid16):
     cyc = ch2()
     delta = torsion_pairing_closed_form(cyc, xx, ee, y, MODULUS_KANE_MELE_CH2)
     assert delta.distance(0.0) < 1e-6
-    loop = torsion_loop(xx, ee, y, rs=quaternionic_structure(k=1, fiber_block=4),
+    # the loop on the class with its copy and spin factors swapped, where the
+    # standard quaternionic structure fixes it
+    loop = torsion_loop(*swapped_doubled_class(xx, ee, y), rs=quaternionic_structure(k=1),
                         derivations=cyc.derivations, order=48)
     via = torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
     assert via.distance(0.0) < 1e-6
@@ -946,7 +942,7 @@ def test_pair_rejects_live_base_point(tgrid64, grid16, qwz_osu):
     bad.data[1] = x.data[1].copy()
     bad.data[2] = x.data[2].copy()
     with pytest.raises(ValueError, match="killed"):
-        pair(ch1(0), osu_validate(x, 1e-10), bad)
+        pair(ch1(), osu_validate(x, 1e-10), bad)
     # so is a constant base point plus one small Fourier mode on either axis
     x, e = qwz_osu
     for shape in ((-1, 1), (1, -1)):
