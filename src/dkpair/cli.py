@@ -273,8 +273,10 @@ def _refined_symbol(cfg: ModelConfig, n: int, symbol) -> AlgElement:
 
 
 def cmd_pair(cfg: ModelConfig, args) -> int:
-    # ch1 reads a time circle, ch0 and ch2 the momentum grid
-    grids = {"time": args.tgrid} if args.cycle == "ch1" else {"momentum": args.grid}
+    # ch1 reads a time circle, ch0 and ch2 the momentum grid, which a
+    # dimension-0 model has none of
+    grids = ({"time": args.tgrid} if args.cycle == "ch1"
+             else {"momentum": args.grid} if cfg.dimension else {})
     report = Report("pair", cfg.digest(), grids)
     tol = _tolerance(args)
     cycle_name = args.cycle
@@ -317,6 +319,8 @@ def cmd_pair(cfg: ModelConfig, args) -> int:
 
 
 def cmd_z2(cfg: ModelConfig, args) -> int:
+    if cfg.dimension != 2:
+        raise ConfigError("z2 needs a two-dimensional model")
     if not cfg.spin_doubling:
         raise ConfigError("z2 needs a spin-doubled model")
     if cfg.rashba:
@@ -366,6 +370,8 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
 
 
 def cmd_floquet(cfg: ModelConfig, args) -> int:
+    if cfg.dimension != 2:
+        raise ConfigError("floquet needs a two-dimensional model")
     if not cfg.spin_doubling:
         raise ConfigError("floquet needs a spin-doubled model")
     if args.strategy == "user_supplied" and not args.contraction:

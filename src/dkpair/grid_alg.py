@@ -376,15 +376,32 @@ def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int) -> np
     components stay exact zeros without a transform."""
     if data.strides[1 + axis] == 0:
         return np.broadcast_to(np.zeros((), dtype=complex), data.shape)
-    mult = grid.mode_multiplier(axis)
-    shape = [1] * (data.ndim - 1)
-    shape[axis] = mult.size
-    mult = mult.reshape(shape)
     block = _distinct(data)
     out = np.zeros(block.shape, dtype=complex)
     for s, part in _parts(block).items():
-        np.fft.ifft(np.fft.fft(part, axis=axis) * mult, axis=axis, out=out[s])
+        _derive(part, grid, axis, out[s])
     return _spread(out, data.shape)
+
+
+def _derivative_parts(data: np.ndarray, grid: TorusGrid, axis: int) -> dict:
+    """{mask: block} of the spectral derivation along grid axis `axis` of a
+    component-first block, by its components whose derivative is not
+    identically zero: each live component is transformed at its `_distinct`
+    points into its own block, `_spread` over the grid, and no 2^k block is
+    formed.  Along an axis of stride 0 it is {} with no transform."""
+    if data.strides[1 + axis] == 0:
+        return {}
+    derived = {s: _derive(part, grid, axis) for s, part in _parts(_distinct(data)).items()}
+    return {s: _spread(d, data.shape[1:]) for s, d in derived.items() if np.any(d)}
+
+
+def _derive(part: np.ndarray, grid: TorusGrid, axis: int, out=None) -> np.ndarray:
+    """The derivation along grid axis `axis` of one Clifford component
+    (*sizes, m, m), by its Fourier multiplier; into `out` when given."""
+    mult = grid.mode_multiplier(axis)
+    shape = [1] * part.ndim
+    shape[axis] = mult.size
+    return np.fft.ifft(np.fft.fft(part, axis=axis) * mult.reshape(shape), axis=axis, out=out)
 
 
 def _check_axis(axis: int, grid: TorusGrid):

@@ -22,10 +22,11 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .grid_alg import (AlgElement, RealStructureSpec, _distinct,
-                       _minus_unit, _spectral_calculus, _spread,
-                       apply_derivation, apply_real_structure, constant_view,
-                       even_subgrid, require, spectral_derivative_data)
+from .grid_alg import (AlgElement, RealStructureSpec, _derivative_parts,
+                       _distinct, _minus_unit, _parts, _spectral_calculus,
+                       _spread, apply_derivation, apply_real_structure,
+                       constant_view, even_subgrid, require,
+                       spectral_derivative_data)
 
 # the spectral gap at zero that flatten needs, relative to the scale |h|
 GAP_TOL = 1e-8
@@ -227,32 +228,43 @@ class ClosedSegment:
 
 
 def _corner(x: AlgElement):
-    """An arc coefficient with its space derivative per axis, cached on first use."""
-    return x, functools.cache(lambda axis: spectral_derivative_data(x.data, x.grid, axis))
+    """An arc coefficient: x, its live Clifford components at its `_distinct`
+    points, scanned once, and its space derivative per axis as live
+    components (`_derivative_parts`), cached on first use."""
+    return (x, _parts(_distinct(x.data)),
+            functools.cache(lambda axis: _derivative_parts(x.data, x.grid, axis)))
 
 
-def _combine(weights, blocks) -> np.ndarray:
-    """sum_g weights[g] blocks[g] for blocks of one shape, accumulated in
-    place at their `_distinct` points and `_spread` over the grid: a
-    read-only view when every block is grid-constant."""
-    parts = [_distinct(b) for b in blocks]
-    out = np.zeros(np.broadcast_shapes(*(q.shape for q in parts)), dtype=complex)
+def _combine(weights, parts, masks) -> dict:
+    """{s: sum_g weights[g] parts[g][s]} for each mask s in masks that some
+    parts[g] holds, parts[g] the live components {mask: block} of one block:
+    each sum is accumulated in place at the points that all the blocks
+    broadcast to, and no other component is formed."""
+    shape = np.broadcast_shapes(*(b.shape for q in parts for b in q.values()))
+    out = {}
     for w, q in zip(weights, parts):
-        out += w * q
-    return _spread(out, blocks[0].shape)
+        for s, b in q.items():
+            if s in masks:
+                if s not in out:
+                    out[s] = np.zeros(shape, dtype=complex)
+                out[s] += w * b
+    return out
 
 
 class ArcSegment:
     """Arc s -> sum_g cos^(d-g) sin^g (pi s/2) P_g of degree d in (cos, sin)
     from `_corner` coefficients, with an `order`-node Gauss-Legendre rule
-    whose moments `pairing.pair_suspended` contracts in closed form; `at`
-    builds one value from scalar weights on the blocks P_g."""
+    whose moments `pairing.pair_suspended` contracts in closed form.  It
+    keeps each P_g's data block, its live components `parts` and its cached
+    space derivatives `space`; `at` builds one value from scalar weights on
+    the live components."""
 
     def __init__(self, t0: float, t1: float, order: int, coeffs):
         self.t0, self.t1 = t0, t1
         self.nodes, self.weights = _gauss_rule(order)
-        self.blocks = [x.data for x, _ in coeffs]
-        self.space = [dx for _, dx in coeffs]
+        self.blocks = [x.data for x, _, _ in coeffs]
+        self.parts = [parts for _, parts, _ in coeffs]
+        self.space = [dx for _, _, dx in coeffs]
         self.grid, self.m, self.k = coeffs[0][0].grid, coeffs[0][0].m, coeffs[0][0].k
 
     def _powers(self, s) -> list:
@@ -262,7 +274,19 @@ class ArcSegment:
         return [c ** (d - g) * sn ** g for g in range(d + 1)]
 
     def at(self, s: float) -> AlgElement:
-        return AlgElement(self.grid, self.m, self.k, _combine(self._powers(s), self.blocks))
+        return self._element(_combine(self._powers(s), self.parts, range(1 << self.k)))
+
+    def _element(self, parts: dict) -> AlgElement:
+        """The element of the arc's shape whose live components are parts, of
+        one shape, and whose others are zero, formed at the points of parts
+        and `_spread` over the grid."""
+        shape = self.blocks[0].shape
+        out = np.zeros((shape[0], *np.broadcast_shapes((1,) * self.grid.d + shape[-2:],
+                                                       *(b.shape for b in parts.values()))),
+                       dtype=complex)
+        for s, b in parts.items():
+            out[s] = b
+        return AlgElement(self.grid, self.m, self.k, _spread(out, shape))
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """P_0 and P_d, the arc's exact values at s = 0 and s = 1, as stored."""
@@ -334,20 +358,25 @@ def _half_symmetry(corners: list[AlgElement], segments: list[ArcSegment],
     first half, by a negated one on the second.  Arc i runs from corner i to
     corner i + 1 as cos a + sin b with real weights, and an extended rs is
     real-linear, so a node's defect is cos D_a + sin D_b with D = rs(c) - c
-    of each corner c.  Each corner's defect is formed once per half, and
-    only the two of the current arc are held."""
+    of each corner c.  Each corner's defect is formed and scanned once per
+    half, and only the two of the current arc are held."""
     ring = corners + corners[:1]
     for half in (0, 1):
         ext = rs.extend(1 - 2 * half)
-        a = (apply_real_structure(ext, ring[2 * half]) - ring[2 * half]).data
+        a = _defect_parts(ext, ring[2 * half])
         for i in (2 * half, 2 * half + 1):
-            b = (apply_real_structure(ext, ring[i + 1]) - ring[i + 1]).data
+            b = _defect_parts(ext, ring[i + 1])
             seg = segments[i]
             for j in range(0, seg.nodes.size, 8):
-                yield f"arc{i}_node{j}", AlgElement(
-                    seg.grid, seg.m, seg.k, _combine(seg._powers(seg.nodes[j]), [a, b]))
+                yield f"arc{i}_node{j}", seg._element(
+                    _combine(seg._powers(seg.nodes[j]), [a, b], range(1 << seg.k)))
             a = b
         del a, b  # before the next half's first defect is formed
+
+
+def _defect_parts(ext: RealStructureSpec, c: AlgElement) -> dict:
+    """The live components of rs(c) - c at its `_distinct` points."""
+    return _parts(_distinct((apply_real_structure(ext, c) - c).data))
 
 
 def torsion_loop(x: AlgElement, e: BasePoint, y: AlgElement,

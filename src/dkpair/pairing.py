@@ -168,14 +168,18 @@ def alt_trace(z: np.ndarray, diffs: list[np.ndarray], k: int) -> np.ndarray:
     return _top_trace(z, _alt([(_parts(d),) for d in diffs], k)[0], k)
 
 
-def _top_trace(z: np.ndarray, right: dict, k: int) -> np.ndarray:
+def _top_trace(z, right: dict, k: int) -> np.ndarray:
     """Per-point Tr_m of the top Clifford component of z * right, right given
-    by its live components, without forming the product."""
+    by its live components, without forming the product.  z is indexed by
+    mask: a component-first block, or, for a right that is not empty, a dict
+    of the components the trace reads (each s with s ^ top in right), all of
+    one shape."""
     top = (1 << k) - 1
     table = sign_table(k)
+    reads = [s for s in range(1 << k) if s ^ top in right]
     return sum((table[s, s ^ top] * np.einsum("...ij,...ji->...", z[s], right[s ^ top])
-                for s in range(1 << k) if s ^ top in right),
-               np.zeros(z.shape[1:-2], dtype=complex))
+                for s in reads),
+               np.zeros(z[reads[0]].shape[:-2] if reads else z.shape[1:-2], dtype=complex))
 
 
 def _alt(factors: list[tuple[dict, ...]], k: int) -> list[dict]:
@@ -324,29 +328,42 @@ def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
     the base point, each space derivative (blocks dP_g) and d/ds (blocks
     (pi/2)((g+1) P_(g+1) - (d-g+1) P_(g-1))).  Their antisymmetrized product
     is summed per degree g and contracted against the moments
-    sum_j w_j c_j^(D-g) s_j^g (value_j - base), formed once per live degree:
-    a degree whose product has no live component forms none, so an arc
-    between grid-constant corners, whose space derivatives are zero,
-    contracts nothing.
+    sum_j w_j c_j^(D-g) s_j^g (value_j - base), formed once per live degree
+    and only at the components `_top_trace` reads: a degree whose product
+    has no live component forms none, so an arc between grid-constant
+    corners, whose space derivatives are zero, contracts nothing.  Every
+    block is read by its live Clifford components: the arc's `parts`, the
+    cached derivatives of its `space` and the base point's, scanned once.
     """
-    p, d = [_distinct(b) for b in seg.blocks], len(seg.blocks) - 1
+    p, d = seg.parts, len(seg.parts) - 1
     # d/ds blocks at the distinct points, terms outside 0..d dropped; its
     # factor pi/2 is applied to the sum
-    dds = ([p[1]] + [(g + 1) * p[g + 1] - (d - g + 1) * p[g - 1] for g in range(1, d)]
-           + [-p[d - 1]])
-    factors = ([tuple(_parts(dx(ax)) for dx in seg.space) for ax in axes]
-               + [tuple(_parts(b) for b in dds)])
+    dds = ([p[1]] + [_difference(g + 1, p[g + 1], d - g + 1, p[g - 1]) for g in range(1, d)]
+           + [{s: -b for s, b in p[d - 1].items()}])
+    factors = [tuple(dx(ax) for dx in seg.space) for ax in axes] + [tuple(dds)]
     degree = d * len(factors)
     c, s = np.cos(np.pi * seg.nodes / 2), np.sin(np.pi * seg.nodes / 2)
     powers = seg._powers(seg.nodes)
+    parts = p + [_parts(_distinct(base))]
+    top = (1 << k) - 1
     total = 0.0 + 0.0j
     for g, right in enumerate(_alt(factors, k)):
         if not right:
             continue  # a dead degree: its moment block would contract nothing
         w = seg.weights * c ** (degree - g) * s ** g
-        z = _combine([w @ q for q in powers] + [-w.sum()], seg.blocks + [base])
-        total += np.mean(_top_trace(z, right, k))
+        z = _combine([w @ q for q in powers] + [-w.sum()], parts, {t ^ top for t in right})
+        # a product component against a moment component no block holds
+        # would contract zeros
+        right = {t: r for t, r in right.items() if t ^ top in z}
+        if right:
+            total += np.mean(_top_trace(z, right, k))
     return (np.pi / 2) * total
+
+
+def _difference(a: int, p: dict, b: int, q: dict) -> dict:
+    """a p - b q for blocks given by their live components, in ascending
+    mask order as `_parts` gives them, so that products accumulate alike."""
+    return {s: a * p.get(s, 0) - b * q.get(s, 0) for s in sorted(p.keys() | q.keys())}
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,14 @@ import pytest
 
 from dkpair import floquet as fl
 from dkpair.clifford import CliffordSignature, mu, representation
-from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _parts,
-                             _represent_blocks, _spectral_calculus,
-                             _validate_osi, apply_real_structure,
+from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _distinct,
+                             _parts, _represent_blocks, _spectral_calculus,
+                             _spread, _validate_osi, apply_real_structure,
                              check_invariance, spectral_derivative_data, trace)
 from dkpair.kclass import (ArcSegment, BasePoint, LoopElement,
-                           _combine, _sample_defects, osu_validate)
+                           _sample_defects, osu_validate)
 from dkpair.models import quaternionic_structure, qwz_hoppings, qwz_symbol
-from dkpair.pairing import _top_phase, alt_trace
+from dkpair.pairing import _alt, _top_phase, _top_trace, alt_trace
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
@@ -276,18 +276,32 @@ def exp_projection_loop(p: AlgElement, nt: int, sign: float = -1.0) -> LoopEleme
     return loop_from_unitary_samples(_spectral_calculus(v, phases), p.grid, p.m)
 
 
+def dense_combine(weights, blocks) -> np.ndarray:
+    """sum_g weights[g] blocks[g] over every Clifford component of blocks of
+    one shape, accumulated in place at their `_distinct` points and `_spread`
+    over the grid: the dense form of `kclass._combine`, which sums live
+    components only."""
+    parts = [_distinct(b) for b in blocks]
+    out = np.zeros(np.broadcast_shapes(*(q.shape for q in parts)), dtype=complex)
+    for w, q in zip(weights, parts):
+        out += w * q
+    return _spread(out, blocks[0].shape)
+
+
 def arc_nodes(seg: ArcSegment, axes):
     """(weight, value, d/ds, [d_axis value for axis in axes]) at each node of
     an arc's Gauss rule, one node at a time, each built from scalar weights
     on the arc's blocks P_g (for d/ds, (pi/2)(g cos^(d-g+1) sin^(g-1) -
-    (d-g) cos^(d-g-1) sin^(g+1))) and on their cached space derivatives."""
+    (d-g) cos^(d-g-1) sin^(g+1))) and on their cached space derivatives,
+    each made a dense block, by `dense_combine`."""
     for s, weight in zip(seg.nodes, seg.weights):
         w = seg._powers(s)
         d, pad = len(w) - 1, [0.0, *w, 0.0]
         # the d/ds weight of P_g is (pi/2)(g w[g-1] - (d-g) w[g+1])
         dw = [g * pad[g] - (d - g) * pad[g + 2] for g in range(d + 1)]
-        yield (weight, _combine(w, seg.blocks), (np.pi / 2) * _combine(dw, seg.blocks),
-               [_combine(w, [dx(ax) for dx in seg.space]) for ax in axes])
+        yield (weight, dense_combine(w, seg.blocks), (np.pi / 2) * dense_combine(dw, seg.blocks),
+               [dense_combine(w, [seg._element(dx(ax)).data for dx in seg.space])
+                for ax in axes])
 
 
 def pair_suspended_by_nodes(cycle, loop: LoopElement) -> complex:
@@ -302,6 +316,40 @@ def pair_suspended_by_nodes(cycle, loop: LoopElement) -> complex:
             total += weight * np.mean(alt_trace(value - base, space + [dvalue], k))
     return complex(cycle.scale(k) * (1j) ** (mu(n + 1) % 4) * 0.5
                    * _top_phase(k, n + 1) * total)
+
+
+def pair_suspended_dense(cycle, loop: LoopElement) -> complex:
+    """The exact oracle of `pairing.pair_suspended` on a loop of arcs: the
+    same closed-form sums over every Clifford component, term for term.
+    Each arc's d/ds blocks and space derivatives are dense 2^k blocks, the
+    derivatives transformed afresh from its blocks, and each live degree's
+    moment block is formed over every component by `dense_combine`.  A
+    component that is identically zero adds exact zeros, so the value is
+    bit for bit the arc route's."""
+    base, n, k = loop.segments[0].ends()[0], cycle.n, loop.k
+    total = sum(dense_arc_integral(seg, base, cycle.derivations, k) for seg in loop.segments)
+    return complex(cycle.scale(k) * (1j) ** (mu(n + 1) % 4) * 0.5
+                   * _top_phase(k, n + 1) * total)
+
+
+def dense_arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
+    """`pairing._arc_integral` over dense blocks (see `pair_suspended_dense`)."""
+    p, d = [_distinct(b) for b in seg.blocks], len(seg.blocks) - 1
+    dds = ([p[1]] + [(g + 1) * p[g + 1] - (d - g + 1) * p[g - 1] for g in range(1, d)]
+           + [-p[d - 1]])
+    factors = ([tuple(_parts(spectral_derivative_data(b, seg.grid, ax)) for b in seg.blocks)
+                for ax in axes] + [tuple(_parts(b) for b in dds)])
+    degree = d * len(factors)
+    c, s = np.cos(np.pi * seg.nodes / 2), np.sin(np.pi * seg.nodes / 2)
+    powers = seg._powers(seg.nodes)
+    total = 0.0 + 0.0j
+    for g, right in enumerate(_alt(factors, k)):
+        if not right:
+            continue
+        w = seg.weights * c ** (degree - g) * s ** g
+        z = dense_combine([w @ q for q in powers] + [-w.sum()], seg.blocks + [base])
+        total += np.mean(_top_trace(z, right, k))
+    return (np.pi / 2) * total
 
 
 def represent(x: AlgElement) -> np.ndarray:

@@ -469,6 +469,48 @@ def test_a_flag_a_command_does_not_read_stays_unchecked(capsys, argv):
     assert read_report(capsys)["status"] == "ok"
 
 
+def lifted_qwz_hoppings(dimension):
+    """Gapped QWZ hoppings in one dimension (the offsets along k1 alone, at
+    mass 1.5) or three (at mass 1, k3 adding 0.25 cos k3 to the mass term)."""
+    if dimension == 1:
+        return {(off[0],): mat for off, mat in qwz_hoppings(1.5).items() if off[1] == 0}
+    hops = qwz_hoppings(1.0)
+    out = {(*off, 0): mat for off, mat in hops.items()}
+    out[0, 0, 1] = out[0, 0, -1] = 0.125 * np.diag([1.0, -1.0])
+    return out
+
+
+@pytest.mark.parametrize("dimension", [1, 3])
+@pytest.mark.parametrize("command", ["z2", "floquet"])
+def test_z2_and_floquet_need_a_two_dimensional_model(tmp_path, capsys, command, dimension):
+    # both read a Chern number over the momentum axes 0 and 1: a model of
+    # another dimension is a validation error before any grid is built, where
+    # one dimension failed on axis 1 and three averaged the Chern integrand
+    # over k3 (floquet) or failed to broadcast (z2)
+    hops = lifted_qwz_hoppings(dimension)
+    drive = hoppings_json({off: 0.25 * mat for off, mat in hops.items()})
+    cfg = {"dimension": dimension, "matrix_size": 2, "hoppings": hoppings_json(hops),
+           "spin_doubling": True, "real_structure": "quaternionic",
+           "drive": {"period": 1.0, "segments": [{"duration": 1.0, "hoppings": drive}]}}
+    argv = [command, "--config", write_config(tmp_path, cfg), "--grid", "8"]
+    assert run_cli(argv + (ARC if command == "floquet" else [])) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"validation error: {command} needs a two-dimensional model\n"
+
+
+def test_pair_ch0_on_a_point_model_records_no_grid(tmp_path, capsys):
+    # a dimension-0 model reads no momentum grid: grids is empty, and --grid,
+    # a flag the run does not read, stays unchecked
+    cfg = {"dimension": 0, "matrix_size": 4,
+           "hoppings": [{"offset": [], "matrix": mat_json(np.diag([1.0, 1.0, 1.0, -1.0]))}]}
+    path = write_config(tmp_path, cfg)
+    assert run_cli(["pair", "--cycle", "ch0", "--config", path, "--grid", "7"]) == cli.EXIT_OK
+    rep = read_report(capsys)
+    assert rep["status"] == "ok" and rep["grids"] == {}
+    assert rep["values"]["rank"]["rounded"] == 3
+
+
 def test_report_roundtrip(tmp_path, capsys):
     out = tmp_path / "report.json"
     path = write_config(tmp_path, qwz_config(1.0))

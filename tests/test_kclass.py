@@ -11,7 +11,7 @@ from conftest import (StoredSegment, arc_nodes, count_calls, dense_copy,
 from dkpair import kclass
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              apply_real_structure, direct_sum, even_subgrid,
-                             failing)
+                             failing, spectral_derivative_data)
 from dkpair.kclass import (ArcSegment, BasePoint, ClosedSegment, GapClosedError,
                            LoopElement, OsuValidationError, _corner,
                            _gauss_rule, _half_symmetry, _torsion_preconditions,
@@ -370,6 +370,22 @@ def kane_mele_torsion_datum(grid):
     h = decoupled_tri_symbol(grid, 1.0)
     x = make_osu_from_hamiltonian(h)
     return x, BasePoint.standard_rho(grid, 4, 1, sign=-1), spin_y(grid, 4)
+
+
+def test_cached_space_derivative_holds_one_block_per_live_component(grid16):
+    # x (x) 1 has one live Clifford component, so its cached derivative along
+    # each axis holds that component's block alone, the bytes of one
+    # (N, N, m, m) block, where a dense derivative held all 4; the derivative
+    # of the grid-constant y (x) i rho holds none
+    x, e, y = kane_mele_torsion_datum(grid16)
+    loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1), derivations=(0, 1), order=8)
+    arc = loop.segments[2]  # from x (x) 1 to y (x) i rho
+    block = np.zeros((*grid16.sizes, x.m, x.m), dtype=complex)
+    for axis in (0, 1):
+        dx = arc.space[0](axis)
+        assert list(dx) == [1] and sum(b.nbytes for b in dx.values()) == block.nbytes
+        assert np.array_equal(dx[1], spectral_derivative_data(arc.blocks[0], grid16, axis)[1])
+        assert arc.space[0](axis) is dx and arc.space[1](axis) == {}
 
 
 def test_half_symmetry_defects_match_per_node_oracle(grid16):
