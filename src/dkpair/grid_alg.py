@@ -281,6 +281,19 @@ class AlgElement:
 _FRO2_MIN = 1e-200
 # matrix entries per batched SVD call in norm_inf (16 MB of complex data)
 _SVD_CHUNK = 1 << 20
+# matrix entries per slab of a pointwise kernel (256 KiB of complex data)
+_SLAB = 1 << 14
+
+
+def _slabs(sizes: tuple, m: int) -> list:
+    """Slices of a grid's first axis that cut its points, an m x m matrix
+    each, into slabs of at most _SLAB entries and one index at least; a grid
+    with no axes is one slab, `...`.  A pointwise kernel run slab by slab
+    holds no temporary of the grid's size."""
+    if not sizes:
+        return [...]
+    step = max(1, _SLAB // (int(np.prod(sizes[1:], dtype=int)) * m * m))
+    return [slice(start, start + step) for start in range(0, sizes[0], step)]
 
 
 def _negate(data: np.ndarray, flagged: np.ndarray):
@@ -363,9 +376,37 @@ def alg_mul(x: AlgElement, y: AlgElement) -> AlgElement:
 def alg_star(x: AlgElement) -> AlgElement:
     """Involutive antihomomorphism: conjugate-transpose the matrix fields and
     reverse the Clifford factors."""
+    return x._like(_star_data(x))
+
+
+def _star_data(x: AlgElement) -> np.ndarray:
+    """x* at x's `_distinct` points, a block of its own."""
     out = np.conj(np.swapaxes(_distinct(x.data), -1, -2))
     _negate(out, reversion_signs(x.k) < 0)
-    return x._like(out)
+    return out
+
+
+def _adjoint_defect(x: AlgElement) -> AlgElement:
+    """x - x*, the self-adjointness defect, formed at x's `_distinct` points
+    in the one block of x*: the bits of x - x.star(), without its second
+    block."""
+    out = _star_data(x)
+    return x._like(np.subtract(_distinct(x.data), out, out=out))
+
+
+def _commutator(a: AlgElement, b: AlgElement, sign: int) -> AlgElement:
+    """a*b + sign b*a, formed at the operands' `_distinct` points in the one
+    block of a*b, into which each live component of b*a is added or
+    subtracted: the bits of a*b + b*a or a*b - b*a, without a dense b*a or
+    a third block."""
+    a._check(b)
+    ad, bd = _distinct(a.data), _distinct(b.data)
+    out = _mul_data(ad, bd, a.k)
+    for mask, block in _mul_parts(_parts(bd), _parts(ad), a.k).items():
+        if sign < 0:
+            np.negative(block, out=block)  # u + (-v) has the bits of u - v
+        out[mask] += block
+    return a._like(out)
 
 
 def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
@@ -397,11 +438,15 @@ def _derivative_parts(data: np.ndarray, grid: TorusGrid, axis: int) -> dict:
 
 def _derive(part: np.ndarray, grid: TorusGrid, axis: int, out=None) -> np.ndarray:
     """The derivation along grid axis `axis` of one Clifford component
-    (*sizes, m, m), by its Fourier multiplier; into `out` when given."""
+    (*sizes, m, m), by its Fourier multiplier: the transform is multiplied
+    in place and transformed back into its own buffer, or into `out` when
+    given, so the one buffer of the forward transform is all it allocates."""
     mult = grid.mode_multiplier(axis)
     shape = [1] * part.ndim
     shape[axis] = mult.size
-    return np.fft.ifft(np.fft.fft(part, axis=axis) * mult.reshape(shape), axis=axis, out=out)
+    modes = np.fft.fft(part, axis=axis)
+    modes *= mult.reshape(shape)
+    return np.fft.ifft(modes, axis=axis, out=modes if out is None else out)
 
 
 def _check_axis(axis: int, grid: TorusGrid):

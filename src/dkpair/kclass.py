@@ -22,11 +22,11 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .grid_alg import (AlgElement, RealStructureSpec, _derivative_parts,
-                       _distinct, _minus_unit, _parts, _spectral_calculus,
-                       _spread, apply_derivation, apply_real_structure,
-                       constant_view, even_subgrid, require,
-                       spectral_derivative_data)
+from .grid_alg import (AlgElement, RealStructureSpec, _adjoint_defect,
+                       _commutator, _derivative_parts, _distinct, _minus_unit,
+                       _parts, _slabs, _spectral_calculus, _spread,
+                       apply_derivation, apply_real_structure, constant_view,
+                       even_subgrid, require, spectral_derivative_data)
 
 # the spectral gap at zero that flatten needs, relative to the scale |h|
 GAP_TOL = 1e-8
@@ -60,7 +60,7 @@ class BasePoint:
 def _osu_defects(x: AlgElement, where: str):
     """(name + where, defect) of each OSU check of x, formed as it is drawn."""
     yield "even_part" + where, x.homogeneous_part(0)
-    yield "self_adjoint" + where, x - x.star()
+    yield "self_adjoint" + where, _adjoint_defect(x)
     yield "square" + where, _minus_unit(x * x)
 
 
@@ -74,27 +74,36 @@ def flatten(h: AlgElement) -> AlgElement:
     """Spectral flattening sign(h) of a self-adjoint invertible symbol, a
     plain matrix field (k = 0); any other k raises ValueError.
 
-    Pointwise hermitian eigendecomposition; eigenvalues map to +-1.  Both
-    checks are relative to the scale |h|, the largest |eigenvalue| (for a
-    self-adjoint h its norm_inf), as sign(lambda h) = sign(h) for lambda > 0:
-    the self-adjointness residual must stay within 1e-10 |h|, and
-    GapClosedError reports the offending grid point if the spectral gap at
-    zero falls below GAP_TOL |h|.  Raises LinAlgError on non-finite input.
+    Pointwise hermitian eigendecomposition; eigenvalues map to +-1.  It runs
+    in slabs of the first grid axis (`grid_alg._slabs`): each slab's `eigh`
+    and its v sign(w) v^dagger are written into the one sign block returned,
+    so no eigenvector array of the grid's size is held; the eigenvalues w
+    are kept whole for the checks.  Both checks are relative to the scale
+    |h|, the largest |eigenvalue| (for a self-adjoint h its norm_inf), as
+    sign(lambda h) = sign(h) for lambda > 0: the self-adjointness residual
+    must stay within 1e-10 |h|, and GapClosedError reports the offending
+    grid point if the spectral gap at zero falls below GAP_TOL |h|.  Raises
+    LinAlgError on non-finite input.
     """
     if h.k != 0:
         raise ValueError(f"flatten takes a symbol with k = 0, got k = {h.k}")
-    w, v = np.linalg.eigh(h.data[0])
+    field = h.data[0]
+    w = np.empty(field.shape[:-1])
+    sign = np.empty((1, *field.shape), dtype=complex)
+    for slab in _slabs(h.grid.sizes, h.m):
+        w[slab], v = np.linalg.eigh(field[slab])
+        sign[0][slab] = _spectral_calculus(v, np.sign(w[slab]))
     scale = float(np.abs(w).max())
     if not np.isfinite(scale):
         raise np.linalg.LinAlgError("flatten of a non-finite element")
     try:
-        require([("self_adjoint", h - h.star())], 1e-10 * scale,
+        require([("self_adjoint", _adjoint_defect(h))], 1e-10 * scale,
                 f"flatten needs a self-adjoint input at scale {scale:.2e}")
     except np.linalg.LinAlgError:
         # a NaN entry can leave eigh's eigenvalues finite and its vectors NaN
         raise np.linalg.LinAlgError("flatten of a non-finite element") from None
     _check_gap(w, GAP_TOL * scale)
-    return AlgElement.from_matrix_field(h.grid, _spectral_calculus(v, np.sign(w)))
+    return AlgElement(h.grid, h.m, 0, sign)
 
 
 def flatten_refinement(h: AlgElement) -> tuple[AlgElement, AlgElement]:
@@ -112,7 +121,7 @@ def flatten_refinement(h: AlgElement) -> tuple[AlgElement, AlgElement]:
     """
     base = even_subgrid(h)
     floor = 0.5 * np.sqrt(np.max(base._point_squares()[3]) / h.m)
-    if not (np.isfinite(floor) and (base - base.star()).within(1e-10 * floor)):
+    if not (np.isfinite(floor) and _adjoint_defect(base).within(1e-10 * floor)):
         flatten(base)
     try:
         fine = flatten(h)
@@ -342,8 +351,8 @@ def _torsion_preconditions(x, e, y, rs, derivations):
     yield "y_even", y.homogeneous_part(1)
     yield "y_anti_self_adjoint", y.star() + y
     yield "y_unitary", _minus_unit(y * y.star())
-    yield "y_commutes_x", y * x - x * y
-    yield "y_commutes_e", y * e - e * y
+    yield "y_commutes_x", _commutator(y, x, -1)
+    yield "y_commutes_e", _commutator(y, e, -1)
     for axis in derivations:
         yield f"dy_axis{axis}", apply_derivation(axis, y)
         yield f"de_axis{axis}", apply_derivation(axis, e)
@@ -407,7 +416,7 @@ def torsion_loop(x: AlgElement, e: BasePoint, y: AlgElement,
         x.append_generator(on_new=False),
         y.append_generator(coeff=1j),
     ]
-    require(((f"corners{i}{(i + 1) % 4}", a * b + b * a)
+    require(((f"corners{i}{(i + 1) % 4}", _commutator(a, b, 1))
              for i, (a, b) in enumerate(zip(corners, corners[1:] + corners[:1]))),
             tol, "corner elements fail to anticommute")
 

@@ -11,13 +11,19 @@ an n-dimensional character with an OSU x in M_m(A) (x) Cl_k is
 where [.]_top extracts the chirality-element coefficient of the Clifford
 factor (with the *-compatible phase of the iterated contraction), and the
 antisymmetrized permutation sum realizes (dx)^n over a Grassmann basis.
-Every character here evaluates through the one kernel `alt_trace`; the
-arcs of the Bott and torsion loops go through its two halves, the
-antisymmetrized product `_alt` and the contraction `_top_trace`, once per
-arc, and so does `pair`, which frees the derivatives between the two.  Both
-take blocks by their live Clifford components, so an identically zero one
-is neither formed nor scanned again.  The Floquet T^3 degree is not a
-character pairing and takes its integrand from `floquet._cubic_trace`.
+Every character here evaluates through the one kernel `_slab_trace`
+(`alt_trace` on data blocks).  Only the derivations need a whole axis:
+they are formed once, by their live Clifford components.  The rest is
+pointwise, and runs slab by slab over the first grid axis
+(`grid_alg._slabs`): the antisymmetrized product `_alt`, the contraction
+`_top_trace` and, in `pair`, z = x - e, formed only at the components the
+contraction reads.  So no product is held at every grid point, and each
+point's value is the one a whole-grid kernel forms.  The arcs of the Bott
+and torsion loops go through `_alt` and `_top_trace` once per arc, on their
+moment blocks.  Both halves take blocks by their live Clifford components,
+so an identically zero one is neither formed nor scanned again.  The
+Floquet T^3 degree is not a character pairing and takes its integrand from
+`floquet._cubic_trace`.
 A pairing is the complex number itself, and the class it reads is the
 validated `AlgElement` of `kclass.osu_validate`.
 
@@ -35,8 +41,9 @@ from math import comb
 import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
-from .grid_alg import (AlgElement, _accumulate, _check_axis, _distinct,
-                       _mul_parts, _parts, apply_derivation, constant_view,
+from .grid_alg import (AlgElement, _accumulate, _adjoint_defect, _check_axis,
+                       _derivative_parts, _distinct, _mul_data, _mul_parts,
+                       _parts, _slabs, apply_derivation, constant_view,
                        require)
 from .kclass import ArcSegment, BasePoint, LoopElement, _combine
 
@@ -157,15 +164,40 @@ def alt_trace(z: np.ndarray, diffs: list[np.ndarray], k: int) -> np.ndarray:
     """Per-point Tr_m of the top Clifford component of
     z * sum_sigma sgn(sigma) d_sigma(1) ... d_sigma(n).
 
-    Inputs are component-first data blocks (2^k, *batch, m, m); the result
-    has shape batch.  The antisymmetrized product expands along its first
-    factor, Alt(d_1..d_n) = sum_i (-1)^(i-1) d_i Alt(d_1..^d_i..d_n), over
-    the live Clifford components of each diff, and the last product with z
-    is never formed: only its top component is contracted.
+    Inputs are component-first data blocks (2^k, *batch, m, m) whose batch
+    axes broadcast; the result has their broadcast shape.  It is
+    `_slab_trace` of z's components and of each diff's live ones, so the
+    products run slab by slab along the first batch axis.
     """
-    if not diffs:
-        return np.trace(z[(1 << k) - 1], axis1=-2, axis2=-1)
-    return _top_trace(z, _alt([(_parts(d),) for d in diffs], k)[0], k)
+    batch = np.broadcast_shapes(*(b.shape[1:-2] for b in (z, *diffs)))
+    z, *diffs = (np.broadcast_to(b, (b.shape[0], *batch, *b.shape[-2:])) for b in (z, *diffs))
+    return _slab_trace(lambda slab, masks: {s: z[s][slab] for s in masks},
+                       [_parts(d) for d in diffs], k, batch, z.shape[-1])
+
+
+def _slab_trace(z, diffs: list[dict], k: int, batch: tuple, m: int) -> np.ndarray:
+    """The one contraction kernel: per-point Tr_m of the top Clifford
+    component of z * Alt(diffs) on the points `batch` of m x m matrices,
+    formed slab by slab (`grid_alg._slabs`) so that no product is held at
+    every point.  Each diff is given by its live components {mask: block},
+    every block of shape (*batch, m, m); z(slab, masks) gives {s: block} of
+    z's components `masks` at a slab, and is asked only for those that
+    `_top_trace` reads, or for the top one when there is no diff (n = 0,
+    the trace of z's top component).  The antisymmetrized product expands
+    along its first factor, Alt(d_1..d_n) = sum_i (-1)^(i-1) d_i
+    Alt(d_1..^d_i..d_n), over the live components of each diff, and the last
+    product with z is never formed: only its top component is contracted.
+    Each point's value is the one a whole-grid kernel forms."""
+    top = (1 << k) - 1
+    tr = np.empty(batch, dtype=complex)
+    for slab in _slabs(batch, m):
+        if diffs:
+            right = _alt([({s: d[slab] for s, d in parts.items()},) for parts in diffs], k)[0]
+            reads = [s for s in range(1 << k) if s ^ top in right]
+            tr[slab] = _top_trace(z(slab, reads), right, k) if right else 0
+        else:
+            tr[slab] = np.trace(z(slab, [top])[top], axis1=-2, axis2=-1)
+    return tr
 
 
 def _top_trace(z, right: dict, k: int) -> np.ndarray:
@@ -231,11 +263,11 @@ def pair(cycle: CycleSpec, x: AlgElement, e: BasePoint | AlgElement) -> complex:
     eb = e.e if isinstance(e, BasePoint) else e
     x._check(eb)
     _check_basepoint(cycle, eb)
-    # the derivatives are contracted into their antisymmetrized product, and
-    # freed, before z = x - e is formed
-    right = _alt([(_parts(apply_derivation(axis, x).data),) for axis in cycle.derivations], k)[0]
-    z = (x - eb).data
-    tr = _top_trace(z, right, k) if n else alt_trace(z, [], k)
+    # the derivatives are formed whole, by their live components; z = x - e
+    # is formed slab by slab, at the components the contraction reads
+    diffs = [_derivative_parts(x.data, x.grid, axis) for axis in cycle.derivations]
+    tr = _slab_trace(lambda slab, masks: {s: x.data[s][slab] - eb.data[s][slab] for s in masks},
+                     diffs, k, x.grid.sizes, x.m)
     raw = complex(np.mean(tr)) * _top_phase(k, n)
     return complex(cycle.scale(k) * (1j) ** (mu(n) % 4) * raw)
 
@@ -257,9 +289,13 @@ def winding_number(u: AlgElement) -> complex:
 
 
 def _projection_defects(p: AlgElement):
-    """(name, defect) of each projection check, formed as it is drawn."""
-    yield "idempotent", p * p - p
-    yield "self_adjoint", p - p.star()
+    """(name, defect) of each projection check, formed as it is drawn, each
+    in one block of its own at p's `_distinct` points."""
+    data = _distinct(p.data)
+    square = _mul_data(data, data, p.k)
+    yield "idempotent", p._like(np.subtract(square, data, out=square))
+    del square
+    yield "self_adjoint", _adjoint_defect(p)
 
 
 def chern_number(p: AlgElement) -> float:
@@ -272,17 +308,22 @@ def chern_number(p: AlgElement) -> float:
     defects and the imaginary part must stay within 1e-8.
     """
     require(_projection_defects(p), 1e-8, "input not a projection field")
-    d1 = apply_derivation(0, p)
-    d2 = apply_derivation(1, p)
-    val = 2j * np.pi * np.mean(alt_trace(p.data, [d1.data, d2.data], 0))
+    diffs = [_derivative_parts(p.data, p.grid, axis) for axis in (0, 1)]
+    tr = _slab_trace(lambda slab, masks: {s: p.data[s][slab] for s in masks},
+                     diffs, p.k, p.grid.sizes, p.m)
+    val = 2j * np.pi * np.mean(tr)
     require([("imag", abs(val.imag))], 1e-8, "Chern integrand not real")
     return float(val.real)
 
 
 def band_chern(s: AlgElement) -> float:
     """Chern number of the positive band (1 + s)/2 of a flattened sign s,
-    unrounded: for s = flatten(h1) of a spin block, its spin Chern number."""
-    return chern_number((s + AlgElement.unit(s.grid, s.m, 0)).scale(0.5))
+    unrounded: for s = flatten(h1) of a spin block, its spin Chern number.
+    (1 + s)/2 is formed at s's `_distinct` points in one block, with the
+    bits of (s + 1).scale(0.5)."""
+    p = np.add(_distinct(s.data), np.eye(s.m))
+    p *= 0.5
+    return chern_number(s._like(p))
 
 
 # ---------------------------------------------------------------------------

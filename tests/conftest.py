@@ -352,6 +352,57 @@ def dense_arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> compl
     return (np.pi / 2) * total
 
 
+# ---------------------------------------------------------------------------
+# whole-grid oracles of the slab kernels: every point at once, as the
+# kernels ran before they took their points in slabs
+# ---------------------------------------------------------------------------
+
+def whole_derivative(data: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
+    """The spectral derivation of a component-first block at every point,
+    out of place; zero along an axis of stride 0, on which it is constant."""
+    if data.strides[1 + axis] == 0:
+        return np.zeros(data.shape, dtype=complex)
+    shape = [1] * (data.ndim - 1)
+    shape[axis] = grid.sizes[axis]
+    mult = grid.mode_multiplier(axis).reshape(shape)
+    return np.fft.ifft(np.fft.fft(data, axis=1 + axis) * mult, axis=1 + axis)
+
+
+def whole_alt_trace(z: np.ndarray, diffs: list[np.ndarray], k: int) -> np.ndarray:
+    """`pairing.alt_trace` with its product and trace formed over the whole
+    batch in one step."""
+    if not diffs:
+        return np.trace(z[(1 << k) - 1], axis1=-2, axis2=-1)
+    return _top_trace(z, _alt([(_parts(d),) for d in diffs], k)[0], k)
+
+
+def whole_flatten(h: AlgElement) -> AlgElement:
+    """flatten's sign from one eigh over the whole grid (no checks)."""
+    w, v = np.linalg.eigh(h.data[0])
+    return AlgElement.from_matrix_field(h.grid, _spectral_calculus(v, np.sign(w)))
+
+
+def whole_chern_number(p: AlgElement) -> float:
+    """`pairing.chern_number`'s value over the whole grid (no checks)."""
+    diffs = [whole_derivative(p.data, p.grid, axis) for axis in (0, 1)]
+    return float((2j * np.pi * np.mean(whole_alt_trace(p.data, diffs, 0))).real)
+
+
+def whole_band_chern(s: AlgElement) -> float:
+    """`pairing.band_chern` through a dense unit, sum and scale."""
+    return whole_chern_number((s + AlgElement.unit(s.grid, s.m, 0)).scale(0.5))
+
+
+def whole_pair(cycle, x: AlgElement, e) -> complex:
+    """`pairing.pair` with z = x - e and its contraction formed over the
+    whole grid (no base-point check)."""
+    eb = e.e if isinstance(e, BasePoint) else e
+    n, k = cycle.n, x.k
+    diffs = [whole_derivative(x.data, x.grid, axis) for axis in cycle.derivations]
+    raw = complex(np.mean(whole_alt_trace((x - eb).data, diffs, k))) * _top_phase(k, n)
+    return complex(cycle.scale(k) * (1j) ** (mu(n) % 4) * raw)
+
+
 def represent(x: AlgElement) -> np.ndarray:
     """Pointwise matrix image of shape (*sizes, m*2^q, m*2^q), a *-homomorphism."""
     return _represent_blocks(x.data, x.k, list(_parts(x.data)))

@@ -15,7 +15,8 @@ from conftest import (constant_element, dense_copy, hermitian_calculus,
 from dkpair import floquet, kclass, models, pairing
 from dkpair.clifford import CliffordSignature, generator_signs, mu
 from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, RealStructureSpec,
-                             TorusGrid, _minus_unit, _negate,
+                             TorusGrid, _adjoint_defect, _commutator,
+                             _minus_unit, _negate,
                              _quaternionic_swap, apply_derivation,
                              apply_real_structure, blade, check_invariance,
                              constant_view, direct_sum, gamma_element,
@@ -606,6 +607,25 @@ def quaternionic_fiber_dense(rs, x, block):
     u = np.kron(np.eye(x.m // block), np.kron(sy, np.eye(block // 2)))
     out = apply_real_structure(dataclasses.replace(rs, fiber="c"), x).data
     return u @ out @ np.conj(u.T)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_defects_in_one_buffer_have_the_bits_of_their_expressions(rng, k):
+    # each defect is formed in the one block of its first term, with the
+    # bits of the plain expression, on dense elements and on grid-constant
+    # broadcast views, whose star() is read-only
+    grid = TorusGrid((8, 6))
+    a, b = (random_element(rng, grid, 4, k) for _ in range(2))
+    a.data[rng.random(1 << k) < 0.5] = 0
+    c = constant_view(AlgElement(grid, 4, k, np.broadcast_to(b.data[:, :1, :1], b.data.shape)))
+    assert not c.star().data.flags.writeable
+    for x in (a, b, c):
+        assert np.array_equal(_adjoint_defect(x).data, (x - x.star()).data)
+        for y in (a, b, c):
+            assert np.array_equal(_commutator(x, y, 1).data, (x * y + y * x).data)
+            assert np.array_equal(_commutator(x, y, -1).data, (x * y - y * x).data)
+    # at a grid-constant pair the defect stays at its one point
+    assert _commutator(c, c, 1).data.strides[1:3] == (0, 0)
 
 
 @pytest.mark.parametrize("m, block", [(4, None), (4, 2), (8, 4), (8, 2)])

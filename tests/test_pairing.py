@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import (chern_fhs, count_calls, dense_copy, ko2_generator,
                       pair_suspended_dense, psi_e_inverse, random_element,
-                      random_hermitian_field, sigma_x_base_point, spin_y,
-                      swapped_doubled_class, unitary_exp)
+                      random_hermitian_field, same_element, sigma_x_base_point,
+                      spin_y, swapped_doubled_class, unitary_exp,
+                      whole_alt_trace, whole_band_chern, whole_chern_number,
+                      whole_flatten, whole_pair)
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
                              _derivative_parts, _mul_data, _mul_parts, _parts,
-                             apply_derivation,
+                             _slabs, apply_derivation, constant_view,
                              apply_real_structure, direct_sum, psi_e,
                              spectral_derivative_data)
 from dkpair.kclass import (ArcSegment, BasePoint, ClosedSegment, LoopElement,
@@ -864,10 +866,112 @@ def test_bott_loop_route_products_do_not_grow_with_order(qwz_osu, monkeypatch):
     assert counts[0] == counts[1] < 9 * 64
 
 
+def test_slab_kernels_equal_whole_grid_oracles(rng, monkeypatch):
+    # at 64^2 and m = 4 every pointwise kernel runs in 4 slabs; each value
+    # equals, bit for bit, the one its whole-grid oracle forms at every
+    # point at once
+    grid, m = TorusGrid((64, 64)), 4
+    assert len(_slabs(grid.sizes, m)) >= 4
+    stacked = {off: np.kron(np.eye(2), mat) for off, mat in qwz_hoppings(1.0).items()}
+    noise = random_hermitian_field(rng, grid, m)
+    h = symbol_from_hoppings(grid, stacked, m) + noise.scale(0.01)
+    s = flatten(h)
+    assert same_element(s, whole_flatten(h))
+    assert band_chern(s) == whole_band_chern(s)
+    x = osu_validate(s.append_generator())
+    e = BasePoint.standard_rho(grid, m, 1, sign=-1)
+    for cycle in (ch0(), ch2()):
+        assert pair(cycle, x, e) == whole_pair(cycle, x, e)
+    # the closed form through `pair`, on z2's broadcast y = i 1 and on the
+    # Kane-Mele spin symmetry, whose compression reads half of each matrix
+    iy = np.zeros((2, 1, 1, m, m), dtype=complex)
+    iy[0] = 1j * np.eye(m)
+    km = decoupled_tri_symbol(grid, 1.0)
+    xk = make_osu_from_hamiltonian(km)
+    cases = [(x, AlgElement(grid, m, 1, np.broadcast_to(iy, (2, *grid.sizes, m, m)))),
+             (xk, spin_y(grid, m))]
+    slabbed = [torsion_pairing_closed_form(ch2(), xc, e, y, MODULUS_KANE_MELE_CH2)
+               for xc, y in cases]
+    monkeypatch.setattr(pairing, "pair", whole_pair)
+    for (xc, y), value in zip(cases, slabbed):
+        assert value == torsion_pairing_closed_form(ch2(), xc, e, y, MODULUS_KANE_MELE_CH2)
+    # a constant projection, whose derivatives have no live component
+    p = AlgElement.from_matrix_field(
+        grid, np.broadcast_to(np.diag([1.0, 1.0, 0.0, 0.0]), (*grid.sizes, m, m)).copy())
+    assert chern_number(p) == whole_chern_number(p) == 0.0
+    # the kernel itself, on random elements with dead components
+    for k in range(3):
+        z, *diffs = (random_element(rng, grid, m, k).data for _ in range(3))
+        diffs[0][0] = 0
+        for n in range(3):
+            assert np.array_equal(alt_trace(z, diffs[:n], k), whole_alt_trace(z, diffs[:n], k))
+
+
+def test_slab_kernels_on_constant_and_pointless_grids():
+    # ch1 on a constant sign over 2^16 time points (4 slabs at m = 1): no
+    # live derivative, so every slab contracts nothing
+    tgrid = TorusGrid((1 << 16,), ("time",))
+    assert len(_slabs(tgrid.sizes, 1)) >= 4
+    hfield = AlgElement.from_matrix_field(
+        tgrid, (np.cos(2 * np.pi * tgrid.coordinates(0)) + 2.0)[:, None, None])
+    x1 = make_osu_from_hamiltonian(hfield)
+    e1 = BasePoint.standard_rho(tgrid, 1, 1, -1)
+    value = pair(ch1(), x1, e1)
+    assert value == whole_pair(ch1(), x1, e1) and abs(value) < 1e-10
+    # a grid-constant class, a broadcast view whose star() is one too
+    grid = TorusGrid((64, 64))
+    x, e, _ = kane_mele_torsion_data(grid, 1.0)
+    xc = constant_view(AlgElement(grid, x.m, x.k, np.broadcast_to(x.data[:, :1, :1], x.data.shape)))
+    assert not xc.star().data.flags.writeable
+    assert osu_validate(xc) is xc
+    assert pair(ch2(), xc, e) == whole_pair(ch2(), xc, e) == 0
+    # a grid of dimension 0 is one slab
+    point = TorusGrid(())
+    x0, e0, _ = ko2_generator(point)
+    assert _slabs(point.sizes, x0.m) == [...]
+    assert pair(ch0(), x0, e0) == whole_pair(ch0(), x0, e0)
+
+
+def test_pointwise_kernels_hold_no_full_size_temporaries():
+    # at 128^2 and m = 4 a plain matrix field is 4 MiB, one element size.
+    # flatten holds its sign and its self-adjointness defect (whole-grid
+    # eigenvectors and a copy of the sign took 3.25 elements); band_chern
+    # (1 + s)/2, one defect or derivative at a time and the two derivatives
+    # (5.07 with whole-grid kernels); osu_validate of the k = 1 class, 2
+    # elements, one defect of that size (4.03 when x - x.star() held x.star()
+    # too); pair the two live derivative components (6.03 with whole-grid
+    # kernels).  The eigenvectors, products and x - e are formed slab by slab
+    grid, m = TorusGrid((128, 128)), 4
+    stacked = {off: np.kron(np.eye(2), mat) for off, mat in qwz_hoppings(1.0).items()}
+    h = symbol_from_hoppings(grid, stacked, m)
+    size = h.data.nbytes
+
+    def traced(f, *args):
+        tracemalloc.start()
+        try:
+            value = f(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return value, peak / size
+
+    s, flat = traced(flatten, h)
+    chern, band = traced(band_chern, s)
+    x = s.append_generator()
+    _, osu = traced(osu_validate, x)
+    val, paired = traced(pair, ch2(), x, BasePoint.standard_rho(grid, m, 1, sign=-1))
+    assert abs(chern - 2) <= 1e-6 and abs(2 * np.pi * val.real - 2) <= 1e-6
+    assert flat < 2.5
+    assert band < 3.5
+    assert osu < 2.25
+    assert paired < 2.5
+
+
 def test_pair_frees_the_derivatives_before_forming_x_minus_e():
-    # the two derivatives of x, 2 elements, are contracted into Alt(dx), half
-    # an element here, and freed before x - e, 1 element, is formed: the
-    # pairing peaks near 3 elements, where holding them together took 4
+    # the two derivatives of x are held by their live components, one
+    # element here, and Alt(dx) and x - e are formed slab by slab: the
+    # pairing peaks near 1.1 elements, where forming Alt(dx) and x - e over
+    # the whole grid took 3 and holding the derivatives beside them 4
     grid = TorusGrid((128, 128))
     stacked = {off: np.kron(np.eye(2), mat) for off, mat in qwz_hoppings(1.0).items()}
     x = make_osu_from_hamiltonian(symbol_from_hoppings(grid, stacked, 4))
