@@ -17,7 +17,7 @@ import numpy as np
 
 from . import floquet as fl
 from . import models, pairing
-from .grid_alg import AlgElement, TorusGrid, check_invariance, even_subgrid
+from .grid_alg import AlgElement, TorusGrid, _element, check_invariance, even_subgrid
 from .kclass import (BasePoint, GapClosedError, flatten_refinement,
                      make_osu_from_hamiltonian, osu_validate)
 
@@ -344,8 +344,6 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
     # grid-constant like the base point: a broadcast view of one block
     signs = list(flatten_refinement(h1))
     del h1
-    iy = np.zeros((2, 1, 1, m, m), dtype=complex)
-    iy[0] = 1j * np.eye(m)
     while signs:
         # each of a grid's arrays is freed once read, so that no pairing
         # holds a sign or another grid's class
@@ -355,7 +353,7 @@ def cmd_z2(cfg: ModelConfig, args) -> int:
         x = osu_validate(models.conjugate_flip(s1).append_generator())
         del s1
         e = BasePoint.standard_rho(grid, m, 1, sign=-1)
-        y = AlgElement(grid, m, 1, np.broadcast_to(iy, (2, *grid.sizes, m, m)))
+        y = _element(grid, m, 1, {0: 1j * np.eye(m)})
         torsions.append(pairing.torsion_pairing_closed_form(
             pairing.ch2(), x, e, y, pairing.MODULUS_KANE_MELE_CH2))
         del x, e, y

@@ -30,11 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid_alg import (AlgElement, _at_minus_k, _minus_unit,
-                       _spectral_calculus, apply_real_structure, require,
-                       spectral_derivative_data)
+from .grid_alg import (AlgElement, _adjoint_defect, _at_minus_k, _minus_unit,
+                       _spectral_calculus, apply_real_structure, require)
 from .kclass import (ClosedSegment, GapClosedError, LoopElement, _gauss_rule,
-                     _simpson_rule)
+                     _node_space, _simpson_rule)
 from .models import _partner_diag, quaternionic_structure
 from .pairing import chern_number
 
@@ -73,7 +72,7 @@ class FloquetDrive:
                 raise ValueError("drive Hamiltonians are plain matrix fields")
         # eigh reads one triangle, so the comparison with h* stays
         for j, ((_, h), (w, _)) in enumerate(zip(self.segments, self._eigh)):
-            require([(f"segment{j}", h - h.star())], 1e-12 * float(np.abs(w).max()),
+            require([(f"segment{j}", _adjoint_defect(h))], 1e-12 * float(np.abs(w).max()),
                     "drive segment not hermitian")
 
     @cached_property
@@ -245,7 +244,7 @@ def effective_hamiltonian(drive: FloquetDrive, eps: float) -> AlgElement:
     """(i/T) log_eps U(T): hermitian, with exp(-i T H) = U(T)."""
     w, v = _effective_spectrum(drive, eps)
     out = AlgElement.from_matrix_field(drive.grid, _spectral_calculus(v, w))
-    require([("hermitian", out - out.star())], 1e-10 * float(np.abs(w).max()),
+    require([("hermitian", _adjoint_defect(out))], 1e-10 * float(np.abs(w).max()),
             "effective Hamiltonian not hermitian")
     return out
 
@@ -332,8 +331,7 @@ class _AnalyticSegment:
         nodes, weights = _gauss_rule(self.order)
         for s, weight in zip(nodes, weights):
             value, deriv = (x[None] for x in self.at(s))
-            yield (weight, value, deriv,
-                   [spectral_derivative_data(value, self.grid, a) for a in axes])
+            yield weight, value, deriv, _node_space(value, self.grid, axes)
 
 
 class FrameSegment(_AnalyticSegment):

@@ -7,7 +7,10 @@ all Z2-degrees come from the Clifford subsets.  Data layout is
 
 Derivations are Fourier multipliers: i*n per mode on momentum axes
 (coordinates in [0, 2pi)) and 2*pi*i*n on unit-period time axes; both are
-exact on trigonometric polynomials below the Nyquist mode.
+exact on trigonometric polynomials below the Nyquist mode.  Every transform
+runs in the one derivation, `spectral_derivative_data`, which gives a block's
+derivative by its live Clifford components; `_element` builds an element
+from live components, and `_combine` sums them.
 """
 
 from __future__ import annotations
@@ -169,11 +172,12 @@ class AlgElement:
         return self._like(out)
 
     def homogeneous_part(self, parity: int) -> "AlgElement":
-        data = _distinct(self.data)
-        out = np.zeros(data.shape, dtype=complex)
-        for mask in np.flatnonzero(clifford.parity(self.k) == parity):
-            out[mask] = data[mask]
-        return self._like(out)
+        """The components of the given parity, built from the live ones
+        alone (`_element`): with none, a one-point zero view."""
+        parities = clifford.parity(self.k)
+        live = _parts(_distinct(self.data))
+        return _element(self.grid, self.m, self.k,
+                        {s: b for s, b in live.items() if parities[s] == parity})
 
     def _point_squares(self):
         """(live components, data with its `_distinct` points flattened to one
@@ -256,15 +260,9 @@ class AlgElement:
     # -- Clifford factor manipulation -----------------------------------
     def append_generator(self, on_new: bool = True, coeff: complex = 1.0) -> "AlgElement":
         """x -> x (x) rho_{k+1} (on_new=True) or x (x) 1 into the larger algebra."""
-        data = _distinct(self.data)
-        out = np.zeros((2 * data.shape[0], *data.shape[1:]), dtype=complex)
-        dim = 1 << self.k
-        if on_new:
-            out[dim:] = coeff * data
-        else:
-            out[:dim] = coeff * data
-        return AlgElement(self.grid, self.m, self.k + 1,
-                          _spread(out, (2 * dim, *self.data.shape[1:])))
+        shift = 1 << self.k if on_new else 0
+        return _element(self.grid, self.m, self.k + 1,
+                        {s | shift: coeff * b for s, b in _parts(_distinct(self.data)).items()})
 
     def __repr__(self):
         return (f"AlgElement(d={self.grid.d}, sizes={self.grid.sizes}, "
@@ -332,6 +330,36 @@ def _parts(data: np.ndarray) -> dict:
     that are not identically zero, scanned at its `_distinct` points."""
     scan = _distinct(data)
     return {s: data[s] for s in range(data.shape[0]) if np.any(scan[s])}
+
+
+def _combine(weights, parts, masks) -> dict:
+    """{s: sum_g weights[g] parts[g][s]} for each mask s in masks that some
+    parts[g] holds, parts[g] the live components {mask: block} of one block:
+    each sum is accumulated in place at the points that all the blocks
+    broadcast to, no other component is formed, and the masks come in
+    ascending order, as `_parts` gives them, so that products of the sums
+    accumulate alike."""
+    shape = np.broadcast_shapes(*(b.shape for q in parts for b in q.values()))
+    out = {}
+    for w, q in zip(weights, parts):
+        for s, b in q.items():
+            if s in masks:
+                if s not in out:
+                    out[s] = np.zeros(shape, dtype=complex)
+                out[s] += w * b
+    return dict(sorted(out.items()))
+
+
+def _element(grid: TorusGrid, m: int, k: int, parts: dict) -> AlgElement:
+    """The element whose live components are parts, blocks whose shapes
+    broadcast to (*grid.sizes, m, m), and whose other components are zero:
+    one zeroed block at the points of parts, `_spread` over the grid, so
+    that with no part it is a one-point zero view."""
+    points = np.broadcast_shapes((1,) * grid.d + (m, m), *(b.shape for b in parts.values()))
+    out = np.zeros((1 << k, *points), dtype=complex)
+    for s, b in parts.items():
+        out[s] = b
+    return AlgElement(grid, m, k, _spread(out, (1 << k, *grid.sizes, m, m)))
 
 
 def _accumulate(acc: dict, mask: int, block: np.ndarray, negate: bool):
@@ -409,44 +437,31 @@ def _commutator(a: AlgElement, b: AlgElement, sign: int) -> AlgElement:
     return a._like(out)
 
 
-def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
-    """Apply the spectral derivation along grid axis `axis` to a component-first
-    data block (2^k, *grid.sizes, m, m), at its `_distinct` points.  Along
-    an axis of stride 0, on which the block is constant, it is a read-only
-    zero of stride 0 with no transform; identically zero Clifford
-    components stay exact zeros without a transform."""
-    if data.strides[1 + axis] == 0:
-        return np.broadcast_to(np.zeros((), dtype=complex), data.shape)
-    block = _distinct(data)
-    out = np.zeros(block.shape, dtype=complex)
-    for s, part in _parts(block).items():
-        _derive(part, grid, axis, out[s])
-    return _spread(out, data.shape)
-
-
-def _derivative_parts(data: np.ndarray, grid: TorusGrid, axis: int) -> dict:
-    """{mask: block} of the spectral derivation along grid axis `axis` of a
-    component-first block, by its components whose derivative is not
-    identically zero: each live component is transformed at its `_distinct`
-    points into its own block, `_spread` over the grid, and no 2^k block is
-    formed.  Along an axis of stride 0 it is {} with no transform."""
+def spectral_derivative_data(data: np.ndarray, grid: TorusGrid, axis: int) -> dict:
+    """The spectral derivation along grid axis `axis` of a component-first
+    block (2^k, *grid.sizes, m, m), as {mask: block} of its components whose
+    derivative is not identically zero: the one derivation, and the only
+    caller of `_derive`.  Each live component is transformed at its
+    `_distinct` points into its own block, `_spread` over the grid (*sizes,
+    m, m), and no 2^k block is formed.  Along an axis of stride 0, on which
+    the block is constant, it is {} with no transform."""
     if data.strides[1 + axis] == 0:
         return {}
     derived = {s: _derive(part, grid, axis) for s, part in _parts(_distinct(data)).items()}
     return {s: _spread(d, data.shape[1:]) for s, d in derived.items() if np.any(d)}
 
 
-def _derive(part: np.ndarray, grid: TorusGrid, axis: int, out=None) -> np.ndarray:
+def _derive(part: np.ndarray, grid: TorusGrid, axis: int) -> np.ndarray:
     """The derivation along grid axis `axis` of one Clifford component
     (*sizes, m, m), by its Fourier multiplier: the transform is multiplied
-    in place and transformed back into its own buffer, or into `out` when
-    given, so the one buffer of the forward transform is all it allocates."""
+    in place and transformed back into its own buffer, the one buffer it
+    allocates."""
     mult = grid.mode_multiplier(axis)
     shape = [1] * part.ndim
     shape[axis] = mult.size
     modes = np.fft.fft(part, axis=axis)
     modes *= mult.reshape(shape)
-    return np.fft.ifft(modes, axis=axis, out=modes if out is None else out)
+    return np.fft.ifft(modes, axis=axis, out=modes)
 
 
 def _check_axis(axis: int, grid: TorusGrid):
@@ -458,7 +473,7 @@ def _check_axis(axis: int, grid: TorusGrid):
 def apply_derivation(axis: int, x: AlgElement) -> AlgElement:
     """The spectral derivation along grid axis `axis` of x."""
     _check_axis(axis, x.grid)
-    return AlgElement(x.grid, x.m, x.k, spectral_derivative_data(x.data, x.grid, axis))
+    return _element(x.grid, x.m, x.k, spectral_derivative_data(x.data, x.grid, axis))
 
 
 def trace(x: AlgElement) -> AlgElement:
@@ -655,21 +670,11 @@ def _split_cl2(x: AlgElement) -> tuple[AlgElement, AlgElement, AlgElement, AlgEl
     if x.k < 2:
         raise ValueError("need at least two Clifford generators")
     kh = x.k - 2
-    dim = 1 << kh
-    parts = [AlgElement(x.grid, x.m, kh) for _ in range(4)]
-    for mask in range(1 << x.k):
-        block = x.data[mask]
-        low = mask & (dim - 1)
-        high = mask >> kh
-        if high == 0:
-            parts[0].data[low] += block
-        elif high == 1:
-            parts[1].data[low] += block
-        elif high == 2:
-            parts[2].data[low] += block
-        else:  # rho_{k-1} rho_k = i * sigma_z
-            parts[3].data[low] += 1j * block
-    return tuple(parts)
+    parts = [{}, {}, {}, {}]
+    for mask, block in _parts(_distinct(x.data)).items():
+        # rho_{k-1} rho_k = i * sigma_z
+        parts[mask >> kh][mask & ((1 << kh) - 1)] = 1j * block if mask >> kh == 3 else block
+    return tuple(_element(x.grid, x.m, kh, q) for q in parts)
 
 
 def psi_e(x: AlgElement, e: AlgElement) -> AlgElement:

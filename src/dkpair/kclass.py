@@ -7,10 +7,12 @@ piecewise smooth on the circle.  A segment is one piece of a loop over
 M_m(A) (x) Cl_k on `grid`: it sets t0, t1, grid, m and k, and answers
 `ends()`, its data blocks at s = 0 and s = 1.  The Bott and torsion loops
 are `ArcSegment`s, homogeneous polynomials in (cos, sin)(pi s/2) that
-`pairing.pair_suspended` integrates in closed form from their coefficients.
-The Floquet loops answer `quadrature(axes)` as well: (weight, value, d/ds,
-[d_axis value for axis in axes]) as data blocks at each node of their own
-rule, one node at a time, which `floquet.degree_t3` reads.  Frames evaluate
+`pairing.pair_suspended` integrates in closed form from their coefficients,
+held by their live Clifford components.  The Floquet loops answer
+`quadrature(axes)` as well: (weight, value, d/ds, [d_axis value for axis in
+axes]) as data blocks at each node of their own rule, one node at a time,
+each derivative the k = 0 block of the derivation as it is formed
+(`_node_space`), which `floquet.degree_t3` reads.  Frames evaluate
 theirs from eigenframes (`floquet.FrameSegment`), and only `ClosedSegment`,
 a loop piece given as samples, stores node arrays.
 """
@@ -23,8 +25,8 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .grid_alg import (AlgElement, RealStructureSpec, _adjoint_defect,
-                       _commutator, _derivative_parts, _distinct, _minus_unit,
-                       _parts, _slabs, _spectral_calculus, _spread,
+                       _combine, _commutator, _distinct, _element,
+                       _minus_unit, _parts, _slabs, _spectral_calculus,
                        apply_derivation, apply_real_structure, constant_view,
                        even_subgrid, require, spectral_derivative_data)
 
@@ -49,12 +51,10 @@ class BasePoint:
 
     @classmethod
     def standard_rho(cls, grid, m, k, sign=-1):
-        """sign * 1 (x) rho_k (the last generator), grid-constant: a read-only
-        broadcast view of one point's block, so it holds no grid of its own
-        (a copy of its data is dense)."""
-        block = np.zeros((1 << k, *(1,) * grid.d, m, m), dtype=complex)
-        block[1 << (k - 1)] = sign * np.eye(m)
-        return cls(AlgElement(grid, m, k, np.broadcast_to(block, (1 << k, *grid.sizes, m, m))))
+        """sign * 1 (x) rho_k (the last generator), grid-constant: one point's
+        block, a read-only broadcast view on a grid with axes, so it holds
+        no grid of its own (a copy of its data is dense)."""
+        return cls(_element(grid, m, k, {1 << (k - 1): sign * np.eye(m)}))
 
 
 def _osu_defects(x: AlgElement, where: str):
@@ -203,6 +203,14 @@ def _simpson_rule(nnodes: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _node_space(value: np.ndarray, grid, axes) -> list:
+    """[d_axis value for axis in axes] of a plain node block (1, *sizes, m,
+    m): the k = 0 block of each derivation as it is formed, viewed with its
+    component axis, or a zero block where the derivative vanishes."""
+    derived = (spectral_derivative_data(value, grid, axis) for axis in axes)
+    return [d[0][None] if d else np.zeros_like(value) for d in derived]
+
+
 class ClosedSegment:
     """Values (2^k, M, *grid.sizes, m, m) stored on closed nodes j/(M-1),
     M odd and >= 7, with Simpson weights: d/ds at a node is its 4th-order
@@ -228,8 +236,7 @@ class ClosedSegment:
     def quadrature(self, axes):
         for j, weight in enumerate(self.weights):
             value = self.values[:, j]
-            yield (weight, value, self.deriv(j),
-                   [spectral_derivative_data(value, self.grid, a) for a in axes])
+            yield weight, value, self.deriv(j), _node_space(value, self.grid, axes)
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the first and last node."""
@@ -239,25 +246,9 @@ class ClosedSegment:
 def _corner(x: AlgElement):
     """An arc coefficient: x, its live Clifford components at its `_distinct`
     points, scanned once, and its space derivative per axis as live
-    components (`_derivative_parts`), cached on first use."""
+    components (`spectral_derivative_data`), cached on first use."""
     return (x, _parts(_distinct(x.data)),
-            functools.cache(lambda axis: _derivative_parts(x.data, x.grid, axis)))
-
-
-def _combine(weights, parts, masks) -> dict:
-    """{s: sum_g weights[g] parts[g][s]} for each mask s in masks that some
-    parts[g] holds, parts[g] the live components {mask: block} of one block:
-    each sum is accumulated in place at the points that all the blocks
-    broadcast to, and no other component is formed."""
-    shape = np.broadcast_shapes(*(b.shape for q in parts for b in q.values()))
-    out = {}
-    for w, q in zip(weights, parts):
-        for s, b in q.items():
-            if s in masks:
-                if s not in out:
-                    out[s] = np.zeros(shape, dtype=complex)
-                out[s] += w * b
-    return out
+            functools.cache(lambda axis: spectral_derivative_data(x.data, x.grid, axis)))
 
 
 class ArcSegment:
@@ -266,7 +257,7 @@ class ArcSegment:
     whose moments `pairing.pair_suspended` contracts in closed form.  It
     keeps each P_g's data block, its live components `parts` and its cached
     space derivatives `space`; `at` builds one value from scalar weights on
-    the live components."""
+    the live components (`grid_alg._element`)."""
 
     def __init__(self, t0: float, t1: float, order: int, coeffs):
         self.t0, self.t1 = t0, t1
@@ -283,19 +274,8 @@ class ArcSegment:
         return [c ** (d - g) * sn ** g for g in range(d + 1)]
 
     def at(self, s: float) -> AlgElement:
-        return self._element(_combine(self._powers(s), self.parts, range(1 << self.k)))
-
-    def _element(self, parts: dict) -> AlgElement:
-        """The element of the arc's shape whose live components are parts, of
-        one shape, and whose others are zero, formed at the points of parts
-        and `_spread` over the grid."""
-        shape = self.blocks[0].shape
-        out = np.zeros((shape[0], *np.broadcast_shapes((1,) * self.grid.d + shape[-2:],
-                                                       *(b.shape for b in parts.values()))),
-                       dtype=complex)
-        for s, b in parts.items():
-            out[s] = b
-        return AlgElement(self.grid, self.m, self.k, _spread(out, shape))
+        return _element(self.grid, self.m, self.k,
+                        _combine(self._powers(s), self.parts, range(1 << self.k)))
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """P_0 and P_d, the arc's exact values at s = 0 and s = 1, as stored."""
@@ -377,7 +357,8 @@ def _half_symmetry(corners: list[AlgElement], segments: list[ArcSegment],
             b = _defect_parts(ext, ring[i + 1])
             seg = segments[i]
             for j in range(0, seg.nodes.size, 8):
-                yield f"arc{i}_node{j}", seg._element(
+                yield f"arc{i}_node{j}", _element(
+                    seg.grid, seg.m, seg.k,
                     _combine(seg._powers(seg.nodes[j]), [a, b], range(1 << seg.k)))
             a = b
         del a, b  # before the next half's first defect is formed

@@ -11,17 +11,17 @@ an n-dimensional character with an OSU x in M_m(A) (x) Cl_k is
 where [.]_top extracts the chirality-element coefficient of the Clifford
 factor (with the *-compatible phase of the iterated contraction), and the
 antisymmetrized permutation sum realizes (dx)^n over a Grassmann basis.
-Every character here evaluates through the one kernel `_slab_trace`
+Every character here, the suspended one on the arcs of the Bott and
+torsion loops included, evaluates through the one kernel `_slab_trace`
 (`alt_trace` on data blocks).  Only the derivations need a whole axis:
-they are formed once, by their live Clifford components.  The rest is
-pointwise, and runs slab by slab over the first grid axis
-(`grid_alg._slabs`): the antisymmetrized product `_alt`, the contraction
-`_top_trace` and, in `pair`, z = x - e, formed only at the components the
-contraction reads.  So no product is held at every grid point, and each
-point's value is the one a whole-grid kernel forms.  The arcs of the Bott
-and torsion loops go through `_alt` and `_top_trace` once per arc, on their
-moment blocks.  Both halves take blocks by their live Clifford components,
-so an identically zero one is neither formed nor scanned again.  The
+they are formed once, by their live Clifford components
+(`grid_alg.spectral_derivative_data`).  The rest is pointwise, and runs slab
+by slab over the first grid axis (`grid_alg._slabs`): the antisymmetrized
+product `_alt`, the contraction `_top_trace` and its left factor, z = x - e
+in `pair` and an arc's moment blocks in `pair_suspended`, formed only at
+the components the contraction reads.  So no product is held at every grid
+point, each point's value is the one a whole-grid kernel forms, and an
+identically zero component is neither formed nor scanned again.  The
 Floquet T^3 degree is not a character pairing and takes its integrand from
 `floquet._cubic_trace`.
 A pairing is the complex number itself, and the class it reads is the
@@ -42,10 +42,10 @@ import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
 from .grid_alg import (AlgElement, _accumulate, _adjoint_defect, _check_axis,
-                       _derivative_parts, _distinct, _mul_data, _mul_parts,
-                       _parts, _slabs, apply_derivation, constant_view,
-                       require)
-from .kclass import ArcSegment, BasePoint, LoopElement, _combine
+                       _combine, _distinct, _mul_data, _mul_parts, _parts,
+                       _slabs, apply_derivation, constant_view, require,
+                       spectral_derivative_data)
+from .kclass import ArcSegment, BasePoint, LoopElement
 
 @dataclass(frozen=True)
 class CycleSpec:
@@ -171,33 +171,52 @@ def alt_trace(z: np.ndarray, diffs: list[np.ndarray], k: int) -> np.ndarray:
     """
     batch = np.broadcast_shapes(*(b.shape[1:-2] for b in (z, *diffs)))
     z, *diffs = (np.broadcast_to(b, (b.shape[0], *batch, *b.shape[-2:])) for b in (z, *diffs))
-    return _slab_trace(lambda slab, masks: {s: z[s][slab] for s in masks},
-                       [_parts(d) for d in diffs], k, batch, z.shape[-1])
+    return _slab_trace(lambda slab, masks, g: {s: z[s][slab] for s in masks},
+                       [(_parts(d),) for d in diffs], k, batch, z.shape[-1])[0]
 
 
-def _slab_trace(z, diffs: list[dict], k: int, batch: tuple, m: int) -> np.ndarray:
-    """The one contraction kernel: per-point Tr_m of the top Clifford
-    component of z * Alt(diffs) on the points `batch` of m x m matrices,
-    formed slab by slab (`grid_alg._slabs`) so that no product is held at
-    every point.  Each diff is given by its live components {mask: block},
-    every block of shape (*batch, m, m); z(slab, masks) gives {s: block} of
-    z's components `masks` at a slab, and is asked only for those that
-    `_top_trace` reads, or for the top one when there is no diff (n = 0,
-    the trace of z's top component).  The antisymmetrized product expands
-    along its first factor, Alt(d_1..d_n) = sum_i (-1)^(i-1) d_i
-    Alt(d_1..^d_i..d_n), over the live components of each diff, and the last
-    product with z is never formed: only its top component is contracted.
-    Each point's value is the one a whole-grid kernel forms."""
+def _slab_trace(z, factors: list[tuple[dict, ...]], k: int, batch: tuple, m: int) -> list:
+    """The one contraction kernel of every character: per degree g of
+    Alt(factors), the polynomial factors `_alt` takes (a plain block is
+    (b,)), the per-point Tr_m of the top Clifford component of z_g *
+    Alt(factors)_g on the points `batch` of m x m matrices, formed slab by
+    slab (`grid_alg._slabs`) so that no product is held at every point.
+    Blocks are given by their live components, of shapes that broadcast to
+    (*batch, m, m).  z(slab, masks, g) gives the components `masks` of z_g
+    at a slab that it holds, and is asked only for those `_top_trace`
+    reads, or for the top one with no factor (n = 0).  The first slab
+    settles which are read and held, as every slab's products have the
+    same components: a dead degree, or a product component against one no
+    block holds, is not contracted again.  Returns one trace per degree,
+    zero at a dead one, each point's value the one a whole-grid kernel
+    forms."""
     top = (1 << k) - 1
-    tr = np.empty(batch, dtype=complex)
+    if not factors:
+        tr = np.empty(batch, dtype=complex)
+        for slab in _slabs(batch, m):
+            tr[slab] = np.trace(z(slab, [top], 0)[top], axis1=-2, axis2=-1)
+        return [tr]
+    traces, reads = None, None
     for slab in _slabs(batch, m):
-        if diffs:
-            right = _alt([({s: d[slab] for s, d in parts.items()},) for parts in diffs], k)[0]
-            reads = [s for s in range(1 << k) if s ^ top in right]
-            tr[slab] = _top_trace(z(slab, reads), right, k) if right else 0
-        else:
-            tr[slab] = np.trace(z(slab, [top])[top], axis1=-2, axis2=-1)
-    return tr
+        right = _alt([tuple({s: _rows(b, slab) for s, b in blocks.items()} for blocks in f)
+                      for f in factors], k)
+        if reads is None:
+            traces = [np.zeros(batch, dtype=complex) for _ in right]
+            reads = [[s for s in range(1 << k) if s ^ top in r] for r in right]
+        for g, r in enumerate(right):
+            zs = z(slab, reads[g], g) if reads[g] else {}
+            reads[g] = list(zs)
+            r = {t: b for t, b in r.items() if t ^ top in zs}
+            if r:
+                traces[g][slab] = _top_trace(zs, r, k)
+        del right, r, zs  # before the next slab's are formed
+    return traces
+
+
+def _rows(block: np.ndarray, slab) -> np.ndarray:
+    """A block's points in a slab of the first grid axis; a block of one
+    index along that axis, constant along it, is the same in every slab."""
+    return block if block.shape[0] == 1 else block[slab]
 
 
 def _top_trace(z, right: dict, k: int) -> np.ndarray:
@@ -265,9 +284,10 @@ def pair(cycle: CycleSpec, x: AlgElement, e: BasePoint | AlgElement) -> complex:
     _check_basepoint(cycle, eb)
     # the derivatives are formed whole, by their live components; z = x - e
     # is formed slab by slab, at the components the contraction reads
-    diffs = [_derivative_parts(x.data, x.grid, axis) for axis in cycle.derivations]
-    tr = _slab_trace(lambda slab, masks: {s: x.data[s][slab] - eb.data[s][slab] for s in masks},
-                     diffs, k, x.grid.sizes, x.m)
+    diffs = [(spectral_derivative_data(x.data, x.grid, axis),) for axis in cycle.derivations]
+    tr, = _slab_trace(lambda slab, masks, g: {s: x.data[s][slab] - eb.data[s][slab]
+                                              for s in masks},
+                      diffs, k, x.grid.sizes, x.m)
     raw = complex(np.mean(tr)) * _top_phase(k, n)
     return complex(cycle.scale(k) * (1j) ** (mu(n) % 4) * raw)
 
@@ -308,9 +328,9 @@ def chern_number(p: AlgElement) -> float:
     defects and the imaginary part must stay within 1e-8.
     """
     require(_projection_defects(p), 1e-8, "input not a projection field")
-    diffs = [_derivative_parts(p.data, p.grid, axis) for axis in (0, 1)]
-    tr = _slab_trace(lambda slab, masks: {s: p.data[s][slab] for s in masks},
-                     diffs, p.k, p.grid.sizes, p.m)
+    diffs = [(spectral_derivative_data(p.data, p.grid, axis),) for axis in (0, 1)]
+    tr, = _slab_trace(lambda slab, masks, g: {s: p.data[s][slab] for s in masks},
+                      diffs, p.k, p.grid.sizes, p.m)
     val = 2j * np.pi * np.mean(tr)
     require([("imag", abs(val.imag))], 1e-8, "Chern integrand not real")
     return float(val.real)
@@ -367,44 +387,37 @@ def _arc_integral(seg: ArcSegment, base: np.ndarray, axes, k: int) -> complex:
     With c, s = cos, sin(pi s/2), every factor of the integrand is a
     polynomial of the arc's degree d: the value sum_g c^(d-g) s^g P_g less
     the base point, each space derivative (blocks dP_g) and d/ds (blocks
-    (pi/2)((g+1) P_(g+1) - (d-g+1) P_(g-1))).  Their antisymmetrized product
-    is summed per degree g and contracted against the moments
-    sum_j w_j c_j^(D-g) s_j^g (value_j - base), formed once per live degree
-    and only at the components `_top_trace` reads: a degree whose product
-    has no live component forms none, so an arc between grid-constant
-    corners, whose space derivatives are zero, contracts nothing.  Every
-    block is read by its live Clifford components: the arc's `parts`, the
-    cached derivatives of its `space` and the base point's, scanned once.
+    (pi/2)((g+1) P_(g+1) - (d-g+1) P_(g-1))).  `_slab_trace` contracts
+    their antisymmetrized product, degree by degree, against the moments
+    sum_j w_j c_j^(D-g) s_j^g (value_j - base), which it asks for slab by
+    slab at the components it reads, and the degree means are summed: a
+    degree whose product has no live component forms no moment, so an arc
+    between grid-constant corners, whose space derivatives are zero,
+    contracts nothing.  Every block is read by its live Clifford
+    components: the arc's `parts`, the cached derivatives of its `space`
+    and the base point's, scanned once.
     """
     p, d = seg.parts, len(seg.parts) - 1
     # d/ds blocks at the distinct points, terms outside 0..d dropped; its
     # factor pi/2 is applied to the sum
-    dds = ([p[1]] + [_difference(g + 1, p[g + 1], d - g + 1, p[g - 1]) for g in range(1, d)]
+    dds = ([p[1]]
+           + [_combine([g + 1, -(d - g + 1)], [p[g + 1], p[g - 1]], range(1 << k))
+              for g in range(1, d)]
            + [{s: -b for s, b in p[d - 1].items()}])
     factors = [tuple(dx(ax) for dx in seg.space) for ax in axes] + [tuple(dds)]
     degree = d * len(factors)
     c, s = np.cos(np.pi * seg.nodes / 2), np.sin(np.pi * seg.nodes / 2)
     powers = seg._powers(seg.nodes)
+    moments = [[w @ q for q in powers] + [-w.sum()]
+               for w in (seg.weights * c ** (degree - g) * s ** g for g in range(degree + 1))]
     parts = p + [_parts(_distinct(base))]
-    top = (1 << k) - 1
-    total = 0.0 + 0.0j
-    for g, right in enumerate(_alt(factors, k)):
-        if not right:
-            continue  # a dead degree: its moment block would contract nothing
-        w = seg.weights * c ** (degree - g) * s ** g
-        z = _combine([w @ q for q in powers] + [-w.sum()], parts, {t ^ top for t in right})
-        # a product component against a moment component no block holds
-        # would contract zeros
-        right = {t: r for t, r in right.items() if t ^ top in z}
-        if right:
-            total += np.mean(_top_trace(z, right, k))
-    return (np.pi / 2) * total
-
-
-def _difference(a: int, p: dict, b: int, q: dict) -> dict:
-    """a p - b q for blocks given by their live components, in ascending
-    mask order as `_parts` gives them, so that products accumulate alike."""
-    return {s: a * p.get(s, 0) - b * q.get(s, 0) for s in sorted(p.keys() | q.keys())}
+    batch = np.broadcast_shapes(*(b.shape[:-2] for q in parts + [q for f in factors for q in f]
+                                  for b in q.values()))
+    traces = _slab_trace(
+        lambda slab, masks, g: _combine(moments[g], [{t: _rows(b, slab) for t, b in q.items()}
+                                                     for q in parts], masks),
+        factors, k, batch, seg.m)
+    return (np.pi / 2) * sum(np.mean(tr) for tr in traces)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import pairing
 from .clifford import CliffordSignature, mu, parity
-from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _split_cl2,
-                       apply_real_structure, blade, constant_view,
+from .grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _element,
+                       _split_cl2, apply_real_structure, blade, constant_view,
                        direct_sum, gamma_element, j_functional, psi_e, trace)
 from .kclass import BasePoint, bott_loop, make_osu_from_hamiltonian, \
     osu_validate, torsion_loop
@@ -154,12 +154,9 @@ def suite_pimsner(report, *, grid_n):
 def _ko2_data():
     grid = TorusGrid(())
     sy = np.array([[0, -1j], [1j, 0]])
-    e = AlgElement(grid, 2, 1)
-    e.data[1] = -sy
-    x = AlgElement(grid, 2, 1)
-    x.data[1] = sy
-    y = AlgElement(grid, 2, 1)
-    y.data[0] = 1j * sy
+    e = _element(grid, 2, 1, {1: -sy})
+    x = _element(grid, 2, 1, {1: sy})
+    y = _element(grid, 2, 1, {0: 1j * sy})
     return osu_validate(x, 1e-12), BasePoint(e), y
 
 

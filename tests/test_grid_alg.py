@@ -10,8 +10,9 @@ from conftest import (constant_element, dense_copy, hermitian_calculus,
                       ko2_generator, named_residuals, npoints, psi_e_inverse,
                       random_element, random_hermitian_field,
                       random_matrix_field, real_structure_from_signature,
-                      represent, scalar_trace, swap_first_factors, unitary_exp,
-                      unrepresent)
+                      rebind, represent, scalar_trace, spin_y,
+                      swap_first_factors, unitary_exp, unrepresent)
+from dkpair import grid_alg
 from dkpair import floquet, kclass, models, pairing
 from dkpair.clifford import CliffordSignature, generator_signs, mu
 from dkpair.grid_alg import (MOMENTUM, TIME, AlgElement, RealStructureSpec,
@@ -488,6 +489,8 @@ def test_mode_multiplier_is_formed_once_per_axis():
 
 
 def test_derivative_matches_whole_block_transform(grid16, rng):
+    # the derivation holds the live components of the whole block's
+    # transform, each equal to it; the even components, zero, are left out
     x = random_element(rng, grid16, 2, 2, parity=1)
     for axis in range(2):
         mult = grid16.mode_multiplier(axis).reshape((1,) * (axis + 1) + (-1,)
@@ -495,8 +498,10 @@ def test_derivative_matches_whole_block_transform(grid16, rng):
         ax = 1 + axis
         ref = np.fft.ifft(np.fft.fft(x.data, axis=ax) * mult, axis=ax)
         got = spectral_derivative_data(x.data, grid16, axis)
-        assert np.array_equal(got[1], ref[1])
-        assert not np.any(got[0]) and not np.any(got[3])
+        assert list(got) == [1, 2]
+        for s, block in got.items():
+            assert np.array_equal(block, ref[s])
+        assert not np.any(ref[0]) and not np.any(ref[3])
 
 
 def broadcast_element(grid, point: np.ndarray) -> AlgElement:
@@ -513,23 +518,27 @@ def is_one_point_view(x: AlgElement) -> bool:
 
 
 def test_derivative_of_a_constant_axis_takes_no_transform(grid16, rng, monkeypatch):
-    # along an axis of stride 0 the block is constant: its derivative is an
-    # exact, read-only zero of stride 0, formed with no transform; along an
-    # axis on which it varies, the transform runs at the distinct points and
-    # equals the dense block's derivative
+    # along an axis of stride 0 the block is constant: its derivative has no
+    # live component, {}, formed with no transform; along an axis on which
+    # it varies, the transform runs at the distinct points, each component a
+    # view of stride 0 along the constant axis, and equals the dense block's
+    # derivative
     x = broadcast_element(grid16, random_element(rng, TorusGrid(()), 2, 2).data)
     column = np.broadcast_to(random_element(rng, TorusGrid((16,)), 2, 2).data[:, :, None],
                              (4, 16, 16, 2, 2))
     calls, fft = [], np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: calls.append(a) or fft(*a, **kw))
     for data, axis in ((x.data, 0), (x.data, 1), (column, 1)):
-        got = spectral_derivative_data(data, grid16, axis)
-        assert got.shape == data.shape and not got.flags.writeable
-        assert not any(got.strides) and not np.any(got)
+        assert spectral_derivative_data(data, grid16, axis) == {}
+        assert apply_derivation(axis, AlgElement(grid16, 2, 2, data)).data.strides[1:3] == (0, 0)
     assert calls == []
     got = spectral_derivative_data(column, grid16, 0)
-    assert got.strides[2] == 0 and len(calls) == 4
-    assert np.array_equal(got, spectral_derivative_data(column.copy(), grid16, 0))
+    assert len(got) == 4 and len(calls) == 4
+    dense = spectral_derivative_data(column.copy(), grid16, 0)
+    assert list(got) == list(dense)
+    for s, block in got.items():
+        assert block.shape == (16, 16, 2, 2) and block.strides[1] == 0
+        assert np.array_equal(block, dense[s])
 
 
 def test_grid_constant_operands_give_one_point_views(grid16, rng):
@@ -610,10 +619,11 @@ def quaternionic_fiber_dense(rs, x, block):
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_defects_in_one_buffer_have_the_bits_of_their_expressions(rng, k):
+def test_defects_in_one_buffer_have_the_bits_of_their_expressions(rng, k, monkeypatch):
     # each defect is formed in the one block of its first term, with the
     # bits of the plain expression, on dense elements and on grid-constant
-    # broadcast views, whose star() is read-only
+    # broadcast views, whose star() is read-only; a drive's segments and its
+    # effective Hamiltonian check their hermiticity through the same defect
     grid = TorusGrid((8, 6))
     a, b = (random_element(rng, grid, 4, k) for _ in range(2))
     a.data[rng.random(1 << k) < 0.5] = 0
@@ -626,6 +636,20 @@ def test_defects_in_one_buffer_have_the_bits_of_their_expressions(rng, k):
             assert np.array_equal(_commutator(x, y, -1).data, (x * y - y * x).data)
     # at a grid-constant pair the defect stays at its one point
     assert _commutator(c, c, 1).data.strides[1:3] == (0, 0)
+    seen = []
+
+    def recorded(x):
+        defect = _adjoint_defect(x)
+        assert np.array_equal(defect.data, (x - x.star()).data)
+        seen.append(x)
+        return defect
+
+    rebind(monkeypatch, _adjoint_defect, recorded)
+    h1, h2 = (random_hermitian_field(rng, grid, 4).scale(0.1) for _ in range(2))
+    drive = floquet.FloquetDrive(1.0, ((0.5, h1), (0.5, h2)))
+    heff = floquet.effective_hamiltonian(drive, np.pi)
+    assert len(seen) == 3 and seen[0] is h1 and seen[1] is h2
+    assert np.array_equal(seen[2].data, heff.data)
 
 
 @pytest.mark.parametrize("m, block", [(4, None), (4, 2), (8, 4), (8, 2)])
@@ -688,3 +712,46 @@ def test_spectral_calculus_matches_einsum(grid16, rng):
     phases = np.exp(-2j * np.pi * t * w[None])
     ref = np.einsum("...ij,t...j,...kj->t...ik", v, phases, np.conj(v))
     assert np.array_equal(_spectral_calculus(v, phases), ref)
+
+
+def test_every_transform_runs_inside_the_one_derivation(qwz_osu, monkeypatch):
+    # the benchmark's derivation layer wraps spectral_derivative_data at its
+    # call sites, so a transform (`_derive`) made anywhere else would run
+    # untraced: every command path that derives calls it inside that one
+    # derivation, a character's derivatives, a basepoint check, the arcs'
+    # corners and the nodes of a frame loop and of a stored half
+    depth, seen = [0], []
+    derive, derivation = grid_alg._derive, grid_alg.spectral_derivative_data
+
+    def traced(*args):
+        depth[0] += 1
+        try:
+            return derivation(*args)
+        finally:
+            depth[0] -= 1
+
+    rebind(monkeypatch, derivation, traced)
+    rebind(monkeypatch, derive, lambda *args: seen.append(depth[0]) or derive(*args))
+    x, e = qwz_osu
+    grid = x.grid
+    pairing.pair(pairing.ch2(), x, e)
+    pairing.band_chern(kclass.flatten(models.qwz_symbol(grid, 1.0)))
+    tgrid = TorusGrid((32,), ("time",))
+    assert abs(pairing.winding_number(models.winding_unitary(tgrid, 1)) - 2j * np.pi) < 1e-10
+    varying = dense_copy(e.e)
+    varying.data[1] += 1e-3 * np.cos(grid.coordinates(0))[:, None, None, None]
+    with pytest.raises(ValueError, match="killed"):
+        pairing._check_basepoint(pairing.ch2(), varying)
+    km = kclass.make_osu_from_hamiltonian(models.decoupled_tri_symbol(grid, 1.0))
+    loop = kclass.torsion_loop(km, kclass.BasePoint.standard_rho(grid, 4, 1, sign=-1),
+                               spin_y(grid, 4), rs=models.quaternionic_structure(k=1),
+                               derivations=(0, 1), order=8)
+    pairing.torsion_pairing_via_loop(pairing.ch2(), loop, pairing.MODULUS_KANE_MELE_CH2)
+    h1 = models.qwz_symbol(TorusGrid((8, 8)), 1.0)
+    drive = floquet.SpinDoubledDrive(floquet.FloquetDrive(1.0, ((0.5, h1), (0.5, h1.scale(0.7)))))
+    frames = floquet.periodized_evolution(drive, 0.0, 32)
+    floquet.degree_t3(frames)
+    second = [seg for seg in floquet.decoupled_contraction(frames).segments if seg.t0 >= 0.5]
+    samples = np.concatenate([second[0].values[0]] + [seg.values[0, 1:] for seg in second[1:]])
+    floquet.degree_t3(floquet.contraction_loop_from_samples(frames, samples))
+    assert seen and 0 not in seen

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (StoredSegment, arc_nodes, count_calls, dense_copy,
                       exp_projection_loop, hermitian_calculus, ko2_generator,
-                      named_residuals, pair_suspended_by_nodes,
+                      named_residuals, pair_suspended_by_nodes, random_element,
                       random_hermitian_field, sample_osu_residual,
                       shifted_qwz_hoppings, spin_y, swapped_doubled_class)
 from dkpair import kclass
@@ -749,3 +749,43 @@ def test_flatten_commutes_with_spin_doubling(grid16, rng):
         got = spin_double(flatten(h1)).data
         want = flatten(spin_double(h1)).data
         assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_homogeneous_part_builds_from_the_live_components(rng):
+    # the part of one parity has the bits of the element with the other
+    # parity's components zeroed, read at its distinct points; with no live
+    # component of that parity it is a one-point zero view
+    grid = TorusGrid((8, 6))
+    for k in (0, 1, 2):
+        x = random_element(rng, grid, 3, k)
+        x.data[rng.random(1 << k) < 0.5] = 0
+        view = AlgElement(grid, 3, k, np.broadcast_to(x.data[:, :1, :1], x.data.shape))
+        for z in (x, view):
+            for parity in (0, 1):
+                want = z.data.copy()
+                want[np.array([bin(s).count("1") % 2 != parity for s in range(1 << k)])] = 0
+                got = z.homogeneous_part(parity)
+                assert np.array_equal(got.data, want)
+                if not np.any(want):
+                    assert not any(got.data.strides[1:3]) and not got.data.flags.writeable
+
+
+def test_even_part_defect_of_the_doubled_class_holds_no_block():
+    # verify torsion's doubled class at 128^2 (m = 8, k = 1) is odd: its
+    # even-part defect is a one-point zero view, where zeroing every
+    # Clifford component formed a 32 MiB block; the symmetry's odd part alike
+    grid = TorusGrid((128, 128))
+    x = make_osu_from_hamiltonian(decoupled_tri_symbol(grid, 1.0))
+    xx = osu_validate(direct_sum(x, x), 1e-9)
+    point = np.zeros((2, 1, 1, 8, 8), dtype=complex)
+    point[0, ..., :4, 4:] = np.eye(4)
+    point[0, ..., 4:, :4] = -np.eye(4)
+    y = AlgElement(grid, 8, 1, np.broadcast_to(point, (2, *grid.sizes, 8, 8)))
+    tracemalloc.start()
+    try:
+        parts = [xx.homogeneous_part(0), y.homogeneous_part(1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [part.norm_inf() for part in parts] == [0.0, 0.0]
+    assert peak < xx.data.nbytes / 1000

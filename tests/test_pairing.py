@@ -10,16 +10,16 @@ from conftest import (chern_fhs, count_calls, dense_copy, ko2_generator,
                       pair_suspended_dense, psi_e_inverse, random_element,
                       random_hermitian_field, same_element, sigma_x_base_point,
                       spin_y, swapped_doubled_class, unitary_exp,
-                      whole_alt_trace, whole_band_chern, whole_chern_number,
-                      whole_flatten, whole_pair)
+                      whole_alt_trace, whole_arc_integral, whole_band_chern,
+                      whole_chern_number, whole_flatten, whole_pair)
 from dkpair.clifford import CliffordSignature, mu
 from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid,
-                             _derivative_parts, _mul_data, _mul_parts, _parts,
+                             _combine, _mul_data, _mul_parts, _parts,
                              _slabs, apply_derivation, constant_view,
                              apply_real_structure, direct_sum, psi_e,
                              spectral_derivative_data)
 from dkpair.kclass import (ArcSegment, BasePoint, ClosedSegment, LoopElement,
-                           _combine, _corner, bott_loop, flatten,
+                           _corner, bott_loop, flatten,
                            make_osu_from_hamiltonian, osu_validate, torsion_loop)
 from dkpair.models import (decoupled_tri_symbol, quaternionic_structure,
                            qwz_hoppings, qwz_symbol, spin_double,
@@ -669,7 +669,7 @@ def test_torsion_loop_route_derives_each_corner_once(grid16, monkeypatch):
     cyc = ch2()
     loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
                         derivations=cyc.derivations, order=16)
-    calls = count_calls(monkeypatch, _derivative_parts)
+    calls = count_calls(monkeypatch, spectral_derivative_data)
     torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
     assert len(calls) == 4 * len(cyc.derivations)
 
@@ -715,7 +715,10 @@ def test_loop_route_forms_one_moment_block_per_degree(route, grid16, qwz_osu,
         loop = bott_loop(*qwz_osu, order=16)
     calls = count_calls(monkeypatch, _combine)
     pair_suspended(cyc, loop)
-    assert len(calls) == {"torsion": 2 + 2, "bott": 11}[route]
+    # a moment block's weights span the arc's coefficients and the base
+    # point; the Bott arc's d/ds blocks combine two coefficients each
+    moments = [w for w in calls if len(w) == len(loop.segments[0].parts) + 1]
+    assert len(moments) == {"torsion": 2 + 2, "bott": 11}[route]
 
 
 def test_torsion_arcs_between_constant_corners_contract_nothing(grid16, monkeypatch):
@@ -790,6 +793,47 @@ def test_torsion_loop_pairing_peak_at_64():
         tracemalloc.stop()
     assert abs(value.value + 1 / (2 * np.pi)) <= 1e-9
     assert peak < 16 * 2 ** 20
+
+
+def test_torsion_loop_pairing_peak_at_128():
+    # at 128^2 the loop's arcs go through the slab kernel: the pairing holds
+    # the cached derivatives of x (x) 1, one live component per axis (8 MiB),
+    # beside one slab's products and moments, and peaks near 14.6 MiB above
+    # its start, where whole-grid products and moment blocks took 36.1 MiB
+    grid = TorusGrid((128, 128))
+    x, e, y = kane_mele_torsion_data(grid, 1.0)
+    cyc = ch2()
+    loop = torsion_loop(x, e, y, rs=quaternionic_structure(k=1),
+                        derivations=cyc.derivations, order=64)
+    tracemalloc.start()
+    try:
+        value = torsion_pairing_via_loop(cyc, loop, MODULUS_KANE_MELE_CH2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value.value + 1 / (2 * np.pi)) <= 1e-9
+    assert peak < 20 * 2 ** 20
+
+
+def test_arcs_through_the_slab_kernel_equal_the_whole_grid_integral(monkeypatch):
+    # at 64^2 and m = 4 the arcs' products and moments run in 4 slabs; the
+    # suspended pairing equals, bit for bit, the one whose arc integrals
+    # form each degree's product and moment block over the whole grid, on
+    # the Kane-Mele torsion loop and on a Bott loop, whose d/ds blocks
+    # difference its coefficients, with and without space derivatives
+    grid, m = TorusGrid((64, 64)), 4
+    assert len(_slabs(grid.sizes, m)) >= 4
+    x, e, y = kane_mele_torsion_data(grid, 1.0)
+    km = torsion_loop(x, e, y, rs=quaternionic_structure(k=1), derivations=(0, 1), order=16)
+    stacked = {off: np.kron(np.eye(2), mat) for off, mat in qwz_hoppings(1.0).items()}
+    xq = make_osu_from_hamiltonian(symbol_from_hoppings(grid, stacked, m))
+    bott = bott_loop(xq, BasePoint.standard_rho(grid, m, 1, sign=-1), order=16)
+    cases = [(ch2(), km), (ch2(), bott), (ch0(), bott)]
+    slabbed = [pair_suspended(cycle, loop) for cycle, loop in cases]
+    monkeypatch.setattr(pairing, "_arc_integral", whole_arc_integral)
+    for (cycle, loop), value in zip(cases, slabbed):
+        assert value == pair_suspended(cycle, loop)
+    assert abs(slabbed[0] / pimsner_constant(2) + 1 / (2 * np.pi)) <= 1e-9
 
 
 def conjugated_torsion_loop(loop, w: AlgElement, order) -> LoopElement:
