@@ -21,7 +21,7 @@ from .pairing import (MODULUS_KANE_MELE_CH2, MODULUS_KO2_CH0, CycleSpec,
                       winding_number)
 from .floquet import (ArcInvariant, ArcProjection, FloquetDrive,
                       SpinDoubledDrive, arc_projection, branch_pair,
-                      check_time_reversal, decoupled_contraction, degree_t3,
-                      effective_hamiltonian, evolve, periodized_evolution)
+                      decoupled_contraction, degree_t3, effective_hamiltonian,
+                      evolve, periodized_evolution)
 
 __version__ = "0.1.0"

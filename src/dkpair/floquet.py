@@ -20,7 +20,9 @@ the unitarity residual, and A_s [A_1 | A_2], whose blocks give the cubic trace.
 
 A spin-doubled drive, diag(h(t), f h(T - t)) with f(x)(k) = conj x(-k), is
 time-reversal invariant by construction and read from its block drive's
-eigendata (`SpinDoubledDrive`); the decoupled route runs on the block alone.
+eigendata (`SpinDoubledDrive`, a class of its own, which holds no doubled
+segment); the decoupled route runs on the block alone.  Both Z2 routes take
+time reversal from that type: they run on a spin-doubled drive only.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ class FloquetDrive:
         """(phases, vectors) of U(T), shared by every function of the drive."""
         return unitary_eig(evolve(self))
 
-    def time_reversal_residual(self) -> float:
-        """The residual of R(H(t)) = H(-t) (`check_time_reversal`)."""
-        return check_time_reversal(self)
-
 
 def _doubled_eig(upper, lower, grid):
     """(w, v) of diag(x, f y), f(y)(k) = conj y(-k), for normal x and y, from
@@ -112,21 +110,22 @@ def _doubled_eig(upper, lower, grid):
             _partner_diag(v, v_low, grid))
 
 
-class SpinDoubledDrive(FloquetDrive):
+class SpinDoubledDrive:
     """The time-reversal partner doubling diag(h(t), f h(T - t)),
     f(x)(k) = conj x(-k), of a block drive h (`block`).  Its pieces refine the
     block's segment boundaries b and their mirror images T - b (merged within
     1e-12 T), one per segment when the durations are palindromic.  Under the
-    quaternionic R, R(diag(A, f B)) = diag(B, f A): R(H(t)) = H(T - t) exactly.
+    quaternionic R, R(diag(A, f B)) = diag(B, f A): R(H(t)) = H(T - t) exactly,
+    so the type is its time reversal, and the Z2 routes of `ArcInvariant`
+    run on it alone.
 
-    It solves nothing at double size and forms no 2m x 2m segment unless
-    `segments` is read: f is an antilinear homomorphism, so a piece's lower
-    block has its block segment's eigenvalues w(-k) and vectors conj v(-k),
-    and U(T)'s lower block is f(U(T)*), with the block's phases phi(-k) and
-    vectors conj V(-k).  Every check runs on the block, as f keeps
-    hermiticity and |h|."""
-
-    block: FloquetDrive
+    It solves nothing at double size and holds no 2m x 2m segment: f is an
+    antilinear homomorphism, so a piece's lower block has its block
+    segment's eigenvalues w(-k) and vectors conj v(-k), and U(T)'s lower
+    block is f(U(T)*), with the block's phases phi(-k) and vectors
+    conj V(-k).  Every check runs on the block, as f keeps hermiticity and
+    |h|.  It holds what every function of a drive reads: `period`, `grid`,
+    `m`, `durations` and the cached `_eigh` and `_spectrum`."""
 
     def __init__(self, block: FloquetDrive):
         # per piece, block segment j in force at t and i at T - t: the block
@@ -143,16 +142,8 @@ class SpinDoubledDrive(FloquetDrive):
                 j, ahead = j + 1, taus[j + 1]
             if behind <= tol:
                 i, behind = i - 1, taus[i - 1]
-        # the fields and cached properties, past the frozen __setattr__
-        vars(self).update(block=block, period=block.period, grid=block.grid, m=2 * block.m,
-                          durations=tuple(durations), _sources=tuple(sources))
-
-    @cached_property
-    def segments(self):
-        """(duration, diag(h_j, f h_i)) per piece, formed on first read."""
-        h, grid = [seg.data[0] for _, seg in self.block.segments], self.grid
-        return tuple((tau, AlgElement.from_matrix_field(grid, _partner_diag(h[j], h[i], grid)))
-                     for tau, (j, i) in zip(self.durations, self._sources))
+        self.block, self.period, self.grid, self.m = block, block.period, block.grid, 2 * block.m
+        self.durations, self._sources = tuple(durations), tuple(sources)
 
     @cached_property
     def _eigh(self):
@@ -162,21 +153,6 @@ class SpinDoubledDrive(FloquetDrive):
     @cached_property
     def _spectrum(self):
         return _doubled_eig(self.block._spectrum, self.block._spectrum, self.grid)
-
-    def time_reversal_residual(self) -> float:
-        """0.0, by construction."""
-        return 0.0
-
-
-def check_time_reversal(drive: FloquetDrive) -> float:
-    """Residual of the segment-mirroring property R(H(t)) = H(-t) under odd
-    time reversal R: durations palindromic within 1e-12 max(1, T), R(H_j)
-    equal to the reversed segment."""
-    taus, hs = drive.durations, [h for _, h in drive.segments]
-    if any(abs(a - b) > 1e-12 * max(1.0, drive.period) for a, b in zip(taus, taus[::-1])):
-        raise ValueError("drive durations are not palindromic")
-    return max((apply_real_structure(_TIME_REVERSAL, h) - h_rev).norm_inf()
-               for h, h_rev in zip(hs, hs[::-1]))
 
 
 def evolve(drive: FloquetDrive) -> AlgElement:
@@ -547,33 +523,23 @@ def contraction_loop_from_samples(v_loop: LoopElement, samples: np.ndarray) -> L
 
 class ArcInvariant:
     """The Z2 invariant of the arc projection from z0 to z1 of a drive, and
-    the drive-level checks behind it, each built once.  Construction keeps
-    the drive's time-reversal residual and raises beyond 1e-9.  The
-    two routes are `decoupled`, on a spin-doubled drive's block (`block`),
-    and `degrees`."""
+    the drive-level checks behind it, each built once.  The two routes are
+    `decoupled`, on a spin-doubled drive's block (`block`), and `degrees`;
+    both take time reversal from the drive's type, and raise on any drive
+    but a `SpinDoubledDrive` before any spectrum is formed."""
 
-    def __init__(self, drive: FloquetDrive, z0: complex, z1: complex):
-        self.time_reversal = drive.time_reversal_residual()
-        require([("time_reversal", self.time_reversal)], 1e-9,
-                "drive is not time-reversal invariant")
+    def __init__(self, drive: FloquetDrive | SpinDoubledDrive, z0: complex, z1: complex):
         self.drive, self.z0, self.z1 = drive, z0, z1
         self.branches = branch_pair(z0, z1, drive.period)
 
     @cached_property
     def block(self) -> "ArcInvariant":
         """The same arc of a spin-doubled drive's block drive
-        (`SpinDoubledDrive.block`), with the same branches and the drive's
-        time-reversal residual.  Time reversal gives the lower block the
-        upper block's phases at -k, and the grid is closed under k -> -k, so
-        the drive's arc has twice the block's rank and the block's gap
-        margin."""
-        if not isinstance(self.drive, SpinDoubledDrive):
-            raise ValueError("decoupled route needs a spin-doubled drive (SpinDoubledDrive)")
-        block = object.__new__(ArcInvariant)
-        block.time_reversal, block.z0, block.z1, block.branches = (
-            self.time_reversal, self.z0, self.z1, self.branches)
-        block.drive = self.drive.block
-        return block
+        (`SpinDoubledDrive.block`), with the same branches.  Time reversal
+        gives the lower block the upper block's phases at -k, and the grid
+        is closed under k -> -k, so the drive's arc has twice the block's
+        rank and the block's gap margin."""
+        return ArcInvariant(self.drive.block, self.z0, self.z1)
 
     @cached_property
     def arc(self) -> ArcProjection:
@@ -590,15 +556,24 @@ class ArcInvariant:
         return ((h1 - h0).scale(-1j * self.drive.period)
                 - self.arc.projection.scale(2j * np.pi)).norm_inf()
 
+    def _require_spin_doubled(self, route: str):
+        """The premise of both routes: a spin-doubled drive, time-reversal
+        invariant by its type."""
+        if not isinstance(self.drive, SpinDoubledDrive):
+            raise ValueError(f"{route} route needs a spin-doubled drive (SpinDoubledDrive)")
+
     def decoupled(self) -> tuple[int, float]:
         """(invariant, spin Chern number) of a spin-doubled drive: the parity
         0 or 1 of the rounded Chern number of its block's arc projection, and
         that Chern number unrounded."""
+        self._require_spin_doubled("decoupled")
         ch = chern_number(self.block.arc.projection)
         return round(ch) % 2, ch
 
     def degrees(self, contractions) -> tuple[int, tuple[float, float]]:
-        """(invariant, degrees) of `degree_difference` on both branches' loops."""
+        """(invariant, degrees) of `degree_difference` on both branches' loops
+        of a spin-doubled drive."""
+        self._require_spin_doubled("degree")
         v_loops = (self.loop0, periodized_evolution(self.drive, self.branches[1]))
         return degree_difference(v_loops, contractions)
 

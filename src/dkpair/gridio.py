@@ -8,7 +8,8 @@ Binary mode: magic b"DKGRID1\\n", uint32 little-endian ndim (at most 4: time
 plus up to three momentum axes), ndim uint32 sizes, uint32 m, then re/im
 pairs of little-endian IEEE-754 float64.
 Text mode: JSON {"shape": [...], "data": [[re, im], ...]} with the flat
-row-major list.
+row-major list, each re and im a JSON number.  In either encoding every
+sample must be finite.
 """
 
 from __future__ import annotations
@@ -51,6 +52,16 @@ def _read_u4(fh, count: int) -> np.ndarray:
 
 
 def read_contraction_grid(path: str) -> np.ndarray:
+    """The samples (nt, *sizes, m, m) of a grid file in either encoding; a
+    malformed file or a NaN or infinite sample raises ValueError."""
+    samples = _read_samples(path)
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:
+        raise ValueError(f"grid file samples must be finite, {bad} of {samples.size} are not")
+    return samples
+
+
+def _read_samples(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC))
         if head == MAGIC:
@@ -75,7 +86,10 @@ def read_contraction_grid(path: str) -> np.ndarray:
     if len(data) != count:
         raise ValueError(f"grid file shape {list(shape)} needs {count} samples, "
                          f"data holds {len(data)}")
-    if not all(isinstance(v, list) and len(v) == 2 for v in data):
-        raise ValueError("grid file samples must be [re, im] pairs")
-    flat = np.asarray(data, dtype=float)
-    return (flat[:, 0] + 1j * flat[:, 1]).reshape(shape)
+    # a bool is an int to isinstance, and np.asarray would read "1.5" as 1.5
+    if not all(isinstance(v, list) and len(v) == 2
+               and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
+               for v in data):
+        raise ValueError("grid file samples must be [re, im] pairs of numbers")
+    # (count, 2) float64 pairs are the memory layout of complex128
+    return np.asarray(data, dtype=float).view(complex).reshape(shape)

@@ -42,8 +42,8 @@ import numpy as np
 
 from .clifford import CliffordSignature, mu, sign_table
 from .grid_alg import (AlgElement, _accumulate, _adjoint_defect, _check_axis,
-                       _combine, _distinct, _mul_data, _mul_parts, _parts,
-                       _slabs, apply_derivation, constant_view, require,
+                       _combine, _distinct, _minus_unit, _mul_data, _mul_parts,
+                       _parts, _slabs, apply_derivation, constant_view, require,
                        spectral_derivative_data)
 from .kclass import ArcSegment, BasePoint, LoopElement
 
@@ -301,10 +301,9 @@ def winding_number(u: AlgElement) -> complex:
     """
     if u.k != 0 or u.grid.d != 1:
         raise ValueError("expects a plain matrix loop over one circle")
-    unit = AlgElement.unit(u.grid, u.m, 0)
-    require([("unitary", u * u.star() - unit)], 1e-10, "input not unitary")
+    require([("unitary", _minus_unit(u * u.star()))], 1e-10, "input not unitary")
     du = apply_derivation(0, u)
-    tr = alt_trace((u.star() - unit).data, [du.data], 0)
+    tr = alt_trace(_minus_unit(u.star()).data, [du.data], 0)
     return complex(np.mean(tr)) * u.grid.period(0)
 
 

@@ -12,7 +12,7 @@ from dkpair.grid_alg import (AlgElement, RealStructureSpec, TorusGrid, _combine,
                              spectral_derivative_data, trace)
 from dkpair.kclass import (ArcSegment, BasePoint, LoopElement,
                            _sample_defects, osu_validate)
-from dkpair.models import quaternionic_structure, qwz_hoppings, qwz_symbol
+from dkpair.models import _partner_diag, quaternionic_structure, qwz_hoppings, qwz_symbol
 from dkpair.pairing import _alt, _top_phase, _top_trace, alt_trace
 
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -553,3 +553,28 @@ def split_blocks(x: AlgElement) -> tuple[AlgElement, AlgElement]:
     up = AlgElement.from_matrix_field(x.grid, x.data[0][..., :m2, :m2].copy())
     dn = AlgElement.from_matrix_field(x.grid, x.data[0][..., m2:, m2:].copy())
     return up, dn
+
+
+def doubled_segments(drive: fl.SpinDoubledDrive) -> tuple:
+    """(duration, diag(h_j, f h_i)) per piece of a spin-doubled drive,
+    f(x)(k) = conj x(-k): the 2m x 2m segments that the drive never forms."""
+    h, grid = [seg.data[0] for _, seg in drive.block.segments], drive.grid
+    return tuple((tau, AlgElement.from_matrix_field(grid, _partner_diag(h[j], h[i], grid)))
+                 for tau, (j, i) in zip(drive.durations, drive._sources))
+
+
+def materialized(drive: fl.SpinDoubledDrive) -> fl.FloquetDrive:
+    """A spin-doubled drive's doubled segments as a plain drive, every
+    eigendecomposition of which is formed afresh at double size."""
+    return fl.FloquetDrive(drive.period, doubled_segments(drive))
+
+
+def mirroring_residual(drive: fl.FloquetDrive) -> float:
+    """Residual of the segment-mirroring property R(H(t)) = H(-t) of a plain
+    drive under odd time reversal R: durations palindromic within
+    1e-12 max(1, T), R(H_j) equal to the reversed segment."""
+    taus, hs = drive.durations, [h for _, h in drive.segments]
+    if any(abs(a - b) > 1e-12 * max(1.0, drive.period) for a, b in zip(taus, taus[::-1])):
+        raise ValueError("drive durations are not palindromic")
+    return max((apply_real_structure(fl._TIME_REVERSAL, h) - h_rev).norm_inf()
+               for h, h_rev in zip(hs, hs[::-1]))

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_calls, shifted_qwz_hoppings, split_blocks
+from conftest import (count_calls, materialized, mirroring_residual, shifted_qwz_hoppings,
+                      split_blocks)
 from dkpair import cli, grid_alg
 from dkpair.clifford import reversion_signs
 from dkpair.kclass import GapClosedError
@@ -587,13 +588,32 @@ def test_cmd_floquet_malformed_contraction_files(tmp_path, rng, capsys):
     write_contraction_grid(str(even_nt), np.broadcast_to(np.eye(4), (8, 8, 8, 4, 4)))
     other_grid = tmp_path / "other_grid.grid"
     write_contraction_grid(str(other_grid), np.broadcast_to(np.eye(4), (9, 16, 16, 4, 4)))
-    for bad in (truncated, header_only, mismatched, oversized, even_nt, other_grid):
+    # well-shaped files at grid 8 with one NaN or infinite sample, in either
+    # encoding, and text files with a string or a boolean sample entry
+    unreadable = {}
+    for value, binary in ((np.nan, True), (np.inf, True), (np.nan, False), (-np.inf, False)):
+        samples = np.broadcast_to(np.eye(4, dtype=complex), (9, 8, 8, 4, 4)).copy()
+        samples[3, 1, 2, 0, 1] = value if binary else complex(0.0, value)
+        bad = tmp_path / f"{value}_{'binary' if binary else 'text'}.grid"
+        write_contraction_grid(str(bad), samples, binary=binary)
+        unreadable[bad] = "grid file samples must be finite, 1 of 9216 are not"
+    for name, entry in (("string", ["1.5", 0.0]), ("boolean", [1.0, True])):
+        bad = tmp_path / f"{name}_entry.json"
+        write_contraction_grid(str(bad), samples, binary=False)
+        payload = json.loads(bad.read_text())
+        payload["data"][5] = entry
+        bad.write_text(json.dumps(payload))
+        unreadable[bad] = "grid file samples must be [re, im] pairs of numbers"
+    for bad in (truncated, header_only, mismatched, oversized, even_nt, *unreadable, other_grid):
         code = run_cli(["floquet", "--config", path, "--arc0", "0.0",
                         "--arc1", "3.14159265", "--grid", "8", "--tgrid", "32",
                         "--strategy", "user_supplied",
                         "--contraction", str(bad), str(bad)])
         assert code == cli.EXIT_VALIDATION, bad.name
-    err = capsys.readouterr().err.splitlines()[-1]
+        out, err = capsys.readouterr()
+        assert out == ""
+        if bad in unreadable:
+            assert err.strip() == f"validation error: contraction grid file: {unreadable[bad]}"
     assert "(9, 16, 16, 4, 4)" in err and "(nt, 8, 8, 4, 4)" in err
 
 
@@ -869,18 +889,21 @@ def test_floquet_reports_rank_and_gap_margin_once(tmp_path, capsys):
         assert [k for k in rep["values"] if "gap_margin" in k] == ["gap_margin"]
 
 
-def test_floquet_takes_time_reversal_from_the_doubling(tmp_path, monkeypatch, capsys):
+def test_floquet_takes_time_reversal_from_the_doubling(tmp_path, capsys):
     # a spin-doubled drive diag(h(t), f h(T - t)) is time-reversal invariant
     # by construction: no run checks its segments, and the report records
-    # the residual 0.0
-    from dkpair import floquet
-    calls = count_calls(monkeypatch, floquet.check_time_reversal)
+    # the residual 0.0, which the segment-mirroring oracle reads on the
+    # drive's materialized segments
     base = ["floquet", "--arc0", "0.0", "--arc1", repr(np.pi), "--grid", "16",
             "--tgrid", "64", "--tol", "1e-3"]
     path = Path(__file__).parent / "data" / "floquet_qwz.json"
     assert run_cli([*base, "--config", str(path), "--strategy", "decoupled"]) \
         == cli.EXIT_OK
-    assert read_report(capsys)["status"] == "ok"
+    rep = read_report(capsys)
+    assert rep["status"] == "ok"
+    assert [c["residual"] for c in rep["checks"] if c["name"] == "time_reversal"] == [0.0]
+    committed = cli.ModelConfig.load(str(path))
+    assert mirroring_residual(materialized(committed.drive_object(committed.grid(16)))) == 0.0
     # a second segment of another mass: a block that does not read the same
     # in reverse, whose doubling both strategies run; its spin Chern number
     # is within 1e-3 of 1 from grid 32 on (0.985 at 16)
@@ -888,7 +911,9 @@ def test_floquet_takes_time_reversal_from_the_doubling(tmp_path, monkeypatch, ca
     hops = {off: 0.5 * mat for off, mat in qwz_hoppings(-1.5).items()}
     raw["drive"]["segments"][1] = {"duration": 0.5, "hoppings": hoppings_json(hops)}
     cfg = cli.ModelConfig(raw)
-    files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(32)))
+    drive = cfg.drive_object(cfg.grid(32))
+    assert mirroring_residual(materialized(drive)) == 0.0
+    files = decoupled_contraction_files(tmp_path, drive)
     path = write_config(tmp_path, raw)
     base[base.index("--grid") + 1] = "32"
     for strategy in (["decoupled"], ["user_supplied", "--contraction", *files]):
@@ -896,7 +921,6 @@ def test_floquet_takes_time_reversal_from_the_doubling(tmp_path, monkeypatch, ca
         rep = read_report(capsys)
         assert rep["status"] == "ok"
         assert [c["residual"] for c in rep["checks"] if c["name"] == "time_reversal"] == [0.0]
-    assert calls == []
 
 
 def test_floquet_checks_the_branch_cut_before_the_arc(capsys):
@@ -925,7 +949,7 @@ def test_decoupled_report_matches_the_full_drive(n, arc, capsys):
     values = read_report(capsys)["values"]
     cfg = cli.ModelConfig.load(path)
     drive = cfg.drive_object(cfg.grid(n))
-    full = floquet.ArcInvariant(floquet.FloquetDrive(drive.period, drive.segments),
+    full = floquet.ArcInvariant(materialized(drive),
                                 *(complex(np.exp(1j * a)) for a in arc)).arc
     ch = pairing.chern_number(split_blocks(full.projection)[0])
     assert values["k_invariant"]["value"] == round(ch) % 2
@@ -961,8 +985,9 @@ def test_floquet_checks_time_reversal_before_any_gap(tmp_path, capsys):
     # U(T) = exp(-0.4i) everywhere puts every eigenphase on the branch cut at
     # arc0 = -0.4.  The spin-doubled drive of unequal halves is time-reversal
     # invariant, so the closed gap is reported; the same segments doubled as
-    # diag(h_j, f h_j), a plain drive, break R(H(t)) = H(-t), and that broken
-    # premise is reported before any gap
+    # diag(h_j, f h_j), a plain drive, break R(H(t)) = H(-t) (the mirroring
+    # oracle reads 0.2), and both Z2 routes, which take time reversal from
+    # the drive's type, report that missing premise before any gap
     from dkpair import floquet, models
     raw = floquet_config(1.0)
     raw["drive"]["segments"] = [
@@ -976,9 +1001,15 @@ def test_floquet_checks_time_reversal_before_any_gap(tmp_path, capsys):
     block = cli.ModelConfig(raw).drive_object(cli.ModelConfig(raw).grid(8)).block
     plain = floquet.FloquetDrive(block.period, tuple((tau, models.spin_double(h))
                                                      for tau, h in block.segments))
-    with pytest.raises(ValueError) as err:
-        floquet.ArcInvariant(plain, complex(np.exp(-0.4j)), complex(np.exp(3j)))
-    assert str(err.value) == "drive is not time-reversal invariant: time_reversal=2.000e-01"
+    assert f"{mirroring_residual(plain):.3e}" == "2.000e-01"
+    inv = floquet.ArcInvariant(plain, complex(np.exp(-0.4j)), complex(np.exp(3j)))
+    for route, call in (("decoupled", inv.decoupled), ("degree", lambda: inv.degrees(()))):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert type(err.value) is ValueError
+        assert str(err.value) == f"{route} route needs a spin-doubled drive (SpinDoubledDrive)"
+    with pytest.raises(GapClosedError, match="of the branch cut"):
+        inv.branch_identity()
 
 
 def test_cmd_floquet_reports_branch_degrees(tmp_path, capsys):
@@ -1115,21 +1146,25 @@ def test_failed_integerness_prints_report(tmp_path, capsys):
 
 def test_floquet_forms_no_doubled_segment(tmp_path, monkeypatch, capsys):
     # every solve of a spin-doubled drive reads its block's segments and
-    # eigendata: neither strategy forms a 2m x 2m segment array
+    # eigendata: the drive holds no segment of its own, so neither strategy
+    # forms a 2m x 2m segment array
     from dkpair import floquet
     raw = floquet_config(1.0)
     cfg = cli.ModelConfig(raw)
     files = decoupled_contraction_files(tmp_path, cfg.drive_object(cfg.grid(16)))
-    reads = []
-    formed = floquet.SpinDoubledDrive.segments.func
-    monkeypatch.setattr(floquet.SpinDoubledDrive, "segments",
-                        property(lambda drive: reads.append(drive) or formed(drive)))
+    drives, build = [], cli.ModelConfig.drive_object
+    monkeypatch.setattr(cli.ModelConfig, "drive_object",
+                        lambda cfg, grid: drives.append(build(cfg, grid)) or drives[-1])
     base = ["floquet", "--config", write_config(tmp_path, raw), "--arc0", "0.0",
             "--arc1", repr(np.pi), "--grid", "16", "--tgrid", "64", "--tol", "1e-3"]
     for strategy in (["decoupled"], ["user_supplied", "--contraction", *files]):
         assert run_cli([*base, "--strategy", *strategy]) == cli.EXIT_OK
         assert read_report(capsys)["status"] == "ok"
-    assert reads == []
+    assert len(drives) == 3  # decoupled reads the grids n and 2n
+    for drive in drives:
+        assert isinstance(drive, floquet.SpinDoubledDrive) and not hasattr(drive, "segments")
+        assert not any(isinstance(v, grid_alg.AlgElement) for v in vars(drive).values())
+        assert {h.m for _, h in drive.block.segments} == {raw["matrix_size"]}
 
 
 def test_anomalous_rlbl_drive_has_odd_branch_degrees(capsys):

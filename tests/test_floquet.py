@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (StoredSegment, chern_fhs, commutes_with_spin, count_calls,
-                      evolve_at, exp_projection_loop, loop_from_unitary_samples,
+                      doubled_segments, evolve_at, exp_projection_loop,
+                      loop_from_unitary_samples, materialized, mirroring_residual,
                       tri_symmetry_residual, unitary_exp)
 from dkpair import floquet as fl
 from dkpair.grid_alg import AlgElement, TorusGrid, apply_real_structure
@@ -53,10 +54,10 @@ def test_drive_validation(grid):
 
 
 def test_time_reversal_check(tri_drive, grid):
-    assert fl.check_time_reversal(tri_drive) < 1e-12
-    bad = fl.FloquetDrive(1.0, ((0.5, tri_drive.segments[0][1]),
-                                (0.5, tri_drive.segments[0][1].scale(0.9))))
-    assert fl.check_time_reversal(bad) > 1e-3
+    assert mirroring_residual(materialized(tri_drive)) < 1e-12
+    h = doubled_segments(tri_drive)[0][1]
+    bad = fl.FloquetDrive(1.0, ((0.5, h), (0.5, h.scale(0.9))))
+    assert mirroring_residual(bad) > 1e-3
 
 
 def test_evolve_basics(tri_drive, grid):
@@ -417,7 +418,9 @@ def per_node_periodized_evolution(drive, branch, t_samples):
     out = []
     t_start = 0.0
     u_start = np.broadcast_to(np.eye(m, dtype=complex), (*grid.sizes, m, m)).copy()
-    for tau, h in fl._split_at_half(drive.period, drive.segments):
+    segments = (doubled_segments(drive) if isinstance(drive, fl.SpinDoubledDrive)
+                else drive.segments)
+    for tau, h in fl._split_at_half(drive.period, segments):
         w, v = np.linalg.eigh(h.data[0])
         nn = max(9, int(round(t_samples * tau / drive.period)) | 1)
         values = np.zeros((1, nn, *grid.sizes, m, m), dtype=complex)
@@ -444,7 +447,7 @@ def test_periodized_evolution_matches_per_node_formula(tri_drive, case):
     elif case == "scaled":
         drive = rescaled(tri_drive, 1e8)
     else:
-        ha, hb = (h for _, h in tri_drive.segments)
+        ha, hb = (h for _, h in doubled_segments(tri_drive))
         drive = fl.FloquetDrive(1.0, ((0.3, ha), (0.4, hb), (0.3, ha)))
     z0, z1 = 1.0 + 0j, np.exp(1j * np.pi)
     for branch in fl.branch_pair(z0, z1, drive.period):
@@ -677,8 +680,8 @@ def test_doubled_drive_eigendata_match_a_fresh_factorization(case, monkeypatch):
     assert [u.m for u in calls] == [2]
     monkeypatch.undo()
     # the same segments as a plain drive: every eigendecomposition afresh at 4x4
-    ref = fl.FloquetDrive(drive.period, drive.segments)
-    for (w, v), (w_ref, _), (_, h) in zip(drive._eigh, ref._eigh, drive.segments):
+    ref = materialized(drive)
+    for (w, v), (w_ref, _), (_, h) in zip(drive._eigh, ref._eigh, ref.segments):
         assert np.max(np.abs(np.sort(w, axis=-1) - w_ref)) <= 1e-12
         vh = np.conj(np.swapaxes(v, -1, -2))
         assert np.max(np.abs(vh @ v - np.eye(4))) <= 1e-12
@@ -698,7 +701,7 @@ def test_partner_doubling_is_its_own_time_reverse(grid, durations):
     # the pieces refine the block's segment boundaries b and their mirror
     # images 1 - b, one piece per segment when the durations are palindromic;
     # on each piece the materialized segment is diag(h(t), f h(1 - t)), and
-    # the segment-mirroring check reads exactly 0.0
+    # the segment-mirroring oracle reads exactly 0.0 on them
     masses = (1.0, -0.6, 2.5, 0.4)
     block = fl.FloquetDrive(1.0, tuple((tau, qwz_symbol(grid, mass).scale(0.5))
                                        for tau, mass in zip(durations, masses)))
@@ -709,12 +712,12 @@ def test_partner_doubling_is_its_own_time_reverse(grid, durations):
     assert np.max(np.abs(starts[1:] - cuts)) <= 1e-12
     if durations == durations[::-1]:
         assert drive.durations == durations
-    assert fl.check_time_reversal(fl.FloquetDrive(drive.period, drive.segments)) == 0.0
+    assert mirroring_residual(materialized(drive)) == 0.0
 
     def block_at(t):
         return block.segments[int(np.searchsorted(bounds, t))][1]
 
-    for (tau, h), t0 in zip(drive.segments, starts):
+    for (tau, h), t0 in zip(doubled_segments(drive), starts):
         mid = t0 + tau / 2
         assert commutes_with_spin(h)
         assert np.array_equal(h.data[0][..., :2, :2], block_at(mid).data[0])
@@ -725,21 +728,48 @@ def test_partner_doubling_is_its_own_time_reverse(grid, durations):
 def test_time_reversal_check_is_relative_to_the_period(grid):
     # a block of durations 0.17 T and T - 0.17 T at T = 1 / 7e-9: the pieces
     # of its doubling are palindromic to the rounding of T, 4e-9 here, and
-    # the check's tolerance is 1e-12 T, as for the durations' sum
+    # the oracle's tolerance is 1e-12 T, as for the durations' sum
     period = 1 / 7e-9
     h = qwz_symbol(grid, 1.0).scale(7e-9)
     drive = fl.SpinDoubledDrive(fl.FloquetDrive(period, ((0.17 * period, h),
                                                          (period - 0.17 * period, h))))
     taus = drive.durations
     assert 1e-12 < abs(taus[0] - taus[-1]) <= 1e-12 * period
-    assert fl.check_time_reversal(fl.FloquetDrive(period, drive.segments)) == 0.0
+    assert mirroring_residual(materialized(drive)) == 0.0
 
 
 def test_decoupled_route_needs_a_spin_doubled_drive(tri_drive):
     # the same segments as a plain drive pass time reversal, but carry no
     # block for the decoupled route to run on
-    plain = fl.FloquetDrive(tri_drive.period, tri_drive.segments)
+    plain = materialized(tri_drive)
     inv = fl.ArcInvariant(plain, 1.0 + 0j, np.exp(1j * np.pi))
-    assert inv.time_reversal == 0.0
+    assert mirroring_residual(plain) == 0.0
     with pytest.raises(ValueError, match="decoupled route needs a spin-doubled drive"):
         inv.decoupled()
+
+
+def test_z2_routes_take_time_reversal_from_the_type(tri_drive, monkeypatch):
+    # a plain drive of a doubling's segments is time-reversal invariant, yet
+    # neither Z2 route runs on it: each raises naming SpinDoubledDrive before
+    # any spectrum is formed, and the degree route draws no contraction
+    plain = materialized(tri_drive)
+    assert mirroring_residual(plain) == 0.0
+    calls = count_calls(monkeypatch, fl.unitary_eig)
+    drawn = []
+
+    def contractions(inv):
+        for branch in inv.branches:
+            drawn.append(branch)
+            loop = fl.decoupled_contraction(fl.periodized_evolution(plain, branch, 64))
+            second = [seg for seg in loop.segments if seg.t0 >= 0.5 - 1e-12]
+            yield np.concatenate([second[0].values[0]]
+                                 + [seg.values[0, 1:] for seg in second[1:]])
+
+    inv = fl.ArcInvariant(plain, 1.0 + 0j, np.exp(1j * np.pi))
+    with pytest.raises(ValueError, match=r"degree route needs a spin-doubled drive "
+                                         r"\(SpinDoubledDrive\)"):
+        inv.degrees(contractions(inv))
+    with pytest.raises(ValueError, match=r"decoupled route needs a spin-doubled drive "
+                                         r"\(SpinDoubledDrive\)"):
+        inv.decoupled()
+    assert calls == [] and drawn == []

@@ -305,9 +305,6 @@ def _failing_contracts():
     grid, tgrid = TorusGrid((4, 4)), TorusGrid((8,), ("time",))
     x, e, y = ko2_generator(TorusGrid(()))
     drive = floquet.FloquetDrive(1.0, ((1.0, _constant_field(grid, np.diag([0.3, -0.2]))),))
-    doubled = floquet.FloquetDrive(1.0, tuple(
-        (0.5, models.spin_double(_constant_field(grid, energy * np.eye(2))))
-        for energy in (0.3, 0.5)))
     return {
         "psi_e": (lambda: psi_e(AlgElement.unit(x.grid, 2, 3), AlgElement.unit(x.grid, 2, 1)),
                   ValueError),
@@ -328,8 +325,6 @@ def _failing_contracts():
         "contraction_boundary": (lambda: floquet.contraction_loop_from_samples(
             floquet.periodized_evolution(drive, 0.0, 16), np.zeros((9, 4, 4, 2, 2))),
                                  ValueError),
-        "time_reversal": (lambda: floquet.ArcInvariant(doubled, 1.0 + 0j, -1.0 + 0j),
-                          ValueError),
         "hoppings": (lambda: models.symbol_from_hoppings(
             TorusGrid((4,)), {(1,): [[1.0]], (-1,): [[2.0]]}, 1), ValueError),
     }
